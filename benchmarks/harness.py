@@ -144,7 +144,9 @@ def run_metadata() -> dict:
     carries this block (none of its keys are gated by compare.py)."""
     try:
         commit = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            # "-dirty" marks numbers produced from uncommitted changes
+            # on top of the named commit (a PR measured before it lands).
+            ["git", "describe", "--always", "--dirty", "--exclude=*"],
             cwd=REPO_ROOT,
             capture_output=True,
             text=True,

@@ -6,7 +6,8 @@ a whole frontier's worth of candidate values is relaxed against the
 topology with numpy scatter-reduces (``np.minimum.at`` for BFS/SSSP,
 ``np.maximum.at`` for CC).  Programs declare their kernel via the
 ``bulk_kernel`` class attribute (next to ``combine``); see
-:mod:`repro.runtime.bulk` for how the engine drives them.
+:mod:`repro.runtime.bulk` for how the engine drives them and
+:mod:`repro.kernels.mirror` for the dense graph they relax over.
 """
 
 from repro.kernels.frontier import (
@@ -14,15 +15,16 @@ from repro.kernels.frontier import (
     MaxLabelKernel,
     MinPlusKernel,
     build_csr,
-    csr_indptr,
     relax_to_fixpoint,
 )
+from repro.kernels.mirror import EdgeRuns, Universe
 
 __all__ = [
+    "EdgeRuns",
     "FrontierKernel",
     "MaxLabelKernel",
     "MinPlusKernel",
+    "Universe",
     "build_csr",
-    "csr_indptr",
     "relax_to_fixpoint",
 ]

@@ -2,7 +2,8 @@
 
 The per-event engine reaches the monotone fixpoint by recursive visitor
 events (Alg. 3); these kernels reach the *same* fixpoint by repeated
-whole-frontier relaxation over a CSR adjacency:
+whole-frontier relaxation over the key-sorted edge runs of
+:mod:`repro.kernels.mirror`:
 
 * gather the frontier vertices' out-edges (ragged gather, no Python
   loop over vertices),
@@ -24,6 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import INF
+from repro.kernels.mirror import EdgeRuns
 from repro.util.hashing import stable_vertex_hash_array
 
 _CC_LABEL_SALT = 0xCC  # must match repro.algorithms.cc._LABEL_SALT
@@ -172,79 +174,62 @@ class MaxLabelKernel(FrontierKernel):
 
 
 # ----------------------------------------------------------------------
-# CSR helpers
+# relaxation over the mirror's edge runs
 # ----------------------------------------------------------------------
-def csr_indptr(n_vertices: int, sorted_tails: np.ndarray) -> np.ndarray:
-    """Row-pointer array for edges already sorted by (dense) tail id."""
-    indptr = np.zeros(n_vertices + 1, dtype=np.int64)
-    np.cumsum(np.bincount(sorted_tails, minlength=n_vertices), out=indptr[1:])
-    return indptr
-
-
 def build_csr(
     n_vertices: int,
     tails: np.ndarray,
     heads: np.ndarray,
     weights: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sort directed edges into CSR form: ``(indptr, heads, weights)``.
+) -> EdgeRuns:
+    """An :class:`EdgeRuns` adjacency holding the given directed edges.
 
-    ``tails``/``heads`` are dense vertex indices in ``[0, n_vertices)``.
+    ``tails``/``heads`` are dense vertex indices in ``[0, n_vertices)``;
+    duplicate pairs keep the last weight.
     """
-    order = np.argsort(tails, kind="stable")
-    tails = np.asarray(tails, dtype=np.int64)[order]
-    return (
-        csr_indptr(n_vertices, tails),
-        np.asarray(heads, dtype=np.int64)[order],
-        np.asarray(weights, dtype=np.int64)[order],
-    )
+    tails = np.asarray(tails, dtype=np.int64)
+    heads = np.asarray(heads, dtype=np.int64)
+    if tails.size and max(int(tails.max()), int(heads.max())) >= n_vertices:
+        raise ValueError(f"edge endpoint outside [0, {n_vertices})")
+    adj = EdgeRuns()
+    adj.insert(tails, heads, weights)
+    return adj
 
 
 def relax_to_fixpoint(
-    indptr: np.ndarray,
-    heads: np.ndarray,
-    weights: np.ndarray,
+    adj: EdgeRuns,
     values: np.ndarray,
     frontier: np.ndarray,
     kernel: FrontierKernel,
 ) -> tuple[int, int]:
-    """Relax ``frontier`` over the CSR until no value changes.
+    """Relax ``frontier`` over ``adj`` until no value changes.
 
-    ``values`` is mutated in place.  Returns ``(rounds, relaxations)``
-    for cost accounting — ``relaxations`` counts edge relaxations, the
-    bulk analogue of per-event UPDATE visits.
+    ``values`` (one entry per universe vertex) is mutated in place.
+    Returns ``(rounds, relaxations)`` for cost accounting —
+    ``relaxations`` counts edge relaxations, the bulk analogue of
+    per-event UPDATE visits.
     """
     frontier = np.unique(np.asarray(frontier, dtype=np.int64))
     rounds = 0
     relaxations = 0
     while frontier.size:
+        # Tail values are read once per round, before any scatter, so
+        # the rounds (and their relaxation counts) do not depend on how
+        # the gather splits the edges into runs and blocks.
         vals_f = values[frontier]
         mask = kernel.can_emit(vals_f)
         if mask is not None:
             frontier = frontier[mask]
             vals_f = vals_f[mask]
-            if not frontier.size:
-                break
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        nz = counts > 0
-        if not nz.all():
-            frontier, vals_f, starts, counts = (
-                frontier[nz], vals_f[nz], starts[nz], counts[nz],
-            )
-        total = int(counts.sum())
-        if total == 0:
+        changed = []
+        for e_heads, e_weights, tail_vals in adj.gather(frontier, values.size, vals_f):
+            relaxations += e_heads.size
+            candidates = kernel.relax(tail_vals, e_weights)
+            old = values[e_heads]
+            kernel.scatter(values, e_heads, candidates)
+            changed.append(e_heads[values[e_heads] != old])
+        if not changed:
             break
         rounds += 1
-        relaxations += total
-        # Ragged gather of every frontier vertex's out-edge slice.
-        cum = np.cumsum(counts)
-        idx = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-        idx += np.repeat(starts, counts)
-        e_heads = heads[idx]
-        candidates = kernel.relax(np.repeat(vals_f, counts), weights[idx])
-        old = values[e_heads]
-        kernel.scatter(values, e_heads, candidates)
-        changed = values[e_heads] != old
-        frontier = np.unique(e_heads[changed])
+        frontier = np.unique(np.concatenate(changed))
     return rounds, relaxations

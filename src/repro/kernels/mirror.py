@@ -1,0 +1,272 @@
+"""The dense mirror under both vectorized paths.
+
+:class:`repro.runtime.bulk.BulkIngestor` (DES bulk replay) and
+:class:`repro.parallel.vecapply.VecApplier` (mp rank drain) keep a dense
+copy of the graph next to their per-vertex value arrays.  Its halves
+live here, built so a batch costs what it brings, not what is stored:
+
+* :class:`Universe` — raw vertex ids in **arrival order**: a dense
+  position is assigned once and never moves, so per-vertex arrays only
+  grow at their end; a sorted view answers lookups in O(log V).
+* :class:`EdgeRuns` — the directed edges in dense positions, sorted by
+  ``key = tail << 32 | head``, in a large **base** run and a small
+  **delta** run.  A batch is looked up in both (a stored pair has its
+  weight overwritten in place — keep-last, the ``insert_edge`` rule — so
+  the keys found in neither are exactly the per-event first inserts),
+  fresh keys merge into the delta, and the delta folds into the base
+  only when it has reached ``1 / FOLD_FRACTION`` of it: O(batch log E +
+  delta) per batch, and all folds together rewrite a geometric series
+  of base sizes (at most ``FOLD_FRACTION + 1`` times the final count).
+  :meth:`EdgeRuns.gather` reads a frontier's out-edges through per-run
+  CSR row pointers — a key-sorted run *is* in CSR order.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Iterator
+
+import numpy as np
+
+_EMPTY_I64 = np.empty(0, dtype=np.int64)
+_EMPTY_U64 = np.empty(0, dtype=np.uint64)
+_SHIFT = np.uint64(32)
+
+#: The delta folds once ``FOLD_FRACTION * len(delta) >= len(base)`` — a
+#: constant of the structure, not a knob; a batch that large (every
+#: chunk of an early bulk replay) goes straight into the base.
+FOLD_FRACTION = 4
+
+#: Edges per gathered block.  Temporaries of one fixed size are handed
+#: back and forth by the allocator and stay cache-resident; sized by the
+#: frontier's degree sum they grow with the graph, and each one was a
+#: fresh mapping to page-fault in.
+GATHER_BLOCK = 1 << 15
+
+
+def edge_keys(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """Sort keys of directed edges given in dense positions."""
+    return (tails.astype(np.uint64) << _SHIFT) | heads.astype(np.uint64)
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(index, hit)`` of ``keys`` in ``sorted_keys``; an index is
+    meaningful only where ``hit`` is set."""
+    if not sorted_keys.size:
+        return np.zeros(keys.shape, dtype=np.int64), np.zeros(keys.shape, dtype=bool)
+    at = np.searchsorted(sorted_keys, keys)
+    return at, sorted_keys.take(at, mode="clip") == keys
+
+
+class Universe:
+    """Arrival-ordered, append-only vertex universe: ``ids[pos]`` is the
+    raw id at dense position ``pos``."""
+
+    def __init__(self) -> None:
+        self.ids = _EMPTY_I64
+        self._sorted = _EMPTY_I64  # ids, ascending
+        self._perm = _EMPTY_I64  # dense position of each sorted entry
+
+    def __len__(self) -> int:
+        return self.ids.size
+
+    def extend(self, vids: np.ndarray) -> np.ndarray:
+        """Append the ids of ``vids`` not seen before (ascending within
+        one call) and return them; they take the last ``len(returned)``
+        positions.  Existing positions never move."""
+        fresh = np.unique(np.asarray(vids, dtype=np.int64))
+        fresh = fresh[~_find(self._sorted, fresh)[1]]
+        if fresh.size:
+            start = self.ids.size
+            if start + fresh.size >= (1 << 32):  # pragma: no cover - key encoding
+                raise OverflowError("vertex universe exceeds 2^32 vertices")
+            at = np.searchsorted(self._sorted, fresh)
+            self._sorted = np.insert(self._sorted, at, fresh)
+            self._perm = np.insert(self._perm, at, np.arange(start, start + fresh.size))
+            self.ids = np.concatenate([self.ids, fresh])
+        return fresh
+
+    def find(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, hit)``: a position is meaningful only where
+        ``hit`` is set (an id outside the universe gets an arbitrary one)."""
+        at, hit = _find(self._sorted, np.asarray(vids, dtype=np.int64))
+        return (self._perm.take(at, mode="clip") if self.ids.size else at), hit
+
+    def lookup(self, vids: np.ndarray) -> np.ndarray:
+        """Dense positions of ids that must all be in the universe."""
+        pos, hit = self.find(vids)
+        if not hit.all():
+            missing = np.asarray(vids)[~hit][:8].tolist()
+            raise KeyError(f"vertex ids outside the universe: {missing}")
+        return pos
+
+
+class _Run:
+    """One key-sorted run.  ``keys``/``heads`` are never written after
+    construction; ``weights`` are overwritten in place by re-adds."""
+
+    __slots__ = ("keys", "heads", "weights", "_indptr")
+
+    def __init__(self, keys=_EMPTY_U64, heads=_EMPTY_I64, weights=_EMPTY_I64) -> None:
+        self.keys, self.heads, self.weights = keys, heads, weights
+        self._indptr: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self.keys.size
+
+    def tails(self) -> np.ndarray:
+        return (self.keys >> _SHIFT).astype(np.int64)
+
+    def merged(self, other: _Run) -> _Run:
+        """This run with ``other`` (disjoint keys) woven in: one
+        searchsorted of the smaller side, one pass over each column."""
+        if not (self.keys.size and other.keys.size):
+            return self if self.keys.size else other
+        dest = np.searchsorted(self.keys, other.keys) + np.arange(other.keys.size)
+        kept = np.ones(self.keys.size + other.keys.size, dtype=bool)
+        kept[dest] = False
+
+        def weave(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
+            out = np.empty(kept.size, dtype=mine.dtype)
+            out[dest] = theirs
+            out[kept] = mine
+            return out
+
+        return _Run(
+            weave(self.keys, other.keys),
+            weave(self.heads, other.heads),
+            weave(self.weights, other.weights),
+        )
+
+    def indptr(self, n_vertices: int) -> np.ndarray:
+        """CSR row pointers over ``n_vertices`` rows: built when first
+        asked for, padded when the universe has grown since (newcomers
+        have no edges in this run)."""
+        indptr = self._indptr
+        if indptr is None:
+            indptr = np.zeros(n_vertices + 1, dtype=np.int64)
+            np.cumsum(np.bincount(self.tails(), minlength=n_vertices), out=indptr[1:])
+        elif indptr.size <= n_vertices:
+            pad = np.full(n_vertices + 1 - indptr.size, indptr[-1])
+            indptr = np.concatenate([indptr, pad])
+        self._indptr = indptr
+        return indptr
+
+
+class EdgeRuns:
+    """Directed edge set in dense positions: a base and a delta run."""
+
+    def __init__(self) -> None:
+        self._runs = [_Run(), _Run()]  # base, delta: disjoint key sets
+        self.folds = 0  # times the delta was folded into the base
+        self.moved_edges = 0  # edge slots written into rebuilt runs
+
+    @property
+    def num_edges(self) -> int:
+        return len(self._runs[0]) + len(self._runs[1])
+
+    def insert(
+        self, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray
+    ) -> np.ndarray:
+        """Store a batch of directed edges.  Duplicates within the batch
+        keep the last weight; a pair already stored has its weight
+        overwritten.  Returns the tails of the pairs that were new (one
+        per first insert)."""
+        if tails.size == 0:
+            return _EMPTY_I64
+        keys = edge_keys(tails, heads)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        last = np.ones(keys.size, dtype=bool)
+        last[:-1] = keys[1:] != keys[:-1]
+        sel = order[last]
+        keys = keys[last]
+        heads = np.asarray(heads, dtype=np.int64)[sel]
+        weights = np.asarray(weights, dtype=np.int64)[sel]
+        fresh = np.ones(keys.size, dtype=bool)
+        for run in self._runs:
+            at, hit = _find(run.keys, keys)
+            if hit.any():
+                run.weights[at[hit]] = weights[hit]
+                fresh &= ~hit
+        if not fresh.all():
+            keys, heads, weights = keys[fresh], heads[fresh], weights[fresh]
+        if keys.size:
+            base, delta = self._runs
+            delta = delta.merged(_Run(keys, heads, weights))
+            if FOLD_FRACTION * len(delta) >= len(base):
+                base, delta = base.merged(delta), _Run()
+                self.folds += 1
+            self.moved_edges += len(delta) or len(base)  # the run just rebuilt
+            self._runs = [base, delta]
+        return (keys >> _SHIFT).astype(np.int64)
+
+    def weights_of(
+        self, tails: np.ndarray, heads: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(weights, present)`` of the named pairs; a weight is
+        meaningful only where ``present`` is set."""
+        keys = edge_keys(tails, heads)
+        weights = np.zeros(keys.shape, dtype=np.int64)
+        present = np.zeros(keys.shape, dtype=bool)
+        for run in self._runs:
+            at, hit = _find(run.keys, keys)
+            weights[hit] = run.weights[at[hit]]
+            present |= hit
+        return weights, present
+
+    def remove(self, tails: np.ndarray, heads: np.ndarray) -> int:
+        """Drop the named pairs; returns how many distinct ones were
+        stored (absent pairs are ignored, as ``delete_edge`` does)."""
+        keys = np.unique(edge_keys(tails, heads))
+        removed = 0
+        for i, run in enumerate(self._runs):
+            at, hit = _find(run.keys, keys)
+            if hit.any():
+                keep = np.ones(run.keys.size, dtype=bool)
+                keep[at[hit]] = False
+                self._runs[i] = _Run(run.keys[keep], run.heads[keep], run.weights[keep])
+                removed += int(hit.sum())
+        return removed
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(tails, heads, weights)`` of every stored edge."""
+        base, delta = self._runs
+        return (
+            np.concatenate([base.tails(), delta.tails()]),
+            np.concatenate([base.heads, delta.heads]),
+            np.concatenate([base.weights, delta.weights]),
+        )
+
+    def gather(
+        self, frontier: np.ndarray, n_vertices: int, *per_vertex: np.ndarray
+    ) -> Iterator[tuple[np.ndarray, ...]]:
+        """Ragged gather of the out-edges of ``frontier`` (dense
+        positions below ``n_vertices``; no Python loop over vertices).
+
+        Yields ``(heads, weights, *spread)`` per block of about
+        ``GATHER_BLOCK`` edges of one run, ``spread[k]`` being
+        ``per_vertex[k]`` (one entry per frontier vertex) repeated over
+        each vertex's edges.
+        """
+        for run in self._runs:
+            if not run.keys.size:
+                continue
+            indptr = run.indptr(n_vertices)
+            starts = indptr[frontier]
+            counts = indptr[frontier + 1] - starts
+            ends = np.cumsum(counts)  # gather offset just past each vertex
+            total = int(ends[-1]) if ends.size else 0
+            # Gathered edge i of vertex v is slot starts[v] + i - first[v],
+            # first[v] being the gather offset of v's first edge.
+            starts -= ends - counts
+            cuts = np.searchsorted(ends, np.arange(GATHER_BLOCK, total, GATHER_BLOCK))
+            lo = done = 0
+            for hi in (*(cuts + 1).tolist(), frontier.size):
+                size = int(ends[hi - 1]) - done if hi > lo else 0
+                if size:
+                    c = counts[lo:hi]
+                    idx = np.repeat(starts[lo:hi], c)
+                    idx += np.arange(done, done + size)
+                    spread = (np.repeat(x[lo:hi], c) for x in per_vertex)
+                    yield run.heads[idx], run.weights[idx], *spread
+                    lo, done = hi, done + size

@@ -409,6 +409,15 @@ class ShmLoop(PipeLoop):
             return
         obs = self.obs
         t0 = obs.now() if obs is not None else 0.0
+        if dst_rank not in self._rings_out:
+            raise RuntimeError(
+                f"rank {self.rank} buffered messages for {dst_rank} "
+                "but has no ring to it"
+            )
+        # No slab may exceed half the ring: a larger one can be refused
+        # by an *empty* ring forever (see ShmRing.max_payload).  Splits
+        # are consecutive, so each lane stays FIFO.
+        limit = self._rings_out[dst_rank].max_payload
         slabs: list[tuple[int, int, Any]] = []
         if buf:
             from repro.parallel.shm import K_PICKLE
@@ -416,21 +425,19 @@ class ShmLoop(PipeLoop):
             batch = [p.msg for p in buf]
             buf.clear()
             self._outbuf_index[dst_rank].clear()
-            encoded = self._codec.encode_batch(batch)
+            encoded = self._encode_fitting(batch, limit)
             for kind, n, _payload in encoded:
                 if kind == K_PICKLE:
                     self.pickle_slabs += 1
                     self.pickle_records += n
             slabs.extend(encoded)
         if recs:
-            slabs.extend((kind, len(arr), arr) for kind, arr in recs)
+            for kind, arr in recs:
+                per = max(1, limit // arr.itemsize)
+                parts = (arr[i : i + per] for i in range(0, len(arr), per))
+                slabs.extend((kind, len(part), part) for part in parts)
             self._rec_out[dst_rank] = []
             self._rec_counts[dst_rank] = 0
-        if dst_rank not in self._rings_out:
-            raise RuntimeError(
-                f"rank {self.rank} buffered messages for {dst_rank} "
-                "but has no ring to it"
-            )
         self._push_slabs(dst_rank, slabs)
         self._threshold = self._draw_threshold()
         if obs is not None:
@@ -440,6 +447,17 @@ class ShmLoop(PipeLoop):
                 "emit",
                 {"dst": dst_rank, "records": sum(n for _, n, _ in slabs)},
             )
+
+    def _encode_fitting(self, batch: list, limit: int) -> list[tuple[int, int, Any]]:
+        """``encode_batch`` with every payload within ``limit`` bytes:
+        an oversized batch is re-encoded half by half."""
+        slabs = self._codec.encode_batch(batch)
+        if len(batch) == 1 or all(len(payload) <= limit for _, _, payload in slabs):
+            return slabs
+        mid = len(batch) // 2
+        return self._encode_fitting(batch[:mid], limit) + self._encode_fitting(
+            batch[mid:], limit
+        )
 
     def _push_slabs(self, dst_rank: int, slabs: list[tuple[int, int, Any]]) -> None:
         ring = self._rings_out[dst_rank]

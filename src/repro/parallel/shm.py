@@ -170,6 +170,13 @@ class ShmRing:
         }
 
     # -- producer ------------------------------------------------------
+    @property
+    def max_payload(self) -> int:
+        """Largest payload :meth:`try_push` accepts: a slab of half the
+        ring always fits an empty ring, wherever the write cursor is
+        (``pad + slab < 2 * slab <= capacity``)."""
+        return (self.capacity // 2) // SLAB_ALIGN * SLAB_ALIGN - SLAB_HEADER
+
     def try_push(
         self,
         kind: int,
@@ -177,7 +184,8 @@ class ShmRing:
         payload: bytes | memoryview | np.ndarray,
         sender: int,
     ) -> bool:
-        """Append one slab; False (and no write) if it does not fit.
+        """Append one slab; False (and no write) if it does not fit
+        right now.  Raises for a payload above :attr:`max_payload`.
 
         ``payload`` may be any contiguous buffer; it is copied into the
         ring with one bulk assignment.
@@ -185,9 +193,11 @@ class ShmRing:
         payload = np.frombuffer(payload, dtype=np.uint8)
         nbytes = payload.nbytes
         slab = _align(SLAB_HEADER + nbytes)
-        if slab > self.capacity:
+        if slab > self.capacity // 2:
+            # A larger slab may need more than the whole ring once the
+            # PAD before it is counted, and would be refused forever.
             raise ValueError(
-                f"slab of {slab} bytes exceeds ring capacity {self.capacity}"
+                f"slab of {slab} bytes exceeds ring capacity {self.capacity} // 2"
             )
         tail, head = self.tail, self.head
         pos = tail % self.capacity

@@ -6,9 +6,15 @@ per-neighbour emission.  When every loaded program declares a
 ``bulk_kernel``, a rank can instead drain whole record slabs
 (:mod:`repro.parallel.codec`) with array kernels: offers are scattered
 with ``np.minimum.at`` / ``np.maximum.at`` and adopted values are
-re-broadcast by the frontier relaxation of
-:mod:`repro.kernels.frontier`, exactly the §II-B argument that the REMO
-fixpoint is interleaving-independent.
+re-broadcast by frontier relaxation over the rank's dense mirror
+(:mod:`repro.kernels.mirror`, the one the DES bulk path uses too),
+exactly the §II-B argument that the REMO fixpoint is
+interleaving-independent.
+
+A drain costs what it brings, not what the rank already holds: dense
+positions never move (per-vertex arrays only grow at the end), a drain's
+edges merge into the mirror's small delta run, and the mirror's count of
+keys it had not stored *is* the per-event ``edge_inserts`` test.
 
 Bit-equality with the per-event path rests on five invariants:
 
@@ -63,6 +69,7 @@ from typing import Any
 
 import numpy as np
 
+from repro.kernels.mirror import EdgeRuns, Universe
 from repro.parallel.codec import ADD_DTYPE, Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 
@@ -71,7 +78,7 @@ def vec_eligible(engine, wire, add_only: bool) -> bool:
     """Can this run drain slabs through the kernels?
 
     Requires: shm wire with vectorize on, undirected mode, an add-only
-    stream (no deletes to invalidate the CSR mirror), at least one
+    stream (deletes are the de-opt path, not the fast one), at least one
     program, and a bulk kernel + no nbr-cache on every program (one
     per-event program forces the whole drain per-event — same rule as
     the DES bulk-ingest controller).
@@ -88,11 +95,14 @@ def vec_eligible(engine, wire, add_only: bool) -> bool:
 class VecApplier:
     """Dense kernel-space mirror of one rank's algorithm state.
 
-    Raw vertex ids map onto a sorted id universe; per-program dense
-    arrays hold *materialized* values (never the 0 sentinel), a
-    ``written`` mask tracks which entries the per-event path would have
-    in its dict, and a rank-local edge list mirrors the adjacency store
-    as a CSR for adoption broadcasts.
+    Raw vertex ids map onto an arrival-ordered
+    :class:`~repro.kernels.mirror.Universe` whose positions never move;
+    per-program dense arrays hold *materialized* values (never the 0
+    sentinel), a ``written`` mask tracks which entries the per-event
+    path would have in its dict, and a rank-local
+    :class:`~repro.kernels.mirror.EdgeRuns` store mirrors the adjacency
+    store for adoption broadcasts — a drain merges its edges into the
+    small delta run instead of rebuilding a CSR over the graph so far.
     """
 
     def __init__(self, engine, rank: int, codec: Codec):
@@ -109,30 +119,35 @@ class VecApplier:
         self._minlike = [
             bool(k.improves(one(k, 0), one(k, 1))[0]) for k in self.kernels
         ]
-        # Sorted raw-id universe and per-entry rank ownership.
-        self._ids = np.empty(0, dtype=np.int64)
+        # One entry per universe position, grown at the end by _grow.
+        self.universe = Universe()
         self._owner = np.empty(0, dtype=np.int64)
         self._values = [np.empty(0, dtype=k.dtype) for k in self.kernels]
         self._written = [np.empty(0, dtype=bool) for _ in self.kernels]
         self._synced = [np.empty(0, dtype=k.dtype) for k in self.kernels]
-        # Rank-local directed edge mirror (raw ids) and its CSR cache.
-        self._e_tail = np.empty(0, dtype=np.int64)
-        self._e_head = np.empty(0, dtype=np.int64)
-        self._e_w = np.empty(0, dtype=np.int64)
-        self._csr: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-        # Directed (tail, head) pairs ever seen — the first-insert test
-        # that keeps ``edge_inserts`` agreeing with the per-event store.
-        self._pairs: set[tuple[int, int]] = set()
+        # Rank-local directed edges; its fresh-key count per batch is
+        # the first-insert test that keeps ``edge_inserts`` agreeing
+        # with the per-event store.
+        self.mirror = EdgeRuns()
         # Per-event activity observed between drains.
         self._dirty: list[dict[int, Any]] = [dict() for _ in self.kernels]
         self._pending_edges: list[tuple[int, int, int]] = []
         engine.install_hook("on_write", self._on_value_write)
         engine.install_hook("on_insert", self._on_insert)
-        self.stats = {
+        self._stats = {
             "kernel_batches": 0,
             "kernel_records": 0,
             "kernel_relaxations": 0,
             "kernel_rounds": 0,
+        }
+
+    @property
+    def stats(self) -> dict[str, int]:
+        """Kernel work counts plus the mirror's fold accounting."""
+        return {
+            **self._stats,
+            "mirror_folds": self.mirror.folds,
+            "mirror_moved_edges": self.mirror.moved_edges,
         }
 
     # -- engine hooks --------------------------------------------------
@@ -143,48 +158,40 @@ class VecApplier:
         self._pending_edges.append((src, dst, weight))
 
     # -- id universe ---------------------------------------------------
-    def _ensure_ids(self, raw: np.ndarray) -> None:
-        """Grow the universe to cover ``raw`` (new entries materialize).
+    def _grow(self, raw: np.ndarray) -> None:
+        """Admit the never-seen ids of ``raw`` (materialized, unwritten).
 
-        Growing REMAPS every dense position — callers must not hold
-        indices across a call; :meth:`drain` grows once up front so all
-        downstream indices stay stable.
+        Positions are stable, but growth replaces the dense arrays —
+        :meth:`drain` grows once up front so no array captured below is
+        left behind.
         """
-        if raw.size == 0:
-            return
-        raw = np.unique(raw)
-        if self._ids.size:
-            fresh = raw[~np.isin(raw, self._ids, assume_unique=True)]
-        else:
-            fresh = raw
+        fresh = self.universe.extend(raw)
         if fresh.size == 0:
             return
-        ids = np.sort(np.concatenate([self._ids, fresh]))
-        old_pos = np.searchsorted(ids, self._ids)
-        fresh_pos = np.searchsorted(ids, fresh)
-        self._owner = self.partitioner.owner_array(ids)
+        self._owner = np.concatenate([self._owner, self.partitioner.owner_array(fresh)])
         for p, k in enumerate(self.kernels):
-            vals = np.empty(ids.shape, dtype=k.dtype)
-            written = np.zeros(ids.shape, dtype=bool)
-            synced = np.zeros(ids.shape, dtype=k.dtype)
-            vals[fresh_pos] = k.materialize(np.zeros(fresh.shape, dtype=k.dtype), fresh)
-            if self._ids.size:
-                vals[old_pos] = self._values[p]
-                written[old_pos] = self._written[p]
-                synced[old_pos] = self._synced[p]
-            self._values[p] = vals
-            self._written[p] = written
-            self._synced[p] = synced
-        self._ids = ids
-        self._csr = None  # CSR indices are positional
+            self._values[p] = np.concatenate([self._values[p], k.init_values(fresh)])
+            self._written[p] = np.concatenate(
+                [self._written[p], np.zeros(fresh.size, dtype=bool)]
+            )
+            self._synced[p] = np.concatenate(
+                [self._synced[p], np.zeros(fresh.size, dtype=k.dtype)]
+            )
 
-    def _idx(self, raw: np.ndarray) -> np.ndarray:
-        return np.searchsorted(self._ids, raw)
+    def _known_pairs(
+        self, tails: np.ndarray, heads: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Dense positions of the raw pairs whose endpoints are both in
+        the universe (any other pair cannot be stored)."""
+        t, t_hit = self.universe.find(tails)
+        h, h_hit = self.universe.find(heads)
+        known = t_hit & h_hit
+        return t[known], h[known]
 
     # -- per-event fold ------------------------------------------------
     def _fold_dirty(self) -> list[np.ndarray]:
         """Fold per-event activity into the mirror; returns per-program
-        raw ids whose dense value improved.  Those must re-broadcast
+        positions whose dense value improved.  Those must re-broadcast
         over the mirror (the vec analogue of the per-event write's
         ``update_nbrs`` — the engine's store is empty in vec mode, so
         nothing else would carry them)."""
@@ -194,8 +201,10 @@ class VecApplier:
         if self._pending_edges:
             e = np.array(self._pending_edges, dtype=np.int64).reshape(-1, 3)
             self._pending_edges = []
-            self._note_pairs(e[:, 0], e[:, 1], count=False)
-            self._append_edges(e[:, 0], e[:, 1], e[:, 2])
+            # The engine stored (and counted) these itself.
+            self._grow(e[:, :2].ravel())
+            lookup = self.universe.lookup
+            self.mirror.insert(lookup(e[:, 0]), lookup(e[:, 1]), e[:, 2])
         for p, k in enumerate(self.kernels):
             items = self._dirty[p]
             if not items:
@@ -203,68 +212,16 @@ class VecApplier:
             self._dirty[p] = dict()
             raw = np.fromiter(items.keys(), dtype=np.int64, count=len(items))
             vals = np.array(list(items.values()), dtype=k.dtype)
-            self._ensure_ids(raw)
-            idx = self._idx(raw)
+            self._grow(raw)
+            idx = self.universe.lookup(raw)
             merged = k.merge_dense(self._values[p][idx], vals)
             ch = merged != self._values[p][idx]
             self._values[p][idx] = merged
             self._written[p][idx] = True
             self._synced[p][idx] = vals
             if ch.any():
-                improved[p] = raw[ch]
+                improved[p] = idx[ch]
         return improved
-
-    def _append_edges(
-        self, tails: np.ndarray, heads: np.ndarray, w: np.ndarray
-    ) -> None:
-        self._ensure_ids(np.concatenate([tails, heads]))
-        self._e_tail = np.concatenate([self._e_tail, tails])
-        self._e_head = np.concatenate([self._e_head, heads])
-        self._e_w = np.concatenate([self._e_w, np.asarray(w, dtype=np.int64)])
-        self._csr = None
-
-    def _note_pairs(self, tails: np.ndarray, heads: np.ndarray, count: bool) -> int:
-        """Record directed pairs; the returned first-insert count is the
-        per-event ``if new: edge_inserts += 1`` test, vectorized.  Pairs
-        the engine already stored itself fold in with ``count=False`` so
-        they are never double-counted."""
-        pairs = self._pairs
-        before = len(pairs)
-        pairs.update(zip(tails.tolist(), heads.tolist()))
-        return len(pairs) - before if count else 0
-
-    def _build_csr(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """CSR over the mirror in universe positions, dedup keep-last.
-
-        A re-added edge overwrites its weight in the store; keep-last
-        makes the mirror agree (monotone streams only re-add with
-        non-worsening weights, so a stale entry would merely offer a
-        losing candidate — but the mirror must not grow unboundedly).
-        """
-        if self._csr is not None:
-            return self._csr
-        n = self._ids.size
-        if self._e_tail.size == 0:
-            self._csr = (
-                np.zeros(n + 1, dtype=np.int64),
-                np.empty(0, np.int64),
-                np.empty(0, np.int64),
-            )
-            return self._csr
-        t = self._idx(self._e_tail)
-        h = self._idx(self._e_head)
-        key = t * np.int64(n) + h
-        _, rev_first = np.unique(key[::-1], return_index=True)
-        keep = (key.size - 1) - rev_first
-        t, h, w = t[keep], h[keep], self._e_w[keep]
-        order = np.argsort(t, kind="stable")
-        t, h, w = t[order], h[order], w[order]
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(t, minlength=n), out=indptr[1:])
-        self._csr = (indptr, h, w)
-        # Compact the stored mirror so dedup cost stays bounded.
-        self._e_tail, self._e_head, self._e_w = self._ids[t], self._ids[h], w
-        return self._csr
 
     # -- stream ingest -------------------------------------------------
     def ingest(
@@ -276,7 +233,7 @@ class VecApplier:
         synthetic local ADD slab (one :meth:`drain`); the rest travel as
         ADD records to their owners.  With ingest vectorized too, no
         per-event visitor ever fires in a vec run, which is what lets
-        the engine's (pure-Python) adjacency store stay empty — the CSR
+        the engine's (pure-Python) adjacency store stay empty — the edge
         mirror is the rank's only topology, harvested by :meth:`edges`.
         """
         src = np.asarray(src, dtype=np.int64)
@@ -297,40 +254,23 @@ class VecApplier:
     # -- topology harvest ----------------------------------------------
     @property
     def num_edges(self) -> int:
-        return len(self._pairs)
+        return self.mirror.num_edges
 
     def edges(self) -> list[tuple[int, int, int]]:
         """This rank's stored directed edges with keep-last weights
         (what ``store.edges()`` would have held)."""
-        self._build_csr()  # compacts the mirror to its deduped form
-        return list(
-            zip(self._e_tail.tolist(), self._e_head.tolist(), self._e_w.tolist())
-        )
+        t, h, w = self.mirror.edges()
+        ids = self.universe.ids
+        return list(zip(ids[t].tolist(), ids[h].tolist(), w.tolist()))
 
     # -- deletes (§VI-B on the vec path) -------------------------------
     def retire_edges(self, tails: np.ndarray, heads: np.ndarray) -> int:
         """Drop directed pairs from the mirror; returns how many named
         pairs were actually present (the per-event ``delete_edge``
-        success count).  Absent pairs are ignored, matching the store.
+        success count).  Absent pairs — never-seen endpoints included —
+        are ignored, matching the store.
         """
-        if tails.size == 0:
-            return 0
-        named = set(zip(tails.tolist(), heads.tolist()))
-        present = [p for p in named if p in self._pairs]
-        if not present:
-            return 0
-        for p in present:
-            self._pairs.discard(p)
-        n = np.int64(self._ids.size)
-        kt = self._idx(np.array([p[0] for p in present], dtype=np.int64))
-        kh = self._idx(np.array([p[1] for p in present], dtype=np.int64))
-        key = self._idx(self._e_tail) * n + self._idx(self._e_head)
-        keep = ~np.isin(key, kt * n + kh)
-        self._e_tail = self._e_tail[keep]
-        self._e_head = self._e_head[keep]
-        self._e_w = self._e_w[keep]
-        self._csr = None
-        return len(present)
+        return self.mirror.remove(*self._known_pairs(tails, heads))
 
     def apply_deletes(self, recs: np.ndarray, loop) -> bool:
         """Attempt vectorized retirement of one K_DEL slab.
@@ -351,43 +291,26 @@ class VecApplier:
         # same values the per-event path would.  Improvements found by
         # the fold still need their adoption broadcast (drain would have
         # done it), or they die in the mirror.
+        self._fold_and_broadcast(loop)
+        src = recs["src"].astype(np.int64)
+        dst = recs["dst"].astype(np.int64)
+        t, h = self._known_pairs(np.concatenate([src, dst]), np.concatenate([dst, src]))
+        w, present = self.mirror.weights_of(t, h)
+        t, h, w = t[present], h[present], w[present]
+        if t.size:
+            for p, k in enumerate(self.kernels):
+                safe = k.delete_safe(self._values[p][t], self._values[p][h], w)
+                if safe is None or not bool(np.asarray(safe).all()):
+                    return False
+        self.engine.counters[self.rank].edge_deletes += self.mirror.remove(t, h)
+        self._write_back()
+        return True
+
+    def _fold_and_broadcast(self, loop) -> None:
         improved = self._fold_dirty()
         for p in range(self.n_programs):
             if improved[p].size:
-                self._relax_and_broadcast(p, self._idx(improved[p]), loop)
-        src = recs["src"].astype(np.int64)
-        dst = recs["dst"].astype(np.int64)
-        tails = np.concatenate([src, dst])
-        heads = np.concatenate([dst, src])
-        named = np.array(
-            [p in self._pairs for p in zip(tails.tolist(), heads.tolist())],
-            dtype=bool,
-        )
-        if named.any():
-            tails_p, heads_p = tails[named], heads[named]
-            # Weight lookup against the deduped (keep-last) mirror.
-            self._build_csr()
-            n = np.int64(self._ids.size)
-            mkey = self._idx(self._e_tail) * n + self._idx(self._e_head)
-            order = np.argsort(mkey)
-            mkey_s = mkey[order]
-            qkey = self._idx(tails_p) * n + self._idx(heads_p)
-            pos = np.searchsorted(mkey_s, qkey)
-            # Every named pair is in ``_pairs`` and thus in the deduped
-            # mirror, so the lookup always lands.
-            w = self._e_w[order][pos]
-            t_idx = self._idx(tails_p)
-            h_idx = self._idx(heads_p)
-            for p, k in enumerate(self.kernels):
-                safe = k.delete_safe(
-                    self._values[p][t_idx], self._values[p][h_idx], w
-                )
-                if safe is None or not bool(np.asarray(safe).all()):
-                    return False
-        deleted = self.retire_edges(tails, heads)
-        self.engine.counters[self.rank].edge_deletes += deleted
-        self._write_back()
-        return True
+                self._relax_and_broadcast(p, improved[p], loop)
 
     def deopt(self, loop) -> None:
         """Abandon the vec mirror and hand the rank back to per-event.
@@ -401,10 +324,7 @@ class VecApplier:
         everything, including the slab that triggered the de-opt, goes
         through ``decode_to_tuples`` → per-event dispatch.
         """
-        improved = self._fold_dirty()
-        for p in range(self.n_programs):
-            if improved[p].size:
-                self._relax_and_broadcast(p, self._idx(improved[p]), loop)
+        self._fold_and_broadcast(loop)
         self._write_back()
         engine = self.engine
         store = engine.stores[self.rank]
@@ -432,35 +352,39 @@ class VecApplier:
         obs = self.obs
         t0 = obs.now() if obs is not None else 0.0
         fold_improved = self._fold_dirty()
-        self.stats["kernel_batches"] += 1
-        self.stats["kernel_records"] += n_records
+        self._stats["kernel_batches"] += 1
+        self._stats["kernel_records"] += n_records
 
-        # Grow the universe once; every index below stays stable.
+        # Grow the universe once; every array captured below stays current.
         parts = []
         if add is not None:
-            parts += [add["src"].astype(np.int64), add["dst"].astype(np.int64)]
+            parts += [add["src"], add["dst"]]
         if radd is not None:
-            parts += [radd["dst"].astype(np.int64), radd["src"].astype(np.int64)]
+            parts += [radd["dst"], radd["src"]]
         if upd is not None:
-            parts.append(upd["target"].astype(np.int64))
-        self._ensure_ids(np.concatenate(parts))
+            parts.append(upd["target"])
+        self._grow(np.concatenate(parts))
+        lookup = self.universe.lookup
 
         engine = self.engine
         counters = engine.counters[self.rank]
         changed: list[list[np.ndarray]] = [[] for _ in self.kernels]
         for p in range(self.n_programs):
             if fold_improved[p].size:
-                changed[p].append(self._idx(fold_improved[p]))
+                changed[p].append(fold_improved[p])
 
         # --- ADD slabs: insert at the source's owner, seed, re-emit ---
+        # Edges of the whole drain, in arrival order (keep-last), go to
+        # the mirror in one batch before anything relaxes over it.
+        arrived: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         local_radd = None
         if add is not None:
             src = add["src"].astype(np.int64)
             dst = add["dst"].astype(np.int64)
             w = add["weight"].astype(np.int64)
-            counters.edge_inserts += self._note_pairs(src, dst, count=True)
-            self._append_edges(src, dst, w)
-            src_idx = self._idx(src)
+            src_idx = lookup(src)
+            dst_idx = lookup(dst)
+            arrived.append((src_idx, dst_idx, w))
             for p in range(self.n_programs):
                 self._written[p][src_idx] = True  # on_add seeds the source
             # Synthesize the REVERSE_ADD the per-event path emits,
@@ -472,37 +396,38 @@ class VecApplier:
                 ],
                 axis=1,
             )
-            local = self.partitioner.owner_array(dst) == self.rank
+            local = self._owner[dst_idx] == self.rank
             remote = ~local
             if remote.any():
                 loop.queue_radd(dst[remote], src[remote], w[remote], vals[remote])
             if local.any():
-                local_radd = (dst[local], src[local], w[local], vals[local])
+                local_radd = (
+                    src[local], w[local], vals[local], dst_idx[local], src_idx[local]
+                )
 
         # --- REVERSE_ADD: insert reverse edge, seed, offer ------------
         nb_pending: list[
-            tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+            tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
         ] = []
         radd_parts = []
         if radd is not None:
+            rsrc = radd["src"].astype(np.int64)
             radd_parts.append(
                 (
-                    radd["dst"].astype(np.int64),
-                    radd["src"].astype(np.int64),
+                    rsrc,
                     radd["weight"].astype(np.int64),
                     radd["vals"].reshape(-1, self.n_programs),
+                    lookup(radd["dst"].astype(np.int64)),
+                    lookup(rsrc),
                 )
             )
         if local_radd is not None:
             radd_parts.append(local_radd)
         if radd_parts:
-            rdst = np.concatenate([x[0] for x in radd_parts])
-            rsrc = np.concatenate([x[1] for x in radd_parts])
-            rw = np.concatenate([x[2] for x in radd_parts])
-            rvals = np.concatenate([x[3] for x in radd_parts])
-            counters.edge_inserts += self._note_pairs(rdst, rsrc, count=True)
-            self._append_edges(rdst, rsrc, rw)
-            dst_idx = self._idx(rdst)
+            rsrc, rw, rvals, dst_idx, rsrc_idx = (
+                np.concatenate(col) for col in zip(*radd_parts)
+            )
+            arrived.append((dst_idx, rsrc_idx, rw))
             for p, k in enumerate(self.kernels):
                 self._written[p][dst_idx] = True  # on_reverse_add seeds
                 vis = k.materialize(rvals[:, p].astype(k.dtype), rsrc)
@@ -512,7 +437,7 @@ class VecApplier:
                 ch = self._values[p][dst_idx] != old
                 if ch.any():
                     changed[p].append(dst_idx[ch])
-                nb_pending.append((p, dst_idx, rsrc, rw, vis))
+                nb_pending.append((p, dst_idx, rsrc, rsrc_idx, rw, vis))
 
         # --- UPDATE: offer relax(vis_val, weight) at the target -------
         if upd is not None:
@@ -525,7 +450,7 @@ class VecApplier:
                 sender = upd["sender"][sel].astype(np.int64)
                 value = upd["value"][sel].astype(k.dtype)
                 w = upd["weight"][sel].astype(np.int64)
-                t_idx = self._idx(target)
+                t_idx = lookup(target)
                 self._written[p][t_idx] = True  # on_update seeds
                 vis = k.materialize(value, sender)
                 cand = k.relax(vis, w)
@@ -536,6 +461,9 @@ class VecApplier:
                     changed[p].append(t_idx[ch])
 
         # --- frontier relaxation + adoption broadcast -----------------
+        if arrived:
+            fresh = self.mirror.insert(*(np.concatenate(col) for col in zip(*arrived)))
+            counters.edge_inserts += fresh.size
         for p in range(self.n_programs):
             if changed[p]:
                 self._relax_and_broadcast(
@@ -544,7 +472,7 @@ class VecApplier:
 
         # --- REVERSE_ADD notify-backs (load-bearing) ------------------
         local_offers: list[list[np.ndarray]] = [[] for _ in self.kernels]
-        for p, dst_idx, rsrc, rw, vis in nb_pending:
+        for p, dst_idx, rsrc, rsrc_idx, rw, vis in nb_pending:
             k = self.kernels[p]
             final = self._values[p][dst_idx]
             cand_back = k.relax(final, rw)
@@ -552,11 +480,12 @@ class VecApplier:
             if not mask.any():
                 continue
             src_m = rsrc[mask]
-            dst_m = self._ids[dst_idx[mask]]
+            dst_m = self.universe.ids[dst_idx[mask]]
             back_m = cand_back[mask]
             final_m = final[mask]
             w_m = rw[mask]
-            remote = self.partitioner.owner_array(src_m) != self.rank
+            s_idx = rsrc_idx[mask]
+            remote = self._owner[s_idx] != self.rank
             if remote.any():
                 loop.queue_update(
                     p,
@@ -567,7 +496,7 @@ class VecApplier:
                 )
             local = ~remote
             if local.any():
-                s_idx = self._idx(src_m[local])
+                s_idx = s_idx[local]
                 self._written[p][s_idx] = True
                 old = self._values[p][s_idx].copy()
                 k.scatter(self._values[p], s_idx, back_m[local])
@@ -588,14 +517,14 @@ class VecApplier:
         return n_records
 
     def _relax_and_broadcast(self, p: int, frontier: np.ndarray, loop) -> None:
-        """Relax ``frontier`` to the local fixpoint over the CSR mirror,
-        collecting UPDATE records for remote heads (the adoption
+        """Relax ``frontier`` to the local fixpoint over the edge
+        mirror, collecting UPDATE records for remote heads (the adoption
         broadcast of Alg. 3, batched and §II-D-coalesced)."""
         k = self.kernels[p]
-        indptr, heads, weights = self._build_csr()
         values = self._values[p]
         written = self._written[p]
         owner = self._owner
+        ids = self.universe.ids
         rem_t: list[np.ndarray] = []
         rem_s: list[np.ndarray] = []
         rem_v: list[np.ndarray] = []
@@ -608,44 +537,35 @@ class VecApplier:
             if mask is not None:
                 frontier = frontier[mask]
                 vals_f = vals_f[mask]
-                if not frontier.size:
-                    break
-            starts = indptr[frontier]
-            counts = indptr[frontier + 1] - starts
-            nz = counts > 0
-            if not nz.all():
-                frontier, vals_f, starts, counts = (
-                    frontier[nz], vals_f[nz], starts[nz], counts[nz],
-                )
-            total = int(counts.sum())
-            if total == 0:
+            adopted = []
+            relaxed = 0
+            for e_heads, e_w, tail_vals, tails in self.mirror.gather(
+                frontier, values.size, vals_f, frontier
+            ):
+                relaxed += e_heads.size
+                candidates = k.relax(tail_vals, e_w)
+                local = owner[e_heads] == self.rank
+                remote = ~local
+                if remote.any():
+                    rem_t.append(ids[e_heads[remote]])
+                    rem_s.append(ids[tails[remote]])
+                    rem_v.append(tail_vals[remote].astype(np.uint64))
+                    rem_w.append(e_w[remote])
+                    rem_c.append(candidates[remote])
+                if local.any():
+                    l_heads = e_heads[local]
+                    written[l_heads] = True  # delivery seeds the neighbour
+                    old = values[l_heads]
+                    k.scatter(values, l_heads, candidates[local])
+                    adopted.append(l_heads[values[l_heads] != old])
+            if not relaxed:
                 break
             rounds += 1
-            self.stats["kernel_relaxations"] += total
-            cum = np.cumsum(counts)
-            idx = np.arange(total, dtype=np.int64) - np.repeat(cum - counts, counts)
-            idx += np.repeat(starts, counts)
-            e_heads = heads[idx]
-            tail_vals = np.repeat(vals_f, counts)
-            candidates = k.relax(tail_vals, weights[idx])
-            local = owner[e_heads] == self.rank
-            remote = ~local
-            if remote.any():
-                rem_t.append(self._ids[e_heads[remote]])
-                rem_s.append(self._ids[np.repeat(frontier, counts)[remote]])
-                rem_v.append(tail_vals[remote].astype(np.uint64))
-                rem_w.append(weights[idx][remote])
-                rem_c.append(candidates[remote])
-            if local.any():
-                l_heads = e_heads[local]
-                written[l_heads] = True  # delivery seeds the neighbour
-                old = values[l_heads].copy()
-                k.scatter(values, l_heads, candidates[local])
-                ch = values[l_heads] != old
-                frontier = np.unique(l_heads[ch])
-            else:
-                frontier = np.empty(0, dtype=np.int64)
-        self.stats["kernel_rounds"] += rounds
+            self._stats["kernel_relaxations"] += relaxed
+            if not adopted:
+                break
+            frontier = np.unique(np.concatenate(adopted))
+        self._stats["kernel_rounds"] += rounds
         if rem_t:
             t = np.concatenate(rem_t)
             s = np.concatenate(rem_s)
@@ -678,5 +598,5 @@ class VecApplier:
             vals = self._values[p][idx]
             self._synced[p][idx] = vals
             target = engine.values[self.rank][p]
-            for vid, v in zip(self._ids[idx].tolist(), vals.tolist()):
+            for vid, v in zip(self.universe.ids[idx].tolist(), vals.tolist()):
                 target[vid] = v

@@ -11,13 +11,17 @@ applied at once and the algorithm state advanced by vectorized
 delta-frontier relaxation (:mod:`repro.kernels.frontier`) with a result
 bitwise-equal to the per-event path.
 
-The :class:`BulkIngestor` owns the dense mirror of the engine state:
+The :class:`BulkIngestor` owns the dense mirror of the engine state,
+built from the shared pieces of :mod:`repro.kernels.mirror`:
 
-* a vertex universe (arrival-ordered dense ids, searchsorted lookup),
+* a :class:`~repro.kernels.mirror.Universe` (arrival-ordered dense
+  positions that never move, sorted-view lookup),
 * one dense value array per program (dtype chosen by its
-  ``bulk_kernel``),
-* the global directed edge set, key-sorted so its tail column *is* the
-  CSR ordering (undirected input edges appear as two directed edges,
+  ``bulk_kernel``), grown at its end as vertices arrive,
+* the global directed edge set in an
+  :class:`~repro.kernels.mirror.EdgeRuns` store — key-sorted base and
+  delta runs, so a chunk costs a sorted insert, not a re-sort of every
+  edge so far (undirected input edges appear as two directed edges,
   exactly as the per-event ADD / REVERSE_ADD pair stores them).
 
 Exactness contract
@@ -51,7 +55,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.frontier import csr_indptr, relax_to_fixpoint
+from repro.kernels.frontier import relax_to_fixpoint
+from repro.kernels.mirror import EdgeRuns, Universe
 
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 
@@ -70,21 +75,13 @@ class BulkIngestor:
         )
         self.disabled = False  # set when injected timed events exist
         self.engaged = False  # dense mirror is ahead of the value dicts
-        # Vertex universe: ids[dense] = vertex id, plus a sorted view
-        # for O(log V) vectorized lookup.
-        self.ids = _EMPTY_I64
-        self._sorted_ids = _EMPTY_I64
-        self._sorted_perm = _EMPTY_I64
+        self.universe = Universe()
         self._owners: np.ndarray | None = None
         self.values: list[np.ndarray] = [
             np.empty(0, dtype=k.dtype) if k is not None else _EMPTY_I64
             for k in self.kernels
         ]
-        # Global directed edges, sorted by key = (tail_dense << 32) | head_dense.
-        self.keys = np.empty(0, dtype=np.uint64)
-        self.tails = _EMPTY_I64
-        self.heads = _EMPTY_I64
-        self.weights = _EMPTY_I64
+        self.edges = EdgeRuns()  # global directed edges, dense positions
         self._pending_frontier: list[np.ndarray | None] = [None] * len(self.kernels)
         self._synced_topo = -1
         self._synced_vals = -1
@@ -92,34 +89,19 @@ class BulkIngestor:
     # ------------------------------------------------------------------
     # vertex universe
     # ------------------------------------------------------------------
-    def _lookup(self, vids: np.ndarray) -> np.ndarray:
-        """Dense indices of known vertex ids (vectorized)."""
-        return self._sorted_perm[np.searchsorted(self._sorted_ids, vids)]
-
-    def _extend_universe(self, vids: np.ndarray) -> None:
-        uniq = np.unique(vids)
-        if self._sorted_ids.size:
-            pos = np.minimum(
-                np.searchsorted(self._sorted_ids, uniq), self._sorted_ids.size - 1
-            )
-            uniq = uniq[self._sorted_ids[pos] != uniq]
-        if not uniq.size:
-            return
-        self.ids = np.concatenate([self.ids, uniq])
-        if self.ids.size >= (1 << 32):  # pragma: no cover - key encoding bound
-            raise OverflowError("bulk universe exceeds 2^32 vertices")
-        order = np.argsort(self.ids, kind="stable")
-        self._sorted_ids = self.ids[order]
-        self._sorted_perm = order
-        self._owners = None
-        for p, kernel in enumerate(self.kernels):
-            self.values[p] = np.concatenate(
-                [self.values[p], kernel.init_values(uniq)]
-            )
+    def _grow(self, vids: np.ndarray) -> None:
+        """Admit never-seen vertices: every dense array grows at its end."""
+        fresh = self.universe.extend(vids)
+        if fresh.size:
+            self._owners = None
+            for p, kernel in enumerate(self.kernels):
+                self.values[p] = np.concatenate(
+                    [self.values[p], kernel.init_values(fresh)]
+                )
 
     def _owner_of_dense(self) -> np.ndarray:
-        if self._owners is None or len(self._owners) != len(self.ids):
-            self._owners = self.engine.partitioner.owner_array(self.ids)
+        if self._owners is None:
+            self._owners = self.engine.partitioner.owner_array(self.universe.ids)
         return self._owners
 
     # ------------------------------------------------------------------
@@ -146,20 +128,13 @@ class BulkIngestor:
                 ws.append(w)
         t = np.asarray(srcs, dtype=np.int64)
         h = np.asarray(dsts, dtype=np.int64)
-        w_arr = np.asarray(ws, dtype=np.int64)
-        if t.size:
-            self._extend_universe(np.concatenate([t, h]))
-            t_d = self._lookup(t)
-            h_d = self._lookup(h)
-            keys = (t_d.astype(np.uint64) << np.uint64(32)) | h_d.astype(np.uint64)
-            order = np.argsort(keys, kind="stable")
-            self.keys = keys[order]
-            self.tails = t_d[order]
-            self.heads = h_d[order]
-            self.weights = w_arr[order]
-        else:
-            self.keys = np.empty(0, dtype=np.uint64)
-            self.tails = self.heads = self.weights = _EMPTY_I64
+        self._grow(np.concatenate([t, h]))
+        self.edges = EdgeRuns()
+        self.edges.insert(
+            self.universe.lookup(t),
+            self.universe.lookup(h),
+            np.asarray(ws, dtype=np.int64),
+        )
 
     def _merge_dict_values(self) -> None:
         """Fold per-event dict values into the dense mirror (monotone
@@ -172,7 +147,7 @@ class BulkIngestor:
             if d
         ]
         if vid_arrays:
-            self._extend_universe(np.concatenate(vid_arrays))
+            self._grow(np.concatenate(vid_arrays))
         for p, kernel in enumerate(self.kernels):
             for rank_vals in eng.values:
                 d = rank_vals[p]
@@ -180,7 +155,7 @@ class BulkIngestor:
                     continue
                 vids = np.fromiter(d.keys(), np.int64, len(d))
                 vals = np.fromiter(d.values(), kernel.dtype, len(d))
-                idx = self._lookup(vids)
+                idx = self.universe.lookup(vids)
                 cur = self.values[p][idx]
                 merged = kernel.merge_dense(cur, vals)
                 changed = merged != cur
@@ -222,18 +197,20 @@ class BulkIngestor:
         self._append_to_stores(src, dst, w)
         if undirected:
             self._append_to_stores(dst, src, w)
-        self._extend_universe(np.concatenate([src, dst]))
-        t_d = self._lookup(src)
-        h_d = self._lookup(dst)
+        self._grow(np.concatenate([src, dst]))
+        t_d = self.universe.lookup(src)
+        h_d = self.universe.lookup(dst)
         if undirected:
             tails = np.concatenate([t_d, h_d])
             heads = np.concatenate([h_d, t_d])
             wts = np.concatenate([w, w])
         else:
             tails, heads, wts = t_d, h_d, np.asarray(w, dtype=np.int64)
-        new_tails = self._merge_edges(tails, heads, wts)
+        # Dedup is exact (keep-last, existing pairs overwritten), so the
+        # fresh tails are the per-event first inserts, owner by owner.
+        new_tails = self.edges.insert(tails, heads, wts)
         if new_tails.size:
-            owners = eng.partitioner.owner_array(self.ids[new_tails])
+            owners = eng.partitioner.owner_array(self.universe.ids[new_tails])
             for r, c in enumerate(np.bincount(owners, minlength=eng.config.n_ranks)):
                 if c:
                     eng.counters[r].edge_inserts += int(c)
@@ -241,20 +218,18 @@ class BulkIngestor:
         # endpoints (values elsewhere are already at fixpoint).
         frontier_base = np.unique(np.concatenate([t_d, h_d]))
         total_relax = 0
-        if self.kernels:
-            indptr = csr_indptr(len(self.ids), self.tails)
-            for p, kernel in enumerate(self.kernels):
-                extra = self._pending_frontier[p]
-                frontier = (
-                    frontier_base
-                    if extra is None
-                    else np.concatenate([frontier_base, extra])
-                )
-                self._pending_frontier[p] = None
-                _rounds, relaxed = relax_to_fixpoint(
-                    indptr, self.heads, self.weights, self.values[p], frontier, kernel
-                )
-                total_relax += relaxed
+        for p, kernel in enumerate(self.kernels):
+            extra = self._pending_frontier[p]
+            frontier = (
+                frontier_base
+                if extra is None
+                else np.concatenate([frontier_base, extra])
+            )
+            self._pending_frontier[p] = None
+            _rounds, relaxed = relax_to_fixpoint(
+                self.edges, self.values[p], frontier, kernel
+            )
+            total_relax += relaxed
         eng._charge(
             rank,
             n * eng.cost.stream_pull_cpu + total_relax * eng.cost.visit_discard_cpu,
@@ -302,42 +277,6 @@ class BulkIngestor:
                     {"edges": int(counts[r])},
                 )
 
-    def _merge_edges(
-        self, tails: np.ndarray, heads: np.ndarray, wts: np.ndarray
-    ) -> np.ndarray:
-        """Fold a chunk's directed edges into the key-sorted global set.
-
-        Within-chunk duplicates keep the last weight; duplicates of an
-        existing edge overwrite its weight (attribute update, matching
-        ``insert_edge``).  Returns the dense tails of genuinely new
-        edges (for the ``edge_inserts`` counters)."""
-        keys = (tails.astype(np.uint64) << np.uint64(32)) | heads.astype(np.uint64)
-        order = np.argsort(keys, kind="stable")
-        ks = keys[order]
-        last = np.empty(len(ks), dtype=bool)
-        last[:-1] = ks[1:] != ks[:-1]
-        last[-1] = True
-        sel = order[last]
-        keys, tails, heads, wts = ks[last], tails[sel], heads[sel], wts[sel]
-        if self.keys.size:
-            pos = np.searchsorted(self.keys, keys)
-            pos_c = np.minimum(pos, self.keys.size - 1)
-            exists = self.keys[pos_c] == keys
-            if exists.any():
-                self.weights[pos[exists]] = wts[exists]
-            fresh = ~exists
-            keys, tails, heads, wts = (
-                keys[fresh], tails[fresh], heads[fresh], wts[fresh],
-            )
-        if keys.size:
-            merged = np.concatenate([self.keys, keys])
-            order = np.argsort(merged, kind="stable")
-            self.keys = merged[order]
-            self.tails = np.concatenate([self.tails, tails])[order]
-            self.heads = np.concatenate([self.heads, heads])[order]
-            self.weights = np.concatenate([self.weights, wts])[order]
-        return tails
-
     # ------------------------------------------------------------------
     # de-optimization / finalization
     # ------------------------------------------------------------------
@@ -374,7 +313,7 @@ class BulkIngestor:
                 if not m.any():
                     continue
                 d = eng.values[r][p]
-                pairs = zip(self.ids[m].tolist(), vals[m].tolist())
+                pairs = zip(self.universe.ids[m].tolist(), vals[m].tolist())
                 if fire:
                     now = eng.loop.now(r)
                     for vid, v in pairs:

@@ -1,6 +1,7 @@
 """Unit tests of the array frontier kernels (repro.kernels.frontier)."""
 
 import numpy as np
+import pytest
 
 from repro.algorithms.base import INF
 from repro.algorithms.cc import component_label
@@ -8,13 +9,12 @@ from repro.kernels import (
     MaxLabelKernel,
     MinPlusKernel,
     build_csr,
-    csr_indptr,
     relax_to_fixpoint,
 )
 
 
 def csr_of(edges, n):
-    """Directed CSR from (tail, head, weight) triples."""
+    """Directed adjacency from (tail, head, weight) triples."""
     t = np.array([e[0] for e in edges], dtype=np.int64)
     h = np.array([e[1] for e in edges], dtype=np.int64)
     w = np.array([e[2] for e in edges], dtype=np.int64)
@@ -24,16 +24,17 @@ def csr_of(edges, n):
 # ----------------------------------------------------------------------
 # CSR helpers
 # ----------------------------------------------------------------------
-def test_csr_indptr_counts_rows():
-    indptr = csr_indptr(4, np.array([0, 0, 2, 3, 3], dtype=np.int64))
-    assert indptr.tolist() == [0, 2, 2, 3, 5]
-
-
-def test_build_csr_groups_by_tail_preserving_order():
-    indptr, heads, weights = csr_of([(2, 0, 5), (0, 1, 1), (0, 2, 2)], 3)
-    assert indptr.tolist() == [0, 2, 2, 3]
+def test_build_csr_groups_edges_by_tail():
+    adj = csr_of([(2, 0, 5), (0, 1, 1), (0, 2, 2)], 3)
+    ((heads, weights, tails),) = adj.gather(np.arange(3), 3, np.arange(3))
+    assert tails.tolist() == [0, 0, 2]
     assert heads.tolist() == [1, 2, 0]
     assert weights.tolist() == [1, 2, 5]
+
+
+def test_build_csr_rejects_endpoints_outside_the_vertex_range():
+    with pytest.raises(ValueError, match="outside"):
+        csr_of([(0, 3, 1)], 3)
 
 
 # ----------------------------------------------------------------------
@@ -44,12 +45,12 @@ def test_bfs_levels_on_a_path():
     edges = []
     for a, b in ((0, 1), (1, 2), (2, 3)):
         edges += [(a, b, 1), (b, a, 1)]
-    indptr, heads, weights = csr_of(edges, 4)
+    adj = csr_of(edges, 4)
     kernel = MinPlusKernel(unit_weight=True)
     values = kernel.init_values(np.arange(4))
     values[0] = 1  # source level, as Alg. 4's init
     rounds, relaxations = relax_to_fixpoint(
-        indptr, heads, weights, values, np.array([0]), kernel
+        adj, values, np.array([0]), kernel
     )
     assert values.tolist() == [1, 2, 3, 4]
     assert rounds == 4  # 3 improving waves + the final no-change one
@@ -58,32 +59,32 @@ def test_bfs_levels_on_a_path():
 
 def test_sssp_prefers_cheap_two_hop_over_heavy_direct():
     edges = [(0, 1, 10), (0, 2, 1), (2, 1, 2)]
-    indptr, heads, weights = csr_of(edges, 3)
+    adj = csr_of(edges, 3)
     kernel = MinPlusKernel(unit_weight=False)
     values = kernel.init_values(np.arange(3))
     values[0] = 1
-    relax_to_fixpoint(indptr, heads, weights, values, np.array([0]), kernel)
+    relax_to_fixpoint(adj, values, np.array([0]), kernel)
     assert values.tolist() == [1, 4, 2]  # 1 reached via 0->2->1
 
 
 def test_min_kernel_inf_frontier_emits_nothing():
-    indptr, heads, weights = csr_of([(0, 1, 1)], 2)
+    adj = csr_of([(0, 1, 1)], 2)
     kernel = MinPlusKernel(unit_weight=True)
     values = kernel.init_values(np.arange(2))  # all INF, no source
     rounds, relaxations = relax_to_fixpoint(
-        indptr, heads, weights, values, np.array([0, 1]), kernel
+        adj, values, np.array([0, 1]), kernel
     )
     assert rounds == 0 and relaxations == 0
     assert values.tolist() == [INF, INF]
 
 
 def test_empty_frontier_is_a_noop():
-    indptr, heads, weights = csr_of([(0, 1, 1)], 2)
+    adj = csr_of([(0, 1, 1)], 2)
     kernel = MaxLabelKernel()
     values = kernel.init_values(np.arange(2))
     before = values.copy()
     rounds, relaxations = relax_to_fixpoint(
-        indptr, heads, weights, values, np.empty(0, dtype=np.int64), kernel
+        adj, values, np.empty(0, dtype=np.int64), kernel
     )
     assert rounds == 0 and relaxations == 0
     assert (values == before).all()
@@ -111,12 +112,12 @@ def test_cc_floods_max_label_per_component():
     edges = []
     for a, b in ((0, 1), (1, 2), (3, 4)):
         edges += [(a, b, 1), (b, a, 1)]
-    indptr, heads, weights = csr_of(edges, 5)
+    adj = csr_of(edges, 5)
     kernel = MaxLabelKernel()
     ids = np.array([10, 11, 12, 20, 21], dtype=np.int64)  # original ids
     values = kernel.init_values(ids)
     relax_to_fixpoint(
-        indptr, heads, weights, values, np.arange(5), kernel
+        adj, values, np.arange(5), kernel
     )
     left = max(component_label(v) for v in (10, 11, 12))
     right = max(component_label(v) for v in (20, 21))
@@ -131,12 +132,12 @@ def test_max_label_merge_dense_is_elementwise_max():
 
 
 def test_self_loop_does_not_diverge():
-    indptr, heads, weights = csr_of([(0, 0, 1), (0, 1, 1)], 2)
+    adj = csr_of([(0, 0, 1), (0, 1, 1)], 2)
     kernel = MinPlusKernel(unit_weight=True)
     values = kernel.init_values(np.arange(2))
     values[0] = 1
     rounds, _ = relax_to_fixpoint(
-        indptr, heads, weights, values, np.array([0]), kernel
+        adj, values, np.array([0]), kernel
     )
     assert values.tolist() == [1, 2]
     assert rounds <= 2  # self-relaxation must not loop forever

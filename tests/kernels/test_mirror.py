@@ -1,0 +1,185 @@
+"""The shared dense mirror (repro.kernels.mirror) against plain models.
+
+``EdgeRuns`` is checked step by step against a ``dict[(tail, head)] ->
+weight``: inserts, re-adds with a changed weight, duplicates inside one
+batch and deletes, in batch sizes that put the store on both sides of
+its fold rule, with the universe growing between a run's row-pointer
+build and its next gather.
+"""
+
+from collections import Counter
+from unittest.mock import patch
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.kernels import mirror
+from repro.kernels.mirror import FOLD_FRACTION, EdgeRuns, Universe
+
+I64 = np.int64
+
+
+def arr(xs):
+    return np.asarray(list(xs), dtype=I64)
+
+
+# ----------------------------------------------------------------------
+# Universe
+# ----------------------------------------------------------------------
+class TestUniverse:
+    def test_positions_are_arrival_ordered_and_never_move(self):
+        u = Universe()
+        assert u.extend(arr([30, 10, 30])).tolist() == [10, 30]
+        first = u.lookup(arr([10, 30])).tolist()
+        assert first == [0, 1]
+        assert u.extend(arr([20, 10, 5])).tolist() == [5, 20]  # only the new
+        assert u.ids.tolist() == [10, 30, 5, 20]
+        assert u.lookup(arr([10, 30])).tolist() == first
+        assert u.lookup(arr([20, 5, 30])).tolist() == [3, 2, 1]
+        assert len(u) == 4
+
+    def test_find_reports_misses_instead_of_a_neighbour(self):
+        u = Universe()
+        pos, hit = u.find(arr([1, 2]))  # empty universe: all misses
+        assert hit.tolist() == [False, False] and pos.shape == (2,)
+        u.extend(arr([10, 20, 30]))
+        pos, hit = u.find(arr([5, 10, 15, 30, 99]))
+        assert hit.tolist() == [False, True, False, True, False]
+        assert pos[hit].tolist() == [0, 2]
+
+    def test_lookup_raises_on_an_unknown_id(self):
+        u = Universe()
+        u.extend(arr([10, 20]))
+        with pytest.raises(KeyError, match="15"):
+            u.lookup(arr([10, 15]))
+        assert u.lookup(arr([])).size == 0
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.integers(-50, 50), max_size=12), max_size=10))
+    def test_matches_a_dict_model(self, batches):
+        u, model = Universe(), {}
+        for batch in batches:
+            fresh = u.extend(arr(batch))
+            assert fresh.tolist() == sorted(set(batch) - model.keys())
+            for v in fresh.tolist():
+                model[v] = len(model)
+            probe = arr(range(-55, 56))
+            pos, hit = u.find(probe)
+            assert hit.tolist() == [v in model for v in probe.tolist()]
+            assert pos[hit].tolist() == [model[v] for v in probe[hit].tolist()]
+            assert u.ids.tolist() == list(model)
+
+
+# ----------------------------------------------------------------------
+# EdgeRuns against a dict model
+# ----------------------------------------------------------------------
+def check_against(store, model, n_vertices, frontier):
+    t, h, w = store.edges()
+    assert store.num_edges == len(model) == t.size
+    assert dict(zip(zip(t.tolist(), h.tolist()), w.tolist())) == model
+    got = Counter()
+    frontier = arr(frontier)
+    for heads, weights, tails, doubled in store.gather(
+        frontier, n_vertices, frontier, 2 * frontier
+    ):
+        assert tails.size == heads.size == weights.size > 0
+        assert (doubled == 2 * tails).all()
+        got.update(zip(tails.tolist(), heads.tolist(), weights.tolist()))
+    want = Counter()
+    for v in frontier.tolist():  # a vertex named twice: its edges twice
+        want.update((t, h, w) for (t, h), w in model.items() if t == v)
+    assert got == want
+
+
+def apply_step(store, model, kind, triples):
+    t = arr(x[0] for x in triples)
+    h = arr(x[1] for x in triples)
+    if kind == "insert":
+        fresh = store.insert(t, h, arr(x[2] for x in triples))
+        new_pairs = {(a, b) for a, b, _ in triples} - model.keys()
+        assert sorted(fresh.tolist()) == sorted(a for a, _ in new_pairs)
+        for a, b, w in triples:  # later duplicates win: keep-last
+            model[(a, b)] = w
+    else:
+        named = {(a, b) for a, b, _ in triples}
+        assert store.remove(t, h) == len(named & model.keys())
+        for pair in named:
+            model.pop(pair, None)
+
+
+vertex = st.integers(0, 11)
+triple = st.tuples(vertex, vertex, st.integers(1, 9))
+step = st.tuples(
+    st.sampled_from(["insert", "insert", "insert", "remove"]),
+    # Small and large batches: a large one folds at once, a run of
+    # small ones grows the delta up to the fold.
+    st.one_of(st.lists(triple, max_size=4), st.lists(triple, min_size=10, max_size=40)),
+    st.integers(0, 3),  # vertices that join the universe before the gather
+    st.lists(st.integers(0, 11), max_size=6),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(step, max_size=14), st.sampled_from([1, 3, 1 << 15]))
+def test_edge_runs_match_a_dict_model_after_every_step(steps, block):
+    # Tiny blocks: a gather cut between, and inside, vertices' slices.
+    with patch.object(mirror, "GATHER_BLOCK", block):
+        run_steps(steps)
+
+
+def run_steps(steps):
+    store, model = EdgeRuns(), {}
+    n_vertices = 12
+    for kind, triples, joined, frontier in steps:
+        apply_step(store, model, kind, triples)
+        # The universe grows between a run's indptr build (previous
+        # gather) and this one; newcomers have no edges yet.
+        n_vertices += joined
+        check_against(store, model, n_vertices, frontier + [n_vertices - 1])
+
+
+def test_equal_batches_cross_the_fold_boundary_repeatedly():
+    rng = np.random.default_rng(7)
+    store, model = EdgeRuns(), {}
+    n = 400
+    sizes_on_both_sides = set()
+    for _ in range(96):
+        triples = [
+            (int(a), int(b), int(w))
+            for a, b, w in zip(
+                rng.integers(0, n, 50), rng.integers(0, n, 50), rng.integers(1, 9, 50)
+            )
+        ]
+        folds = store.folds
+        apply_step(store, model, "insert", triples)
+        sizes_on_both_sides.add(store.folds > folds)
+        base, delta = store._runs
+        assert FOLD_FRACTION * len(delta) < max(len(base), 1)
+        check_against(store, model, n, rng.integers(0, n, 20).tolist())
+    assert sizes_on_both_sides == {True, False}
+    assert 5 <= store.folds <= 30  # geometric: far fewer folds than batches
+    # Every fold rewrites the base, every other insert the delta: the
+    # delta's share is bounded by the fold rule, the base's geometrically.
+    assert store.moved_edges <= 2 * len(model) * np.log2(96)
+    # Deletes reach both runs.
+    base, delta = store._runs
+    assert len(base) and len(delta)
+    bt, bh, _ = (x[:5] for x in (base.tails(), base.heads, base.weights))
+    dt, dh, _ = (x[:5] for x in (delta.tails(), delta.heads, delta.weights))
+    victims = [(int(a), int(b), 0) for a, b in zip(np.r_[bt, dt], np.r_[bh, dh])]
+    apply_step(store, model, "remove", victims + [(0, 0, 0), (n - 1, n - 1, 0)])
+    check_against(store, model, n, list(range(0, n, 7)))
+
+
+def test_readd_overwrites_in_place_without_counting():
+    store = EdgeRuns()
+    assert store.insert(arr([0, 0, 1]), arr([1, 1, 2]), arr([5, 6, 7])).tolist() == [0, 1]
+    moved = store.moved_edges
+    assert store.insert(arr([0]), arr([1]), arr([9])).size == 0  # re-add
+    assert store.moved_edges == moved  # nothing rebuilt
+    w, present = store.weights_of(arr([0, 1, 2]), arr([1, 2, 0]))
+    assert present.tolist() == [True, True, False]
+    assert w[present].tolist() == [9, 7]
+    assert store.insert(arr([]), arr([]), arr([])).size == 0

@@ -3,7 +3,7 @@
 ``apply_deletes`` is all-or-nothing per K_DEL slab: every named edge —
 both directed twins — must be provably non-support under every
 program's ``delete_safe`` analysis, judged on post-fold values.  On
-success the twins retire from the CSR mirror with no value motion; any
+success the twins retire from the edge mirror with no value motion; any
 unsafe edge (or a kernel declining) leaves the mirror untouched and the
 worker de-opts to per-event generational dispatch.
 """
@@ -108,6 +108,21 @@ class TestApplyDeletes:
         assert applier.apply_deletes(del_recs([(7, 8)]), loop) is True
         assert applier.num_edges == before
         assert engine.counters[0].edge_deletes == 0
+
+    def test_pairs_outside_the_universe_are_a_noop(self):
+        # The universe lookup is checked: an id it never saw (above,
+        # below or between the known 0..2) must not resolve to the
+        # position of the vertex it sorts next to and alias a real edge.
+        engine, applier, loop = bfs_applier()
+        before = sorted(applier.edges())
+        unknown = del_recs([(7, 8), (1, 99), (99, 1), (-5, 2), (3, 0)])
+        assert applier.apply_deletes(unknown, loop) is True
+        assert sorted(applier.edges()) == before
+        assert engine.counters[0].edge_deletes == 0
+        assert applier.retire_edges(
+            np.array([1, 99, 3], dtype=np.int64), np.array([99, 0, 3], dtype=np.int64)
+        ) == 0
+        assert sorted(applier.edges()) == before
 
     def test_kernel_without_analysis_always_declines(self):
         # MaxLabelKernel (CC) returns None from delete_safe: every

@@ -1,0 +1,228 @@
+"""The vec drain across its mirror's fold boundary, and what a drain costs.
+
+Two ``VecApplier`` ranks are driven in one process over real ``ShmLoop``
+rings — the worker's data path minus the processes — with many small,
+equal ingest chunks, so each rank's edge mirror folds its delta into its
+base several times while ADD, RADD and UPDATE slabs keep arriving.  The
+result must equal a per-event ``DynamicEngine`` on the same streams,
+entry for entry; deletes must find their edges in either run; and the
+always-on ``mirror_*`` counts must show that no drain rebuilt the graph.
+"""
+
+import numpy as np
+import pytest
+
+from repro import DynamicEngine, EngineConfig, IncrementalBFS, IncrementalSSSP
+from repro.events.stream import ArrayEventStream, split_streams
+from repro.generators.rmat import rmat_edges
+from repro.kernels.mirror import edge_keys
+from repro.parallel import WireConfig, run_parallel
+from repro.parallel.codec import ADD_DTYPE, DEL_DTYPE, Codec
+from repro.parallel.loop import ShmLoop
+from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE, create_ring
+from repro.parallel.vecapply import VecApplier
+
+N_RANKS = 2
+CHUNK = 48  # events per ingest: >= 64 equal ADD slabs per rank
+SOURCE = 0
+
+
+def programs():
+    return [IncrementalBFS(), IncrementalSSSP()]
+
+
+def streams_columns():
+    src, dst = rmat_edges(9, edge_factor=14, rng=np.random.default_rng(21))
+    keep = src != dst
+    src, dst = src[keep], dst[keep]
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    w = (lo * 31 + hi) % 7 + 1  # one weight per pair: the REMO re-add contract
+    perm = np.random.default_rng(22).permutation(len(src))
+    src, dst, w = src[perm], dst[perm], w[perm]
+    return [(src[r::N_RANKS], dst[r::N_RANKS], w[r::N_RANKS]) for r in range(N_RANKS)]
+
+
+class VecCluster:
+    """Both ranks of a vectorized run, stepped by hand."""
+
+    def __init__(self):
+        self.rings = {
+            (a, b): create_ring(1 << 22) for a in range(N_RANKS) for b in range(N_RANKS) if a != b
+        }
+        self.engines, self.appliers, self.loops = [], [], []
+        for rank in range(N_RANKS):
+            engine = DynamicEngine(programs(), EngineConfig(n_ranks=N_RANKS))
+            codec = Codec(engine.programs)
+            loop = ShmLoop(
+                rank, N_RANKS, lambda dst, frame: None,
+                {o: self.rings[(rank, o)] for o in range(N_RANKS) if o != rank},
+                codec, engine.partitioner, batch_max=64,
+            )
+            self.engines.append(engine)
+            self.appliers.append(VecApplier(engine, rank, codec))
+            self.loops.append(loop)
+        owner = self.engines[0].partitioner.owner(SOURCE)
+        for name in ("bfs", "sssp"):  # seeds through the real write path
+            self.engines[owner].init_program(name, SOURCE)
+        self.engines[owner].run()
+        self.slab_kinds = [set() for _ in range(N_RANKS)]
+
+    def close(self):
+        for ring in self.rings.values():
+            ring.destroy()
+
+    def deliver(self) -> bool:
+        """One turn of every rank: flush, then drain what arrived."""
+        moved = False
+        for rank in range(N_RANKS):
+            self.loops[rank].flush_all()
+            self.loops[rank].pump()
+        for rank in range(N_RANKS):
+            for other in range(N_RANKS):
+                if other == rank:
+                    continue
+                ring = self.rings[(other, rank)]
+                slabs = ring.pop_slabs()
+                if slabs:
+                    self.slab_kinds[rank].update(kind for kind, *_ in slabs)
+                    self.appliers[rank].drain(slabs, self.loops[rank])
+                    moved = True
+                ring.commit()
+        return moved or any(loop.outbuffered for loop in self.loops)
+
+    def run(self, columns):
+        cursors = [0] * N_RANKS
+        live = True
+        while live:
+            live = False
+            for rank, (src, dst, w) in enumerate(columns):
+                lo = cursors[rank]
+                if lo < len(src):
+                    hi = cursors[rank] = lo + CHUNK
+                    self.appliers[rank].ingest(src[lo:hi], dst[lo:hi], w[lo:hi], self.loops[rank])
+                    self.engines[rank].counters[rank].source_events += len(src[lo:hi])
+                    live = True
+            live = self.deliver() or live
+
+
+@pytest.fixture(scope="module")
+def converged():
+    columns = streams_columns()
+    cluster = VecCluster()
+    cluster.run(columns)
+    des = DynamicEngine(programs(), EngineConfig(n_ranks=N_RANKS))
+    for name in ("bfs", "sssp"):
+        des.init_program(name, SOURCE)
+    des.attach_streams([ArrayEventStream(*cols) for cols in columns])
+    des.run()
+    yield cluster, des, columns
+    cluster.close()
+
+
+def test_vec_ranks_equal_the_per_event_engine_across_folds(converged):
+    cluster, des, columns = converged
+    for rank in range(N_RANKS):
+        applier, engine = cluster.appliers[rank], cluster.engines[rank]
+        stats = applier.stats
+        assert len(columns[rank][0]) >= 64 * CHUNK
+        assert stats["kernel_batches"] >= 64
+        assert stats["mirror_folds"] >= 3
+        assert cluster.slab_kinds[rank] >= {K_RADD, K_UPDATE}
+        # Values *and* which entries exist: the written mask reproduces
+        # the per-event first-touch seeds.
+        for p in range(2):
+            assert engine.values[rank][p] == des.values[rank][p]
+        assert engine.counters[rank].edge_inserts == des.counters[rank].edge_inserts
+        assert sorted(applier.edges()) == sorted(des.stores[rank].edges())
+        assert applier.num_edges == des.stores[rank].num_edges
+
+
+def test_no_drain_rebuilt_the_graph(converged):
+    """The complexity guard: a mirror that re-sorted (or re-indexed)
+    every edge on every drain would move ``E * drains`` edge slots —
+    here ``>= 64 E``.  Folds move a geometric series of base sizes and
+    the delta stays below a quarter of the base."""
+    cluster, _des, _columns = converged
+    for applier in cluster.appliers:
+        stats = applier.stats
+        edges, drains = applier.num_edges, stats["kernel_batches"]
+        assert stats["mirror_moved_edges"] <= 2 * edges * np.log2(drains)
+        assert stats["mirror_folds"] <= 4 * np.log2(drains)
+
+
+def test_safe_deletes_find_their_edges_in_base_and_delta(converged):
+    cluster, _des, _columns = converged
+    applier, engine = cluster.appliers[0], cluster.engines[0]
+    loop = cluster.loops[0]
+    base, delta = applier.mirror._runs
+    assert len(base) and len(delta)
+    ids, values = applier.universe.ids, applier._values
+    own = applier._owner == 0
+
+    def safe_local_pairs(run):
+        """Stored pairs of this run, both endpoints local, that no
+        program's value runs through in either direction."""
+        t, h, w = run.tails(), run.heads, run.weights
+        ok = own[t] & own[h] & (t != h)
+        for p, k in enumerate(applier.kernels):
+            ok &= k.delete_safe(values[p][t], values[p][h], w)
+            ok &= k.delete_safe(values[p][h], values[p][t], w)
+        return t[ok][:3], h[ok][:3]
+
+    picked = [safe_local_pairs(run) for run in (base, delta)]
+    assert all(t.size for t, _h in picked), "seed yields no safe edge in a run"
+    t = np.concatenate([t for t, _h in picked])
+    h = np.concatenate([h for _t, h in picked])
+    for run, (rt, rh) in zip((base, delta), picked):
+        assert np.isin(edge_keys(rt, rh), run.keys).all()
+    recs = np.zeros(t.size, dtype=DEL_DTYPE)
+    recs["src"], recs["dst"] = ids[t], ids[h]
+    named = {(int(a), int(b)) for a, b in zip(ids[t], ids[h])}
+    named |= {(b, a) for a, b in named}
+    before = {(a, b): w for a, b, w in applier.edges()}
+    values_before = [dict(d) for d in engine.values[0]]
+    deleted_before = engine.counters[0].edge_deletes
+    assert applier.apply_deletes(recs, loop) is True
+    after = {(a, b): w for a, b, w in applier.edges()}
+    assert after == {pair: w for pair, w in before.items() if pair not in named}
+    assert engine.counters[0].edge_deletes - deleted_before == len(named & before.keys())
+    assert [dict(d) for d in engine.values[0]] == values_before
+
+
+def test_deopt_right_after_a_fold_replays_the_exact_edge_set(converged):
+    cluster, _des, _columns = converged
+    applier, engine, loop = cluster.appliers[1], cluster.engines[1], cluster.loops[1]
+    # One local slab of brand-new edges, large enough to fold at once.
+    own = applier.universe.ids[applier._owner == 1]
+    n_new = applier.num_edges // 3
+    fresh = np.arange(1_000_000, 1_000_000 + n_new)
+    fresh = fresh[engine.partitioner.owner_array(fresh) == 1]
+    slab = np.zeros(fresh.size, dtype=ADD_DTYPE)
+    slab["src"], slab["dst"], slab["weight"] = own[0], fresh, 3
+    folds = applier.stats["mirror_folds"]
+    applier.drain([(K_ADD, len(slab), 1, slab)], loop)
+    assert applier.stats["mirror_folds"] == folds + 1
+    assert len(applier.mirror._runs[1]) == 0  # everything sits in the base
+    mirror = sorted(applier.edges())
+    assert len(mirror) == len(set(mirror)) == applier.num_edges
+    applier.deopt(loop)
+    assert sorted(engine.stores[1].edges()) == mirror
+    assert engine._hk_write == () and engine._hk_insert == ()
+
+
+def test_mirror_counts_reach_the_parallel_result():
+    src, dst = rmat_edges(9, edge_factor=8, rng=np.random.default_rng(3))
+    res = run_parallel(
+        [IncrementalBFS()],
+        split_streams(src, dst, 2, rng=np.random.default_rng(4)),
+        config=EngineConfig(n_ranks=2),
+        wire=WireConfig(kind="shm", start_method="fork", ingest_chunk=256),
+        init=[("bfs", int(src[0]), None)],
+        timeout=60.0,
+    )
+    assert res.wire["kernel_records"] > 0
+    assert res.wire["mirror_folds"] >= 2  # one per rank at the least
+    edges = sum(info["num_edges"] for info in res.per_rank)
+    assert edges <= res.wire["mirror_moved_edges"] <= 2 * edges * np.log2(
+        res.wire["kernel_batches"]
+    )
