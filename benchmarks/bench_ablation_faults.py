@@ -36,6 +36,7 @@ from harness import (
 from repro import FaultPlan, IncrementalBFS, IncrementalCC
 from repro.analytics.verify import verify_cc
 from repro.generators import rmat_edges
+from repro.runtime.plugins import FaultInjectionPlugin
 
 SCALE = 10 + BENCH_SCALE
 EDGE_FACTOR = 8
@@ -62,13 +63,13 @@ def _experiment():
     )
     reliable = run_dynamic(
         src, dst, _programs(), N_NODES, init=init, config_overrides=MATCHED,
-        fault_plan=FaultPlan(seed=1),
+        plugins=[FaultInjectionPlugin(FaultPlan(seed=1))],
     )
     lossy = {
         drop: run_dynamic(
             src, dst, _programs(), N_NODES, init=init,
             config_overrides=MATCHED,
-            fault_plan=FaultPlan(drop=drop, seed=2),
+            plugins=[FaultInjectionPlugin(FaultPlan(drop=drop, seed=2))],
         )
         for drop in DROP_SWEEP
     }

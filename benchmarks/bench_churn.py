@@ -162,7 +162,7 @@ def _experiment():
         _programs(),
         split_churn_streams(*steady, N_RANKS),
         config=EngineConfig(n_ranks=N_RANKS, undirected=True),
-        wire=WireConfig(kind="shm", start_method="fork"),
+        wire=WireConfig(start_method="fork"),
         init=[
             ("gen-bfs", 0, None),
             ("gen-sssp", 0, None),

@@ -40,6 +40,7 @@ from repro import IncrementalCC
 from repro.events.stream import split_streams
 from repro.parallel import WireConfig, run_parallel
 from repro.runtime.engine import EngineConfig
+from repro.runtime.plugins import TracerPlugin
 
 N_EVENTS = 1 << (14 + BENCH_SCALE)
 N_VERTICES = N_EVENTS // 4
@@ -117,7 +118,7 @@ def _mp_disabled_run(src: np.ndarray, dst: np.ndarray):
         [IncrementalCC()],
         split_streams(src, dst, MP_RANKS, rng=rng),
         config=EngineConfig(n_ranks=MP_RANKS),
-        wire=WireConfig(kind="shm", start_method="fork"),
+        wire=WireConfig(start_method="fork"),
     )
     return result, time.perf_counter() - t0
 
@@ -126,7 +127,10 @@ def _experiment():
     src, dst = saturation_stream()
     runs = {}
     for traced in (False, True):
-        runs[traced] = run_dynamic(src, dst, [IncrementalCC()], N_NODES, trace=traced)
+        runs[traced] = run_dynamic(
+            src, dst, [IncrementalCC()], N_NODES,
+            plugins=[TracerPlugin()] if traced else None,
+        )
     guard_s = measure_guard_seconds(runs[False].engine)
     mp_result, mp_wall = _mp_disabled_run(src, dst)
     return runs, guard_s, mp_result, mp_wall

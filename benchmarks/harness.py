@@ -73,35 +73,27 @@ def run_dynamic(
     collections: list[float] | None = None,
     undirected: bool = True,
     config_overrides: dict | None = None,
-    trace: bool = False,
-    sample_interval: float | None = None,
-    fault_plan=None,
+    plugins: list | None = None,
 ) -> DynamicRun:
     """Ingest an edge list through the engine at saturation (§V-A).
 
     ``init`` is a list of (program, vertex, payload) triples injected at
     t=0; ``collections`` schedules versioned global-state collections at
     the given virtual times; ``config_overrides`` sets extra
-    :class:`EngineConfig` fields (ablation toggles).  ``trace`` /
-    ``sample_interval`` attach repro.obs telemetry (the run's tracer and
-    registry stay reachable via ``DynamicRun.engine``); both disabled by
-    default so benches pay only the guard checks.  ``fault_plan``
-    attaches the reliable transport (repro.faults) before any message
-    moves.
+    :class:`EngineConfig` fields (ablation toggles).  ``plugins``
+    (:mod:`repro.runtime.plugins`) attach telemetry — the run's tracer
+    and registry stay reachable via ``DynamicRun.engine`` — or a fault
+    plan; none by default, so benches pay only the guard checks.
     """
     n_ranks = n_nodes * RANKS_PER_NODE
-    overrides = dict(config_overrides or {})
-    if trace:
-        overrides["trace"] = True
-    if sample_interval is not None:
-        overrides["sample_interval"] = sample_interval
     engine = DynamicEngine(
         programs,
-        EngineConfig(n_ranks=n_ranks, undirected=undirected, **overrides),
+        EngineConfig(
+            n_ranks=n_ranks, undirected=undirected, **(config_overrides or {})
+        ),
         cost_model=cost_model(),
+        plugins=plugins,
     )
-    if fault_plan is not None:
-        engine.enable_faults(fault_plan)
     for prog, vertex, payload in init or []:
         engine.init_program(prog, vertex, payload=payload)
     rng = None if shuffle_seed is None else np.random.default_rng(shuffle_seed)

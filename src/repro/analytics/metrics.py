@@ -32,7 +32,7 @@ class ThroughputReport:
     bulk_chunks: int = 0  # bulk-ingest chunks drained (fast path)
     bulk_events: int = 0  # events ingested via the bulk path
     fallback_flushes: int = 0  # bulk de-optimizations to per-event
-    bulk_enabled: bool = False  # run was configured with bulk_ingest=True
+    bulk_enabled: bool = False  # a bulk ingestor was attached to the engine
     wall_seconds: float | None = None
     #: Wire/ring-health counters from the mp backend (ring_stalls,
     #: ring_pad_bytes, overflow_hwm_records, torn retries, ...); None
@@ -76,7 +76,7 @@ class ThroughputReport:
             f"({self.squash_fraction:.1%} of emissions) "
             f"batch_sends={self.batch_sends:,}",
         ]
-        # The bulk line always prints for a bulk-configured run, even
+        # The bulk line always prints for a run with a bulk ingestor, even
         # with all counters at 0: "the fast path never engaged" is
         # exactly what the user needs to see then.
         if (
@@ -94,9 +94,7 @@ class ThroughputReport:
             lines.append(
                 f"  simulator wall time: {format_seconds(self.wall_seconds)}"
             )
-        if self.wire is not None and any(
-            k.startswith(("ring_", "overflow_")) for k in self.wire
-        ):
+        if self.wire is not None:
             lines.append(
                 f"  rings: stalls={self.wire.get('ring_stalls', 0):,} "
                 f"pad_bytes={self.wire.get('ring_pad_bytes', 0):,} "
@@ -137,7 +135,7 @@ def throughput_report(engine, wall_seconds: float | None = None) -> ThroughputRe
         bulk_chunks=total.bulk_chunks,
         bulk_events=total.bulk_events,
         fallback_flushes=total.fallback_flushes,
-        bulk_enabled=bool(engine.config.bulk_ingest),
+        bulk_enabled=engine._bulk is not None,
         wall_seconds=wall_seconds,
     )
 

@@ -59,7 +59,12 @@ from repro.generators import DATASET_PRESETS, generate_preset, rmat_edges
 from repro.generators.weights import pairwise_weights
 from repro.runtime.engine import EngineConfig
 from repro.runtime.lifecycle import EngineBuilder
-from repro.runtime.plugins import FaultInjectionPlugin, FreshnessPlugin
+from repro.runtime.plugins import (
+    FaultInjectionPlugin,
+    FreshnessPlugin,
+    MetricsPlugin,
+    TracerPlugin,
+)
 from repro.util.timers import WallTimer
 
 GRAPH_CHOICES = sorted(set(DATASET_PRESETS) | {"rmat"})
@@ -93,14 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--backend", choices=["des", "mp"], default="des",
                      help="des = single-process discrete-event simulation "
                           "(virtual time, default); mp = one real OS "
-                          "process per rank over pipes (wall clock)")
+                          "process per rank over shm rings (wall clock)")
     run.add_argument("--ranks", type=int, default=None, metavar="N",
                      help="total rank count (overrides "
                           "--nodes * --ranks-per-node)")
-    run.add_argument("--wire", choices=["shm", "pipe"], default="shm",
-                     help="mp data plane: shm = zero-copy shared-memory "
-                          "rings with vectorized kernels (default); pipe = "
-                          "legacy pickled-pipe fallback")
     run.add_argument("--nodes", type=int, default=1)
     run.add_argument("--ranks-per-node", type=int, default=4)
     run.add_argument("--sources", type=int, default=1, help="S-T source count")
@@ -158,8 +159,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "on the simulated cluster (default); mp = run the "
                           "process-parallel backend to quiescence, then "
                           "serve the harvested rank states")
-    srv.add_argument("--wire", choices=["shm", "pipe"], default="shm",
-                     help="mp data plane (as in run)")
     srv.add_argument("--ranks", type=int, default=None, metavar="N",
                      help="total rank count (overrides "
                           "--nodes * --ranks-per-node)")
@@ -332,7 +331,7 @@ def _run_mp(
     """Execute ``run`` on the process-parallel backend."""
     import json as json_mod
 
-    from repro.parallel import ParallelStateView, WireConfig, run_parallel
+    from repro.parallel import ParallelStateView, run_parallel
 
     des_only = [
         name for name, value in [
@@ -355,15 +354,11 @@ def _run_mp(
         obs_cfg = ObsConfig(
             trace=args.trace is not None, metrics=args.metrics is not None
         )
-    chat(
-        f"backend: mp, {n_ranks} ranks (one OS process each), "
-        f"{args.wire} wire"
-    )
+    chat(f"backend: mp, {n_ranks} ranks (one OS process each)")
     result = run_parallel(
         programs,
         split_streams(src, dst, n_ranks, weights=weights, rng=rng),
         config=EngineConfig(n_ranks=n_ranks),
-        wire=WireConfig(kind=args.wire),
         init=init,
         collect_edges=args.verify,
         obs=obs_cfg,
@@ -377,19 +372,17 @@ def _run_mp(
         f"{result.token_rounds} termination rounds"
     )
     ring = result.ring_health
-    if ring:
-        chat(
-            f"rings: {ring.get('ring_stalls', 0):,} push stalls, "
-            f"overflow hwm {ring.get('overflow_hwm_records', 0):,} records, "
-            f"{ring.get('ring_pad_bytes', 0):,} PAD bytes, "
-            f"{ring.get('pickle_records', 0):,} fallback-lane messages"
-        )
+    chat(
+        f"rings: {ring['ring_stalls']:,} push stalls, "
+        f"overflow hwm {ring['overflow_hwm_records']:,} records, "
+        f"{ring['ring_pad_bytes']:,} PAD bytes, "
+        f"{ring['pickle_records']:,} fallback-lane messages"
+    )
 
     meta = {
         "label": label,
         "algo": args.algo,
         "backend": "mp",
-        "wire": result.wire_kind,
         "n_ranks": n_ranks,
         "events": int(len(src)),
     }
@@ -416,7 +409,6 @@ def _run_mp(
             "label": label,
             "algo": args.algo,
             "backend": "mp",
-            "wire": result.wire_kind,
             "n_ranks": n_ranks,
             "events": int(len(src)),
             "report": result.to_dict(),
@@ -499,6 +491,16 @@ def cmd_run(args: argparse.Namespace) -> int:
     if want_sampling and sample_interval is None:
         sample_interval = max(est / 100.0, 1e-9)
 
+    def telemetry_plugins():
+        # Fresh instances per engine: a crash plan builds one engine
+        # per incarnation.
+        plugins = []
+        if args.trace is not None:
+            plugins.append(TracerPlugin())
+        if sample_interval is not None:
+            plugins.append(MetricsPlugin(sample_interval))
+        return plugins
+
     plan = None
     if args.faults is not None:
         from repro.faults import FaultPlan
@@ -523,20 +525,13 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         def engine_factory():
             progs, _, _ = _make_programs(args.algo, src, args.sources)
-            # The EngineConfig flags desugar into the equivalent
-            # plugins inside the builder (TracerPlugin/MetricsPlugin);
-            # the runner registers FaultInjectionPlugin per incarnation.
+            # The runner registers FaultInjectionPlugin per incarnation.
             return (
                 EngineBuilder()
                 .with_programs(progs)
-                .with_config(
-                    EngineConfig(
-                        n_ranks=n_ranks,
-                        trace=args.trace is not None,
-                        sample_interval=sample_interval,
-                    )
-                )
+                .with_config(EngineConfig(n_ranks=n_ranks))
                 .with_cost_model(cost)
+                .with_plugins(telemetry_plugins())
                 .build()
             )
 
@@ -573,20 +568,15 @@ def cmd_run(args: argparse.Namespace) -> int:
                 os.remove(ckpt_path)
         engine = fault_result.engine
     else:
-        # Assemble through the lifecycle builder: config flags desugar
-        # to TracerPlugin/MetricsPlugin, and the cross-cutting extras
-        # (fault plan, freshness probe) ride as explicit plugins.
+        # Assemble through the lifecycle builder: telemetry first (the
+        # fault plan and the freshness probe look for the tracer and
+        # the sampler at setup), then the cross-cutting extras.
         builder = (
             EngineBuilder()
             .with_programs(programs)
-            .with_config(
-                EngineConfig(
-                    n_ranks=n_ranks,
-                    trace=args.trace is not None,
-                    sample_interval=sample_interval,
-                )
-            )
+            .with_config(EngineConfig(n_ranks=n_ranks))
             .with_cost_model(cost)
+            .with_plugins(telemetry_plugins())
         )
         if plan is not None:
             # Transport must attach before the first message moves.
@@ -824,17 +814,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     if args.backend == "mp":
         from repro.events.stream import split_streams as _split
-        from repro.parallel import WireConfig, run_parallel
+        from repro.parallel import run_parallel
 
         chat(
-            f"serve: backend mp, {n_ranks} ranks, {args.wire} wire "
+            f"serve: backend mp, {n_ranks} ranks "
             "(run to quiescence, then serve the harvested state)"
         )
         result = run_parallel(
             programs,
             _split(src, dst, n_ranks, weights=weights, rng=rng),
             config=EngineConfig(n_ranks=n_ranks),
-            wire=WireConfig(kind=args.wire),
             init=init,
         )
         chat(

@@ -134,9 +134,8 @@ class FaultTolerantRunner:
                 )
             incarnations += 1
             engine = self.engine_factory()
-            # Register through the plugin registry (the enable_faults
-            # sugar does exactly this): each incarnation is a fresh
-            # engine, so the "faults" name never collides.
+            # Each incarnation is a fresh engine, so the "faults" name
+            # never collides.
             engine.plugins.register_late(FaultInjectionPlugin(self.plan), engine)
             streams = list(self.stream_factory())
             if have_ckpt:

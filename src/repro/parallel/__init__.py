@@ -5,26 +5,26 @@ middleware in virtual time on one core; this package *executes* it —
 the same unmodified :class:`~repro.runtime.engine.DynamicEngine` visitor
 switch runs in one process per rank over the same consistent-hash
 partition, with quiescence proved by the four-counter detector adapted
-to an async token ring.  The data plane is zero-copy by default:
-visitor batches travel as fixed-layout numpy record slabs over
+to an async token ring.  The data plane is zero-copy: visitor batches
+travel as fixed-layout numpy record slabs over
 single-producer/single-consumer shared-memory rings
-(:mod:`repro.parallel.shm` + :mod:`repro.parallel.codec`), the
-duplex-pipe mesh demoting to control frames (token, stop, doorbells);
-``WireConfig(kind="pipe")`` restores the legacy pickled-pipe wire.
+(:mod:`repro.parallel.shm` + :mod:`repro.parallel.codec`), with a
+pickled-slab lane on the same rings for values that do not pack; the
+duplex-pipe mesh carries control frames only (token, stop, doorbells).
 When every loaded program declares a bulk kernel, arriving slabs are
 applied with in-rank vectorized kernels (:mod:`repro.parallel.vecapply`)
 instead of per-event dispatch.  Because the five REMO algorithms
 converge to a unique fixpoint under any event interleaving (§II-D/§IV),
 the mp backend's final state is bit-equal to the DES backend's and to
 the static oracle — which the differential tests in ``tests/parallel/``
-enforce across both wires.
+enforce on both the kernel and the per-event drain.
 
 Entry points: :func:`run_parallel` (library), ``python -m repro run
---backend mp --ranks N [--wire shm|pipe]`` (CLI).
+--backend mp --ranks N`` (CLI).
 """
 
 from repro.parallel.codec import Codec
-from repro.parallel.loop import PipeLoop, ShmLoop
+from repro.parallel.loop import ShmLoop
 from repro.parallel.runner import (
     ParallelResult,
     ParallelStateView,
@@ -36,7 +36,6 @@ from repro.parallel.wire import WireConfig
 
 __all__ = [
     "Codec",
-    "PipeLoop",
     "RingCorruption",
     "ShmLoop",
     "ShmRing",

@@ -1,9 +1,9 @@
 """Visitor-batch wire codec: tuples ⇄ structured numpy record slabs.
 
-The pipe wire pickles lists of visitor tuples; the shm wire instead
-packs batches into fixed-layout little-endian record arrays that travel
-as ring slabs (:mod:`repro.parallel.shm`) and decode as zero-copy numpy
-views.  Three record layouts cover the hot visitor types:
+The shm wire packs visitor batches into fixed-layout little-endian
+record arrays that travel as ring slabs (:mod:`repro.parallel.shm`) and
+decode as zero-copy numpy views.  Three record layouts cover the hot
+visitor types:
 
 ========== ===========================================================
 K_ADD      ``src i8, dst i8, weight i8, ver u4``             (28 B)
@@ -35,8 +35,8 @@ generational UPDATEs.
 one slab kind — order within the batch is never permuted, which is what
 keeps the §III-C per-channel FIFO guarantee intact across the codec.
 :meth:`Codec.decode_to_tuples` restores native-int visitor tuples that
-are indistinguishable from what the pipe wire delivers (the per-event
-fallback); the ``*_view`` helpers expose the raw record arrays for the
+are indistinguishable from the ones the sender encoded (the per-event
+path); the ``*_view`` helpers expose the raw record arrays for the
 vectorized drain path.
 """
 
@@ -197,7 +197,7 @@ class Codec:
 
         Values come back as native Python ints with the signedness of
         the owning program's kernel domain, so downstream per-event
-        dispatch sees exactly what the pipe wire would have delivered.
+        dispatch sees exactly the tuples the sender's engine emitted.
         """
         if kind == K_PICKLE:
             return pickle.loads(bytes(payload))

@@ -1,11 +1,12 @@
 """The engine-facing message loop of one worker process.
 
-:class:`PipeLoop` duck-types the sender-side surface of
+:class:`ShmLoop` duck-types the sender-side surface of
 :class:`repro.comm.des.DiscreteEventLoop` that :class:`DynamicEngine`
 drives — ``send`` / ``send_many`` / ``consume`` / ``now`` / ``clock`` /
-``set_source_active`` — so a completely unmodified engine runs over real
-OS pipes: the worker builds a normal engine, swaps ``engine.loop`` for a
-PipeLoop, and pumps messages itself (:mod:`repro.parallel.worker`).
+``set_source_active`` — so a completely unmodified engine runs across
+real OS processes: the worker builds a normal engine, swaps
+``engine.loop`` for a ShmLoop, and pumps messages itself
+(:mod:`repro.parallel.worker`).
 
 Differences from the simulated NIC, by design:
 
@@ -16,22 +17,26 @@ Differences from the simulated NIC, by design:
   needing virtual-time injection (collections, fault plans, telemetry
   sampling) is DES-only.
 * **Outbuffers instead of per-send latency.**  Cross-rank messages
-  buffer per destination and travel as one pickled batch frame when the
-  buffer reaches a flush threshold (or the worker goes idle) — the PR 1
-  ``send_many`` batching moved onto the wire.  The threshold can be
-  *randomized per flush* (``jitter_rng``), which the differential tests
-  use to shake out interleaving assumptions on top of genuine OS
-  scheduling noise.
+  buffer per destination and travel as record slabs
+  (:class:`repro.parallel.codec.Codec`) pushed onto the destination's
+  shm ring when the buffer reaches a flush threshold (or the worker goes
+  idle) — the PR 1 ``send_many`` batching moved onto the wire.  The
+  threshold can be *randomized per flush* (``jitter_rng``), which the
+  differential tests use to shake out interleaving assumptions on top of
+  genuine OS scheduling noise.  Pipes carry control frames only (token,
+  stop, and the ``"D"`` doorbell emitted when a push makes a ring go
+  empty→nonempty, so a receiver blocked in ``Connection.poll`` wakes
+  without busy-spinning on ring heads).
 * **Coalescing on both ends of the wire.**  A send carrying a
   ``coalesce_key`` squashes into a pending same-key message in the
   destination's outbuffer (sender side) exactly like the DES inbox
-  window; on the receive side, drained UPDATE frames squash into
-  same-key messages still queued in the local inbox using the engine's
+  window; on the receive side, drained UPDATEs squash into same-key
+  messages still queued in the local inbox using the engine's
   per-program lifted combiners (§II-D, "combined or squashed in the
   visitor queue").
-* **Termination counters live here.**  ``wire_sent`` counts a message
-  when its batch is handed to the wire, ``wire_received`` when it is
-  drained into the inbox — the monotone cumulative pair the token ring
+* **Termination counters live here.**  ``wire_sent`` counts a record
+  when its slab lands on the ring, ``wire_received`` when it is drained
+  into the inbox — the monotone cumulative pair the token ring
   (:mod:`repro.parallel.termination`) sums.  Local (self-rank) messages
   never touch the wire counters; they cannot be in flight.
 """
@@ -39,20 +44,14 @@ Differences from the simulated NIC, by design:
 from __future__ import annotations
 
 from collections import deque
-from typing import TYPE_CHECKING, Any, Callable
+from typing import Any, Callable
 
 import numpy as np
 
+from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec
+from repro.parallel.shm import K_ADD, K_PICKLE, K_RADD, K_UPDATE, ShmRing
+from repro.parallel.wire import FRAME_DOORBELL
 from repro.runtime.visitor import VT_UPDATE
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard for types only
-    from repro.parallel.codec import Codec
-    from repro.parallel.shm import ShmRing
-
-# UPDATE layout: (VT_UPDATE, prog, target, vis_id, vis_val, weight, ver).
-# The drain-side coalesce key mirrors the engine's send-side key
-# (prog, target, sender_vertex, version).
-_UPD_KEY = (1, 2, 3, 6)
 
 
 class _Pending:
@@ -66,12 +65,29 @@ class _Pending:
         self.key = key
 
 
-class PipeLoop:
-    """One rank's message plumbing over real pipes.
+class ShmLoop:
+    """One rank's message plumbing: shm rings for data, pipes for control.
 
-    ``transmit(dst_rank, frame)`` is injected (the worker points it at
-    its sender thread; unit tests at a list), so the loop itself is
-    process-free and deterministic under test.
+    ``rings_out`` maps every peer rank to this rank's producer ring
+    toward it; a 1-rank run has no peers, so no rings, and every send is
+    a self-send.  ``transmit(dst_rank, frame)`` carries the control
+    frames and is injected (the worker points it at its sender thread;
+    unit tests at a list), so the loop itself is process-free and
+    deterministic under test.
+
+    Besides the per-destination outbuffers of visitor tuples, two
+    producer-side buffers join the termination accounting:
+
+    * an **overflow queue** per destination, holding slabs a full ring
+      refused (``try_push`` never blocks — a cycle of mutually-full
+      rings must not deadlock); :meth:`pump` retries them each turn;
+    * **record buffers** of structured arrays queued directly by the
+      vectorized drain (:mod:`repro.parallel.vecapply`), which never
+      pass through tuple space at all.
+
+    Until its slab lands on the ring a record is ``outbuffered``, so a
+    rank with backpressured slabs can never report idle to the token
+    ring.
     """
 
     def __init__(
@@ -79,9 +95,11 @@ class PipeLoop:
         rank: int,
         n_ranks: int,
         transmit: Callable[[int, tuple], None],
+        rings_out: dict[int, ShmRing],
+        codec: Codec,
+        partitioner: Any,
         batch_max: int = 512,
         jitter_rng: Any = None,
-        inbox_coalesce: bool = True,
     ):
         if not 0 <= rank < n_ranks:
             raise ValueError(f"rank {rank} out of range for {n_ranks} ranks")
@@ -90,19 +108,21 @@ class PipeLoop:
         self.rank = rank
         self.n_ranks = n_ranks
         self._transmit = transmit
+        self._rings_out = rings_out
+        self._codec = codec
+        self._partitioner = partitioner
         self.batch_max = batch_max
         # Optional per-rank observability capture (repro.obs.distributed
         # RankObs); None = disabled, costing one guard per flush.
         self.obs: Any = None
         self._jitter_rng = jitter_rng
-        self._inbox_coalesce = inbox_coalesce
         self._threshold = self._draw_threshold()
         # Engine-facing state: full-width clock (only this rank's slot
         # advances) and the counters the engine reads.
         self.clock = [0.0] * n_ranks
         self.messages_squashed = 0  # sender-side squashes (outbuf + local)
         self.batch_sends = 0  # send_many invocations
-        self.stall_time = 0.0  # no backpressure model on real pipes
+        self.stall_time = 0.0  # no backpressure model on a real wire
         self.in_flight = 0  # local inbox depth (engine never reads it)
         self.transport = None  # reliable delivery is DES-only
         self._source_active = [False] * n_ranks
@@ -118,11 +138,23 @@ class PipeLoop:
         # (the worker hands over ``engine._combiners`` after building
         # the engine; empty = no receive-side squashing).
         self._combiners: list[Callable[[tuple, tuple], tuple] | None] = []
+        self._overflow: dict[int, deque] = {d: deque() for d in rings_out}
+        self._overflow_records = 0
+        # dst -> list of (slab_kind, structured record array)
+        self._rec_out: dict[int, list[tuple[int, np.ndarray]]] = {
+            d: [] for d in rings_out
+        }
+        self._rec_counts: dict[int, int] = dict.fromkeys(rings_out, 0)
         # Cumulative wire counters for the termination token ring.
         self.wire_sent = 0
         self.wire_received = 0
         self.frames_sent = 0
         self.frames_received = 0
+        self.doorbells = 0
+        self.overflow_pushes = 0  # slabs a full ring bounced to overflow
+        self.overflow_hwm_records = 0  # overflow-queue record high water
+        self.pickle_slabs = 0  # K_PICKLE fallback slabs encoded
+        self.pickle_records = 0  # messages carried on the fallback lane
 
     # ------------------------------------------------------------------
     # wiring
@@ -238,165 +270,6 @@ class PipeLoop:
         return False
 
     def flush(self, dst_rank: int) -> None:
-        """Hand one destination's buffered messages to the wire as a
-        single batch frame.  This is where ``wire_sent`` counts them:
-        from here on, an undelivered message is visible to the token
-        ring as ``sent > received``."""
-        buf = self._outbuf[dst_rank]
-        if not buf:
-            return
-        obs = self.obs
-        t0 = obs.now() if obs is not None else 0.0
-        batch = [p.msg for p in buf]
-        buf.clear()
-        self._outbuf_index[dst_rank].clear()
-        self.wire_sent += len(batch)
-        self.frames_sent += 1
-        self._transmit(dst_rank, ("B", self.rank, batch))
-        self._threshold = self._draw_threshold()
-        if obs is not None:
-            obs.span("emit", t0, "emit", {"dst": dst_rank, "messages": len(batch)})
-
-    def flush_all(self) -> None:
-        for dst_rank in range(self.n_ranks):
-            self.flush(dst_rank)
-
-    @property
-    def outbuffered(self) -> int:
-        """Messages buffered but not yet entrusted to the wire.  Must be
-        zero before the rank may report itself idle to the token ring."""
-        return sum(len(b) for b in self._outbuf)
-
-    # ------------------------------------------------------------------
-    # receive side (driven by the worker)
-    # ------------------------------------------------------------------
-    def deliver_batch(self, _sender: int, batch: list[Any]) -> None:
-        """Drain one arrived batch frame into the local inbox.
-
-        ``wire_received`` counts every message — including ones that
-        squash into a queued same-key UPDATE, which the DES books as
-        received-at-squash-time for exactly this balance reason."""
-        self.frames_received += 1
-        self.wire_received += len(batch)
-        combiners = self._combiners
-        coalesce = self._inbox_coalesce and bool(combiners)
-        for msg in batch:
-            if coalesce and msg[0] == VT_UPDATE:
-                combiner = combiners[msg[1]]
-                if combiner is not None:
-                    key = (msg[1], msg[2], msg[3], msg[6])
-                    entry = self._inbox_index.get(key)
-                    if entry is not None:
-                        entry.msg = combiner(entry.msg, msg)
-                        self.inbox_squashed += 1
-                        continue
-                    entry = _Pending(msg, key)
-                    self._inbox_index[key] = entry
-                    self._inbox.append(entry)
-                    continue
-            self._inbox.append(msg)
-
-    def enqueue_local(self, msg: Any) -> None:
-        """Seed the inbox directly (ownership-gated init visitors)."""
-        self._inbox.append(msg)
-
-    def pop_message(self) -> Any | None:
-        """Dequeue the next inbox message (closing its coalescing
-        window), or None when the inbox is empty."""
-        if not self._inbox:
-            return None
-        msg = self._inbox.popleft()
-        if type(msg) is _Pending:
-            if msg.key is not None and self._inbox_index.get(msg.key) is msg:
-                del self._inbox_index[msg.key]
-            return msg.msg
-        return msg
-
-    @property
-    def inbox_len(self) -> int:
-        return len(self._inbox)
-
-    def idle(self) -> bool:
-        """Locally idle: nothing queued in, nothing buffered out.  The
-        worker adds the stream-exhausted condition on top."""
-        return not self._inbox and self.outbuffered == 0
-
-    def wire_stats(self) -> dict[str, int]:
-        return {
-            "wire_sent": self.wire_sent,
-            "wire_received": self.wire_received,
-            "frames_sent": self.frames_sent,
-            "frames_received": self.frames_received,
-            "outbuf_squashed": self.messages_squashed,
-            "inbox_squashed": self.inbox_squashed,
-            "batch_sends": self.batch_sends,
-        }
-
-
-class ShmLoop(PipeLoop):
-    """A :class:`PipeLoop` whose data plane is shm rings.
-
-    The engine-facing surface and all sender-side coalescing are
-    inherited unchanged; only :meth:`flush` differs — instead of one
-    pickled pipe frame per batch, buffered visitors are packed into
-    record slabs (:class:`repro.parallel.codec.Codec`) and pushed onto
-    the per-destination ring.  Pipes carry control frames only (token,
-    stop, and the ``"D"`` doorbell emitted when a push makes a ring go
-    empty→nonempty, so a receiver blocked in ``Connection.poll`` wakes
-    without busy-spinning on ring heads).
-
-    Two extra producer-side buffers join the termination accounting:
-
-    * an **overflow queue** per destination, holding slabs a full ring
-      refused (``try_push`` never blocks — a cycle of mutually-full
-      rings must not deadlock); :meth:`pump` retries them each turn;
-    * **record buffers** of structured arrays queued directly by the
-      vectorized drain (:mod:`repro.parallel.vecapply`), which never
-      pass through tuple space at all.
-
-    ``wire_sent`` counts a record only when its slab lands on the ring;
-    until then it is ``outbuffered``, so a rank with backpressured
-    slabs can never report idle to the token ring.
-    """
-
-    def __init__(
-        self,
-        rank: int,
-        n_ranks: int,
-        transmit: Callable[[int, tuple], None],
-        rings_out: dict[int, "ShmRing"],
-        codec: "Codec",
-        partitioner: Any,
-        batch_max: int = 512,
-        jitter_rng: Any = None,
-        inbox_coalesce: bool = True,
-    ):
-        super().__init__(
-            rank,
-            n_ranks,
-            transmit,
-            batch_max=batch_max,
-            jitter_rng=jitter_rng,
-            inbox_coalesce=inbox_coalesce,
-        )
-        self._rings_out = rings_out
-        self._codec = codec
-        self._partitioner = partitioner
-        self._overflow: dict[int, deque] = {d: deque() for d in rings_out}
-        self._overflow_records = 0
-        # dst -> list of (slab_kind, structured record array)
-        self._rec_out: dict[int, list[tuple[int, np.ndarray]]] = {
-            d: [] for d in rings_out
-        }
-        self._rec_counts: dict[int, int] = dict.fromkeys(rings_out, 0)
-        self.doorbells = 0
-        self.overflow_pushes = 0  # slabs a full ring bounced to overflow
-        self.overflow_hwm_records = 0  # overflow-queue record high water
-        self.pickle_slabs = 0  # K_PICKLE fallback slabs encoded
-        self.pickle_records = 0  # messages carried on the fallback lane
-
-    # -- producer side -------------------------------------------------
-    def flush(self, dst_rank: int) -> None:
         """Encode one destination's buffered visitors + queued record
         arrays into slabs and push them (overflowing without blocking).
         Tuple-lane and record-lane messages each stay FIFO; their
@@ -420,8 +293,6 @@ class ShmLoop(PipeLoop):
         limit = self._rings_out[dst_rank].max_payload
         slabs: list[tuple[int, int, Any]] = []
         if buf:
-            from repro.parallel.shm import K_PICKLE
-
             batch = [p.msg for p in buf]
             buf.clear()
             self._outbuf_index[dst_rank].clear()
@@ -460,6 +331,9 @@ class ShmLoop(PipeLoop):
         )
 
     def _push_slabs(self, dst_rank: int, slabs: list[tuple[int, int, Any]]) -> None:
+        """Hand slabs to the ring.  This is where ``wire_sent`` counts
+        them: from here on, an undelivered record is visible to the
+        token ring as ``sent > received``."""
         ring = self._rings_out[dst_rank]
         ovf = self._overflow[dst_rank]
         was_empty = ring.used() == 0
@@ -488,7 +362,7 @@ class ShmLoop(PipeLoop):
                 pushed = True
         if pushed and was_empty:
             self.doorbells += 1
-            self._transmit(dst_rank, ("D", self.rank))
+            self._transmit(dst_rank, (FRAME_DOORBELL, self.rank))
 
     def pump(self) -> None:
         """Retry backpressured slabs (called once per worker turn)."""
@@ -497,15 +371,23 @@ class ShmLoop(PipeLoop):
                 if ovf:
                     self._push_slabs(dst_rank, [])
 
+    def flush_all(self) -> None:
+        for dst_rank in range(self.n_ranks):
+            self.flush(dst_rank)
+
     @property
     def outbuffered(self) -> int:
+        """Messages buffered but not yet entrusted to the wire.  Must be
+        zero before the rank may report itself idle to the token ring."""
         return (
             sum(len(b) for b in self._outbuf)
             + self._overflow_records
             + sum(self._rec_counts.values())
         )
 
-    # -- vectorized-drain emission lanes -------------------------------
+    # ------------------------------------------------------------------
+    # vectorized-drain emission lanes
+    # ------------------------------------------------------------------
     def queue_add(
         self,
         srcs: np.ndarray,
@@ -515,9 +397,6 @@ class ShmLoop(PipeLoop):
         """Queue ADD records from bulk stream ingest, routed to each
         source vertex's owner (never this rank — local events apply
         in-drain)."""
-        from repro.parallel.codec import ADD_DTYPE
-        from repro.parallel.shm import K_ADD
-
         owners = self._partitioner.owner_array(srcs)
         for dst_rank in np.unique(owners).tolist():
             sel = owners == dst_rank
@@ -539,9 +418,6 @@ class ShmLoop(PipeLoop):
         """Queue UPDATE records (value already a u64 bit pattern),
         routed to each target's owner.  Callers only pass remote
         targets — local offers are applied in-drain."""
-        from repro.parallel.codec import UPDATE_DTYPE
-        from repro.parallel.shm import K_UPDATE
-
         owners = self._partitioner.owner_array(targets)
         for dst_rank in np.unique(owners).tolist():
             sel = owners == dst_rank
@@ -563,8 +439,6 @@ class ShmLoop(PipeLoop):
     ) -> None:
         """Queue REVERSE_ADD records (``vals_u64`` one row per record),
         routed to each destination vertex's owner."""
-        from repro.parallel.shm import K_RADD
-
         owners = self._partitioner.owner_array(dsts)
         for dst_rank in np.unique(owners).tolist():
             sel = owners == dst_rank
@@ -584,18 +458,79 @@ class ShmLoop(PipeLoop):
         if self._rec_counts[dst_rank] >= self._threshold:
             self.flush(dst_rank)
 
-    # -- stats ---------------------------------------------------------
+    # ------------------------------------------------------------------
+    # receive side (driven by the worker)
+    # ------------------------------------------------------------------
+    def deliver_batch(self, _sender: int, batch: list[Any]) -> None:
+        """Drain one decoded slab into the local inbox.
+
+        ``wire_received`` counts every message — including ones that
+        squash into a queued same-key UPDATE, which the DES books as
+        received-at-squash-time for exactly this balance reason."""
+        self.frames_received += 1
+        self.wire_received += len(batch)
+        combiners = self._combiners
+        for msg in batch:
+            if combiners and msg[0] == VT_UPDATE:
+                combiner = combiners[msg[1]]
+                if combiner is not None:
+                    # Mirrors the engine's send-side key: (prog, target,
+                    # sender_vertex, version).
+                    key = (msg[1], msg[2], msg[3], msg[6])
+                    entry = self._inbox_index.get(key)
+                    if entry is not None:
+                        entry.msg = combiner(entry.msg, msg)
+                        self.inbox_squashed += 1
+                        continue
+                    entry = _Pending(msg, key)
+                    self._inbox_index[key] = entry
+                    self._inbox.append(entry)
+                    continue
+            self._inbox.append(msg)
+
+    def enqueue_local(self, msg: Any) -> None:
+        """Seed the inbox directly (ownership-gated init visitors)."""
+        self._inbox.append(msg)
+
+    def pop_message(self) -> Any | None:
+        """Dequeue the next inbox message (closing its coalescing
+        window), or None when the inbox is empty."""
+        if not self._inbox:
+            return None
+        msg = self._inbox.popleft()
+        if type(msg) is _Pending:
+            if msg.key is not None and self._inbox_index.get(msg.key) is msg:
+                del self._inbox_index[msg.key]
+            return msg.msg
+        return msg
+
+    @property
+    def inbox_len(self) -> int:
+        return len(self._inbox)
+
+    def idle(self) -> bool:
+        """Locally idle: nothing queued in, nothing buffered out.  The
+        worker adds the stream-exhausted condition on top."""
+        return not self._inbox and self.outbuffered == 0
+
     def wire_stats(self) -> dict[str, int]:
-        stats = super().wire_stats()
         rings = self._rings_out.values()
-        stats["ring_stalls"] = sum(r.push_stalls for r in rings)
-        stats["ring_pushes"] = sum(r.pushes for r in rings)
-        stats["ring_hwm_bytes"] = max((r.hwm_bytes for r in rings), default=0)
-        stats["ring_pad_slabs"] = sum(r.pad_slabs for r in rings)
-        stats["ring_pad_bytes"] = sum(r.pad_bytes for r in rings)
-        stats["overflow_pushes"] = self.overflow_pushes
-        stats["overflow_hwm_records"] = self.overflow_hwm_records
-        stats["pickle_slabs"] = self.pickle_slabs
-        stats["pickle_records"] = self.pickle_records
-        stats["doorbells"] = self.doorbells
-        return stats
+        return {
+            "wire_sent": self.wire_sent,
+            "wire_received": self.wire_received,
+            "frames_sent": self.frames_sent,
+            "frames_received": self.frames_received,
+            "outbuf_squashed": self.messages_squashed,
+            "inbox_squashed": self.inbox_squashed,
+            "batch_sends": self.batch_sends,
+            "ring_stalls": sum(r.push_stalls for r in rings),
+            "ring_pushes": sum(r.pushes for r in rings),
+            "ring_hwm_bytes": max((r.hwm_bytes for r in rings), default=0),
+            "ring_pad_slabs": sum(r.pad_slabs for r in rings),
+            "ring_pad_bytes": sum(r.pad_bytes for r in rings),
+            "overflow_pushes": self.overflow_pushes,
+            "overflow_hwm_records": self.overflow_hwm_records,
+            "pickle_slabs": self.pickle_slabs,
+            "pickle_records": self.pickle_records,
+            "doorbells": self.doorbells,
+        }

@@ -1,12 +1,13 @@
 """Parent-side orchestration of the process-parallel backend.
 
 :func:`run_parallel` is the mp analogue of building a
-:class:`DynamicEngine` and calling ``run()``: it wires a duplex-pipe
-mesh (one :func:`multiprocessing.Pipe` per unordered rank pair, so each
-direction is a private FIFO channel), spawns one worker process per
-rank (:func:`repro.parallel.worker.worker_main`), and blocks until
-every rank ships its post-quiescence state harvest back on its parent
-pipe.  The returned :class:`ParallelResult` merges the per-rank values,
+:class:`DynamicEngine` and calling ``run()``: it creates one shm ring per
+ordered rank pair (the data plane) and a duplex-pipe mesh (one
+:func:`multiprocessing.Pipe` per unordered rank pair, control frames
+only), spawns one worker process per rank
+(:func:`repro.parallel.worker.worker_main`), and blocks until every
+rank ships its post-quiescence state harvest back on its parent pipe.
+The returned :class:`ParallelResult` merges the per-rank values,
 counters and wire statistics; :class:`ParallelStateView` adapts it to
 the ``engine``-shaped surface the :mod:`repro.analytics.verify` oracles
 expect, so the exact same checkers validate both backends.
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import multiprocessing
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from multiprocessing.connection import wait as conn_wait
 from typing import Any, Iterable
 
@@ -45,7 +46,6 @@ class ParallelResult:
     token_rounds: int
     wall_seconds: float
     partition_salt: int
-    wire_kind: str = "pipe"
     edges: list[tuple[int, int, int]] | None = None
     #: Merged telemetry capture (repro.obs.distributed.MergedObs) when
     #: the run was launched with an ObsConfig; None otherwise.
@@ -75,16 +75,15 @@ class ParallelResult:
 
     @property
     def ring_health(self) -> dict[str, int]:
-        """The shm data plane's backpressure/framing counters (empty on
-        the pipe wire): ring/overflow/pad/pickle/doorbell keys from the
-        aggregated wire stats."""
+        """The shm data plane's backpressure/framing counters:
+        ring/overflow/pad/pickle/doorbell keys from the aggregated wire
+        stats."""
         prefixes = ("ring_", "overflow_", "pickle_", "doorbell")
         return {k: v for k, v in self.wire.items() if k.startswith(prefixes)}
 
     def to_dict(self) -> dict[str, Any]:
         doc: dict[str, Any] = {
             "backend": "mp",
-            "wire_kind": self.wire_kind,
             "ranks": self.n_ranks,
             "source_events": self.source_events,
             "wall_seconds": self.wall_seconds,
@@ -168,8 +167,7 @@ def run_parallel(
 
     ``programs``/``streams``/``config``/``init`` mirror the DES setup
     (``init`` is the ``(prog, vertex, payload)`` triples normally passed
-    to ``engine.init_program``); programs must be picklable.  DES-only
-    config (bulk ingest, telemetry) is stripped before shipping.
+    to ``engine.init_program``); programs must be picklable.
     ``collect_edges`` additionally harvests every rank's stored edges so
     the result can be verified against the static oracle.  ``obs`` (an
     :class:`repro.obs.distributed.ObsConfig`) turns on per-rank
@@ -189,9 +187,6 @@ def run_parallel(
     n = config.n_ranks
     if len(streams) > n:
         raise ValueError(f"{len(streams)} streams for {n} ranks")
-    worker_config = replace(
-        config, bulk_ingest=False, trace=False, sample_interval=None
-    )
     columns: list[tuple | None] = [None] * n
     for r, stream in enumerate(streams):
         columns[r] = _stream_columns(stream)
@@ -206,24 +201,23 @@ def run_parallel(
     )
 
     ctx = multiprocessing.get_context(wire.start_method)
-    # Pipe mesh: one duplex pipe per unordered rank pair; each end is a
-    # private FIFO channel in each direction.  With the shm wire the
-    # pipes demote to control-only and the data plane is one SPSC ring
-    # per *ordered* pair, created here and unlinked in the finally.
+    # Control mesh: one duplex pipe per unordered rank pair; each end is
+    # a private FIFO channel in each direction.  The data plane is one
+    # SPSC ring per *ordered* pair, created here and unlinked in the
+    # finally (a 1-rank run has no pairs, so neither pipes nor rings).
     peer_conns: list[dict[int, Any]] = [{} for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             a, b = ctx.Pipe(duplex=True)
             peer_conns[i][j] = a
             peer_conns[j][i] = b
-    rings: dict[tuple[int, int], ShmRing] = {}
-    ring_names: dict[tuple[int, int], str] | None = None
-    if wire.kind == "shm" and n > 1:
-        for i in range(n):
-            for j in range(n):
-                if i != j:
-                    rings[(i, j)] = create_ring(wire.ring_capacity)
-        ring_names = {pair: r.name for pair, r in rings.items()}
+    rings: dict[tuple[int, int], ShmRing] = {
+        (i, j): create_ring(wire.ring_capacity)
+        for i in range(n)
+        for j in range(n)
+        if i != j
+    }
+    ring_names = {pair: r.name for pair, r in rings.items()}
     parent_conns = []
     procs = []
     t0 = time.perf_counter()
@@ -239,7 +233,7 @@ def run_parallel(
                     child_end,
                     peer_conns[rank],
                     programs,
-                    worker_config,
+                    config,
                     columns[rank],
                     list(init or []),
                     wire,
@@ -305,8 +299,8 @@ def run_parallel(
     prog_names = [p.name for p in programs]
     states: dict[str, dict[int, Any]] = {name: {} for name in prog_names}
     counters = RankCounters()
-    # Aggregate whatever stats the loops reported (the shm loop adds
-    # ring counters): sums, except high-water marks which take the max.
+    # Aggregate the stats the loops reported: sums, except high-water
+    # marks which take the max.
     wire_totals: dict[str, int] = {}
     edges: list[tuple[int, int, int]] | None = [] if collect_edges else None
     for info in per_rank:
@@ -342,7 +336,6 @@ def run_parallel(
         token_rounds=per_rank[0].get("token_rounds", 0),
         wall_seconds=wall,
         partition_salt=config.partition_salt,
-        wire_kind=wire.kind,
         edges=edges,
         obs=merged_obs,
     )

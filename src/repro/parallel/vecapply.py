@@ -77,13 +77,14 @@ from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 def vec_eligible(engine, wire, add_only: bool) -> bool:
     """Can this run drain slabs through the kernels?
 
-    Requires: shm wire with vectorize on, undirected mode, an add-only
-    stream (deletes are the de-opt path, not the fast one), at least one
-    program, and a bulk kernel + no nbr-cache on every program (one
-    per-event program forces the whole drain per-event — same rule as
-    the DES bulk-ingest controller).
+    Requires: vectorize on, peers to exchange slabs with (a 1-rank run
+    stays per-event), undirected mode, an add-only stream (deletes are
+    the de-opt path, not the fast one), at least one program, and a bulk
+    kernel + no nbr-cache on every program (one per-event program forces
+    the whole drain per-event — same rule as the DES bulk-ingest
+    controller).
     """
-    if wire.kind != "shm" or not wire.vectorize or not add_only:
+    if not wire.vectorize or not add_only or engine.config.n_ranks < 2:
         return False
     if not engine.config.undirected or not engine.programs:
         return False

@@ -1,21 +1,20 @@
-"""Wire format and sender plumbing of the process-parallel backend.
+"""Control frames, run configuration and sender plumbing of the mp backend.
 
-Frames are small picklable tuples with a one-character tag first, one
-pickle per frame (``multiprocessing.Connection.send``), carried over a
-per-(src,dst) duplex pipe mesh:
+Visitor data travels as record slabs over shm rings
+(:mod:`repro.parallel.shm`, :mod:`repro.parallel.loop`); the
+per-(src,dst) duplex pipe mesh carries only control frames — small
+picklable tuples with a one-character tag first, one pickle per frame
+(``multiprocessing.Connection.send``):
 
 ========= ==========================================================
 tag       payload
 ========= ==========================================================
-``"B"``   ``("B", sender_rank, [visitor, ...])`` — a batch of plain
-          visitor tuples in :mod:`repro.runtime.visitor` layout (the
-          DES wire format travels unchanged)
 ``"T"``   ``("T", round, sent_sum, recv_sum, all_idle)`` — the
           termination token (:mod:`repro.parallel.termination`)
 ``"S"``   ``("S",)`` — stop: rank 0 concluded termination
 ``"D"``   ``("D", sender_rank)`` — doorbell: the sender's shm ring to
-          this rank went empty→nonempty (shm wire only; wakes a
-          receiver blocked in ``Connection.poll``)
+          this rank went empty→nonempty (wakes a receiver blocked in
+          ``Connection.poll``)
 ========= ==========================================================
 
 Worker → parent frames (on the dedicated parent pipe):
@@ -30,8 +29,7 @@ an unbounded queue, so the main thread never blocks on a full pipe
 buffer.  ``Connection.send`` blocks once the OS buffer fills; with
 direct sends, a cycle of ranks all blocked sending into each other
 deadlocks even though every rank would eventually drain.  The thread
-preserves enqueue order, so each (src, dst) channel stays FIFO — the
-ordering the engine's §III-C edge-creation serialisation relies on.
+preserves enqueue order, so each (src, dst) control channel stays FIFO.
 """
 
 from __future__ import annotations
@@ -40,7 +38,6 @@ import queue
 import threading
 from dataclasses import dataclass
 
-FRAME_BATCH = "B"
 FRAME_TOKEN = "T"
 FRAME_STOP = "S"
 FRAME_RESULT = "R"
@@ -50,29 +47,24 @@ FRAME_DOORBELL = "D"
 
 @dataclass(frozen=True)
 class WireConfig:
-    """Knobs of the pipe transport and the worker's service loop."""
+    """Knobs of the shm data plane and the worker processes."""
 
     batch_max: int = 512  # outbuffer flush threshold (messages)
     jitter_seed: int | None = None  # randomize flush thresholds (tests)
-    dispatch_slice: int = 512  # inbox messages dispatched per loop turn
-    pull_slice: int = 128  # stream events pulled per loop turn
-    poll_timeout: float = 0.02  # blocking-wait seconds when idle
     start_method: str = "spawn"  # multiprocessing context
-    inbox_coalesce: bool = True  # receive-side UPDATE squashing
-    kind: str = "shm"  # data plane: "shm" rings or legacy "pipe"
+    kind: str = "shm"  # accepted for callers that name the wire; not an option
     ring_capacity: int = 1 << 20  # bytes per (src,dst) shm ring
-    vectorize: bool = True  # apply shm slabs via bulk kernels when eligible
+    vectorize: bool = True  # apply slabs via bulk kernels when eligible
     ingest_chunk: int = 4096  # stream events per bulk-ingest chunk (vec only)
 
     def __post_init__(self) -> None:
         if self.batch_max < 1:
             raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
-        if self.dispatch_slice < 1 or self.pull_slice < 1:
-            raise ValueError("dispatch_slice and pull_slice must be >= 1")
-        if self.poll_timeout <= 0:
-            raise ValueError("poll_timeout must be > 0")
-        if self.kind not in ("shm", "pipe"):
-            raise ValueError(f"wire kind must be 'shm' or 'pipe', got {self.kind!r}")
+        if self.kind != "shm":
+            raise ValueError(
+                f"wire kind {self.kind!r} is not available: the pickled-pipe "
+                "data plane was removed, shm rings are the only wire"
+            )
         if self.ring_capacity < 4096:
             raise ValueError(f"ring_capacity must be >= 4096, got {self.ring_capacity}")
         if self.ingest_chunk < 1:

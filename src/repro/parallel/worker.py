@@ -3,18 +3,18 @@
 Each worker builds a completely ordinary :class:`DynamicEngine` (full
 ``n_ranks``-wide configuration, so partitioning, counters and combiners
 are bit-identical to the DES run), then swaps ``engine.loop`` for a
-:class:`repro.parallel.loop.PipeLoop` and acts as exactly one rank of
+:class:`repro.parallel.loop.ShmLoop` and acts as exactly one rank of
 it: every ``engine.on_message`` / ``engine.pull_source`` call happens
 with this process's rank, so only this rank's store/value/counter slots
 are ever touched — the cluster state is the disjoint union of the
 workers' slots, harvested by the parent after termination.
 
-Service loop, per turn: drain arrived shm ring slabs and pipe frames
-into the inbox (vectorized-eligible record slabs go straight to the
-kernel drain of :mod:`repro.parallel.vecapply` instead) → dispatch a
-slice of inbox visitors → pull a slice of stream events when the inbox
-is empty → if nothing progressed, force-flush the outbuffers and do
-token-ring work, blocking briefly on the pipes when there is truly
+Service loop, per turn: drain arrived shm ring slabs into the inbox
+(vectorized-eligible record slabs go straight to the kernel drain of
+:mod:`repro.parallel.vecapply` instead) and read pipe control frames →
+dispatch a slice of inbox visitors → pull a slice of stream events when
+the inbox is empty → if nothing progressed, force-flush the outbuffers
+and do token-ring work, blocking briefly on the pipes when there is truly
 nothing to do (a ``"D"`` doorbell frame wakes the block when a peer's
 push makes a ring go empty→nonempty).  Quiescence is concluded by
 rank 0's :class:`RingCoordinator` (two consecutive balanced all-idle
@@ -31,12 +31,11 @@ from typing import Any
 
 from repro.obs.distributed import RankObs, harvest_payload
 from repro.parallel.codec import Codec
-from repro.parallel.loop import PipeLoop, ShmLoop
-from repro.parallel.shm import K_ADD, K_DEL, K_RADD, K_UPDATE, ShmRing, attach_ring
+from repro.parallel.loop import ShmLoop
+from repro.parallel.shm import K_ADD, K_DEL, K_RADD, K_UPDATE, attach_ring
 from repro.parallel.termination import RingCoordinator, RingMember
 from repro.parallel.vecapply import VecApplier, vec_eligible
 from repro.parallel.wire import (
-    FRAME_BATCH,
     FRAME_DOORBELL,
     FRAME_ERROR,
     FRAME_RESULT,
@@ -51,6 +50,9 @@ from repro.runtime.plugins import build_plugin
 from repro.runtime.visitor import VT_INIT
 
 _VEC_KINDS = (K_ADD, K_RADD, K_UPDATE)
+_DISPATCH_SLICE = 512  # inbox messages dispatched per loop turn
+_PULL_SLICE = 128  # stream events pulled per loop turn (per-event ingest)
+_POLL_TIMEOUT = 0.02  # blocking-wait seconds when idle
 
 
 def worker_main(
@@ -64,7 +66,7 @@ def worker_main(
     init: list[tuple[Any, int, Any]],
     wire: WireConfig,
     collect_edges: bool,
-    ring_names: dict[tuple[int, int], str] | None = None,
+    ring_names: dict[tuple[int, int], str],
     add_only: bool = True,
     obs_config: Any = None,
     plugin_specs: list[tuple[str, dict[str, Any]]] | None = None,
@@ -109,20 +111,15 @@ def _run_rank(
     init: list[tuple[Any, int, Any]],
     wire: WireConfig,
     collect_edges: bool,
-    ring_names: dict[tuple[int, int], str] | None,
+    ring_names: dict[tuple[int, int], str],
     add_only: bool,
     obs_config: Any = None,
     plugin_specs: list[tuple[str, dict[str, Any]]] | None = None,
 ) -> dict[str, Any]:
-    if config.bulk_ingest or config.trace or config.sample_interval is not None:
-        raise ValueError(
-            "mp workers need a sanitized EngineConfig "
-            "(bulk_ingest/trace/sample_interval are DES-only)"
-        )
     # Plugin re-hydration: instances don't cross the spawn boundary, so
     # the parent ships picklable ``(name, kwargs)`` specs and each rank
-    # rebuilds real plugins locally.  Same gate discipline as the
-    # config flags above: DES-only plugins are rejected, not ignored.
+    # rebuilds real plugins locally.  DES-only plugins are rejected,
+    # not ignored.
     plugins = [build_plugin(name, kwargs) for name, kwargs in plugin_specs or []]
     for pl in plugins:
         if not pl.mp_safe:
@@ -143,47 +140,31 @@ def _run_rank(
         import numpy as np
 
         jitter_rng = np.random.default_rng((wire.jitter_seed, rank))
-    rings_in: dict[int, ShmRing] = {}
-    rings_out: dict[int, ShmRing] = {}
-    codec: Codec | None = None
+    # One producer and one consumer ring per peer; a 1-rank run has no
+    # peers, so both maps stay empty and every send is a self-send.
+    rings_out = {o: attach_ring(ring_names[(rank, o)]) for o in peer_conns}
+    rings_in = {o: attach_ring(ring_names[(o, rank)]) for o in peer_conns}
+    codec = Codec(programs)
+    loop = ShmLoop(
+        rank,
+        n_ranks,
+        sender.put,
+        rings_out,
+        codec,
+        engine.partitioner,
+        batch_max=wire.batch_max,
+        jitter_rng=jitter_rng,
+    )
     applier: VecApplier | None = None
-    loop: PipeLoop
-    if wire.kind == "shm" and n_ranks > 1:
-        if ring_names is None:
-            raise ValueError("shm wire needs the parent-created ring names")
-        codec = Codec(programs)
-        for other in peer_conns:
-            rings_out[other] = attach_ring(ring_names[(rank, other)])
-            rings_in[other] = attach_ring(ring_names[(other, rank)])
-        loop = ShmLoop(
-            rank,
-            n_ranks,
-            sender.put,
-            rings_out,
-            codec,
-            engine.partitioner,
-            batch_max=wire.batch_max,
-            jitter_rng=jitter_rng,
-            inbox_coalesce=wire.inbox_coalesce,
-        )
-        if vec_eligible(engine, wire, add_only):
-            applier = VecApplier(engine, rank, codec)
-    else:
-        loop = PipeLoop(
-            rank,
-            n_ranks,
-            sender.put,
-            batch_max=wire.batch_max,
-            jitter_rng=jitter_rng,
-            inbox_coalesce=wire.inbox_coalesce,
-        )
+    if vec_eligible(engine, wire, add_only):
+        applier = VecApplier(engine, rank, codec)
     loop.set_update_combiners(engine._combiners)
     engine.loop = loop
     # Per-rank wall-clock telemetry (repro.obs.distributed).  Unlike the
-    # engine-level DES telemetry rejected above, this layer is built for
-    # the mp runtime: wall timestamps, per-process capture, harvested
-    # and clock-aligned by the parent.  Disabled = obs stays None and
-    # every emission site below costs one identity check.
+    # engine-level DES telemetry plugins rejected above, this layer is
+    # built for the mp runtime: wall timestamps, per-process capture,
+    # harvested and clock-aligned by the parent.  Disabled = obs stays
+    # None and every emission site below costs one identity check.
     obs: Any = None
     if obs_config is not None and obs_config.enabled:
         obs = RankObs(rank, obs_config)
@@ -256,7 +237,6 @@ def _run_rank(
         nonlocal applier
         if not rings_in:
             return False
-        assert codec is not None
         t0 = obs.now() if obs is not None else 0.0
         got = False
         n_slabs = 0
@@ -309,10 +289,10 @@ def _run_rank(
         if block and conns and not got:
             if obs is not None:
                 t_wait = obs.now()
-                ready = conn_wait(conns, wire.poll_timeout)
+                ready = conn_wait(conns, _POLL_TIMEOUT)
                 obs.span("wait", t_wait, "wait")
             else:
-                ready = conn_wait(conns, wire.poll_timeout)
+                ready = conn_wait(conns, _POLL_TIMEOUT)
         else:
             ready = [c for c in conns if c.poll()]
         rang = False
@@ -328,10 +308,7 @@ def _run_rank(
                     conns.remove(conn)
                     break
                 tag = frame[0]
-                if tag == FRAME_BATCH:
-                    loop.deliver_batch(frame[1], frame[2])
-                    got = True
-                elif tag == FRAME_DOORBELL:
+                if tag == FRAME_DOORBELL:
                     rang = True
                 elif tag == FRAME_TOKEN:
                     ring.receive(frame[1], frame[2], frame[3], frame[4])
@@ -354,12 +331,11 @@ def _run_rank(
 
     while not stopping:
         sender.check()
-        if isinstance(loop, ShmLoop):
-            loop.pump()  # retry any backpressured slabs
+        loop.pump()  # retry any backpressured slabs
         progressed = drain(block=False)
         t_disp = obs.now() if obs is not None else 0.0
         dispatched = 0
-        for _ in range(wire.dispatch_slice):
+        for _ in range(_DISPATCH_SLICE):
             msg = loop.pop_message()
             if msg is None:
                 break
@@ -383,7 +359,7 @@ def _run_rank(
                     pulled = int(s_col.size)
                     progressed = True
             else:
-                for _ in range(wire.pull_slice):
+                for _ in range(_PULL_SLICE):
                     if not engine.pull_source(loop, rank):
                         stream_live = False
                         break
@@ -432,11 +408,10 @@ def _run_rank(
                 if obs is not None:
                     obs.inc("token_forwards")
                 sender.put(ring.next_rank, (FRAME_TOKEN,) + payload)
-        if idle:
-            drain(block=True)
-        elif isinstance(loop, ShmLoop) and loop.outbuffered:
-            # Backpressured: the consumer must run before a retry can
-            # succeed, so block briefly instead of hot-spinning.
+        if idle or loop.outbuffered:
+            # Not idle but still outbuffered = backpressured: the
+            # consumer must run before a retry can succeed, so block
+            # briefly instead of hot-spinning.
             drain(block=True)
 
     # Termination was proved globally: nothing may remain queued here.
@@ -456,13 +431,10 @@ def _run_rank(
     for c in engine.counters[1:]:
         counters = counters.merge(c)
     wire_stats = loop.wire_stats()
-    if rings_in:
-        # Consumer-side ring health: the producer counters live on the
-        # *peer's* ring object; only torn-write retries are observed on
-        # this side of each inbound ring.
-        wire_stats["ring_torn_retries"] = sum(
-            r.torn_retries for r in rings_in.values()
-        )
+    # Consumer-side ring health: the producer counters live on the
+    # *peer's* ring object; only torn-write retries are observed on
+    # this side of each inbound ring.
+    wire_stats["ring_torn_retries"] = sum(r.torn_retries for r in rings_in.values())
     if applier is not None:
         wire_stats.update(applier.stats)
         num_edges = applier.num_edges

@@ -30,7 +30,6 @@ from repro.runtime.plugins import (
     PluginRegistry,
     TracerPlugin,
     build_plugin,
-    plugins_from_config,
 )
 from repro.runtime.queries import Trigger, TriggerManager
 from repro.runtime.reference import ReferenceEngine
@@ -56,7 +55,6 @@ __all__ = [
     "FaultInjectionPlugin",
     "HookStatsPlugin",
     "build_plugin",
-    "plugins_from_config",
     "Trigger",
     "ReferenceEngine",
     "TriggerManager",

@@ -64,8 +64,9 @@ _EMPTY_I64 = np.empty(0, dtype=np.int64)
 class BulkIngestor:
     """Array-native chunk processor attached to one :class:`DynamicEngine`."""
 
-    def __init__(self, engine):
+    def __init__(self, engine, chunk: int):
         self.engine = engine
+        self.chunk = chunk  # stream events drained per process_chunk
         programs = engine.programs
         self.kernels = [p.bulk_kernel for p in programs]
         # Construction-only (no programs) is vacuously supported.
@@ -171,11 +172,11 @@ class BulkIngestor:
     # chunk processing
     # ------------------------------------------------------------------
     def process_chunk(self, rank: int, stream) -> int:
-        """Drain up to ``bulk_chunk`` events from ``stream`` and advance
+        """Drain up to ``chunk`` events from ``stream`` and advance
         topology + all program states to the new fixpoint.  Returns the
         number of events ingested (0 = stream exhausted)."""
         eng = self.engine
-        src, dst, w = stream.pull_chunk(eng.config.bulk_chunk)
+        src, dst, w = stream.pull_chunk(self.chunk)
         n = len(src)
         if n == 0:
             return 0

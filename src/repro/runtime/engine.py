@@ -30,12 +30,7 @@ from repro.events.stream import EventStream
 from repro.events.types import ADD as EV_ADD
 from repro.partition.partitioners import ConsistentHashPartitioner, Partitioner
 from repro.runtime.lifecycle import Lifecycle
-from repro.runtime.plugins import (
-    EnginePlugin,
-    FaultInjectionPlugin,
-    PluginRegistry,
-    plugins_from_config,
-)
+from repro.runtime.plugins import EnginePlugin, PluginRegistry
 from repro.runtime.program import VertexContext, VertexProgram
 from repro.runtime.queries import Trigger, TriggerManager
 from repro.runtime.snapshot import ActiveCollection, CollectionResult
@@ -110,29 +105,11 @@ class EngineConfig:
     # ON by default; the coalescing ablation bench turns them off.
     coalesce_updates: bool = True
     batch_updates: bool = True
-    # Opt-in wall-clock fast path: during pure saturation replay (no
-    # collection, no triggers, add-only streams, kernel-capable
-    # programs) drain streams in chunks of ``bulk_chunk`` events and
-    # propagate with array frontier kernels.  Bitwise-exact: the engine
-    # transparently de-optimizes back to per-event processing the
-    # moment any of those conditions breaks.  See repro.runtime.bulk.
-    bulk_ingest: bool = False
-    bulk_chunk: int = 8192
-    # Telemetry (repro.obs): ``trace`` attaches a Tracer recording
-    # span/instant events from every dispatch; ``sample_interval``
-    # attaches a MetricsRegistry + VirtualTimeSampler firing every that
-    # many virtual seconds.  Both OFF by default — the disabled cost is
-    # one ``is not None`` check per guarded emission site.
-    trace: bool = False
-    sample_interval: float | None = None
 
     def __post_init__(self) -> None:
         check_positive("n_ranks", self.n_ranks)
         check_positive("promote_threshold", self.promote_threshold)
         check_non_negative("probe_backoff", self.probe_backoff)
-        check_positive("bulk_chunk", self.bulk_chunk)
-        if self.sample_interval is not None:
-            check_positive("sample_interval", self.sample_interval)
         if not 0 <= self.coordinator_rank < self.n_ranks:
             raise ValueError("coordinator_rank out of range")
 
@@ -152,6 +129,10 @@ class DynamicEngine(RankHandler):
     cost_model / partitioner:
         Default to the calibrated :class:`CostModel` and the paper's
         consistent-hash partitioner.
+    plugins:
+        Cross-cutting attachments (:mod:`repro.runtime.plugins`): bulk
+        ingest, tracer, metrics sampler, fault plan, ...  None attaches
+        nothing.
     """
 
     def __init__(
@@ -234,9 +215,8 @@ class DynamicEngine(RankHandler):
         # compiled "single-slot" form every hot-path guard reads as one
         # ``is not None`` check); plugins own their *construction*:
         # BulkIngestPlugin/TracerPlugin/MetricsPlugin populate them in
-        # setup, derived from the legacy config flags when no explicit
-        # plugin list is given.  _prog_visits is always-on (a bare list
-        # increment per callback).
+        # setup.  _prog_visits is always-on (a bare list increment per
+        # callback).
         self._prog_visits = [0] * len(programs)
         self._bulk: BulkIngestor | None = None
         self.tracer: Tracer | None = None
@@ -261,12 +241,8 @@ class DynamicEngine(RankHandler):
         for r in range(n):
             self.loop.set_source_active(r, False)
         # Lifecycle + plugin compilation (repro.runtime.lifecycle /
-        # repro.runtime.plugins).  With no explicit plugin list the
-        # legacy EngineConfig flags are desugared to the equivalent
-        # plugins, preserving the historical construction order exactly.
-        self.plugins = PluginRegistry(
-            plugins_from_config(self.config) if plugins is None else plugins
-        )
+        # repro.runtime.plugins).
+        self.plugins = PluginRegistry(plugins or ())
         self.lifecycle = Lifecycle()
         self.lifecycle.advance("configure")
         self.lifecycle.advance("setup")
@@ -413,33 +389,12 @@ class DynamicEngine(RankHandler):
         """The reliable-delivery transport, or None (fault-free runs)."""
         return self.loop.transport
 
-    def enable_faults(self, plan) -> None:
-        """Run this engine under a :class:`repro.faults.FaultPlan`.
-
-        Attaches a reliable-delivery transport consulting ``plan`` for
-        every frame's fate, schedules the plan's rank stalls, and wires
-        fault instants into the tracer/metrics when configured.  Crash
-        events are *not* handled here — a crash discards the whole
-        engine, so it is orchestrated by
-        :class:`repro.faults.FaultTolerantRunner`.
-
-        Must be called before :meth:`run`.  Bulk ingest is disabled for
-        the run: the chunked array path bypasses the message layer and
-        would never put frames on the lossy wire.
-
-        Sugar for registering a
-        :class:`repro.runtime.plugins.FaultInjectionPlugin` — prefer
-        ``EngineBuilder().with_plugin(FaultInjectionPlugin(plan))`` when
-        building new engines.
-        """
-        self.plugins.register_late(FaultInjectionPlugin(plan), self)
-
     def _install_fault_plan(self, plan) -> None:
         """Wire a fault plan into the loop (FaultInjectionPlugin body)."""
         from repro.comm.channel import ReliableDelivery
 
         if self._started:
-            raise RuntimeError("enable_faults before the engine runs")
+            raise RuntimeError("register the fault plan before the engine runs")
         self.loop.attach_transport(ReliableDelivery(self.loop, plan))
         if self._bulk is not None:
             self._bulk.disabled = True
@@ -595,14 +550,14 @@ class DynamicEngine(RankHandler):
         ``reference_fn(engine, prog_name)`` must return the current
         live-vs-static mismatch list (the ``repro.analytics.verify``
         contract; build one with :func:`repro.obs.make_reference`).
-        Requires the virtual-time sampler — configure
-        ``EngineConfig(sample_interval=...)`` first — because lag is
+        Requires the virtual-time sampler — register
+        ``MetricsPlugin(sample_interval=...)`` first — because lag is
         measured at sample instants.
         """
         if self.sampler is None:
             raise RuntimeError(
                 "freshness probes ride the virtual-time sampler; "
-                "configure EngineConfig(sample_interval=...) first"
+                "register MetricsPlugin(sample_interval=...) first"
             )
         if self.sampler.freshness is None:
             from repro.obs.freshness import FreshnessProbe

@@ -6,13 +6,11 @@ grammar of named phases::
     configure -> setup -> { ingest | drain | collect | harvest }* -> teardown
 
 ``configure`` and ``setup`` happen exactly once, inside construction
-(plugins may rewrite the :class:`~repro.runtime.engine.EngineConfig`
-during ``configure``; they attach state and hooks during ``setup``).
-The four *steady* phases interleave freely for the life of the engine:
-``ingest`` (streams attached / events injected), ``drain`` (the event
-loop runs toward quiescence), ``collect`` (a versioned global
-collection cuts), and ``harvest`` (a collection's partials are merged
-at the coordinator).  ``teardown`` is terminal and idempotent —
+(plugins attach state and hooks during ``setup``).  The four *steady*
+phases interleave freely for the life of the engine: ``ingest``
+(streams attached / events injected), ``drain`` (the event loop runs
+toward quiescence), ``collect`` (a versioned global collection cuts),
+and ``harvest`` (a collection's partials are merged at the coordinator).  ``teardown`` is terminal and idempotent —
 re-entering it is a no-op, while advancing anywhere else afterwards
 raises :class:`LifecycleError`.
 
@@ -25,19 +23,16 @@ return value of :meth:`Lifecycle.advance` to fire plugin
 
 :class:`EngineBuilder` is the front door the CLI (both ``run`` and
 ``serve``) and the mp workers use: it accumulates programs, config,
-cost model, partitioner, and plugins, derives the config-sugar plugins
-from legacy :class:`EngineConfig` flags, runs every plugin's
-``configure`` phase, and constructs the engine.  Building via the
-builder and constructing ``DynamicEngine(programs, config)`` directly
-are bit-identical — the constructor falls back to the same sugar
-derivation when no explicit plugin list is given.
+cost model, partitioner, and plugins, and constructs the engine —
+exactly ``DynamicEngine(programs, config, plugins=[...])``, spelled
+fluently.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Iterable, Sequence
 
-from repro.runtime.plugins import EnginePlugin, plugins_from_config
+from repro.runtime.plugins import EnginePlugin
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.engine import DynamicEngine
@@ -130,12 +125,9 @@ class EngineBuilder:
             .build()
         )
 
-    ``build()`` derives the config-sugar plugins from legacy
-    :class:`EngineConfig` flags (``bulk_ingest``/``trace``/
-    ``sample_interval``), prepends them to the explicitly added
-    plugins, runs every plugin's ``configure`` phase over the config,
-    and constructs the engine — which then runs ``setup`` and compiles
-    all registered hooks into per-site flat tuples.
+    ``build()`` constructs the engine, which runs every plugin's
+    ``setup`` and compiles all registered hooks into per-site flat
+    tuples (registration order is setup and hook firing order).
     """
 
     def __init__(self) -> None:
@@ -173,16 +165,7 @@ class EngineBuilder:
         from repro.runtime.engine import DynamicEngine, EngineConfig
 
         config = self._config if self._config is not None else EngineConfig()
-        # Sugar plugins first, in the same order the legacy constructor
-        # wired them — registration order is hook firing order, so this
-        # is what keeps builder-built engines bit-identical to
-        # flag-built ones.
-        plugins = plugins_from_config(config) + list(self._plugins)
-        for plugin in plugins:
-            new = plugin.configure(config)
-            if new is not None:
-                config = new
-        kwargs: dict[str, Any] = {"plugins": plugins}
+        kwargs: dict[str, Any] = {"plugins": list(self._plugins)}
         if self._cost_model is not None:
             kwargs["cost_model"] = self._cost_model
         if self._partitioner is not None:

@@ -26,26 +26,24 @@ no virtual time and must not mutate engine state that the DES schedule
 depends on.  That is the bit-equality contract — an engine with any
 set of plugins produces byte-identical results to a bare one.
 
-Legacy :class:`~repro.runtime.engine.EngineConfig` flags
-(``bulk_ingest`` / ``trace`` / ``sample_interval``) remain supported as
-sugar: :func:`plugins_from_config` derives the equivalent plugin list,
-and the engine constructor applies it when no explicit plugin list is
-given.
+Plugins are the only way to attach these concerns: an engine built
+without a plugin list has none of them.
 
 For the mp backend, plugins cannot be pickled across the spawn
 boundary; workers instead re-hydrate them from ``(name, kwargs)``
 specs via :func:`build_plugin` (see :data:`PLUGIN_FACTORIES`).  Only
 plugins declaring ``mp_safe = True`` may ride into workers — the
-DES-only ones (tracer, sampler, faults) are rejected there exactly
-like their legacy config flags.
+DES-only ones (tracer, sampler, faults, bulk ingest) are rejected there.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Protocol
 
+from repro.util.validate import check_positive
+
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.runtime.engine import DynamicEngine, EngineConfig
+    from repro.runtime.engine import DynamicEngine
 
 #: Every hook site, in catalogue order.  ``PluginRegistry.compile``
 #: materialises one ``engine._hk_<suffix>`` tuple per entry.
@@ -126,10 +124,6 @@ class EnginePlugin:
 
     Subclasses override any subset of the lifecycle methods:
 
-    ``configure(config)``
-        May return a replacement :class:`EngineConfig` (builder phase,
-        before construction).  Return ``None`` (or the input) to keep
-        the config unchanged.
     ``setup(engine)``
         Attach state to the freshly built engine (runs in registration
         order during the ``setup`` lifecycle phase).
@@ -152,9 +146,6 @@ class EnginePlugin:
     #: Whether the plugin may ride into mp worker ranks.  DES-only
     #: plugins (tracer, sampler, faults) keep the default False.
     mp_safe: bool = False
-
-    def configure(self, config: "EngineConfig") -> "EngineConfig | None":
-        return config
 
     def setup(self, engine: "DynamicEngine") -> None:
         pass
@@ -237,15 +228,6 @@ class PluginRegistry:
         return None
 
     # -- lifecycle ------------------------------------------------------
-    def configure(self, config: "EngineConfig") -> "EngineConfig":
-        """Run every plugin's ``configure`` over ``config``, threading
-        replacements through in registration order."""
-        for plugin in self.plugins:
-            new = plugin.configure(config)
-            if new is not None:
-                config = new
-        return config
-
     def compile(self, engine: "DynamicEngine") -> None:
         """Bind to ``engine``: run every plugin's ``setup`` and write
         the per-site hook tuples onto the engine."""
@@ -333,10 +315,11 @@ class PluginRegistry:
 
 
 # ----------------------------------------------------------------------
-# built-in plugins (the former EngineConfig flag wiring)
+# built-in plugins
 # ----------------------------------------------------------------------
 class TracerPlugin(EnginePlugin):
-    """Attach a :class:`repro.obs.Tracer` (the ``trace=True`` sugar).
+    """Attach a :class:`repro.obs.Tracer` recording span/instant events
+    from every dispatch.
 
     The tracer stays a plain engine attribute — emission sites keep
     their historical single ``is not None`` guard — so this plugin only
@@ -346,15 +329,14 @@ class TracerPlugin(EnginePlugin):
     name = "tracer"
 
     def setup(self, engine: "DynamicEngine") -> None:
-        if engine.tracer is None:
-            from repro.obs.tracer import Tracer
+        from repro.obs.tracer import Tracer
 
-            engine.tracer = Tracer()
+        engine.tracer = Tracer()
 
 
 class MetricsPlugin(EnginePlugin):
-    """Attach a :class:`MetricsRegistry`, plus the virtual-time sampler
-    when ``sample_interval`` is given (the ``sample_interval=`` sugar)."""
+    """Attach a :class:`MetricsRegistry`, plus a virtual-time sampler
+    firing every ``sample_interval`` virtual seconds when one is given."""
 
     name = "metrics"
 
@@ -362,13 +344,10 @@ class MetricsPlugin(EnginePlugin):
         self.sample_interval = sample_interval
 
     def setup(self, engine: "DynamicEngine") -> None:
-        if engine.metrics is None:
-            from repro.obs.registry import MetricsRegistry
+        from repro.obs.registry import MetricsRegistry, VirtualTimeSampler
 
-            engine.metrics = MetricsRegistry()
-        if self.sample_interval is not None and engine.sampler is None:
-            from repro.obs.registry import VirtualTimeSampler
-
+        engine.metrics = MetricsRegistry()
+        if self.sample_interval is not None:
             engine.sampler = VirtualTimeSampler(
                 engine, engine.metrics, self.sample_interval
             )
@@ -389,16 +368,26 @@ class FreshnessPlugin(EnginePlugin):
 
 
 class BulkIngestPlugin(EnginePlugin):
-    """Attach the chunked array-kernel ingest controller (the
-    ``bulk_ingest=True`` sugar)."""
+    """Attach the chunked array-kernel ingest controller.
+
+    The wall-clock fast path: during pure saturation replay (no
+    collection, no triggers, add-only streams, kernel-capable programs)
+    streams drain in chunks of ``chunk`` events propagated by array
+    frontier kernels.  Bitwise-exact: the engine transparently
+    de-optimizes back to per-event processing the moment any of those
+    conditions breaks.  See :mod:`repro.runtime.bulk`.
+    """
 
     name = "bulk-ingest"
 
-    def setup(self, engine: "DynamicEngine") -> None:
-        if engine._bulk is None:
-            from repro.runtime.bulk import BulkIngestor
+    def __init__(self, chunk: int = 8192) -> None:
+        check_positive("chunk", chunk)
+        self.chunk = chunk
 
-            engine._bulk = BulkIngestor(engine)
+    def setup(self, engine: "DynamicEngine") -> None:
+        from repro.runtime.bulk import BulkIngestor
+
+        engine._bulk = BulkIngestor(engine, self.chunk)
 
 
 class FaultInjectionPlugin(EnginePlugin):
@@ -406,9 +395,13 @@ class FaultInjectionPlugin(EnginePlugin):
 
     Setup attaches the lossy reliable-delivery transport, schedules the
     plan's rank stalls, and wires drop/stall instants into the tracer
-    and metrics when those are configured — the former
-    ``engine.enable_faults`` body, which remains as sugar delegating
-    here via ``register_late``.
+    and metrics when those plugins are registered before this one.
+    Crash events are *not* handled here — a crash discards the whole
+    engine, so it is orchestrated by
+    :class:`repro.faults.FaultTolerantRunner`.  Must be registered
+    before the engine runs.  Bulk ingest is disabled for the run: the
+    chunked array path bypasses the message layer and would never put
+    frames on the lossy wire.
     """
 
     name = "faults"
@@ -450,21 +443,6 @@ class HookStatsPlugin(EnginePlugin):
 
     def harvest(self) -> dict[str, int]:
         return dict(self.counts)
-
-
-def plugins_from_config(config: "EngineConfig") -> list[EnginePlugin]:
-    """The config-sugar derivation: the plugin list equivalent to the
-    legacy inline wiring, in the exact order the old constructor built
-    things (bulk ingestor, then tracer, then metrics/sampler) so that
-    builder-built and flag-built engines are bit-identical."""
-    plugins: list[EnginePlugin] = []
-    if config.bulk_ingest:
-        plugins.append(BulkIngestPlugin())
-    if config.trace:
-        plugins.append(TracerPlugin())
-    if config.sample_interval is not None:
-        plugins.append(MetricsPlugin(config.sample_interval))
-    return plugins
 
 
 #: Picklable re-hydration specs for mp workers: name -> factory.

@@ -18,6 +18,7 @@ from repro.analytics import (
     verify_cc,
 )
 from repro.events.types import ADD
+from repro.runtime.plugins import BulkIngestPlugin
 
 
 def small_engine(events, programs=None, init=None):
@@ -140,7 +141,7 @@ class TestThroughputReportEdgeCases:
 
     def test_bulk_line_printed_when_enabled_even_with_zero_counters(self):
         # "the fast path never engaged" is itself the signal: a run
-        # configured with bulk_ingest=True must always show the line.
+        # with a bulk ingestor attached must always show the line.
         text = make_report(bulk_enabled=True).summary()
         assert "bulk ingest: chunks=0" in text
 
@@ -173,7 +174,9 @@ class TestThroughputReportToDict:
 
     def test_engine_report_marks_bulk_enabled(self):
         src = [(ADD, i, i + 1, 1) for i in range(8)]
-        e = DynamicEngine([IncrementalCC()], EngineConfig(n_ranks=1, bulk_ingest=True))
+        e = DynamicEngine(
+            [IncrementalCC()], EngineConfig(n_ranks=1), plugins=[BulkIngestPlugin()]
+        )
         e.attach_streams([ListEventStream(src)])
         e.run()
         rep = throughput_report(e)

@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.analytics import verify_bfs, verify_cc
 from repro.events.stream import split_streams
+from repro.runtime.plugins import MetricsPlugin
 
 N_RANKS = 3
 
@@ -31,11 +32,12 @@ def workload(seed=7, n_vertices=80, n_events=500):
     return src, dst
 
 
-def make_harness(src, dst, tmp_path, **engine_kw):
+def make_harness(src, dst, tmp_path, sample_interval=None):
     def engine_factory():
         return DynamicEngine(
             [IncrementalBFS(), IncrementalCC()],
-            EngineConfig(n_ranks=N_RANKS, **engine_kw),
+            EngineConfig(n_ranks=N_RANKS),
+            plugins=[MetricsPlugin(sample_interval)] if sample_interval else None,
         )
 
     def stream_factory():

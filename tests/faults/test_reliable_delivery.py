@@ -24,6 +24,12 @@ from repro import (
 from repro.analytics import verify_bfs, verify_cc, verify_sssp
 from repro.comm.termination import FourCounterState, TerminationCoordinator
 from repro.events.stream import split_streams
+from repro.runtime.plugins import (
+    BulkIngestPlugin,
+    FaultInjectionPlugin,
+    MetricsPlugin,
+    TracerPlugin,
+)
 
 
 def workload(seed=0, n_vertices=120, n_events=800):
@@ -35,11 +41,14 @@ def workload(seed=0, n_vertices=120, n_events=800):
     return src, dst, weights
 
 
-def run_faulty(programs, plan, init=(), n_ranks=4, seed=0, **cfg):
+def run_faulty(programs, plan, init=(), n_ranks=4, seed=0, plugins=()):
     src, dst, weights = workload(seed)
-    eng = DynamicEngine(programs, EngineConfig(n_ranks=n_ranks, **cfg))
+    # Telemetry first: the fault plan wires its instants into whatever
+    # tracer/metrics exist when it is set up.
+    plugins = list(plugins)
     if plan is not None:
-        eng.enable_faults(plan)
+        plugins.append(FaultInjectionPlugin(plan))
+    eng = DynamicEngine(programs, EngineConfig(n_ranks=n_ranks), plugins=plugins)
     for prog, vertex in init:
         eng.init_program(prog, vertex)
     eng.attach_streams(split_streams(src, dst, n_ranks, weights=weights))
@@ -97,9 +106,9 @@ class TestZeroLossOverheadPath:
     def test_transport_disables_bulk_ingest(self):
         plan = FaultPlan(seed=0)
         eng = run_faulty(
-            [IncrementalBFS()], plan, init=[("bfs", 0)], bulk_ingest=True
+            [IncrementalBFS()], plan, init=[("bfs", 0)], plugins=[BulkIngestPlugin()]
         )
-        # Bulk ingest short-circuits the wire, so enable_faults must
+        # Bulk ingest short-circuits the wire, so the fault plugin must
         # have forced the per-event path (and still converge).
         assert verify_bfs(eng, "bfs", 0) == []
         assert eng.transport.app_sent > 0
@@ -139,9 +148,11 @@ class TestDetectorSoundness:
 
         src, dst, weights = workload(seed=3)
         plan = FaultPlan(drop=0.2, dup=0.05, delay=0.05, seed=55)
-        eng = DynamicEngine([IncrementalBFS()], EngineConfig(n_ranks=4))
+        eng = DynamicEngine(
+            [IncrementalBFS()], EngineConfig(n_ranks=4),
+            plugins=[FaultInjectionPlugin(plan)],
+        )
         engines.append(eng)
-        eng.enable_faults(plan)
         eng.init_program("bfs", 0)
         eng.attach_streams(split_streams(src, dst, 4, weights=weights))
         # Mid-stream cut: loss stretches the makespan, so a cut at a
@@ -168,8 +179,10 @@ class TestDetectorSoundness:
     def test_collection_result_consistent_under_faults(self):
         src, dst, weights = workload(seed=9)
         plan = FaultPlan(drop=0.15, dup=0.05, seed=8)
-        eng = DynamicEngine([IncrementalBFS()], EngineConfig(n_ranks=3))
-        eng.enable_faults(plan)
+        eng = DynamicEngine(
+            [IncrementalBFS()], EngineConfig(n_ranks=3),
+            plugins=[FaultInjectionPlugin(plan)],
+        )
         eng.init_program("bfs", 0)
         eng.attach_streams(split_streams(src, dst, 3, weights=weights))
         eng.request_collection("bfs", at_time=150e-6)
@@ -188,7 +201,8 @@ class TestFaultTelemetry:
     def test_sampler_rows_carry_wire_counters(self):
         plan = FaultPlan(drop=0.1, seed=2)
         eng = run_faulty(
-            [IncrementalBFS()], plan, init=[("bfs", 0)], sample_interval=50e-6
+            [IncrementalBFS()], plan, init=[("bfs", 0)],
+            plugins=[MetricsPlugin(50e-6)],
         )
         rows = eng.metrics.rows("sample")
         assert rows
@@ -201,8 +215,7 @@ class TestFaultTelemetry:
             [IncrementalBFS()],
             plan,
             init=[("bfs", 0)],
-            trace=True,
-            sample_interval=50e-6,
+            plugins=[TracerPlugin(), MetricsPlugin(50e-6)],
         )
         drops = [e for e in eng.tracer.events if e[2] == "fault/drop"]
         assert len(drops) == eng.transport.frames_dropped > 0
@@ -213,7 +226,7 @@ class TestFaultTelemetry:
             seed=0, stalls=[RankStall(time=50e-6, rank=1, duration=300e-6)]
         )
         eng = run_faulty(
-            [IncrementalBFS()], plan, init=[("bfs", 0)], trace=True
+            [IncrementalBFS()], plan, init=[("bfs", 0)], plugins=[TracerPlugin()]
         )
         # The freeze runs from the alarm instant to time + duration, so
         # the recorded stall is duration minus the (tiny) alarm skew.

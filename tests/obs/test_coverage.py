@@ -17,16 +17,21 @@ from repro import (
     rmat_edges,
     split_streams,
 )
+from repro.runtime.plugins import BulkIngestPlugin, TracerPlugin
 
 COVERAGE_FLOOR = 0.99
 
 
-def traced_run(programs, init=None, n_ranks=4, collect_at=None, **config):
+def traced_run(programs, init=None, n_ranks=4, collect_at=None, bulk=False):
     rng = np.random.default_rng(11)
     src, dst = rmat_edges(9, edge_factor=8, rng=rng)
 
-    def build(**cfg):
-        e = DynamicEngine(list(programs), EngineConfig(n_ranks=n_ranks, **cfg))
+    def build():
+        plugins = [BulkIngestPlugin()] if bulk else []
+        e = DynamicEngine(
+            list(programs), EngineConfig(n_ranks=n_ranks),
+            plugins=plugins + [TracerPlugin()],
+        )
         for prog, vertex in init or []:
             e.init_program(prog, vertex)
         e.attach_streams(
@@ -36,10 +41,10 @@ def traced_run(programs, init=None, n_ranks=4, collect_at=None, **config):
 
     at_time = None
     if collect_at is not None:
-        probe = build(**config)
+        probe = build()
         probe.run()
         at_time = collect_at * probe.loop.max_time()
-    eng = build(trace=True, **config)
+    eng = build()
     if at_time is not None:
         eng.request_collection(programs[0].name, at_time=at_time)
     eng.run()
@@ -101,12 +106,12 @@ class TestPerEventCoverage:
 
 class TestBulkCoverage:
     def test_bulk_cc_spans_cover_busy_time(self):
-        eng = traced_run([IncrementalCC()], bulk_ingest=True)
+        eng = traced_run([IncrementalCC()], bulk=True)
         assert eng.total_counters().bulk_events > 0
         assert_coverage(eng)
 
     def test_bulk_chunk_spans_match_counters(self):
-        eng = traced_run([IncrementalCC()], bulk_ingest=True)
+        eng = traced_run([IncrementalCC()], bulk=True)
         by_name = eng.tracer.span_time_by_name()
         assert by_name["bulk/chunk"][0] == eng.total_counters().bulk_chunks
         assert "bulk/append" in by_name
@@ -114,6 +119,6 @@ class TestBulkCoverage:
     def test_deopt_emits_instant(self):
         # An injected init visitor forces message dispatch mid-bulk, so
         # the mirror must de-optimize back to exact per-event state.
-        eng = traced_run([IncrementalBFS()], init=[("bfs", 0)], bulk_ingest=True)
+        eng = traced_run([IncrementalBFS()], init=[("bfs", 0)], bulk=True)
         deopts = eng.tracer.instants("bulk/deopt")
         assert len(deopts) == eng.total_counters().fallback_flushes > 0

@@ -206,23 +206,23 @@ class TestMergeRankObs:
 # ----------------------------------------------------------------------
 # end-to-end: merged multi-pid trace under fork AND spawn
 # ----------------------------------------------------------------------
-def _obs_run(start_method: str, wire_kind: str):
+def _obs_run(start_method: str, n_ranks: int = 2):
     rng = np.random.default_rng(3)
     n = 600
     src = rng.integers(0, 100, n).astype(np.int64)
     dst = (src + 1 + rng.integers(0, 98, n).astype(np.int64)) % 100
     return run_parallel(
         [IncrementalCC()],
-        split_streams(src, dst, 2, rng=rng),
-        config=EngineConfig(n_ranks=2),
-        wire=WireConfig(kind=wire_kind, start_method=start_method),
+        split_streams(src, dst, n_ranks, rng=rng),
+        config=EngineConfig(n_ranks=n_ranks),
+        wire=WireConfig(start_method=start_method),
         obs=ObsConfig(trace=True, metrics=True),
     )
 
 
 @pytest.mark.parametrize("start_method", ["fork", "spawn"])
 def test_merged_trace_validates_fork_and_spawn(start_method):
-    result = _obs_run(start_method, "shm")
+    result = _obs_run(start_method)
     merged = result.obs
     assert merged is not None
     counts = validate_chrome_trace(chrome_trace_dict(merged.tracer))
@@ -236,11 +236,13 @@ def test_merged_trace_validates_fork_and_spawn(start_method):
     assert result.to_dict()["obs"]["busy_skew"] >= 1.0
 
 
-def test_pipe_wire_capture_has_no_ring_samples():
-    result = _obs_run("fork", "pipe")
+def test_single_rank_capture_has_no_ring_samples():
+    """One rank has no peers, so no rings to sample — the capture still
+    validates."""
+    result = _obs_run("fork", n_ranks=1)
     merged = result.obs
     assert merged.registry.rows("ring_sample") == []
-    assert {ev[1] for ev in merged.tracer.events} == {0, 1}
+    assert {ev[1] for ev in merged.tracer.events} == {0}
     validate_chrome_trace(chrome_trace_dict(merged.tracer))
 
 
@@ -252,7 +254,7 @@ def test_disabled_config_yields_no_capture():
         [IncrementalCC()],
         split_streams(src, dst, 2, rng=rng),
         config=EngineConfig(n_ranks=2),
-        wire=WireConfig(kind="shm", start_method="fork"),
+        wire=WireConfig(start_method="fork"),
         obs=ObsConfig(),  # trace=False, metrics=False
     )
     assert result.obs is None

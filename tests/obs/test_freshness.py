@@ -12,17 +12,28 @@ from repro import (
     split_streams,
 )
 from repro.obs import FreshnessProbe, make_reference
+from repro.runtime.plugins import BulkIngestPlugin, MetricsPlugin, TracerPlugin
+
+
+def sampled(sample_interval):
+    """The plugins of a run sampled every ``sample_interval`` virtual
+    seconds (None = unsampled)."""
+    return [MetricsPlugin(sample_interval)] if sample_interval is not None else []
 
 
 def probed_run(programs, init=None, kind="cc", source=None, n_ranks=2,
-               divisor=20, **config):
+               divisor=20, plugins=()):
     """Two-pass helper: learn the makespan, then rerun sampled with a
     freshness probe on ``programs[0]``."""
     rng = np.random.default_rng(5)
     src, dst = rmat_edges(8, edge_factor=4, rng=rng)
 
-    def build(**cfg):
-        e = DynamicEngine(list(programs), EngineConfig(n_ranks=n_ranks, **cfg))
+    def build(sample_interval=None):
+        e = DynamicEngine(
+            list(programs),
+            EngineConfig(n_ranks=n_ranks),
+            plugins=[*plugins, *sampled(sample_interval)],
+        )
         for prog, vertex in init or []:
             e.init_program(prog, vertex)
         e.attach_streams(
@@ -30,10 +41,10 @@ def probed_run(programs, init=None, kind="cc", source=None, n_ranks=2,
         )
         return e
 
-    probe = build(**config)
+    probe = build()
     probe.run()
     makespan = probe.loop.max_time()
-    eng = build(sample_interval=makespan / divisor, **config)
+    eng = build(sample_interval=makespan / divisor)
     eng.add_freshness_probe(
         programs[0].name, make_reference(kind, source=source)
     )
@@ -54,12 +65,12 @@ class TestMakeReference:
 class TestFreshnessProbe:
     def test_requires_sampler(self):
         eng = DynamicEngine([IncrementalCC()], EngineConfig(n_ranks=1))
-        with pytest.raises(RuntimeError, match="sample_interval"):
+        with pytest.raises(RuntimeError, match=r"MetricsPlugin\(sample_interval"):
             eng.add_freshness_probe("cc", make_reference("cc"))
 
     def test_watched_programs_listed(self):
         eng = DynamicEngine(
-            [IncrementalCC()], EngineConfig(n_ranks=1, sample_interval=1.0)
+            [IncrementalCC()], EngineConfig(n_ranks=1), plugins=sampled(1.0)
         )
         eng.add_freshness_probe("cc", make_reference("cc"))
         assert eng.sampler.freshness.watched == ["cc"]
@@ -114,7 +125,7 @@ class TestFreshnessProbe:
         assert final["stale"] == 0
 
     def test_probe_emits_tracer_counter_when_tracing(self):
-        eng = probed_run([IncrementalCC()], kind="cc", trace=True)
+        eng = probed_run([IncrementalCC()], kind="cc", plugins=[TracerPlugin()])
         series = [ev for ev in eng.tracer.events if ev[2] == "freshness/cc"]
         assert len(series) == len(eng.metrics.rows("freshness"))
 
@@ -131,7 +142,7 @@ class TestFreshnessProbe:
 
     def test_watch_starts_unsampled(self):
         eng = DynamicEngine(
-            [IncrementalCC()], EngineConfig(n_ranks=1, sample_interval=1.0)
+            [IncrementalCC()], EngineConfig(n_ranks=1), plugins=sampled(1.0)
         )
         eng.add_freshness_probe("cc", make_reference("cc"))
         watch = eng.sampler.freshness.watch_for("cc")
@@ -146,9 +157,11 @@ class TestFreshnessProbe:
         w = pairwise_weights(src, dst, 1, 9)
         source = int(src[0])
 
-        def build(**cfg):
+        def build(sample_interval=None):
             e = DynamicEngine(
-                [WidestPath()], EngineConfig(n_ranks=2, **cfg)
+                [WidestPath()],
+                EngineConfig(n_ranks=2),
+                plugins=sampled(sample_interval),
             )
             e.init_program("widest", source)
             e.attach_streams(split_streams(src, dst, 2, weights=w))
@@ -176,10 +189,11 @@ class TestFreshnessProbe:
             30, 140, delete_ratio=0.25, rng=np.random.default_rng(7)
         )
 
-        def build(**cfg):
+        def build(sample_interval=None):
             e = DynamicEngine(
                 [GenerationalBFS()],
-                EngineConfig(n_ranks=2, undirected=True, **cfg),
+                EngineConfig(n_ranks=2, undirected=True),
+                plugins=sampled(sample_interval),
             )
             e.init_program("gen-bfs", 0)
             e.attach_streams(split_churn_streams(*cols, 2))
@@ -206,9 +220,7 @@ class TestFreshnessProbe:
 
         st = GenerationalST()
         bit = st.register_source(0)
-        e = DynamicEngine(
-            [st], EngineConfig(n_ranks=1, sample_interval=1e-5)
-        )
+        e = DynamicEngine([st], EngineConfig(n_ranks=1), plugins=sampled(1e-5))
         e.init_program("gen-st", 0, bit)
         e.add_freshness_probe(
             "gen-st",
@@ -225,7 +237,7 @@ class TestFreshnessProbe:
         # Probing a bulk-ingest run folds the dense mirror back before
         # each reference check; that observer read must not count as a
         # fallback flush (nothing forced per-event replay).
-        eng = probed_run([IncrementalCC()], kind="cc", bulk_ingest=True)
+        eng = probed_run([IncrementalCC()], kind="cc", plugins=[BulkIngestPlugin()])
         assert eng.total_counters().bulk_events > 0
         assert eng.total_counters().fallback_flushes == 0
         assert eng.metrics.rows("freshness")[-1]["stale"] == 0

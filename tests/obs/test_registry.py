@@ -12,6 +12,7 @@ from repro import (
     split_streams,
 )
 from repro.obs import DEFAULT_BOUNDS_US, Histogram, MetricsRegistry, VirtualTimeSampler
+from repro.runtime.plugins import MetricsPlugin, TracerPlugin
 
 
 class TestHistogram:
@@ -90,9 +91,9 @@ def sampled_run(n_ranks=2, trace=False, divisor=10):
     rng = np.random.default_rng(3)
     src, dst = rmat_edges(8, edge_factor=4, rng=rng)
 
-    def build(**cfg):
+    def build(plugins=None):
         e = DynamicEngine(
-            [IncrementalCC()], EngineConfig(n_ranks=n_ranks, **cfg)
+            [IncrementalCC()], EngineConfig(n_ranks=n_ranks), plugins=plugins
         )
         e.attach_streams(
             split_streams(src, dst, n_ranks, rng=np.random.default_rng(7))
@@ -102,7 +103,8 @@ def sampled_run(n_ranks=2, trace=False, divisor=10):
     probe = build()
     probe.run()
     makespan = probe.loop.max_time()
-    eng = build(sample_interval=makespan / divisor, trace=trace)
+    plugins = [TracerPlugin()] if trace else []
+    eng = build(plugins + [MetricsPlugin(makespan / divisor)])
     eng.run()
     return eng, makespan
 

@@ -94,12 +94,12 @@ def run_des(cols):
     return engine
 
 
-def run_mp(cols, wire_kind):
+def run_mp(cols):
     return run_parallel(
         gen_programs(),
         split_churn_streams(*cols, N_RANKS),
         EngineConfig(n_ranks=N_RANKS, undirected=True),
-        WireConfig(kind=wire_kind, start_method="fork"),
+        WireConfig(start_method="fork"),
         init=INIT,
         collect_edges=True,
     )
@@ -113,13 +113,12 @@ def projected(state_of):
 
 
 class TestChurnDifferential:
-    @pytest.mark.parametrize("wire_kind", ["shm", "pipe"])
-    def test_all_five_programs_agree_with_des_and_static(self, wire_kind):
+    def test_all_five_programs_agree_with_des_and_static(self):
         cols = churn_events(
             36, 140, delete_ratio=0.25, rng=np.random.default_rng(0x51)
         )
         des = run_des(cols)
-        res = run_mp(cols, wire_kind)
+        res = run_mp(cols)
 
         # Static oracles on the mp final topology (deletes applied).
         view = ParallelStateView(res)
@@ -137,7 +136,7 @@ class TestChurnDifferential:
             30, 120, delete_ratio=0.3, rng=np.random.default_rng(0x52)
         )
         des = run_des(cols)
-        res = run_mp(cols, "shm")
+        res = run_mp(cols)
         assert res.counters.edge_deletes > 0
         assert res.counters.edge_deletes == sum(
             c.edge_deletes for c in des.counters
@@ -150,7 +149,7 @@ class TestChurnDifferential:
             30, 60, 60, decay_ratio=0.6, rng=np.random.default_rng(0x53)
         )
         des = run_des(cols)
-        res = run_mp(cols, "pipe")
+        res = run_mp(cols)
         assert projected(res.state) == projected(des.state)
         assert verify_bfs(
             ParallelStateView(res), "gen-bfs", 0, value_of=DIST
@@ -180,7 +179,7 @@ class TestAddOnlySniff:
             [IncrementalBFS(), IncrementalCC(), IncrementalSSSP()],
             split_churn_streams(*cols, 2),
             EngineConfig(n_ranks=2, undirected=True),
-            WireConfig(kind="shm", start_method="fork"),
+            WireConfig(start_method="fork"),
             init=[("bfs", 0, None), ("sssp", 0, None)],
             collect_edges=True,
         )

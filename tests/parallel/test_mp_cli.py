@@ -30,6 +30,12 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--backend", "mpi"])
 
+    @pytest.mark.parametrize("sub", ["run", "serve"])
+    def test_wire_flag_is_gone(self, sub):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args([sub, "--backend", "mp", "--wire", "pipe"])
+        assert exc.value.code == 2
+
     def test_widest_algo_accepted(self):
         args = build_parser().parse_args(["run", "--algo", "widest"])
         assert args.algo == "widest"

@@ -33,7 +33,10 @@ from repro import (
     WidestPath,
 )
 from repro.analytics import verify_bfs, verify_cc, verify_sssp, verify_st, verify_widest
+from repro.events.stream import split_streams
 from repro.events.types import ADD
+from repro.generators import rmat_edges
+from repro.generators.weights import pairwise_weights
 from repro.parallel import ParallelStateView, WireConfig, run_parallel
 
 edge = st.tuples(st.integers(0, 12), st.integers(0, 12)).filter(lambda e: e[0] != e[1])
@@ -135,15 +138,12 @@ def test_mp_matches_des_and_static_oracles(edges, n_ranks, jitter_seed, batch_ma
 
 
 class TestParallelRmat:
-    """One moderate RMAT workload at 4 ranks, checked end to end on both
-    data planes (zero-copy shm rings and the legacy pickled pipes)."""
+    """One moderate RMAT workload at 4 ranks, checked end to end.  S-T
+    and widest-path have no bulk kernel, so this is the per-event drain
+    with their values on the rings' pickled-slab lane."""
 
-    @pytest.fixture(scope="class", params=["shm", "pipe"])
-    def workload(self, request):
-        from repro.events.stream import split_streams
-        from repro.generators import rmat_edges
-        from repro.generators.weights import pairwise_weights
-
+    @pytest.fixture(scope="class")
+    def workload(self):
         rng = np.random.default_rng(0)
         src, dst = rmat_edges(7, edge_factor=8, rng=rng)
         weights = pairwise_weights(src, dst, 1, 50)
@@ -156,10 +156,7 @@ class TestParallelRmat:
         )
         result = run_parallel(
             programs, streams, config=EngineConfig(n_ranks=n),
-            wire=WireConfig(
-                start_method="fork", batch_max=64, jitter_seed=7,
-                kind=request.param,
-            ),
+            wire=WireConfig(start_method="fork", batch_max=64, jitter_seed=7),
             init=init, collect_edges=True, timeout=120.0,
         )
         return result, src, dst, weights, source, st_sources
@@ -169,8 +166,6 @@ class TestParallelRmat:
         assert_static_oracles_pass(result, source, st_sources)
 
     def test_bit_equal_to_des(self, workload):
-        from repro.events.stream import split_streams
-
         result, src, dst, weights, source, st_sources = workload
         programs, init = build_workload(source, st_sources)
         engine = DynamicEngine(programs, EngineConfig(n_ranks=4))
@@ -212,45 +207,56 @@ class TestParallelRmat:
         assert result.counters.visits > 0
 
 
+def run_vec_workload(vectorize):
+    """BFS/CC/SSSP all declare bulk kernels, so ``vectorize`` alone picks
+    the side of the vectorized drain's de-opt boundary the run is on."""
+    rng = np.random.default_rng(3)
+    src, dst = rmat_edges(7, edge_factor=8, rng=rng)
+    weights = pairwise_weights(src, dst, 1, 50)
+    source = int(src[0])
+    programs = [IncrementalBFS(), IncrementalCC(), IncrementalSSSP()]
+    init = [("bfs", source, None), ("sssp", source, None)]
+    streams = split_streams(
+        src, dst, 4, weights=weights, rng=np.random.default_rng(1)
+    )
+    result = run_parallel(
+        programs, streams, config=EngineConfig(n_ranks=4),
+        wire=WireConfig(start_method="fork", batch_max=64, vectorize=vectorize),
+        init=init, collect_edges=True, timeout=120.0,
+    )
+    return result, src, dst, weights, source
+
+
 class TestVectorizedDrain:
-    """All-packable workload (BFS/CC/SSSP declare bulk kernels): the shm
-    wire must engage the vectorized slab drain — zero per-event visits —
-    and still match DES bit-for-bit with the oracles green."""
+    """All-packable workload: the rings' slabs must go through the
+    vectorized drain — zero per-event visits — and still match DES
+    bit-for-bit with the oracles green; with ``vectorize=False`` the same
+    slabs dispatch per event to the same state."""
 
     @pytest.fixture(scope="class")
     def vec_workload(self):
-        from repro.events.stream import split_streams
-        from repro.generators import rmat_edges
-        from repro.generators.weights import pairwise_weights
-
-        rng = np.random.default_rng(3)
-        src, dst = rmat_edges(7, edge_factor=8, rng=rng)
-        weights = pairwise_weights(src, dst, 1, 50)
-        source = int(src[0])
-        programs = [IncrementalBFS(), IncrementalCC(), IncrementalSSSP()]
-        init = [("bfs", source, None), ("sssp", source, None)]
-        streams = split_streams(
-            src, dst, 4, weights=weights, rng=np.random.default_rng(1)
-        )
-        result = run_parallel(
-            programs, streams, config=EngineConfig(n_ranks=4),
-            wire=WireConfig(start_method="fork", batch_max=64),
-            init=init, collect_edges=True, timeout=120.0,
-        )
-        return result, src, dst, weights, source
+        return run_vec_workload(vectorize=True)
 
     def test_vector_path_engaged(self, vec_workload):
         result = vec_workload[0]
-        assert result.wire_kind == "shm"
         assert result.wire.get("kernel_batches", 0) > 0
         assert result.wire.get("kernel_records", 0) > 0
         # Bulk ingest replaces the per-event scheduler for the stream:
         # only the two INIT seeds (bfs, sssp) take the per-event path.
         assert result.counters.visits <= 2
 
-    def test_bit_equal_to_des(self, vec_workload):
-        from repro.events.stream import split_streams
+    def test_per_event_drain_agrees_across_the_deopt_boundary(self, vec_workload):
+        vec = vec_workload[0]
+        per_event, src, *_ = run_vec_workload(vectorize=False)
+        assert per_event.wire.get("kernel_records", 0) == 0
+        assert per_event.counters.visits > len(src)
+        assert per_event.wire["ring_pushes"] > 0  # still over the rings
+        for name in ("bfs", "cc", "sssp"):
+            assert nonzero(per_event.state(name)) == nonzero(vec.state(name)), name
+        assert set(per_event.edges) == set(vec.edges)
+        assert per_event.counters.edge_inserts == vec.counters.edge_inserts
 
+    def test_bit_equal_to_des(self, vec_workload):
         result, src, dst, weights, source = vec_workload
         programs = [IncrementalBFS(), IncrementalCC(), IncrementalSSSP()]
         engine = DynamicEngine(programs, EngineConfig(n_ranks=4))
@@ -285,20 +291,10 @@ def test_single_rank_degenerate_ring():
     assert_bit_equal_to_des(result, engine)
 
 
-def test_des_only_config_is_sanitized():
-    """run_parallel must strip DES-only knobs rather than let the
-    worker-side guard trip."""
-    events = pairwise([((0, 1), 2), ((1, 2), 3)])
-    programs, init = build_workload(0, [0])
-    result = run_parallel(
-        programs,
-        split_round_robin(events, 2),
-        config=EngineConfig(n_ranks=2, bulk_ingest=True),
-        wire=WireConfig(start_method="fork"),
-        init=init,
-        timeout=60.0,
-    )
-    assert nonzero(result.state("bfs"))
+def test_only_the_shm_wire_constructs():
+    assert WireConfig(kind="shm") == WireConfig()
+    with pytest.raises(ValueError, match="pickled-pipe data plane was removed"):
+        WireConfig(kind="pipe")
 
 
 def test_too_many_streams_rejected():
@@ -344,19 +340,20 @@ def main():
     )
     engine.run()
 
-    for kind in ("shm", "pipe"):
+    for vectorize in (True, False):
         streams = [ListEventStream(events[0::2]), ListEventStream(events[1::2])]
         result = run_parallel(
             [IncrementalCC()], streams, config=EngineConfig(n_ranks=2),
-            wire=WireConfig(start_method="spawn", kind=kind), timeout=120.0,
+            wire=WireConfig(start_method="spawn", vectorize=vectorize),
+            timeout=120.0,
         )
         assert result.state("cc") == engine.state("cc"), (
-            kind + " spawn run diverged from DES"
+            "spawn run diverged from DES", vectorize
         )
-        # CC declares a bulk kernel, so the shm wire (and only it) must
-        # take the vectorized drain path.
+        # CC declares a bulk kernel, so the drain is vectorized exactly
+        # when the wire allows it.
         vec = result.wire.get("kernel_records", 0)
-        assert (vec > 0) == (kind == "shm"), (kind, vec)
+        assert (vec > 0) == vectorize, (vectorize, vec)
     print("SPAWN-OK")
 
 

@@ -1,21 +1,58 @@
-"""Unit tests for the worker-side pipe loop (no processes involved).
+"""Unit tests for the worker-side message loop (no processes involved).
 
-``PipeLoop`` takes an injected ``transmit`` callable, so these tests
-capture wire frames in a plain list and exercise the batching,
-jittered flush thresholds, both-ends coalescing, termination counters
-and the deliberately-refused DES-only surface.
+``ShmLoop`` takes an injected ``transmit`` callable for its pipe control
+frames and in-process rings for its data, so these tests capture the
+doorbells in a plain list, read the slabs straight off the rings, and
+exercise the batching, jittered flush thresholds, both-ends coalescing,
+termination counters and the deliberately-refused DES-only surface.
 """
 
 import pytest
 
-from repro.parallel.loop import PipeLoop
+from repro import IncrementalBFS
+from repro.parallel.codec import Codec
+from repro.parallel.loop import ShmLoop
+from repro.parallel.shm import create_ring
+from repro.partition import ModuloPartitioner
 from repro.runtime.visitor import VT_UPDATE
 
 
-def make_loop(rank=0, n_ranks=3, **kw):
-    frames = []
-    loop = PipeLoop(rank, n_ranks, lambda dst, f: frames.append((dst, f)), **kw)
-    return loop, frames
+class Harness:
+    """One loop with a ring to every peer, observed from the far end."""
+
+    def __init__(self, rank=0, n_ranks=3, **kw):
+        self.codec = Codec([IncrementalBFS()])
+        self.rings = {d: create_ring(1 << 16) for d in range(n_ranks) if d != rank}
+        self.control = []  # (dst, frame) pairs handed to the pipes
+        self.loop = ShmLoop(
+            rank, n_ranks, lambda dst, f: self.control.append((dst, f)),
+            self.rings, self.codec, ModuloPartitioner(n_ranks), **kw,
+        )
+
+    def arrived(self, dst):
+        """Consume the ring toward ``dst``: one tuple list per slab."""
+        ring = self.rings[dst]
+        out = [
+            self.codec.decode_to_tuples(kind, payload)
+            for kind, _n, _sender, payload in ring.pop_slabs()
+        ]
+        ring.commit()
+        return out
+
+
+@pytest.fixture
+def make_loop():
+    made = []
+
+    def _make(**kw):
+        h = Harness(**kw)
+        made.append(h)
+        return h.loop, h
+
+    yield _make
+    for h in made:
+        for ring in h.rings.values():
+            ring.destroy()
 
 
 def upd(prog, target, vis_id, vis_val, weight=1, ver=0):
@@ -29,13 +66,13 @@ def min_combiner(old, new):
 class TestConstruction:
     def test_rank_out_of_range(self):
         with pytest.raises(ValueError):
-            PipeLoop(3, 3, lambda *_: None)
+            ShmLoop(3, 3, lambda *_: None, {}, None, None)
 
     def test_batch_max_validated(self):
         with pytest.raises(ValueError):
-            PipeLoop(0, 2, lambda *_: None, batch_max=0)
+            ShmLoop(0, 2, lambda *_: None, {}, None, None, batch_max=0)
 
-    def test_cannot_impersonate_another_rank(self):
+    def test_cannot_impersonate_another_rank(self, make_loop):
         loop, _ = make_loop(rank=1)
         with pytest.raises(RuntimeError):
             loop.send(0, 2, ("x",))
@@ -44,39 +81,42 @@ class TestConstruction:
 
 
 class TestBatching:
-    def test_messages_buffer_until_threshold(self):
-        loop, frames = make_loop(batch_max=3)
+    def test_messages_buffer_until_threshold(self, make_loop):
+        loop, wire = make_loop(batch_max=3)
         loop.send(0, 1, ("a",))
         loop.send(0, 1, ("b",))
-        assert frames == [] and loop.outbuffered == 2
+        assert wire.arrived(1) == [] and loop.outbuffered == 2
         loop.send(0, 1, ("c",))
-        assert frames == [(1, ("B", 0, [("a",), ("b",), ("c",)]))]
+        assert wire.arrived(1) == [[("a",), ("b",), ("c",)]]
         assert loop.outbuffered == 0
         assert loop.wire_sent == 3 and loop.frames_sent == 1
+        # The push made the ring go empty -> nonempty: one doorbell.
+        assert wire.control == [(1, ("D", 0))]
 
-    def test_buffers_are_per_destination(self):
-        loop, frames = make_loop(batch_max=2)
+    def test_buffers_are_per_destination(self, make_loop):
+        loop, wire = make_loop(batch_max=2)
         loop.send(0, 1, ("a",))
         loop.send(0, 2, ("b",))
-        assert frames == []  # neither destination reached the threshold
+        assert loop.frames_sent == 0  # neither destination reached the threshold
         loop.send(0, 2, ("c",))
-        assert frames == [(2, ("B", 0, [("b",), ("c",)]))]
+        assert wire.arrived(2) == [[("b",), ("c",)]]
+        assert wire.arrived(1) == []
 
-    def test_flush_all_drains_every_buffer(self):
-        loop, frames = make_loop(batch_max=100)
+    def test_flush_all_drains_every_buffer(self, make_loop):
+        loop, wire = make_loop(batch_max=100)
         loop.send(0, 1, ("a",))
         loop.send(0, 2, ("b",))
         loop.flush_all()
-        assert {dst for dst, _ in frames} == {1, 2}
+        assert wire.arrived(1) == [[("a",)]] and wire.arrived(2) == [[("b",)]]
         assert loop.outbuffered == 0 and loop.idle()
 
-    def test_send_many_counts_one_batch(self):
-        loop, frames = make_loop(batch_max=10)
+    def test_send_many_counts_one_batch(self, make_loop):
+        loop, _ = make_loop(batch_max=10)
         out = loop.send_many(0, [(1, ("a",), None), (2, ("b",), None)])
         assert out == [False, False]
         assert loop.batch_sends == 1
 
-    def test_jittered_thresholds_redrawn_per_flush(self):
+    def test_jittered_thresholds_redrawn_per_flush(self, make_loop):
         class ScriptedRNG:
             def __init__(self, values):
                 self.values = list(values)
@@ -85,33 +125,33 @@ class TestBatching:
                 assert (lo, hi) == (1, 5)  # batch_max + 1
                 return self.values.pop(0)
 
-        loop, frames = make_loop(batch_max=4, jitter_rng=ScriptedRNG([2, 4, 1, 3]))
+        loop, _ = make_loop(batch_max=4, jitter_rng=ScriptedRNG([2, 4, 1, 3]))
         loop.send(0, 1, ("a",))
-        assert frames == []
+        assert loop.frames_sent == 0
         loop.send(0, 1, ("b",))  # hits threshold 2
-        assert len(frames) == 1
+        assert loop.frames_sent == 1
         for i in range(3):
             loop.send(0, 1, (f"c{i}",))
-        assert len(frames) == 1  # next threshold is 4
+        assert loop.frames_sent == 1  # next threshold is 4
         loop.send(0, 1, ("d",))
-        assert len(frames) == 2
+        assert loop.frames_sent == 2
         loop.send(0, 1, ("e",))  # threshold 1: immediate
-        assert len(frames) == 3
+        assert loop.frames_sent == 3
 
 
 class TestSenderSideCoalescing:
-    def test_same_key_squashes_in_outbuffer(self):
-        loop, frames = make_loop(batch_max=10)
+    def test_same_key_squashes_in_outbuffer(self, make_loop):
+        loop, wire = make_loop(batch_max=10)
         a, b = upd(0, 5, 2, 9), upd(0, 5, 2, 4)
         assert loop.send(0, 1, a, coalesce_key=("k",), combiner=min_combiner) is False
         assert loop.send(0, 1, b, coalesce_key=("k",), combiner=min_combiner) is True
         assert loop.messages_squashed == 1
         loop.flush(1)
-        assert frames == [(1, ("B", 0, [b]))]
+        assert wire.arrived(1) == [[b]]
         assert loop.wire_sent == 1  # the squashed message never hit the wire
 
-    def test_flush_closes_the_coalescing_window(self):
-        loop, frames = make_loop(batch_max=10)
+    def test_flush_closes_the_coalescing_window(self, make_loop):
+        loop, _ = make_loop(batch_max=10)
         loop.send(0, 1, upd(0, 5, 2, 9), coalesce_key=("k",), combiner=min_combiner)
         loop.flush(1)
         squashed = loop.send(
@@ -119,25 +159,25 @@ class TestSenderSideCoalescing:
         )
         assert squashed is False  # previous occupant already on the wire
 
-    def test_self_sends_coalesce_in_the_inbox(self):
-        loop, frames = make_loop(rank=1)
+    def test_self_sends_coalesce_in_the_inbox(self, make_loop):
+        loop, wire = make_loop(rank=1)
         a, b = upd(0, 5, 2, 9), upd(0, 5, 2, 4)
         assert loop.send(1, 1, a, coalesce_key=("k",), combiner=min_combiner) is False
         assert loop.send(1, 1, b, coalesce_key=("k",), combiner=min_combiner) is True
-        assert frames == [] and loop.wire_sent == 0  # never touches the wire
+        assert wire.control == [] and loop.wire_sent == 0  # never touches the wire
         assert loop.inbox_len == 1
         assert loop.pop_message() == b
         assert loop.pop_message() is None
 
 
 class TestReceiveSide:
-    def test_wire_received_counts_every_message(self):
+    def test_wire_received_counts_every_message(self, make_loop):
         loop, _ = make_loop()
         loop.deliver_batch(1, [("a",), ("b",)])
         assert loop.wire_received == 2 and loop.frames_received == 1
         assert loop.inbox_len == 2
 
-    def test_drain_squashes_into_queued_updates(self):
+    def test_drain_squashes_into_queued_updates(self, make_loop):
         loop, _ = make_loop()
         loop.set_update_combiners([min_combiner])
         loop.deliver_batch(1, [upd(0, 5, 2, 9)])
@@ -146,13 +186,13 @@ class TestReceiveSide:
         assert loop.wire_received == 2  # squashed messages still count
         assert loop.pop_message() == upd(0, 5, 2, 4)
 
-    def test_different_versions_do_not_squash(self):
+    def test_different_versions_do_not_squash(self, make_loop):
         loop, _ = make_loop()
         loop.set_update_combiners([min_combiner])
         loop.deliver_batch(1, [upd(0, 5, 2, 9, ver=0), upd(0, 5, 2, 4, ver=1)])
         assert loop.inbox_squashed == 0 and loop.inbox_len == 2
 
-    def test_pop_closes_the_drain_window(self):
+    def test_pop_closes_the_drain_window(self, make_loop):
         loop, _ = make_loop()
         loop.set_update_combiners([min_combiner])
         loop.deliver_batch(1, [upd(0, 5, 2, 9)])
@@ -160,21 +200,14 @@ class TestReceiveSide:
         loop.deliver_batch(1, [upd(0, 5, 2, 4)])
         assert loop.inbox_squashed == 0 and loop.inbox_len == 1
 
-    def test_inbox_coalesce_can_be_disabled(self):
-        loop, _ = make_loop(inbox_coalesce=False)
-        loop.set_update_combiners([min_combiner])
-        loop.deliver_batch(1, [upd(0, 5, 2, 9)])
-        loop.deliver_batch(1, [upd(0, 5, 2, 4)])
-        assert loop.inbox_squashed == 0 and loop.inbox_len == 2
-
-    def test_programs_without_combiner_never_squash(self):
+    def test_programs_without_combiner_never_squash(self, make_loop):
         loop, _ = make_loop()
         loop.set_update_combiners([None])
         loop.deliver_batch(1, [upd(0, 5, 2, 9)])
         loop.deliver_batch(1, [upd(0, 5, 2, 4)])
         assert loop.inbox_squashed == 0 and loop.inbox_len == 2
 
-    def test_enqueue_local_seeds_the_inbox(self):
+    def test_enqueue_local_seeds_the_inbox(self, make_loop):
         loop, _ = make_loop()
         loop.enqueue_local(("init",))
         assert loop.inbox_len == 1 and not loop.idle()
@@ -183,20 +216,23 @@ class TestReceiveSide:
 
 
 class TestEngineSurface:
-    def test_clock_is_full_width_and_consume_advances_it(self):
+    def test_clock_is_full_width_and_consume_advances_it(self, make_loop):
         loop, _ = make_loop(rank=1, n_ranks=3)
         assert loop.clock == [0.0, 0.0, 0.0]
         loop.consume(1, 2.5)
         assert loop.now(1) == 2.5 and loop.max_time() == 2.5
 
-    def test_wire_stats_shape(self):
+    def test_wire_stats_shape(self, make_loop):
         loop, _ = make_loop()
         assert set(loop.wire_stats()) == {
             "wire_sent", "wire_received", "frames_sent", "frames_received",
             "outbuf_squashed", "inbox_squashed", "batch_sends",
+            "ring_stalls", "ring_pushes", "ring_hwm_bytes", "ring_pad_slabs",
+            "ring_pad_bytes", "overflow_pushes", "overflow_hwm_records",
+            "pickle_slabs", "pickle_records", "doorbells",
         }
 
-    def test_virtual_time_surface_refused(self):
+    def test_virtual_time_surface_refused(self, make_loop):
         loop, _ = make_loop()
         with pytest.raises(RuntimeError):
             loop.send_at(0, 1, ("x",), 1.0)

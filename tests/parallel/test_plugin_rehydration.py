@@ -4,9 +4,8 @@ Plugins cannot be pickled; ``run_parallel(plugins=[(name, kwargs)])``
 ships factory specs instead, and each worker rebuilds real instances
 via ``build_plugin`` before constructing its engine through the
 EngineBuilder.  Only ``mp_safe`` plugins are accepted — DES-only ones
-(tracer, sampler, faults) are rejected worker-side exactly like their
-legacy config flags.  Harvested payloads come back per rank under
-``per_rank[r]["plugins"]``.
+(tracer, sampler, faults) are rejected worker-side.  Harvested payloads
+come back per rank under ``per_rank[r]["plugins"]``.
 """
 
 import pytest
@@ -31,15 +30,15 @@ def mesh_events(n=40):
     ]
 
 
-def run_mp(plugins, n_ranks=2, kind="pipe"):
-    # The pipe wire dispatches per event, so every applied insert and
-    # committed write flows through the compiled hook tuples; the shm
-    # wire's vectorized slab path legitimately bypasses per-event sites.
+def run_mp(plugins, n_ranks=2, vectorize=False):
+    # Per-event dispatch sends every applied insert and committed write
+    # through the compiled hook tuples; the vectorized slab drain
+    # legitimately bypasses per-event sites.
     return run_parallel(
         [IncrementalBFS(), IncrementalCC()],
         split_round_robin(mesh_events(), n_ranks),
         config=EngineConfig(n_ranks=n_ranks, undirected=True),
-        wire=WireConfig(start_method="fork", kind=kind),
+        wire=WireConfig(start_method="fork", vectorize=vectorize),
         init=[("bfs", 0, None)],
         timeout=60.0,
         plugins=plugins,
@@ -61,9 +60,9 @@ def test_hook_stats_rides_into_workers_and_harvests_back():
 
 
 def test_hook_stats_on_the_shm_wire_still_harvests():
-    """On the vectorized shm wire the per-event insert site is
+    """Under the vectorized drain the per-event insert site is
     legitimately bypassed, but the payload still ships back."""
-    result = run_mp([("hook_stats", {})], kind="shm")
+    result = run_mp([("hook_stats", {})], vectorize=True)
     payloads = [info["plugins"]["hook_stats"] for info in result.per_rank]
     assert len(payloads) == 2
     assert all(set(p) == set(payloads[0]) for p in payloads)

@@ -126,7 +126,7 @@ def test_mp_run_with_batches_larger_than_the_ring_completes(ring_capacity):
         streams,
         config=EngineConfig(n_ranks=2),
         wire=WireConfig(
-            kind="shm", start_method="fork", batch_max=2048, ring_capacity=ring_capacity
+            start_method="fork", batch_max=2048, ring_capacity=ring_capacity
         ),
         init=[("bfs", source, None)],
         collect_edges=True,

@@ -216,7 +216,7 @@ def test_mirror_counts_reach_the_parallel_result():
         [IncrementalBFS()],
         split_streams(src, dst, 2, rng=np.random.default_rng(4)),
         config=EngineConfig(n_ranks=2),
-        wire=WireConfig(kind="shm", start_method="fork", ingest_chunk=256),
+        wire=WireConfig(start_method="fork", ingest_chunk=256),
         init=[("bfs", int(src[0]), None)],
         timeout=60.0,
     )

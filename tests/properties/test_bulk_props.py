@@ -1,6 +1,6 @@
 """Exactness of the bulk-ingest fast path (the tentpole guarantee).
 
-With ``bulk_ingest=True`` the engine drains saturation streams in
+With a ``BulkIngestPlugin`` the engine drains saturation streams in
 chunks and advances REMO state with array frontier kernels; the
 contract is that the final vertex states are **bitwise-equal** to the
 per-event path, which in turn equals the static answer on the final
@@ -26,6 +26,7 @@ from repro import (
 from repro.analytics import verify_bfs, verify_cc, verify_sssp
 from repro.events.stream import split_streams
 from repro.events.types import ADD
+from repro.runtime.plugins import BulkIngestPlugin
 
 ALGOS = ("bfs", "sssp", "cc")
 
@@ -57,12 +58,8 @@ def run_engine(
 ):
     eng = DynamicEngine(
         make_programs(),
-        EngineConfig(
-            n_ranks=n_ranks,
-            undirected=undirected,
-            bulk_ingest=bulk,
-            bulk_chunk=bulk_chunk,
-        ),
+        EngineConfig(n_ranks=n_ranks, undirected=undirected),
+        plugins=[BulkIngestPlugin(bulk_chunk)] if bulk else None,
     )
     source = int(src[0])
     eng.init_program("bfs", source)
@@ -160,7 +157,8 @@ def test_bulk_differential_hypothesis(edges, n_ranks, chunk):
     def build(bulk):
         eng = DynamicEngine(
             make_programs(),
-            EngineConfig(n_ranks=n_ranks, bulk_ingest=bulk, bulk_chunk=chunk),
+            EngineConfig(n_ranks=n_ranks),
+            plugins=[BulkIngestPlugin(chunk)] if bulk else None,
         )
         eng.init_program("bfs", source)
         eng.init_program("sssp", source)

@@ -15,6 +15,7 @@ from repro import (
 )
 from repro.events.stream import ArrayEventStream, split_streams
 from repro.events.types import ADD, DELETE
+from repro.runtime.plugins import BulkIngestPlugin
 from repro.storage.degaware import DegAwareRHH
 
 
@@ -28,9 +29,8 @@ def workload(seed=0, n_vertices=80, n_events=400):
 def cc_engine(bulk=True, n_ranks=2, bulk_chunk=64, **overrides):
     return DynamicEngine(
         [IncrementalCC()],
-        EngineConfig(
-            n_ranks=n_ranks, bulk_ingest=bulk, bulk_chunk=bulk_chunk, **overrides
-        ),
+        EngineConfig(n_ranks=n_ranks, **overrides),
+        plugins=[BulkIngestPlugin(bulk_chunk)] if bulk else None,
     )
 
 
@@ -80,8 +80,7 @@ def test_init_message_forces_fallback_then_reengages():
     # is ahead must flush (fallback) — and afterwards chunking resumes.
     src, dst = workload(n_events=600)
     eng = DynamicEngine(
-        [IncrementalBFS()],
-        EngineConfig(n_ranks=2, bulk_ingest=True, bulk_chunk=32),
+        [IncrementalBFS()], EngineConfig(n_ranks=2), plugins=[BulkIngestPlugin(32)]
     )
     eng.init_program("bfs", int(src[0]))
     eng.attach_streams(split_streams(src, dst, 2))
@@ -101,6 +100,11 @@ def test_trigger_disables_bulk_entirely():
     eng.attach_streams(split_streams(src, dst, 2))
     eng.run()
     assert eng.total_counters().bulk_events == 0
+    # The ingestor is attached (by plugin) but never engaged: the
+    # zero-counter line is how the report says so.
+    rep = throughput_report(eng)
+    assert rep.bulk_enabled
+    assert "bulk ingest: chunks=0 events=0 fallback_flushes=0" in rep.summary()
 
     ref = cc_engine(bulk=False)
     ref.attach_streams(split_streams(src, dst, 2))
@@ -155,8 +159,7 @@ def test_program_without_kernel_disables_bulk():
     )
     src, dst = workload(n_events=60)
     eng = DynamicEngine(
-        [IncrementalCC(), degree],
-        EngineConfig(n_ranks=2, bulk_ingest=True),
+        [IncrementalCC(), degree], EngineConfig(n_ranks=2), plugins=[BulkIngestPlugin()]
     )
     assert not eng._bulk.supported
     eng.attach_streams(split_streams(src, dst, 2))
@@ -165,8 +168,8 @@ def test_program_without_kernel_disables_bulk():
 
 
 def test_bulk_chunk_must_be_positive():
-    with pytest.raises(ValueError):
-        EngineConfig(bulk_ingest=True, bulk_chunk=0)
+    with pytest.raises(ValueError, match="chunk must be > 0"):
+        BulkIngestPlugin(chunk=0)
 
 
 def test_bulk_off_has_no_controller():

@@ -19,6 +19,7 @@ from repro.runtime.checkpoint import (
     load_checkpoint,
     save_checkpoint,
 )
+from repro.runtime.plugins import BulkIngestPlugin
 
 
 def build_engine(n_ranks=4):
@@ -117,7 +118,7 @@ class TestWeightDtype:
 
 
 class TestRestoreIntoBulkIngest:
-    """Restoring into a ``bulk_ingest=True`` engine: load_checkpoint
+    """Restoring into an engine with a bulk ingestor: load_checkpoint
     inserts edges directly into the stores, so the bulk ingestor's
     cached topology must be rebuilt before its first chunk — otherwise
     frontier kernels would run on a stale (empty) CSR."""
@@ -125,7 +126,8 @@ class TestRestoreIntoBulkIngest:
     def _bulk_engine(self, n_ranks=4):
         return DynamicEngine(
             [IncrementalBFS(), IncrementalCC()],
-            EngineConfig(n_ranks=n_ranks, bulk_ingest=True, bulk_chunk=32),
+            EngineConfig(n_ranks=n_ranks),
+            plugins=[BulkIngestPlugin(chunk=32)],
         )
 
     def test_round_trip_into_bulk_engine(self, tmp_path):

@@ -4,23 +4,33 @@ The contract (repro.runtime.plugins): duplicate names are rejected,
 unknown hook sites are rejected at compile, compiled firing order is
 plugin registration order followed by dynamic installation order, an
 empty registry leaves every per-site tuple empty (the disabled-cost
-guard), and teardown is idempotent and runs in reverse order.
+guard), and teardown is idempotent and runs in reverse order.  Hooks
+are observers consuming no virtual time: plugins change neither the
+programs' state nor the DES schedule, whichever way the engine is
+assembled.
 """
 
 import pytest
 
-from repro import DynamicEngine, EngineConfig, IncrementalBFS, ListEventStream
-from repro.events.types import ADD
+from repro import (
+    DynamicEngine,
+    EngineConfig,
+    IncrementalBFS,
+    IncrementalCC,
+    ListEventStream,
+)
+from repro.events.types import ADD, DELETE
+from repro.runtime.lifecycle import EngineBuilder
 from repro.runtime.plugins import (
     HOOK_ATTRS,
     HOOK_SITES,
+    BulkIngestPlugin,
     EnginePlugin,
     HookStatsPlugin,
     MetricsPlugin,
     PluginRegistry,
     TracerPlugin,
     build_plugin,
-    plugins_from_config,
 )
 
 
@@ -179,24 +189,68 @@ class TestHookStats:
         assert e.plugins.harvest() == {}
 
 
-class TestConfigSugar:
-    def test_flag_derivation_order(self):
-        cfg = EngineConfig(
-            n_ranks=2, bulk_ingest=True, trace=True, sample_interval=1e-3
-        )
-        names = [p.name for p in plugins_from_config(cfg)]
-        assert names == ["bulk-ingest", "tracer", "metrics"]
-        assert plugins_from_config(EngineConfig(n_ranks=2)) == []
+def churn_events():
+    """A small add+delete mix over a 9-vertex mesh (deterministic)."""
+    events = [(ADD, i % 9, (i * 5 + 2) % 9, 1 + i % 3) for i in range(36)]
+    events += [(DELETE, 2, 7, 0), (DELETE, 4, 1, 0)]
+    events += [(ADD, 2, 7, 2), (ADD, 0, 8, 1)]
+    return [e for e in events if e[1] != e[2]]
 
-    def test_flags_build_the_sugar_objects(self):
-        e = DynamicEngine(
-            [IncrementalBFS()],
-            EngineConfig(n_ranks=2, trace=True, sample_interval=1e-3),
+
+def churn_builder(plugins):
+    return (
+        EngineBuilder()
+        .with_programs([IncrementalBFS(), IncrementalCC()])
+        .with_config(EngineConfig(n_ranks=3, undirected=True))
+        .with_plugins(plugins)
+    )
+
+
+def drive(engine):
+    engine.init_program("bfs", 0)
+    engine.attach_streams([ListEventStream(churn_events())])
+    engine.run()
+    return engine
+
+
+def fingerprint(engine):
+    return {
+        "bfs": engine.state("bfs"),
+        "cc": engine.state("cc"),
+        "makespan": engine.loop.max_time(),
+        "counters": [
+            (c.source_events, c.visits, c.edge_inserts, c.edge_deletes)
+            for c in engine.counters
+        ],
+    }
+
+
+def test_observer_plugin_leaves_results_bit_identical():
+    """A hook on every site must not perturb state or the DES schedule."""
+    bare = drive(churn_builder([]).build())
+    stats = HookStatsPlugin()
+    hooked = drive(churn_builder([stats]).build())
+    assert fingerprint(hooked) == fingerprint(bare)
+    assert stats.counts["on_dispatch"] > 0
+    assert stats.counts["on_delete"] > 0  # the churn stream fired it
+
+
+def test_builder_and_constructor_are_bit_identical():
+    plugins = lambda: [BulkIngestPlugin(), TracerPlugin(), MetricsPlugin(1e-3)]
+    built = drive(churn_builder(plugins()).build())
+    direct = drive(
+        DynamicEngine(
+            [IncrementalBFS(), IncrementalCC()],
+            EngineConfig(n_ranks=3, undirected=True),
+            plugins=plugins(),
         )
-        assert e.tracer is not None
-        assert e.metrics is not None
-        assert e.sampler is not None
-        assert e.plugins.names() == ["tracer", "metrics"]
+    )
+    assert fingerprint(built) == fingerprint(direct)
+    assert built.tracer.events == direct.tracer.events
+    assert built.metrics.samples == direct.metrics.samples
+    for e in (built, direct):
+        assert e.plugins.names() == ["bulk-ingest", "tracer", "metrics"]
+        assert e.sampler is not None and e._bulk is not None
 
 
 class TestBuildPlugin:

@@ -20,6 +20,7 @@ from repro import (
 )
 from repro.algorithms.cc import component_label
 from repro.events.types import ADD
+from repro.runtime.plugins import MetricsPlugin
 from repro.serving import FrozenBackend, QueryResult
 
 
@@ -232,7 +233,8 @@ class TestMetrics:
     def test_uses_engine_registry_when_sampling(self):
         e = DynamicEngine(
             [IncrementalBFS()],
-            EngineConfig(n_ranks=2, sample_interval=1e-4),
+            EngineConfig(n_ranks=2),
+            plugins=[MetricsPlugin(1e-4)],
         )
         e.init_program("bfs", 0)
         e.attach_streams([ListEventStream([(ADD, 0, 1, 1)])])
