@@ -4,9 +4,11 @@ CI regenerates the smoke-scale benches and diffs the fresh results
 against the copies committed at the repo root; a gated metric that lost
 more than ``--tolerance`` (default 25%) fails the build.
 
-Only *virtual* (cost-model) metrics are gated: they are deterministic
-functions of the code and the workload, so a drop is a real behavioural
-regression, not runner noise.  Wall-clock numbers vary with the host
+Only *virtual* (cost-model) metrics and exact counts are gated: they
+are deterministic functions of the code and the workload, so a drop is a
+real behavioural regression, not runner noise.  (A cost-model rate is
+spelled ``virtual_events_per_second`` where a wall-clock rate sits next
+to it — BENCH_churn — so the two cannot be read as one number.)  Wall-clock numbers vary with the host
 and are never gated — by convention every machine-dependent key in the
 bench payloads carries ``wall`` in its name, and this tool skips any
 metric whose dotted path contains that substring.  Improvements always
@@ -35,6 +37,10 @@ Serving adds two more gate flavours:
   legitimately be ~2x off; the gate only catches structural blowups
   like the cache being bypassed, which costs orders of magnitude).
 
+``visits_per_event`` (``LOWER_GATED_KEYS``) is the callbacks-per-event
+count of a seeded DES run — exact, host-independent, lower is better;
+on BENCH_churn it is the write amplification of a delete.
+
 Distributed observability adds one more (``LOWER_GATED_KEYS``):
 ``disabled_overhead_mp_fraction`` from BENCH_obs_overhead — the mp
 backend's disabled-telemetry guard budget as a fraction of its
@@ -58,13 +64,18 @@ from pathlib import Path
 # higher-is-better figures that are deterministic functions of the code
 # and the workload.  ("peak_speedup" is a ratio of virtual rates;
 # "hit_rate" is the serving cache's converged-prefix hit rate.)
-GATED_KEYS = frozenset({"events_per_second", "peak_speedup", "hit_rate"})
+GATED_KEYS = frozenset(
+    {"events_per_second", "virtual_events_per_second", "peak_speedup", "hit_rate"}
+)
 # Lower-is-better keys: gated on *increase* instead of loss.
 # ``disabled_overhead_mp_fraction`` is the mp backend's disabled-
 # telemetry guard cost per event as a fraction of per-event wall cost
 # (bench_obs_overhead); gating it catches instrumentation leaking out
 # from behind its ``if obs is not None`` guards onto the mp hot loop.
-LOWER_GATED_KEYS = frozenset({"wall_p99_point_us", "disabled_overhead_mp_fraction"})
+# ``visits_per_event`` is an exact count of a seeded DES run.
+LOWER_GATED_KEYS = frozenset(
+    {"wall_p99_point_us", "disabled_overhead_mp_fraction", "visits_per_event"}
+)
 WALL_MARKER = "wall"
 # Wall-marked keys gated anyway: same-host, same-run ratios where the
 # machine speed divides out (see the module docstring).

@@ -41,7 +41,8 @@ POST0 = N_USERS
 
 def community_sizes(engine) -> dict[int, int]:
     sizes: dict[int, int] = {}
-    for _v, (gen, label) in engine.state("gen-cc").items():
+    for value in engine.state("gen-cc").values():
+        label = value[1]  # the projection of (generation, label, support)
         sizes[label] = sizes.get(label, 0) + 1
     return sizes
 

@@ -1,70 +1,116 @@
-"""Decremental support via state generations — the §VI-B extension.
+"""Decremental support via per-vertex state generations — the §VI-B extension.
 
-The paper outlines (but does not implement) a strategy for handling
-edge *deletes* without stopping the world: when an algorithmic action
-would break monotonicity (a delete raising a BFS distance), the affected
-state moves into a **new generation**, "a convex space lower than all
-possible other states within the current generation" — so the combined
-(generation, value) state stays monotone and the REMO machinery keeps
-working.  This module implements that outline concretely:
+The paper outlines (but does not implement) a strategy for edge
+*deletes* without stopping the world: when an action would break
+monotonicity (a delete raising a BFS distance), "the affected state"
+moves into a **new generation**, below every state of the old one, so
+the combined ``(generation, value)`` stays monotone and the REMO
+machinery keeps working.  Here "affected" is read narrowly, the way
+SSSP-Del and RisGraph (PAPERS.md) read it: every vertex records the
+neighbour its value was adopted from (its **support**), a delete of an
+edge that is nobody's support is a no-op (*safe*, O(1)), and a delete
+of a support edge invalidates exactly the subtree hanging off it and
+re-relaxes that subtree from its boundary.  One protocol,
+:class:`_SupportTree`, carries all five delete-capable programs; each
+states only its algebra:
 
-* :class:`GenerationalBFS` / :class:`GenerationalSSSP` — distance
-  programs using an **epoch-restart protocol**: when a vertex loses the
-  edge supporting its distance (its parent edge), it starts a fresh
-  *epoch* — a totally-ordered generation tag ``(counter, initiator)`` —
-  and floods it through its component.  Every vertex entering the epoch
-  resets (source back to 1, everyone else to INF) and ordinary REMO
-  relaxation recomputes distances *within* the epoch.  Values are only
-  ever trusted between same-epoch vertices; lower-epoch messages are
-  answered with a pull-up, higher-epoch messages trigger adoption.
-  This is what makes the asynchronous version safe: naive
-  invalidate-and-repair suffers the classic distance-vector
-  count-to-infinity livelock (stale finite values circulating a cycle
-  revive each other forever — we hit exactly this under randomized
-  testing); epoch stamping makes stale revival impossible, and
-  termination follows from (a) epoch adoption being monotone in a
-  finite epoch set (one per support-breaking delete), and (b) plain
-  monotone convergence inside each epoch.
-* :class:`GenerationalCC` — component labels cannot be repaired
-  downward when a component splits, so a delete **reseeds** the whole
-  affected component into a new generation (each vertex resets to its
-  own hash) and re-runs max-label propagation within it — the paper's
-  "worst case ... rewriting of data at this magnitude" made explicit,
-  and still fully asynchronous and concurrent with ongoing adds.
-* :class:`GenerationalST` — multi S-T reachability bitmaps are unions,
-  so, like labels, they cannot shrink in place: a delete reseeds the
-  component and every member resets its bitmap to the bits it holds *by
-  right* (the bits of the sources registered at that very vertex), then
-  Alg.-7 union propagation reruns within the generation.
-* :class:`GenerationalWidest` — bottleneck capacities are max-min
-  distances, so the epoch-restart protocol applies unchanged with the
-  relaxation flipped (``min(cap, weight)`` offers, ``max`` adoption);
-  the supporting last hop is tracked as the parent exactly as in the
-  distance programs.
+==========  ====================  =====================  ==================
+program     ``intrinsic``         offer (``extend``)     ``better``
+==========  ====================  =====================  ==================
+BFS / SSSP  ``INF`` (source: 1)   ``dist + 1 / weight``  smaller
+widest      0 (source: CAP_INF)   ``min(cap, weight)``   larger
+CC          own hash              the label              larger
+S-T         own source bits       the bitmap             has a missing bit
+==========  ====================  =====================  ==================
 
-Value encodings (engine default 0 = never touched):
+**State.**  Live: ``(generation, value, support)``.  ``support`` is the
+neighbour the value came from, or :data:`SELF` when the vertex holds it
+*by right* (the query source, a CC vertex carrying its own hash, any
+intrinsic value); S-T keeps one support per adopted bit.  Frozen (mid
+repair): ``(generation, intrinsic, None, target, pending, kids)`` —
+whom to ack (``(vertex, its generation)``, None for a wave's root),
+neighbours whose ack is outstanding, neighbours that froze under us.
+Index 1 is the projection on either shape.  ``generation`` counts the
+invalidations the vertex went through (:data:`EPOCH0` at birth).
 
-* distance programs: ``(epoch, distance, parent)``; ``epoch`` is the
-  ``(counter, initiator_vertex)`` tuple (initially ``(0, 0)``); the
-  source has parent ``SELF``; INF distance = unreached.
-* CC: ``(generation, label)``.
-* S-T: ``(generation, mask)``.
-* widest: ``(epoch, capacity, parent)``; capacity 0 = unreached, the
-  source holds ``CAP_INF``.
+**Messages** are ordinary UPDATE visitors: ``("U", value)`` offer,
+``("I", gen)`` invalidate, ``("A", gen, child)`` ack, ``("T", value)``
+thaw-and-offer (value None: thaw only), ``("F",)`` fence.
 
-Update payloads are tagged tuples: ``("U", epoch, dist_or_cap)``
-relaxation, ``("R", epoch_or_gen)`` restart/reseed flood,
-``("L", gen, label)`` label merge, ``("M", gen, mask)`` mask merge.
-REVERSE_ADD hands the raw neighbour state to the callback, which
-normalises it.
+**Rules.**
 
-These programs do not support *versioned* snapshot collection (deletes
-plus version splitting compose poorly; the paper does not attempt it
-either) — use quiescence collection.  They declare it machine-readably
-via ``supports_versioned_collection = False``, which makes
-``DynamicEngine.request_collection`` raise
-:class:`~repro.runtime.engine.UnsupportedCollectionError` instead of
-harvesting a silently wrong cut.
+1. *Offer* (``U``, the value in ``T``, a REVERSE_ADD value): a live
+   vertex adopts a strictly better candidate (``support := sender``,
+   broadcast ``U``) or notifies back when it holds the better side; a
+   frozen vertex ignores offers.  Offers cross edges, so they are
+   dropped unless the edge exists at the receiver.
+2. *Delete / reverse-delete of the edge to n*: live and supported by n
+   -> invalidate as root; anything else -> nothing.
+3. *Invalidate* (as root, or under target t): ``generation += 1``,
+   value := intrinsic, freeze with ``pending`` = current neighbours
+   except t and send each ``I(generation)``; nothing pending -> complete.
+4. *On* ``I(g)`` *from s*: live and supported by s -> invalidate under
+   ``(s, g)``; otherwise answer ``A(g, False)`` at once.
+5. *On* ``A(g, child)`` *from s*: drop s from ``pending``, remember it
+   in ``kids`` if ``child``; nothing pending -> complete.
+6. *Complete*: root -> thaw; otherwise send the target ``A(its g, True)``.
+7. *Thaw*: become live holding the intrinsic value by right, send
+   ``T(value)`` to every current neighbour and ``T(None)`` to every kid
+   that no longer is one.
+8. *On* ``T(value)`` *from s*: frozen under s -> thaw; then rule 1.  A
+   better neighbour's reply to ``T`` *is* the re-relaxation from the
+   boundary.
+9. *Fence*: the reverse-delete side also sends ``F`` to the other
+   endpoint; on ``F`` from s, live and supported by s -> invalidate as
+   root.
+
+This is a Dijkstra–Scholten diffusing computation per support delete.
+**Invariants:** the support pointers of live vertices form a forest
+rooted at by-right holders (a vertex adopts only strictly better
+candidates and values only improve while live, so a pointer cycle would
+need a vertex adopted strictly before itself); a wave freezes the
+closure of its root under "is supported by" (every dependent is reached
+along support pointers and acks only after its own subtree has); no
+vertex is frozen at quiescence.  **Why the root may trust what it hears
+after thawing:** per-channel FIFO (§III-C) puts any stale ``U`` a
+member sent before its ``I`` and its ``A``, so when the last ack
+arrives no stale value is stored or in flight; a live vertex that
+adopts a stale offer meanwhile has just made the sender its support and
+receives that sender's ``I`` next on the same channel.  **Termination:**
+a wave freezes a vertex at most once, waves are bounded by support
+deletes plus fences, and inside one generation values only improve.
+
+**Hazards** — all need an edge deleted and re-added while messages are
+in flight (tiny dense graphs find them, large sparse ones do not):
+
+a. *Ack ids are per freeze.*  ``A`` echoes the generation of the ``I``
+   it answers; echoing the root's wave id let a late ack of an earlier
+   freeze complete a later one (vertices left frozen, or thawed early).
+b. *The fence.*  A DELETE applies at the canonical ``lo`` endpoint
+   first (the engine routes every event of an edge through ``lo``'s
+   owner).  Until the reverse-delete lands ``hi`` still sends over the
+   old incarnation; if ``lo`` re-added the edge meanwhile it accepts
+   those offers under the new one, and if ``hi`` is invalidated while
+   the edge is absent on its side its ``I`` never reaches ``lo`` — a
+   two-vertex support cycle holding a value no source backs.  ``F``
+   follows those offers on the same channel and is a no-op unless the
+   receiver still claims support from the sender.
+c. *Control messages address vertices, not edges.*  Were ``I``/``A``
+   dropped with their edge, a delete would have to patch ``pending`` and
+   a re-add would let the old ``I`` through after the root stopped
+   waiting for it.  ``I``, ``A``, ``F`` and the thaw half of ``T`` are
+   processed whether or not the edge exists: every ``I`` gets exactly
+   one ``A`` and no delete ever touches a wave.
+d. *Kids without an edge* must still be released — rule 7's ``T(None)``
+   (no offer: nothing may cross a missing edge).
+
+Undirected engines only.  ``combine`` stays None (squashing would
+reorder ``U`` against ``I``/``A`` and break the FIFO argument), and the
+programs declare ``supports_versioned_collection = False`` — deletes
+and version splitting compose poorly, the paper does not attempt it
+either — so ``DynamicEngine.request_collection`` raises
+:class:`~repro.runtime.engine.UnsupportedCollectionError`; use
+quiescence collection.
 """
 
 from __future__ import annotations
@@ -76,167 +122,236 @@ from repro.algorithms.cc import component_label
 from repro.algorithms.widest_path import CAP_INF
 from repro.runtime.program import VertexContext, VertexProgram
 
-SELF = -2  # parent sentinel: this vertex is the query source
-NO_PARENT = -1
-EPOCH0 = (0, 0)  # the epoch every vertex is born into
+SELF = -2  # support sentinel: the value is held by right
+EPOCH0 = 0  # the generation every vertex is born into
 
 
-class _GenerationalDistance(VertexProgram):
-    """Shared epoch-restart machinery for generational BFS and SSSP.
+class _SupportTree(VertexProgram):
+    """The support-tree delete protocol (module docstring, rules 1–9).
 
-    Subclasses define :meth:`hop_cost` (1 for BFS, the edge weight for
-    SSSP).  State: ``(epoch, dist, parent)``.
+    Subclasses state the algebra: :meth:`intrinsic`, :meth:`extend`,
+    :meth:`better` and — when support is not one neighbour —
+    :meth:`absorb` / :meth:`supported_by`; :meth:`by_right` if the
+    program takes ``init()``.
     """
 
     snapshot_mode = "replay"
     supports_versioned_collection = False
 
-    def hop_cost(self, weight: int) -> int:
+    # -- the algebra -------------------------------------------------------
+    def intrinsic(self, vertex: int) -> tuple[Any, Any]:
+        """``(value, support)`` the vertex holds with no neighbour's help."""
         raise NotImplementedError
 
-    # -- helpers ---------------------------------------------------------
-    @staticmethod
-    def _ensure(ctx: VertexContext) -> tuple[tuple[int, int], int, int]:
-        value = ctx.value
-        if value == 0:
-            value = (EPOCH0, INF, NO_PARENT)
-            ctx.set_value(value)
+    def extend(self, value: Any, weight: int) -> Any:
+        """What ``value`` is worth on the far side of an edge."""
         return value
 
-    @staticmethod
-    def _as_update(vis_val: Any) -> tuple[tuple[int, int], int]:
-        """Normalise a REVERSE_ADD raw neighbour value to (epoch, dist)."""
-        if vis_val == 0:
-            return (EPOCH0, INF)
-        epoch, dist, _parent = vis_val
-        return (epoch, dist)
+    def better(self, a: Any, b: Any) -> bool:
+        """Would a holder of ``b`` gain from being offered ``a``?"""
+        raise NotImplementedError
 
-    def _adopt_epoch(self, ctx: VertexContext, epoch: tuple[int, int]) -> None:
-        """Enter a strictly newer epoch: reset and flood it onward.
+    def absorb(self, value: Any, support: Any, candidate: Any, nbr: int):
+        """``(value, support)`` after taking ``candidate`` from ``nbr``,
+        or None when it brings nothing."""
+        return (candidate, nbr) if self.better(candidate, value) else None
 
-        The reset is the §VI-B move: the new (epoch, value) pair sits
-        below every possible state of the old epoch, so monotonicity of
-        the combined state is preserved even though the raw distance
-        rose.
-        """
-        _e, _dist, parent = ctx.value
-        if parent == SELF:
-            ctx.set_value((epoch, 1, SELF))
-            ctx.update_nbrs(("R", epoch))
-            ctx.update_nbrs(("U", epoch, 1))
-        else:
-            ctx.set_value((epoch, INF, NO_PARENT))
-            ctx.update_nbrs(("R", epoch))
+    def supported_by(self, support: Any, nbr: int) -> bool:
+        return support == nbr
 
-    def _restart(self, ctx: VertexContext) -> None:
-        """Begin a fresh epoch at this vertex (support-breaking delete)."""
-        (counter, _init), _dist, _parent = ctx.value
-        self._adopt_epoch(ctx, (counter + 1, ctx.vertex))
+    def by_right(self, payload: Any) -> Any:
+        """The candidate an ``init()`` visitor grants its vertex."""
+        raise NotImplementedError(f"{self.name} takes no init()")
 
-    # -- callbacks --------------------------------------------------------
+    def show(self, value: Any) -> str:
+        return str(value)
+
+    # -- callbacks ---------------------------------------------------------
+    def _ensure(self, ctx: VertexContext) -> tuple:
+        state = ctx.value
+        if state == 0:
+            state = (EPOCH0, *self.intrinsic(ctx.vertex))
+            ctx.set_value(state)
+        return state
+
     def on_init(self, ctx: VertexContext, payload: Any) -> None:
-        epoch, _dist, _parent = self._ensure(ctx)
-        ctx.set_value((epoch, 1, SELF))
-        ctx.update_nbrs(("U", epoch, 1))
+        state = self._ensure(ctx)
+        if len(state) == 3:
+            self._adopt(ctx, state, self.by_right(payload), SELF)
+        else:  # frozen: the grant survives the thaw at index 1
+            _, support = self.intrinsic(ctx.vertex)
+            granted = self.absorb(state[1], support, self.by_right(payload), SELF)
+            if granted is not None:
+                ctx.set_value((state[0], granted[0], *state[2:]))
 
-    def on_add(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
+    def on_add(
+        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
+    ) -> None:
         self._ensure(ctx)
 
     def on_reverse_add(
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
-        self._ensure(ctx)
-        epoch_n, dist_n = self._as_update(vis_val)
-        self._on_value(ctx, vis_id, epoch_n, dist_n, weight)
-
-    def on_update(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
-        self._ensure(ctx)
-        if not ctx.has_edge(vis_id):
-            # In-flight event over an edge deleted in the meantime:
-            # using it would smuggle distance through a path that no
-            # longer exists.
-            return
-        kind = vis_val[0]
-        if kind == "U":
-            _, epoch_n, dist_n = vis_val
-            self._on_value(ctx, vis_id, epoch_n, dist_n, weight)
-        elif kind == "R":
-            _, epoch_n = vis_val
-            self._on_restart_flood(ctx, vis_id, epoch_n, weight)
-        else:  # pragma: no cover - corrupted payload
-            raise ValueError(f"unknown generational payload {vis_val!r}")
+        theirs = self.intrinsic(vis_id)[0] if vis_val == 0 else vis_val[1]
+        self._offer(ctx, self._ensure(ctx), vis_id, theirs, weight)
 
     def on_delete(self, ctx: VertexContext, vis_id: int, weight: int) -> None:
-        self._handle_edge_removal(ctx, vis_id)
+        self._edge_removed(ctx, vis_id)
 
     def on_reverse_delete(
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
-        self._handle_edge_removal(ctx, vis_id)
+        if self._edge_removed(ctx, vis_id):
+            ctx.update_single_nbr(vis_id, ("F",), weight)  # rule 9
 
-    # -- core logic --------------------------------------------------------
-    def _on_value(
-        self,
-        ctx: VertexContext,
-        nbr: int,
-        epoch_n: tuple[int, int],
-        dist_n: int,
-        weight: int,
+    def on_update(
+        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
-        epoch, _dist, _parent = ctx.value
-        if epoch_n < epoch:
-            # Stale sender: pull it up into our epoch.
-            ctx.update_single_nbr(nbr, ("R", epoch), weight)
+        state = self._ensure(ctx)
+        kind = vis_val[0]
+        if kind == "U":
+            # An offer over an edge deleted in the meantime would
+            # smuggle a value through a path that no longer exists.
+            if ctx.has_edge(vis_id):
+                self._offer(ctx, state, vis_id, vis_val[1], weight)
             return
-        if epoch_n > epoch:
-            self._adopt_epoch(ctx, epoch_n)
-        self._relax(ctx, nbr, dist_n, weight)
+        # Control half: addressed to the vertex, edge or no edge (hazard c).
+        ctx.count("repair_visits")
+        live = len(state) == 3
+        if kind == "I":
+            if live and self.supported_by(state[2], vis_id):
+                self._invalidate(ctx, state, (vis_id, vis_val[1]))
+            else:
+                ctx.update_single_nbr(vis_id, ("A", vis_val[1], False), weight)
+        elif kind == "A":
+            gen, value, _, target, pending, kids = state
+            # Every I gets exactly one A and the sender waits for it.
+            assert vis_val[1] == gen and vis_id in pending, (ctx.vertex, state)
+            if vis_val[2]:
+                kids = kids | {vis_id}
+            self._settle(ctx, (gen, value, None, target, pending - {vis_id}, kids))
+        elif kind == "T":
+            offered = vis_val[1] is not None and ctx.has_edge(vis_id)
+            if not live and state[3] is not None and state[3][0] == vis_id:
+                # Thaw and take the target's value in one step: one
+                # broadcast instead of T(intrinsic) chased by U(adopted).
+                gen, value, _, _target, _pending, kids = state
+                support = self.intrinsic(ctx.vertex)[1]
+                adopted = offered and self.absorb(
+                    value, support, self.extend(vis_val[1], weight), vis_id
+                )
+                self._thaw(ctx, (gen, *(adopted or (value, support))), kids)
+            elif offered:
+                self._offer(ctx, state, vis_id, vis_val[1], weight)
+        elif kind == "F":
+            if live and self.supported_by(state[2], vis_id):
+                self._invalidate(ctx, state, None)
+        else:  # pragma: no cover - corrupted payload
+            raise ValueError(f"unknown generational payload {vis_val!r}")
 
-    def _on_restart_flood(
-        self, ctx: VertexContext, nbr: int, epoch_n: tuple[int, int], weight: int
+    # -- the protocol ------------------------------------------------------
+    def _offer(
+        self, ctx: VertexContext, state: tuple, nbr: int, theirs: Any, weight: int
     ) -> None:
-        epoch, dist, _parent = ctx.value
-        if epoch_n < epoch:
-            ctx.update_single_nbr(nbr, ("R", epoch), weight)
+        if len(state) != 3:
+            return  # frozen: the thaw's T asks again
+        if self._adopt(ctx, state, self.extend(theirs, weight), nbr):
             return
-        if epoch_n > epoch:
-            self._adopt_epoch(ctx, epoch_n)
-            return
-        # Same epoch: the sender just reset; offer our distance if we
-        # have one (it may have missed our earlier broadcast).
-        if dist < INF:
-            ctx.update_single_nbr(nbr, ("U", epoch, dist), weight)
+        mine = state[1]
+        if self.better(self.extend(mine, weight), theirs):
+            # We hold the better side: notify back the visitor.
+            ctx.update_single_nbr(nbr, ("U", mine), weight)
 
-    def _relax(self, ctx: VertexContext, nbr: int, dist_n: int, weight: int) -> None:
-        epoch, dist, parent = ctx.value
-        step = self.hop_cost(weight)
-        candidate = dist_n + step if dist_n < INF else INF
-        if candidate < dist:
-            ctx.set_value((epoch, candidate, nbr))
-            ctx.update_nbrs(("U", epoch, candidate))
-        elif dist < INF and dist + step < dist_n:
-            # We are the better side: notify back the visitor.
-            ctx.update_single_nbr(nbr, ("U", epoch, dist), weight)
+    def _adopt(
+        self, ctx: VertexContext, state: tuple, candidate: Any, nbr: int
+    ) -> bool:
+        gen, value, support = state
+        adopted = self.absorb(value, support, candidate, nbr)
+        if adopted is None:
+            return False
+        ctx.set_value((gen, *adopted))
+        ctx.update_nbrs(("U", adopted[0]))
+        return True
 
-    def _handle_edge_removal(self, ctx: VertexContext, nbr: int) -> None:
-        value = ctx.value
-        if value == 0:
+    def _edge_removed(self, ctx: VertexContext, nbr: int) -> bool:
+        """Rule 2; False at a vertex no event ever touched."""
+        state = ctx.value
+        if state == 0:
+            return False
+        if len(state) == 3 and self.supported_by(state[2], nbr):
+            ctx.count("deletes_unsafe")
+            self._invalidate(ctx, state, None)
+        else:
+            ctx.count("deletes_safe")
+        return True
+
+    def _invalidate(
+        self, ctx: VertexContext, state: tuple, target: tuple[int, int] | None
+    ) -> None:
+        """Rule 3; ``target`` is ``(vertex, its generation)``, None at a root."""
+        ctx.count("vertices_invalidated")
+        gen = state[0] + 1
+        skip = None if target is None else target[0]
+        pending = [nbr for nbr, _ in ctx.neighbors() if nbr != skip]
+        for nbr in pending:
+            ctx.update_single_nbr(nbr, ("I", gen), 0)
+        value, _ = self.intrinsic(ctx.vertex)
+        frozen = (gen, value, None, target, frozenset(pending), frozenset())
+        self._settle(ctx, frozen)
+
+    def _settle(self, ctx: VertexContext, frozen: tuple) -> None:
+        """Store a frozen state; complete it once nothing is pending."""
+        gen, value, _, target, pending, kids = frozen
+        if not pending and target is None:
+            self._thaw(ctx, (gen, value, self.intrinsic(ctx.vertex)[1]), kids)
             return
-        _epoch, _dist, parent = value
-        if parent == nbr:
-            # The deleted edge supported our distance: restart the
-            # component in a fresh epoch.
-            self._restart(ctx)
+        ctx.set_value(frozen)
+        if not pending:
+            ctx.update_single_nbr(target[0], ("A", target[1], True), 0)
+
+    def _thaw(self, ctx: VertexContext, live: tuple, kids: frozenset) -> None:
+        """Rule 7."""
+        ctx.set_value(live)
+        ctx.update_nbrs(("T", live[1]))
+        for kid in kids:
+            if not ctx.has_edge(kid):
+                ctx.update_single_nbr(kid, ("T", None), 0)
 
     def format_value(self, value: Any) -> str:
         if value == 0:
             return "unseen"
-        (counter, initiator), dist, _ = value
-        return f"e{counter}.{initiator}:{'inf' if dist >= INF else dist}"
+        frozen = "" if len(value) == 3 else " (frozen)"
+        return f"g{value[0]}:{self.show(value[1])}{frozen}"
+
+
+class _GenerationalDistance(_SupportTree):
+    """Distances: intrinsic ``INF``, the source holds 1 by right, an
+    offer is the sender's distance plus :meth:`hop_cost`, smaller is
+    better, support is the parent."""
+
+    def hop_cost(self, weight: int) -> int:
+        raise NotImplementedError
+
+    def intrinsic(self, vertex: int) -> tuple[int, int]:
+        return INF, SELF
+
+    def extend(self, value: int, weight: int) -> int:
+        return value + self.hop_cost(weight) if value < INF else INF
+
+    def better(self, a: int, b: int) -> bool:
+        return a < b
+
+    def by_right(self, payload: Any) -> int:
+        return 1
+
+    def show(self, value: int) -> str:
+        return "inf" if value >= INF else str(value)
 
 
 class GenerationalBFS(_GenerationalDistance):
-    """BFS levels with edge-delete support (state generations)."""
+    """BFS levels with edge-delete support: intrinsic ``INF`` (source
+    1), an offer is the sender's level + 1, the smaller level wins,
+    support is the BFS parent.  State ``(generation, level, parent)``."""
 
     name = "gen-bfs"
 
@@ -245,7 +360,10 @@ class GenerationalBFS(_GenerationalDistance):
 
 
 class GenerationalSSSP(_GenerationalDistance):
-    """Shortest-path costs with edge-delete support (state generations)."""
+    """Shortest-path costs with edge-delete support: intrinsic ``INF``
+    (source 1), an offer is the sender's cost + the edge weight, the
+    smaller cost wins, support is the last hop.  State
+    ``(generation, cost, parent)``."""
 
     name = "gen-sssp"
 
@@ -253,125 +371,59 @@ class GenerationalSSSP(_GenerationalDistance):
         return weight
 
 
-class GenerationalCC(VertexProgram):
-    """Connected components with edge-delete support.
+class GenerationalWidest(_SupportTree):
+    """Widest (bottleneck) path with edge-delete support: intrinsic 0
+    (unreached; the source holds ``CAP_INF`` by right), an offer is
+    ``min(sender's capacity, edge weight)``, the larger capacity wins,
+    support is the last hop.  State ``(generation, capacity, parent)``."""
 
-    A delete reseeds the affected component into a new generation (every
-    member resets its label to its own hash) and re-runs max-label
-    propagation — asynchronously, concurrently with ongoing adds.
-    State: ``(gen, label)``.
-    """
+    name = "gen-widest"
+
+    def intrinsic(self, vertex: int) -> tuple[int, int]:
+        return 0, SELF
+
+    def extend(self, value: int, weight: int) -> int:
+        return min(value, weight)
+
+    def better(self, a: int, b: int) -> bool:
+        return a > b
+
+    def by_right(self, payload: Any) -> int:
+        return CAP_INF
+
+    def show(self, value: int) -> str:
+        return "source" if value >= CAP_INF else str(value) if value else "unreached"
+
+
+class GenerationalCC(_SupportTree):
+    """Connected components with edge-delete support: intrinsic value is
+    the vertex's own hash, an offer is the sender's label unchanged, the
+    larger label wins, support is the neighbour the label came from — so
+    the supports form a spanning forest rooted at each component's
+    maximum-hash vertex, a non-forest delete is a no-op, and a forest
+    delete relabels only the subtree it cut off.  State
+    ``(generation, label, support)``; takes no ``init()``."""
 
     name = "gen-cc"
-    snapshot_mode = "replay"
-    supports_versioned_collection = False
 
-    @staticmethod
-    def _ensure(ctx: VertexContext) -> tuple[int, int]:
-        value = ctx.value
-        if value == 0:
-            value = (0, component_label(ctx.vertex))
-            ctx.set_value(value)
-        return value
+    def intrinsic(self, vertex: int) -> tuple[int, int]:
+        return component_label(vertex), SELF
 
-    def on_add(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
-        self._ensure(ctx)
+    def better(self, a: int, b: int) -> bool:
+        return a > b
 
-    def on_reverse_add(
-        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
-    ) -> None:
-        self._ensure(ctx)
-        if vis_val == 0:
-            gen_n, label_n = 0, component_label(vis_id)
-        else:
-            gen_n, label_n = vis_val
-        self._merge_label(ctx, vis_id, gen_n, label_n, weight)
-
-    def on_update(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
-        self._ensure(ctx)
-        if not ctx.has_edge(vis_id):
-            # Event over a since-deleted edge: a label crossing it would
-            # leak the old component's identity across the split.
-            return
-        kind = vis_val[0]
-        if kind == "R":
-            _, gen_n = vis_val
-            self._on_reseed(ctx, vis_id, gen_n, weight)
-        elif kind == "L":
-            _, gen_n, label_n = vis_val
-            self._merge_label(ctx, vis_id, gen_n, label_n, weight)
-        else:  # pragma: no cover - corrupted payload
-            raise ValueError(f"unknown generational payload {vis_val!r}")
-
-    def on_delete(self, ctx: VertexContext, vis_id: int, weight: int) -> None:
-        self._reseed_component(ctx)
-
-    def on_reverse_delete(
-        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
-    ) -> None:
-        self._reseed_component(ctx)
-
-    # -- core logic --------------------------------------------------------
-    def _reseed_component(self, ctx: VertexContext) -> None:
-        value = ctx.value
-        if value == 0:
-            return
-        gen, _label = value
-        new_gen = gen + 1
-        ctx.set_value((new_gen, component_label(ctx.vertex)))
-        ctx.update_nbrs(("R", new_gen))
-
-    def _on_reseed(self, ctx: VertexContext, nbr: int, gen_n: int, weight: int) -> None:
-        gen, label = ctx.value
-        if gen_n > gen:
-            # Join the new generation: reset to our own hash and flood.
-            gen, label = gen_n, component_label(ctx.vertex)
-            ctx.set_value((gen, label))
-            ctx.update_nbrs(("R", gen_n))
-            # Exchange labels with the reseeding neighbour right away.
-            ctx.update_single_nbr(nbr, ("L", gen, label), weight)
-        elif gen_n == gen:
-            ctx.update_single_nbr(nbr, ("L", gen, label), weight)
-        else:
-            # The sender's wave is stale: pull it up to our generation.
-            ctx.update_single_nbr(nbr, ("R", gen), weight)
-
-    def _merge_label(
-        self, ctx: VertexContext, nbr: int, gen_n: int, label_n: int, weight: int
-    ) -> None:
-        gen, label = ctx.value
-        if gen_n > gen:
-            # Implicit reseed (the label raced ahead of the R-flood).
-            gen, label = gen_n, component_label(ctx.vertex)
-            ctx.set_value((gen, label))
-            ctx.update_nbrs(("R", gen_n))
-        elif gen_n < gen:
-            # They are stale; bring them into our generation.
-            ctx.update_single_nbr(nbr, ("R", gen), weight)
-            return
-        if label_n > label:
-            ctx.set_value((gen, label_n))
-            ctx.update_nbrs(("L", gen, label_n))
-        elif label_n < label:
-            ctx.update_single_nbr(nbr, ("L", gen, label), weight)
-
-    def format_value(self, value: Any) -> str:
-        if value == 0:
-            return "unseen"
-        gen, label = value
-        return f"g{gen}:comp:{label:016x}"
+    def show(self, value: int) -> str:
+        return f"comp:{value:016x}"
 
 
-class GenerationalST(VertexProgram):
-    """Multi S-T connectivity with edge-delete support.
-
-    Reachability bitmaps only ever grow under Alg. 7, so a delete that
-    disconnects a source cannot be repaired in place.  Like
-    :class:`GenerationalCC`, any delete reseeds the affected component
-    into a new generation; the reset value is not 0 but the vertex's
-    *intrinsic* bits — the bits of sources registered at that very
-    vertex — so source vertices re-assert themselves and union
-    propagation reruns within the generation.  State: ``(gen, mask)``.
+class GenerationalST(_SupportTree):
+    """Multi S-T connectivity with edge-delete support: intrinsic value
+    is the bits of the sources registered at the vertex itself, an offer
+    is the sender's bitmap unchanged, a bitmap is better when it holds a
+    bit the other lacks, and support is kept *per bit* (``{bit:
+    neighbour}``, ``SELF`` for an own bit) — losing the supporter of any
+    bit invalidates the vertex back to its intrinsic bits.  State
+    ``(generation, mask, supports)``.
 
     Source registration mirrors
     :class:`~repro.algorithms.st_conn.MultiSTConnectivity`:
@@ -380,8 +432,6 @@ class GenerationalST(VertexProgram):
     """
 
     name = "gen-st"
-    snapshot_mode = "replay"
-    supports_versioned_collection = False
 
     def __init__(self) -> None:
         # Configuration (read-only during execution): source -> bit index.
@@ -407,268 +457,27 @@ class GenerationalST(VertexProgram):
         """Project a stored value to its plain reachability bitmap."""
         return 0 if value == 0 else value[1]
 
-    def _own_bits(self, vertex: int) -> int:
-        """The bits this vertex holds intrinsically (its own sources)."""
-        mask = 0
-        for source, bit in self.source_bits.items():
-            if source == vertex:
-                mask |= 1 << bit
-        return mask
+    # -- the algebra -------------------------------------------------------
+    def intrinsic(self, vertex: int) -> tuple[int, dict[int, int]]:
+        bit = self.source_bits.get(vertex)
+        return (0, {}) if bit is None else (1 << bit, {bit: SELF})
 
-    def _ensure(self, ctx: VertexContext) -> tuple[int, int]:
-        value = ctx.value
-        if value == 0:
-            value = (0, self._own_bits(ctx.vertex))
-            ctx.set_value(value)
-        return value
+    def better(self, a: int, b: int) -> bool:
+        return a & ~b != 0
 
-    # -- callbacks --------------------------------------------------------
-    def on_init(self, ctx: VertexContext, payload: Any) -> None:
-        gen, mask = self._ensure(ctx)
-        new_mask = mask | (1 << int(payload))
-        ctx.set_value((gen, new_mask))
-        ctx.update_nbrs(("M", gen, new_mask))
+    def absorb(self, value: int, support: dict[int, int], candidate: int, nbr: int):
+        new = candidate & ~value
+        if not new:
+            return None
+        gained = {b: nbr for b in range(new.bit_length()) if new >> b & 1}
+        return value | new, {**support, **gained}
 
-    def on_add(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
-        self._ensure(ctx)
+    def supported_by(self, support: dict[int, int], nbr: int) -> bool:
+        return nbr in support.values()
 
-    def on_reverse_add(
-        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
-    ) -> None:
-        self._ensure(ctx)
-        if vis_val == 0:
-            gen_n, mask_n = 0, 0
-        else:
-            gen_n, mask_n = vis_val
-        self._merge_mask(ctx, vis_id, gen_n, mask_n, weight)
+    def by_right(self, payload: Any) -> int:
+        return 1 << int(payload)
 
-    def on_update(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
-        self._ensure(ctx)
-        if not ctx.has_edge(vis_id):
-            # Event over a since-deleted edge: a mask crossing it would
-            # leak reachability across the split.
-            return
-        kind = vis_val[0]
-        if kind == "R":
-            _, gen_n = vis_val
-            self._on_reseed(ctx, vis_id, gen_n, weight)
-        elif kind == "M":
-            _, gen_n, mask_n = vis_val
-            self._merge_mask(ctx, vis_id, gen_n, mask_n, weight)
-        else:  # pragma: no cover - corrupted payload
-            raise ValueError(f"unknown generational payload {vis_val!r}")
-
-    def on_delete(self, ctx: VertexContext, vis_id: int, weight: int) -> None:
-        self._reseed_component(ctx)
-
-    def on_reverse_delete(
-        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
-    ) -> None:
-        self._reseed_component(ctx)
-
-    # -- core logic --------------------------------------------------------
-    def _reseed_component(self, ctx: VertexContext) -> None:
-        value = ctx.value
-        if value == 0:
-            return
-        gen, _mask = value
-        new_gen = gen + 1
-        ctx.set_value((new_gen, self._own_bits(ctx.vertex)))
-        ctx.update_nbrs(("R", new_gen))
-
-    def _on_reseed(self, ctx: VertexContext, nbr: int, gen_n: int, weight: int) -> None:
-        gen, mask = ctx.value
-        if gen_n > gen:
-            # Join the new generation: reset to our intrinsic bits and
-            # flood the wave onward.
-            gen, mask = gen_n, self._own_bits(ctx.vertex)
-            ctx.set_value((gen, mask))
-            ctx.update_nbrs(("R", gen_n))
-            ctx.update_single_nbr(nbr, ("M", gen, mask), weight)
-        elif gen_n == gen:
-            ctx.update_single_nbr(nbr, ("M", gen, mask), weight)
-        else:
-            # The sender's wave is stale: pull it up to our generation.
-            ctx.update_single_nbr(nbr, ("R", gen), weight)
-
-    def _merge_mask(
-        self, ctx: VertexContext, nbr: int, gen_n: int, mask_n: int, weight: int
-    ) -> None:
-        gen, mask = ctx.value
-        if gen_n > gen:
-            # Implicit reseed (the mask raced ahead of the R-flood).
-            gen, mask = gen_n, self._own_bits(ctx.vertex)
-            ctx.set_value((gen, mask))
-            ctx.update_nbrs(("R", gen_n))
-        elif gen_n < gen:
-            # They are stale; bring them into our generation.
-            ctx.update_single_nbr(nbr, ("R", gen), weight)
-            return
-        union = mask | mask_n
-        if union != mask:
-            ctx.set_value((gen, union))
-            ctx.update_nbrs(("M", gen, union))
-        elif mask != mask_n:
-            # Pure superset: notify back (Alg. 7's four-way comparison).
-            ctx.update_single_nbr(nbr, ("M", gen, mask), weight)
-
-    def format_value(self, value: Any) -> str:
-        if value == 0:
-            return "unseen"
-        gen, mask = value
-        sources = [s for s, b in self.source_bits.items() if mask >> b & 1]
-        return f"g{gen}:sources:{{{','.join(map(str, sources))}}}"
-
-
-class GenerationalWidest(VertexProgram):
-    """Widest (bottleneck) path with edge-delete support.
-
-    The epoch-restart protocol of the distance programs applies with
-    the semiring flipped: capacities relax as ``min(cap, weight)`` and
-    adopt by ``max``, the supporting last hop is the parent, and a
-    delete of the parent edge starts a fresh epoch flood that resets
-    the component (source back to ``CAP_INF``, everyone else to 0)
-    before max-min relaxation reruns within the epoch.  Termination
-    follows from the same two-level argument: epoch adoption is
-    monotone in a finite epoch set, and convergence inside an epoch is
-    plain REMO monotone convergence.  State: ``(epoch, cap, parent)``.
-    """
-
-    name = "gen-widest"
-    snapshot_mode = "replay"
-    supports_versioned_collection = False
-
-    # -- helpers ---------------------------------------------------------
-    @staticmethod
-    def _ensure(ctx: VertexContext) -> tuple[tuple[int, int], int, int]:
-        value = ctx.value
-        if value == 0:
-            value = (EPOCH0, 0, NO_PARENT)
-            ctx.set_value(value)
-        return value
-
-    @staticmethod
-    def _as_update(vis_val: Any) -> tuple[tuple[int, int], int]:
-        """Normalise a REVERSE_ADD raw neighbour value to (epoch, cap)."""
-        if vis_val == 0:
-            return (EPOCH0, 0)
-        epoch, cap, _parent = vis_val
-        return (epoch, cap)
-
-    def _adopt_epoch(self, ctx: VertexContext, epoch: tuple[int, int]) -> None:
-        """Enter a strictly newer epoch: reset and flood it onward."""
-        _e, _cap, parent = ctx.value
-        if parent == SELF:
-            ctx.set_value((epoch, CAP_INF, SELF))
-            ctx.update_nbrs(("R", epoch))
-            ctx.update_nbrs(("U", epoch, CAP_INF))
-        else:
-            ctx.set_value((epoch, 0, NO_PARENT))
-            ctx.update_nbrs(("R", epoch))
-
-    def _restart(self, ctx: VertexContext) -> None:
-        """Begin a fresh epoch at this vertex (support-breaking delete)."""
-        (counter, _init), _cap, _parent = ctx.value
-        self._adopt_epoch(ctx, (counter + 1, ctx.vertex))
-
-    # -- callbacks --------------------------------------------------------
-    def on_init(self, ctx: VertexContext, payload: Any) -> None:
-        epoch, _cap, _parent = self._ensure(ctx)
-        ctx.set_value((epoch, CAP_INF, SELF))
-        ctx.update_nbrs(("U", epoch, CAP_INF))
-
-    def on_add(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
-        self._ensure(ctx)
-
-    def on_reverse_add(
-        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
-    ) -> None:
-        self._ensure(ctx)
-        epoch_n, cap_n = self._as_update(vis_val)
-        self._on_value(ctx, vis_id, epoch_n, cap_n, weight)
-
-    def on_update(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
-        self._ensure(ctx)
-        if not ctx.has_edge(vis_id):
-            # In-flight event over an edge deleted in the meantime:
-            # using it would smuggle capacity through a path that no
-            # longer exists.
-            return
-        kind = vis_val[0]
-        if kind == "U":
-            _, epoch_n, cap_n = vis_val
-            self._on_value(ctx, vis_id, epoch_n, cap_n, weight)
-        elif kind == "R":
-            _, epoch_n = vis_val
-            self._on_restart_flood(ctx, vis_id, epoch_n, weight)
-        else:  # pragma: no cover - corrupted payload
-            raise ValueError(f"unknown generational payload {vis_val!r}")
-
-    def on_delete(self, ctx: VertexContext, vis_id: int, weight: int) -> None:
-        self._handle_edge_removal(ctx, vis_id)
-
-    def on_reverse_delete(
-        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
-    ) -> None:
-        self._handle_edge_removal(ctx, vis_id)
-
-    # -- core logic --------------------------------------------------------
-    def _on_value(
-        self,
-        ctx: VertexContext,
-        nbr: int,
-        epoch_n: tuple[int, int],
-        cap_n: int,
-        weight: int,
-    ) -> None:
-        epoch, _cap, _parent = ctx.value
-        if epoch_n < epoch:
-            # Stale sender: pull it up into our epoch.
-            ctx.update_single_nbr(nbr, ("R", epoch), weight)
-            return
-        if epoch_n > epoch:
-            self._adopt_epoch(ctx, epoch_n)
-        self._relax(ctx, nbr, cap_n, weight)
-
-    def _on_restart_flood(
-        self, ctx: VertexContext, nbr: int, epoch_n: tuple[int, int], weight: int
-    ) -> None:
-        epoch, cap, _parent = ctx.value
-        if epoch_n < epoch:
-            ctx.update_single_nbr(nbr, ("R", epoch), weight)
-            return
-        if epoch_n > epoch:
-            self._adopt_epoch(ctx, epoch_n)
-            return
-        # Same epoch: the sender just reset; offer our capacity if we
-        # have one (it may have missed our earlier broadcast).
-        if cap > 0:
-            ctx.update_single_nbr(nbr, ("U", epoch, cap), weight)
-
-    def _relax(self, ctx: VertexContext, nbr: int, cap_n: int, weight: int) -> None:
-        epoch, cap, parent = ctx.value
-        candidate = min(cap_n, weight)
-        if candidate > cap:
-            ctx.set_value((epoch, candidate, nbr))
-            ctx.update_nbrs(("U", epoch, candidate))
-        elif cap > 0 and min(cap, weight) > cap_n:
-            # We are the wider side: notify back the visitor.
-            ctx.update_single_nbr(nbr, ("U", epoch, cap), weight)
-
-    def _handle_edge_removal(self, ctx: VertexContext, nbr: int) -> None:
-        value = ctx.value
-        if value == 0:
-            return
-        _epoch, _cap, parent = value
-        if parent == nbr:
-            # The deleted edge supported our capacity: restart the
-            # component in a fresh epoch.
-            self._restart(ctx)
-
-    def format_value(self, value: Any) -> str:
-        if value == 0:
-            return "unseen"
-        (counter, initiator), cap, _ = value
-        if cap >= CAP_INF:
-            return f"e{counter}.{initiator}:source"
-        return f"e{counter}.{initiator}:{'unreached' if cap == 0 else cap}"
+    def show(self, value: int) -> str:
+        sources = [s for s, b in self.source_bits.items() if value >> b & 1]
+        return f"sources:{{{','.join(map(str, sources))}}}"

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 
+from repro.comm.costmodel import DELETE_CAUSE_COUNTERS, RankCounters
 from repro.util.timers import format_rate, format_seconds
 
 
@@ -33,6 +34,11 @@ class ThroughputReport:
     bulk_events: int = 0  # events ingested via the bulk path
     fallback_flushes: int = 0  # bulk de-optimizations to per-event
     bulk_enabled: bool = False  # a bulk ingestor was attached to the engine
+    # Per-cause delete attribution (RankCounters; algorithms/generations.py).
+    deletes_safe: int = 0  # delete callbacks that cut nobody's support
+    deletes_unsafe: int = 0  # delete callbacks that cut a support edge
+    vertices_invalidated: int = 0  # freezes across all repair waves
+    repair_visits: int = 0  # visits handling I/A/T/F protocol messages
     wall_seconds: float | None = None
     #: Wire/ring-health counters from the mp backend (ring_stalls,
     #: ring_pad_bytes, overflow_hwm_records, torn retries, ...); None
@@ -90,6 +96,13 @@ class ThroughputReport:
                 f"events={self.bulk_events:,} "
                 f"fallback_flushes={self.fallback_flushes:,}"
             )
+        if self.edge_deletes or self.deletes_safe or self.deletes_unsafe:
+            lines.append(
+                f"  deletes: safe={self.deletes_safe:,} "
+                f"unsafe={self.deletes_unsafe:,} "
+                f"vertices_invalidated={self.vertices_invalidated:,} "
+                f"repair_visits={self.repair_visits:,}"
+            )
         if self.wall_seconds is not None:
             lines.append(
                 f"  simulator wall time: {format_seconds(self.wall_seconds)}"
@@ -116,6 +129,10 @@ class ThroughputReport:
         return d
 
 
+def _delete_causes(total: RankCounters) -> dict[str, int]:
+    return {name: getattr(total, name) for name in DELETE_CAUSE_COUNTERS}
+
+
 def throughput_report(engine, wall_seconds: float | None = None) -> ThroughputReport:
     """Build a :class:`ThroughputReport` from a (finished) engine."""
     total = engine.total_counters()
@@ -137,6 +154,7 @@ def throughput_report(engine, wall_seconds: float | None = None) -> ThroughputRe
         fallback_flushes=total.fallback_flushes,
         bulk_enabled=engine._bulk is not None,
         wall_seconds=wall_seconds,
+        **_delete_causes(total),
     )
 
 
@@ -168,4 +186,5 @@ def parallel_throughput_report(result) -> ThroughputReport:
         batch_sends=result.wire.get("batch_sends", 0),
         wall_seconds=result.wall_seconds,
         wire=dict(result.wire),
+        **_delete_causes(total),
     )

@@ -179,7 +179,7 @@ def verify_widest(
     Dijkstra oracle on the final topology.  0 = unreached (capacities
     are >= 1, the source holds CAP_INF).  ``value_of`` extracts a plain
     capacity from a stored value (the generational program stores
-    ``(epoch, cap, parent)``)."""
+    ``(generation, cap, parent)``)."""
     from repro.algorithms.widest_path import static_widest_path
 
     graph = csr_from_engine(engine)

@@ -28,7 +28,7 @@ traversal over the dynamic structure lacks (``dynamic_read_penalty``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from repro.util.validate import check_non_negative, check_positive
 
@@ -213,6 +213,16 @@ class CostModel:
         return t * self.dynamic_read_penalty if on_dynamic else t
 
 
+#: ``RankCounters`` fields that say why churn cost what it cost; reports
+#: and the sampler carry exactly these.
+DELETE_CAUSE_COUNTERS = (
+    "deletes_safe",
+    "deletes_unsafe",
+    "vertices_invalidated",
+    "repair_visits",
+)
+
+
 @dataclass
 class RankCounters:
     """Per-rank operation counters the engine accumulates.
@@ -234,20 +244,15 @@ class RankCounters:
     bulk_chunks: int = 0  # bulk-ingest chunks this rank drained
     bulk_events: int = 0  # topology events ingested via the bulk path
     fallback_flushes: int = 0  # bulk de-optimizations back to per-event
+    # Per-cause delete attribution, bumped by the delete-capable programs
+    # (algorithms/generations.py) through ``VertexContext.count``.
+    deletes_safe: int = 0  # delete callbacks that removed nobody's support
+    deletes_unsafe: int = 0  # delete callbacks that cut a support edge
+    vertices_invalidated: int = 0  # freezes (one per vertex per repair wave)
+    repair_visits: int = 0  # visits handling I/A/T/F protocol messages
 
     def merge(self, other: "RankCounters") -> "RankCounters":
+        names = [f.name for f in fields(self)]
         return RankCounters(
-            source_events=self.source_events + other.source_events,
-            edge_inserts=self.edge_inserts + other.edge_inserts,
-            edge_deletes=self.edge_deletes + other.edge_deletes,
-            visits=self.visits + other.visits,
-            messages_sent_local=self.messages_sent_local + other.messages_sent_local,
-            messages_sent_remote=self.messages_sent_remote + other.messages_sent_remote,
-            control_messages=self.control_messages + other.control_messages,
-            busy_time=self.busy_time + other.busy_time,
-            updates_squashed=self.updates_squashed + other.updates_squashed,
-            batch_sends=self.batch_sends + other.batch_sends,
-            bulk_chunks=self.bulk_chunks + other.bulk_chunks,
-            bulk_events=self.bulk_events + other.bulk_events,
-            fallback_flushes=self.fallback_flushes + other.fallback_flushes,
+            **{name: getattr(self, name) + getattr(other, name) for name in names}
         )

@@ -11,15 +11,16 @@ the checkpoint — in whatever order the new incarnation produces —
 converges to exactly the static answer.
 
 Delete-carrying (churn) streams stay recoverable, with a sharper
-argument: raw generational state (epochs, restart initiators, parents)
-is *not* interleaving-independent, but its value **projections**
-(distance, label, mask, capacity) are — they equal the static answer on
-the final topology.  A quiescent checkpoint is a consistent generational
-cut (epoch counters ride the vertex values, see
-:mod:`repro.runtime.checkpoint`), so an incarnation that replays the
-suffix — deletes included — quiesces with the same projections as a
-fault-free run, even though its epoch tags may differ.  Recovery tests
-must therefore compare projections, never raw generational tuples.
+argument: raw generational state (per-vertex generations, support
+pointers) is *not* interleaving-independent, but its value
+**projections** (distance, label, mask, capacity) are — they equal the
+static answer on the final topology.  A quiescent checkpoint is a
+consistent generational cut (generations and supports ride the vertex
+values, see :mod:`repro.runtime.checkpoint`), so an incarnation that
+replays the suffix — deletes included — quiesces with the same
+projections as a fault-free run, even though its tags may differ.
+Recovery tests must therefore compare projections, never raw
+generational tuples.
 
 One run under a :class:`~repro.faults.FaultPlan` is therefore a
 sequence of *incarnations*:

@@ -24,6 +24,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import TYPE_CHECKING, Any
 
+from repro.comm.costmodel import DELETE_CAUSE_COUNTERS
+
 if TYPE_CHECKING:
     from repro.obs.freshness import FreshnessProbe
 
@@ -261,6 +263,10 @@ class VirtualTimeSampler:
             "busy_frac": [b / t if t > 0 else 0.0 for b in busy],
             "visits": {
                 p.name: eng._prog_visits[i] for i, p in enumerate(eng.programs)
+            },
+            "deletes": {
+                name: sum(getattr(c, name) for c in counters)
+                for name in DELETE_CAUSE_COUNTERS
             },
             "updates_squashed": sum(c.updates_squashed for c in counters),
             "stall_time": loop.stall_time,

@@ -59,8 +59,8 @@ engaged applier (direct worker use, mixed drivers), :meth:`apply_deletes`
 retires provably non-support edges vectorized and otherwise refuses, at
 which point the worker calls :meth:`deopt` — dense values fold back into
 the engine's dicts, the mirror replays into the rank's store, and the
-rank continues per-event, where the generational restart protocol owns
-support breaks.
+rank continues per-event, where the generational support-tree protocol
+owns support breaks.
 """
 
 from __future__ import annotations
@@ -286,7 +286,7 @@ class VecApplier:
         kernel declining the analysis) returns False with the mirror
         unmodified — the caller must :meth:`deopt` and route the slab
         through per-event dispatch, where the generational programs'
-        restart protocol handles the support break.
+        support-tree protocol handles the support break.
         """
         # Fold per-event activity first: the support test must see the
         # same values the per-event path would.  Improvements found by

@@ -15,15 +15,16 @@ builds a fresh engine with the same configuration and programs and
 reloads that state; virtual clocks restart at zero (wall-clock history
 is not part of the algorithmic state).
 
-Delete-safety (§VI-B): the generational programs' entire generation /
-epoch state — the ``(counter, initiator)`` epoch and generation ints —
-lives *inside* the vertex value tuples, so it rides the values side-car
-with no separate table.  A checkpoint taken at quiescence is therefore
-a consistent generational cut: every vertex's epoch is final for the
-prefix, and replaying a delete-carrying suffix restarts epochs from the
-restored counters exactly as an uninterrupted run would.  The per-rank
-counters must round-trip too, or ``edge_deletes`` (and the churn
-metrics derived from it) silently undercount after every recovery.
+Delete-safety (§VI-B): the generational programs' entire delete state
+— per-vertex generation, value and support pointer — lives *inside*
+the vertex value tuples, so it rides the values side-car with no
+separate table.  No vertex is frozen at quiescence (a repair wave is
+in-flight messages until it completes), so a checkpoint taken there is
+a consistent generational cut of live triples: the support forest is
+final for the prefix, and replaying a delete-carrying suffix repairs it
+from the restored pointers exactly as an uninterrupted run would.  The
+per-rank counters must round-trip too, or ``edge_deletes`` and the
+per-cause delete counters silently undercount after every recovery.
 
 Security note: the values side-car uses :mod:`pickle`; only restore
 checkpoints you produced.

@@ -80,9 +80,9 @@ class UnsupportedCollectionError(RuntimeError):
     for a program that cannot support it.
 
     The generational delete programs (§VI-B) declare
-    ``supports_versioned_collection = False``: an epoch/generation
-    restart rewrites state that the prev/new version split would have
-    frozen, so a harvested cut would be silently wrong.  Use quiescence
+    ``supports_versioned_collection = False``: a delete's invalidation
+    rewrites state that the prev/new version split would have frozen,
+    so a harvested cut would be silently wrong.  Use quiescence
     collection (run to quiescence, read ``DynamicEngine.state``)
     instead.
     """
@@ -601,7 +601,7 @@ class DynamicEngine(RankHandler):
 
         Raises :class:`UnsupportedCollectionError` for programs that
         declare ``supports_versioned_collection = False`` (the
-        generational delete programs): their restarts are not
+        generational delete programs): their invalidations are not
         expressible as a prev/new version split, so the harvested cut
         would be silently wrong.
         """

@@ -105,6 +105,12 @@ class VertexContext:
         sets ``needs_nbr_cache = True``."""
         return self._engine._nbr_cache_for(self._rank, self._prog, self.vertex)
 
+    def count(self, counter: str) -> None:
+        """Bump one of this rank's ``RankCounters`` attribution fields
+        (the delete-capable programs say *why* a visit happened)."""
+        counters = self._engine.counters[self._rank]
+        setattr(counters, counter, getattr(counters, counter) + 1)
+
     # -- event emission (Alg. 3's two primitives) ------------------------
     def update_nbrs(self, value: Any) -> None:
         """Send an UPDATE event carrying ``value`` to every neighbour."""
@@ -152,8 +158,8 @@ class VertexProgram:
       whole engine per-event whenever the program is loaded.
     * ``supports_versioned_collection`` — whether versioned (continuous)
       global-state collection (§III-D) is sound for this program.  The
-      generational delete programs set it False: their epoch/generation
-      restarts are not expressible as the prev/new version split, so the
+      generational delete programs set it False: their invalidations
+      are not expressible as the prev/new version split, so the
       engine refuses the collection
       (:class:`~repro.runtime.engine.UnsupportedCollectionError`)
       instead of harvesting a silently wrong cut.

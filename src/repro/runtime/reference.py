@@ -68,6 +68,9 @@ class _RefContext:
     def nbr_cache(self) -> dict[int, Any]:
         return self._engine._nbr_cache[self._prog].setdefault(self.vertex, {})
 
+    def count(self, counter: str) -> None:
+        """No ranks here, so no per-rank attribution counters."""
+
     def update_nbrs(self, value: Any) -> None:
         for nbr, weight in list(self._engine.store.neighbors(self.vertex)):
             self._engine.queue.append(

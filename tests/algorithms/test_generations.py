@@ -23,9 +23,9 @@ from repro.generators import erdos_renyi_edges
 from repro.generators.weights import pairwise_weights
 
 DIST = lambda v: v[1]  # noqa: E731 - extract distance from (gen, dist, parent)
-LABEL = lambda v: v[1]  # noqa: E731 - extract label from (gen, label)
+LABEL = lambda v: v[1]  # noqa: E731 - extract label from (gen, label, support)
 MASK = GenerationalST.mask_of
-CAP = lambda v: v[1]  # noqa: E731 - extract capacity from (epoch, cap, parent)
+CAP = lambda v: v[1]  # noqa: E731 - extract capacity from (gen, cap, parent)
 
 
 def run_events(prog, events, source=None, n_ranks=3):
@@ -51,8 +51,8 @@ class TestGenerationalBFSAddsOnly:
         events = [(ADD, i, i + 1, 1) for i in range(4)]
         e = run_events(GenerationalBFS(), events, source=0)
         for v in range(5):
-            epoch, _, _ = e.value_of("gen-bfs", v)
-            assert epoch == EPOCH0
+            generation, _, _ = e.value_of("gen-bfs", v)
+            assert generation == EPOCH0
 
 
 class TestGenerationalBFSDeletes:
@@ -82,8 +82,9 @@ class TestGenerationalBFSDeletes:
         assert DIST(e.value_of("gen-bfs", 2)) == INF
         from repro.algorithms.generations import EPOCH0
 
-        epoch, _, _ = e.value_of("gen-bfs", 1)
-        assert epoch > EPOCH0  # monotonicity break entered a new epoch
+        generation, _, _ = e.value_of("gen-bfs", 1)
+        assert generation > EPOCH0  # the far side entered a new generation
+        assert e.value_of("gen-bfs", 0)[0] == EPOCH0  # the near side never froze
 
     def test_delete_then_readd_reconnects(self):
         events = [
@@ -339,25 +340,27 @@ class TestFormatting:
     def test_distance_format(self):
         p = GenerationalBFS()
         assert p.format_value(0) == "unseen"
-        assert p.format_value(((1, 5), INF, -1)) == "e1.5:inf"
-        assert p.format_value(((0, 0), 3, 7)) == "e0.0:3"
+        assert p.format_value((1, INF, -2)) == "g1:inf"
+        assert p.format_value((0, 3, 7)) == "g0:3"
+        frozen = (2, INF, None, (7, 4), frozenset({5}), frozenset())
+        assert p.format_value(frozen) == "g2:inf (frozen)"
 
     def test_cc_format(self):
         p = GenerationalCC()
         assert p.format_value(0) == "unseen"
-        assert p.format_value((2, 0xAB)).startswith("g2:comp:")
+        assert p.format_value((2, 0xAB, -2)) == "g2:comp:00000000000000ab"
 
     def test_st_format(self):
         p = GenerationalST()
         p.register_source(4)
         p.register_source(9)
         assert p.format_value(0) == "unseen"
-        assert p.format_value((1, 0b01)) == "g1:sources:{4}"
-        assert p.format_value((3, 0b11)) == "g3:sources:{4,9}"
+        assert p.format_value((1, 0b01, {0: -2})) == "g1:sources:{4}"
+        assert p.format_value((3, 0b11, {0: -2, 1: 6})) == "g3:sources:{4,9}"
 
     def test_widest_format(self):
         p = GenerationalWidest()
         assert p.format_value(0) == "unseen"
-        assert p.format_value(((0, 0), CAP_INF, -2)) == "e0.0:source"
-        assert p.format_value(((1, 2), 7, 0)) == "e1.2:7"
-        assert p.format_value(((1, 2), 0, -1)) == "e1.2:unreached"
+        assert p.format_value((0, CAP_INF, -2)) == "g0:source"
+        assert p.format_value((1, 7, 0)) == "g1:7"
+        assert p.format_value((1, 0, -2)) == "g1:unreached"

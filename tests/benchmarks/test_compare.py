@@ -161,6 +161,46 @@ class TestServingGates:
         assert "wall_speedup_cache_vs_collection" in problems[0]
 
 
+class TestChurnGates:
+    """BENCH_churn: the exact visits-per-event count (lower is better)
+    and the cost-model rate under its ``virtual_`` name; the wall rate
+    next to it stays ungated."""
+
+    CHURN = {
+        "bench": "churn",
+        "results": {
+            "steady": {
+                "visits_per_event": 60.0,
+                "virtual_events_per_second": 250000.0,
+                "wall_seconds": 0.5,
+            },
+            "mp_steady": {"wall_events_per_second": 1000.0},
+            "scaling": [{"vertices": 16, "visits_per_event": 33.0}],
+        },
+    }
+
+    def test_gated_paths(self):
+        assert set(dict(iter_metrics(self.CHURN))) == {
+            "results.steady.visits_per_event",
+            "results.steady.virtual_events_per_second",
+            "results.scaling[0].visits_per_event",
+        }
+
+    def test_visit_amplification_is_a_regression_and_a_cut_is_not(self):
+        fresh = clone(self.CHURN)
+        fresh["results"]["scaling"][0]["visits_per_event"] = 155.0
+        problems = compare_docs(self.CHURN, fresh, tolerance=0.25)
+        assert len(problems) == 1 and "scaling[0].visits_per_event" in problems[0]
+        fresh["results"]["scaling"][0]["visits_per_event"] = 21.5
+        assert compare_docs(self.CHURN, fresh, tolerance=0.25) == []
+
+    def test_virtual_rate_drop_fails(self):
+        fresh = clone(self.CHURN)
+        fresh["results"]["steady"]["virtual_events_per_second"] = 7600.0
+        problems = compare_docs(self.CHURN, fresh, tolerance=0.25)
+        assert len(problems) == 1 and "virtual_events_per_second" in problems[0]
+
+
 def write_tree(directory, **docs):
     directory.mkdir(exist_ok=True)
     for name, doc in docs.items():

@@ -133,26 +133,60 @@ def test_generational_widest_converges_with_deletes(events, n_ranks):
     assert verify_widest(e, "gen-widest", source, value_of=CAP) == []
 
 
+def five_programs(sources=(0, 1)):
+    """The benchmark's five delete-capable programs and their inits."""
+    st_prog = GenerationalST()
+    bits = [st_prog.register_source(s) for s in sources]
+    programs = [
+        GenerationalBFS(),
+        GenerationalSSSP(),
+        GenerationalCC(),
+        st_prog,
+        GenerationalWidest(),
+    ]
+    inits = [(name, sources[0]) for name in ("gen-bfs", "gen-sssp", "gen-widest")]
+    inits += [("gen-st", s, b) for s, b in zip(sources, bits)]
+    return programs, inits
+
+
+# old value -> new value: no worse, per program.
+NO_WORSE = {
+    "gen-bfs": lambda old, new: new <= old,
+    "gen-sssp": lambda old, new: new <= old,
+    "gen-cc": lambda old, new: new >= old,
+    "gen-st": lambda old, new: old & ~new == 0,
+    "gen-widest": lambda old, new: new >= old,
+}
+
+
 @given(events=add_delete_sequences())
 @settings(max_examples=20, deadline=None)
 def test_generational_state_is_gen_monotone(events):
-    """The §VI-B invariant: the (generation, value) pair is monotone —
-    generations never decrease, and within one generation a distance
-    never increases except by entering a new generation."""
-    e = DynamicEngine([GenerationalBFS()], EngineConfig(n_ranks=3))
-    source = next((ev[1] for ev in events if ev[0] == ADD), 0)
-    history: dict[int, list] = {}
-    e.add_trigger(
-        "gen-bfs",
-        lambda v, val: val != 0,
-        lambda v, val, t: history.setdefault(v, []).append(val),
-        once=False,
-    )
-    e.init_program("gen-bfs", source)
-    e.attach_streams(split(events, 3))
+    """The §VI-B invariant, per vertex: the (generation, value) pair is
+    monotone — a vertex's generation never decreases, and within one
+    generation (frozen at the intrinsic value, then live) its value only
+    improves; it gets worse only by entering a new generation."""
+    programs, inits = five_programs()
+    e = DynamicEngine(programs, EngineConfig(n_ranks=3))
+    history: dict[tuple[str, int], list] = {}
+    for prog in programs:
+        e.add_trigger(
+            prog.name,
+            lambda v, val: val != 0,
+            lambda v, val, t, name=prog.name: history.setdefault((name, v), []).append(
+                val
+            ),
+            once=False,
+        )
+    for init in inits:
+        e.init_program(*init)
+    e.attach_streams(split(weighted(events), 3))
     e.run()
-    for v, values in history.items():
-        for (g1, d1, _p1), (g2, d2, _p2) in zip(values, values[1:]):
-            assert g2 >= g1, f"vertex {v}: generation decreased {values}"
-            if g2 == g1:
-                assert d2 <= d1, f"vertex {v}: distance rose within gen {values}"
+    for (name, v), states in history.items():
+        for old, new in zip(states, states[1:]):
+            assert new[0] >= old[0], f"{name} vertex {v}: generation decreased {states}"
+            if new[0] == old[0]:
+                assert NO_WORSE[name](old[1], new[1]), (
+                    f"{name} vertex {v}: value got worse within a generation {states}"
+                )
+        assert len(states[-1]) == 3, f"{name} vertex {v}: frozen at quiescence"
