@@ -108,6 +108,25 @@ def test_micro_degaware_slot_lookup(benchmark, vertex_index):
     assert total > 0
 
 
+def test_micro_robinhood_scalar_ops(benchmark):
+    # The per-event path reads the table one slot at a time; this is the
+    # cost of that access pattern on the slot containers (growth from
+    # the default capacity, hits, and backward-shift deletes included).
+    keys = SEEDS.rng("micro-rhh-ops").integers(0, 1 << 40, size=20_000).tolist()
+
+    def workload():
+        m = RobinHoodMap()
+        for k in keys:
+            m.put(k, 1)
+        hits = sum(m.get(k, 0) for k in keys)
+        for k in keys:
+            m.delete(k)
+        return hits, len(m)
+
+    hits, left = benchmark(workload)
+    assert hits == len(keys) and left == 0
+
+
 def test_micro_csr_build(benchmark, rmat_workload):
     src, dst = rmat_workload
     graph = benchmark(lambda: CSRGraph.from_edges(src, dst, symmetrize=True))

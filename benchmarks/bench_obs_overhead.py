@@ -11,7 +11,10 @@ pins the acceptance criterion down two ways:
    loop empty), multiplied by a deliberately pessimistic guards-per-
    event budget, and compared against the measured wall cost of one
    event through the per-event engine.  This isolates exactly what the
-   instrumentation added and must stay under ``MAX_OVERHEAD``.
+   instrumentation added and must stay under ``MAX_OVERHEAD``.  The
+   denominator is the per-event engine's wall cost, so the fraction
+   *rises* when a PR makes that path faster with the guards untouched
+   (regenerate ``BENCH_obs_overhead.json`` in that PR).
 2. **Enabled-vs-disabled ratio** — informational context in the table
    and JSON: what turning the tracer ON costs (expected to be
    significant — every dispatch then appends an event tuple — which is

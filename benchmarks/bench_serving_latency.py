@@ -8,6 +8,9 @@ The serving layer's three headline claims, measured:
    collection (cut -> drain -> harvest).  Both are timed on the same
    converged engine in the same process, so the ratio
    (``wall_speedup_cache_vs_collection``) is host-independent and gated.
+   The collection runs through the per-event engine, so the ratio
+   *falls* when a PR makes that path faster (regenerate
+   ``BENCH_serving.json`` in that PR).
 2. **>= 90% hit rate on a converged prefix** — once the engine drains,
    every miss admits, so a skewed (Zipf) query mix settles onto the
    cache.  Deterministic given the seeds; gated as ``hit_rate``.

@@ -16,9 +16,12 @@ Xeon E5-2695v2 at 2.4 GHz, MPI over IB):
   InfiniBand (inter-node).  ``ranks_per_node`` (24, like Catalyst)
   decides which applies.
 
-DegAwareRHH probe behaviour feeds in dynamically: edge-insert cost is
-charged per probe via ``storage_probe_cpu`` on top of the base, so the
-degree-aware layout measurably matters (the storage ablation flexes it).
+DegAwareRHH probe behaviour is *counted*, not charged: an insert or
+delete costs the flat ``edge_insert_cpu`` however many slots it probes,
+and the probes land in ``RobinHoodMap.probe_count`` /
+``AdjacencyStats.low_degree_scans`` for the storage ablation to report.
+``storage_probe_cpu`` is charged in one place only — the edge-weight
+lookup of an ``update_single_nbr`` call that passes no weight.
 
 The static-side constants encode the paper's Fig.-3 observations: CSR
 construction is a sort-dominated bulk build (~2x cheaper per edge than
@@ -42,7 +45,7 @@ class CostModel:
     # --- dynamic pipeline, charged to the acting rank's clock ---------
     stream_pull_cpu: float = 0.20 * US  # parse one [src,dst] pair
     edge_insert_cpu: float = 0.55 * US  # DegAwareRHH insert, base
-    storage_probe_cpu: float = 0.05 * US  # per hash-probe / scan step
+    storage_probe_cpu: float = 0.05 * US  # one edge-weight lookup on emit
     visit_cpu: float = 0.30 * US  # algorithm callback that changes state
     visit_discard_cpu: float = 0.05 * US  # no-effect callback (squashed, §II-D)
     send_cpu: float = 0.15 * US  # enqueue one visitor message

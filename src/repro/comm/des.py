@@ -104,6 +104,11 @@ class DiscreteEventLoop:
         self.cost = cost_model
         self.handler = handler
         self.clock = [0.0] * self.n_ranks
+        # cost.latency() per rank pair, from O(ranks) state: n_ranks is
+        # unbounded by design, so never a rank x rank table.
+        self._node_of = [cost_model.node_of(r) for r in range(self.n_ranks)]
+        self._local_latency = cost_model.local_latency
+        self._remote_latency = cost_model.remote_latency
         # inbox[r]: heap of (arrival_time, seq, msg); the priority inbox
         # models a separate control lane (probes/reports/cuts) that real
         # middleware services ahead of the data backlog.
@@ -181,29 +186,28 @@ class DiscreteEventLoop:
         """Advance ``rank``'s clock by modelled CPU work."""
         self.clock[rank] += cpu_seconds
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _action_time(self, rank: int) -> float | None:
-        """When ``rank`` will next act, or None if it has nothing to do."""
-        if self._source_active[rank]:
-            # The rank never waits while its stream is live: at its own
-            # clock it processes an already-arrived message, else pulls.
-            return self.clock[rank]
-        inbox, prio = self._inbox[rank], self._inbox_prio[rank]
-        if not inbox and not prio:
-            return None
-        earliest = min(
-            (q[0][0] for q in (inbox, prio) if q), default=None
-        )
-        return max(self.clock[rank], earliest)
-
     def _reschedule(self, rank: int) -> None:
-        t = self._action_time(rank)
+        """Enter ``rank``'s next action — at its clock, or when its
+        earliest message arrives — in the action heap (none: idle)."""
+        t = self.clock[rank]
+        # The rank never waits while its stream is live: at its own
+        # clock it processes an already-arrived message, else pulls.
+        if not self._source_active[rank]:
+            inbox, prio = self._inbox[rank], self._inbox_prio[rank]
+            if inbox:
+                earliest = inbox[0][0]
+                if prio and prio[0][0] < earliest:
+                    earliest = prio[0][0]
+            elif prio:
+                earliest = prio[0][0]
+            else:
+                self._scheduled[rank] = None
+                return
+            if earliest > t:
+                t = earliest
         self._scheduled[rank] = t
-        if t is not None:
-            heapq.heappush(self._actions, (t, self._next_seq(), rank))
+        self._seq += 1
+        heapq.heappush(self._actions, (t, self._seq, rank))
 
     def send(
         self,
@@ -245,8 +249,12 @@ class DiscreteEventLoop:
             and self._try_squash(src_rank, dst_rank, msg, coalesce_key, combiner)
         ):
             return True
-        self.consume(src_rank, self.cost.send_cpu)
-        if not priority and src_rank != dst_rank:
+        self.clock[src_rank] += self.cost.send_cpu
+        if (
+            not priority
+            and src_rank != dst_rank
+            and len(self._inbox[dst_rank]) > self.cost.channel_capacity
+        ):
             self._backpressure(src_rank, dst_rank)
         self._deliver(
             self.clock[src_rank], src_rank, dst_rank, msg, priority, coalesce_key
@@ -270,8 +278,10 @@ class DiscreteEventLoop:
         Returns one bool per message: True iff it was squashed.
         """
         self.batch_sends += 1
-        self.consume(src_rank, self.cost.batch_send_base_cpu)
+        clock = self.clock
+        clock[src_rank] += self.cost.batch_send_base_cpu
         per_msg = self.cost.batch_send_per_msg_cpu
+        inboxes, capacity = self._inbox, self.cost.channel_capacity
         squashed = []
         for dst_rank, msg, key in batch:
             if (
@@ -281,10 +291,10 @@ class DiscreteEventLoop:
             ):
                 squashed.append(True)
                 continue
-            self.consume(src_rank, per_msg)
-            if src_rank != dst_rank:
+            clock[src_rank] += per_msg
+            if src_rank != dst_rank and len(inboxes[dst_rank]) > capacity:
                 self._backpressure(src_rank, dst_rank)
-            self._deliver(self.clock[src_rank], src_rank, dst_rank, msg, False, key)
+            self._deliver(clock[src_rank], src_rank, dst_rank, msg, False, key)
             squashed.append(False)
         return squashed
 
@@ -305,25 +315,22 @@ class DiscreteEventLoop:
             return False
         entry.msg = combiner(entry.msg, msg)
         self.messages_squashed += 1
-        self.consume(src_rank, self.cost.squash_cpu)
+        self.clock[src_rank] += self.cost.squash_cpu
         return True
 
     def _backpressure(self, src_rank: int, dst_rank: int) -> None:
+        """Stall ``src_rank`` behind a receiver whose data backlog is
+        over ``channel_capacity`` (the callers test that first)."""
         excess = len(self._inbox[dst_rank]) - self.cost.channel_capacity
-        if excess > 0:
-            # Blocking-send semantics: wait until the receiver will
-            # have drained back to capacity.  The horizon is the
-            # receiver's clock plus its excess backlog at its
-            # per-message service rate; advancing to a horizon is
-            # idempotent, so a stalled sender is not charged again
-            # for the same backlog.
-            horizon = (
-                self.clock[dst_rank]
-                + excess * self.cost.backpressure_stall_cpu
-            )
-            if horizon > self.clock[src_rank]:
-                self.stall_time += horizon - self.clock[src_rank]
-                self.clock[src_rank] = horizon
+        # Blocking-send semantics: wait until the receiver will have
+        # drained back to capacity.  The horizon is the receiver's
+        # clock plus its excess backlog at its per-message service
+        # rate; advancing to a horizon is idempotent, so a stalled
+        # sender is not charged again for the same backlog.
+        horizon = self.clock[dst_rank] + excess * self.cost.backpressure_stall_cpu
+        if horizon > self.clock[src_rank]:
+            self.stall_time += horizon - self.clock[src_rank]
+            self.clock[src_rank] = horizon
 
     def send_at(
         self,
@@ -362,17 +369,24 @@ class DiscreteEventLoop:
             self.in_flight += 1
             self._transport.send_app(departure, src_rank, dst_rank, msg, priority)
             return
-        latency = self.cost.latency(src_rank, dst_rank)
+        node_of = self._node_of
+        arrival = departure + (
+            self._local_latency
+            if node_of[src_rank] == node_of[dst_rank]
+            else self._remote_latency
+        )
         key = (src_rank, dst_rank, priority)
-        arrival = max(departure + latency, self._channel_last.get(key, 0.0))
+        last = self._channel_last.get(key, 0.0)
+        if last > arrival:
+            arrival = last  # FIFO: never overtake the channel's previous arrival
         self._channel_last[key] = arrival
         queue = self._inbox_prio[dst_rank] if priority else self._inbox[dst_rank]
         if coalesce_key is not None and not priority:
-            entry = _PendingCoalescible(msg, coalesce_key)
-            self._coalesce[dst_rank][coalesce_key] = entry
-            heapq.heappush(queue, (arrival, self._next_seq(), entry))
-        else:
-            heapq.heappush(queue, (arrival, self._next_seq(), msg))
+            # The queue holds the open holder, not the raw message.
+            msg = _PendingCoalescible(msg, coalesce_key)
+            self._coalesce[dst_rank][coalesce_key] = msg
+        self._seq += 1
+        heapq.heappush(queue, (arrival, self._seq, msg))
         self.in_flight += 1
         # A new arrival can move the receiver's next action earlier.
         cur = self._scheduled[dst_rank]
@@ -417,7 +431,8 @@ class DiscreteEventLoop:
         flight since its original send, so the counter is untouched; it
         is decremented when the rank dispatches the message."""
         queue = self._inbox_prio[dst_rank] if priority else self._inbox[dst_rank]
-        heapq.heappush(queue, (arrival, self._next_seq(), msg))
+        self._seq += 1
+        heapq.heappush(queue, (arrival, self._seq, msg))
         cur = self._scheduled[dst_rank]
         if dst_rank != self._acting_rank and (cur is None or arrival < cur):
             self._reschedule(dst_rank)
@@ -428,7 +443,8 @@ class DiscreteEventLoop:
         Alarms model external stimuli (a user asking for a snapshot at
         t = 15 s); the callback typically calls :meth:`send_at`.
         """
-        heapq.heappush(self._alarms, (time, self._next_seq(), callback))
+        self._seq += 1
+        heapq.heappush(self._alarms, (time, self._seq, callback))
 
     # ------------------------------------------------------------------
     # queue introspection (telemetry sampling; never mutates state)
@@ -483,66 +499,69 @@ class DiscreteEventLoop:
         Returns the makespan (max rank clock).  ``max_virtual_time`` and
         ``max_actions`` bound the run for tests/debugging.
         """
-        actions = self._actions
+        actions, alarms = self._actions, self._alarms
+        scheduled, clock = self._scheduled, self.clock
+        inboxes, prios = self._inbox, self._inbox_prio
+        source_active, handler = self._source_active, self.handler
+        heappop = heapq.heappop
         executed = 0
-        while actions or self._alarms:
+        while actions or alarms:
             # Fire any alarms due before the next rank action.
             next_action_t = actions[0][0] if actions else _INF
-            while self._alarms and self._alarms[0][0] <= next_action_t:
-                _, _, cb = heapq.heappop(self._alarms)
+            while alarms and alarms[0][0] <= next_action_t:
+                _, _, cb = heappop(alarms)
                 cb()
                 next_action_t = actions[0][0] if actions else _INF
             if not actions:
-                if self._alarms and self.quiescent():
+                if alarms and self.quiescent():
                     # Only alarms remain and the cluster is silent: fire
                     # them in order (they may inject new work).
-                    t, _, cb = heapq.heappop(self._alarms)
+                    t, _, cb = heappop(alarms)
                     cb()
                     continue
                 break
-            t, _, rank = heapq.heappop(actions)
-            if self._scheduled[rank] != t:
+            t, _, rank = heappop(actions)
+            if scheduled[rank] != t:
                 continue  # stale entry
             if max_virtual_time is not None and t > max_virtual_time:
-                heapq.heappush(actions, (t, self._next_seq(), rank))
-                self._scheduled[rank] = t
+                self._seq += 1
+                heapq.heappush(actions, (t, self._seq, rank))
                 break
-            self._scheduled[rank] = None
-            self._execute(rank, t)
+            scheduled[rank] = None
+            # One action of ``rank`` at time ``t``: its earliest arrived
+            # message (control lane first), else one source pull.
+            now = clock[rank]
+            if t > now:
+                now = t
+            prio = prios[rank]
+            inbox = prio if prio and prio[0][0] <= now else inboxes[rank]
+            self._acting_rank = rank
+            try:
+                if inbox and inbox[0][0] <= now:
+                    arrival, _, msg = heappop(inbox)
+                    if type(msg) is _PendingCoalescible:
+                        # Retire the coalescing window: later same-key sends
+                        # must enqueue fresh (identity check — a newer entry
+                        # may already have replaced this key's slot).
+                        index = self._coalesce[rank]
+                        if index.get(msg.key) is msg:
+                            del index[msg.key]
+                        msg = msg.msg
+                    if arrival > clock[rank]:
+                        clock[rank] = arrival
+                    self.in_flight -= 1
+                    self.messages_delivered += 1
+                    handler.on_message(self, rank, msg)
+                elif source_active[rank]:
+                    clock[rank] = now
+                    if not handler.pull_source(self, rank):
+                        source_active[rank] = False
+                # else: stale wake-up with an inbox drained meanwhile.
+            finally:
+                self._acting_rank = None
+            self._reschedule(rank)
             executed += 1
             self.actions_executed += 1
             if max_actions is not None and executed >= max_actions:
-                self._reschedule(rank)
                 break
         return self.max_time()
-
-    def _execute(self, rank: int, t: float) -> None:
-        now = max(self.clock[rank], t)
-        prio = self._inbox_prio[rank]
-        inbox = prio if prio and prio[0][0] <= now else self._inbox[rank]
-        self._acting_rank = rank
-        try:
-            if inbox and inbox[0][0] <= now:
-                arrival, _, msg = heapq.heappop(inbox)
-                if type(msg) is _PendingCoalescible:
-                    # Retire the coalescing window: later same-key sends
-                    # must enqueue fresh (identity check — a newer entry
-                    # may already have replaced this key's slot).
-                    index = self._coalesce[rank]
-                    if index.get(msg.key) is msg:
-                        del index[msg.key]
-                    msg = msg.msg
-                self.clock[rank] = max(self.clock[rank], arrival)
-                self.in_flight -= 1
-                self.messages_delivered += 1
-                self.handler.on_message(self, rank, msg)
-            elif self._source_active[rank]:
-                self.clock[rank] = max(self.clock[rank], t)
-                if not self.handler.pull_source(self, rank):
-                    self._source_active[rank] = False
-            else:
-                # Stale wake-up with an inbox drained meanwhile: no-op.
-                pass
-        finally:
-            self._acting_rank = None
-        self._reschedule(rank)

@@ -44,7 +44,7 @@ Bit-equality with the per-event path rests on five invariants:
   path goes away.
 * **Synchronous write-back.**  Changed dense values fold into the
   engine's value dicts at the end of *every* drain — per-event code
-  between drains reads those dicts (``_value_for_send`` on edge
+  between drains reads those dicts (``_values_for_send`` on edge
   inserts), and a stale read there silently drops propagation.
 
 Per-event activity between drains (local stream ingest stays
@@ -587,7 +587,7 @@ class VecApplier:
         """Fold changed dense values into the engine's value dicts.
 
         Runs at the end of every drain: per-event code between drains
-        reads these dicts (``_value_for_send`` on edge inserts), so the
+        reads these dicts (``_values_for_send`` on edge inserts), so the
         mirror must never be ahead of them.
         """
         engine = self.engine

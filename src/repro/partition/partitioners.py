@@ -42,9 +42,17 @@ class ConsistentHashPartitioner(Partitioner):
         check_positive("n_ranks", n_ranks)
         self.n_ranks = int(n_ranks)
         self.salt = int(salt)
+        # Ownership is a pure function of the ID, so the scalar path
+        # (per-event routing; bulk and mp use owner_array) pays the
+        # pure-Python 64-bit mix once per distinct vertex.
+        self._owners: dict[int, int] = {}
 
     def owner(self, vertex_id: int) -> int:
-        return stable_vertex_hash(vertex_id, self.salt) % self.n_ranks
+        rank = self._owners.get(vertex_id)
+        if rank is None:
+            rank = stable_vertex_hash(vertex_id, self.salt) % self.n_ranks
+            self._owners[vertex_id] = rank
+        return rank
 
     def owner_array(self, vertex_ids: np.ndarray) -> np.ndarray:
         hashes = stable_vertex_hash_array(np.asarray(vertex_ids, dtype=np.int64), self.salt)

@@ -182,6 +182,19 @@ class DynamicEngine(RankHandler):
             else None
             for p in programs
         ]
+        # Run-invariants of the per-visit path, resolved once here: the
+        # bound program callbacks per message type (CallbackProgram sets
+        # its own in __init__, so construction is late enough), the node
+        # of each rank (O(ranks): never a rank x rank table), and
+        # whether the memory budget can spill at all.
+        self._on_init = [p.on_init for p in programs]
+        self._on_add = [p.on_add for p in programs]
+        self._on_reverse_add = [p.on_reverse_add for p in programs]
+        self._on_update = [p.on_update for p in programs]
+        self._on_delete = [p.on_delete for p in programs]
+        self._on_reverse_delete = [p.on_reverse_delete for p in programs]
+        self._node_of = [self.cost.node_of(r) for r in range(n)]
+        self._can_spill = self.cost.rank_memory_bytes != float("inf")
         self.counters = [RankCounters() for _ in range(n)]
         self.term = [FourCounterState() for _ in range(n)]
         self.triggers = TriggerManager()
@@ -707,7 +720,7 @@ class DynamicEngine(RankHandler):
             return False
         kind, src, dst, weight = ev
         self.counters[rank].source_events += 1
-        loop.consume(rank, self.cost.stream_pull_cpu)
+        loop.clock[rank] += self.cost.stream_pull_cpu
         ver = self.stream_version[rank]
         if self.config.undirected and dst < src:
             # Canonicalise the endpoint order so *all* events touching
@@ -752,21 +765,19 @@ class DynamicEngine(RankHandler):
             if cache is not None:
                 cache.setdefault(target, {})[vis_id] = vis_val
             self._run_callback(
-                rank, p, target, "on_update", vis_id, vis_val, weight
+                rank, p, target, self._on_update[p], vis_id, vis_val, weight
             )
         elif vt == VT_ADD:
             _, src, dst, weight, ver = msg
             self.term[rank].record_receive(ver)
             self._proc_version[rank] = ver
             self._edge_was_new[rank] = self._apply_insert(rank, src, dst, weight)
-            self._note_cut_edge(rank, src, dst, ver)
-            for p in range(len(self.programs)):
-                self._run_callback(rank, p, src, "on_add", dst, 0, weight)
+            if self.active_collection is not None:
+                self._note_cut_edge(rank, src, dst, ver)
+            for p, fn in enumerate(self._on_add):
+                self._run_callback(rank, p, src, fn, dst, 0, weight)
+            vals = self._values_for_send(rank, src, ver)
             if self.config.undirected:
-                vals = tuple(
-                    self._value_for_send(rank, p, src, ver)
-                    for p in range(len(self.programs))
-                )
                 dst_owner = self.partitioner.owner(dst)
                 self._send_visitor(
                     rank, dst_owner, (VT_RADD, dst, src, vals, weight, ver), ver
@@ -777,8 +788,7 @@ class DynamicEngine(RankHandler):
                 # trivial cases" of directed BFS, §II-B) — emit one
                 # UPDATE per program carrying the source's value.
                 dst_owner = self.partitioner.owner(dst)
-                for p in range(len(self.programs)):
-                    val = self._value_for_send(rank, p, src, ver)
+                for p, val in enumerate(vals):
                     combiner = self._combiners[p]
                     self._send_visitor(
                         rank,
@@ -793,33 +803,31 @@ class DynamicEngine(RankHandler):
             self.term[rank].record_receive(ver)
             self._proc_version[rank] = ver
             self._edge_was_new[rank] = self._apply_insert(rank, dst, src, weight)
-            self._note_cut_edge(rank, dst, src, ver)
-            for p in range(len(self.programs)):
+            if self.active_collection is not None:
+                self._note_cut_edge(rank, dst, src, ver)
+            for p, fn in enumerate(self._on_reverse_add):
                 cache = self._nbr_cache[rank][p]
                 if cache is not None:
                     cache.setdefault(dst, {})[src] = vals[p]
-                self._run_callback(rank, p, dst, "on_reverse_add", src, vals[p], weight)
+                self._run_callback(rank, p, dst, fn, src, vals[p], weight)
         elif vt == VT_INIT:
             _, p, target, payload, ver = msg
             self.term[rank].record_receive(ver)
             self._proc_version[rank] = ver
-            self._run_callback(rank, p, target, "on_init", payload)
+            self._run_callback(rank, p, target, self._on_init[p], payload)
         elif vt == VT_DEL:
             _, src, dst, ver = msg
             self.term[rank].record_receive(ver)
             self._proc_version[rank] = ver
             weight = self.stores[rank].edge_weight(src, dst)
             self._apply_delete(rank, src, dst)
-            for p in range(len(self.programs)):
+            for p, fn in enumerate(self._on_delete):
                 cache = self._nbr_cache[rank][p]
                 if cache is not None:
                     cache.get(src, {}).pop(dst, None)
-                self._run_callback(rank, p, src, "on_delete", dst, weight or 0)
+                self._run_callback(rank, p, src, fn, dst, weight or 0)
             if self.config.undirected:
-                vals = tuple(
-                    self._value_for_send(rank, p, src, ver)
-                    for p in range(len(self.programs))
-                )
+                vals = self._values_for_send(rank, src, ver)
                 dst_owner = self.partitioner.owner(dst)
                 self._send_visitor(rank, dst_owner, (VT_RDEL, dst, src, vals, ver), ver)
         elif vt == VT_RDEL:
@@ -828,13 +836,11 @@ class DynamicEngine(RankHandler):
             self._proc_version[rank] = ver
             weight = self.stores[rank].edge_weight(dst, src)
             self._apply_delete(rank, dst, src)
-            for p in range(len(self.programs)):
+            for p, fn in enumerate(self._on_reverse_delete):
                 cache = self._nbr_cache[rank][p]
                 if cache is not None:
                     cache.get(dst, {}).pop(src, None)
-                self._run_callback(
-                    rank, p, dst, "on_reverse_delete", src, vals[p], weight or 0
-                )
+                self._run_callback(rank, p, dst, fn, src, vals[p], weight or 0)
         elif vt == VT_CTRL:
             self._on_control(rank, msg)
         else:  # pragma: no cover - corrupted message
@@ -862,31 +868,38 @@ class DynamicEngine(RankHandler):
         store = self.stores[rank]
         self._topo_mutations += 1
         new = store.insert_edge(src, dst, weight)
+        counters = self.counters[rank]
         if new:
-            self.counters[rank].edge_inserts += 1
+            counters.edge_inserts += 1
         if self._hk_insert:
             for h in self._hk_insert:
                 h(src, dst, weight)
-        self._charge(rank, self.cost.edge_insert_cpu)
-        self._charge_spill(rank, store)
+        cpu = self.cost.edge_insert_cpu  # _charge, in place
+        self.loop.clock[rank] += cpu
+        counters.busy_time += cpu
+        if self._can_spill:
+            self._charge_spill(rank, store)
         return new
 
     def _apply_delete(self, rank: int, src: int, dst: int) -> None:
         store = self.stores[rank]
         self._topo_mutations += 1
+        counters = self.counters[rank]
         if store.delete_edge(src, dst):
-            self.counters[rank].edge_deletes += 1
+            counters.edge_deletes += 1
         if self._hk_delete:
             for h in self._hk_delete:
                 h(src, dst)
-        self._charge(rank, self.cost.edge_insert_cpu)
-        self._charge_spill(rank, store)
+        cpu = self.cost.edge_insert_cpu  # _charge, in place
+        self.loop.clock[rank] += cpu
+        counters.busy_time += cpu
+        if self._can_spill:
+            self._charge_spill(rank, store)
 
     def _charge_spill(self, rank: int, store: DegAwareRHH) -> None:
         """Out-of-core penalty (§III-B): a topology access misses DRAM
-        with probability equal to the rank's NVRAM-spill fraction."""
-        if self.cost.rank_memory_bytes == float("inf"):
-            return
+        with probability equal to the rank's NVRAM-spill fraction.
+        Only reached under a finite memory budget (``_can_spill``)."""
         frac = self.cost.spill_fraction(store.approx_bytes())
         if frac > 0.0:
             self._charge(rank, frac * self.cost.nvram_access_cpu)
@@ -894,27 +907,30 @@ class DynamicEngine(RankHandler):
     # ------------------------------------------------------------------
     # program callback plumbing (incl. S_prev/S_new views)
     # ------------------------------------------------------------------
-    def _collection_for(self, prog: int) -> ActiveCollection | None:
-        col = self.active_collection
-        return col if col is not None and col.prog == prog else None
+    def _run_callback(
+        self, rank: int, prog: int, vertex: int, fn: Callable[..., None], *args
+    ) -> None:
+        """Run the bound program callback ``fn`` at ``vertex``.
 
-    def _run_callback(self, rank: int, prog: int, vertex: int, cb: str, *args) -> None:
+        ``self.loop`` is read per call, never held: the mp worker swaps
+        the loop in after construction."""
         ctx = self._ctx[rank][prog]
         ctx.vertex = vertex
-        ctx.time = self.loop.now(rank)
-        self.counters[rank].visits += 1
+        clock = self.loop.clock
+        ctx.time = clock[rank]
+        counters = self.counters[rank]
+        counters.visits += 1
         self._prog_visits[prog] += 1
-        program = self.programs[prog]
-        fn = getattr(program, cb)
         # Effect-dependent charging: a callback that neither writes nor
         # emits is a redundant event that a real visitor queue squashes
         # cheaply (§II-D: monotone updates "can be combined or
         # squashed") — charge the discard cost instead of a full visit.
         self._cb_effect[rank] = False
-        col = self._collection_for(prog)
+        col = self.active_collection
         try:
             if (
                 col is not None
+                and col.prog == prog
                 and self._proc_version[rank] < col.cut_version
                 and vertex in self._prev_vals[rank]
             ):
@@ -926,7 +942,7 @@ class DynamicEngine(RankHandler):
                     fn(ctx, *args)
                 finally:
                     ctx._view_prev = False
-                if program.snapshot_mode == "replay":
+                if self.programs[prog].snapshot_mode == "replay":
                     self._suppress_sends[rank] = True
                     try:
                         fn(ctx, *args)
@@ -935,18 +951,18 @@ class DynamicEngine(RankHandler):
             else:
                 fn(ctx, *args)
         finally:
-            self._charge(
-                rank,
-                self.cost.visit_cpu
-                if self._cb_effect[rank]
-                else self.cost.visit_discard_cpu,
-            )
+            cost = self.cost
+            cpu = cost.visit_cpu if self._cb_effect[rank] else cost.visit_discard_cpu
+            # _charge, in place and in its order: clock, then busy_time.
+            clock[rank] += cpu
+            counters.busy_time += cpu
 
-    def _read_value(self, rank: int, prog: int, vertex: int, view_prev: bool) -> Any:
-        if view_prev:
-            prev = self._prev_vals[rank]
-            if vertex in prev:
-                return prev[vertex]
+    def _read_prev_value(self, rank: int, prog: int, vertex: int) -> Any:
+        """``vertex``'s value in the S_prev view (its live value unless
+        the vertex is split)."""
+        prev = self._prev_vals[rank]
+        if vertex in prev:
+            return prev[vertex]
         return self.values[rank][prog].get(vertex, 0)
 
     def _write_value(
@@ -969,8 +985,12 @@ class DynamicEngine(RankHandler):
                     if self.triggers.has_triggers(prog):
                         self.triggers.on_change(prog, vertex, merged, self.loop.now(rank))
             return
-        col = self._collection_for(prog)
-        if col is not None and self._proc_version[rank] >= col.cut_version:
+        col = self.active_collection
+        if (
+            col is not None
+            and col.prog == prog
+            and self._proc_version[rank] >= col.cut_version
+        ):
             prev = self._prev_vals[rank]
             if vertex not in prev:
                 # First new-version touch: split, preserving the
@@ -983,17 +1003,17 @@ class DynamicEngine(RankHandler):
         if self.triggers.has_triggers(prog):
             self.triggers.on_change(prog, vertex, value, self.loop.now(rank))
 
-    def _value_for_send(self, rank: int, prog: int, vertex: int, ver: int) -> Any:
-        """The value a REVERSE_ADD/DELETE carries for ``vertex`` — the
-        S_prev view when the carrying event is prev-version and the
-        vertex is split."""
-        col = self._collection_for(prog)
-        view_prev = (
-            col is not None
-            and ver < col.cut_version
-            and vertex in self._prev_vals[rank]
-        )
-        return self._read_value(rank, prog, vertex, view_prev)
+    def _values_for_send(self, rank: int, vertex: int, ver: int) -> tuple:
+        """The per-program values a REVERSE_ADD/DELETE carries for
+        ``vertex`` — for the program under collection, the S_prev view
+        when the carrying event is prev-version and the vertex is split."""
+        vals = [d.get(vertex, 0) for d in self.values[rank]]
+        col = self.active_collection
+        if col is not None and ver < col.cut_version:
+            prev = self._prev_vals[rank]
+            if vertex in prev:
+                vals[col.prog] = prev[vertex]
+        return tuple(vals)
 
     def _nbr_cache_for(self, rank: int, prog: int, vertex: int) -> dict[int, Any]:
         cache = self._nbr_cache[rank][prog]
@@ -1132,8 +1152,8 @@ class DynamicEngine(RankHandler):
         self.term[rank].record_send(ver, len(batch))
         self.counters[rank].batch_sends += 1
         squashed = self.loop.send_many(rank, batch, combiner)
-        node_of = self.cost.node_of
-        src_node = node_of(rank)
+        node_of = self._node_of
+        src_node = node_of[rank]
         counters = self.counters[rank]
         for (dst_rank, _msg, _key), was_squashed in zip(batch, squashed):
             if was_squashed:
@@ -1141,7 +1161,7 @@ class DynamicEngine(RankHandler):
                 # four-counter detector sees a balanced pair instantly.
                 self.term[dst_rank].record_receive(ver)
                 self.counters[dst_rank].updates_squashed += 1
-            elif node_of(dst_rank) == src_node:
+            elif node_of[dst_rank] == src_node:
                 counters.messages_sent_local += 1
             else:
                 counters.messages_sent_remote += 1
@@ -1178,20 +1198,21 @@ class DynamicEngine(RankHandler):
         combiner: Callable[[tuple, tuple], tuple] | None = None,
     ) -> None:
         self.term[src_rank].record_send(version)
-        if self.loop.send(
-            src_rank, dst_rank, msg, coalesce_key=coalesce_key, combiner=combiner
-        ):
+        if self.loop.send(src_rank, dst_rank, msg, False, coalesce_key, combiner):
             # Squashed into a pending UPDATE: count it as received at
             # squash time so four-counter termination stays balanced.
             self.term[dst_rank].record_receive(version)
             self.counters[dst_rank].updates_squashed += 1
             return
-        if self.cost.node_of(src_rank) == self.cost.node_of(dst_rank):
+        if self._node_of[src_rank] == self._node_of[dst_rank]:
             self.counters[src_rank].messages_sent_local += 1
         else:
             self.counters[src_rank].messages_sent_remote += 1
 
     def _charge(self, rank: int, cpu: float) -> None:
+        """Bill ``cpu`` to ``rank``: clock first, then ``busy_time``.
+        The per-visit sites (``_run_callback``, ``_apply_insert``,
+        ``_apply_delete``) do these two statements in place."""
         self.loop.consume(rank, cpu)
         self.counters[rank].busy_time += cpu
 

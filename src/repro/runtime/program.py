@@ -38,12 +38,26 @@ class VertexContext:
     references past their own invocation.
     """
 
-    __slots__ = ("_engine", "_rank", "_prog", "vertex", "_view_prev", "time")
+    __slots__ = (
+        "_engine",
+        "_rank",
+        "_prog",
+        "_values",
+        "_store",
+        "vertex",
+        "_view_prev",
+        "time",
+    )
 
     def __init__(self, engine, rank: int, prog: int):
         self._engine = engine
         self._rank = rank
         self._prog = prog
+        # This (rank, program)'s value dict and the rank's store, held
+        # for the engine's life: both are only ever mutated in place
+        # (checkpoint restore and the dense-mirror write-backs included).
+        self._values = engine.values[rank][prog]
+        self._store = engine.stores[rank]
         self.vertex = -1
         self._view_prev = False  # True while replaying against S_prev
         self.time = 0.0  # virtual time of the current visit
@@ -53,7 +67,9 @@ class VertexContext:
     def value(self) -> Any:
         """The vertex's current algorithm value (0 if never written —
         the paper's 'new vertex' sentinel)."""
-        return self._engine._read_value(self._rank, self._prog, self.vertex, self._view_prev)
+        if self._view_prev:
+            return self._engine._read_prev_value(self._rank, self._prog, self.vertex)
+        return self._values.get(self.vertex, 0)
 
     def set_value(self, value: Any) -> None:
         """Write the vertex's algorithm value (fires matching triggers,
@@ -67,7 +83,7 @@ class VertexContext:
     @property
     def degree(self) -> int:
         """Current out-degree of this vertex in the rank-local store."""
-        return self._engine.stores[self._rank].degree(self.vertex)
+        return self._store.degree(self.vertex)
 
     @property
     def undirected(self) -> bool:
@@ -92,11 +108,11 @@ class VertexContext:
         address vertices, not edges, so the topology check is the
         receiver's job (§VI-B).
         """
-        return self._engine.stores[self._rank].has_edge(self.vertex, nbr)
+        return self._store.has_edge(self.vertex, nbr)
 
     def neighbors(self) -> Iterable[tuple[int, int]]:
         """Iterate ``(neighbour, weight)`` over this vertex's edges."""
-        return self._engine.stores[self._rank].neighbors(self.vertex)
+        return self._store.neighbors(self.vertex)
 
     @property
     def nbr_cache(self) -> dict[int, Any]:

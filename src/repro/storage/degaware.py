@@ -125,6 +125,11 @@ class DegAwareRHH:
             self._flush_pending()
         if self._slot_of(vid) >= 0:
             return False
+        self._add_vertex(vid)
+        return True
+
+    def _add_vertex(self, vid: int) -> int:
+        """Give the unseen ``vid`` an empty adjacency; returns its slot."""
         slot = len(self._adj)
         self._adj.append(_LowDegreeAdjacency())
         self._vids.append(vid)
@@ -132,7 +137,7 @@ class DegAwareRHH:
             self._index[vid] = slot  # type: ignore[index]
         else:
             self._index.put(vid, slot)  # type: ignore[union-attr]
-        return True
+        return slot
 
     def has_vertex(self, vid: int) -> bool:
         if self._pending_count:
@@ -265,8 +270,12 @@ class DegAwareRHH:
         Re-inserting an existing edge overwrites its weight (attribute
         update, which the paper treats "similar to an addition").
         """
-        self.ensure_vertex(src)
+        if self._pending_count:
+            self._flush_pending()
+        # One index probe per insert: the vertex is created on a miss.
         slot = self._slot_of(src)
+        if slot < 0:
+            slot = self._add_vertex(src)
         adj = self._adj[slot]
         if isinstance(adj, RobinHoodMap):
             new = adj.put(dst, weight)

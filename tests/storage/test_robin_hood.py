@@ -1,9 +1,12 @@
 """Unit tests for the Robin Hood open-addressing map."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.storage.robin_hood import RobinHoodMap
+from repro.util.hashing import fibonacci_hash, mix64
 
 
 class TestBasicOps:
@@ -91,6 +94,41 @@ class TestGrowthAndInvariants:
         m.check_invariants()
         assert len(m) == len(ref)
         assert dict(m.items()) == ref
+
+    def test_layout_and_counters_are_pinned(self):
+        """The slot containers may change, the algorithm may not: table
+        order, probes, displacements and resizes of a seeded 5,000-op
+        mix, generated at commit bad94b2 (numpy-backed slots)."""
+        rng = np.random.default_rng(11)
+        keys = rng.integers(-(2**40), 2**40, size=900).tolist()
+        m = RobinHoodMap()
+        got = 0
+        for op, i, v in zip(
+            rng.random(5000).tolist(),
+            rng.integers(0, 900, 5000).tolist(),
+            rng.integers(0, 10**9, 5000).tolist(),
+        ):
+            if op < 0.5:
+                m.put(keys[i], v)
+            elif op < 0.75:
+                got += m.get(keys[i], 0)
+            else:
+                m.delete(keys[i])
+        m.check_invariants()
+        assert (len(m), m.capacity, got) == (606, 1024, 324919932724)
+        table = hashlib.sha1(repr(list(m.items())).encode()).hexdigest()
+        assert table == "a1d3eb8fb7fd9b422182e29c8ba0e29390cbdf2c"
+        assert (m.probe_count, m.displacement_count, m.resize_count) == (12760, 1557, 7)
+        assert m.max_probe_distance() == 6
+        assert m.mean_probe_distance().hex() == "0x1.8fa15f78d1880p-1"
+
+    def test_home_slot_is_fibonacci_of_mix64(self):
+        # _home folds the two hashing primitives into one frame.
+        for capacity in (8, 64, 4096):
+            m = RobinHoodMap(initial_capacity=capacity)
+            bits = capacity.bit_length() - 1
+            for key in (0, 1, -1, 12345, -(2**62), 2**62, 2**63 - 1):
+                assert m._home(key) == fibonacci_hash(mix64(key), bits)
 
     def test_load_factor_respected(self):
         m = RobinHoodMap(initial_capacity=8, max_load_factor=0.5)
