@@ -2,7 +2,8 @@
 
 The engine's hot paths (visitor dispatch, stream pull, bulk chunks) are
 instrumented with inline guards — one attribute load plus an identity
-check (``if self.tracer is not None``) per emission site.  This bench
+check (``if self.tracer is not None``) per emission site; the two hook
+sites (``if self._hk_write:``) are the same operation.  This bench
 pins the acceptance criterion down two ways:
 
 1. **Guard micro-cost vs per-event cost** — the primary, noise-free
@@ -48,10 +49,15 @@ from repro.runtime.plugins import TracerPlugin
 N_EVENTS = 1 << (14 + BENCH_SCALE)
 N_VERTICES = N_EVENTS // 4
 N_NODES = 1
-# Pessimistic guard budget per topology event on the per-event path:
-# source pull (1 site), ADD + REVERSE_ADD dispatch (entry + exit + a
-# metrics check each = 6), plus slack for UPDATE fan-out dispatches.
-GUARDS_PER_EVENT = 12
+# Pessimistic guard budget per topology event on the per-event path,
+# counted at the sites in ``runtime/engine.py``: the source pull
+# evaluates 3 (the bulk slot, the tracer at entry and at exit); every
+# dispatch 5 (tracer + metrics at entry and again at exit, the bulk
+# slot), plus 1 for the ``on_write`` hook tuple when its callback
+# writes.  An event is an ADD and a REVERSE_ADD dispatch plus its UPDATE
+# fan-out — 3.7 dispatches on this workload, budgeted as 4 that all
+# write: 3 + 4 * (5 + 1).  The insert/delete paths carry no guard.
+GUARDS_PER_EVENT = 27
 # The mp hot loop's guards fire per *batch* (one drain span per doorbell,
 # one emit span per flushed frame, one ingest span per pulled chunk), so
 # per-event this is wildly pessimistic — but the mp per-event wall cost

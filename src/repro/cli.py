@@ -74,15 +74,24 @@ ALGO_CHOICES = ["con", "bfs", "det-bfs", "sssp", "cc", "st", "widest"]
 SERVE_ALGO_CHOICES = ["bfs", "sssp", "cc", "st", "widest"]
 
 
+def _positive_int(text: str) -> int:
+    """argparse ``type`` of every count-valued option: a bad value is a
+    usage error (exit 2, one line), not a traceback from the callee."""
+    value = int(text)  # a ValueError is argparse's "invalid ... value"
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
     """Workload-source options shared by ``run`` and ``serve``."""
     parser.add_argument("--input", default=None, metavar="FILE",
                         help="read events from an edge file (.txt or .npz) "
                              "instead of generating a graph")
     parser.add_argument("--graph", choices=GRAPH_CHOICES, default="rmat")
-    parser.add_argument("--scale", type=int, default=10,
+    parser.add_argument("--scale", type=_positive_int, default=10,
                         help="log2 vertex universe")
-    parser.add_argument("--edge-factor", type=int, default=16)
+    parser.add_argument("--edge-factor", type=_positive_int, default=16)
     parser.add_argument("--seed", type=int, default=0)
 
 
@@ -99,12 +108,13 @@ def build_parser() -> argparse.ArgumentParser:
                      help="des = single-process discrete-event simulation "
                           "(virtual time, default); mp = one real OS "
                           "process per rank over shm rings (wall clock)")
-    run.add_argument("--ranks", type=int, default=None, metavar="N",
+    run.add_argument("--ranks", type=_positive_int, default=None, metavar="N",
                      help="total rank count (overrides "
                           "--nodes * --ranks-per-node)")
-    run.add_argument("--nodes", type=int, default=1)
-    run.add_argument("--ranks-per-node", type=int, default=4)
-    run.add_argument("--sources", type=int, default=1, help="S-T source count")
+    run.add_argument("--nodes", type=_positive_int, default=1)
+    run.add_argument("--ranks-per-node", type=_positive_int, default=4)
+    run.add_argument("--sources", type=_positive_int, default=1,
+                     help="S-T source count")
     run.add_argument(
         "--snapshot-at",
         type=float,
@@ -159,12 +169,13 @@ def build_parser() -> argparse.ArgumentParser:
                           "on the simulated cluster (default); mp = run the "
                           "process-parallel backend to quiescence, then "
                           "serve the harvested rank states")
-    srv.add_argument("--ranks", type=int, default=None, metavar="N",
+    srv.add_argument("--ranks", type=_positive_int, default=None, metavar="N",
                      help="total rank count (overrides "
                           "--nodes * --ranks-per-node)")
-    srv.add_argument("--nodes", type=int, default=1)
-    srv.add_argument("--ranks-per-node", type=int, default=4)
-    srv.add_argument("--sources", type=int, default=2, help="S-T source count")
+    srv.add_argument("--nodes", type=_positive_int, default=1)
+    srv.add_argument("--ranks-per-node", type=_positive_int, default=4)
+    srv.add_argument("--sources", type=_positive_int, default=2,
+                     help="S-T source count")
     srv.add_argument("--workload", default="ratio=0.1,slice=2048",
                      metavar="SPEC",
                      help="query mix: ratio=QUERIES_PER_EVENT,slice=ACTIONS,"
@@ -196,8 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
                      help="metrics JSONL produced by run --metrics")
     gen = sub.add_parser("generate", help="write a synthetic workload to an edge file")
     gen.add_argument("--graph", choices=GRAPH_CHOICES, default="rmat")
-    gen.add_argument("--scale", type=int, default=10)
-    gen.add_argument("--edge-factor", type=int, default=16)
+    gen.add_argument("--scale", type=_positive_int, default=10)
+    gen.add_argument("--edge-factor", type=_positive_int, default=16)
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--weights", action="store_true", help="attach pairwise weights")
     gen.add_argument("-o", "--output", required=True, metavar="FILE",
@@ -568,7 +579,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 os.remove(ckpt_path)
         engine = fault_result.engine
     else:
-        # Assemble through the lifecycle builder: telemetry first (the
+        # Assemble through the builder: telemetry first (the
         # fault plan and the freshness probe look for the tracer and
         # the sampler at setup), then the cross-cutting extras.
         builder = (

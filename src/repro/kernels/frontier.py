@@ -77,21 +77,6 @@ class FrontierKernel:
         (both sides already materialized)."""
         raise NotImplementedError
 
-    def delete_safe(
-        self,
-        tail_values: np.ndarray,
-        head_values: np.ndarray,
-        weights: np.ndarray,
-    ) -> np.ndarray | None:
-        """Mask of edges whose removal provably cannot invalidate the
-        current fixpoint (non-support edges): the head's value must be
-        strictly better than anything the edge can offer, so dropping
-        the edge removes only a losing candidate.  ``None`` (the
-        default) declines the analysis — every delete is treated as a
-        potential support break and the caller must de-opt to per-event
-        dispatch."""
-        return None
-
 
 class MinPlusKernel(FrontierKernel):
     """BFS / SSSP: min-converging path costs, identity ``INF``.
@@ -129,17 +114,6 @@ class MinPlusKernel(FrontierKernel):
 
     def improves(self, candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
         return candidate < current
-
-    def delete_safe(
-        self,
-        tail_values: np.ndarray,
-        head_values: np.ndarray,
-        weights: np.ndarray,
-    ) -> np.ndarray | None:
-        # head < tail + w: the head's cost does not run through this
-        # edge, so retiring it cannot orphan the head's value.  Equality
-        # means the edge may be the sole support — unsafe.
-        return head_values < self.relax(tail_values, weights)
 
 
 class MaxLabelKernel(FrontierKernel):

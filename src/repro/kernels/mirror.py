@@ -200,34 +200,6 @@ class EdgeRuns:
             self._runs = [base, delta]
         return (keys >> _SHIFT).astype(np.int64)
 
-    def weights_of(
-        self, tails: np.ndarray, heads: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """``(weights, present)`` of the named pairs; a weight is
-        meaningful only where ``present`` is set."""
-        keys = edge_keys(tails, heads)
-        weights = np.zeros(keys.shape, dtype=np.int64)
-        present = np.zeros(keys.shape, dtype=bool)
-        for run in self._runs:
-            at, hit = _find(run.keys, keys)
-            weights[hit] = run.weights[at[hit]]
-            present |= hit
-        return weights, present
-
-    def remove(self, tails: np.ndarray, heads: np.ndarray) -> int:
-        """Drop the named pairs; returns how many distinct ones were
-        stored (absent pairs are ignored, as ``delete_edge`` does)."""
-        keys = np.unique(edge_keys(tails, heads))
-        removed = 0
-        for i, run in enumerate(self._runs):
-            at, hit = _find(run.keys, keys)
-            if hit.any():
-                keep = np.ones(run.keys.size, dtype=bool)
-                keep[at[hit]] = False
-                self._runs[i] = _Run(run.keys[keep], run.heads[keep], run.weights[keep])
-                removed += int(hit.sum())
-        return removed
-
     def edges(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(tails, heads, weights)`` of every stored edge."""
         base, delta = self._runs

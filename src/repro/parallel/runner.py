@@ -7,6 +7,9 @@ ordered rank pair (the data plane) and a duplex-pipe mesh (one
 only), spawns one worker process per rank
 (:func:`repro.parallel.worker.worker_main`), and blocks until every
 rank ships its post-quiescence state harvest back on its parent pipe.
+It also decides, once and for every rank, whether the run may drain
+vectorized: only when every stream is add-only (deletes always run
+per-event, on all ranks).
 The returned :class:`ParallelResult` merges the per-rank values,
 counters and wire statistics; :class:`ParallelStateView` adapts it to
 the ``engine``-shaped surface the :mod:`repro.analytics.verify` oracles
@@ -161,7 +164,6 @@ def run_parallel(
     collect_edges: bool = False,
     timeout: float = 600.0,
     obs: Any = None,
-    plugins: list[tuple[str, dict[str, Any]]] | None = None,
 ) -> ParallelResult:
     """Execute one saturation run with each rank as a real OS process.
 
@@ -172,10 +174,7 @@ def run_parallel(
     the result can be verified against the static oracle.  ``obs`` (an
     :class:`repro.obs.distributed.ObsConfig`) turns on per-rank
     wall-clock telemetry, harvested and merged into ``result.obs``.
-    ``plugins`` are picklable ``(name, kwargs)`` re-hydration specs
-    (see :data:`repro.runtime.plugins.PLUGIN_FACTORIES`): each worker
-    rebuilds the plugins locally (``mp_safe`` ones only) and ships
-    their ``harvest()`` payloads back under ``per_rank[r]["plugins"]``.
+    Engine plugins are a DES concern and do not ride into workers.
     """
     config = config or EngineConfig()
     wire = wire or WireConfig()
@@ -192,9 +191,11 @@ def run_parallel(
         columns[r] = _stream_columns(stream)
     # Add-only iff every stream column *provably* carries only ADDs
     # (kinds None means pure ADD by ArrayEventStream construction) —
-    # gates the vectorized drain.  The check is against ADD, not
-    # against DELETE: an unknown kind value must conservatively
-    # disqualify the stream, never slip through the fast path.
+    # gates the vectorized drain, for all ranks at once: deletes never
+    # run vectorized, and a worker that finds a K_DEL slab at an engaged
+    # applier raises.  The check is against ADD, not against DELETE: an
+    # unknown kind value must conservatively disqualify the stream,
+    # never slip through the fast path.
     add_only = all(
         cols is None or cols[3] is None or bool((cols[3] == ADD).all())
         for cols in columns
@@ -241,7 +242,6 @@ def run_parallel(
                     ring_names,
                     add_only,
                     obs,
-                    list(plugins or []),
                 ),
                 daemon=True,
             )

@@ -43,24 +43,25 @@ Bit-equality with the per-event path rests on five invariants:
   them — this is where most of the duplicated work of the per-event
   path goes away.
 * **Synchronous write-back.**  Changed dense values fold into the
-  engine's value dicts at the end of *every* drain — per-event code
-  between drains reads those dicts (``_values_for_send`` on edge
-  inserts), and a stale read there silently drops propagation.
+  engine's value dicts at the end of *every* drain — the INIT callbacks
+  dispatched between drains and the end-of-run harvest read those
+  dicts, and a stale read there silently drops propagation.
 
-Per-event activity between drains (local stream ingest stays
-per-event) is observed through two dynamically installed engine hooks —
-the ``on_write`` and ``on_insert`` sites of the plugin registry
-(:mod:`repro.runtime.plugins`) — and folded into the dense mirror at
-the start of the next drain.
+Stream ingest is vectorized too (:meth:`VecApplier.ingest` pulls
+straight from the stream columns), so the only per-event visitors a vec
+rank ever dispatches are its INITs.  Their value writes are observed
+through the engine's ``on_write`` hook site
+(:mod:`repro.runtime.plugins`) and folded into the dense mirror at the
+start of the next drain; no per-event edge insert occurs, so the
+rank's adjacency store stays empty and the edge mirror is its topology
+of record.
 
-Deletes (§VI-B) are handled defensively: the runner disables the vec
-path for delete-carrying streams, but if a K_DEL slab does reach an
-engaged applier (direct worker use, mixed drivers), :meth:`apply_deletes`
-retires provably non-support edges vectorized and otherwise refuses, at
-which point the worker calls :meth:`deopt` — dense values fold back into
-the engine's dicts, the mirror replays into the rank's store, and the
-rank continues per-event, where the generational support-tree protocol
-owns support breaks.
+Deletes (§VI-B) never run vectorized: ``run_parallel`` sniffs the
+streams and engages the applier only when *every* rank's stream is
+add-only, so delete-carrying streams run per-event on every rank, where
+the generational support-tree protocol owns support breaks.  A K_DEL
+slab arriving at an engaged applier means that invariant was broken,
+and the worker raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -78,11 +79,11 @@ def vec_eligible(engine, wire, add_only: bool) -> bool:
     """Can this run drain slabs through the kernels?
 
     Requires: vectorize on, peers to exchange slabs with (a 1-rank run
-    stays per-event), undirected mode, an add-only stream (deletes are
-    the de-opt path, not the fast one), at least one program, and a bulk
-    kernel + no nbr-cache on every program (one per-event program forces
-    the whole drain per-event — same rule as the DES bulk-ingest
-    controller).
+    stays per-event), undirected mode, add-only streams (one that
+    carries deletes puts every rank on the per-event path), at least one
+    program, and a bulk kernel + no nbr-cache on every program (one
+    per-event program forces the whole drain per-event — same rule as
+    the DES bulk-ingest controller).
     """
     if not wire.vectorize or not add_only or engine.config.n_ranks < 2:
         return False
@@ -130,11 +131,9 @@ class VecApplier:
         # the first-insert test that keeps ``edge_inserts`` agreeing
         # with the per-event store.
         self.mirror = EdgeRuns()
-        # Per-event activity observed between drains.
+        # Per-event value writes (INIT callbacks) observed between drains.
         self._dirty: list[dict[int, Any]] = [dict() for _ in self.kernels]
-        self._pending_edges: list[tuple[int, int, int]] = []
         engine.install_hook("on_write", self._on_value_write)
-        engine.install_hook("on_insert", self._on_insert)
         self._stats = {
             "kernel_batches": 0,
             "kernel_records": 0,
@@ -151,12 +150,9 @@ class VecApplier:
             "mirror_moved_edges": self.mirror.moved_edges,
         }
 
-    # -- engine hooks --------------------------------------------------
+    # -- engine hook ---------------------------------------------------
     def _on_value_write(self, prog: int, vertex: int, value: Any) -> None:
         self._dirty[prog][vertex] = value
-
-    def _on_insert(self, src: int, dst: int, weight: int) -> None:
-        self._pending_edges.append((src, dst, weight))
 
     # -- id universe ---------------------------------------------------
     def _grow(self, raw: np.ndarray) -> None:
@@ -179,33 +175,16 @@ class VecApplier:
                 [self._synced[p], np.zeros(fresh.size, dtype=k.dtype)]
             )
 
-    def _known_pairs(
-        self, tails: np.ndarray, heads: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Dense positions of the raw pairs whose endpoints are both in
-        the universe (any other pair cannot be stored)."""
-        t, t_hit = self.universe.find(tails)
-        h, h_hit = self.universe.find(heads)
-        known = t_hit & h_hit
-        return t[known], h[known]
-
     # -- per-event fold ------------------------------------------------
     def _fold_dirty(self) -> list[np.ndarray]:
-        """Fold per-event activity into the mirror; returns per-program
-        positions whose dense value improved.  Those must re-broadcast
-        over the mirror (the vec analogue of the per-event write's
-        ``update_nbrs`` — the engine's store is empty in vec mode, so
-        nothing else would carry them)."""
+        """Fold per-event value writes into the mirror; returns
+        per-program positions whose dense value improved.  Those must
+        re-broadcast over the mirror (the vec analogue of the per-event
+        write's ``update_nbrs`` — the engine's store is empty in vec
+        mode, so nothing else would carry them)."""
         improved: list[np.ndarray] = [
             np.empty(0, dtype=np.int64) for _ in self.kernels
         ]
-        if self._pending_edges:
-            e = np.array(self._pending_edges, dtype=np.int64).reshape(-1, 3)
-            self._pending_edges = []
-            # The engine stored (and counted) these itself.
-            self._grow(e[:, :2].ravel())
-            lookup = self.universe.lookup
-            self.mirror.insert(lookup(e[:, 0]), lookup(e[:, 1]), e[:, 2])
         for p, k in enumerate(self.kernels):
             items = self._dirty[p]
             if not items:
@@ -233,9 +212,10 @@ class VecApplier:
         Events whose source this rank owns apply immediately as a
         synthetic local ADD slab (one :meth:`drain`); the rest travel as
         ADD records to their owners.  With ingest vectorized too, no
-        per-event visitor ever fires in a vec run, which is what lets
-        the engine's (pure-Python) adjacency store stay empty — the edge
-        mirror is the rank's only topology, harvested by :meth:`edges`.
+        per-event topology visitor ever fires in a vec run, which is
+        what lets the engine's (pure-Python) adjacency store stay empty
+        — the edge mirror is the rank's only topology, harvested by
+        :meth:`edges`.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
@@ -263,76 +243,6 @@ class VecApplier:
         t, h, w = self.mirror.edges()
         ids = self.universe.ids
         return list(zip(ids[t].tolist(), ids[h].tolist(), w.tolist()))
-
-    # -- deletes (§VI-B on the vec path) -------------------------------
-    def retire_edges(self, tails: np.ndarray, heads: np.ndarray) -> int:
-        """Drop directed pairs from the mirror; returns how many named
-        pairs were actually present (the per-event ``delete_edge``
-        success count).  Absent pairs — never-seen endpoints included —
-        are ignored, matching the store.
-        """
-        return self.mirror.remove(*self._known_pairs(tails, heads))
-
-    def apply_deletes(self, recs: np.ndarray, loop) -> bool:
-        """Attempt vectorized retirement of one K_DEL slab.
-
-        All-or-nothing: every named edge — both directed twins, the vec
-        path only runs undirected — must be provably non-support under
-        *every* program's kernel (:meth:`FrontierKernel.delete_safe`),
-        judged against post-fold dense values.  On success the twins
-        retire from the mirror and True returns: removing only losing
-        candidates leaves the monotone fixpoint untouched, so no value
-        changes and nothing re-propagates.  Any unsafe edge (or a
-        kernel declining the analysis) returns False with the mirror
-        unmodified — the caller must :meth:`deopt` and route the slab
-        through per-event dispatch, where the generational programs'
-        support-tree protocol handles the support break.
-        """
-        # Fold per-event activity first: the support test must see the
-        # same values the per-event path would.  Improvements found by
-        # the fold still need their adoption broadcast (drain would have
-        # done it), or they die in the mirror.
-        self._fold_and_broadcast(loop)
-        src = recs["src"].astype(np.int64)
-        dst = recs["dst"].astype(np.int64)
-        t, h = self._known_pairs(np.concatenate([src, dst]), np.concatenate([dst, src]))
-        w, present = self.mirror.weights_of(t, h)
-        t, h, w = t[present], h[present], w[present]
-        if t.size:
-            for p, k in enumerate(self.kernels):
-                safe = k.delete_safe(self._values[p][t], self._values[p][h], w)
-                if safe is None or not bool(np.asarray(safe).all()):
-                    return False
-        self.engine.counters[self.rank].edge_deletes += self.mirror.remove(t, h)
-        self._write_back()
-        return True
-
-    def _fold_and_broadcast(self, loop) -> None:
-        improved = self._fold_dirty()
-        for p in range(self.n_programs):
-            if improved[p].size:
-                self._relax_and_broadcast(p, improved[p], loop)
-
-    def deopt(self, loop) -> None:
-        """Abandon the vec mirror and hand the rank back to per-event.
-
-        Folds pending per-event activity (broadcasting any improvement
-        it surfaces, as a drain would), writes dense values back into
-        the engine's value dicts, replays the mirror's directed edges
-        into the rank's store (raw inserts — their ``edge_inserts`` were
-        counted when first seen), and detaches the engine hooks.  After
-        this the caller must stop routing slabs through :meth:`drain`;
-        everything, including the slab that triggered the de-opt, goes
-        through ``decode_to_tuples`` → per-event dispatch.
-        """
-        self._fold_and_broadcast(loop)
-        self._write_back()
-        engine = self.engine
-        store = engine.stores[self.rank]
-        for s, d, w in self.edges():
-            store.insert_edge(s, d, w)
-        engine.uninstall_hook("on_write", self._on_value_write)
-        engine.uninstall_hook("on_insert", self._on_insert)
 
     # -- drain ---------------------------------------------------------
     def drain(self, slabs: list[tuple[int, int, int, np.ndarray]], loop) -> int:
@@ -586,9 +496,9 @@ class VecApplier:
     def _write_back(self) -> None:
         """Fold changed dense values into the engine's value dicts.
 
-        Runs at the end of every drain: per-event code between drains
-        reads these dicts (``_values_for_send`` on edge inserts), so the
-        mirror must never be ahead of them.
+        Runs at the end of every drain: INIT callbacks dispatched
+        between drains and the harvest read these dicts, so the mirror
+        must never be ahead of them.
         """
         engine = self.engine
         for p in range(self.n_programs):

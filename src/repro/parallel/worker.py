@@ -7,7 +7,11 @@ are bit-identical to the DES run), then swaps ``engine.loop`` for a
 it: every ``engine.on_message`` / ``engine.pull_source`` call happens
 with this process's rank, so only this rank's store/value/counter slots
 are ever touched — the cluster state is the disjoint union of the
-workers' slots, harvested by the parent after termination.
+workers' slots, harvested by the parent after termination.  The engine
+carries no plugins (mp telemetry is :class:`RankObs`, not the DES
+tracer), and a rank is vectorized or per-event for the *whole* run:
+:func:`~repro.parallel.vecapply.vec_eligible` decides before the first
+event and nothing de-optimizes afterwards.
 
 Service loop, per turn: drain arrived shm ring slabs into the inbox
 (vectorized-eligible record slabs go straight to the kernel drain of
@@ -46,7 +50,6 @@ from repro.parallel.wire import (
 )
 from repro.runtime.engine import EngineConfig
 from repro.runtime.lifecycle import EngineBuilder
-from repro.runtime.plugins import build_plugin
 from repro.runtime.visitor import VT_INIT
 
 _VEC_KINDS = (K_ADD, K_RADD, K_UPDATE)
@@ -69,7 +72,6 @@ def worker_main(
     ring_names: dict[tuple[int, int], str],
     add_only: bool = True,
     obs_config: Any = None,
-    plugin_specs: list[tuple[str, dict[str, Any]]] | None = None,
 ) -> None:
     """Process entry point (top-level, so it is spawn-picklable)."""
     try:
@@ -86,7 +88,6 @@ def worker_main(
             ring_names,
             add_only,
             obs_config,
-            plugin_specs,
         )
         parent_conn.send((FRAME_RESULT, result))
     except BaseException:  # noqa: BLE001 - forwarded to the parent
@@ -114,26 +115,8 @@ def _run_rank(
     ring_names: dict[tuple[int, int], str],
     add_only: bool,
     obs_config: Any = None,
-    plugin_specs: list[tuple[str, dict[str, Any]]] | None = None,
 ) -> dict[str, Any]:
-    # Plugin re-hydration: instances don't cross the spawn boundary, so
-    # the parent ships picklable ``(name, kwargs)`` specs and each rank
-    # rebuilds real plugins locally.  DES-only plugins are rejected,
-    # not ignored.
-    plugins = [build_plugin(name, kwargs) for name, kwargs in plugin_specs or []]
-    for pl in plugins:
-        if not pl.mp_safe:
-            raise ValueError(
-                f"plugin {pl.name!r} is DES-only; mp workers accept only "
-                "mp_safe plugins"
-            )
-    engine = (
-        EngineBuilder()
-        .with_programs(programs)
-        .with_config(config)
-        .with_plugins(plugins)
-        .build()
-    )
+    engine = EngineBuilder().with_programs(programs).with_config(config).build()
     sender = Sender(peer_conns)
     jitter_rng = None
     if wire.jitter_seed is not None:
@@ -161,10 +144,11 @@ def _run_rank(
     loop.set_update_combiners(engine._combiners)
     engine.loop = loop
     # Per-rank wall-clock telemetry (repro.obs.distributed).  Unlike the
-    # engine-level DES telemetry plugins rejected above, this layer is
-    # built for the mp runtime: wall timestamps, per-process capture,
-    # harvested and clock-aligned by the parent.  Disabled = obs stays
-    # None and every emission site below costs one identity check.
+    # engine-level DES telemetry plugins (virtual time, one process),
+    # this layer is built for the mp runtime: wall timestamps,
+    # per-process capture, harvested and clock-aligned by the parent.
+    # Disabled = obs stays None and every emission site below costs one
+    # identity check.
     obs: Any = None
     if obs_config is not None and obs_config.enabled:
         obs = RankObs(rank, obs_config)
@@ -202,39 +186,19 @@ def _run_rank(
     token_outstanding = False
     stopping = False
 
-    def deopt_applier() -> None:
-        """Tear the vec applier down to per-event operation.
-
-        The applier folds its mirror back into the engine
-        (:meth:`VecApplier.deopt`); the rank's remaining stream slice —
-        bulk-pulled until now — re-attaches for per-event ingestion at
-        its current cursor.
-        """
-        nonlocal applier, vec_stream
-        assert applier is not None
-        applier.deopt(loop)
-        applier = None
-        if vec_stream is not None:
-            if not vec_stream.exhausted:
-                engine.attach_stream(rank, vec_stream)
-            vec_stream = None
-
     def drain_rings() -> bool:
         """Consume every committed slab from the incoming rings.
 
         Vectorized-eligible record slabs accumulate for one kernel
         drain (counting their own wire_received — they bypass
         ``deliver_batch``); everything else decodes back to visitor
-        tuples for per-event dispatch.  A K_DEL slab reaching an engaged
-        applier is first flushed through the pending kernel drain (FIFO
-        before the delete), then retired vectorized when every named
-        edge is provably non-support — otherwise the applier de-opts
-        and the slab (and every later one) dispatches per-event.  Rings
-        are committed only after the kernel drain, which copies out of
-        the shared pages before any emission it triggers could need the
-        space back.
+        tuples for per-event dispatch.  Deletes never run vectorized:
+        ``run_parallel`` engages the applier only when every rank's
+        stream is add-only, so a K_DEL slab reaching one is a broken
+        invariant, not a case to handle.  Rings are committed only after
+        the kernel drain, which copies out of the shared pages before
+        any emission it triggers could need the space back.
         """
-        nonlocal applier
         if not rings_in:
             return False
         t0 = obs.now() if obs is not None else 0.0
@@ -256,17 +220,13 @@ def _run_rank(
                     loop.wire_received += n
                     loop.frames_received += 1
                 elif applier is not None and kind == K_DEL:
-                    if vec_slabs:
-                        applier.drain(vec_slabs, loop)
-                        vec_slabs = []
-                    if applier.apply_deletes(codec.del_view(payload), loop):
-                        loop.wire_received += n
-                        loop.frames_received += 1
-                    else:
-                        deopt_applier()
-                        loop.deliver_batch(
-                            sender_rank, codec.decode_to_tuples(kind, payload)
-                        )
+                    raise RuntimeError(
+                        f"rank {rank} got a K_DEL slab from rank "
+                        f"{sender_rank} with its vectorized applier "
+                        "engaged: run_parallel's add-only sniff (no rank "
+                        "vectorizes unless every stream is pure ADD) was "
+                        "bypassed"
+                    )
                 else:
                     loop.deliver_batch(
                         sender_rank, codec.decode_to_tuples(kind, payload)
@@ -456,11 +416,6 @@ def _run_rank(
     }
     if coordinator is not None:
         result["token_rounds"] = coordinator.rounds_completed
-    plugin_payloads = engine.plugins.harvest()
-    if plugin_payloads:
-        # Per-rank plugin results (e.g. hook_stats firing counts) ride
-        # the result dict home, keyed by plugin name.
-        result["plugins"] = plugin_payloads
     if obs is not None:
         obs.span("harvest", t_harvest, "ctrl")
         result["obs"] = harvest_payload(obs, wire_stats)

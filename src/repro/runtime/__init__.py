@@ -13,23 +13,16 @@ from repro.runtime.engine import (
     EngineConfig,
     UnsupportedCollectionError,
 )
-from repro.runtime.lifecycle import (
-    PHASES,
-    EngineBuilder,
-    Lifecycle,
-    LifecycleError,
-)
+from repro.runtime.lifecycle import EngineBuilder
 from repro.runtime.plugins import (
     HOOK_SITES,
     BulkIngestPlugin,
     EnginePlugin,
     FaultInjectionPlugin,
     FreshnessPlugin,
-    HookStatsPlugin,
     MetricsPlugin,
     PluginRegistry,
     TracerPlugin,
-    build_plugin,
 )
 from repro.runtime.queries import Trigger, TriggerManager
 from repro.runtime.reference import ReferenceEngine
@@ -42,9 +35,6 @@ __all__ = [
     "UnsupportedCollectionError",
     "EngineConfig",
     "EngineBuilder",
-    "Lifecycle",
-    "LifecycleError",
-    "PHASES",
     "HOOK_SITES",
     "EnginePlugin",
     "PluginRegistry",
@@ -53,8 +43,6 @@ __all__ = [
     "FreshnessPlugin",
     "BulkIngestPlugin",
     "FaultInjectionPlugin",
-    "HookStatsPlugin",
-    "build_plugin",
     "Trigger",
     "ReferenceEngine",
     "TriggerManager",

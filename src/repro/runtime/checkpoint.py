@@ -92,9 +92,6 @@ def save_checkpoint(
         weights=weight_arr,
         sidecar=np.frombuffer(pickle.dumps(payload), dtype=np.uint8),
     )
-    if engine._hk_checkpoint:
-        for h in engine._hk_checkpoint:
-            h("save", str(path))
 
 
 def load_checkpoint(engine: DynamicEngine, path: str | Path) -> dict:
@@ -146,7 +143,4 @@ def load_checkpoint(engine: DynamicEngine, path: str | Path) -> dict:
                 total = total.merge(c)
             engine.counters[0] = total
     # Older checkpoints (pre-fault-tolerance) carry no extra payload.
-    if engine._hk_checkpoint:
-        for h in engine._hk_checkpoint:
-            h("load", str(path))
     return payload.get("extra", {})

@@ -29,7 +29,6 @@ from repro.comm.termination import FourCounterState, TerminationCoordinator
 from repro.events.stream import EventStream
 from repro.events.types import ADD as EV_ADD
 from repro.partition.partitioners import ConsistentHashPartitioner, Partitioner
-from repro.runtime.lifecycle import Lifecycle
 from repro.runtime.plugins import EnginePlugin, PluginRegistry
 from repro.runtime.program import VertexContext, VertexProgram
 from repro.runtime.queries import Trigger, TriggerManager
@@ -235,32 +234,19 @@ class DynamicEngine(RankHandler):
         self.tracer: Tracer | None = None
         self.metrics: MetricsRegistry | None = None
         self.sampler: VirtualTimeSampler | None = None
-        # Compiled hook-site tuples (repro.runtime.plugins).  Every
-        # cross-cutting observer — the mp backend's dense-mirror folding
-        # (vecapply), the serving layer's stable-value cache, plugin
-        # hooks — lands in one of these flat tuples at build time.  The
-        # empty tuple is the disabled state, so each site costs the hot
-        # path exactly one attribute load + truth test (``if
-        # self._hk_write:``) — the same grade as the historical
-        # ``is not None`` guards, gated by bench_obs_overhead.py.
-        self._hk_dispatch: tuple[Callable[[int, int, float, float], None], ...] = ()
+        # Hook-site tuples (repro.runtime.plugins): the two places a
+        # second copy of vertex values — the mp backend's dense mirror
+        # (vecapply), the serving layer's stable-value cache — hears
+        # about a change to the first.  The empty tuple is the disabled
+        # state, so each site costs the hot path exactly one attribute
+        # load + truth test (``if self._hk_write:``) — the same grade as
+        # the ``is not None`` guards, gated by bench_obs_overhead.py.
         self._hk_write: tuple[Callable[[int, int, Any], None], ...] = ()
-        self._hk_insert: tuple[Callable[[int, int, Any], None], ...] = ()
-        self._hk_delete: tuple[Callable[[int, int], None], ...] = ()
         self._hk_bulk_flush: tuple[Callable[[int], None], ...] = ()
-        self._hk_collection_cut: tuple[Callable[[int, int, int], None], ...] = ()
-        self._hk_checkpoint: tuple[Callable[[str, str], None], ...] = ()
-        self._hk_quiesce: tuple[Callable[[DynamicEngine], None], ...] = ()
         for r in range(n):
             self.loop.set_source_active(r, False)
-        # Lifecycle + plugin compilation (repro.runtime.lifecycle /
-        # repro.runtime.plugins).
         self.plugins = PluginRegistry(plugins or ())
-        self.lifecycle = Lifecycle()
-        self.lifecycle.advance("configure")
-        self.lifecycle.advance("setup")
         self.plugins.compile(self)
-        self.plugins.notify_phase("setup", self)
 
     # ------------------------------------------------------------------
     # public API: setup and execution
@@ -298,7 +284,6 @@ class DynamicEngine(RankHandler):
         """
         if not 0 <= rank < self.config.n_ranks:
             raise ValueError(f"rank {rank} out of range")
-        self._enter_phase("ingest")
         self._streams[rank] = stream
         self._stream_done[rank] = False
         self.loop.set_source_active(rank, True)
@@ -319,7 +304,6 @@ class DynamicEngine(RankHandler):
         Returns the number of events injected.  Combine freely with
         pulled streams.
         """
-        self._enter_phase("ingest")
         if self._bulk is not None:
             # Timed events interleave with pulled ones at explicit
             # instants; chunked replay would reorder across them, so
@@ -444,7 +428,6 @@ class DynamicEngine(RankHandler):
 
     def run(self, max_virtual_time: float | None = None, max_actions: int | None = None) -> float:
         """Drive the cluster; returns the virtual makespan so far."""
-        self._enter_phase("drain")
         if not self._started:
             self.loop.start()
             self._started = True
@@ -455,40 +438,21 @@ class DynamicEngine(RankHandler):
             # End-of-run flush so observation APIs read exact values;
             # not a de-optimization (nothing forced per-event replay).
             self._bulk.flush_values(count_fallback=False)
-        if self._hk_quiesce and self.loop.quiescent():
-            for h in self._hk_quiesce:
-                h(self)
         return makespan
 
     # ------------------------------------------------------------------
-    # lifecycle + plugin hooks (repro.runtime.lifecycle / .plugins)
+    # hooks (repro.runtime.plugins)
     # ------------------------------------------------------------------
-    def _enter_phase(self, phase: str) -> None:
-        """Advance the lifecycle; plugins observe genuine transitions
-        only (steady-phase repeats are coalesced no-ops)."""
-        if self.lifecycle.advance(phase):
-            self.plugins.notify_phase(phase, self)
-
     def install_hook(self, site: str, fn: Callable[..., None]) -> None:
-        """Install a dynamic callback at a named hook site (see
-        :data:`repro.runtime.plugins.HOOK_SITES`); it is appended after
-        all plugin-registered hooks and recompiled into the site's flat
-        tuple immediately."""
+        """Install a callback at a named hook site (see
+        :data:`repro.runtime.plugins.HOOK_SITES`); it fires after the
+        ones installed before it, from the next event on."""
         self.plugins.install(site, fn)
 
     def uninstall_hook(self, site: str, fn: Callable[..., None]) -> bool:
-        """Remove a dynamically installed callback; returns whether it
-        was present."""
+        """Remove an installed callback; returns whether it was
+        present."""
         return self.plugins.uninstall(site, fn)
-
-    def teardown(self) -> None:
-        """Enter the terminal lifecycle phase: plugins tear down in
-        reverse registration order and every hook site is cleared.
-        Idempotent; any further phase transition raises
-        :class:`repro.runtime.lifecycle.LifecycleError`."""
-        if self.lifecycle.advance("teardown"):
-            self.plugins.notify_phase("teardown", self)
-        self.plugins.teardown(self)
 
     # ------------------------------------------------------------------
     # public API: observation
@@ -648,10 +612,6 @@ class DynamicEngine(RankHandler):
         )
         self._next_collection_id += 1
         self.active_collection = col
-        self._enter_phase("collect")
-        if self._hk_collection_cut:
-            for h in self._hk_collection_cut:
-                h(col.collection_id, cut, prog)
         coord = self.config.coordinator_rank
         if self.tracer is not None:
             self.tracer.instant(
@@ -747,8 +707,7 @@ class DynamicEngine(RankHandler):
     def on_message(self, loop: DiscreteEventLoop, rank: int, msg: tuple) -> None:
         tracer = self.tracer
         metrics = self.metrics
-        dispatch_hooks = self._hk_dispatch
-        if tracer is not None or metrics is not None or dispatch_hooks:
+        if tracer is not None or metrics is not None:
             t0 = loop.clock[rank]
         b = self._bulk
         if b is not None and b.engaged:
@@ -845,7 +804,7 @@ class DynamicEngine(RankHandler):
             self._on_control(rank, msg)
         else:  # pragma: no cover - corrupted message
             raise ValueError(f"unknown visitor type in {msg!r}")
-        if tracer is not None or metrics is not None or dispatch_hooks:
+        if tracer is not None or metrics is not None:
             t1 = loop.clock[rank]
             if tracer is not None:
                 if vt == VT_CTRL:
@@ -857,9 +816,6 @@ class DynamicEngine(RankHandler):
                 metrics.histogram("dispatch_virtual_us").observe(
                     (t1 - t0) * 1e6
                 )
-            if dispatch_hooks:
-                for h in dispatch_hooks:
-                    h(rank, vt, t0, t1)
 
     # ------------------------------------------------------------------
     # topology application
@@ -871,9 +827,6 @@ class DynamicEngine(RankHandler):
         counters = self.counters[rank]
         if new:
             counters.edge_inserts += 1
-        if self._hk_insert:
-            for h in self._hk_insert:
-                h(src, dst, weight)
         cpu = self.cost.edge_insert_cpu  # _charge, in place
         self.loop.clock[rank] += cpu
         counters.busy_time += cpu
@@ -887,9 +840,6 @@ class DynamicEngine(RankHandler):
         counters = self.counters[rank]
         if store.delete_edge(src, dst):
             counters.edge_deletes += 1
-        if self._hk_delete:
-            for h in self._hk_delete:
-                h(src, dst)
         cpu = self.cost.edge_insert_cpu  # _charge, in place
         self.loop.clock[rank] += cpu
         counters.busy_time += cpu
@@ -1284,7 +1234,6 @@ class DynamicEngine(RankHandler):
                     )
         elif subtype == CTRL_HARVEST:
             _, _, col_id, prog = msg
-            self._enter_phase("harvest")
             prev = self._prev_vals[rank]
             vals = self.values[rank][prog]
             part = {vid: prev.get(vid, val) for vid, val in vals.items()}

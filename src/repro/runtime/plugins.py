@@ -1,74 +1,53 @@
-"""Plugin registry and typed hook sites for the dynamic engine.
+"""Engine plugins and the two state-coherence hook sites.
 
-Cross-cutting concerns — tracing, metrics sampling, freshness probes,
-fault injection, bulk ingest, serving-cache invalidation, the mp
-backend's dense-mirror folding — used to be hand-wired into the engine
-as one-off attributes guarded by inline ``if x is not None`` checks.
-This module replaces that with a small, uniform mechanism:
+A plugin is a ``name`` plus ``setup(engine)``: it attaches one
+cross-cutting concern — tracing, metrics sampling, freshness probes,
+fault injection, bulk ingest — to a freshly built engine.  Plugins are
+the only way to attach these concerns: an engine built without a plugin
+list has none of them.  :class:`PluginRegistry` keeps the ordered list
+(setup runs in registration order, duplicate names are rejected).
 
-* a fixed catalogue of **hook sites** (:data:`HOOK_SITES`), each a
-  named point in the engine hot path with a typed callback signature
-  (the ``*Hook`` protocols below);
-* an :class:`EnginePlugin` base class whose instances attach state in
-  ``setup`` and contribute callbacks via ``hooks()``;
-* a :class:`PluginRegistry` that **compiles** all registered callbacks
-  into per-site flat tuples stored on the engine (``engine._hk_write``
-  and friends).
+**Hooks are the state-coherence mechanism, not a telemetry one.**  Two
+subsystems keep a second copy of vertex values and must hear about
+every change to the first: the serving layer's stable-value cache
+(:mod:`repro.serving.server`, both sites) and the mp backend's dense
+mirror (:class:`repro.parallel.vecapply.VecApplier`, ``on_write``).
+They come and go at run time, so they subscribe through
+``engine.install_hook`` / ``uninstall_hook`` — a plugin that wants a
+hook calls ``install_hook`` from its ``setup``.  Each site in
+:data:`HOOK_SITES` is a flat tuple on the engine (``engine._hk_write``,
+``engine._hk_bulk_flush``): empty is the disabled state, so the hot
+path pays one attribute load plus one truth test — ``if
+self._hk_write:`` — and iterates only when a subscriber exists.
 
-The compiled representation is what keeps the disabled cost at the
-historical ``is not None`` grade: an empty site is the empty tuple, so
-the hot path pays exactly one attribute load plus one truth test —
-``if self._hk_write:`` — and only iterates when at least one hook is
-actually registered.  ``bench_obs_overhead.py`` gates this.
+Telemetry is *not* routed through hooks: the tracer and the metrics
+registry are plain engine slots read by inline ``is not None`` guards
+(15 sites, each with its own span name and arguments — one hook site
+per guard would serve one subscriber each).  ``bench_obs_overhead.py``
+gates their disabled cost.
 
 Hooks are *observers*: they run synchronously at their site but consume
 no virtual time and must not mutate engine state that the DES schedule
 depends on.  That is the bit-equality contract — an engine with any
-set of plugins produces byte-identical results to a bare one.
-
-Plugins are the only way to attach these concerns: an engine built
-without a plugin list has none of them.
-
-For the mp backend, plugins cannot be pickled across the spawn
-boundary; workers instead re-hydrate them from ``(name, kwargs)``
-specs via :func:`build_plugin` (see :data:`PLUGIN_FACTORIES`).  Only
-plugins declaring ``mp_safe = True`` may ride into workers — the
-DES-only ones (tracer, sampler, faults, bulk ingest) are rejected there.
+set of plugins and hooks produces byte-identical results to a bare one.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Iterable, Mapping, Protocol
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol
 
 from repro.util.validate import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.runtime.engine import DynamicEngine
 
-#: Every hook site, in catalogue order.  ``PluginRegistry.compile``
-#: materialises one ``engine._hk_<suffix>`` tuple per entry.
-HOOK_SITES: tuple[str, ...] = (
-    "on_dispatch",
-    "on_write",
-    "on_insert",
-    "on_delete",
-    "on_bulk_flush",
-    "on_collection_cut",
-    "on_checkpoint",
-    "on_quiesce",
-)
+#: Every hook site.  Each has one ``engine._hk_<suffix>`` tuple.
+HOOK_SITES: tuple[str, ...] = ("on_write", "on_bulk_flush")
 
 #: Hook site -> the engine attribute holding its compiled tuple.
 HOOK_ATTRS: dict[str, str] = {
     site: "_hk_" + site.removeprefix("on_") for site in HOOK_SITES
 }
-
-
-class DispatchHook(Protocol):
-    """Fired after every visitor/control dispatch: ``(rank, vt, t0, t1)``
-    with ``t0``/``t1`` the rank's virtual clock around the dispatch."""
-
-    def __call__(self, rank: int, vt: int, t0: float, t1: float) -> None: ...
 
 
 class WriteHook(Protocol):
@@ -78,19 +57,6 @@ class WriteHook(Protocol):
     def __call__(self, prog: int, vertex: int, value: Any) -> None: ...
 
 
-class InsertHook(Protocol):
-    """Fired on every applied edge insert: ``(src, dst, weight)``."""
-
-    def __call__(self, src: int, dst: int, weight: Any) -> None: ...
-
-
-class DeleteHook(Protocol):
-    """Fired on every applied edge delete (both canonical and reverse
-    sides): ``(src, dst)``."""
-
-    def __call__(self, src: int, dst: int) -> None: ...
-
-
 class BulkFlushHook(Protocol):
     """Fired once per program when the bulk-ingest dense mirror flushes
     back into the value dicts: ``(prog,)``."""
@@ -98,68 +64,15 @@ class BulkFlushHook(Protocol):
     def __call__(self, prog: int) -> None: ...
 
 
-class CollectionCutHook(Protocol):
-    """Fired when a versioned collection cuts:
-    ``(collection_id, cut_version, prog)``."""
-
-    def __call__(self, collection_id: int, cut_version: int, prog: int) -> None: ...
-
-
-class CheckpointHook(Protocol):
-    """Fired after a checkpoint save/load: ``(event, path)`` with
-    ``event`` one of ``"save"`` / ``"load"``."""
-
-    def __call__(self, event: str, path: str) -> None: ...
-
-
-class QuiesceHook(Protocol):
-    """Fired when :meth:`DynamicEngine.run` returns with the cluster
-    quiescent: ``(engine,)``."""
-
-    def __call__(self, engine: "DynamicEngine") -> None: ...
-
-
 class EnginePlugin:
-    """Base class for engine plugins.
-
-    Subclasses override any subset of the lifecycle methods:
-
-    ``setup(engine)``
-        Attach state to the freshly built engine (runs in registration
-        order during the ``setup`` lifecycle phase).
-    ``hooks()``
-        Mapping of hook-site name -> callback, merged into the compiled
-        per-site tuples.  Unknown site names are rejected at compile.
-    ``on_phase(phase, engine)``
-        Observe genuine lifecycle transitions (``ingest`` / ``drain`` /
-        ``collect`` / ``harvest`` / ``teardown``).
-    ``harvest()``
-        A picklable result payload, or ``None``.  The mp workers ship
-        these back to the parent in the result dict.
-    ``teardown(engine)``
-        Release resources; runs in reverse registration order, at most
-        once.
-    """
+    """Base class for engine plugins: override ``setup(engine)`` to
+    attach state to the freshly built engine (runs in registration
+    order, once)."""
 
     #: Registry key; must be unique within one engine.
     name: str = "plugin"
-    #: Whether the plugin may ride into mp worker ranks.  DES-only
-    #: plugins (tracer, sampler, faults) keep the default False.
-    mp_safe: bool = False
 
     def setup(self, engine: "DynamicEngine") -> None:
-        pass
-
-    def hooks(self) -> Mapping[str, Callable[..., None]]:
-        return {}
-
-    def on_phase(self, phase: str, engine: "DynamicEngine") -> None:
-        pass
-
-    def harvest(self) -> Any:
-        return None
-
-    def teardown(self, engine: "DynamicEngine") -> None:
         pass
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -167,27 +80,20 @@ class EnginePlugin:
 
 
 class PluginRegistry:
-    """Holds an engine's plugins and compiles their hooks.
+    """Holds an engine's plugins and its installed hooks.
 
-    Static hooks come from plugins (via ``hooks()``); dynamic hooks are
-    installed/uninstalled at runtime by subsystems that come and go
-    (the serving layer's cache invalidation, the mp backend's
-    vectorized applier).  Compilation writes, per site, the flat tuple
-    ``static + dynamic`` onto the engine attribute named by
-    :data:`HOOK_ATTRS` — firing order is therefore plugin registration
-    order, then dynamic installation order.
+    Hooks are installed/uninstalled at run time by the subsystems that
+    need them; each change rewrites that site's flat tuple on the engine
+    attribute named by :data:`HOOK_ATTRS` — firing order is
+    installation order.
     """
 
     def __init__(self, plugins: Iterable[EnginePlugin] = ()) -> None:
         self.plugins: list[EnginePlugin] = []
-        self._static: dict[str, list[Callable[..., None]]] = {
-            site: [] for site in HOOK_SITES
-        }
-        self._dynamic: dict[str, list[Callable[..., None]]] = {
+        self._hooks: dict[str, list[Callable[..., None]]] = {
             site: [] for site in HOOK_SITES
         }
         self._engine: "DynamicEngine | None" = None
-        self._torn_down = False
         for plugin in plugins:
             self.register(plugin)
 
@@ -202,19 +108,14 @@ class PluginRegistry:
         self.plugins.append(plugin)
 
     def register_late(self, plugin: EnginePlugin, engine: "DynamicEngine") -> None:
-        """Add a plugin to a live engine: runs its ``setup`` immediately
-        and recompiles the hook tuples."""
+        """Add a plugin to a live engine: runs its ``setup`` immediately."""
         if self._engine is not engine:
             raise RuntimeError("registry is not compiled for this engine")
         self._check_new(plugin)
         self.plugins.append(plugin)
         plugin.setup(engine)
-        self._merge_hooks(plugin)
-        self._recompile()
 
     def _check_new(self, plugin: EnginePlugin) -> None:
-        if self._torn_down:
-            raise RuntimeError("registry is torn down")
         if any(p.name == plugin.name for p in self.plugins):
             raise ValueError(f"duplicate plugin name {plugin.name!r}")
 
@@ -227,91 +128,39 @@ class PluginRegistry:
                 return p
         return None
 
-    # -- lifecycle ------------------------------------------------------
     def compile(self, engine: "DynamicEngine") -> None:
-        """Bind to ``engine``: run every plugin's ``setup`` and write
-        the per-site hook tuples onto the engine."""
+        """Bind to ``engine`` and run every plugin's ``setup``."""
         if self._engine is not None:
             raise RuntimeError("registry already compiled")
         self._engine = engine
         for plugin in self.plugins:
             plugin.setup(engine)
-            self._merge_hooks(plugin)
-        self._recompile()
 
-    def _merge_hooks(self, plugin: EnginePlugin) -> None:
-        for site, fn in plugin.hooks().items():
-            if site not in self._static:
-                raise ValueError(
-                    f"plugin {plugin.name!r} registered unknown hook site "
-                    f"{site!r}; known sites: {', '.join(HOOK_SITES)}"
-                )
-            self._static[site].append(fn)
-
-    def notify_phase(self, phase: str, engine: "DynamicEngine") -> None:
-        for plugin in self.plugins:
-            plugin.on_phase(phase, engine)
-
-    def harvest(self) -> dict[str, Any]:
-        """Collect every plugin's non-None ``harvest()`` payload by
-        name (the mp workers' result shipping)."""
-        out: dict[str, Any] = {}
-        for plugin in self.plugins:
-            payload = plugin.harvest()
-            if payload is not None:
-                out[plugin.name] = payload
-        return out
-
-    def teardown(self, engine: "DynamicEngine") -> None:
-        """Tear plugins down in reverse registration order and zero
-        every hook tuple.  Idempotent."""
-        if self._torn_down:
-            return
-        self._torn_down = True
-        for plugin in reversed(self.plugins):
-            plugin.teardown(engine)
-        for site in HOOK_SITES:
-            self._static[site].clear()
-            self._dynamic[site].clear()
-        self._recompile()
-
-    # -- dynamic hooks --------------------------------------------------
+    # -- hooks ----------------------------------------------------------
     def install(self, site: str, fn: Callable[..., None]) -> None:
-        """Append a dynamic hook at ``site`` and recompile that site."""
-        if site not in self._dynamic:
-            raise ValueError(f"unknown hook site {site!r}")
-        self._dynamic[site].append(fn)
+        """Append a hook at ``site`` and rewrite that site's tuple."""
+        self._site(site).append(fn)
         self._recompile_site(site)
 
     def uninstall(self, site: str, fn: Callable[..., None]) -> bool:
-        """Remove a previously installed dynamic hook; returns whether
-        it was present."""
-        if site not in self._dynamic:
-            raise ValueError(f"unknown hook site {site!r}")
-        try:
-            self._dynamic[site].remove(fn)
-        except ValueError:
+        """Remove a previously installed hook; returns whether it was
+        present."""
+        hooks = self._site(site)
+        if fn not in hooks:
             return False
+        hooks.remove(fn)
         self._recompile_site(site)
         return True
 
-    def installed(self, site: str) -> tuple[Callable[..., None], ...]:
-        """The compiled tuple for ``site`` (static then dynamic)."""
-        if site not in self._static:
-            raise ValueError(f"unknown hook site {site!r}")
-        return tuple(self._static[site] + self._dynamic[site])
+    def _site(self, site: str) -> list[Callable[..., None]]:
+        if site not in self._hooks:
+            raise ValueError(
+                f"unknown hook site {site!r}; known sites: {', '.join(HOOK_SITES)}"
+            )
+        return self._hooks[site]
 
     def _recompile_site(self, site: str) -> None:
-        if self._engine is not None:
-            setattr(
-                self._engine,
-                HOOK_ATTRS[site],
-                tuple(self._static[site] + self._dynamic[site]),
-            )
-
-    def _recompile(self) -> None:
-        for site in HOOK_SITES:
-            self._recompile_site(site)
+        setattr(self._engine, HOOK_ATTRS[site], tuple(self._hooks[site]))
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +172,7 @@ class TracerPlugin(EnginePlugin):
 
     The tracer stays a plain engine attribute — emission sites keep
     their historical single ``is not None`` guard — so this plugin only
-    owns construction.  Teardown leaves the capture readable.
+    owns construction.
     """
 
     name = "tracer"
@@ -411,58 +260,3 @@ class FaultInjectionPlugin(EnginePlugin):
 
     def setup(self, engine: "DynamicEngine") -> None:
         engine._install_fault_plan(self.plan)
-
-
-class HookStatsPlugin(EnginePlugin):
-    """Count hook firings per site — the simplest full-width consumer.
-
-    ``mp_safe``: the counters are plain ints and ``harvest()`` returns
-    a picklable dict, so workers can ship per-rank firing counts back
-    to the parent; the rehydration test uses exactly this.
-    """
-
-    name = "hook_stats"
-    mp_safe = True
-
-    def __init__(self) -> None:
-        self.counts: dict[str, int] = {site: 0 for site in HOOK_SITES}
-
-    def hooks(self) -> Mapping[str, Callable[..., None]]:
-        out: dict[str, Callable[..., None]] = {}
-        for site in HOOK_SITES:
-
-            def bump(
-                *_args: Any,
-                _counts: dict[str, int] = self.counts,
-                _site: str = site,
-            ) -> None:
-                _counts[_site] += 1
-
-            out[site] = bump
-        return out
-
-    def harvest(self) -> dict[str, int]:
-        return dict(self.counts)
-
-
-#: Picklable re-hydration specs for mp workers: name -> factory.
-#: ``run_parallel(plugins=[("hook_stats", {})])`` ships these across
-#: the spawn boundary; each worker rebuilds real instances.
-PLUGIN_FACTORIES: dict[str, Callable[..., EnginePlugin]] = {
-    "tracer": TracerPlugin,
-    "metrics": MetricsPlugin,
-    "freshness": FreshnessPlugin,
-    "bulk-ingest": BulkIngestPlugin,
-    "faults": FaultInjectionPlugin,
-    "hook_stats": HookStatsPlugin,
-}
-
-
-def build_plugin(name: str, kwargs: Mapping[str, Any] | None = None) -> EnginePlugin:
-    """Re-hydrate a plugin from its ``(name, kwargs)`` spec."""
-    factory = PLUGIN_FACTORIES.get(name)
-    if factory is None:
-        raise ValueError(
-            f"unknown plugin {name!r}; known: {', '.join(sorted(PLUGIN_FACTORIES))}"
-        )
-    return factory(**dict(kwargs or {}))

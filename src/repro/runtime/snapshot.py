@@ -14,12 +14,6 @@ Two collection modes, per the paper:
 
 This module holds the coordinator- and rank-side state for the
 versioned mode; the message choreography lives in the engine.
-
-Lifecycle mapping (:mod:`repro.runtime.lifecycle`): issuing a CUT moves
-the engine into the ``collect`` phase and fires the registry's
-``on_collection_cut`` hooks; the CTRL_HARVEST round that closes the
-epoch enters ``harvest``.  Both are steady phases — repeated
-collections on one engine re-enter them as coalesced no-ops.
 """
 
 from __future__ import annotations

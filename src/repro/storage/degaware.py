@@ -179,7 +179,7 @@ class DegAwareRHH:
         return len(self._vids)
 
     # ------------------------------------------------------------------
-    # bulk-ingest tier (array append buffers + CSR-delta view)
+    # bulk-ingest tier (array append buffers)
     # ------------------------------------------------------------------
     def bulk_append_edges(
         self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
@@ -207,40 +207,6 @@ class DegAwareRHH:
     def bulk_pending(self) -> int:
         """Edges appended in bulk but not yet materialised."""
         return self._pending_count
-
-    def bulk_pending_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The un-materialised append buffers as ``(src, dst, weights)``
-        columns, in append order (read-only view of the delta)."""
-        if not self._pending_count:
-            e = np.empty(0, dtype=np.int64)
-            return e, e, e
-        return (
-            np.concatenate(self._pending_src),
-            np.concatenate(self._pending_dst),
-            np.concatenate(self._pending_w),
-        )
-
-    def bulk_delta_csr(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """CSR view of the pending delta: ``(vids, indptr, dsts, weights)``.
-
-        ``vids`` are the distinct pending source vertices (sorted);
-        ``indptr[i]:indptr[i+1]`` slices ``dsts``/``weights`` for
-        ``vids[i]``.  This is the array-native continuation of
-        :meth:`neighbors_arrays` for not-yet-materialised edges;
-        within-buffer duplicate edges are *not* collapsed (they collapse
-        on flush, like repeated ``insert_edge`` calls).
-        """
-        src, dst, w = self.bulk_pending_arrays()
-        if not src.size:
-            return src, np.zeros(1, dtype=np.int64), dst, w
-        order = np.argsort(src, kind="stable")
-        src, dst, w = src[order], dst[order], w[order]
-        vids, counts = np.unique(src, return_counts=True)
-        indptr = np.zeros(len(vids) + 1, dtype=np.int64)
-        np.cumsum(counts, out=indptr[1:])
-        return vids, indptr, dst, w
 
     def flush_bulk(self) -> int:
         """Materialise the append buffers now; returns edges replayed."""

@@ -88,3 +88,21 @@ def test_report_json_returns_written_path(tmp_path):
         assert doc["k"] == 1 and "meta" in doc
     finally:
         path.unlink(missing_ok=True)
+
+
+def test_every_committed_bench_artifact_is_stamped():
+    """A ``BENCH_*.json`` without ``meta.commit`` cannot be traced to
+    the code that produced it (ROADMAP aim 1)."""
+    # BENCH__pytest_* are the probes the tests above write and unlink.
+    artifacts = sorted(
+        path
+        for path in REPO_ROOT.glob("BENCH_*.json")
+        if not path.name.startswith("BENCH__pytest")
+    )
+    assert artifacts
+    unstamped = [
+        path.name
+        for path in artifacts
+        if not json.loads(path.read_text()).get("meta", {}).get("commit")
+    ]
+    assert unstamped == []

@@ -24,6 +24,30 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--ranks", "0"],
+            ["run", "--nodes", "0"],
+            ["run", "--ranks-per-node", "0"],
+            ["run", "--backend", "mp", "--ranks", "-3"],
+            ["run", "--scale", "0"],
+            ["run", "--edge-factor", "-1"],
+            ["run", "--algo", "st", "--sources", "0"],
+            ["serve", "--ranks", "0"],
+            ["generate", "--scale", "0", "-o", "unused.txt"],
+        ],
+    )
+    def test_counts_must_be_positive(self, argv, capsys):
+        """Fails at the boundary: exit 2 and one error line, where these
+        used to die in a division or a validator deep in the run."""
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert "must be a positive integer" in err.strip().splitlines()[-1]
+
 
 class TestRun:
     def run_cli(self, *argv, capsys=None):

@@ -5,8 +5,8 @@ rings — the worker's data path minus the processes — with many small,
 equal ingest chunks, so each rank's edge mirror folds its delta into its
 base several times while ADD, RADD and UPDATE slabs keep arriving.  The
 result must equal a per-event ``DynamicEngine`` on the same streams,
-entry for entry; deletes must find their edges in either run; and the
-always-on ``mirror_*`` counts must show that no drain rebuilt the graph.
+entry for entry, and the always-on ``mirror_*`` counts must show that no
+drain rebuilt the graph.
 """
 
 import numpy as np
@@ -15,11 +15,10 @@ import pytest
 from repro import DynamicEngine, EngineConfig, IncrementalBFS, IncrementalSSSP
 from repro.events.stream import ArrayEventStream, split_streams
 from repro.generators.rmat import rmat_edges
-from repro.kernels.mirror import edge_keys
 from repro.parallel import WireConfig, run_parallel
-from repro.parallel.codec import ADD_DTYPE, DEL_DTYPE, Codec
+from repro.parallel.codec import Codec
 from repro.parallel.loop import ShmLoop
-from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE, create_ring
+from repro.parallel.shm import K_RADD, K_UPDATE, create_ring
 from repro.parallel.vecapply import VecApplier
 
 N_RANKS = 2
@@ -148,66 +147,6 @@ def test_no_drain_rebuilt_the_graph(converged):
         edges, drains = applier.num_edges, stats["kernel_batches"]
         assert stats["mirror_moved_edges"] <= 2 * edges * np.log2(drains)
         assert stats["mirror_folds"] <= 4 * np.log2(drains)
-
-
-def test_safe_deletes_find_their_edges_in_base_and_delta(converged):
-    cluster, _des, _columns = converged
-    applier, engine = cluster.appliers[0], cluster.engines[0]
-    loop = cluster.loops[0]
-    base, delta = applier.mirror._runs
-    assert len(base) and len(delta)
-    ids, values = applier.universe.ids, applier._values
-    own = applier._owner == 0
-
-    def safe_local_pairs(run):
-        """Stored pairs of this run, both endpoints local, that no
-        program's value runs through in either direction."""
-        t, h, w = run.tails(), run.heads, run.weights
-        ok = own[t] & own[h] & (t != h)
-        for p, k in enumerate(applier.kernels):
-            ok &= k.delete_safe(values[p][t], values[p][h], w)
-            ok &= k.delete_safe(values[p][h], values[p][t], w)
-        return t[ok][:3], h[ok][:3]
-
-    picked = [safe_local_pairs(run) for run in (base, delta)]
-    assert all(t.size for t, _h in picked), "seed yields no safe edge in a run"
-    t = np.concatenate([t for t, _h in picked])
-    h = np.concatenate([h for _t, h in picked])
-    for run, (rt, rh) in zip((base, delta), picked):
-        assert np.isin(edge_keys(rt, rh), run.keys).all()
-    recs = np.zeros(t.size, dtype=DEL_DTYPE)
-    recs["src"], recs["dst"] = ids[t], ids[h]
-    named = {(int(a), int(b)) for a, b in zip(ids[t], ids[h])}
-    named |= {(b, a) for a, b in named}
-    before = {(a, b): w for a, b, w in applier.edges()}
-    values_before = [dict(d) for d in engine.values[0]]
-    deleted_before = engine.counters[0].edge_deletes
-    assert applier.apply_deletes(recs, loop) is True
-    after = {(a, b): w for a, b, w in applier.edges()}
-    assert after == {pair: w for pair, w in before.items() if pair not in named}
-    assert engine.counters[0].edge_deletes - deleted_before == len(named & before.keys())
-    assert [dict(d) for d in engine.values[0]] == values_before
-
-
-def test_deopt_right_after_a_fold_replays_the_exact_edge_set(converged):
-    cluster, _des, _columns = converged
-    applier, engine, loop = cluster.appliers[1], cluster.engines[1], cluster.loops[1]
-    # One local slab of brand-new edges, large enough to fold at once.
-    own = applier.universe.ids[applier._owner == 1]
-    n_new = applier.num_edges // 3
-    fresh = np.arange(1_000_000, 1_000_000 + n_new)
-    fresh = fresh[engine.partitioner.owner_array(fresh) == 1]
-    slab = np.zeros(fresh.size, dtype=ADD_DTYPE)
-    slab["src"], slab["dst"], slab["weight"] = own[0], fresh, 3
-    folds = applier.stats["mirror_folds"]
-    applier.drain([(K_ADD, len(slab), 1, slab)], loop)
-    assert applier.stats["mirror_folds"] == folds + 1
-    assert len(applier.mirror._runs[1]) == 0  # everything sits in the base
-    mirror = sorted(applier.edges())
-    assert len(mirror) == len(set(mirror)) == applier.num_edges
-    applier.deopt(loop)
-    assert sorted(engine.stores[1].edges()) == mirror
-    assert engine._hk_write == () and engine._hk_insert == ()
 
 
 def test_mirror_counts_reach_the_parallel_result():

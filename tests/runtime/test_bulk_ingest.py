@@ -197,20 +197,14 @@ def test_store_bulk_append_then_lazy_flush_matches_per_event():
     assert sorted(a.neighbors(1)) == sorted(b.neighbors(1))
 
 
-def test_store_bulk_pending_arrays_and_delta_csr():
+def test_store_flush_bulk_is_idempotent():
     s = DegAwareRHH(4, "dict")
     s.bulk_append_edges(
         np.array([3, 1, 3], dtype=np.int64),
         np.array([4, 2, 5], dtype=np.int64),
         np.array([1, 1, 2], dtype=np.int64),
     )
-    ps, pd, pw = s.bulk_pending_arrays()
-    assert ps.tolist() == [3, 1, 3]
-    vids, indptr, dsts, weights = s.bulk_delta_csr()
-    assert vids.tolist() == [1, 3]
-    assert indptr.tolist() == [0, 1, 3]
-    assert dsts.tolist() == [2, 4, 5]
-    assert weights.tolist() == [1, 1, 2]
+    assert s.bulk_pending == 3
     assert s.flush_bulk() == 3
     assert s.flush_bulk() == 0  # idempotent
     assert s.num_edges == 3

@@ -1,14 +1,15 @@
-"""PluginRegistry semantics: registration, compilation, dynamic hooks.
+"""PluginRegistry semantics, the two hook sites, and the EngineBuilder.
 
-The contract (repro.runtime.plugins): duplicate names are rejected,
-unknown hook sites are rejected at compile, compiled firing order is
-plugin registration order followed by dynamic installation order, an
-empty registry leaves every per-site tuple empty (the disabled-cost
-guard), and teardown is idempotent and runs in reverse order.  Hooks
-are observers consuming no virtual time: plugins change neither the
-programs' state nor the DES schedule, whichever way the engine is
-assembled.
+The contract (repro.runtime.plugins): a plugin is a name plus
+``setup(engine)``; duplicate names are rejected; hooks exist at exactly
+two sites, fire in installation order, and an engine nobody subscribed
+to leaves both per-site tuples empty (the disabled-cost guard).  Hooks
+are observers consuming no virtual time: plugins and hooks change
+neither the programs' state nor the DES schedule, whichever way the
+engine is assembled.
 """
+
+from collections import Counter
 
 import pytest
 
@@ -26,11 +27,9 @@ from repro.runtime.plugins import (
     HOOK_SITES,
     BulkIngestPlugin,
     EnginePlugin,
-    HookStatsPlugin,
     MetricsPlugin,
     PluginRegistry,
     TracerPlugin,
-    build_plugin,
 )
 
 
@@ -40,23 +39,26 @@ def bare_engine(plugins=None):
     )
 
 
+def path_events(n):
+    return ListEventStream([(ADD, i, i + 1, 1) for i in range(n)])
+
+
 def run_path(e, n=6):
     e.init_program("bfs", 0)
-    e.attach_streams([ListEventStream([(ADD, i, i + 1, 1) for i in range(n)])])
+    e.attach_streams([path_events(n)])
     e.run()
 
 
 class Named(EnginePlugin):
-    def __init__(self, name, hooks=None, log=None):
+    """A plugin that subscribes the way plugins do: from ``setup``."""
+
+    def __init__(self, name, hooks=None):
         self.name = name
         self._hooks = hooks or {}
-        self.log = log if log is not None else []
 
-    def hooks(self):
-        return self._hooks
-
-    def teardown(self, engine):
-        self.log.append(f"teardown:{self.name}")
+    def setup(self, engine):
+        for site, fn in self._hooks.items():
+            engine.install_hook(site, fn)
 
 
 class TestRegistration:
@@ -70,17 +72,14 @@ class TestRegistration:
         with pytest.raises(ValueError, match="duplicate plugin name"):
             e.plugins.register_late(Named("a"), e)
 
-    def test_unknown_hook_site_rejected_at_compile(self):
-        bad = Named("bad", hooks={"on_warp": lambda: None})
-        with pytest.raises(ValueError, match="unknown hook site"):
-            bare_engine(plugins=[bad])
-
     def test_register_after_compile_requires_register_late(self):
         e = bare_engine()
         with pytest.raises(RuntimeError, match="already compiled"):
             e.plugins.register(Named("late"))
-        e.plugins.register_late(Named("late"), e)
+        fn = lambda *args: None
+        e.plugins.register_late(Named("late", hooks={"on_write": fn}), e)
         assert "late" in e.plugins.names()
+        assert e._hk_write == (fn,)  # its setup ran against the live engine
 
     def test_register_late_rejects_foreign_engine(self):
         e1, e2 = bare_engine(), bare_engine()
@@ -99,6 +98,7 @@ class TestEmptyRegistryGuard:
     def test_every_hook_site_is_the_empty_tuple(self):
         e = bare_engine()
         assert e.plugins.names() == []
+        assert HOOK_SITES == ("on_write", "on_bulk_flush")
         for site in HOOK_SITES:
             assert getattr(e, HOOK_ATTRS[site]) == (), site
 
@@ -123,25 +123,17 @@ class TestCompiledOrder:
         # One a/b/dyn round per committed value write, same order each.
         assert fired == ["a", "b", "dyn"] * (len(fired) // 3)
 
-    def test_installed_reports_static_then_dynamic(self):
-        hook = lambda *args: None
-        a = Named("a", hooks={"on_write": hook})
-        e = bare_engine(plugins=[a])
-        dyn = lambda *args: None
-        e.install_hook("on_write", dyn)
-        assert e.plugins.installed("on_write") == (hook, dyn)
-        assert e._hk_write == (hook, dyn)
-
 
 class TestDynamicHooks:
     def test_install_uninstall_round_trip(self):
         e = bare_engine()
         fn = lambda *args: None
-        e.install_hook("on_insert", fn)
-        assert e._hk_insert == (fn,)
-        assert e.uninstall_hook("on_insert", fn) is True
-        assert e._hk_insert == ()
-        assert e.uninstall_hook("on_insert", fn) is False
+        for site in HOOK_SITES:
+            e.install_hook(site, fn)
+            assert getattr(e, HOOK_ATTRS[site]) == (fn,)
+            assert e.uninstall_hook(site, fn) is True
+            assert getattr(e, HOOK_ATTRS[site]) == ()
+            assert e.uninstall_hook(site, fn) is False
 
     def test_unknown_site_rejected(self):
         e = bare_engine()
@@ -150,43 +142,34 @@ class TestDynamicHooks:
         with pytest.raises(ValueError, match="unknown hook site"):
             e.uninstall_hook("on_warp", lambda: None)
 
-
-class TestTeardown:
-    def test_reverse_order_and_idempotent(self):
-        log = []
-        a, b = Named("a", log=log), Named("b", log=log)
-        e = bare_engine(plugins=[a, b])
-        e.install_hook("on_write", lambda *args: None)
-        e.teardown()
-        assert log == ["teardown:b", "teardown:a"]
-        e.teardown()
-        assert log == ["teardown:b", "teardown:a"]  # ran once
-        for site in HOOK_SITES:
-            assert getattr(e, HOOK_ATTRS[site]) == (), site
-
-    def test_register_after_teardown_rejected(self):
+    def test_removed_sites_are_rejected_naming_the_survivors(self):
+        """The six sites that had no subscriber are gone, not dormant."""
         e = bare_engine()
-        e.teardown()
-        with pytest.raises(RuntimeError, match="torn down"):
-            e.plugins.register_late(Named("x"), e)
+        for site in ("on_dispatch", "on_insert", "on_delete", "on_quiesce"):
+            with pytest.raises(ValueError, match="on_write, on_bulk_flush"):
+                e.install_hook(site, lambda *args: None)
 
 
-class TestHookStats:
-    def test_counts_every_fired_site(self):
-        stats = HookStatsPlugin()
-        e = bare_engine(plugins=[stats])
-        run_path(e, n=6)
-        assert stats.counts["on_dispatch"] > 0
-        assert stats.counts["on_write"] > 0
-        # Each ADD applies its canonical and reverse directed twin.
-        assert stats.counts["on_insert"] == 12
-        assert stats.counts["on_delete"] == 0
-        assert stats.counts["on_quiesce"] == 1
-        assert e.plugins.harvest() == {"hook_stats": stats.counts}
+class TestEngineBuilder:
+    def test_fluent_methods_return_self(self):
+        b = EngineBuilder()
+        assert b.with_programs([IncrementalBFS()]) is b
+        assert b.with_config(EngineConfig(n_ranks=2)) is b
+        assert b.with_plugins([]) is b
 
-    def test_harvest_skips_none_payloads(self):
-        e = bare_engine(plugins=[Named("quiet")])
-        assert e.plugins.harvest() == {}
+    def test_build_defaults_to_fresh_config(self):
+        e = EngineBuilder().with_programs([IncrementalBFS()]).build()
+        assert e.config.n_ranks == EngineConfig().n_ranks
+
+    def test_built_engine_runs(self):
+        e = (
+            EngineBuilder()
+            .with_programs([IncrementalBFS()])
+            .with_config(EngineConfig(n_ranks=2))
+            .build()
+        )
+        run_path(e, n=5)
+        assert e.value_of("bfs", 5) == 6
 
 
 def churn_events():
@@ -227,12 +210,30 @@ def fingerprint(engine):
 
 def test_observer_plugin_leaves_results_bit_identical():
     """A hook on every site must not perturb state or the DES schedule."""
+    counts = Counter()
+
+    def observed(engine):
+        for site in HOOK_SITES:
+            engine.install_hook(site, lambda *_args, site=site: counts.update([site]))
+        return engine
+
+    # Per-event churn: every value write passes the on_write site.
     bare = drive(churn_builder([]).build())
-    stats = HookStatsPlugin()
-    hooked = drive(churn_builder([stats]).build())
+    hooked = drive(observed(churn_builder([]).build()))
     assert fingerprint(hooked) == fingerprint(bare)
-    assert stats.counts["on_dispatch"] > 0
-    assert stats.counts["on_delete"] > 0  # the churn stream fired it
+    assert counts["on_write"] > 0 and counts["on_bulk_flush"] == 0
+
+    # Bulk replay bypasses _write_value; each flush of its dense mirror
+    # passes the on_bulk_flush site once per program.
+    def bulk_run(wrap):
+        e = wrap(churn_builder([BulkIngestPlugin(8)]).build())
+        e.init_program("bfs", 0)
+        e.attach_streams([path_events(40)])
+        e.run()
+        return e
+
+    assert fingerprint(bulk_run(observed)) == fingerprint(bulk_run(lambda e: e))
+    assert counts["on_bulk_flush"] > 0 and counts["on_bulk_flush"] % 2 == 0
 
 
 def test_builder_and_constructor_are_bit_identical():
@@ -251,15 +252,3 @@ def test_builder_and_constructor_are_bit_identical():
     for e in (built, direct):
         assert e.plugins.names() == ["bulk-ingest", "tracer", "metrics"]
         assert e.sampler is not None and e._bulk is not None
-
-
-class TestBuildPlugin:
-    def test_round_trip(self):
-        p = build_plugin("metrics", {"sample_interval": 0.5})
-        assert isinstance(p, MetricsPlugin)
-        assert p.sample_interval == 0.5
-        assert isinstance(build_plugin("tracer"), TracerPlugin)
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown plugin"):
-            build_plugin("warp-drive")
