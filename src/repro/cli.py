@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import NoReturn
 
 import numpy as np
 
@@ -55,6 +56,7 @@ from repro.analytics import (
 from repro.comm.costmodel import CostModel
 from repro.events.io import read_edge_npz, read_edge_text, write_edge_npz, write_edge_text
 from repro.events.stream import split_streams
+from repro.events.types import ADD
 from repro.generators import DATASET_PRESETS, generate_preset, rmat_edges
 from repro.generators.weights import pairwise_weights
 from repro.runtime.engine import EngineConfig
@@ -445,15 +447,32 @@ def _run_mp(
     return 1 if mismatches else 0
 
 
+def _input_error(message: str) -> NoReturn:
+    """A bad ``--input`` is a usage error: one line, exit 2."""
+    print(f"repro: error: --input: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _load_stream(args: argparse.Namespace, chat, rng):
     """Load ``--input`` or generate the synthetic workload; returns
     ``(src, dst, weights, label)``."""
     if args.input is not None:
         reader = read_edge_npz if args.input.endswith(".npz") else read_edge_text
-        events = list(reader(args.input))
-        src = np.array([e[1] for e in events], dtype=np.int64)
-        dst = np.array([e[2] for e in events], dtype=np.int64)
-        weights = np.array([e[3] for e in events], dtype=np.int64)
+        try:
+            src, dst, weights, kinds = reader(args.input).columns()
+        except (OSError, ValueError) as exc:
+            _input_error(str(exc))  # the readers' messages carry path:lineno
+        if kinds is not None:
+            # The CLI shuffles its input and verifies against an
+            # add-only oracle: a delete must not be replayed as an add.
+            row = int(np.flatnonzero(kinds != ADD)[0]) + 1
+            _input_error(
+                f"{args.input}: event {row} is a delete; the CLI replays add-only "
+                "streams — drive deletes through the library API "
+                "(ArrayEventStream(kinds=...), repro.generators.churn)"
+            )
+        if len(src) == 0:
+            _input_error(f"{args.input}: no events")
         label = args.input
         chat(f"input: {args.input}, {len(src):,} events")
     else:
@@ -808,9 +827,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     rng = np.random.default_rng(args.seed)
     src, dst, weights, label = _load_stream(args, chat, rng)
-    if len(src) == 0:
-        chat("serve: empty event stream")
-        return 2
     programs, init, source_info = _make_programs(args.algo, src, args.sources)
     pool = np.unique(np.concatenate([src, dst]))
     aux = list(range(len(source_info))) if args.algo == "st" else None

@@ -7,7 +7,8 @@ topology with numpy scatter-reduces (``np.minimum.at`` for BFS/SSSP,
 ``np.maximum.at`` for CC).  Programs declare their kernel via the
 ``bulk_kernel`` class attribute (next to ``combine``); see
 :mod:`repro.runtime.bulk` for how the engine drives them and
-:mod:`repro.kernels.mirror` for the dense graph they relax over.
+:mod:`repro.kernels.mirror` for the dense state they relax over — the
+one :class:`DenseState` layer under both vectorized paths.
 """
 
 from repro.kernels.frontier import (
@@ -17,9 +18,10 @@ from repro.kernels.frontier import (
     build_csr,
     relax_to_fixpoint,
 )
-from repro.kernels.mirror import EdgeRuns, Universe
+from repro.kernels.mirror import DenseState, EdgeRuns, Universe
 
 __all__ = [
+    "DenseState",
     "EdgeRuns",
     "FrontierKernel",
     "MaxLabelKernel",

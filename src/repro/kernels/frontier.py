@@ -175,13 +175,24 @@ def relax_to_fixpoint(
     values: np.ndarray,
     frontier: np.ndarray,
     kernel: FrontierKernel,
+    local: np.ndarray | None = None,
+    written: np.ndarray | None = None,
+    remote: list | None = None,
 ) -> tuple[int, int]:
-    """Relax ``frontier`` over ``adj`` until no value changes.
+    """Relax ``frontier`` over ``adj`` until no value changes — the
+    repository's one frontier loop.
 
     ``values`` (one entry per universe vertex) is mutated in place.
-    Returns ``(rounds, relaxations)`` for cost accounting —
-    ``relaxations`` counts edge relaxations, the bulk analogue of
-    per-event UPDATE visits.
+    Returns ``(rounds, relaxations)`` for cost accounting: ``rounds``
+    counts the iterations that relaxed at least one edge,
+    ``relaxations`` the edges relaxed — the bulk analogue of per-event
+    UPDATE visits.
+
+    With ``local`` (bool per position: an mp rank's own vertices) only
+    local heads are scattered — and marked in ``written``, delivery
+    seeds the neighbour — while each block's non-local heads are
+    appended to ``remote`` as ``(heads, tails, tail values, weights,
+    candidates)`` for the caller to send to their owners.
     """
     frontier = np.unique(np.asarray(frontier, dtype=np.int64))
     rounds = 0
@@ -195,10 +206,22 @@ def relax_to_fixpoint(
         if mask is not None:
             frontier = frontier[mask]
             vals_f = vals_f[mask]
+        # Tails are spread over the edges only for a caller that sends.
+        spread = (vals_f,) if local is None else (vals_f, frontier)
         changed = []
-        for e_heads, e_weights, tail_vals in adj.gather(frontier, values.size, vals_f):
+        for e_heads, e_weights, tail_vals, *tails in adj.gather(
+            frontier, values.size, *spread
+        ):
             relaxations += e_heads.size
             candidates = kernel.relax(tail_vals, e_weights)
+            if local is not None:
+                here = local[e_heads]
+                away = ~here
+                if away.any():
+                    block = (e_heads, tails[0], tail_vals, e_weights, candidates)
+                    remote.append(tuple(col[away] for col in block))
+                e_heads, candidates = e_heads[here], candidates[here]
+                written[e_heads] = True
             old = values[e_heads]
             kernel.scatter(values, e_heads, candidates)
             changed.append(e_heads[values[e_heads] != old])

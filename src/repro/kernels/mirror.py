@@ -1,9 +1,10 @@
-"""The dense mirror under both vectorized paths.
+"""The dense layer under both vectorized paths.
 
 :class:`repro.runtime.bulk.BulkIngestor` (DES bulk replay) and
-:class:`repro.parallel.vecapply.VecApplier` (mp rank drain) keep a dense
-copy of the graph next to their per-vertex value arrays.  Its halves
-live here, built so a batch costs what it brings, not what is stored:
+:class:`repro.parallel.vecapply.VecApplier` (mp rank drain) each hold
+one :class:`DenseState` next to the engine's per-rank value dicts.  Its
+parts live here, built so a batch costs what it brings, not what is
+stored:
 
 * :class:`Universe` — raw vertex ids in **arrival order**: a dense
   position is assigned once and never moves, so per-vertex arrays only
@@ -19,6 +20,10 @@ live here, built so a batch costs what it brings, not what is stored:
   of base sizes (at most ``FOLD_FRACTION + 1`` times the final count).
   :meth:`EdgeRuns.gather` reads a frontier's out-edges through per-run
   CSR row pointers — a key-sorted run *is* in CSR order.
+* :class:`DenseState` — one of each, plus per program the ``values`` /
+  ``written`` / ``synced`` columns that shadow the dicts: the dict →
+  dense fold, the seed-scatter-compare offer and the dense → dict
+  write-back rule exist once, here.
 """
 
 from __future__ import annotations
@@ -242,3 +247,88 @@ class EdgeRuns:
                     spread = (np.repeat(x[lo:hi], c) for x in per_vertex)
                     yield run.heads[idx], run.weights[idx], *spread
                     lo, done = hi, done + size
+
+
+class DenseState:
+    """The state a vectorized path keeps beside the engine's value dicts.
+
+    Per universe position: its ``owner`` rank and, per program ``p``,
+    ``values[p]`` (always *materialized* — never the dicts' 0 = unset
+    sentinel), ``written[p]`` (would the per-event path hold a dict
+    entry for it?) and ``synced[p]`` (the value that dict entry holds, 0
+    for none); ``edges`` is the adjacency the values relax over.
+
+    ``rank=None`` is the DES bulk replay: every vertex is local and
+    written, ``local`` is ``None``.  A rank number is that mp rank's
+    view — its own vertices plus the remote endpoints of its edges —
+    where ``local`` marks the positions it owns and ``written`` follows
+    the per-event first-touch rules (callers and
+    :func:`~repro.kernels.frontier.relax_to_fixpoint` set it).  Nothing
+    else differs between the two.
+
+    Growth replaces the columns (positions are stable): :meth:`grow`
+    first, then capture arrays.
+    """
+
+    def __init__(self, kernels, owner_array, rank: int | None = None) -> None:
+        self.kernels = kernels
+        self.rank = rank
+        self._owner_array = owner_array  # raw ids -> owner ranks
+        self.universe = Universe()
+        self.edges = EdgeRuns()
+        self.owner = _EMPTY_I64
+        self.local = None if rank is None else np.empty(0, dtype=bool)
+        self.values = [np.empty(0, dtype=k.dtype) for k in kernels]
+        self.written = [np.empty(0, dtype=bool) for _ in kernels]
+        self.synced = [np.empty(0, dtype=k.dtype) for k in kernels]
+
+    def grow(self, raw: np.ndarray) -> None:
+        """Admit the never-seen ids of ``raw``: every column grows at
+        its end, values at the program's first-touch seed."""
+        fresh = self.universe.extend(raw)
+        if not fresh.size:
+            return
+        owner = self._owner_array(fresh)
+        self.owner = np.concatenate([self.owner, owner])
+        if self.local is not None:
+            self.local = np.concatenate([self.local, owner == self.rank])
+        seen = np.full(fresh.size, self.rank is None)
+        for p, k in enumerate(self.kernels):
+            self.values[p] = np.concatenate([self.values[p], k.init_values(fresh)])
+            self.written[p] = np.concatenate([self.written[p], seen])
+            self.synced[p] = np.concatenate(
+                [self.synced[p], np.zeros(fresh.size, dtype=k.dtype)]
+            )
+
+    def fold(self, p: int, raw: np.ndarray, vals: np.ndarray) -> np.ndarray:
+        """Fold dict entries ``raw -> vals`` (ids already admitted, 0 =
+        unset) into program ``p`` by its monotone merge; returns the
+        positions whose dense value improved.  A worse dict value leaves
+        the column alone and is simply behind (see :meth:`stale`)."""
+        idx = self.universe.lookup(raw)
+        values = self.values[p]
+        cur = values[idx]
+        merged = self.kernels[p].merge_dense(cur, vals)
+        values[idx] = merged
+        self.written[p][idx] = True
+        self.synced[p][idx] = vals
+        return idx[merged != cur]
+
+    def offer(self, p: int, idx: np.ndarray, candidates: np.ndarray) -> np.ndarray:
+        """Deliver ``candidates`` at positions ``idx`` of program ``p``:
+        delivery seeds the entry (``written``) whether or not it adopts;
+        returns the positions that adopted (repeated if ``idx`` is)."""
+        values = self.values[p]
+        self.written[p][idx] = True
+        old = values[idx]
+        self.kernels[p].scatter(values, idx, candidates)
+        return idx[values[idx] != old]
+
+    def stale(self, p: int) -> np.ndarray:
+        """Positions of program ``p`` whose dict entry is behind the
+        dense value — the one write-back rule.  The caller writes them
+        out; they count as synced from here on."""
+        values, synced = self.values[p], self.synced[p]
+        idx = np.nonzero(self.written[p] & (values != synced))[0]
+        synced[idx] = values[idx]
+        return idx

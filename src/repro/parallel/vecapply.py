@@ -6,10 +6,10 @@ per-neighbour emission.  When every loaded program declares a
 ``bulk_kernel``, a rank can instead drain whole record slabs
 (:mod:`repro.parallel.codec`) with array kernels: offers are scattered
 with ``np.minimum.at`` / ``np.maximum.at`` and adopted values are
-re-broadcast by frontier relaxation over the rank's dense mirror
-(:mod:`repro.kernels.mirror`, the one the DES bulk path uses too),
-exactly the §II-B argument that the REMO fixpoint is
-interleaving-independent.
+re-broadcast by frontier relaxation over the rank's
+:class:`~repro.kernels.mirror.DenseState` (the layer the DES bulk path
+holds too, here with ``rank=`` this rank), exactly the §II-B argument
+that the REMO fixpoint is interleaving-independent.
 
 A drain costs what it brings, not what the rank already holds: dense
 positions never move (per-vertex arrays only grow at the end), a drain's
@@ -28,8 +28,9 @@ Bit-equality with the per-event path rests on five invariants:
   value is a real vertex value relaxed along a real edge.
 * **Same seeds.**  Per-event callbacks write the materialized sentinel
   (INF, the CC hash label) into the value dict on *first touch*, even
-  when nothing improves.  The drain tracks a ``written`` mask with the
-  same touch rules and writes those entries back.
+  when nothing improves.  ``DenseState.written`` follows the same
+  touch rules (``offer``, ``fold`` and the relax loop set it) and only
+  written entries are ever written back.
 * **REVERSE_ADD notify-backs are load-bearing.**  When the edge's
   destination does not adopt, the source's owner learns the
   destination's (better) value only from the notify-back — it is
@@ -42,19 +43,21 @@ Bit-equality with the per-event path rests on five invariants:
   broadcast over an edge both stores hold by then, so the drain skips
   them — this is where most of the duplicated work of the per-event
   path goes away.
-* **Synchronous write-back.**  Changed dense values fold into the
-  engine's value dicts at the end of *every* drain — the INIT callbacks
-  dispatched between drains and the end-of-run harvest read those
-  dicts, and a stale read there silently drops propagation.
+* **Synchronous write-back.**  ``DenseState.stale`` — written entries
+  whose dense value differs from what the dict holds — is written into
+  the engine's value dicts at the end of *every* drain: the INIT
+  callbacks dispatched between drains and the end-of-run harvest read
+  those dicts, and a stale read there silently drops propagation.
 
 Stream ingest is vectorized too (:meth:`VecApplier.ingest` pulls
 straight from the stream columns), so the only per-event visitors a vec
 rank ever dispatches are its INITs.  Their value writes are observed
 through the engine's ``on_write`` hook site
-(:mod:`repro.runtime.plugins`) and folded into the dense mirror at the
-start of the next drain; no per-event edge insert occurs, so the
-rank's adjacency store stays empty and the edge mirror is its topology
-of record.
+(:mod:`repro.runtime.plugins`) and folded into the dense state at the
+start of the next drain (a hook, not the DES path's mutation counters:
+INIT callbacks are a vec rank's only per-event writers); no per-event
+edge insert occurs, so the rank's adjacency store stays empty and the
+edge mirror is its topology of record.
 
 Deletes (§VI-B) never run vectorized: ``run_parallel`` sniffs the
 streams and engages the applier only when *every* rank's stream is
@@ -70,7 +73,8 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.mirror import EdgeRuns, Universe
+from repro.kernels.frontier import relax_to_fixpoint
+from repro.kernels.mirror import DenseState
 from repro.parallel.codec import ADD_DTYPE, Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 
@@ -95,16 +99,11 @@ def vec_eligible(engine, wire, add_only: bool) -> bool:
 
 
 class VecApplier:
-    """Dense kernel-space mirror of one rank's algorithm state.
-
-    Raw vertex ids map onto an arrival-ordered
-    :class:`~repro.kernels.mirror.Universe` whose positions never move;
-    per-program dense arrays hold *materialized* values (never the 0
-    sentinel), a ``written`` mask tracks which entries the per-event
-    path would have in its dict, and a rank-local
-    :class:`~repro.kernels.mirror.EdgeRuns` store mirrors the adjacency
-    store for adoption broadcasts — a drain merges its edges into the
-    small delta run instead of rebuilding a CSR over the graph so far.
+    """One rank's slab semantics over its
+    :class:`~repro.kernels.mirror.DenseState`: which records seed,
+    offer, insert and emit what.  The state's edge mirror stands in for
+    the adjacency store — a drain merges its edges into the small delta
+    run instead of rebuilding a CSR over the graph so far.
     """
 
     def __init__(self, engine, rank: int, codec: Codec):
@@ -121,16 +120,10 @@ class VecApplier:
         self._minlike = [
             bool(k.improves(one(k, 0), one(k, 1))[0]) for k in self.kernels
         ]
-        # One entry per universe position, grown at the end by _grow.
-        self.universe = Universe()
-        self._owner = np.empty(0, dtype=np.int64)
-        self._values = [np.empty(0, dtype=k.dtype) for k in self.kernels]
-        self._written = [np.empty(0, dtype=bool) for _ in self.kernels]
-        self._synced = [np.empty(0, dtype=k.dtype) for k in self.kernels]
-        # Rank-local directed edges; its fresh-key count per batch is
-        # the first-insert test that keeps ``edge_inserts`` agreeing
-        # with the per-event store.
-        self.mirror = EdgeRuns()
+        # The edge mirror's fresh-key count per batch is the
+        # first-insert test that keeps ``edge_inserts`` agreeing with
+        # the per-event store.
+        self.state = DenseState(self.kernels, self.partitioner.owner_array, rank)
         # Per-event value writes (INIT callbacks) observed between drains.
         self._dirty: list[dict[int, Any]] = [dict() for _ in self.kernels]
         engine.install_hook("on_write", self._on_value_write)
@@ -146,61 +139,32 @@ class VecApplier:
         """Kernel work counts plus the mirror's fold accounting."""
         return {
             **self._stats,
-            "mirror_folds": self.mirror.folds,
-            "mirror_moved_edges": self.mirror.moved_edges,
+            "mirror_folds": self.state.edges.folds,
+            "mirror_moved_edges": self.state.edges.moved_edges,
         }
 
     # -- engine hook ---------------------------------------------------
     def _on_value_write(self, prog: int, vertex: int, value: Any) -> None:
         self._dirty[prog][vertex] = value
 
-    # -- id universe ---------------------------------------------------
-    def _grow(self, raw: np.ndarray) -> None:
-        """Admit the never-seen ids of ``raw`` (materialized, unwritten).
-
-        Positions are stable, but growth replaces the dense arrays —
-        :meth:`drain` grows once up front so no array captured below is
-        left behind.
-        """
-        fresh = self.universe.extend(raw)
-        if fresh.size == 0:
-            return
-        self._owner = np.concatenate([self._owner, self.partitioner.owner_array(fresh)])
-        for p, k in enumerate(self.kernels):
-            self._values[p] = np.concatenate([self._values[p], k.init_values(fresh)])
-            self._written[p] = np.concatenate(
-                [self._written[p], np.zeros(fresh.size, dtype=bool)]
-            )
-            self._synced[p] = np.concatenate(
-                [self._synced[p], np.zeros(fresh.size, dtype=k.dtype)]
-            )
-
     # -- per-event fold ------------------------------------------------
-    def _fold_dirty(self) -> list[np.ndarray]:
-        """Fold per-event value writes into the mirror; returns
-        per-program positions whose dense value improved.  Those must
-        re-broadcast over the mirror (the vec analogue of the per-event
-        write's ``update_nbrs`` — the engine's store is empty in vec
-        mode, so nothing else would carry them)."""
-        improved: list[np.ndarray] = [
-            np.empty(0, dtype=np.int64) for _ in self.kernels
-        ]
+    def _fold_dirty(self) -> list[list[np.ndarray]]:
+        """Fold per-event value writes into the dense state; returns,
+        per program, the positions whose dense value improved.  Those
+        must re-broadcast over the mirror (the vec analogue of the
+        per-event write's ``update_nbrs`` — the engine's store is empty
+        in vec mode, so nothing else would carry them)."""
+        st = self.state
+        improved: list[list[np.ndarray]] = [[] for _ in self.kernels]
         for p, k in enumerate(self.kernels):
             items = self._dirty[p]
             if not items:
                 continue
             self._dirty[p] = dict()
             raw = np.fromiter(items.keys(), dtype=np.int64, count=len(items))
+            st.grow(raw)
             vals = np.array(list(items.values()), dtype=k.dtype)
-            self._grow(raw)
-            idx = self.universe.lookup(raw)
-            merged = k.merge_dense(self._values[p][idx], vals)
-            ch = merged != self._values[p][idx]
-            self._values[p][idx] = merged
-            self._written[p][idx] = True
-            self._synced[p][idx] = vals
-            if ch.any():
-                improved[p] = idx[ch]
+            improved[p].append(st.fold(p, raw, vals))
         return improved
 
     # -- stream ingest -------------------------------------------------
@@ -235,13 +199,13 @@ class VecApplier:
     # -- topology harvest ----------------------------------------------
     @property
     def num_edges(self) -> int:
-        return self.mirror.num_edges
+        return self.state.edges.num_edges
 
     def edges(self) -> list[tuple[int, int, int]]:
         """This rank's stored directed edges with keep-last weights
         (what ``store.edges()`` would have held)."""
-        t, h, w = self.mirror.edges()
-        ids = self.universe.ids
+        t, h, w = self.state.edges.edges()
+        ids = self.state.universe.ids
         return list(zip(ids[t].tolist(), ids[h].tolist(), w.tolist()))
 
     # -- drain ---------------------------------------------------------
@@ -262,7 +226,7 @@ class VecApplier:
             return 0
         obs = self.obs
         t0 = obs.now() if obs is not None else 0.0
-        fold_improved = self._fold_dirty()
+        changed = self._fold_dirty()
         self._stats["kernel_batches"] += 1
         self._stats["kernel_records"] += n_records
 
@@ -274,15 +238,9 @@ class VecApplier:
             parts += [radd["dst"], radd["src"]]
         if upd is not None:
             parts.append(upd["target"])
-        self._grow(np.concatenate(parts))
-        lookup = self.universe.lookup
-
-        engine = self.engine
-        counters = engine.counters[self.rank]
-        changed: list[list[np.ndarray]] = [[] for _ in self.kernels]
-        for p in range(self.n_programs):
-            if fold_improved[p].size:
-                changed[p].append(fold_improved[p])
+        st = self.state
+        st.grow(np.concatenate(parts))
+        lookup = st.universe.lookup
 
         # --- ADD slabs: insert at the source's owner, seed, re-emit ---
         # Edges of the whole drain, in arrival order (keep-last), go to
@@ -296,18 +254,18 @@ class VecApplier:
             src_idx = lookup(src)
             dst_idx = lookup(dst)
             arrived.append((src_idx, dst_idx, w))
-            for p in range(self.n_programs):
-                self._written[p][src_idx] = True  # on_add seeds the source
+            for written in st.written:
+                written[src_idx] = True  # on_add seeds the source
             # Synthesize the REVERSE_ADD the per-event path emits,
             # carrying the source's current (seeded) values.
             vals = np.stack(
                 [
-                    self._values[p][src_idx].astype(np.uint64)
+                    st.values[p][src_idx].astype(np.uint64)
                     for p in range(self.n_programs)
                 ],
                 axis=1,
             )
-            local = self._owner[dst_idx] == self.rank
+            local = st.local[dst_idx]
             remote = ~local
             if remote.any():
                 loop.queue_radd(dst[remote], src[remote], w[remote], vals[remote])
@@ -340,14 +298,9 @@ class VecApplier:
             )
             arrived.append((dst_idx, rsrc_idx, rw))
             for p, k in enumerate(self.kernels):
-                self._written[p][dst_idx] = True  # on_reverse_add seeds
                 vis = k.materialize(rvals[:, p].astype(k.dtype), rsrc)
-                cand = k.relax(vis, rw)
-                old = self._values[p][dst_idx].copy()
-                k.scatter(self._values[p], dst_idx, cand)
-                ch = self._values[p][dst_idx] != old
-                if ch.any():
-                    changed[p].append(dst_idx[ch])
+                # on_reverse_add seeds the destination, then offers.
+                changed[p].append(st.offer(p, dst_idx, k.relax(vis, rw)))
                 nb_pending.append((p, dst_idx, rsrc, rsrc_idx, rw, vis))
 
         # --- UPDATE: offer relax(vis_val, weight) at the target -------
@@ -361,42 +314,33 @@ class VecApplier:
                 sender = upd["sender"][sel].astype(np.int64)
                 value = upd["value"][sel].astype(k.dtype)
                 w = upd["weight"][sel].astype(np.int64)
-                t_idx = lookup(target)
-                self._written[p][t_idx] = True  # on_update seeds
                 vis = k.materialize(value, sender)
-                cand = k.relax(vis, w)
-                old = self._values[p][t_idx].copy()
-                k.scatter(self._values[p], t_idx, cand)
-                ch = self._values[p][t_idx] != old
-                if ch.any():
-                    changed[p].append(t_idx[ch])
+                # on_update seeds the target, then offers.
+                changed[p].append(st.offer(p, lookup(target), k.relax(vis, w)))
 
         # --- frontier relaxation + adoption broadcast -----------------
         if arrived:
-            fresh = self.mirror.insert(*(np.concatenate(col) for col in zip(*arrived)))
-            counters.edge_inserts += fresh.size
-        for p in range(self.n_programs):
-            if changed[p]:
-                self._relax_and_broadcast(
-                    p, np.unique(np.concatenate(changed[p])), loop
-                )
+            fresh = st.edges.insert(*(np.concatenate(col) for col in zip(*arrived)))
+            self.engine.counters[self.rank].edge_inserts += fresh.size
+        self._relax_and_broadcast(changed, loop)
 
         # --- REVERSE_ADD notify-backs (load-bearing) ------------------
         local_offers: list[list[np.ndarray]] = [[] for _ in self.kernels]
         for p, dst_idx, rsrc, rsrc_idx, rw, vis in nb_pending:
             k = self.kernels[p]
-            final = self._values[p][dst_idx]
+            final = st.values[p][dst_idx]
             cand_back = k.relax(final, rw)
             mask = k.improves(cand_back, vis)
             if not mask.any():
                 continue
             src_m = rsrc[mask]
-            dst_m = self.universe.ids[dst_idx[mask]]
+            dst_m = st.universe.ids[dst_idx[mask]]
             back_m = cand_back[mask]
             final_m = final[mask]
             w_m = rw[mask]
             s_idx = rsrc_idx[mask]
-            remote = self._owner[s_idx] != self.rank
+            local = st.local[s_idx]
+            remote = ~local
             if remote.any():
                 loop.queue_update(
                     p,
@@ -405,20 +349,9 @@ class VecApplier:
                     final_m[remote].astype(np.uint64),
                     w_m[remote],
                 )
-            local = ~remote
             if local.any():
-                s_idx = s_idx[local]
-                self._written[p][s_idx] = True
-                old = self._values[p][s_idx].copy()
-                k.scatter(self._values[p], s_idx, back_m[local])
-                ch = self._values[p][s_idx] != old
-                if ch.any():
-                    local_offers[p].append(s_idx[ch])
-        for p in range(self.n_programs):
-            if local_offers[p]:
-                self._relax_and_broadcast(
-                    p, np.unique(np.concatenate(local_offers[p])), loop
-                )
+                local_offers[p].append(st.offer(p, s_idx[local], back_m[local]))
+        self._relax_and_broadcast(local_offers, loop)
 
         self._write_back()
         if obs is not None:
@@ -427,62 +360,32 @@ class VecApplier:
             obs.span("kernel_drain", t0, "compute", {"records": n_records}, busy=False)
         return n_records
 
-    def _relax_and_broadcast(self, p: int, frontier: np.ndarray, loop) -> None:
-        """Relax ``frontier`` to the local fixpoint over the edge
-        mirror, collecting UPDATE records for remote heads (the adoption
-        broadcast of Alg. 3, batched and §II-D-coalesced)."""
-        k = self.kernels[p]
-        values = self._values[p]
-        written = self._written[p]
-        owner = self._owner
-        ids = self.universe.ids
-        rem_t: list[np.ndarray] = []
-        rem_s: list[np.ndarray] = []
-        rem_v: list[np.ndarray] = []
-        rem_w: list[np.ndarray] = []
-        rem_c: list[np.ndarray] = []
-        rounds = 0
-        while frontier.size:
-            vals_f = values[frontier]
-            mask = k.can_emit(vals_f)
-            if mask is not None:
-                frontier = frontier[mask]
-                vals_f = vals_f[mask]
-            adopted = []
-            relaxed = 0
-            for e_heads, e_w, tail_vals, tails in self.mirror.gather(
-                frontier, values.size, vals_f, frontier
-            ):
-                relaxed += e_heads.size
-                candidates = k.relax(tail_vals, e_w)
-                local = owner[e_heads] == self.rank
-                remote = ~local
-                if remote.any():
-                    rem_t.append(ids[e_heads[remote]])
-                    rem_s.append(ids[tails[remote]])
-                    rem_v.append(tail_vals[remote].astype(np.uint64))
-                    rem_w.append(e_w[remote])
-                    rem_c.append(candidates[remote])
-                if local.any():
-                    l_heads = e_heads[local]
-                    written[l_heads] = True  # delivery seeds the neighbour
-                    old = values[l_heads]
-                    k.scatter(values, l_heads, candidates[local])
-                    adopted.append(l_heads[values[l_heads] != old])
-            if not relaxed:
-                break
-            rounds += 1
+    def _relax_and_broadcast(self, frontiers: list[list[np.ndarray]], loop) -> None:
+        """Relax each program's frontier parts to the local fixpoint
+        over the edge mirror and send what reached remote heads as
+        UPDATE records (the adoption broadcast of Alg. 3, batched and
+        §II-D-coalesced)."""
+        st = self.state
+        ids = st.universe.ids
+        for p, parts in enumerate(frontiers):
+            if not parts:
+                continue
+            remote: list[tuple[np.ndarray, ...]] = []
+            rounds, relaxed = relax_to_fixpoint(
+                st.edges,
+                st.values[p],
+                np.concatenate(parts),
+                self.kernels[p],
+                st.local,
+                st.written[p],
+                remote,
+            )
+            self._stats["kernel_rounds"] += rounds
             self._stats["kernel_relaxations"] += relaxed
-            if not adopted:
-                break
-            frontier = np.unique(np.concatenate(adopted))
-        self._stats["kernel_rounds"] += rounds
-        if rem_t:
-            t = np.concatenate(rem_t)
-            s = np.concatenate(rem_s)
-            v = np.concatenate(rem_v)
-            w = np.concatenate(rem_w)
-            c = np.concatenate(rem_c)
+            if not remote:
+                continue
+            heads, tails, v, w, c = (np.concatenate(col) for col in zip(*remote))
+            t, s = ids[heads], ids[tails]
             # Coalesce by (target, sender), keeping the best candidate —
             # the array analogue of the outbuf §II-D squash.
             ckey = c if self._minlike[p] else np.invert(c)
@@ -490,24 +393,20 @@ class VecApplier:
             t, s, v, w = t[order], s[order], v[order], w[order]
             first = np.ones(t.size, dtype=bool)
             first[1:] = (t[1:] != t[:-1]) | (s[1:] != s[:-1])
-            loop.queue_update(p, t[first], s[first], v[first], w[first])
+            loop.queue_update(p, t[first], s[first], v[first].astype(np.uint64), w[first])
 
     # -- dict write-back ----------------------------------------------
     def _write_back(self) -> None:
-        """Fold changed dense values into the engine's value dicts.
+        """Write the state's stale entries into the engine's value dicts.
 
         Runs at the end of every drain: INIT callbacks dispatched
-        between drains and the harvest read these dicts, so the mirror
-        must never be ahead of them.
+        between drains and the harvest read these dicts, so the dense
+        state must never be ahead of them.
         """
-        engine = self.engine
+        st = self.state
+        ids = st.universe.ids
         for p in range(self.n_programs):
-            stale = self._written[p] & (self._values[p] != self._synced[p])
-            if not stale.any():
-                continue
-            idx = np.nonzero(stale)[0]
-            vals = self._values[p][idx]
-            self._synced[p][idx] = vals
-            target = engine.values[self.rank][p]
-            for vid, v in zip(self.universe.ids[idx].tolist(), vals.tolist()):
-                target[vid] = v
+            idx = st.stale(p)
+            if idx.size:
+                target = self.engine.values[self.rank][p]
+                target.update(zip(ids[idx].tolist(), st.values[p][idx].tolist()))

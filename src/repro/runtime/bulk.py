@@ -11,18 +11,13 @@ applied at once and the algorithm state advanced by vectorized
 delta-frontier relaxation (:mod:`repro.kernels.frontier`) with a result
 bitwise-equal to the per-event path.
 
-The :class:`BulkIngestor` owns the dense mirror of the engine state,
-built from the shared pieces of :mod:`repro.kernels.mirror`:
-
-* a :class:`~repro.kernels.mirror.Universe` (arrival-ordered dense
-  positions that never move, sorted-view lookup),
-* one dense value array per program (dtype chosen by its
-  ``bulk_kernel``), grown at its end as vertices arrive,
-* the global directed edge set in an
-  :class:`~repro.kernels.mirror.EdgeRuns` store — key-sorted base and
-  delta runs, so a chunk costs a sorted insert, not a re-sort of every
-  edge so far (undirected input edges appear as two directed edges,
-  exactly as the per-event ADD / REVERSE_ADD pair stores them).
+The :class:`BulkIngestor` holds one
+:class:`~repro.kernels.mirror.DenseState` with ``rank=None`` (every
+vertex local): the universe, the per-program value columns, the global
+directed edge set (undirected input edges appear as two directed edges,
+exactly as the per-event ADD / REVERSE_ADD pair stores them) and the
+dict fold / write-back rules are the ones the mp rank drain uses.  What
+is its own is the chunk: store appends, cost charges, spans.
 
 Exactness contract
 ------------------
@@ -35,12 +30,16 @@ Exactness contract
   store.
 * **De-optimize** (:meth:`deoptimize`): the moment per-event processing
   must resume — any message dispatch, or eligibility lost — the dense
-  values are merged back into the per-rank value dicts *before* the
-  event is handled.  Merging is the program's monotone combine, so a
-  per-event write that raced ahead is never regressed.
+  values that changed since the last flush (``DenseState.stale``) are
+  written back into the per-rank value dicts *before* the event is
+  handled.  Folding is the program's monotone combine, so a per-event
+  write that raced ahead is never regressed.
 * **Resync**: per-event activity bumps ``_topo_mutations`` /
-  ``_value_mutations`` on the engine; the next chunk re-reads stores
-  and dicts before trusting its dense mirror.
+  ``_value_mutations`` on the engine; the next chunk re-reads the stores
+  and ``DenseState.fold``s the dicts before trusting its dense state.
+  (Counters, not the mp applier's ``on_write`` hook: checkpoint restore
+  and ``_rebuild_topology`` change state outside ``_write_value``, and
+  ``write_epoch()`` needs the counters anyway.)
 
 Virtual-time accounting is kept comparable to the per-event path: each
 chunk charges ``stream_pull_cpu`` per event to the ingesting rank,
@@ -56,9 +55,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.kernels.frontier import relax_to_fixpoint
-from repro.kernels.mirror import EdgeRuns, Universe
-
-_EMPTY_I64 = np.empty(0, dtype=np.int64)
+from repro.kernels.mirror import DenseState, EdgeRuns
 
 
 class BulkIngestor:
@@ -75,35 +72,15 @@ class BulkIngestor:
             for p, k in zip(programs, self.kernels)
         )
         self.disabled = False  # set when injected timed events exist
-        self.engaged = False  # dense mirror is ahead of the value dicts
-        self.universe = Universe()
-        self._owners: np.ndarray | None = None
-        self.values: list[np.ndarray] = [
-            np.empty(0, dtype=k.dtype) if k is not None else _EMPTY_I64
-            for k in self.kernels
-        ]
-        self.edges = EdgeRuns()  # global directed edges, dense positions
-        self._pending_frontier: list[np.ndarray | None] = [None] * len(self.kernels)
+        self.engaged = False  # dense state is ahead of the value dicts
+        # An unsupported program list never engages; its state is empty.
+        self.state = DenseState(
+            self.kernels if self.supported else [], engine.partitioner.owner_array
+        )
+        # Positions a dict fold improved, to re-propagate with the next chunk.
+        self._pending_frontier: list[list[np.ndarray]] = [[] for _ in self.kernels]
         self._synced_topo = -1
         self._synced_vals = -1
-
-    # ------------------------------------------------------------------
-    # vertex universe
-    # ------------------------------------------------------------------
-    def _grow(self, vids: np.ndarray) -> None:
-        """Admit never-seen vertices: every dense array grows at its end."""
-        fresh = self.universe.extend(vids)
-        if fresh.size:
-            self._owners = None
-            for p, kernel in enumerate(self.kernels):
-                self.values[p] = np.concatenate(
-                    [self.values[p], kernel.init_values(fresh)]
-                )
-
-    def _owner_of_dense(self) -> np.ndarray:
-        if self._owners is None:
-            self._owners = self.engine.partitioner.owner_array(self.universe.ids)
-        return self._owners
 
     # ------------------------------------------------------------------
     # resync with per-event state
@@ -129,44 +106,28 @@ class BulkIngestor:
                 ws.append(w)
         t = np.asarray(srcs, dtype=np.int64)
         h = np.asarray(dsts, dtype=np.int64)
-        self._grow(np.concatenate([t, h]))
-        self.edges = EdgeRuns()
-        self.edges.insert(
-            self.universe.lookup(t),
-            self.universe.lookup(h),
-            np.asarray(ws, dtype=np.int64),
+        st = self.state
+        st.grow(np.concatenate([t, h]))
+        st.edges = EdgeRuns()
+        st.edges.insert(
+            st.universe.lookup(t), st.universe.lookup(h), np.asarray(ws, dtype=np.int64)
         )
 
     def _merge_dict_values(self) -> None:
-        """Fold per-event dict values into the dense mirror (monotone
-        merge) and queue changed vertices for re-propagation."""
-        eng = self.engine
-        vid_arrays = [
-            np.fromiter(d.keys(), np.int64, len(d))
-            for rank_vals in eng.values
-            for d in rank_vals
-            if d
+        """Fold per-event dict values into the dense state and queue the
+        improved vertices for re-propagation."""
+        st = self.state
+        dicts = [
+            (p, d, np.fromiter(d.keys(), np.int64, len(d)))
+            for p in range(len(self.kernels))
+            for rank_vals in self.engine.values
+            if (d := rank_vals[p])
         ]
-        if vid_arrays:
-            self._grow(np.concatenate(vid_arrays))
-        for p, kernel in enumerate(self.kernels):
-            for rank_vals in eng.values:
-                d = rank_vals[p]
-                if not d:
-                    continue
-                vids = np.fromiter(d.keys(), np.int64, len(d))
-                vals = np.fromiter(d.values(), kernel.dtype, len(d))
-                idx = self.universe.lookup(vids)
-                cur = self.values[p][idx]
-                merged = kernel.merge_dense(cur, vals)
-                changed = merged != cur
-                if changed.any():
-                    self.values[p][idx[changed]] = merged[changed]
-                    prev = self._pending_frontier[p]
-                    add = idx[changed]
-                    self._pending_frontier[p] = (
-                        add if prev is None else np.concatenate([prev, add])
-                    )
+        if dicts:
+            st.grow(np.concatenate([vids for _p, _d, vids in dicts]))
+        for p, d, vids in dicts:
+            vals = np.fromiter(d.values(), self.kernels[p].dtype, len(d))
+            self._pending_frontier[p].append(st.fold(p, vids, vals))
 
     # ------------------------------------------------------------------
     # chunk processing
@@ -198,9 +159,10 @@ class BulkIngestor:
         self._append_to_stores(src, dst, w)
         if undirected:
             self._append_to_stores(dst, src, w)
-        self._grow(np.concatenate([src, dst]))
-        t_d = self.universe.lookup(src)
-        h_d = self.universe.lookup(dst)
+        st = self.state
+        st.grow(np.concatenate([src, dst]))
+        t_d = st.universe.lookup(src)
+        h_d = st.universe.lookup(dst)
         if undirected:
             tails = np.concatenate([t_d, h_d])
             heads = np.concatenate([h_d, t_d])
@@ -209,26 +171,21 @@ class BulkIngestor:
             tails, heads, wts = t_d, h_d, np.asarray(w, dtype=np.int64)
         # Dedup is exact (keep-last, existing pairs overwritten), so the
         # fresh tails are the per-event first inserts, owner by owner.
-        new_tails = self.edges.insert(tails, heads, wts)
+        new_tails = st.edges.insert(tails, heads, wts)
         if new_tails.size:
-            owners = eng.partitioner.owner_array(self.universe.ids[new_tails])
-            for r, c in enumerate(np.bincount(owners, minlength=eng.config.n_ranks)):
+            counts = np.bincount(st.owner[new_tails], minlength=eng.config.n_ranks)
+            for r, c in enumerate(counts):
                 if c:
                     eng.counters[r].edge_inserts += int(c)
         # REMO propagation: delta-frontier relaxation from the chunk's
         # endpoints (values elsewhere are already at fixpoint).
-        frontier_base = np.unique(np.concatenate([t_d, h_d]))
+        endpoints = np.unique(np.concatenate([t_d, h_d]))
         total_relax = 0
         for p, kernel in enumerate(self.kernels):
-            extra = self._pending_frontier[p]
-            frontier = (
-                frontier_base
-                if extra is None
-                else np.concatenate([frontier_base, extra])
-            )
-            self._pending_frontier[p] = None
+            frontier = np.concatenate([endpoints, *self._pending_frontier[p]])
+            self._pending_frontier[p] = []
             _rounds, relaxed = relax_to_fixpoint(
-                self.edges, self.values[p], frontier, kernel
+                st.edges, st.values[p], frontier, kernel
             )
             total_relax += relaxed
         eng._charge(
@@ -305,32 +262,33 @@ class BulkIngestor:
             # impossible (on_message de-optimizes first), but merge
             # rather than clobber if it ever happens.
             self._merge_dict_values()
-        owners = self._owner_of_dense()
+        st = self.state
+        ids = st.universe.ids
         for p in range(len(self.kernels)):
+            idx = st.stale(p)
+            if not idx.size:
+                continue
             fire = eng.triggers.has_triggers(p)
-            vals = self.values[p]
-            for r in range(eng.config.n_ranks):
+            vals = st.values[p][idx]
+            owners = st.owner[idx]
+            for r in np.unique(owners).tolist():
                 m = owners == r
-                if not m.any():
-                    continue
                 d = eng.values[r][p]
-                pairs = zip(self.universe.ids[m].tolist(), vals[m].tolist())
+                pairs = zip(ids[idx[m]].tolist(), vals[m].tolist())
                 if fire:
                     now = eng.loop.now(r)
                     for vid, v in pairs:
-                        if d.get(vid, 0) != v:
-                            d[vid] = v
-                            eng.triggers.on_change(p, vid, v, now)
+                        d[vid] = v
+                        eng.triggers.on_change(p, vid, v, now)
                 else:
                     d.update(pairs)
-            if eng._hk_bulk_flush:
-                # A bulk flush bypasses _write_value, so per-write
-                # on_write hooks never fired; the coarse on_bulk_flush
-                # site fires once per program instead (the serving
-                # layer drops its non-absorbing cached entries for the
-                # whole program wholesale).
-                for h in eng._hk_bulk_flush:
-                    h(p)
+            # A bulk flush bypasses _write_value, so per-write on_write
+            # hooks never fired; the coarse on_bulk_flush site fires once
+            # per program that wrote something instead (the serving
+            # layer drops its non-absorbing cached entries for the whole
+            # program wholesale).
+            for h in eng._hk_bulk_flush:
+                h(p)
         self.engaged = False
         self._synced_vals = eng._value_mutations
         if count_fallback:

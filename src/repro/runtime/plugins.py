@@ -58,8 +58,8 @@ class WriteHook(Protocol):
 
 
 class BulkFlushHook(Protocol):
-    """Fired once per program when the bulk-ingest dense mirror flushes
-    back into the value dicts: ``(prog,)``."""
+    """Fired once per program that had entries to write when the
+    bulk-ingest dense state flushes into the value dicts: ``(prog,)``."""
 
     def __call__(self, prog: int) -> None: ...
 

@@ -111,3 +111,39 @@ class TestRun:
         self.run_cli("--seed", "1")
         out2 = capsys.readouterr().out
         assert out1.split("wall time")[0] == out2.split("wall time")[0]
+
+
+class TestInputBoundary:
+    """A bad ``--input`` fails at the boundary: exit 2, one line, no
+    traceback — and a delete line is never replayed as an add."""
+
+    CASES = {
+        "delete line": ("1 2\n2 3\n3 4\nd 2 3\n", "event 4 is a delete"),
+        "bad field": ("1 2\n2 x\n", ":2: non-integer field"),
+        "no events": ("# nothing here\n\n", "no events"),
+        "missing file": (None, "No such file"),
+    }
+
+    @pytest.mark.parametrize("command", ["run", "serve"])
+    @pytest.mark.parametrize("case", CASES)
+    def test_bad_input_is_a_usage_error(self, command, case, tmp_path, capsys):
+        text, expect = self.CASES[case]
+        path = tmp_path / "events.txt"
+        if text is not None:
+            path.write_text(text)
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--input", str(path), "--algo", "cc", "--ranks", "2", "--verify"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err.strip()
+        assert "Traceback" not in err and len(err.splitlines()) == 1
+        assert expect in err and str(path) in err
+
+    def test_delete_in_npz_is_rejected_too(self, tmp_path, capsys):
+        from repro.events.io import write_edge_npz
+
+        path = str(tmp_path / "events.npz")
+        write_edge_npz(path, [1, 2, 1], [2, 3, 2], kinds=[0, 0, 1])
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--input", path, "--algo", "cc"])
+        assert exc.value.code == 2
+        assert "event 3 is a delete" in capsys.readouterr().err

@@ -6,6 +6,7 @@ import pytest
 from repro.algorithms.base import INF
 from repro.algorithms.cc import component_label
 from repro.kernels import (
+    DenseState,
     MaxLabelKernel,
     MinPlusKernel,
     build_csr,
@@ -141,3 +142,82 @@ def test_self_loop_does_not_diverge():
     )
     assert values.tolist() == [1, 2]
     assert rounds <= 2  # self-relaxation must not loop forever
+
+
+# ----------------------------------------------------------------------
+# the restricted loop: local heads scatter, the rest go to ``remote``
+# ----------------------------------------------------------------------
+BOTH_KERNELS = pytest.mark.parametrize(
+    "kernel", [MinPlusKernel(), MaxLabelKernel()], ids=["min-plus", "max-label"]
+)
+
+
+def random_undirected(n, m, seed):
+    rng = np.random.default_rng(seed)
+    a, b = rng.integers(0, n, m), rng.integers(0, n, m)
+    w = rng.integers(1, 9, m)
+    return np.concatenate([a, b]), np.concatenate([b, a]), np.concatenate([w, w])
+
+
+def seeded_values(kernel, n):
+    """First-touch values with vertex 0 offered 1 (an SSSP source; a
+    label kernel ignores so small an offer)."""
+    values = kernel.init_values(np.arange(n))
+    kernel.scatter(values, np.array([0]), np.array([1], dtype=kernel.dtype))
+    return values
+
+
+@BOTH_KERNELS
+def test_an_all_true_local_mask_is_the_four_argument_call(kernel):
+    n = 60
+    adj = build_csr(n, *random_undirected(n, 150, seed=3))
+    plain, masked = seeded_values(kernel, n), seeded_values(kernel, n)
+    written, remote = np.zeros(n, dtype=bool), []
+    want = relax_to_fixpoint(adj, plain, np.arange(n), kernel)
+    got = relax_to_fixpoint(
+        adj, masked, np.arange(n), kernel, np.ones(n, dtype=bool), written, remote
+    )
+    assert got == want and want[0] > 1
+    assert masked.tolist() == plain.tolist()
+    assert remote == []
+    # Delivery seeds: every adopter is written, and only edge heads are.
+    assert written[masked != seeded_values(kernel, n)].all()
+    assert set(np.flatnonzero(written)) <= set(adj.edges()[1].tolist())
+
+
+@BOTH_KERNELS
+def test_two_sides_exchanging_remote_blocks_reach_the_global_fixpoint(kernel):
+    """The mp exchange in one process: each side stores the edges whose
+    tail it owns, relaxes its own heads and hands the other side's to it
+    through ``DenseState.offer``."""
+    n = 40
+    t, h, w = random_undirected(n, 90, seed=5)
+    want = seeded_values(kernel, n)
+    relax_to_fixpoint(build_csr(n, t, h, w), want, np.arange(n), kernel)
+
+    sides = []
+    for rank in (0, 1):
+        side = DenseState([kernel], lambda vids: np.asarray(vids) % 2, rank)
+        side.grow(np.arange(n))  # positions are the ids on both sides
+        mine = side.local[t]
+        side.edges.insert(t[mine], h[mine], w[mine])
+        sides.append(side)
+    sides[0].offer(0, np.array([0]), np.array([1], dtype=kernel.dtype))
+    frontiers = [np.flatnonzero(side.local) for side in sides]
+    exchanges = 0
+    while any(f.size for f in frontiers):
+        for rank, side in enumerate(sides):
+            remote = []
+            relax_to_fixpoint(
+                side.edges, side.values[0], frontiers[rank], kernel,
+                side.local, side.written[0], remote,
+            )
+            frontiers[rank] = np.empty(0, dtype=np.int64)
+            for heads, _tails, _tail_vals, _weights, candidates in remote:
+                assert not side.local[heads].any()
+                adopted = sides[1 - rank].offer(0, heads, candidates)
+                frontiers[1 - rank] = np.concatenate([frontiers[1 - rank], adopted])
+                exchanges += 1
+    assert exchanges > 2  # the fixpoint needed both directions
+    for side in sides:
+        assert side.values[0][side.local].tolist() == want[side.local].tolist()

@@ -4,7 +4,10 @@
 weight``: inserts, re-adds with a changed weight and duplicates inside
 one batch, in batch sizes that put the store on both sides of its fold
 rule, with the universe growing between a run's row-pointer
-build and its next gather.
+build and its next gather.  ``DenseState`` is checked against per-vertex
+``[value, written, synced]`` records under random grow / fold / offer /
+stale sequences, as the DES holds it (``rank=None``) and as an mp rank
+does.
 """
 
 from collections import Counter
@@ -16,7 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import mirror
-from repro.kernels.mirror import FOLD_FRACTION, EdgeRuns, Universe
+from repro.kernels.frontier import MaxLabelKernel, MinPlusKernel
+from repro.kernels.mirror import FOLD_FRACTION, DenseState, EdgeRuns, Universe
 
 I64 = np.int64
 
@@ -167,3 +171,123 @@ def test_readd_overwrites_in_place_without_counting():
     t, h, w = store.edges()
     assert sorted(zip(t.tolist(), h.tolist(), w.tolist())) == [(0, 1, 9), (1, 2, 7)]
     assert store.insert(arr([]), arr([]), arr([])).size == 0
+
+
+# ----------------------------------------------------------------------
+# DenseState
+# ----------------------------------------------------------------------
+KERNELS = [MinPlusKernel(), MaxLabelKernel()]
+N_RANKS = 3
+
+dense_vertex = st.integers(0, 15)
+dense_value = st.integers(0, 40)  # 0 = the dicts' "unset"
+entries = st.lists(st.tuples(dense_vertex, dense_value), max_size=8)
+dense_op = st.one_of(
+    st.tuples(st.just("grow"), st.lists(dense_vertex, max_size=6)),
+    st.tuples(st.just("fold"), st.integers(0, 1), entries),
+    st.tuples(st.just("offer"), st.integers(0, 1), entries),
+    st.tuples(st.just("stale"), st.integers(0, 1)),
+)
+
+
+class DenseModel:
+    """``cells[p][vid] = [value, written, synced]`` plus arrival order."""
+
+    def __init__(self, rank):
+        self.rank = rank
+        self.order: list[int] = []
+        self.cells = [{} for _ in KERNELS]
+
+    def grow(self, vids):
+        for vid in sorted(set(vids) - set(self.order)):
+            self.order.append(vid)
+            for p, k in enumerate(KERNELS):
+                seed = k.init_values(arr([vid]))[0]
+                self.cells[p][vid] = [seed, self.rank is None, 0]
+
+    def best(self, p, a, b):
+        return min(a, b) if p == 0 else max(a, b)
+
+    def fold(self, p, items):
+        improved = []
+        for vid, val in items.items():
+            cell, k = self.cells[p][vid], KERNELS[p]
+            # 0 = unset folds as the vertex's own seed, which never wins.
+            seeded = k.materialize(np.array([val], k.dtype), arr([vid]))[0]
+            merged = self.best(p, cell[0], seeded)
+            if merged != cell[0]:
+                improved.append(vid)
+            cell[:] = [merged, True, val]
+        return improved
+
+    def offer(self, p, pairs):
+        before = {vid: self.cells[p][vid][0] for vid, _ in pairs}
+        for vid, cand in pairs:
+            cell = self.cells[p][vid]
+            cell[0], cell[1] = self.best(p, cell[0], cand), True
+        return [vid for vid, _ in pairs if self.cells[p][vid][0] != before[vid]]
+
+    def stale(self, p):
+        cells = self.cells[p]
+        out = [v for v in self.order if cells[v][1] and cells[v][0] != cells[v][2]]
+        for v in out:
+            cells[v][2] = cells[v][0]
+        return out
+
+
+def check_dense(state, model):
+    ids = state.universe.ids
+    assert ids.tolist() == model.order  # positions never move
+    assert state.owner.tolist() == [v % N_RANKS for v in model.order]
+    if model.rank is None:
+        assert state.local is None
+    else:
+        assert state.local.tolist() == [v % N_RANKS == model.rank for v in model.order]
+    for p in range(len(KERNELS)):
+        columns = (state.values[p], state.written[p], state.synced[p])
+        got = [list(cell) for cell in zip(*(c.tolist() for c in columns))]
+        assert got == [model.cells[p][v] for v in model.order]
+
+
+@pytest.mark.parametrize("rank", [None, 1])
+@settings(max_examples=120, deadline=None)
+@given(ops=st.lists(dense_op, max_size=24))
+def test_dense_state_matches_a_dict_model(rank, ops):
+    state = DenseState(KERNELS, lambda vids: np.asarray(vids) % N_RANKS, rank)
+    model = DenseModel(rank)
+    for op, *args in ops:
+        if op == "grow":
+            state.grow(arr(args[0]))
+            model.grow(args[0])
+        elif op == "fold":
+            p, items = args[0], dict(args[1])  # dict entries: unique ids
+            raw = arr(items)
+            vals = np.array(list(items.values()), dtype=KERNELS[p].dtype)
+            state.grow(raw)
+            model.grow(items)
+            got = state.fold(p, raw, vals)
+            assert state.universe.ids[got].tolist() == model.fold(p, items)
+        elif op == "offer":
+            p = args[0]
+            pairs = [(v, c) for v, c in args[1] if v in model.order and c]
+            idx = state.universe.lookup(arr(v for v, _ in pairs))
+            cands = np.array([c for _, c in pairs], dtype=KERNELS[p].dtype)
+            got = state.offer(p, idx, cands)
+            assert state.universe.ids[got].tolist() == model.offer(p, pairs)
+        else:
+            p = args[0]
+            assert state.universe.ids[state.stale(p)].tolist() == model.stale(p)
+            assert state.stale(p).size == 0  # each entry exactly once
+        check_dense(state, model)
+
+
+def test_fold_of_a_worse_dict_value_leaves_the_column_and_is_stale():
+    state = DenseState(KERNELS, lambda vids: np.asarray(vids) % N_RANKS)
+    state.grow(arr([4, 9]))
+    assert state.offer(0, arr([0, 1]), arr([5, 7])).tolist() == [0, 1]
+    assert state.stale(0).tolist() == [0, 1]
+    # The dict says 9 for vertex 4 (worse than 5) and 3 for vertex 9 (better).
+    assert state.fold(0, arr([4, 9]), arr([9, 3])).tolist() == [1]
+    assert state.values[0].tolist() == [5, 3]
+    assert state.stale(0).tolist() == [0]  # only the entry the dict is behind on
+    assert state.stale(0).size == 0

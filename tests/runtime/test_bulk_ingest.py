@@ -91,6 +91,77 @@ def test_init_message_forces_fallback_then_reengages():
 
 
 # ----------------------------------------------------------------------
+# flush writes what changed, not what is stored
+# ----------------------------------------------------------------------
+class RecordingDict(dict):
+    """A value dict that lists the keys ``flush_values`` writes."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def __setitem__(self, key, value):
+        self.writes.append(key)
+        super().__setitem__(key, value)
+
+    def update(self, pairs):
+        for key, value in pairs:
+            self[key] = value
+
+
+def test_flush_writes_and_fires_only_for_what_changed():
+    eng = DynamicEngine(
+        [IncrementalBFS(), IncrementalCC()],
+        EngineConfig(n_ranks=2),
+        plugins=[BulkIngestPlugin(64)],
+    )
+    for rank_vals in eng.values:
+        rank_vals[:] = [RecordingDict() for _ in rank_vals]
+    fired = []
+    eng.install_hook("on_bulk_flush", fired.append)
+    bulk = eng._bulk
+
+    def ingest(edges):
+        src, dst = np.array(edges, dtype=np.int64).T
+        assert bulk.process_chunk(0, ArrayEventStream(src, dst)) == len(edges)
+        assert bulk.engaged
+
+    def flush():
+        """Hook firings and the keys written per program by one flush."""
+        del fired[:]
+        for rank_vals in eng.values:
+            for d in rank_vals:
+                del d.writes[:]
+        bulk.flush_values(count_fallback=False)
+        writes = [
+            sorted(k for rank_vals in eng.values for k in rank_vals[p].writes)
+            for p in range(2)
+        ]
+        return list(fired), writes
+
+    two_paths = [(0, 1), (1, 2), (2, 3), (10, 11), (11, 12)]
+    everyone = [0, 1, 2, 3, 10, 11, 12]
+    # First touch seeds every endpoint in both programs (INF, own label).
+    ingest(two_paths)
+    assert flush() == ([0, 1], [everyone, everyone])
+    # Re-adds engage the ingestor and change nothing: nothing to write.
+    ingest(two_paths)
+    assert flush() == ([], [[], []])
+    # Joining the paths relabels one of them; BFS (no source) is unmoved.
+    before = eng.state("cc")
+    ingest([(3, 10)])
+    seen = []
+    eng.add_trigger("cc", lambda v, val: True, lambda v, val, t: seen.append(v), once=False)
+    hooks, (bfs_writes, cc_writes) = flush()
+    after = eng.state("cc")
+    relabelled = sorted(v for v in everyone if after[v] != before[v])
+    assert relabelled in ([0, 1, 2, 3], [10, 11, 12])
+    assert hooks == [1] and bfs_writes == [] and cc_writes == relabelled
+    assert sorted(seen) == relabelled  # on_change: changed entries only
+    assert len(set(after.values())) == 1
+
+
+# ----------------------------------------------------------------------
 # eligibility and de-optimization
 # ----------------------------------------------------------------------
 def test_trigger_disables_bulk_entirely():
