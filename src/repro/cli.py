@@ -389,7 +389,7 @@ def _run_mp(
         f"rings: {ring['ring_stalls']:,} push stalls, "
         f"overflow hwm {ring['overflow_hwm_records']:,} records, "
         f"{ring['ring_pad_bytes']:,} PAD bytes, "
-        f"{ring['pickle_records']:,} fallback-lane messages"
+        f"{ring['pickle_records']:,} tuple-lane (pickled) messages"
     )
 
     meta = {

@@ -5,15 +5,15 @@ middleware in virtual time on one core; this package *executes* it —
 the same unmodified :class:`~repro.runtime.engine.DynamicEngine` visitor
 switch runs in one process per rank over the same consistent-hash
 partition, with quiescence proved by the four-counter detector adapted
-to an async token ring.  The data plane is zero-copy: visitor batches
-travel as fixed-layout numpy record slabs over
-single-producer/single-consumer shared-memory rings
-(:mod:`repro.parallel.shm` + :mod:`repro.parallel.codec`), with a
-pickled-slab lane on the same rings for values that do not pack; the
-duplex-pipe mesh carries control frames only (token, stop, doorbells).
-When every loaded program declares a bulk kernel, arriving slabs are
-applied with in-rank vectorized kernels (:mod:`repro.parallel.vecapply`)
-instead of per-event dispatch.  Because the five REMO algorithms
+to an async token ring.  The data plane is single-producer/
+single-consumer shared-memory rings (:mod:`repro.parallel.shm` +
+:mod:`repro.parallel.codec`); the duplex-pipe mesh carries control
+frames only (token, stop, doorbells).  A run is one of two things all
+the way down: when every loaded program declares a bulk kernel (and the
+streams are add-only), ranks exchange fixed-layout numpy record slabs,
+read zero-copy and applied with in-rank vectorized kernels
+(:mod:`repro.parallel.vecapply`); otherwise they exchange pickled tuple
+batches and dispatch per event.  Because the five REMO algorithms
 converge to a unique fixpoint under any event interleaving (§II-D/§IV),
 the mp backend's final state is bit-equal to the DES backend's and to
 the static oracle — which the differential tests in ``tests/parallel/``

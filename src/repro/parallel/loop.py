@@ -17,16 +17,18 @@ Differences from the simulated NIC, by design:
   needing virtual-time injection (collections, fault plans, telemetry
   sampling) is DES-only.
 * **Outbuffers instead of per-send latency.**  Cross-rank messages
-  buffer per destination and travel as record slabs
-  (:class:`repro.parallel.codec.Codec`) pushed onto the destination's
-  shm ring when the buffer reaches a flush threshold (or the worker goes
-  idle) — the PR 1 ``send_many`` batching moved onto the wire.  The
-  threshold can be *randomized per flush* (``jitter_rng``), which the
-  differential tests use to shake out interleaving assumptions on top of
-  genuine OS scheduling noise.  Pipes carry control frames only (token,
-  stop, and the ``"D"`` doorbell emitted when a push makes a ring go
-  empty→nonempty, so a receiver blocked in ``Connection.poll`` wakes
-  without busy-spinning on ring heads).
+  buffer per destination and travel as slabs
+  (:class:`repro.parallel.codec.Codec`: one pickled tuple batch per
+  flush on a per-event rank, record arrays on a vec rank) pushed onto
+  the destination's shm ring when the buffer reaches a flush threshold
+  (or the worker goes idle) — the PR 1 ``send_many`` batching moved onto
+  the wire.  The threshold can be *randomized per flush*
+  (``jitter_rng``), which the differential tests use to shake out
+  interleaving assumptions on top of genuine OS scheduling noise.  Pipes
+  carry control frames only (token, stop, and the ``"D"`` doorbell
+  emitted when a push makes a ring go empty→nonempty, so a receiver
+  blocked in ``Connection.poll`` wakes without busy-spinning on ring
+  heads).
 * **Coalescing on both ends of the wire.**  A send carrying a
   ``coalesce_key`` squashes into a pending same-key message in the
   destination's outbuffer (sender side) exactly like the DES inbox
@@ -49,7 +51,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec
-from repro.parallel.shm import K_ADD, K_PICKLE, K_RADD, K_UPDATE, ShmRing
+from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE, ShmRing
 from repro.parallel.wire import FRAME_DOORBELL
 from repro.runtime.visitor import VT_UPDATE
 
@@ -75,15 +77,14 @@ class ShmLoop:
     unit tests at a list), so the loop itself is process-free and
     deterministic under test.
 
-    Besides the per-destination outbuffers of visitor tuples, two
-    producer-side buffers join the termination accounting:
-
-    * an **overflow queue** per destination, holding slabs a full ring
-      refused (``try_push`` never blocks — a cycle of mutually-full
-      rings must not deadlock); :meth:`pump` retries them each turn;
-    * **record buffers** of structured arrays queued directly by the
-      vectorized drain (:mod:`repro.parallel.vecapply`), which never
-      pass through tuple space at all.
+    A rank fills one of two per-destination buffers for the whole run
+    — visitor tuples (``send`` / ``send_many``, per-event ranks) or
+    structured record arrays (``queue_*``, the vectorized drain of
+    :mod:`repro.parallel.vecapply`, which never passes through tuple
+    space) — and both join the termination accounting, with the
+    **overflow queue** that holds slabs a full ring refused
+    (``try_push`` never blocks — a cycle of mutually-full rings must not
+    deadlock); :meth:`pump` retries them each turn.
 
     Until its slab lands on the ring a record is ``outbuffered``, so a
     rank with backpressured slabs can never report idle to the token
@@ -140,7 +141,7 @@ class ShmLoop:
         self._combiners: list[Callable[[tuple, tuple], tuple] | None] = []
         self._overflow: dict[int, deque] = {d: deque() for d in rings_out}
         self._overflow_records = 0
-        # dst -> list of (slab_kind, structured record array)
+        # dst -> list of (kind, structured record array)
         self._rec_out: dict[int, list[tuple[int, np.ndarray]]] = {
             d: [] for d in rings_out
         }
@@ -153,8 +154,8 @@ class ShmLoop:
         self.doorbells = 0
         self.overflow_pushes = 0  # slabs a full ring bounced to overflow
         self.overflow_hwm_records = 0  # overflow-queue record high water
-        self.pickle_slabs = 0  # K_PICKLE fallback slabs encoded
-        self.pickle_records = 0  # messages carried on the fallback lane
+        self.pickle_slabs = 0  # K_PICKLE (tuple-lane) slabs encoded
+        self.pickle_records = 0  # messages carried on the tuple lane
 
     # ------------------------------------------------------------------
     # wiring
@@ -270,12 +271,11 @@ class ShmLoop:
         return False
 
     def flush(self, dst_rank: int) -> None:
-        """Encode one destination's buffered visitors + queued record
-        arrays into slabs and push them (overflowing without blocking).
-        Tuple-lane and record-lane messages each stay FIFO; their
-        relative interleave is fixed only here, which is safe — the two
-        lanes never carry messages whose order matters to §III-C (a
-        channel's topology events all travel on one lane)."""
+        """Turn one destination's buffered visitors (per-event rank) or
+        queued record arrays (vec rank) into slabs and push them,
+        overflowing without blocking.  Either buffer is FIFO and a run
+        fills only one of them, so channel order (§III-C) is the order
+        of the slabs."""
         buf = self._outbuf[dst_rank]
         recs = self._rec_out.get(dst_rank)
         if not buf and not recs:
@@ -296,12 +296,9 @@ class ShmLoop:
             batch = [p.msg for p in buf]
             buf.clear()
             self._outbuf_index[dst_rank].clear()
-            encoded = self._encode_fitting(batch, limit)
-            for kind, n, _payload in encoded:
-                if kind == K_PICKLE:
-                    self.pickle_slabs += 1
-                    self.pickle_records += n
-            slabs.extend(encoded)
+            slabs = self._encode_fitting(batch, limit)
+            self.pickle_slabs += len(slabs)
+            self.pickle_records += len(batch)
         if recs:
             for kind, arr in recs:
                 per = max(1, limit // arr.itemsize)
@@ -321,10 +318,10 @@ class ShmLoop:
 
     def _encode_fitting(self, batch: list, limit: int) -> list[tuple[int, int, Any]]:
         """``encode_batch`` with every payload within ``limit`` bytes:
-        an oversized batch is re-encoded half by half."""
-        slabs = self._codec.encode_batch(batch)
-        if len(batch) == 1 or all(len(payload) <= limit for _, _, payload in slabs):
-            return slabs
+        one slab, or — oversized — each half re-encoded in order."""
+        slab = self._codec.encode_batch(batch)
+        if len(batch) == 1 or len(slab[2]) <= limit:
+            return [slab]
         mid = len(batch) // 2
         return self._encode_fitting(batch[:mid], limit) + self._encode_fitting(
             batch[mid:], limit

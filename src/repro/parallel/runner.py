@@ -184,16 +184,23 @@ def run_parallel(
     # sampled before any worker can sample its own.
     parent_anchor = ClockAnchor.capture() if obs is not None else None
     n = config.n_ranks
+    # Caller mistakes surface here, as one line, before any ring or
+    # process exists — not as a child traceback from whichever rank owns
+    # the vertex.
     if len(streams) > n:
         raise ValueError(f"{len(streams)} streams for {n} ranks")
+    names = [p.name for p in programs]
+    for prog, _vertex, _payload in init or ():
+        if prog not in names and not (isinstance(prog, int) and 0 <= prog < len(names)):
+            raise ValueError(f"init: no program {prog!r} among {names}")
     columns: list[tuple | None] = [None] * n
     for r, stream in enumerate(streams):
         columns[r] = _stream_columns(stream)
     # Add-only iff every stream column *provably* carries only ADDs
     # (kinds None means pure ADD by ArrayEventStream construction) —
     # gates the vectorized drain, for all ranks at once: deletes never
-    # run vectorized, and a worker that finds a K_DEL slab at an engaged
-    # applier raises.  The check is against ADD, not against DELETE: an
+    # run vectorized, and a worker that finds a slab of the other mode
+    # on its ring raises.  The check is against ADD, not against DELETE: an
     # unknown kind value must conservatively disqualify the stream,
     # never slip through the fast path.
     add_only = all(
@@ -296,8 +303,7 @@ def run_parallel(
             r.destroy()
 
     per_rank = [results[r] for r in range(n)]
-    prog_names = [p.name for p in programs]
-    states: dict[str, dict[int, Any]] = {name: {} for name in prog_names}
+    states: dict[str, dict[int, Any]] = {name: {} for name in names}
     counters = RankCounters()
     # Aggregate the stats the loops reported: sums, except high-water
     # marks which take the max.
@@ -328,7 +334,7 @@ def run_parallel(
         merged_obs = merge_rank_obs(payloads, parent_anchor)
     return ParallelResult(
         n_ranks=n,
-        prog_names=prog_names,
+        prog_names=names,
         states=states,
         counters=counters,
         wire=wire_totals,

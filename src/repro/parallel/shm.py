@@ -2,12 +2,14 @@
 
 The mp backend's *data plane*: one :class:`ShmRing` per ordered
 ``(src, dst)`` rank pair, carved out of a ``multiprocessing.shared_memory``
-segment the parent creates before spawning workers.  The producer packs
-visitor batches into fixed-layout record slabs (:mod:`repro.parallel.codec`)
-and commits them with a single tail-pointer store; the consumer decodes
-numpy views *directly over the shared pages* — no pickling, no
-per-message objects, no socket syscalls.  Pipes remain for the control
-plane only (token ring, doorbells, stop, harvest).
+segment the parent creates before spawning workers.  The producer
+copies a slab payload in — a vec rank's record array or a per-event
+rank's pickled tuple batch (:mod:`repro.parallel.codec`; a run carries
+one of the two, never both) — and commits it with a single tail-pointer
+store; the consumer reads it *directly over the shared pages*, as numpy
+record views or one ``pickle.loads`` per slab, with no socket syscalls.
+Pipes remain for the control plane only (token ring, doorbells, stop,
+harvest).
 
 Layout of one segment (offsets in bytes)::
 
@@ -20,7 +22,7 @@ share one.  Slabs are contiguous in the data region and 32-byte
 aligned::
 
     +0   seq        (u8)  ring position the slab was committed at
-    +8   kind       (u4)  K_PAD / K_PICKLE / K_UPDATE / K_ADD / K_RADD / K_DEL
+    +8   kind       (u4)  K_PAD / K_PICKLE / K_UPDATE / K_ADD / K_RADD
     +12  n_records  (u4)
     +16  nbytes     (u8)  payload length (excluding header + padding)
     +24  sender     (u8)  producing rank (redundant check field)
@@ -68,7 +70,14 @@ K_PICKLE = 1
 K_UPDATE = 2
 K_ADD = 3
 K_RADD = 4
-K_DEL = 5
+RECORD_KINDS = (K_UPDATE, K_ADD, K_RADD)  # the array lane; K_PICKLE is the tuple lane
+KIND_NAMES = {
+    K_PAD: "K_PAD",
+    K_PICKLE: "K_PICKLE",
+    K_UPDATE: "K_UPDATE",
+    K_ADD: "K_ADD",
+    K_RADD: "K_RADD",
+}
 
 _SLAB_HDR_DTYPE = np.dtype(
     [

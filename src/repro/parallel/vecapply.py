@@ -43,28 +43,24 @@ Bit-equality with the per-event path rests on five invariants:
   broadcast over an edge both stores hold by then, so the drain skips
   them — this is where most of the duplicated work of the per-event
   path goes away.
-* **Synchronous write-back.**  ``DenseState.stale`` — written entries
-  whose dense value differs from what the dict holds — is written into
-  the engine's value dicts at the end of *every* drain: the INIT
-  callbacks dispatched between drains and the end-of-run harvest read
-  those dicts, and a stale read there silently drops propagation.
-
-Stream ingest is vectorized too (:meth:`VecApplier.ingest` pulls
-straight from the stream columns), so the only per-event visitors a vec
-rank ever dispatches are its INITs.  Their value writes are observed
-through the engine's ``on_write`` hook site
-(:mod:`repro.runtime.plugins`) and folded into the dense state at the
-start of the next drain (a hook, not the DES path's mutation counters:
-INIT callbacks are a vec rank's only per-event writers); no per-event
-edge insert occurs, so the rank's adjacency store stays empty and the
-edge mirror is its topology of record.
+* **Dicts in at construction, out at harvest.**  Stream ingest is
+  vectorized too (:meth:`VecApplier.ingest` pulls straight from the
+  stream columns), so the only per-event visitors of a vec rank are its
+  INITs, and the worker dispatches those *before* it builds the applier:
+  the constructor folds what they wrote into the dense state, once, and
+  nothing reads or writes the engine's value dicts again until
+  :meth:`VecApplier.write_back` puts ``DenseState.stale`` — written
+  entries whose dense value differs from what the dict holds — into
+  them for the harvest.  No per-event edge insert occurs either, so the
+  rank's adjacency store stays empty and the edge mirror is its
+  topology of record.
 
 Deletes (§VI-B) never run vectorized: ``run_parallel`` sniffs the
 streams and engages the applier only when *every* rank's stream is
 add-only, so delete-carrying streams run per-event on every rank, where
-the generational support-tree protocol owns support breaks.  A K_DEL
-slab arriving at an engaged applier means that invariant was broken,
-and the worker raises instead of guessing.
+the generational support-tree protocol owns support breaks and every
+message is a tuple.  A tuple slab arriving at an engaged applier means
+that invariant was broken, and the worker raises instead of guessing.
 """
 
 from __future__ import annotations
@@ -123,10 +119,16 @@ class VecApplier:
         # The edge mirror's fresh-key count per batch is the
         # first-insert test that keeps ``edge_inserts`` agreeing with
         # the per-event store.
-        self.state = DenseState(self.kernels, self.partitioner.owner_array, rank)
-        # Per-event value writes (INIT callbacks) observed between drains.
-        self._dirty: list[dict[int, Any]] = [dict() for _ in self.kernels]
-        engine.install_hook("on_write", self._on_value_write)
+        st = self.state = DenseState(self.kernels, self.partitioner.owner_array, rank)
+        # What this rank's INITs wrote.  No edge exists yet, so the
+        # folded values have nowhere to broadcast: the first ADD or RADD
+        # touching such a vertex carries them.
+        for p, k in enumerate(self.kernels):
+            items = engine.values[rank][p]
+            if items:
+                raw = np.fromiter(items.keys(), dtype=np.int64, count=len(items))
+                st.grow(raw)
+                st.fold(p, raw, np.array(list(items.values()), dtype=k.dtype))
         self._stats = {
             "kernel_batches": 0,
             "kernel_records": 0,
@@ -142,30 +144,6 @@ class VecApplier:
             "mirror_folds": self.state.edges.folds,
             "mirror_moved_edges": self.state.edges.moved_edges,
         }
-
-    # -- engine hook ---------------------------------------------------
-    def _on_value_write(self, prog: int, vertex: int, value: Any) -> None:
-        self._dirty[prog][vertex] = value
-
-    # -- per-event fold ------------------------------------------------
-    def _fold_dirty(self) -> list[list[np.ndarray]]:
-        """Fold per-event value writes into the dense state; returns,
-        per program, the positions whose dense value improved.  Those
-        must re-broadcast over the mirror (the vec analogue of the
-        per-event write's ``update_nbrs`` — the engine's store is empty
-        in vec mode, so nothing else would carry them)."""
-        st = self.state
-        improved: list[list[np.ndarray]] = [[] for _ in self.kernels]
-        for p, k in enumerate(self.kernels):
-            items = self._dirty[p]
-            if not items:
-                continue
-            self._dirty[p] = dict()
-            raw = np.fromiter(items.keys(), dtype=np.int64, count=len(items))
-            st.grow(raw)
-            vals = np.array(list(items.values()), dtype=k.dtype)
-            improved[p].append(st.fold(p, raw, vals))
-        return improved
 
     # -- stream ingest -------------------------------------------------
     def ingest(
@@ -226,7 +204,7 @@ class VecApplier:
             return 0
         obs = self.obs
         t0 = obs.now() if obs is not None else 0.0
-        changed = self._fold_dirty()
+        changed: list[list[np.ndarray]] = [[] for _ in self.kernels]
         self._stats["kernel_batches"] += 1
         self._stats["kernel_records"] += n_records
 
@@ -353,7 +331,6 @@ class VecApplier:
                 local_offers[p].append(st.offer(p, s_idx[local], back_m[local]))
         self._relax_and_broadcast(local_offers, loop)
 
-        self._write_back()
         if obs is not None:
             # busy=False: this span nests inside the worker's "drain"
             # span, which already accounts the time.
@@ -396,13 +373,9 @@ class VecApplier:
             loop.queue_update(p, t[first], s[first], v[first].astype(np.uint64), w[first])
 
     # -- dict write-back ----------------------------------------------
-    def _write_back(self) -> None:
-        """Write the state's stale entries into the engine's value dicts.
-
-        Runs at the end of every drain: INIT callbacks dispatched
-        between drains and the harvest read these dicts, so the dense
-        state must never be ahead of them.
-        """
+    def write_back(self) -> None:
+        """Write the state's stale entries into the engine's value
+        dicts — once, when the harvest is about to read them."""
         st = self.state
         ids = st.universe.ids
         for p in range(self.n_programs):

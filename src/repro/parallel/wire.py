@@ -1,6 +1,6 @@
 """Control frames, run configuration and sender plumbing of the mp backend.
 
-Visitor data travels as record slabs over shm rings
+Visitor data travels as slabs over shm rings
 (:mod:`repro.parallel.shm`, :mod:`repro.parallel.loop`); the
 per-(src,dst) duplex pipe mesh carries only control frames — small
 picklable tuples with a one-character tag first, one pickle per frame

@@ -9,13 +9,16 @@ with this process's rank, so only this rank's store/value/counter slots
 are ever touched — the cluster state is the disjoint union of the
 workers' slots, harvested by the parent after termination.  The engine
 carries no plugins (mp telemetry is :class:`RankObs`, not the DES
-tracer), and a rank is vectorized or per-event for the *whole* run:
+tracer), and a *run* is vectorized or per-event all the way down:
 :func:`~repro.parallel.vecapply.vec_eligible` decides before the first
-event and nothing de-optimizes afterwards.
+event, identically on every rank, and nothing de-optimizes afterwards.
+A vec rank dispatches the INITs it owns, builds its applier over what
+they wrote, and from then on runs no per-event code and accepts only
+record slabs; a per-event rank accepts only pickled tuple slabs.
 
-Service loop, per turn: drain arrived shm ring slabs into the inbox
-(vectorized-eligible record slabs go straight to the kernel drain of
-:mod:`repro.parallel.vecapply` instead) and read pipe control frames →
+Service loop, per turn: drain arrived shm ring slabs (tuple slabs into
+the inbox, record slabs into the kernel drain of
+:mod:`repro.parallel.vecapply`) and read pipe control frames →
 dispatch a slice of inbox visitors → pull a slice of stream events when
 the inbox is empty → if nothing progressed, force-flush the outbuffers
 and do token-ring work, blocking briefly on the pipes when there is truly
@@ -36,7 +39,7 @@ from typing import Any
 from repro.obs.distributed import RankObs, harvest_payload
 from repro.parallel.codec import Codec
 from repro.parallel.loop import ShmLoop
-from repro.parallel.shm import K_ADD, K_DEL, K_RADD, K_UPDATE, attach_ring
+from repro.parallel.shm import K_PICKLE, KIND_NAMES, RECORD_KINDS, attach_ring
 from repro.parallel.termination import RingCoordinator, RingMember
 from repro.parallel.vecapply import VecApplier, vec_eligible
 from repro.parallel.wire import (
@@ -52,7 +55,6 @@ from repro.runtime.engine import EngineConfig
 from repro.runtime.lifecycle import EngineBuilder
 from repro.runtime.visitor import VT_INIT
 
-_VEC_KINDS = (K_ADD, K_RADD, K_UPDATE)
 _DISPATCH_SLICE = 512  # inbox messages dispatched per loop turn
 _PULL_SLICE = 128  # stream events pulled per loop turn (per-event ingest)
 _POLL_TIMEOUT = 0.02  # blocking-wait seconds when idle
@@ -138,11 +140,21 @@ def _run_rank(
         batch_max=wire.batch_max,
         jitter_rng=jitter_rng,
     )
-    applier: VecApplier | None = None
-    if vec_eligible(engine, wire, add_only):
-        applier = VecApplier(engine, rank, codec)
     loop.set_update_combiners(engine._combiners)
     engine.loop = loop
+    vec = vec_eligible(engine, wire, add_only)
+    # Ownership-gated seeding: every worker gets the full init list and
+    # takes the visitors of vertices it owns (version 0 — inits precede
+    # any stream cut).  A vec rank dispatches them now — the only
+    # per-event code it ever runs — and its applier folds what they wrote.
+    for prog, vertex, payload in init:
+        if engine.partitioner.owner(vertex) == rank:
+            msg = (VT_INIT, engine.prog_index(prog), vertex, payload, 0)
+            if vec:
+                engine.on_message(loop, rank, msg)
+            else:
+                loop.enqueue_local(msg)
+    applier = VecApplier(engine, rank, codec) if vec else None
     # Per-rank wall-clock telemetry (repro.obs.distributed).  Unlike the
     # engine-level DES telemetry plugins (virtual time, one process),
     # this layer is built for the mp runtime: wall timestamps,
@@ -163,22 +175,15 @@ def _run_rank(
         stream = ArrayEventStream(*stream_columns)
         if applier is not None:
             # Vec runs bulk-ingest straight from the columns; the
-            # engine never sees a stream (or any per-event visitor
-            # beyond INIT), so its store stays empty and the applier's
-            # mirror is the rank's topology of record.
+            # engine never sees a stream, so its store stays empty and
+            # the applier's mirror is the rank's topology of record.
             vec_stream = stream
         else:
             engine.attach_stream(rank, stream)
         stream_live = True
-    # Ownership-gated seeding: every worker gets the full init list but
-    # enqueues only visitors for vertices it owns (version 0 — inits
-    # precede any stream cut by definition).
-    for prog, vertex, payload in init:
-        if engine.partitioner.owner(vertex) == rank:
-            p = engine.prog_index(prog)
-            loop.enqueue_local((VT_INIT, p, vertex, payload, 0))
     sender.start()
 
+    accepted = RECORD_KINDS if vec else (K_PICKLE,)
     ring = RingMember(rank, n_ranks)
     coordinator = RingCoordinator() if rank == 0 else None
     conns = list(peer_conns.values())
@@ -189,15 +194,16 @@ def _run_rank(
     def drain_rings() -> bool:
         """Consume every committed slab from the incoming rings.
 
-        Vectorized-eligible record slabs accumulate for one kernel
-        drain (counting their own wire_received — they bypass
-        ``deliver_batch``); everything else decodes back to visitor
-        tuples for per-event dispatch.  Deletes never run vectorized:
-        ``run_parallel`` engages the applier only when every rank's
-        stream is add-only, so a K_DEL slab reaching one is a broken
-        invariant, not a case to handle.  Rings are committed only after
-        the kernel drain, which copies out of the shared pages before
-        any emission it triggers could need the space back.
+        On a vec rank the record slabs accumulate for one kernel drain
+        (counting their own wire_received — they bypass
+        ``deliver_batch``); on a per-event rank the tuple slabs unpickle
+        into the inbox.  A slab of the other mode means the ranks
+        disagreed about the run (``run_parallel`` decides it once, for
+        all of them: no rank vectorizes unless every stream is pure
+        ADD), which is an error, not a case to handle.  Rings are
+        committed only after the kernel drain, which copies out of the
+        shared pages before any emission it triggers could need the
+        space back.
         """
         if not rings_in:
             return False
@@ -215,22 +221,19 @@ def _run_rank(
             touched.append(r_in)
             n_slabs += len(slabs)
             for kind, n, sender_rank, payload in slabs:
-                if applier is not None and kind in _VEC_KINDS:
+                if kind not in accepted:
+                    raise RuntimeError(
+                        f"rank {rank} is {'vectorized' if vec else 'per-event'} "
+                        f"but got a {KIND_NAMES.get(kind, kind)} slab from rank "
+                        f"{sender_rank}: a run is record slabs between vec ranks "
+                        "or K_PICKLE slabs between per-event ranks, never both"
+                    )
+                if vec:
                     vec_slabs.append((kind, n, sender_rank, payload))
                     loop.wire_received += n
                     loop.frames_received += 1
-                elif applier is not None and kind == K_DEL:
-                    raise RuntimeError(
-                        f"rank {rank} got a K_DEL slab from rank "
-                        f"{sender_rank} with its vectorized applier "
-                        "engaged: run_parallel's add-only sniff (no rank "
-                        "vectorizes unless every stream is pure ADD) was "
-                        "bypassed"
-                    )
                 else:
-                    loop.deliver_batch(
-                        sender_rank, codec.decode_to_tuples(kind, payload)
-                    )
+                    loop.deliver_batch(sender_rank, codec.decode_to_tuples(payload))
         if vec_slabs:
             assert applier is not None
             applier.drain(vec_slabs, loop)
@@ -396,6 +399,7 @@ def _run_rank(
     # this side of each inbound ring.
     wire_stats["ring_torn_retries"] = sum(r.torn_retries for r in rings_in.values())
     if applier is not None:
+        applier.write_back()  # the dicts are read below, and only there
         wire_stats.update(applier.stats)
         num_edges = applier.num_edges
         edges = applier.edges() if collect_edges else None

@@ -48,7 +48,7 @@ from repro.runtime.visitor import (
     VT_UPDATE,
 )
 from repro.storage.degaware import DegAwareRHH
-from repro.util.validate import check_non_negative, check_positive
+from repro.util.validate import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.registry import MetricsRegistry, VirtualTimeSampler
@@ -72,6 +72,7 @@ _CTRL_SPAN_NAMES = {
     CTRL_HARVEST: "ctrl/harvest",
     CTRL_PART: "ctrl/part",
 }
+_PROBE_BACKOFF = 20e-6  # virtual pause between a collection's probe waves
 
 
 class UnsupportedCollectionError(RuntimeError):
@@ -97,7 +98,6 @@ class EngineConfig:
     vertex_index: str = "robinhood"
     partition_salt: int = 0
     coordinator_rank: int = 0
-    probe_backoff: float = 20e-6  # virtual pause between probe waves
     # §II-D visitor-queue fast path: squash monotone UPDATEs into
     # pending same-key messages (programs opt in via their ``combine``
     # hook) and emit a vertex's fan-out as one send_many batch.  Both
@@ -108,7 +108,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         check_positive("n_ranks", self.n_ranks)
         check_positive("promote_threshold", self.promote_threshold)
-        check_non_negative("probe_backoff", self.probe_backoff)
         if not 0 <= self.coordinator_rank < self.n_ranks:
             raise ValueError("coordinator_rank out of range")
 
@@ -1222,7 +1221,7 @@ class DynamicEngine(RankHandler):
                         rank, r, (VT_CTRL, CTRL_HARVEST, col_id, col.prog), priority=True
                     )
             else:
-                next_at = self.loop.now(rank) + self.config.probe_backoff
+                next_at = self.loop.now(rank) + _PROBE_BACKOFF
                 wave_id = col.detector.start_wave()
                 for r in range(self.config.n_ranks):
                     self.loop.send_at(

@@ -7,14 +7,14 @@ the only way to attach these concerns: an engine built without a plugin
 list has none of them.  :class:`PluginRegistry` keeps the ordered list
 (setup runs in registration order, duplicate names are rejected).
 
-**Hooks are the state-coherence mechanism, not a telemetry one.**  Two
-subsystems keep a second copy of vertex values and must hear about
+**Hooks are the state-coherence mechanism, not a telemetry one.**  One
+subsystem keeps a second copy of vertex values and must hear about
 every change to the first: the serving layer's stable-value cache
-(:mod:`repro.serving.server`, both sites) and the mp backend's dense
-mirror (:class:`repro.parallel.vecapply.VecApplier`, ``on_write``).
-They come and go at run time, so they subscribe through
-``engine.install_hook`` / ``uninstall_hook`` — a plugin that wants a
-hook calls ``install_hook`` from its ``setup``.  Each site in
+(:mod:`repro.serving.server`, both sites).  (The mp backend's dense
+mirror needs no hook: a vec rank runs no per-event code once its
+applier exists.)  Servers come and go at run time, so they subscribe
+through ``engine.install_hook`` / ``uninstall_hook`` — a plugin that
+wants a hook calls ``install_hook`` from its ``setup``.  Each site in
 :data:`HOOK_SITES` is a flat tuple on the engine (``engine._hk_write``,
 ``engine._hk_bulk_flush``): empty is the disabled state, so the hot
 path pays one attribute load plus one truth test — ``if

@@ -1,15 +1,14 @@
-"""Property tests for the visitor-batch record codec.
+"""Property tests for the two wire formats of the shm codec.
 
-The shm wire must be invisible to the engine: any visitor batch the
-pipe wire could pickle must round-trip through ``encode_batch`` /
-``decode_to_tuples`` to the *identical* tuple list — same order (the
-§III-C FIFO guarantee), same native-int values, same signedness per
-program domain.  Hypothesis drives batches across all three record
-layouts plus the pickle fallback lane.
+The tuple lane must be invisible to the engine: any visitor batch must
+round-trip through ``encode_batch`` / ``decode_to_tuples`` to the
+*identical* tuple list — same order (the §III-C FIFO guarantee), same
+native-int values whatever their sign or width, same payload objects
+(generational tuples, S-T bitmaps) — as exactly one ``K_PICKLE`` slab.
+The array lane is three record layouts read back as zero-copy views.
 """
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,21 +19,14 @@ from repro import (
     MultiSTConnectivity,
     WidestPath,
 )
-from repro.parallel.codec import (
-    ADD_DTYPE,
-    DEL_DTYPE,
-    UPDATE_DTYPE,
-    Codec,
-    radd_dtype,
-)
-from repro.parallel.shm import K_ADD, K_DEL, K_PICKLE, K_RADD, K_UPDATE
-from repro.runtime.visitor import VT_ADD, VT_DEL, VT_RADD, VT_UPDATE
+from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec, radd_dtype
+from repro.parallel.shm import K_PICKLE
+from repro.runtime.visitor import VT_ADD, VT_DEL, VT_RADD, VT_RDEL, VT_UPDATE
 
-# All-packable run: every program declares a bulk kernel (BFS/SSSP are
-# signed min-plus, CC is unsigned max-label).
+# A kernel-capable program list (the runs that may vectorize) and one
+# with S-T / widest-path in it (per-event always): the tuple lane must
+# not care which.
 PACKABLE = Codec([IncrementalBFS(), IncrementalCC(), IncrementalSSSP()])
-# Mixed run: st/widest have no kernel, so their UPDATEs — and *every*
-# RADD — must ride the pickle lane.
 MIXED = Codec(
     [
         IncrementalBFS(),
@@ -50,43 +42,33 @@ u64 = st.integers(0, 2**64 - 1)
 vid = st.integers(0, 2**40)
 weight = st.integers(-(2**31), 2**31)
 ver = st.integers(0, 2**32 - 1)
-
-
-def value_strategy(codec, prog):
-    if not codec.packable[prog]:
-        return st.one_of(i64, st.text(max_size=5), st.tuples(u64, u64))
-    return i64 if codec.signed[prog] else u64
+# Plain ints of either sign up to 2^64, strings, and the generational
+# programs' (generation, value, support) tuples.
+value = st.one_of(i64, u64, st.text(max_size=5), st.tuples(u64, i64, vid))
 
 
 @st.composite
 def visitor(draw, codec):
-    vt = draw(st.sampled_from([VT_ADD, VT_RADD, VT_UPDATE]))
+    vt = draw(st.sampled_from([VT_ADD, VT_RADD, VT_UPDATE, VT_DEL, VT_RDEL]))
     if vt == VT_ADD:
         return (VT_ADD, draw(vid), draw(vid), draw(weight), draw(ver))
-    if vt == VT_RADD:
-        vals = tuple(
-            draw(value_strategy(codec, p)) for p in range(codec.n_programs)
-        )
-        return (VT_RADD, draw(vid), draw(vid), vals, draw(weight), draw(ver))
+    if vt == VT_DEL:
+        return (VT_DEL, draw(vid), draw(vid), draw(ver))
+    if vt in (VT_RADD, VT_RDEL):
+        vals = tuple(draw(value) for _ in range(codec.n_programs))
+        tail = (draw(weight), draw(ver)) if vt == VT_RADD else (draw(ver),)
+        return (vt, draw(vid), draw(vid), vals, *tail)
     prog = draw(st.integers(0, codec.n_programs - 1))
     return (
-        VT_UPDATE,
-        prog,
-        draw(vid),
-        draw(vid),
-        draw(value_strategy(codec, prog)),
-        draw(weight),
-        draw(ver),
+        VT_UPDATE, prog, draw(vid), draw(vid), draw(value), draw(weight), draw(ver)
     )
 
 
 def roundtrip(codec, batch):
-    out = []
-    for kind, n, payload in codec.encode_batch(batch):
-        decoded = codec.decode_to_tuples(kind, payload)
-        assert len(decoded) == n
-        out.extend(decoded)
-    return out
+    kind, n, payload = codec.encode_batch(batch)
+    assert (kind, n) == (K_PICKLE, len(batch))
+    # The consumer reads the payload as a uint8 view over the ring.
+    return codec.decode_to_tuples(np.frombuffer(payload, dtype=np.uint8))
 
 
 class TestRoundTrip:
@@ -101,46 +83,41 @@ class TestRoundTrip:
         assert roundtrip(MIXED, batch) == batch
 
     def test_signed_values_fold_back_negative(self):
-        # SSSP (signed domain) at prog 2: a negative value must survive
-        # the u64 bit-pattern trip as the same Python int.
         msg = (VT_UPDATE, 2, 5, 7, -123456789, 3, 0)
         assert roundtrip(PACKABLE, [msg]) == [msg]
 
     def test_unsigned_values_above_sign_bit_survive(self):
-        # CC (unsigned max-label) at prog 1: hashes with the top bit set
-        # must NOT be sign-folded.
+        # CC labels are 64-bit hashes: the top bit must not turn into a sign.
         msg = (VT_UPDATE, 1, 5, 7, (1 << 63) + 99, 3, 0)
         assert roundtrip(PACKABLE, [msg]) == [msg]
 
 
 class TestSlabKinds:
     def test_kind_per_visitor_type(self):
-        assert PACKABLE.slab_kind((VT_ADD, 0, 1, 1, 0)) == K_ADD
-        assert PACKABLE.slab_kind((VT_RADD, 0, 1, (0, 0, 0), 1, 0)) == K_RADD
-        assert PACKABLE.slab_kind((VT_UPDATE, 0, 1, 2, 3, 1, 0)) == K_UPDATE
-
-    def test_mixed_run_demotes_radd_and_unpackable_updates(self):
-        assert not MIXED.all_packable
-        assert MIXED.slab_kind((VT_RADD, 0, 1, (0,) * 5, 1, 0)) == K_PICKLE
-        assert MIXED.slab_kind((VT_UPDATE, 3, 1, 2, "bitmap", 1, 0)) == K_PICKLE
-        assert MIXED.slab_kind((VT_UPDATE, 0, 1, 2, 3, 1, 0)) == K_UPDATE
+        # One lane: whatever the visitor type, the slab is K_PICKLE.
+        for msg in [
+            (VT_ADD, 0, 1, 1, 0),
+            (VT_RADD, 0, 1, (0, 0, 0), 1, 0),
+            (VT_UPDATE, 0, 1, 2, 3, 1, 0),
+            (VT_DEL, 0, 1, 0),
+            (VT_RDEL, 0, 1, (0, 0, 0), 0),
+        ]:
+            assert PACKABLE.encode_batch([msg])[:2] == (K_PICKLE, 1)
 
     def test_consecutive_runs_share_one_slab(self):
+        # Visitor types alternate; the batch is still one slab, in order.
         batch = [(VT_ADD, i, i + 1, 1, 0) for i in range(4)]
-        batch += [(VT_UPDATE, 0, 1, 2, 3, 1, 0)]
+        batch += [(VT_UPDATE, 0, 1, 2, 3, 1, 0), (VT_DEL, 0, 1, 0)]
         batch += [(VT_ADD, 9, 10, 1, 0)]
-        slabs = PACKABLE.encode_batch(batch)
-        assert [(k, n) for k, n, _ in slabs] == [(K_ADD, 4), (K_UPDATE, 1), (K_ADD, 1)]
-
-    def test_empty_batch_encodes_to_no_slabs(self):
-        assert PACKABLE.encode_batch([]) == []
+        kind, n, _payload = PACKABLE.encode_batch(batch)
+        assert (kind, n) == (K_PICKLE, 7)
+        assert roundtrip(PACKABLE, batch) == batch
 
 
 class TestRecordViews:
     def test_add_view_is_zero_copy_over_the_payload(self):
-        batch = [(VT_ADD, 3, 4, 5, 1), (VT_ADD, 6, 7, -8, 2)]
-        [(kind, n, payload)] = PACKABLE.encode_batch(batch)
-        view = PACKABLE.add_view(np.frombuffer(payload, dtype=np.uint8))
+        recs = np.array([(3, 4, 5, 1), (6, 7, -8, 2)], dtype=ADD_DTYPE)
+        view = PACKABLE.add_view(np.frombuffer(recs.tobytes(), dtype=np.uint8))
         assert view.dtype == ADD_DTYPE and view.base is not None
         assert view["src"].tolist() == [3, 6]
         assert view["dst"].tolist() == [4, 7]
@@ -148,66 +125,30 @@ class TestRecordViews:
         assert view["ver"].tolist() == [1, 2]
 
     def test_update_view_field_layout(self):
-        msg = (VT_UPDATE, 1, 10, 11, 12, 13, 14)
-        [(kind, n, payload)] = PACKABLE.encode_batch([msg])
-        view = PACKABLE.update_view(np.frombuffer(payload, dtype=np.uint8))
+        recs = np.array([(1, 10, 11, 12, 13, 14)], dtype=UPDATE_DTYPE)
+        assert UPDATE_DTYPE.itemsize == 38
+        view = PACKABLE.update_view(np.frombuffer(recs.tobytes(), dtype=np.uint8))
         assert view.dtype == UPDATE_DTYPE
         assert view[0].item() == (1, 10, 11, 12, 13, 14)
 
     def test_radd_view_carries_one_value_lane_per_program(self):
-        msg = (VT_RADD, 1, 2, (7, 8, 9), 3, 0)
-        [(kind, n, payload)] = PACKABLE.encode_batch([msg])
-        view = PACKABLE.radd_view(np.frombuffer(payload, dtype=np.uint8))
+        assert PACKABLE.radd_dtype == radd_dtype(3) != MIXED.radd_dtype
+        recs = np.array([(1, 2, 3, 0, (7, 8, 9))], dtype=radd_dtype(3))
+        view = PACKABLE.radd_view(np.frombuffer(recs.tobytes(), dtype=np.uint8))
         assert view.dtype == radd_dtype(3)
         assert view["vals"].tolist() == [[7, 8, 9]]
 
-    def test_unknown_slab_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown slab kind"):
-            PACKABLE.decode_to_tuples(99, b"")
-
 
 class TestDelLane:
-    """The §VI-B DEL record lane: deletes must pack on every codec,
-    including the mixed (pickle-demoting) runs — a DELETE carries no
-    program value, so there is nothing to demote."""
-
-    def test_del_is_packable_on_every_codec(self):
-        msg = (VT_DEL, 3, 9, 1)
-        assert PACKABLE.slab_kind(msg) == K_DEL
-        assert MIXED.slab_kind(msg) == K_DEL
+    """§VI-B deletes are ordinary tuples on the tuple lane: DEL names an
+    edge, RDEL carries one (generational, tuple-valued) value per
+    program."""
 
     def test_del_batch_roundtrips_exactly(self):
         batch = [(VT_DEL, 3, 9, 1), (VT_DEL, 5, 2, 0), (VT_DEL, 2**40, 7, 9)]
+        batch.append((VT_RDEL, 9, 3, ((2, 5, 7), (1, 2**63, None)), 1))
         assert roundtrip(PACKABLE, batch) == batch
         assert roundtrip(MIXED, batch) == batch
-
-    def test_del_view_is_zero_copy_over_the_payload(self):
-        batch = [(VT_DEL, 3, 9, 1), (VT_DEL, 5, 2, 0)]
-        [(kind, n, payload)] = PACKABLE.encode_batch(batch)
-        assert (kind, n) == (K_DEL, 2)
-        view = PACKABLE.del_view(np.frombuffer(payload, dtype=np.uint8))
-        assert view.dtype == DEL_DTYPE and view.base is not None
-        assert view["src"].tolist() == [3, 5]
-        assert view["dst"].tolist() == [9, 2]
-        assert view["ver"].tolist() == [1, 0]
-
-    def test_del_runs_stay_separate_from_adds(self):
-        batch = [
-            (VT_ADD, 0, 1, 1, 0),
-            (VT_DEL, 0, 1, 0),
-            (VT_ADD, 2, 3, 1, 0),
-        ]
-        slabs = PACKABLE.encode_batch(batch)
-        assert [(k, n) for k, n, _ in slabs] == [
-            (K_ADD, 1),
-            (K_DEL, 1),
-            (K_ADD, 1),
-        ]
-        # FIFO order survives the kind changes.
-        out = []
-        for kind, _n, payload in slabs:
-            out.extend(PACKABLE.decode_to_tuples(kind, payload))
-        assert out == batch
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -217,5 +158,4 @@ class TestDelLane:
         )
     )
     def test_mixed_batches_with_deletes_roundtrip(self, batch):
-        batch = [tuple(m) for m in batch]
         assert roundtrip(MIXED, batch) == batch

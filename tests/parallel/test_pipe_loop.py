@@ -33,8 +33,8 @@ class Harness:
         """Consume the ring toward ``dst``: one tuple list per slab."""
         ring = self.rings[dst]
         out = [
-            self.codec.decode_to_tuples(kind, payload)
-            for kind, _n, _sender, payload in ring.pop_slabs()
+            self.codec.decode_to_tuples(payload)
+            for _kind, _n, _sender, payload in ring.pop_slabs()
         ]
         ring.commit()
         return out

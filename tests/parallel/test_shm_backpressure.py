@@ -90,8 +90,9 @@ def test_flush_splits_a_record_batch_larger_than_the_ring():
         ring.destroy()
 
 
-def test_flush_splits_tuple_lane_record_and_pickle_runs():
-    # An S-T program is not packable: its UPDATEs ride K_PICKLE.
+def test_flush_splits_an_oversized_tuple_batch_into_in_order_slabs():
+    # 600 visitors (S-T bitmaps up to 70 bits among them) pickle to
+    # several rings' worth: one flush, halved until every slab fits.
     ring = create_ring(4096)
     codec = Codec([IncrementalBFS(), MultiSTConnectivity()])
     loop = ShmLoop(
@@ -101,12 +102,22 @@ def test_flush_splits_tuple_lane_record_and_pickle_runs():
     try:
         msgs = [(VT_ADD, 2 * i + 1, i, 1, 0) for i in range(300)]
         msgs += [(VT_UPDATE, 1, 2 * i + 1, i, 1 << (i % 70), 1, 0) for i in range(300)]
-        assert len(codec.encode_batch(msgs)) == 2  # one oversized slab per run
-        encoded = loop._encode_fitting(msgs, ring.max_payload)
-        assert {k for k, _n, _p in encoded} == {K_ADD, K_PICKLE}
-        assert all(len(p) <= ring.max_payload for _k, _n, p in encoded)
-        decoded = [m for k, _n, p in encoded for m in codec.decode_to_tuples(k, p)]
-        assert decoded == msgs
+        assert len(codec.encode_batch(msgs)[2]) > ring.capacity
+        for msg in msgs:
+            loop.send(0, 1, msg)
+        loop.flush(1)
+        got = drain(ring)
+        for _ in range(1000):  # consumer turns until nothing is parked
+            if not loop.outbuffered:
+                break
+            loop.pump()
+            got.extend(drain(ring))
+        assert not loop.outbuffered, "overflow queue never drained: ring wedged"
+        assert len(got) > 4 and {k for k, _n, _p in got} == {K_PICKLE}
+        assert all(len(p) <= ring.max_payload for _k, _n, p in got)
+        assert [m for _k, _n, p in got for m in codec.decode_to_tuples(p)] == msgs
+        assert loop.wire_sent == loop.pickle_records == 600
+        assert loop.pickle_slabs == loop.frames_sent == len(got)
     finally:
         ring.destroy()
 
