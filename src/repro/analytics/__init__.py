@@ -20,6 +20,7 @@ from repro.analytics.metrics import (
 )
 from repro.analytics.verify import (
     csr_from_engine,
+    static_answer,
     verify_bfs,
     verify_cc,
     verify_sssp,
@@ -36,6 +37,7 @@ __all__ = [
     "parallel_throughput_report",
     "throughput_report",
     "csr_from_engine",
+    "static_answer",
     "verify_bfs",
     "verify_cc",
     "verify_sssp",

@@ -39,7 +39,10 @@ from repro.util.validate import check_positive
 # Registry of static per-batch recompute kernels.  Each adapter has the
 # uniform shape ``(graph, source) -> (result, OpCounts)``; algorithms
 # without a source vertex (CC) simply ignore it.  Extend by adding an
-# entry — the pipeline machinery is algorithm-agnostic.
+# entry — the pipeline machinery is algorithm-agnostic.  Kept beside
+# analytics.verify.FAMILIES rather than derived from it: the pipeline
+# charges the recompute by its OpCounts, which that table's answers drop
+# and static_widest_path does not return.
 STATIC_ALGORITHMS: dict[
     str, Callable[[CSRGraph, int], tuple[dict, OpCounts]]
 ] = {

@@ -32,8 +32,10 @@ against the static oracle on the exact ingested prefix.
 from __future__ import annotations
 
 import argparse
+import functools
+import json
 import sys
-from typing import NoReturn
+from typing import Any, Callable, NamedTuple, NoReturn
 
 import numpy as np
 
@@ -45,14 +47,8 @@ from repro.algorithms import (
     MultiSTConnectivity,
     WidestPath,
 )
-from repro.analytics import (
-    throughput_report,
-    verify_bfs,
-    verify_cc,
-    verify_sssp,
-    verify_st,
-    verify_widest,
-)
+from repro.analytics import static_answer, throughput_report
+from repro.analytics.verify import FAMILIES, csr_from_engine, verify_family
 from repro.comm.costmodel import CostModel
 from repro.events.io import read_edge_npz, read_edge_text, write_edge_npz, write_edge_text
 from repro.events.stream import split_streams
@@ -67,13 +63,41 @@ from repro.runtime.plugins import (
     MetricsPlugin,
     TracerPlugin,
 )
+from repro.storage.csr import CSRGraph
 from repro.util.timers import WallTimer
 
 GRAPH_CHOICES = sorted(set(DATASET_PRESETS) | {"rmat"})
-ALGO_CHOICES = ["con", "bfs", "det-bfs", "sssp", "cc", "st", "widest"]
-# The query-servable families (each has a typed point query, a static
-# prefix oracle, and a full-stream monotone bound).
-SERVE_ALGO_CHOICES = ["bfs", "sssp", "cc", "st", "widest"]
+
+
+class Algo(NamedTuple):
+    """One ``--algo`` choice: what to run and which row of
+    :data:`repro.analytics.verify.FAMILIES` is its right answer (the
+    row's seed shape also says how the program is initialised)."""
+
+    program: type | None = None  # None = construction only
+    family: str | None = None
+    value_of: Callable[[Any], Any] | None = None  # stored -> the family's value
+    weighted: bool = False  # generated streams get pairwise edge weights
+
+
+ALGOS = {
+    "con": Algo(),
+    "bfs": Algo(IncrementalBFS, "bfs"),
+    "det-bfs": Algo(DeterministicBFS, "bfs", value_of=lambda v: v[0]),
+    "sssp": Algo(IncrementalSSSP, "sssp", weighted=True),
+    "cc": Algo(IncrementalCC, "cc"),
+    "st": Algo(MultiSTConnectivity, "st"),
+    "widest": Algo(WidestPath, "widest", weighted=True),
+}
+# ``serve``'s typed point queries read the family's plain value: it
+# offers the programs that store exactly that.
+SERVE_ALGOS = [n for n, a in ALGOS.items() if a.program and a.value_of is None]
+
+
+def _algo(name: str) -> Algo:
+    if name not in ALGOS:
+        raise ValueError(f"unknown algorithm {name!r} (known: {', '.join(ALGOS)})")
+    return ALGOS[name]
 
 
 def _positive_int(text: str) -> int:
@@ -86,7 +110,8 @@ def _positive_int(text: str) -> int:
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
-    """Workload-source options shared by ``run`` and ``serve``."""
+    """Workload-source and cluster-shape options shared by ``run`` and
+    ``serve``."""
     parser.add_argument("--input", default=None, metavar="FILE",
                         help="read events from an edge file (.txt or .npz) "
                              "instead of generating a graph")
@@ -95,6 +120,11 @@ def _add_source_args(parser: argparse.ArgumentParser) -> None:
                         help="log2 vertex universe")
     parser.add_argument("--edge-factor", type=_positive_int, default=16)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--ranks", type=_positive_int, default=None, metavar="N",
+                        help="total rank count (overrides "
+                             "--nodes * --ranks-per-node)")
+    parser.add_argument("--nodes", type=_positive_int, default=1)
+    parser.add_argument("--ranks-per-node", type=_positive_int, default=4)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -105,16 +135,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="stream a synthetic graph through an algorithm")
     _add_source_args(run)
-    run.add_argument("--algo", choices=ALGO_CHOICES, default="bfs")
+    run.add_argument("--algo", choices=list(ALGOS), default="bfs")
     run.add_argument("--backend", choices=["des", "mp"], default="des",
                      help="des = single-process discrete-event simulation "
                           "(virtual time, default); mp = one real OS "
                           "process per rank over shm rings (wall clock)")
-    run.add_argument("--ranks", type=_positive_int, default=None, metavar="N",
-                     help="total rank count (overrides "
-                          "--nodes * --ranks-per-node)")
-    run.add_argument("--nodes", type=_positive_int, default=1)
-    run.add_argument("--ranks-per-node", type=_positive_int, default=4)
     run.add_argument("--sources", type=_positive_int, default=1,
                      help="S-T source count")
     run.add_argument(
@@ -146,7 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "of the estimated makespan when sampling is on)")
     obs.add_argument("--freshness", action="store_true",
                      help="probe convergence lag vs the static reference "
-                          "at every sample point (implies sampling)")
+                          "at every sample point (implies sampling; every "
+                          "algorithm but con)")
     flt = run.add_argument_group("fault injection (repro.faults)")
     flt.add_argument("--faults", default=None, metavar="SPEC",
                      help="run under a fault plan, e.g. "
@@ -165,17 +191,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="serve point queries against live engine state during ingest",
     )
     _add_source_args(srv)
-    srv.add_argument("--algo", choices=SERVE_ALGO_CHOICES, default="bfs")
+    srv.add_argument("--algo", choices=SERVE_ALGOS, default="bfs")
     srv.add_argument("--backend", choices=["des", "mp"], default="des",
                      help="des = interleave query batches with ingest slices "
                           "on the simulated cluster (default); mp = run the "
                           "process-parallel backend to quiescence, then "
                           "serve the harvested rank states")
-    srv.add_argument("--ranks", type=_positive_int, default=None, metavar="N",
-                     help="total rank count (overrides "
-                          "--nodes * --ranks-per-node)")
-    srv.add_argument("--nodes", type=_positive_int, default=1)
-    srv.add_argument("--ranks-per-node", type=_positive_int, default=4)
     srv.add_argument("--sources", type=_positive_int, default=2,
                      help="S-T source count")
     srv.add_argument("--workload", default="ratio=0.1,slice=2048",
@@ -218,29 +239,70 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_programs(algo: str, src: np.ndarray, sources: int):
-    source = int(src[0])
-    if algo == "con":
+def _instantiate(algo: Algo, src: np.ndarray, n_sources: int):
+    """A fresh ``(programs, init, seed)`` for one run: the program, its
+    ``(name, vertex, payload)`` INITs and the seed its static answer
+    takes, all from the stream's first source vertices."""
+    if algo.program is None:
         return [], [], None
-    if algo == "bfs":
-        return [IncrementalBFS()], [("bfs", source, None)], source
-    if algo == "det-bfs":
-        return [DeterministicBFS()], [("det-bfs", source, None)], source
-    if algo == "sssp":
-        return [IncrementalSSSP()], [("sssp", source, None)], source
-    if algo == "cc":
-        return [IncrementalCC()], [], None
-    if algo == "widest":
-        return [WidestPath()], [("widest", source, None)], source
-    st = MultiSTConnectivity()
-    seen: list[int] = []
-    for v in src:
-        if int(v) not in seen:
-            seen.append(int(v))
-        if len(seen) >= sources:
-            break
-    init = [("st", s, st.register_source(s)) for s in seen]
-    return [st], init, seen
+    prog = algo.program()
+    shape = FAMILIES[algo.family].seed
+    if shape is None:
+        return [prog], [], None
+    if shape == "source":
+        source = int(src[0])
+        return [prog], [(prog.name, source, None)], source
+    # The first n distinct sources, in stream order = bit order.
+    _, first = np.unique(src, return_index=True)
+    seen = src[np.sort(first)[:n_sources]].tolist()
+    return [prog], [(prog.name, v, prog.register_source(v)) for v in seen], seen
+
+
+def _reference(algo: Algo, seed) -> Callable[[Any, str], list[str]]:
+    """``(engine, prog) -> mismatches`` against the algorithm's static
+    answer: what ``--verify`` asks once and ``--freshness`` per sample."""
+    return lambda engine, prog: verify_family(
+        algo.family, engine, prog, seed, algo.value_of
+    )
+
+
+def _verify_tail(args, chat, algo: Algo, seed, view, what: str) -> dict:
+    """``--verify``: check ``view`` (anything with ``state`` and
+    ``edges``), print the verdict and return the ``--json`` document's
+    ``verify`` block."""
+    mismatches = None
+    if args.verify and algo.program is None:
+        chat("verify: nothing to verify for construction-only")
+    elif args.verify:
+        mismatches = _reference(algo, seed)(view, algo.program.name)
+        if mismatches:
+            chat(
+                f"VERIFY FAILED: {len(mismatches)} mismatches, e.g. {mismatches[0]}"
+            )
+        else:
+            chat(f"verify: OK ({what} state equals static oracle)")
+    return {
+        "requested": bool(args.verify),
+        "checked": mismatches is not None,
+        "mismatches": len(mismatches or ()),
+    }
+
+
+def _engine(programs, n_ranks: int, cost: CostModel, plugins=()):
+    """The DES engine every path builds; plugins set up in list order."""
+    return (
+        EngineBuilder()
+        .with_programs(programs)
+        .with_config(EngineConfig(n_ranks=n_ranks))
+        .with_cost_model(cost)
+        .with_plugins(plugins)
+        .build()
+    )
+
+
+def _init_programs(engine, init) -> None:
+    for prog, vertex, payload in init:
+        engine.init_program(prog, vertex, payload=payload)
 
 
 def _generate(args: argparse.Namespace, rng: np.random.Generator):
@@ -265,40 +327,6 @@ def cmd_generate(args: argparse.Namespace) -> int:
         write_edge_text(args.output, src, dst, weights, header=label)
     print(f"wrote {len(src):,} events ({label}) to {args.output}")
     return 0
-
-
-def _freshness_reference(algo: str, source_info):
-    """The repro.obs.make_reference call matching a CLI algorithm."""
-    from repro.obs import make_reference
-
-    if algo in ("bfs",):
-        return make_reference("bfs", source=source_info)
-    if algo == "det-bfs":
-        return make_reference("bfs", source=source_info, value_of=lambda v: v[0])
-    if algo == "sssp":
-        return make_reference("sssp", source=source_info)
-    if algo == "cc":
-        return make_reference("cc")
-    if algo == "st":
-        return make_reference("st", sources=source_info)
-    return None
-
-
-def _run_mismatches(args, engine, source_info) -> list[str] | None:
-    """Static-oracle check for cmd_run; None = nothing to verify."""
-    if args.algo in ("bfs",):
-        return verify_bfs(engine, "bfs", source_info)
-    if args.algo == "det-bfs":
-        return verify_bfs(engine, "det-bfs", source_info, value_of=lambda v: v[0])
-    if args.algo == "sssp":
-        return verify_sssp(engine, "sssp", source_info)
-    if args.algo == "cc":
-        return verify_cc(engine, "cc")
-    if args.algo == "st":
-        return verify_st(engine, "st", source_info)
-    if args.algo == "widest":
-        return verify_widest(engine, "widest", source_info)
-    return None
 
 
 def _write_mp_obs(args, chat, result, meta) -> None:
@@ -337,13 +365,8 @@ def _write_mp_obs(args, chat, result, meta) -> None:
         )
 
 
-def _run_mp(
-    args, chat, rng, src, dst, weights, label,
-    programs, init, source_info, n_ranks,
-) -> int:
+def _run_mp(args, chat, meta, streams, algo, programs, init, seed) -> int:
     """Execute ``run`` on the process-parallel backend."""
-    import json as json_mod
-
     from repro.parallel import ParallelStateView, run_parallel
 
     des_only = [
@@ -367,19 +390,18 @@ def _run_mp(
         obs_cfg = ObsConfig(
             trace=args.trace is not None, metrics=args.metrics is not None
         )
-    chat(f"backend: mp, {n_ranks} ranks (one OS process each)")
+    chat(f"backend: mp, {meta['n_ranks']} ranks (one OS process each)")
     result = run_parallel(
         programs,
-        split_streams(src, dst, n_ranks, weights=weights, rng=rng),
-        config=EngineConfig(n_ranks=n_ranks),
+        streams(),
+        config=EngineConfig(n_ranks=meta["n_ranks"]),
         init=init,
         collect_edges=args.verify,
         obs=obs_cfg,
     )
-    rate = result.events_per_second
     chat(
         f"mp run: {result.source_events:,} events in "
-        f"{result.wall_seconds:.3f}s wall = {rate:,.0f} ev/s, "
+        f"{result.wall_seconds:.3f}s wall = {result.events_per_second:,.0f} ev/s, "
         f"{result.wire['wire_sent']:,} wire messages in "
         f"{result.wire['frames_sent']:,} frames, "
         f"{result.token_rounds} termination rounds"
@@ -392,38 +414,15 @@ def _run_mp(
         f"{ring['pickle_records']:,} tuple-lane (pickled) messages"
     )
 
-    meta = {
-        "label": label,
-        "algo": args.algo,
-        "backend": "mp",
-        "n_ranks": n_ranks,
-        "events": int(len(src)),
-    }
     if result.obs is not None:
         _write_mp_obs(args, chat, result, meta)
 
-    mismatches = None
-    if args.verify:
-        if programs:
-            view = ParallelStateView(result)
-            mismatches = _run_mismatches(args, view, source_info)
-        if mismatches is None:
-            chat("verify: nothing to verify for construction-only")
-        elif mismatches:
-            chat(
-                f"VERIFY FAILED: {len(mismatches)} mismatches, "
-                f"e.g. {mismatches[0]}"
-            )
-        else:
-            chat("verify: OK (mp state equals static oracle)")
+    view = ParallelStateView(result) if args.verify else None
+    verify_doc = _verify_tail(args, chat, algo, seed, view, "mp")
 
     if args.json:
         doc = {
-            "label": label,
-            "algo": args.algo,
-            "backend": "mp",
-            "n_ranks": n_ranks,
-            "events": int(len(src)),
+            **meta,
             "report": result.to_dict(),
             "per_rank": [
                 {
@@ -435,16 +434,12 @@ def _run_mp(
                 }
                 for info in result.per_rank
             ],
-            "verify": {
-                "requested": bool(args.verify),
-                "checked": bool(args.verify) and mismatches is not None,
-                "mismatches": len(mismatches) if mismatches is not None else 0,
-            },
+            "verify": verify_doc,
             "trace_file": args.trace,
             "metrics_file": args.metrics,
         }
-        print(json_mod.dumps(doc, indent=2))
-    return 1 if mismatches else 0
+        print(json.dumps(doc, indent=2))
+    return 1 if verify_doc["mismatches"] else 0
 
 
 def _input_error(message: str) -> NoReturn:
@@ -479,32 +474,35 @@ def _load_stream(args: argparse.Namespace, chat, rng):
         src, dst, label = _generate(args, rng)
         chat(f"graph: {label}, {len(src):,} edges")
         weights = (
-            pairwise_weights(src, dst, 1, 50)
-            if args.algo in ("sssp", "widest") else None
+            pairwise_weights(src, dst, 1, 50) if _algo(args.algo).weighted else None
         )
     return src, dst, weights, label
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    import functools
-    import json as json_mod
-
     # In --json mode stdout carries exactly one JSON document; all
     # human-facing chatter moves to stderr so CI can pipe stdout.
     chat = functools.partial(print, file=sys.stderr) if args.json else print
     rng = np.random.default_rng(args.seed)
     src, dst, weights, label = _load_stream(args, chat, rng)
 
-    programs, init, source_info = _make_programs(args.algo, src, args.sources)
-    n_ranks = (
-        args.ranks if args.ranks is not None
-        else args.nodes * args.ranks_per_node
-    )
+    algo = _algo(args.algo)
+    programs, init, seed = _instantiate(algo, src, args.sources)
+    n_ranks = args.ranks or args.nodes * args.ranks_per_node
+    # Heads the --json document and every trace / metrics capture.
+    meta = {
+        "label": label,
+        "algo": args.algo,
+        "backend": args.backend,
+        "n_ranks": n_ranks,
+        "events": int(len(src)),
+    }
+
+    def streams(rng=rng):
+        return split_streams(src, dst, n_ranks, weights=weights, rng=rng)
+
     if args.backend == "mp":
-        return _run_mp(
-            args, chat, rng, src, dst, weights, label,
-            programs, init, source_info, n_ranks,
-        )
+        return _run_mp(args, chat, meta, streams, algo, programs, init, seed)
     cost = CostModel(ranks_per_node=args.ranks_per_node)
     # Estimated makespan (same formula the snapshot scheduler uses):
     # drives --snapshot-at and the auto sampling period.
@@ -512,13 +510,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         cost.edge_insert_cpu + cost.visit_cpu + cost.send_cpu
     )
     est = len(src) * per_event / n_ranks
-    want_sampling = (
-        args.metrics is not None
-        or args.freshness
-        or args.sample_interval is not None
-    )
     sample_interval = args.sample_interval
-    if want_sampling and sample_interval is None:
+    if sample_interval is None and (args.metrics is not None or args.freshness):
         sample_interval = max(est / 100.0, 1e-9)
 
     def telemetry_plugins():
@@ -554,26 +547,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         stream_seed = int(rng.integers(2**31))
 
         def engine_factory():
-            progs, _, _ = _make_programs(args.algo, src, args.sources)
             # The runner registers FaultInjectionPlugin per incarnation.
-            return (
-                EngineBuilder()
-                .with_programs(progs)
-                .with_config(EngineConfig(n_ranks=n_ranks))
-                .with_cost_model(cost)
-                .with_plugins(telemetry_plugins())
-                .build()
-            )
-
-        def stream_factory():
-            return split_streams(
-                src, dst, n_ranks, weights=weights,
-                rng=np.random.default_rng(stream_seed),
-            )
-
-        def init_fn(eng):
-            for prog, vertex, payload in init:
-                eng.init_program(prog, vertex, payload=payload)
+            progs = _instantiate(algo, src, args.sources)[0]
+            return _engine(progs, n_ranks, cost, telemetry_plugins())
 
         ckpt_path = args.checkpoint_path
         ckpt_tmp = ckpt_path is None
@@ -584,47 +560,35 @@ def cmd_run(args: argparse.Namespace) -> int:
             with WallTimer() as timer:
                 fault_result = FaultTolerantRunner(
                     engine_factory,
-                    stream_factory,
+                    lambda: streams(np.random.default_rng(stream_seed)),
                     plan,
                     ckpt_path,
                     checkpoint_interval=(
                         args.checkpoint_every * est
                         if args.checkpoint_every is not None else None
                     ),
-                    init_fn=init_fn,
+                    init_fn=functools.partial(_init_programs, init=init),
                 ).run()
         finally:
             if ckpt_tmp and os.path.exists(ckpt_path):
                 os.remove(ckpt_path)
         engine = fault_result.engine
     else:
-        # Assemble through the builder: telemetry first (the
-        # fault plan and the freshness probe look for the tracer and
-        # the sampler at setup), then the cross-cutting extras.
-        builder = (
-            EngineBuilder()
-            .with_programs(programs)
-            .with_config(EngineConfig(n_ranks=n_ranks))
-            .with_cost_model(cost)
-            .with_plugins(telemetry_plugins())
-        )
+        # Telemetry first (the fault plan and the freshness probe look
+        # for the tracer and the sampler at setup), then the extras.
+        plugins = telemetry_plugins()
         if plan is not None:
             # Transport must attach before the first message moves.
-            builder.with_plugin(FaultInjectionPlugin(plan))
-        if args.freshness:
-            reference = _freshness_reference(args.algo, source_info)
-            if reference is None or not programs:
-                chat("freshness: nothing to probe for construction-only")
-            else:
-                builder.with_plugin(
-                    FreshnessPlugin(programs[0].name, reference)
-                )
-        engine = builder.build()
-        for prog, vertex, payload in init:
-            engine.init_program(prog, vertex, payload=payload)
-        engine.attach_streams(
-            split_streams(src, dst, n_ranks, weights=weights, rng=rng)
-        )
+            plugins.append(FaultInjectionPlugin(plan))
+        if args.freshness and not programs:
+            chat("freshness: nothing to probe for construction-only")
+        elif args.freshness:
+            plugins.append(
+                FreshnessPlugin(programs[0].name, _reference(algo, seed))
+            )
+        engine = _engine(programs, n_ranks, cost, plugins)
+        _init_programs(engine, init)
+        engine.attach_streams(streams())
         if args.snapshot_at is not None and programs:
             engine.request_collection(
                 programs[0].name, at_time=args.snapshot_at * est
@@ -660,46 +624,30 @@ def cmd_run(args: argparse.Namespace) -> int:
             f"latency {res.latency * 1e6:.0f}us ({res.probe_waves} probe waves)"
         )
 
-    meta = {
-        "label": label,
-        "algo": args.algo,
-        "n_ranks": n_ranks,
-        "events": int(len(src)),
-        "cost_model": cost.to_dict(),
-    }
+    capture_meta = {**meta, "cost_model": cost.to_dict()}
     if args.trace is not None:
         from repro.obs import write_chrome_trace, write_trace_jsonl
 
         writer = (
             write_trace_jsonl if args.trace.endswith(".jsonl") else write_chrome_trace
         )
-        writer(args.trace, engine.tracer, meta)
+        writer(args.trace, engine.tracer, capture_meta)
         chat(f"trace: {len(engine.tracer):,} events -> {args.trace}")
     if args.metrics is not None:
         from repro.obs import write_metrics_jsonl
 
-        write_metrics_jsonl(args.metrics, engine.metrics, meta)
+        write_metrics_jsonl(args.metrics, engine.metrics, capture_meta)
         chat(
             f"metrics: {len(engine.metrics.rows('sample')):,} samples "
             f"({len(engine.metrics.rows('freshness')):,} freshness rows) "
             f"-> {args.metrics}"
         )
 
-    mismatches = _run_mismatches(args, engine, source_info) if args.verify else None
-    if args.verify:
-        if mismatches is None:
-            chat("verify: nothing to verify for construction-only")
-        elif mismatches:
-            chat(
-                f"VERIFY FAILED: {len(mismatches)} mismatches, e.g. {mismatches[0]}"
-            )
-        else:
-            chat("verify: OK (dynamic state equals static oracle)")
+    verify_doc = _verify_tail(args, chat, algo, seed, engine, "dynamic")
 
     if args.json:
         doc = {
-            **{k: v for k, v in meta.items() if k != "cost_model"},
-            "backend": "des",
+            **meta,
             "report": report.to_dict(),
             "collections": [
                 # CollectionResult.prog is the engine's program index;
@@ -707,11 +655,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 {**r.to_dict(), "prog": engine.programs[r.prog].name}
                 for r in engine.collection_results
             ],
-            "verify": {
-                "requested": bool(args.verify),
-                "checked": bool(args.verify) and mismatches is not None,
-                "mismatches": len(mismatches) if mismatches is not None else 0,
-            },
+            "verify": verify_doc,
             "trace_file": args.trace,
             "metrics_file": args.metrics,
         }
@@ -732,34 +676,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     else engine.loop.max_time()
                 ),
             }
-        print(json_mod.dumps(doc, indent=2))
-    return 1 if mismatches else 0
-
-
-def _static_final(algo: str, src, dst, weights, source_info):
-    """The static answer on the full stream's final topology — the
-    monotone bound for absorbing cache admission, and the oracle for
-    frozen-harvest verification."""
-    from repro.staticalgs.algorithms import (
-        static_bfs,
-        static_cc,
-        static_sssp,
-        static_st_connectivity,
-    )
-    from repro.storage.csr import CSRGraph
-
-    graph = CSRGraph.from_edges(src, dst, weights, symmetrize=True)
-    if algo == "bfs":
-        return static_bfs(graph, source_info)[0]
-    if algo == "sssp":
-        return static_sssp(graph, source_info)[0]
-    if algo == "cc":
-        return static_cc(graph)[0]
-    if algo == "st":
-        return static_st_connectivity(graph, source_info)[0]
-    from repro.algorithms.widest_path import static_widest_path
-
-    return static_widest_path(graph, source_info)
+        print(json.dumps(doc, indent=2))
+    return 1 if verify_doc["mismatches"] else 0
 
 
 def _serve_report(chat, res) -> None:
@@ -787,36 +705,12 @@ def _serve_report(chat, res) -> None:
     chat(line)
 
 
-def _serve_doc(args, spec, res, serving, label, n_ranks, events) -> dict:
-    return {
-        "label": label,
-        "algo": args.algo,
-        "backend": args.backend,
-        "n_ranks": n_ranks,
-        "events": events,
-        "workload": spec.describe(),
-        "reference": bool(args.reference),
-        "serving": res.to_dict(),
-        "stats": serving.stats(),
-        "verify": {
-            "requested": bool(args.verify),
-            "checked": res.verified,
-            "violations": len(res.violations),
-            "examples": res.violations[:5],
-        },
-    }
-
-
 def cmd_serve(args: argparse.Namespace) -> int:
-    import functools
-    import json as json_mod
-
     from repro.serving import (
         FrozenBackend,
         MixedWorkloadDriver,
         ServingLayer,
         WorkloadSpec,
-        make_prefix_oracle,
     )
 
     chat = functools.partial(print, file=sys.stderr) if args.json else print
@@ -827,20 +721,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
         return 2
     rng = np.random.default_rng(args.seed)
     src, dst, weights, label = _load_stream(args, chat, rng)
-    programs, init, source_info = _make_programs(args.algo, src, args.sources)
+    algo = _algo(args.algo)
+    programs, init, seed = _instantiate(algo, src, args.sources)
     pool = np.unique(np.concatenate([src, dst]))
-    aux = list(range(len(source_info))) if args.algo == "st" else None
-    n_ranks = (
-        args.ranks if args.ranks is not None
-        else args.nodes * args.ranks_per_node
-    )
+    # S-T's connected_to queries probe the registered source bits.
+    aux = list(range(len(seed))) if FAMILIES[algo.family].seed == "sources" else None
+    n_ranks = args.ranks or args.nodes * args.ranks_per_node
 
+    # The static answer on the full stream's final topology: the
+    # monotone bound for absorbing cache admission, and the oracle for
+    # frozen-harvest verification.
     reference = None
     if args.reference or (args.verify and args.backend == "mp"):
-        reference = _static_final(args.algo, src, dst, weights, source_info)
+        final = CSRGraph.from_edges(src, dst, weights, symmetrize=True)
+        reference = static_answer(algo.family, final, seed)
 
+    streams = split_streams(src, dst, n_ranks, weights=weights, rng=rng)
+    n_queries = None  # mp only: no ingest to size the query count from
     if args.backend == "mp":
-        from repro.events.stream import split_streams as _split
         from repro.parallel import run_parallel
 
         chat(
@@ -848,64 +746,45 @@ def cmd_serve(args: argparse.Namespace) -> int:
             "(run to quiescence, then serve the harvested state)"
         )
         result = run_parallel(
-            programs,
-            _split(src, dst, n_ranks, weights=weights, rng=rng),
-            config=EngineConfig(n_ranks=n_ranks),
-            init=init,
+            programs, streams, config=EngineConfig(n_ranks=n_ranks), init=init
         )
         chat(
             f"mp ingest: {result.source_events:,} events in "
             f"{result.wall_seconds:.3f}s wall"
         )
-        serving = ServingLayer(FrozenBackend.from_parallel_result(result, programs))
-        if args.reference and reference is not None:
-            serving.set_reference(programs[0].name, reference)
+        backend = FrozenBackend.from_parallel_result(result, programs)
         oracle_fn = (lambda: reference) if args.verify else None
-        driver = MixedWorkloadDriver(
-            serving, spec, pool, args.algo, aux=aux, oracle_fn=oracle_fn
-        )
         n_queries = (
             args.queries if args.queries is not None
             else spec.max_queries
             if spec.max_queries is not None
             else max(int(len(src) * spec.ratio), 1)
         )
-        res = driver.serve_only(n_queries)
-        res.events_ingested = result.source_events
     else:
         chat(
             f"serve: backend des, {n_ranks} ranks, workload {spec.describe()}"
             + (", full-stream reference bound" if args.reference else "")
         )
-        engine = (
-            EngineBuilder()
-            .with_programs(programs)
-            .with_config(EngineConfig(n_ranks=n_ranks))
-            .with_cost_model(CostModel(ranks_per_node=args.ranks_per_node))
-            .build()
+        engine = backend = _engine(
+            programs, n_ranks, CostModel(ranks_per_node=args.ranks_per_node)
         )
-        for prog, vertex, payload in init:
-            engine.init_program(prog, vertex, payload=payload)
-        engine.attach_streams(
-            split_streams(src, dst, n_ranks, weights=weights, rng=rng)
+        _init_programs(engine, init)
+        engine.attach_streams(streams)
+        oracle_fn = (
+            (lambda: static_answer(algo.family, csr_from_engine(engine), seed))
+            if args.verify else None
         )
-        serving = ServingLayer(engine)
-        if args.reference and reference is not None:
-            serving.set_reference(programs[0].name, reference)
-        oracle_fn = None
-        if args.verify:
-            if args.algo == "st":
-                oracle_fn = make_prefix_oracle(engine, "st", sources=source_info)
-            elif args.algo == "cc":
-                oracle_fn = make_prefix_oracle(engine, "cc")
-            else:
-                oracle_fn = make_prefix_oracle(
-                    engine, args.algo, source=source_info
-                )
-        driver = MixedWorkloadDriver(
-            serving, spec, pool, args.algo, aux=aux, oracle_fn=oracle_fn
-        )
+    serving = ServingLayer(backend)
+    if args.reference:
+        serving.set_reference(programs[0].name, reference)
+    driver = MixedWorkloadDriver(
+        serving, spec, pool, algo.family, aux=aux, oracle_fn=oracle_fn
+    )
+    if n_queries is None:
         res = driver.run()
+    else:
+        res = driver.serve_only(n_queries)
+        res.events_ingested = result.source_events
 
     _serve_report(chat, res)
     if args.metrics is not None:
@@ -919,12 +798,24 @@ def cmd_serve(args: argparse.Namespace) -> int:
             f"queries -> {args.metrics}"
         )
     if args.json:
-        print(
-            json_mod.dumps(
-                _serve_doc(args, spec, res, serving, label, n_ranks, len(src)),
-                indent=2,
-            )
-        )
+        doc = {
+            "label": label,
+            "algo": args.algo,
+            "backend": args.backend,
+            "n_ranks": n_ranks,
+            "events": len(src),
+            "workload": spec.describe(),
+            "reference": bool(args.reference),
+            "serving": res.to_dict(),
+            "stats": serving.stats(),
+            "verify": {
+                "requested": bool(args.verify),
+                "checked": res.verified,
+                "violations": len(res.violations),
+                "examples": res.violations[:5],
+            },
+        }
+        print(json.dumps(doc, indent=2))
     if res.violations:
         chat(f"ENVELOPE VIOLATION: e.g. {res.violations[0]}")
         return 1

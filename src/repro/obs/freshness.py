@@ -34,13 +34,7 @@ from __future__ import annotations
 
 from typing import Any, Callable
 
-from repro.analytics.verify import (
-    verify_bfs,
-    verify_cc,
-    verify_sssp,
-    verify_st,
-    verify_widest,
-)
+from repro.analytics.verify import family, verify_family
 
 
 def make_reference(
@@ -50,9 +44,10 @@ def make_reference(
     value_of: Callable[[Any], int] | None = None,
 ) -> Callable[[Any, str], list[str]]:
     """Build a reference checker ``engine -> mismatch list`` for one of
-    the stock algorithm families
+    the algorithm families of :data:`repro.analytics.verify.FAMILIES`
     (``bfs``/``sssp``/``cc``/``st``/``widest``), closing over the
-    verifier arguments.  ``prog`` is bound later by
+    verifier arguments; an unknown ``kind`` is a ``ValueError`` here,
+    not at the first sample.  ``prog`` is bound later by
     :meth:`FreshnessProbe.watch`.
 
     The oracle is recomputed each sample on the engine's *current*
@@ -62,19 +57,8 @@ def make_reference(
     program requires ``value_of`` (its stored values are tagged tuples;
     pass the projection, e.g. ``lambda v: v[1]`` for distance).
     """
-    if kind == "bfs":
-        return lambda eng, prog: verify_bfs(eng, prog, source, value_of=value_of)
-    if kind == "sssp":
-        return lambda eng, prog: verify_sssp(eng, prog, source, value_of=value_of)
-    if kind == "cc":
-        return lambda eng, prog: verify_cc(eng, prog, value_of=value_of)
-    if kind == "st":
-        return lambda eng, prog: verify_st(eng, prog, sources, value_of=value_of)
-    if kind == "widest":
-        return lambda eng, prog: verify_widest(
-            eng, prog, source, value_of=value_of
-        )
-    raise ValueError(f"no static reference for algorithm kind {kind!r}")
+    seed = family(kind).pick(source, sources)
+    return lambda eng, prog: verify_family(kind, eng, prog, seed, value_of)
 
 
 class _Watch:

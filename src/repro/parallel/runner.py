@@ -11,9 +11,9 @@ It also decides, once and for every rank, whether the run may drain
 vectorized: only when every stream is add-only (deletes always run
 per-event, on all ranks).
 The returned :class:`ParallelResult` merges the per-rank values,
-counters and wire statistics; :class:`ParallelStateView` adapts it to
-the ``engine``-shaped surface the :mod:`repro.analytics.verify` oracles
-expect, so the exact same checkers validate both backends.
+counters and wire statistics; :class:`ParallelStateView` gives it the
+``state`` / ``edges`` pair the :mod:`repro.analytics.verify` checkers
+read, so the exact same checkers validate both backends.
 """
 
 from __future__ import annotations
@@ -104,23 +104,9 @@ class ParallelResult:
         return doc
 
 
-class _DegreeView:
-    """Just enough of a rank's store for ``verify_cc``: degree lookup
-    over the harvested edge list."""
-
-    def __init__(self, edges: list[tuple[int, int, int]]):
-        self._degree: dict[int, int] = {}
-        for src, _dst, _w in edges:
-            self._degree[src] = self._degree.get(src, 0) + 1
-
-    def degree(self, vertex: int) -> int:
-        return self._degree.get(vertex, 0)
-
-
 class ParallelStateView:
-    """Adapts a :class:`ParallelResult` to the engine-shaped surface the
-    static-oracle checkers consume (``state`` / ``edges`` /
-    ``partitioner`` / ``stores[r].degree``).  Requires the run to have
+    """Adapts a :class:`ParallelResult` to what the static-oracle
+    checkers read (``state`` / ``edges``).  Requires the run to have
     harvested topology (``run_parallel(..., collect_edges=True)``)."""
 
     def __init__(self, result: ParallelResult):
@@ -130,10 +116,6 @@ class ParallelStateView:
                 "collect_edges=True"
             )
         self._result = result
-        self.partitioner = result.partitioner
-        self.stores = [
-            _DegreeView(rank_info["edges"]) for rank_info in result.per_rank
-        ]
 
     def state(self, prog: int | str) -> dict[int, Any]:
         return self._result.state(prog)

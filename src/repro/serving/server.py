@@ -42,9 +42,14 @@ import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
-from repro.algorithms.base import INF
+from repro.analytics.verify import FAMILIES
 from repro.obs.registry import MetricsRegistry
 from repro.serving.cache import StableValueCache
+
+# The typed wrappers' "no answer" tests are the families' own (BFS and
+# SSSP share the distance convention).
+_no_distance = FAMILIES["bfs"].unreached
+_no_capacity = FAMILIES["widest"].unreached
 
 
 @dataclass(frozen=True)
@@ -351,14 +356,13 @@ class ServingLayer:
     def distance(self, prog: int | str, vertex: int) -> QueryResult:
         """BFS level / SSSP cost; ``value=None`` when unreached."""
         res = self.point(prog, vertex)
-        value = None if res.value == 0 or res.value >= INF else res.value
-        return replace(res, value=value)
+        return replace(res, value=None if _no_distance(res.value) else res.value)
 
     def reachable(self, prog: int | str, vertex: int) -> QueryResult:
         """Is the vertex reached from the program's source?  (For
-        distance-convention programs: BFS / det-BFS / SSSP.)"""
+        distance-convention programs: BFS / SSSP.)"""
         res = self.point(prog, vertex)
-        return replace(res, value=bool(res.value != 0 and res.value < INF))
+        return replace(res, value=not _no_distance(res.value))
 
     def connected_to(self, prog: int | str, vertex: int, bit: int) -> QueryResult:
         """Multi S-T tier: is source ``bit`` in the vertex's bitset?
@@ -370,7 +374,7 @@ class ServingLayer:
         """Widest-path capacity; ``value=None`` when no path yet
         (the source itself reads CAP_INF)."""
         res = self.point(prog, vertex)
-        return replace(res, value=None if res.value == 0 else res.value)
+        return replace(res, value=None if _no_capacity(res.value) else res.value)
 
     def same_component(self, prog: int | str, u: int, v: int) -> QueryResult:
         """Component membership: are ``u`` and ``v`` in one component?

@@ -22,28 +22,19 @@ from typing import Any, Callable
 
 import numpy as np
 
-from repro.algorithms.base import INF
+from repro.analytics.verify import FAMILIES, csr_from_engine, family, static_answer
 
 #: Query kinds the driver can issue, per algorithm family.
 KINDS_FOR = {
     "bfs": ("point", "distance", "reachable"),
-    "det-bfs": ("point",),
     "sssp": ("point", "distance", "reachable"),
     "cc": ("point", "component"),
     "st": ("point", "connected"),
     "widest": ("point", "capacity"),
 }
 
-#: Per-family "this raw value means unreached" predicates (the
-#: repro.analytics.verify conventions).
-UNREACHED = {
-    "bfs": lambda v: v == 0 or v >= INF,
-    "det-bfs": lambda v: v == 0 or (isinstance(v, tuple) and v[1] >= INF),
-    "sssp": lambda v: v == 0 or v >= INF,
-    "cc": lambda v: v == 0,
-    "st": lambda v: v == 0,
-    "widest": lambda v: v == 0,
-}
+#: Per-family "this raw value means unreached" predicates.
+UNREACHED = {kind: fam.unreached for kind, fam in FAMILIES.items()}
 
 
 def make_prefix_oracle(
@@ -56,35 +47,11 @@ def make_prefix_oracle(
     engine's *current* topology — the discretized ingested prefix.
 
     This is the ground truth every ``stale=False`` served answer must
-    match (absent vertex = statically unreached).
+    match (absent vertex = statically unreached).  An unknown ``kind``
+    is a ``ValueError`` here, not mid-ingest at the first call.
     """
-    from repro.analytics.verify import csr_from_engine
-    from repro.staticalgs.algorithms import (
-        static_bfs,
-        static_cc,
-        static_sssp,
-        static_st_connectivity,
-    )
-
-    def oracle() -> dict[int, Any]:
-        graph = csr_from_engine(engine)
-        if kind == "bfs":
-            expect, _ = static_bfs(graph, source)
-        elif kind == "sssp":
-            expect, _ = static_sssp(graph, source)
-        elif kind == "cc":
-            expect, _ = static_cc(graph)
-        elif kind == "st":
-            expect, _ = static_st_connectivity(graph, sources)
-        elif kind == "widest":
-            from repro.algorithms.widest_path import static_widest_path
-
-            expect = static_widest_path(graph, source)
-        else:
-            raise ValueError(f"no prefix oracle for algorithm kind {kind!r}")
-        return expect
-
-    return oracle
+    seed = family(kind).pick(source, sources)
+    return lambda: static_answer(kind, csr_from_engine(engine), seed)
 
 
 @dataclass(frozen=True)

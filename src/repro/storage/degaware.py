@@ -92,8 +92,8 @@ class DegAwareRHH:
         self._index: RobinHoodMap | dict[int, int]
         self._index = RobinHoodMap(64) if vertex_index == "robinhood" else {}
         # Bind the index-lookup strategy once: _slot_of is on every
-        # edge operation's critical path, so a per-call string compare
-        # on the index kind is measurable overhead (see bench_micro).
+        # edge operation's critical path, so a per-call string compare on
+        # the index kind is measurable (see bench_ablation_storage.py).
         self._slot_of = (
             self._slot_of_dict if vertex_index == "dict" else self._slot_of_rhh
         )

@@ -1,8 +1,11 @@
 """Tests for the repro CLI (python -m repro)."""
 
+import pickle
+
 import pytest
 
-from repro.cli import build_parser, main
+from repro.analytics.verify import FAMILIES
+from repro.cli import ALGOS, _algo, build_parser, main
 
 
 class TestParser:
@@ -54,16 +57,30 @@ class TestRun:
         code = main(["run", "--scale", "8", "--edge-factor", "4", *argv])
         return code
 
-    @pytest.mark.parametrize("algo", ["con", "bfs", "det-bfs", "sssp", "cc", "st"])
+    @pytest.mark.parametrize("algo", ALGOS)
     def test_each_algorithm_runs(self, algo, capsys):
         assert self.run_cli("--algo", algo) == 0
         out = capsys.readouterr().out
         assert "events=" in out
 
-    @pytest.mark.parametrize("algo", ["bfs", "det-bfs", "sssp", "cc", "st"])
+    @pytest.mark.parametrize("algo", [a for a in ALGOS if a != "con"])
     def test_verify_passes(self, algo, capsys):
         assert self.run_cli("--algo", algo, "--verify") == 0
         assert "verify: OK" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_table_row_resolves(self, algo):
+        row = ALGOS[algo]
+        if algo == "con":
+            assert row.program is None and row.family is None
+            return
+        assert row.family in FAMILIES
+        prog = pickle.loads(pickle.dumps(row.program()))  # ships to mp workers
+        assert prog.name == algo
+
+    def test_unknown_algorithm_names_the_known_ones(self):
+        with pytest.raises(ValueError, match="known: con, bfs, det-bfs, sssp"):
+            _algo("pagerank")
 
     def test_verify_con_is_noop(self, capsys):
         assert self.run_cli("--algo", "con", "--verify") == 0

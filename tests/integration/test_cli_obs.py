@@ -3,7 +3,7 @@
 
 import json
 
-from repro.cli import main
+from repro.cli import ALGOS, main
 from repro.obs import read_jsonl, validate_chrome_trace
 
 
@@ -52,11 +52,13 @@ class TestMetrics:
 
     def test_freshness_rows_per_program(self, tmp_path):
         path = str(tmp_path / "m.jsonl")
-        assert run_cli("--algo", "bfs", "--metrics", path, "--freshness") == 0
-        fresh = [r for r in read_jsonl(path) if r["kind"] == "freshness"]
-        assert fresh, "no convergence-lag series recorded"
-        assert {r["prog"] for r in fresh} == {"bfs"}
-        assert fresh[-1]["stale"] == 0
+        # Every algorithm with a program is probed; only con has none.
+        for algo in (a for a in ALGOS if a != "con"):
+            assert run_cli("--algo", algo, "--metrics", path, "--freshness") == 0
+            fresh = [r for r in read_jsonl(path) if r["kind"] == "freshness"]
+            assert fresh, f"{algo}: no convergence-lag series recorded"
+            assert {r["prog"] for r in fresh} == {algo}
+            assert fresh[-1]["stale"] == 0
 
     def test_freshness_noop_for_construction_only(self, capsys):
         assert run_cli("--algo", "con", "--freshness") == 0
@@ -110,7 +112,7 @@ class TestJsonOutput:
 
     def test_verify_failure_exits_nonzero(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            "repro.cli.verify_cc", lambda *a, **k: ["vertex 0: wrong"]
+            "repro.cli.verify_family", lambda *a, **k: ["vertex 0: wrong"]
         )
         assert run_cli("--algo", "cc", "--verify", "--json") == 1
         captured = capsys.readouterr()
@@ -120,7 +122,7 @@ class TestJsonOutput:
 
     def test_verify_failure_without_json_also_exits_nonzero(self, monkeypatch, capsys):
         monkeypatch.setattr(
-            "repro.cli.verify_cc", lambda *a, **k: ["vertex 0: wrong"]
+            "repro.cli.verify_family", lambda *a, **k: ["vertex 0: wrong"]
         )
         assert run_cli("--algo", "cc", "--verify") == 1
         assert "VERIFY FAILED" in capsys.readouterr().out
