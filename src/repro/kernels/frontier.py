@@ -25,7 +25,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.algorithms.base import INF
-from repro.kernels.mirror import EdgeRuns
+from repro.kernels.mirror import EdgeRuns, sorted_unique
 from repro.util.hashing import stable_vertex_hash_array
 
 _CC_LABEL_SALT = 0xCC  # must match repro.algorithms.cc._LABEL_SALT
@@ -194,7 +194,7 @@ def relax_to_fixpoint(
     appended to ``remote`` as ``(heads, tails, tail values, weights,
     candidates)`` for the caller to send to their owners.
     """
-    frontier = np.unique(np.asarray(frontier, dtype=np.int64))
+    frontier = sorted_unique(np.asarray(frontier, dtype=np.int64))
     rounds = 0
     relaxations = 0
     while frontier.size:
@@ -228,5 +228,5 @@ def relax_to_fixpoint(
         if not changed:
             break
         rounds += 1
-        frontier = np.unique(np.concatenate(changed))
+        frontier = sorted_unique(np.concatenate(changed))
     return rounds, relaxations

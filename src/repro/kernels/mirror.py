@@ -54,12 +54,28 @@ def edge_keys(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(index, hit)`` of ``keys`` in ``sorted_keys``; an index is
-    meaningful only where ``hit`` is set."""
+    """``(index, hit)`` of ``keys`` in ``sorted_keys``: ``index`` is the
+    insertion point, the key's own slot where ``hit`` is set."""
     if not sorted_keys.size:
         return np.zeros(keys.shape, dtype=np.int64), np.zeros(keys.shape, dtype=bool)
     at = np.searchsorted(sorted_keys, keys)
     return at, sorted_keys.take(at, mode="clip") == keys
+
+
+def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Mask of the first entry of each run of equal neighbours."""
+    first = np.ones(sorted_keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
+
+
+def sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of ``a``, ascending — the layer's one set
+    primitive.  Sort + neighbour compare: numpy >= 2.3 sends a plain
+    integer ``np.unique`` through a hash set that is several times
+    slower on the mostly-distinct id and position columns of a chunk."""
+    a = np.sort(a)
+    return a[_group_starts(a)]
 
 
 class Universe:
@@ -74,21 +90,41 @@ class Universe:
     def __len__(self) -> int:
         return self.ids.size
 
-    def extend(self, vids: np.ndarray) -> np.ndarray:
-        """Append the ids of ``vids`` not seen before (ascending within
-        one call) and return them; they take the last ``len(returned)``
+    def _admit(self, distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, fresh)`` of ascending distinct ids: one search
+        places the known ones and is the insertion point of the rest,
+        which are appended (ascending) at the last ``len(fresh)``
         positions.  Existing positions never move."""
-        fresh = np.unique(np.asarray(vids, dtype=np.int64))
-        fresh = fresh[~_find(self._sorted, fresh)[1]]
-        if fresh.size:
-            start = self.ids.size
-            if start + fresh.size >= (1 << 32):  # pragma: no cover - key encoding
-                raise OverflowError("vertex universe exceeds 2^32 vertices")
-            at = np.searchsorted(self._sorted, fresh)
-            self._sorted = np.insert(self._sorted, at, fresh)
-            self._perm = np.insert(self._perm, at, np.arange(start, start + fresh.size))
-            self.ids = np.concatenate([self.ids, fresh])
-        return fresh
+        at, hit = _find(self._sorted, distinct)
+        pos = self._perm.take(at, mode="clip") if self.ids.size else at
+        if hit.all():
+            return pos, _EMPTY_I64
+        miss = ~hit
+        fresh, at = distinct[miss], at[miss]
+        start = self.ids.size
+        if start + fresh.size >= (1 << 32):  # pragma: no cover - key encoding
+            raise OverflowError("vertex universe exceeds 2^32 vertices")
+        pos[miss] = taken = np.arange(start, start + fresh.size)
+        self._sorted = np.insert(self._sorted, at, fresh)
+        self._perm = np.insert(self._perm, at, taken)
+        self.ids = np.concatenate([self.ids, fresh])
+        return pos, fresh
+
+    def extend(self, vids: np.ndarray) -> np.ndarray:
+        """Admit the ids of ``vids`` not seen before and return them
+        (:meth:`resolve` without the positions)."""
+        return self._admit(sorted_unique(np.asarray(vids, dtype=np.int64)))[1]
+
+    def resolve(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, touched)``: the dense position of every entry
+        of ``vids``, never-seen ids admitted on the way, and the
+        positions of the distinct ids (in id order).  The entries are
+        sorted once and only the distinct ids are searched for."""
+        distinct, inverse = np.unique(
+            np.asarray(vids, dtype=np.int64), return_inverse=True
+        )
+        touched, _fresh = self._admit(distinct)
+        return touched[inverse], touched
 
     def find(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(positions, hit)``: a position is meaningful only where
@@ -121,12 +157,13 @@ class _Run:
     def tails(self) -> np.ndarray:
         return (self.keys >> _SHIFT).astype(np.int64)
 
-    def merged(self, other: _Run) -> _Run:
-        """This run with ``other`` (disjoint keys) woven in: one
-        searchsorted of the smaller side, one pass over each column."""
+    def merged(self, other: _Run, at: np.ndarray) -> _Run:
+        """This run with ``other`` (disjoint keys) woven in at its
+        insertion points ``at`` — the caller has searched already: one
+        pass over each column."""
         if not (self.keys.size and other.keys.size):
             return self if self.keys.size else other
-        dest = np.searchsorted(self.keys, other.keys) + np.arange(other.keys.size)
+        dest = at + np.arange(other.keys.size)
         kept = np.ones(self.keys.size + other.keys.size, dtype=bool)
         kept[dest] = False
 
@@ -178,28 +215,34 @@ class EdgeRuns:
         per first insert)."""
         if tails.size == 0:
             return _EMPTY_I64
+        # One sort.  It need not be stable: the last arrival of an
+        # equal-key group is the largest original index in it.
         keys = edge_keys(tails, heads)
-        order = np.argsort(keys, kind="stable")
+        order = np.argsort(keys)
         keys = keys[order]
-        last = np.ones(keys.size, dtype=bool)
-        last[:-1] = keys[1:] != keys[:-1]
-        sel = order[last]
-        keys = keys[last]
+        starts = np.flatnonzero(_group_starts(keys))
+        sel = np.maximum.reduceat(order, starts)
+        keys = keys[starts]
         heads = np.asarray(heads, dtype=np.int64)[sel]
         weights = np.asarray(weights, dtype=np.int64)[sel]
+        # One search per run: a hit is a re-add, a miss in both runs a
+        # first insert whose insertion point into the delta is in hand.
+        base, delta = self._runs
         fresh = np.ones(keys.size, dtype=bool)
-        for run in self._runs:
+        for run in (base, delta):
             at, hit = _find(run.keys, keys)
             if hit.any():
                 run.weights[at[hit]] = weights[hit]
                 fresh &= ~hit
         if not fresh.all():
             keys, heads, weights = keys[fresh], heads[fresh], weights[fresh]
+            at = at[fresh]
         if keys.size:
-            base, delta = self._runs
-            delta = delta.merged(_Run(keys, heads, weights))
+            delta = delta.merged(_Run(keys, heads, weights), at)
             if FOLD_FRACTION * len(delta) >= len(base):
-                base, delta = base.merged(delta), _Run()
+                # A fold's needles are the whole delta, not the batch.
+                base = base.merged(delta, np.searchsorted(base.keys, delta.keys))
+                delta = _Run()
                 self.folds += 1
             self.moved_edges += len(delta) or len(base)  # the run just rebuilt
             self._runs = [base, delta]
@@ -266,8 +309,8 @@ class DenseState:
     :func:`~repro.kernels.frontier.relax_to_fixpoint` set it).  Nothing
     else differs between the two.
 
-    Growth replaces the columns (positions are stable): :meth:`grow`
-    first, then capture arrays.
+    Growth replaces the columns (positions are stable): :meth:`resolve`
+    (or :meth:`grow`) first, then capture arrays.
     """
 
     def __init__(self, kernels, owner_array, rank: int | None = None) -> None:
@@ -283,9 +326,24 @@ class DenseState:
         self.synced = [np.empty(0, dtype=k.dtype) for k in kernels]
 
     def grow(self, raw: np.ndarray) -> None:
-        """Admit the never-seen ids of ``raw``: every column grows at
-        its end, values at the program's first-touch seed."""
-        fresh = self.universe.extend(raw)
+        """Admit the never-seen ids of ``raw`` (:meth:`resolve` without
+        the positions)."""
+        self.universe.extend(raw)
+        self._cover_universe()
+
+    def resolve(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(positions, touched)`` of a chunk's id columns,
+        concatenated: the position of every entry, never-seen ids
+        admitted first, and the distinct positions among them — the one
+        id resolution a chunk pays for."""
+        resolved = self.universe.resolve(raw)
+        self._cover_universe()
+        return resolved
+
+    def _cover_universe(self) -> None:
+        """Every column grows at its end over the ids admitted since it
+        last did, values at the program's first-touch seed."""
+        fresh = self.universe.ids[self.owner.size :]
         if not fresh.size:
             return
         owner = self._owner_array(fresh)

@@ -394,9 +394,7 @@ class ShmLoop:
         """Queue ADD records from bulk stream ingest, routed to each
         source vertex's owner (never this rank — local events apply
         in-drain)."""
-        owners = self._partitioner.owner_array(srcs)
-        for dst_rank in np.unique(owners).tolist():
-            sel = owners == dst_rank
+        for dst_rank, sel in self._by_owner(srcs):
             arr = np.empty(int(sel.sum()), dtype=ADD_DTYPE)
             arr["src"] = srcs[sel]
             arr["dst"] = dsts[sel]
@@ -415,9 +413,7 @@ class ShmLoop:
         """Queue UPDATE records (value already a u64 bit pattern),
         routed to each target's owner.  Callers only pass remote
         targets — local offers are applied in-drain."""
-        owners = self._partitioner.owner_array(targets)
-        for dst_rank in np.unique(owners).tolist():
-            sel = owners == dst_rank
+        for dst_rank, sel in self._by_owner(targets):
             arr = np.empty(int(sel.sum()), dtype=UPDATE_DTYPE)
             arr["prog"] = prog
             arr["target"] = targets[sel]
@@ -436,9 +432,7 @@ class ShmLoop:
     ) -> None:
         """Queue REVERSE_ADD records (``vals_u64`` one row per record),
         routed to each destination vertex's owner."""
-        owners = self._partitioner.owner_array(dsts)
-        for dst_rank in np.unique(owners).tolist():
-            sel = owners == dst_rank
+        for dst_rank, sel in self._by_owner(dsts):
             arr = np.empty(int(sel.sum()), dtype=self._codec.radd_dtype)
             arr["dst"] = dsts[sel]
             arr["src"] = srcs[sel]
@@ -446,6 +440,13 @@ class ShmLoop:
             arr["ver"] = 0
             arr["vals"] = vals_u64[sel]
             self._queue_records(dst_rank, K_RADD, arr)
+
+    def _by_owner(self, vids: np.ndarray):
+        """``(rank, mask)`` per rank owning some of ``vids``, ascending."""
+        owners = self._partitioner.owner_array(vids)
+        counts = np.bincount(owners, minlength=self.n_ranks)
+        for dst_rank in np.flatnonzero(counts).tolist():
+            yield dst_rank, owners == dst_rank
 
     def _queue_records(self, dst_rank: int, kind: int, arr: np.ndarray) -> None:
         if dst_rank == self.rank:

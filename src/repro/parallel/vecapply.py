@@ -208,17 +208,19 @@ class VecApplier:
         self._stats["kernel_batches"] += 1
         self._stats["kernel_records"] += n_records
 
-        # Grow the universe once; every array captured below stays current.
-        parts = []
+        # The drain's one id resolution, every id column at once (it
+        # grows the universe, so every array captured below stays current).
+        cols = {}
         if add is not None:
-            parts += [add["src"], add["dst"]]
+            cols["add_src"], cols["add_dst"] = add["src"], add["dst"]
         if radd is not None:
-            parts += [radd["dst"], radd["src"]]
+            cols["radd_dst"], cols["radd_src"] = radd["dst"], radd["src"]
         if upd is not None:
-            parts.append(upd["target"])
+            cols["upd_target"] = upd["target"]
         st = self.state
-        st.grow(np.concatenate(parts))
-        lookup = st.universe.lookup
+        pos, _touched = st.resolve(np.concatenate(list(cols.values())))
+        cuts = np.cumsum([c.size for c in cols.values()])[:-1]
+        idx = dict(zip(cols, np.split(pos, cuts)))
 
         # --- ADD slabs: insert at the source's owner, seed, re-emit ---
         # Edges of the whole drain, in arrival order (keep-last), go to
@@ -229,8 +231,7 @@ class VecApplier:
             src = add["src"].astype(np.int64)
             dst = add["dst"].astype(np.int64)
             w = add["weight"].astype(np.int64)
-            src_idx = lookup(src)
-            dst_idx = lookup(dst)
+            src_idx, dst_idx = idx["add_src"], idx["add_dst"]
             arrived.append((src_idx, dst_idx, w))
             for written in st.written:
                 written[src_idx] = True  # on_add seeds the source
@@ -264,8 +265,8 @@ class VecApplier:
                     rsrc,
                     radd["weight"].astype(np.int64),
                     radd["vals"].reshape(-1, self.n_programs),
-                    lookup(radd["dst"].astype(np.int64)),
-                    lookup(rsrc),
+                    idx["radd_dst"],
+                    idx["radd_src"],
                 )
             )
         if local_radd is not None:
@@ -284,17 +285,17 @@ class VecApplier:
         # --- UPDATE: offer relax(vis_val, weight) at the target -------
         if upd is not None:
             progs = upd["prog"].astype(np.int64)
+            target_idx = idx["upd_target"]
             for p, k in enumerate(self.kernels):
                 sel = progs == p
                 if not sel.any():
                     continue
-                target = upd["target"][sel].astype(np.int64)
                 sender = upd["sender"][sel].astype(np.int64)
                 value = upd["value"][sel].astype(k.dtype)
                 w = upd["weight"][sel].astype(np.int64)
                 vis = k.materialize(value, sender)
                 # on_update seeds the target, then offers.
-                changed[p].append(st.offer(p, lookup(target), k.relax(vis, w)))
+                changed[p].append(st.offer(p, target_idx[sel], k.relax(vis, w)))
 
         # --- frontier relaxation + adoption broadcast -----------------
         if arrived:

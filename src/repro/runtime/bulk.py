@@ -107,11 +107,9 @@ class BulkIngestor:
         t = np.asarray(srcs, dtype=np.int64)
         h = np.asarray(dsts, dtype=np.int64)
         st = self.state
-        st.grow(np.concatenate([t, h]))
+        pos, _touched = st.resolve(np.concatenate([t, h]))
         st.edges = EdgeRuns()
-        st.edges.insert(
-            st.universe.lookup(t), st.universe.lookup(h), np.asarray(ws, dtype=np.int64)
-        )
+        st.edges.insert(pos[: t.size], pos[t.size :], np.asarray(ws, dtype=np.int64))
 
     def _merge_dict_values(self) -> None:
         """Fold per-event dict values into the dense state and queue the
@@ -154,16 +152,16 @@ class BulkIngestor:
             swap = dst < src
             if swap.any():
                 src, dst = np.where(swap, dst, src), np.where(swap, src, dst)
+        # The chunk's one id resolution: positions of both columns, and
+        # the distinct endpoints the relaxation starts from.
+        st = self.state
+        pos, endpoints = st.resolve(np.concatenate([src, dst]))
+        t_d, h_d = pos[:n], pos[n:]
         # Topology: array append buffers on each owner's store (the
         # ADD side), plus the REVERSE_ADD side for undirected runs.
-        self._append_to_stores(src, dst, w)
+        self._append_to_stores(src, dst, w, st.owner[t_d])
         if undirected:
-            self._append_to_stores(dst, src, w)
-        st = self.state
-        st.grow(np.concatenate([src, dst]))
-        t_d = st.universe.lookup(src)
-        h_d = st.universe.lookup(dst)
-        if undirected:
+            self._append_to_stores(dst, src, w, st.owner[h_d])
             tails = np.concatenate([t_d, h_d])
             heads = np.concatenate([h_d, t_d])
             wts = np.concatenate([w, w])
@@ -179,7 +177,6 @@ class BulkIngestor:
                     eng.counters[r].edge_inserts += int(c)
         # REMO propagation: delta-frontier relaxation from the chunk's
         # endpoints (values elsewhere are already at fixpoint).
-        endpoints = np.unique(np.concatenate([t_d, h_d]))
         total_relax = 0
         for p, kernel in enumerate(self.kernels):
             frontier = np.concatenate([endpoints, *self._pending_frontier[p]])
@@ -208,10 +205,11 @@ class BulkIngestor:
         self.engaged = True
         return n
 
-    def _append_to_stores(self, srcs, dsts, ws) -> None:
+    def _append_to_stores(self, srcs, dsts, ws, owners) -> None:
+        """Append directed edges to the stores of ``owners`` (the rank
+        of each ``srcs`` entry, as the dense state already holds it)."""
         eng = self.engine
         tracer = eng.tracer
-        owners = eng.partitioner.owner_array(srcs)
         counts = np.bincount(owners, minlength=eng.config.n_ranks)
         for r in np.nonzero(counts)[0]:
             r = int(r)
@@ -264,6 +262,7 @@ class BulkIngestor:
             self._merge_dict_values()
         st = self.state
         ids = st.universe.ids
+        n_ranks = eng.config.n_ranks
         for p in range(len(self.kernels)):
             idx = st.stale(p)
             if not idx.size:
@@ -271,7 +270,7 @@ class BulkIngestor:
             fire = eng.triggers.has_triggers(p)
             vals = st.values[p][idx]
             owners = st.owner[idx]
-            for r in np.unique(owners).tolist():
+            for r in np.flatnonzero(np.bincount(owners, minlength=n_ranks)).tolist():
                 m = owners == r
                 d = eng.values[r][p]
                 pairs = zip(ids[idx[m]].tolist(), vals[m].tolist())

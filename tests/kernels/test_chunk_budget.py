@@ -1,0 +1,184 @@
+"""A clock-free budget on the dense layer: what one chunk may call.
+
+The layer's rule is that a chunk's ids and keys are touched once — one
+id resolution per ``process_chunk`` / ``VecApplier.drain``, one search
+per run and none inside ``merged`` per ``EdgeRuns.insert``, one
+``sorted_unique`` per relaxation round — and that no set operation goes
+through numpy's hash-based plain ``np.unique``.  Call counts are exact
+for a given input, so they hold the line where a timing on a shared host
+cannot (the per-event path's twin is ``tests/runtime/test_hot_path_budget.py``).
+"""
+
+from __future__ import annotations
+
+import ast
+from collections import Counter
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import repro
+from repro import DynamicEngine, EngineConfig, IncrementalBFS, IncrementalCC
+from repro.events.stream import split_streams
+from repro.kernels import frontier, mirror
+from repro.kernels.frontier import MinPlusKernel, relax_to_fixpoint
+from repro.kernels.mirror import DenseState, EdgeRuns, Universe, _Run
+from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec
+from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
+from repro.parallel.vecapply import VecApplier
+from repro.runtime.bulk import BulkIngestor
+from repro.runtime.plugins import BulkIngestPlugin
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """``calls.count(owner, name)`` wraps an attribute so that
+    ``calls[name]`` is the number of times it ran."""
+
+    class Calls(Counter):
+        def count(self, owner, name):
+            inner = getattr(owner, name)
+
+            def counted(*args, **kwargs):
+                self[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+
+    return Calls()
+
+
+def random_edges(seed, n_vertices, n_events):
+    rng = np.random.default_rng(seed)
+    return (
+        rng.integers(0, n_vertices, n_events, dtype=np.int64),
+        rng.integers(0, n_vertices, n_events, dtype=np.int64),
+    )
+
+
+def test_a_bulk_chunk_resolves_its_ids_once(calls):
+    calls.count(DenseState, "resolve")
+    calls.count(DenseState, "grow")
+    calls.count(Universe, "lookup")
+    calls.count(BulkIngestor, "process_chunk")
+    calls.count(BulkIngestor, "_rebuild_topology")
+    src, dst = random_edges(3, 60, 300)
+    eng = DynamicEngine(
+        [IncrementalCC()], EngineConfig(n_ranks=2), plugins=[BulkIngestPlugin(64)]
+    )
+    eng.attach_streams(split_streams(src, dst, 2))
+    eng.run()
+    chunks = eng.total_counters().bulk_chunks
+    assert chunks == 6
+    # process_chunk is also what finds a stream exhausted.
+    assert calls["process_chunk"] >= chunks
+    # One per chunk, one per re-read of the stores (the first sync).
+    assert calls["_rebuild_topology"] == 1
+    assert calls["resolve"] == chunks + calls["_rebuild_topology"]
+    assert calls["grow"] == calls["lookup"] == 0
+
+
+class NullLoop:
+    """Where a drain queues its emissions."""
+
+    def queue_add(self, *cols):
+        pass
+
+    queue_radd = queue_update = queue_add
+
+
+def test_a_vec_drain_resolves_its_ids_once(calls):
+    engine = DynamicEngine(
+        [IncrementalBFS(), IncrementalCC()], EngineConfig(n_ranks=2)
+    )
+    codec = Codec(engine.programs)
+    applier = VecApplier(engine, 0, codec)
+    calls.count(DenseState, "resolve")
+    calls.count(DenseState, "grow")
+    calls.count(Universe, "lookup")
+    src, dst = random_edges(5, 40, 30)
+    add = np.zeros(30, dtype=ADD_DTYPE)
+    add["src"], add["dst"], add["weight"] = src, dst, 1
+    radd = np.zeros(20, dtype=codec.radd_dtype)
+    radd["dst"], radd["src"], radd["weight"] = dst[:20] + 40, src[:20], 1
+    upd = np.zeros(10, dtype=UPDATE_DTYPE)
+    upd["prog"], upd["target"], upd["sender"] = 0, dst[:10], src[:10] + 80
+    upd["value"], upd["weight"] = 3, 1
+    slabs = [(K_ADD, 30, 1, add), (K_RADD, 20, 1, radd), (K_UPDATE, 10, 1, upd)]
+    assert applier.drain(slabs, NullLoop()) == 60
+    # Five id columns (ADD src/dst, RADD dst/src, UPDATE target), one call.
+    assert calls["resolve"] == 1
+    assert calls["grow"] == calls["lookup"] == 0
+    assert applier.num_edges > 0
+
+
+def test_an_insert_searches_each_run_once_and_merged_never(calls, monkeypatch):
+    calls.count(mirror, "_find")
+    in_merged = []
+    merged, searchsorted = _Run.merged, np.searchsorted
+
+    def flagged_merged(self, *args):
+        in_merged.append(True)
+        try:
+            return merged(self, *args)
+        finally:
+            in_merged.pop()
+
+    def counted_searchsorted(*args, **kwargs):
+        calls["searchsorted in merged"] += bool(in_merged)
+        return searchsorted(*args, **kwargs)
+
+    monkeypatch.setattr(_Run, "merged", flagged_merged)
+    monkeypatch.setattr(np, "searchsorted", counted_searchsorted)
+    store = EdgeRuns()
+    folded = set()
+    for seed in range(40):
+        tails, heads = random_edges(seed, 200, 60)
+        before, folds = calls["_find"], store.folds
+        store.insert(tails, heads, np.ones(60, dtype=np.int64))
+        assert calls["_find"] - before == 2  # base, delta
+        folded.add(store.folds > folds)
+    assert folded == {True, False}  # inserts on both sides of the fold rule
+    assert calls["searchsorted in merged"] == 0
+
+
+def test_relaxation_dedupes_once_at_entry_and_once_per_round(calls):
+    calls.count(frontier, "sorted_unique")
+    n = 50
+    chain = np.arange(n - 1, dtype=np.int64)
+    adj = frontier.build_csr(n, chain, chain + 1, np.ones(n - 1, dtype=np.int64))
+    kernel = MinPlusKernel()
+    values = kernel.init_values(np.arange(n))
+    values[0] = 1
+    rounds, _relaxed = relax_to_fixpoint(adj, values, np.array([0, 0, 0]), kernel)
+    assert rounds == n - 1
+    assert calls["sorted_unique"] == 1 + rounds
+
+
+DENSE_LAYER = ("kernels", "runtime/bulk.py", "parallel/vecapply.py", "parallel/loop.py")
+
+
+def test_no_plain_np_unique_in_the_dense_layer():
+    """numpy >= 2.3 hashes a plain integer ``np.unique``; the layer's
+    set operations are ``sorted_unique`` (the oracle-side uses in
+    ``storage/csr.py``, ``analytics/``, ``partition/stats.py`` and
+    ``cli.py`` are outside every timed region and stay)."""
+    root = Path(repro.__file__).parent
+    files = []
+    for part in DENSE_LAYER:
+        path = root / part
+        files += sorted(path.glob("*.py")) if path.is_dir() else [path]
+    assert len(files) >= 6
+    plain = []
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "unique"
+                and not {k.arg for k in node.keywords}
+                & {"return_inverse", "return_index", "return_counts"}
+            ):
+                plain.append(f"{path.relative_to(root)}:{node.lineno}")
+    assert plain == []

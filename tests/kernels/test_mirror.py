@@ -5,8 +5,8 @@ weight``: inserts, re-adds with a changed weight and duplicates inside
 one batch, in batch sizes that put the store on both sides of its fold
 rule, with the universe growing between a run's row-pointer
 build and its next gather.  ``DenseState`` is checked against per-vertex
-``[value, written, synced]`` records under random grow / fold / offer /
-stale sequences, as the DES holds it (``rank=None``) and as an mp rank
+``[value, written, synced]`` records under random grow / resolve / fold /
+offer / stale sequences, as the DES holds it (``rank=None``) and as an mp rank
 does.
 """
 
@@ -15,7 +15,7 @@ from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import mirror
@@ -61,14 +61,28 @@ class TestUniverse:
         assert u.lookup(arr([])).size == 0
 
     @settings(max_examples=60, deadline=None)
-    @given(st.lists(st.lists(st.integers(-50, 50), max_size=12), max_size=10))
+    @given(
+        st.lists(
+            st.tuples(st.booleans(), st.lists(st.integers(-50, 50), max_size=12)),
+            max_size=10,
+        )
+    )
+    # One resolve call with repeated, already-known and new ids.
+    @example([(False, [7, 3]), (True, [9, 3, 9, -2, 7, 3, 9])])
     def test_matches_a_dict_model(self, batches):
         u, model = Universe(), {}
-        for batch in batches:
-            fresh = u.extend(arr(batch))
-            assert fresh.tolist() == sorted(set(batch) - model.keys())
-            for v in fresh.tolist():
-                model[v] = len(model)
+        for resolve, batch in batches:
+            new = sorted(set(batch) - model.keys())
+            if resolve:
+                pos, touched = u.resolve(arr(batch))
+                for v in new:  # ascending, at the end
+                    model[v] = len(model)
+                assert pos.tolist() == [model[v] for v in batch]
+                assert touched.tolist() == [model[v] for v in sorted(set(batch))]
+            else:
+                assert u.extend(arr(batch)).tolist() == new
+                for v in new:
+                    model[v] = len(model)
             probe = arr(range(-55, 56))
             pos, hit = u.find(probe)
             assert hit.tolist() == [v in model for v in probe.tolist()]
@@ -118,8 +132,29 @@ step = st.tuples(
 )
 
 
+# One key, (3, 9), three times in a batch with three weights — the last
+# wins and the key is one fresh tail — where it is new (into the delta),
+# where the delta holds it, in the batch that folds it into the base (a
+# sort long enough not to be an insertion sort, the key's arrivals
+# spread through it) and where the base holds it.
+_BASE = [(a, (a + b) % 12, 1) for a in range(12) for b in (1, 2, 3)]
+_FOLDING = [
+    x
+    for i in range(13)
+    for x in ((7, 0, i % 9 + 1), (i % 12, 9, 2), (3, 9, 9 - i % 9))
+]
+_PINNED = [
+    (_BASE, 0, [3]),
+    ([(3, 9, 1), (5, 11, 2), (3, 9, 2), (3, 9, 3)], 1, [3, 5]),
+    ([(3, 9, 6), (3, 9, 5), (3, 9, 4)], 0, [3]),
+    (_FOLDING, 2, [3, 7]),
+    ([(3, 9, 7), (3, 9, 9), (3, 9, 8)], 0, [3]),
+]
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(step, max_size=14), st.sampled_from([1, 3, 1 << 15]))
+@example(_PINNED, 3)
 def test_edge_runs_match_a_dict_model_after_every_step(steps, block):
     # Tiny blocks: a gather cut between, and inside, vertices' slices.
     with patch.object(mirror, "GATHER_BLOCK", block):
@@ -184,6 +219,7 @@ dense_value = st.integers(0, 40)  # 0 = the dicts' "unset"
 entries = st.lists(st.tuples(dense_vertex, dense_value), max_size=8)
 dense_op = st.one_of(
     st.tuples(st.just("grow"), st.lists(dense_vertex, max_size=6)),
+    st.tuples(st.just("resolve"), st.lists(dense_vertex, max_size=6)),
     st.tuples(st.just("fold"), st.integers(0, 1), entries),
     st.tuples(st.just("offer"), st.integers(0, 1), entries),
     st.tuples(st.just("stale"), st.integers(0, 1)),
@@ -259,6 +295,12 @@ def test_dense_state_matches_a_dict_model(rank, ops):
         if op == "grow":
             state.grow(arr(args[0]))
             model.grow(args[0])
+        elif op == "resolve":
+            pos, touched = state.resolve(arr(args[0]))
+            model.grow(args[0])
+            assert pos.tolist() == [model.order.index(v) for v in args[0]]
+            distinct = sorted(set(args[0]))
+            assert touched.tolist() == [model.order.index(v) for v in distinct]
         elif op == "fold":
             p, items = args[0], dict(args[1])  # dict entries: unique ids
             raw = arr(items)
