@@ -22,8 +22,9 @@ stored:
   CSR row pointers — a key-sorted run *is* in CSR order.
 * :class:`DenseState` — one of each, plus per program the ``values`` /
   ``written`` / ``synced`` columns that shadow the dicts: the dict →
-  dense fold, the seed-scatter-compare offer and the dense → dict
-  write-back rule exist once, here.
+  dense fold, the seed-scatter-compare offer (what adopts is a batch's
+  relaxation frontier) and the dense → dict write-back rule exist once,
+  here.
 """
 
 from __future__ import annotations
@@ -115,16 +116,14 @@ class Universe:
         (:meth:`resolve` without the positions)."""
         return self._admit(sorted_unique(np.asarray(vids, dtype=np.int64)))[1]
 
-    def resolve(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(positions, touched)``: the dense position of every entry
-        of ``vids``, never-seen ids admitted on the way, and the
-        positions of the distinct ids (in id order).  The entries are
-        sorted once and only the distinct ids are searched for."""
+    def resolve(self, vids: np.ndarray) -> np.ndarray:
+        """The dense position of every entry of ``vids``, never-seen ids
+        admitted on the way.  The entries are sorted once and only the
+        distinct ids are searched for."""
         distinct, inverse = np.unique(
             np.asarray(vids, dtype=np.int64), return_inverse=True
         )
-        touched, _fresh = self._admit(distinct)
-        return touched[inverse], touched
+        return self._admit(distinct)[0][inverse]
 
     def find(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(positions, hit)``: a position is meaningful only where
@@ -331,14 +330,13 @@ class DenseState:
         self.universe.extend(raw)
         self._cover_universe()
 
-    def resolve(self, raw: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(positions, touched)`` of a chunk's id columns,
-        concatenated: the position of every entry, never-seen ids
-        admitted first, and the distinct positions among them — the one
-        id resolution a chunk pays for."""
-        resolved = self.universe.resolve(raw)
+    def resolve(self, raw: np.ndarray) -> np.ndarray:
+        """The position of every entry of a chunk's id columns,
+        concatenated, never-seen ids admitted first — the one id
+        resolution a chunk pays for."""
+        pos = self.universe.resolve(raw)
         self._cover_universe()
-        return resolved
+        return pos
 
     def _cover_universe(self) -> None:
         """Every column grows at its end over the ids admitted since it

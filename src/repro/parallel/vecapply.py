@@ -218,7 +218,7 @@ class VecApplier:
         if upd is not None:
             cols["upd_target"] = upd["target"]
         st = self.state
-        pos, _touched = st.resolve(np.concatenate(list(cols.values())))
+        pos = st.resolve(np.concatenate(list(cols.values())))
         cuts = np.cumsum([c.size for c in cols.values()])[:-1]
         idx = dict(zip(cols, np.split(pos, cuts)))
 

@@ -11,6 +11,16 @@ applied at once and the algorithm state advanced by vectorized
 delta-frontier relaxation (:mod:`repro.kernels.frontier`) with a result
 bitwise-equal to the per-event path.
 
+A chunk relaxes the edges it brought, as the per-event ADD /
+REVERSE_ADD pair relaxes its one new edge (Alg. 3): one
+``DenseState.offer`` of every tail's value along the chunk's directed
+rows seeds each program's frontier with the heads that adopted, and
+only what changes travels further.  That is exact because the values
+are at the fixpoint over the edges stored before the chunk, except
+where a per-event visitor still in flight carries its own change or a
+dict-fold improvement waits in the pending frontier (which joins the
+seed); so the chunk's own rows are the only constraints it can violate.
+
 The :class:`BulkIngestor` holds one
 :class:`~repro.kernels.mirror.DenseState` with ``rank=None`` (every
 vertex local): the universe, the per-program value columns, the global
@@ -45,7 +55,8 @@ Virtual-time accounting is kept comparable to the per-event path: each
 chunk charges ``stream_pull_cpu`` per event to the ingesting rank,
 ``edge_insert_cpu`` per appended directed edge to its owner rank (plus
 the NVRAM spill penalty when configured), and ``visit_discard_cpu`` per
-kernel edge relaxation to the ingesting rank.  ``visits`` counters are
+kernel edge relaxation — each offered row and each edge the frontier
+loop gathers — to the ingesting rank.  ``visits`` counters are
 *not* incremented — bulk chunks report through the dedicated
 ``bulk_chunks`` / ``bulk_events`` / ``fallback_flushes`` counters.
 """
@@ -107,7 +118,7 @@ class BulkIngestor:
         t = np.asarray(srcs, dtype=np.int64)
         h = np.asarray(dsts, dtype=np.int64)
         st = self.state
-        pos, _touched = st.resolve(np.concatenate([t, h]))
+        pos = st.resolve(np.concatenate([t, h]))
         st.edges = EdgeRuns()
         st.edges.insert(pos[: t.size], pos[t.size :], np.asarray(ws, dtype=np.int64))
 
@@ -152,10 +163,9 @@ class BulkIngestor:
             swap = dst < src
             if swap.any():
                 src, dst = np.where(swap, dst, src), np.where(swap, src, dst)
-        # The chunk's one id resolution: positions of both columns, and
-        # the distinct endpoints the relaxation starts from.
+        # The chunk's one id resolution: positions of both columns.
         st = self.state
-        pos, endpoints = st.resolve(np.concatenate([src, dst]))
+        pos = st.resolve(np.concatenate([src, dst]))
         t_d, h_d = pos[:n], pos[n:]
         # Topology: array append buffers on each owner's store (the
         # ADD side), plus the REVERSE_ADD side for undirected runs.
@@ -175,16 +185,24 @@ class BulkIngestor:
             for r, c in enumerate(counts):
                 if c:
                     eng.counters[r].edge_inserts += int(c)
-        # REMO propagation: delta-frontier relaxation from the chunk's
-        # endpoints (values elsewhere are already at fixpoint).
+        # REMO propagation from the chunk's own rows (the module
+        # docstring says why nothing else can be violated): one offer
+        # per program, unreached tails masked out, then the frontier
+        # loop from what adopted plus the dict-fold improvements.
         total_relax = 0
         for p, kernel in enumerate(self.kernels):
-            frontier = np.concatenate([endpoints, *self._pending_frontier[p]])
+            vals = st.values[p][tails]
+            at, w_p = heads, wts
+            mask = kernel.can_emit(vals)
+            if mask is not None:
+                vals, at, w_p = vals[mask], at[mask], w_p[mask]
+            adopted = st.offer(p, at, kernel.relax(vals, w_p))
+            frontier = np.concatenate([adopted, *self._pending_frontier[p]])
             self._pending_frontier[p] = []
             _rounds, relaxed = relax_to_fixpoint(
                 st.edges, st.values[p], frontier, kernel
             )
-            total_relax += relaxed
+            total_relax += at.size + relaxed
         eng._charge(
             rank,
             n * eng.cost.stream_pull_cpu + total_relax * eng.cost.visit_discard_cpu,

@@ -4,9 +4,12 @@ The layer's rule is that a chunk's ids and keys are touched once — one
 id resolution per ``process_chunk`` / ``VecApplier.drain``, one search
 per run and none inside ``merged`` per ``EdgeRuns.insert``, one
 ``sorted_unique`` per relaxation round — and that no set operation goes
-through numpy's hash-based plain ``np.unique``.  Call counts are exact
-for a given input, so they hold the line where a timing on a shared host
-cannot (the per-event path's twin is ``tests/runtime/test_hot_path_budget.py``).
+through numpy's hash-based plain ``np.unique``.  A bulk chunk relaxes
+what it brought: its own rows once, then only what adopted, so its
+charge does not grow with the edges already stored.  Call and
+relaxation counts are exact for a given input, so they hold the line
+where a timing on a shared host cannot (the per-event path's twin is
+``tests/runtime/test_hot_path_budget.py``).
 """
 
 from __future__ import annotations
@@ -20,15 +23,16 @@ import pytest
 
 import repro
 from repro import DynamicEngine, EngineConfig, IncrementalBFS, IncrementalCC
-from repro.events.stream import split_streams
+from repro.events.stream import ArrayEventStream, split_streams
 from repro.kernels import frontier, mirror
 from repro.kernels.frontier import MinPlusKernel, relax_to_fixpoint
 from repro.kernels.mirror import DenseState, EdgeRuns, Universe, _Run
 from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 from repro.parallel.vecapply import VecApplier
+from repro.runtime import bulk
 from repro.runtime.bulk import BulkIngestor
-from repro.runtime.plugins import BulkIngestPlugin
+from repro.runtime.plugins import BulkIngestPlugin, TracerPlugin
 
 
 @pytest.fixture
@@ -77,6 +81,59 @@ def test_a_bulk_chunk_resolves_its_ids_once(calls):
     assert calls["_rebuild_topology"] == 1
     assert calls["resolve"] == chunks + calls["_rebuild_topology"]
     assert calls["grow"] == calls["lookup"] == 0
+
+
+def last_chunk_on_hubs(n_leaves, chunk, monkeypatch):
+    """``(relaxations, rounds)`` of ``chunk`` ingested after a graph of
+    two joined hubs that both reach every one of ``n_leaves`` leaves
+    (BFS from hub 0: every vertex reached, one CC component)."""
+    leaves = np.arange(2, n_leaves + 2)
+    hubs = np.repeat([0, 1], n_leaves)
+    src = np.concatenate([[0], hubs])
+    dst = np.concatenate([[1], leaves, leaves])
+    eng = DynamicEngine(
+        [IncrementalBFS(), IncrementalCC()],
+        EngineConfig(n_ranks=2),
+        plugins=[BulkIngestPlugin(64), TracerPlugin()],
+    )
+    eng.init_program("bfs", 0)
+    eng.run()
+    eng.attach_streams(split_streams(src, dst, 2))
+    eng.run()
+    rounds = []
+
+    def recorded(*args):
+        result = relax_to_fixpoint(*args)
+        rounds.append(result[0])
+        return result
+
+    monkeypatch.setattr(bulk, "relax_to_fixpoint", recorded)
+    before = eng.state("bfs"), eng.state("cc")
+    cs, cd = np.array(chunk, dtype=np.int64).T
+    assert eng._bulk.process_chunk(0, ArrayEventStream(cs, cd)) == len(chunk)
+    eng._bulk.flush_values(count_fallback=False)
+    assert (eng.state("bfs"), eng.state("cc")) == before  # nothing improved
+    spans = [ev for ev in eng.tracer.spans(["bulk"]) if ev[2] == "bulk/chunk"]
+    return spans[-1][6]["relaxations"], rounds
+
+
+# Leaf-leaf edges (levels 1 and 1, one component) and a re-add of the
+# hub-hub edge: every row is offered, none adopts.
+QUIET_CHUNK = [(2, 3), (3, 4), (1, 0)]
+
+
+def test_a_chunk_that_improves_nothing_charges_only_its_rows(monkeypatch):
+    relaxations, rounds = last_chunk_on_hubs(16, QUIET_CHUNK, monkeypatch)
+    # Two directed rows per undirected edge, offered once per program;
+    # with nothing adopted the frontier loop starts empty.
+    assert relaxations == 2 * 2 * len(QUIET_CHUNK)
+    assert rounds == [0, 0]
+
+
+def test_a_chunk_charges_the_same_in_a_graph_four_times_larger(monkeypatch):
+    small, _ = last_chunk_on_hubs(16, QUIET_CHUNK, monkeypatch)
+    large, _ = last_chunk_on_hubs(64, QUIET_CHUNK, monkeypatch)
+    assert small == large
 
 
 class NullLoop:

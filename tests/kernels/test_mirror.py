@@ -74,11 +74,10 @@ class TestUniverse:
         for resolve, batch in batches:
             new = sorted(set(batch) - model.keys())
             if resolve:
-                pos, touched = u.resolve(arr(batch))
+                pos = u.resolve(arr(batch))
                 for v in new:  # ascending, at the end
                     model[v] = len(model)
                 assert pos.tolist() == [model[v] for v in batch]
-                assert touched.tolist() == [model[v] for v in sorted(set(batch))]
             else:
                 assert u.extend(arr(batch)).tolist() == new
                 for v in new:
@@ -296,11 +295,9 @@ def test_dense_state_matches_a_dict_model(rank, ops):
             state.grow(arr(args[0]))
             model.grow(args[0])
         elif op == "resolve":
-            pos, touched = state.resolve(arr(args[0]))
+            pos = state.resolve(arr(args[0]))
             model.grow(args[0])
             assert pos.tolist() == [model.order.index(v) for v in args[0]]
-            distinct = sorted(set(args[0]))
-            assert touched.tolist() == [model.order.index(v) for v in distinct]
         elif op == "fold":
             p, items = args[0], dict(args[1])  # dict entries: unique ids
             raw = arr(items)

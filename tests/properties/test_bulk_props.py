@@ -107,6 +107,52 @@ def test_bulk_exact_in_directed_mode(seed):
     assert on.total_counters().bulk_events == len(src)
 
 
+def run_with_init_between_chunks(src, dst, weights, bulk, chunk, undirected):
+    """Ingest about a third of the stream, then INIT BFS and SSSP at
+    ``src[0]`` and run to quiescence.  Returns the engine and the source
+    events ingested before the INIT."""
+    eng = DynamicEngine(
+        make_programs(),
+        EngineConfig(n_ranks=3, undirected=undirected),
+        plugins=[BulkIngestPlugin(chunk)] if bulk else None,
+    )
+    eng.attach_streams(
+        split_streams(src, dst, 3, weights=weights, rng=np.random.default_rng(0))
+    )
+    # A bulk action pulls one chunk; a per-event one, one event or visit.
+    eng.run(max_actions=max(2, len(src) // chunk // 3) if bulk else 200)
+    before = eng.total_counters().source_events
+    source = int(src[0])
+    eng.init_program("bfs", source)
+    eng.init_program("sssp", source)
+    eng.run()
+    return eng, before
+
+
+@pytest.mark.parametrize("undirected", [True, False])
+@pytest.mark.parametrize("chunk", [1, 7, 64])
+def test_init_between_chunks_matches_per_event_and_static(chunk, undirected):
+    """The INIT's per-event wave is in flight while later chunks
+    re-engage; each chunk seeds its fixpoint from its own rows plus the
+    dict-fold improvements, never from the values the wave carries."""
+    src, dst, weights = random_workload(13, n_vertices=90, n_events=450)
+    on, before = run_with_init_between_chunks(
+        src, dst, weights, True, chunk, undirected
+    )
+    off, _ = run_with_init_between_chunks(src, dst, weights, False, chunk, undirected)
+    tot = on.total_counters()
+    assert 0 < before < len(src)  # the INIT landed between chunks
+    assert tot.bulk_events == len(src)  # ... every event still went bulk
+    assert tot.fallback_flushes >= 1  # ... with the wave interleaved
+    for name in ALGOS:
+        assert on.state(name) == off.state(name)
+    assert sorted(on.edges()) == sorted(off.edges())
+    source = int(src[0])
+    assert verify_bfs(on, "bfs", source) == []
+    assert verify_sssp(on, "sssp", source) == []
+    assert verify_cc(on, "cc") == []
+
+
 @pytest.mark.parametrize("n_ranks", [2, 4])
 def test_midstream_collection_forces_fallback_and_still_matches(n_ranks):
     src, dst, weights = random_workload(9, n_vertices=200, n_events=1200)
