@@ -11,13 +11,16 @@ stored:
   grow at their end; a sorted view answers lookups in O(log V).
 * :class:`EdgeRuns` — the directed edges in dense positions, sorted by
   ``key = tail << 32 | head``, in a large **base** run and a small
-  **delta** run.  A batch is looked up in both (a stored pair has its
-  weight overwritten in place — keep-last, the ``insert_edge`` rule — so
-  the keys found in neither are exactly the per-event first inserts),
-  fresh keys merge into the delta, and the delta folds into the base
-  only when it has reached ``1 / FOLD_FRACTION`` of it: O(batch log E +
-  delta) per batch, and all folds together rewrite a geometric series
-  of base sizes (at most ``FOLD_FRACTION + 1`` times the final count).
+  **delta** run, each holding only ``keys`` and ``weights`` (a head is
+  the low half of its key).  A batch is looked up in both (a stored
+  pair has its weight overwritten in place — keep-last, the
+  ``insert_edge`` rule — so the keys found in neither are exactly the
+  per-event first inserts), fresh keys merge into the delta together
+  with their insertion points into the base, and the delta folds into
+  the base at those points, without a search, only when it has reached
+  ``1 / FOLD_FRACTION`` of it: O(batch log E + delta) per batch, and
+  all folds together rewrite a geometric series of base sizes (at most
+  ``FOLD_FRACTION + 1`` times the final count).
   :meth:`EdgeRuns.gather` reads a frontier's out-edges through per-run
   CSR row pointers — a key-sorted run *is* in CSR order.
 * :class:`DenseState` — one of each, plus per program the ``values`` /
@@ -36,6 +39,7 @@ import numpy as np
 _EMPTY_I64 = np.empty(0, dtype=np.int64)
 _EMPTY_U64 = np.empty(0, dtype=np.uint64)
 _SHIFT = np.uint64(32)
+_LOW = np.uint64(0xFFFFFFFF)
 
 #: The delta folds once ``FOLD_FRACTION * len(delta) >= len(base)`` — a
 #: constant of the structure, not a knob; a batch that large (every
@@ -54,12 +58,19 @@ def edge_keys(tails: np.ndarray, heads: np.ndarray) -> np.ndarray:
     return (tails.astype(np.uint64) << _SHIFT) | heads.astype(np.uint64)
 
 
+def _heads(keys: np.ndarray) -> np.ndarray:
+    """The head positions of ``keys``, a fresh array masked in place."""
+    keys &= _LOW
+    return keys.view(np.int64)
+
+
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``(index, hit)`` of ``keys`` in ``sorted_keys``: ``index`` is the
-    insertion point, the key's own slot where ``hit`` is set."""
-    if not sorted_keys.size:
-        return np.zeros(keys.shape, dtype=np.int64), np.zeros(keys.shape, dtype=bool)
+    insertion point, the key's own slot where ``hit`` is set.  One
+    ``np.searchsorted`` call, an empty ``sorted_keys`` included."""
     at = np.searchsorted(sorted_keys, keys)
+    if not sorted_keys.size:
+        return at, np.zeros(keys.shape, dtype=bool)
     return at, sorted_keys.take(at, mode="clip") == keys
 
 
@@ -141,13 +152,16 @@ class Universe:
 
 
 class _Run:
-    """One key-sorted run.  ``keys``/``heads`` are never written after
-    construction; ``weights`` are overwritten in place by re-adds."""
+    """One key-sorted run.  ``keys`` are never written after
+    construction; ``weights`` are overwritten in place by re-adds.  A
+    delta run also carries ``base_at``, each key's insertion point into
+    the base: the base changes only at the fold that empties the delta,
+    so the points stay valid for as long as the delta exists."""
 
-    __slots__ = ("keys", "heads", "weights", "_indptr")
+    __slots__ = ("keys", "weights", "base_at", "_indptr")
 
-    def __init__(self, keys=_EMPTY_U64, heads=_EMPTY_I64, weights=_EMPTY_I64) -> None:
-        self.keys, self.heads, self.weights = keys, heads, weights
+    def __init__(self, keys=_EMPTY_U64, weights=_EMPTY_I64, base_at=None) -> None:
+        self.keys, self.weights, self.base_at = keys, weights, base_at
         self._indptr: np.ndarray | None = None
 
     def __len__(self) -> int:
@@ -159,23 +173,26 @@ class _Run:
     def merged(self, other: _Run, at: np.ndarray) -> _Run:
         """This run with ``other`` (disjoint keys) woven in at its
         insertion points ``at`` — the caller has searched already: one
-        pass over each column."""
+        pass over each column (``base_at`` too, if this run has one)."""
         if not (self.keys.size and other.keys.size):
             return self if self.keys.size else other
+        n = self.keys.size
         dest = at + np.arange(other.keys.size)
-        kept = np.ones(self.keys.size + other.keys.size, dtype=bool)
-        kept[dest] = False
+        # Entry i of this run moves up by the keys woven in before it.
+        kept = np.bincount(at, minlength=n + 1)[:n]
+        np.cumsum(kept, out=kept)
+        kept += np.arange(n)
 
         def weave(mine: np.ndarray, theirs: np.ndarray) -> np.ndarray:
-            out = np.empty(kept.size, dtype=mine.dtype)
+            out = np.empty(n + theirs.size, dtype=mine.dtype)
             out[dest] = theirs
             out[kept] = mine
             return out
 
         return _Run(
             weave(self.keys, other.keys),
-            weave(self.heads, other.heads),
             weave(self.weights, other.weights),
+            None if self.base_at is None else weave(self.base_at, other.base_at),
         )
 
     def indptr(self, n_vertices: int) -> np.ndarray:
@@ -222,25 +239,27 @@ class EdgeRuns:
         starts = np.flatnonzero(_group_starts(keys))
         sel = np.maximum.reduceat(order, starts)
         keys = keys[starts]
-        heads = np.asarray(heads, dtype=np.int64)[sel]
         weights = np.asarray(weights, dtype=np.int64)[sel]
         # One search per run: a hit is a re-add, a miss in both runs a
-        # first insert whose insertion point into the delta is in hand.
+        # first insert whose insertion points into both runs are in hand.
         base, delta = self._runs
         fresh = np.ones(keys.size, dtype=bool)
+        found = []
         for run in (base, delta):
             at, hit = _find(run.keys, keys)
+            found.append(at)
             if hit.any():
                 run.weights[at[hit]] = weights[hit]
                 fresh &= ~hit
+        base_at, at = found
         if not fresh.all():
-            keys, heads, weights = keys[fresh], heads[fresh], weights[fresh]
-            at = at[fresh]
+            keys, weights = keys[fresh], weights[fresh]
+            base_at, at = base_at[fresh], at[fresh]
         if keys.size:
-            delta = delta.merged(_Run(keys, heads, weights), at)
+            delta = delta.merged(_Run(keys, weights, base_at), at)
             if FOLD_FRACTION * len(delta) >= len(base):
-                # A fold's needles are the whole delta, not the batch.
-                base = base.merged(delta, np.searchsorted(base.keys, delta.keys))
+                base = base.merged(delta, delta.base_at)
+                base.base_at = None  # was the delta itself if the base was empty
                 delta = _Run()
                 self.folds += 1
             self.moved_edges += len(delta) or len(base)  # the run just rebuilt
@@ -252,7 +271,7 @@ class EdgeRuns:
         base, delta = self._runs
         return (
             np.concatenate([base.tails(), delta.tails()]),
-            np.concatenate([base.heads, delta.heads]),
+            _heads(np.concatenate([base.keys, delta.keys])),
             np.concatenate([base.weights, delta.weights]),
         )
 
@@ -287,7 +306,7 @@ class EdgeRuns:
                     idx = np.repeat(starts[lo:hi], c)
                     idx += np.arange(done, done + size)
                     spread = (np.repeat(x[lo:hi], c) for x in per_vertex)
-                    yield run.heads[idx], run.weights[idx], *spread
+                    yield _heads(run.keys[idx]), run.weights[idx], *spread
                     lo, done = hi, done + size
 
 

@@ -35,7 +35,9 @@ Exactness contract
   active or pending collection, no registered triggers, no injected
   timed events, add-only streams, every program kernel-capable.
 * **Topology** appended in bulk lands in ``DegAwareRHH`` array append
-  buffers; any classic store access materialises them through the exact
+  buffers: every owner's buffer holds the chunk's shared columns (no
+  per-owner copy) plus the owner column and its rank; any classic store
+  access materialises them, owner-filtered, through the exact
   ``insert_edge`` path first, so per-event code never observes a stale
   store.
 * **De-optimize** (:meth:`deoptimize`): the moment per-event processing
@@ -225,15 +227,16 @@ class BulkIngestor:
 
     def _append_to_stores(self, srcs, dsts, ws, owners) -> None:
         """Append directed edges to the stores of ``owners`` (the rank
-        of each ``srcs`` entry, as the dense state already holds it)."""
+        of each ``srcs`` entry, as the dense state already holds it).
+        Every store shares the chunk's columns; each picks out its own
+        rows only if it is ever materialised."""
         eng = self.engine
         tracer = eng.tracer
         counts = np.bincount(owners, minlength=eng.config.n_ranks)
         for r in np.nonzero(counts)[0]:
             r = int(r)
-            m = owners == r
             store = eng.stores[r]
-            store.bulk_append_edges(srcs[m], dsts[m], ws[m])
+            store.bulk_append_edges(srcs, dsts, ws, owners, r, int(counts[r]))
             cpu = int(counts[r]) * eng.cost.edge_insert_cpu
             if eng.cost.rank_memory_bytes != float("inf"):
                 frac = eng.cost.spill_fraction(store.approx_bytes())

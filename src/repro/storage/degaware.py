@@ -100,12 +100,10 @@ class DegAwareRHH:
         self._adj: list[_LowDegreeAdjacency | RobinHoodMap] = []
         self._vids: list[int] = []
         self._num_edges = 0
-        # Bulk-ingest append buffers (numpy column chunks), materialised
-        # through insert_edge on first classic access — see
-        # bulk_append_edges.
-        self._pending_src: list[np.ndarray] = []
-        self._pending_dst: list[np.ndarray] = []
-        self._pending_w: list[np.ndarray] = []
+        # Bulk-ingest append buffers: (src, dst, weights, owners, rank)
+        # column chunks, materialised through insert_edge on first
+        # classic access — see bulk_append_edges.
+        self._pending: list[tuple] = []
         self._pending_count = 0
         self.stats = AdjacencyStats()
 
@@ -182,26 +180,49 @@ class DegAwareRHH:
     # bulk-ingest tier (array append buffers)
     # ------------------------------------------------------------------
     def bulk_append_edges(
-        self, src: np.ndarray, dst: np.ndarray, weights: np.ndarray
+        self,
+        src: np.ndarray,
+        dst: np.ndarray,
+        weights: np.ndarray,
+        owners: np.ndarray | None = None,
+        rank: int = 0,
+        count: int | None = None,
     ) -> None:
         """Append directed edges as numpy columns without touching the
         per-vertex tiers (the bulk-ingest fast path).
 
+        With ``owners``, the columns are a whole bulk chunk shared by
+        every rank's store and this store's rows are those with
+        ``owners == rank`` (``count`` of them, if the caller knows): the
+        store keeps a reference to the columns, not a copy, and applies
+        the filter only when it materialises them.  The columns must not
+        be written to while pending.
+
         The buffers are invisible to the classic API until
         :meth:`flush_bulk` runs — every classic accessor triggers it
-        lazily, replaying the buffered edges through the exact
-        ``insert_edge`` path (dedup, weight overwrite, promotion), so
-        correctness is by construction and only the *timing* of the
+        lazily, replaying the buffered edges in append order through the
+        exact ``insert_edge`` path (dedup, weight overwrite, promotion),
+        so correctness is by construction and only the *timing* of the
         per-edge work moves.
         """
-        if len(src) != len(dst) or len(src) != len(weights):
+        n = len(src)
+        columns = (dst, weights) if owners is None else (dst, weights, owners)
+        if any(len(c) != n for c in columns):
             raise ValueError("bulk_append_edges column length mismatch")
-        if not len(src):
+        if count is None:
+            count = n if owners is None else int(np.count_nonzero(owners == rank))
+        if not count:
             return
-        self._pending_src.append(np.asarray(src, dtype=np.int64))
-        self._pending_dst.append(np.asarray(dst, dtype=np.int64))
-        self._pending_w.append(np.asarray(weights, dtype=np.int64))
-        self._pending_count += len(src)
+        self._pending.append(
+            (
+                np.asarray(src, dtype=np.int64),
+                np.asarray(dst, dtype=np.int64),
+                np.asarray(weights, dtype=np.int64),
+                owners,
+                rank,
+            )
+        )
+        self._pending_count += count
 
     @property
     def bulk_pending(self) -> int:
@@ -216,16 +237,15 @@ class DegAwareRHH:
         return n
 
     def _flush_pending(self) -> None:
-        srcs = np.concatenate(self._pending_src)
-        dsts = np.concatenate(self._pending_dst)
-        ws = np.concatenate(self._pending_w)
-        self._pending_src.clear()
-        self._pending_dst.clear()
-        self._pending_w.clear()
+        pending, self._pending = self._pending, []
         self._pending_count = 0
         insert = self.insert_edge
-        for s, d, w in zip(srcs.tolist(), dsts.tolist(), ws.tolist()):
-            insert(s, d, w)
+        for srcs, dsts, ws, owners, rank in pending:
+            if owners is not None:
+                mine = owners == rank
+                srcs, dsts, ws = srcs[mine], dsts[mine], ws[mine]
+            for s, d, w in zip(srcs.tolist(), dsts.tolist(), ws.tolist()):
+                insert(s, d, w)
 
     # ------------------------------------------------------------------
     # edge level
@@ -392,8 +412,9 @@ class DegAwareRHH:
         edge: neighbour id + weight + container slack (~40 B); promoted
         tables carry extra open-addressing slack (~24 B per threshold
         slot at promotion time).  Pending bulk-append edges count at
-        their packed column footprint (3 x int64) without forcing a
-        flush.
+        their packed column footprint (3 x int64) per row this store
+        owns, without forcing a flush — whether the columns are its own
+        or a chunk shared with the other ranks' stores.
         """
         return (
             88 * len(self._vids)

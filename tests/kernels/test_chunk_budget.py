@@ -2,7 +2,7 @@
 
 The layer's rule is that a chunk's ids and keys are touched once — one
 id resolution per ``process_chunk`` / ``VecApplier.drain``, one search
-per run and none inside ``merged`` per ``EdgeRuns.insert``, one
+per run and none inside ``merged`` or at a fold per ``EdgeRuns.insert``, one
 ``sorted_unique`` per relaxation round — and that no set operation goes
 through numpy's hash-based plain ``np.unique``.  A bulk chunk relaxes
 what it brought: its own rows once, then only what adopted, so its
@@ -198,6 +198,21 @@ def test_an_insert_searches_each_run_once_and_merged_never(calls, monkeypatch):
         folded.add(store.folds > folds)
     assert folded == {True, False}  # inserts on both sides of the fold rule
     assert calls["searchsorted in merged"] == 0
+
+
+def test_a_fold_searches_nothing(calls):
+    # The delta carries its insertion points into the base, so the two
+    # _find searches are all an insert runs, folding or not.
+    calls.count(np, "searchsorted")
+    store = EdgeRuns()
+    folded = set()
+    for seed in range(40):
+        tails, heads = random_edges(seed, 200, 60)
+        before, folds = calls["searchsorted"], store.folds
+        store.insert(tails, heads, np.ones(60, dtype=np.int64))
+        assert calls["searchsorted"] - before == 2, seed
+        folded.add(store.folds > folds)
+    assert folded == {True, False}
 
 
 def test_relaxation_dedupes_once_at_entry_and_once_per_round(calls):

@@ -13,8 +13,10 @@ from repro import (
     ListEventStream,
     throughput_report,
 )
+from repro.comm.costmodel import CostModel
 from repro.events.stream import ArrayEventStream, split_streams
 from repro.events.types import ADD, DELETE
+from repro.generators import rmat_edges
 from repro.runtime.plugins import BulkIngestPlugin
 from repro.storage.degaware import DegAwareRHH
 
@@ -291,6 +293,128 @@ def test_store_approx_bytes_counts_pending_without_flushing():
     )
     assert s.approx_bytes() > base
     assert s.bulk_pending == 10  # approx_bytes did not force the flush
+
+
+def test_store_materialises_only_its_rows_of_a_shared_chunk():
+    s = DegAwareRHH(4, "dict")
+    src = np.array([1, 2, 1, 3], dtype=np.int64)
+    dst = np.array([2, 3, 4, 1], dtype=np.int64)
+    w = np.array([5, 6, 7, 8], dtype=np.int64)
+    owners = np.array([0, 1, 0, 1], dtype=np.int64)
+    s.bulk_append_edges(src, dst, w, owners, 1)
+    assert s.bulk_pending == 2
+    assert s.approx_bytes() == 24 * 2
+    assert sorted(s.edges()) == [(2, 3, 6), (3, 1, 8)]
+
+
+def chunk_rows(chunks, owner_array):
+    """``(src, dst, w, owners)`` of every directed row an undirected bulk
+    run appends, in append order: per chunk, forward rows then reverse."""
+    for src, dst, w in chunks:
+        src, dst = np.minimum(src, dst), np.maximum(src, dst)
+        yield src, dst, w, owner_array(src)
+        yield dst, src, w, owner_array(dst)
+
+
+@pytest.mark.parametrize("n_ranks", [2, 4])
+@pytest.mark.parametrize("chunk", [7, 64])
+def test_shared_chunk_buffers_materialise_what_per_owner_copies_did(
+    n_ranks, chunk, monkeypatch
+):
+    rng = np.random.default_rng(n_ranks * 100 + chunk)
+    src = rng.integers(0, 30, 240, dtype=np.int64)
+    dst = rng.integers(0, 30, 240, dtype=np.int64)
+    w = rng.integers(1, 9, 240, dtype=np.int64)
+    # Repeated pairs, re-added at a different weight.
+    src, dst = np.concatenate([src, src[:60]]), np.concatenate([dst, dst[:60]])
+    w = np.concatenate([w, w[:60] % 8 + 1])
+    pulled = []
+    pull_chunk = ArrayEventStream.pull_chunk
+
+    def recorded(self, max_events):
+        cols = pull_chunk(self, max_events)
+        pulled.append(tuple(c.copy() for c in cols))
+        return cols
+
+    monkeypatch.setattr(ArrayEventStream, "pull_chunk", recorded)
+    eng = cc_engine(n_ranks=n_ranks, bulk_chunk=chunk)
+    eng.attach_streams(split_streams(src, dst, n_ranks, weights=w))
+    eng.run()
+    assert eng.total_counters().bulk_events == len(src)
+
+    cfg = eng.config
+    refs = [
+        DegAwareRHH(cfg.promote_threshold, cfg.vertex_index) for _ in range(n_ranks)
+    ]
+    owned = [0] * n_ranks
+    for s, d, wt, owners in chunk_rows(pulled, eng.partitioner.owner_array):
+        for r in range(n_ranks):
+            m = owners == r
+            owned[r] += int(m.sum())
+            for a, b, c in zip(s[m].tolist(), d[m].tolist(), wt[m].tolist()):
+                refs[r].insert_edge(a, b, c)
+    for r, store in enumerate(eng.stores):
+        assert store.bulk_pending == owned[r]
+        assert store.approx_bytes() == 24 * owned[r]
+    eng_edges = list(eng.edges())  # materialises every store
+    assert len(eng_edges) == sum(ref.num_edges for ref in refs)
+    for store, ref in zip(eng.stores, refs):
+        assert store.bulk_pending == 0
+        assert list(store.vertices()) == list(ref.vertices())
+        for v in ref.vertices():
+            assert list(store.neighbors(v)) == list(ref.neighbors(v))
+
+
+def bulk_clocks(n_ranks, chunk, cost=None):
+    """Per-rank ``(clock, busy_time, edge_inserts, bulk_chunks)`` after a
+    BFS+CC bulk run of one seeded RMAT input (clocks as ``float.hex``)."""
+    src, dst = rmat_edges(9, edge_factor=8, rng=np.random.default_rng(11))
+    w = (np.minimum(src, dst) * 31 + np.maximum(src, dst)) % 7 + 1
+    eng = DynamicEngine(
+        [IncrementalBFS(), IncrementalCC()],
+        EngineConfig(n_ranks=n_ranks),
+        cost_model=cost,
+        plugins=[BulkIngestPlugin(chunk)],
+    )
+    eng.init_program("bfs", int(src[0]))
+    eng.run()
+    eng.attach_streams(
+        split_streams(src, dst, n_ranks, weights=w, rng=np.random.default_rng(12))
+    )
+    eng.run()
+    assert eng.total_counters().bulk_events == len(src)
+    return [
+        (t.hex(), c.busy_time.hex(), c.edge_inserts, c.bulk_chunks)
+        for t, c in zip(eng.loop.clock, eng.counters)
+    ]
+
+
+# Generated before the stores shared their chunk's columns (each owner
+# got its own boolean-indexed copy): sharing them moved no charge.
+PINNED_BULK_CLOCKS = {
+    "unbounded": [
+        ("0x1.732ecbc565d03p-10", "0x1.732ecbc565d03p-10", 1303, 4),
+        ("0x1.a52c74d310b3ap-10", "0x1.a5119ce075f6fp-10", 1501, 4),
+        ("0x1.5241ec339a614p-10", "0x1.5241ec339a614p-10", 1077, 4),
+        ("0x1.0331e3a7daa50p-9", "0x1.0331e3a7daa50p-9", 1766, 4),
+    ],
+    "spilling": [
+        ("0x1.9e1018d9e7edcp-7", "0x1.9e1018d9e7edcp-7", 1680, 14),
+        ("0x1.39291d3c457f2p-6", "0x1.39276fbd1bd35p-6", 2184, 14),
+        ("0x1.0eacd346a9486p-6", "0x1.0eacd346a9486p-6", 1783, 14),
+    ],
+}
+
+
+@pytest.mark.parametrize(
+    "leg, n_ranks, chunk, cost",
+    [
+        ("unbounded", 4, 256, None),
+        ("spilling", 3, 100, CostModel(rank_memory_bytes=12_000)),
+    ],
+)
+def test_bulk_virtual_time_is_pinned(leg, n_ranks, chunk, cost):
+    assert bulk_clocks(n_ranks, chunk, cost) == PINNED_BULK_CLOCKS[leg]
 
 
 def test_store_bulk_append_validates_lengths():
