@@ -17,9 +17,16 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.algorithms.base import INF, min_monotone_merge
-from repro.kernels.frontier import MinPlusKernel
+from repro.kernels.frontier import FrontierKernel
 from repro.runtime.program import VertexContext, VertexProgram
+
+
+def next_level(levels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Alg. 4's candidate over arrays: one hop past the tail's level."""
+    return levels + 1
 
 
 class IncrementalBFS(VertexProgram):
@@ -39,9 +46,9 @@ class IncrementalBFS(VertexProgram):
     snapshot_mode = "merge"
     # §II-D: two queued levels from the same sender squash to the better
     # (smaller) one; 0 stays the "unset" identity.
-    combine = staticmethod(min_monotone_merge)
+    combine = merge = staticmethod(min_monotone_merge)
     # Bulk-ingest fast path: levels relax as min(level, nbr + 1).
-    bulk_kernel = MinPlusKernel(unit_weight=True)
+    bulk_kernel = FrontierKernel(np.int64, np.minimum, INF, next_level)
 
     def on_init(self, ctx: VertexContext, payload: Any) -> None:
         # Begin traversal from this vertex.
@@ -82,9 +89,6 @@ class IncrementalBFS(VertexProgram):
             new_level = vis_val + 1
             ctx.set_value(new_level)
             ctx.update_nbrs(new_level)
-
-    def merge(self, a: int, b: int) -> int:
-        return min_monotone_merge(a, b)
 
     def format_value(self, value: Any) -> str:
         if value == 0:

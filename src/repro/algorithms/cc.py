@@ -25,10 +25,12 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.algorithms.base import max_monotone_merge
-from repro.kernels.frontier import MaxLabelKernel
+from repro.kernels.frontier import FrontierKernel
 from repro.runtime.program import VertexContext, VertexProgram
-from repro.util.hashing import stable_vertex_hash
+from repro.util.hashing import stable_vertex_hash, stable_vertex_hash_array
 
 # Labels must never be 0 (the engine's "unset" default); fold the zero
 # hash (astronomically unlikely, but cheap to guard) up to 1.
@@ -38,6 +40,17 @@ _LABEL_SALT = 0xCC
 def component_label(vertex_id: int) -> int:
     """The label a vertex seeds itself with (its salted hash, never 0)."""
     return stable_vertex_hash(vertex_id, _LABEL_SALT) or 1
+
+
+def component_labels(ids: np.ndarray) -> np.ndarray:
+    """:func:`component_label` of every entry of ``ids``, as uint64."""
+    labels = stable_vertex_hash_array(np.asarray(ids, dtype=np.int64), _LABEL_SALT)
+    return np.where(labels == 0, np.uint64(1), labels)
+
+
+def carried_label(labels: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Alg. 6's candidate over arrays: a label crosses an edge as is."""
+    return labels
 
 
 class IncrementalCC(VertexProgram):
@@ -52,9 +65,11 @@ class IncrementalCC(VertexProgram):
     snapshot_mode = "merge"
     # §II-D: queued labels from the same sender squash to the dominator
     # (labels only grow; 0 loses to any real label).
-    combine = staticmethod(max_monotone_merge)
+    combine = merge = staticmethod(max_monotone_merge)
     # Bulk-ingest fast path: labels relax as max(label, nbr label).
-    bulk_kernel = MaxLabelKernel()
+    bulk_kernel = FrontierKernel(
+        np.uint64, np.maximum, 0, carried_label, component_labels
+    )
 
     def on_add(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
         # If we are a new vertex, label us.
@@ -89,9 +104,6 @@ class IncrementalCC(VertexProgram):
             # Their component dominates: adopt, send our new label to all.
             ctx.set_value(vis_val)
             ctx.update_nbrs(vis_val)
-
-    def merge(self, a: int, b: int) -> int:
-        return max_monotone_merge(a, b)
 
     def format_value(self, value: Any) -> str:
         return "unseen" if value == 0 else f"comp:{value:016x}"

@@ -17,8 +17,10 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
+
 from repro.algorithms.base import INF, min_monotone_merge
-from repro.kernels.frontier import MinPlusKernel
+from repro.kernels.frontier import FrontierKernel
 from repro.runtime.program import VertexContext, VertexProgram
 
 
@@ -34,9 +36,9 @@ class IncrementalSSSP(VertexProgram):
     snapshot_mode = "merge"
     # §II-D: queued path costs from the same sender squash to the
     # cheaper one; 0 stays the "unset" identity.
-    combine = staticmethod(min_monotone_merge)
+    combine = merge = staticmethod(min_monotone_merge)
     # Bulk-ingest fast path: costs relax as min(cost, nbr + weight).
-    bulk_kernel = MinPlusKernel(unit_weight=False)
+    bulk_kernel = FrontierKernel(np.int64, np.minimum, INF, np.add)
 
     def on_init(self, ctx: VertexContext, payload: Any) -> None:
         ctx.set_value(1)
@@ -72,9 +74,6 @@ class IncrementalSSSP(VertexProgram):
             new_cost = vis_val + weight
             ctx.set_value(new_cost)
             ctx.update_nbrs(new_cost)
-
-    def merge(self, a: int, b: int) -> int:
-        return min_monotone_merge(a, b)
 
     def format_value(self, value: Any) -> str:
         if value == 0:

@@ -42,7 +42,7 @@ class MultiSTConnectivity(VertexProgram):
     snapshot_mode = "merge"
     # §II-D: queued reachability bitmaps from the same sender squash to
     # their union (the set only ever grows).
-    combine = staticmethod(union_merge)
+    combine = merge = staticmethod(union_merge)
 
     def __init__(self) -> None:
         # Configuration (read-only during execution): source -> bit index.
@@ -101,9 +101,6 @@ class MultiSTConnectivity(VertexProgram):
             # neighbours (Alg. 7 treats both branches identically).
             ctx.set_value(union)
             ctx.update_nbrs(union)
-
-    def merge(self, a: int, b: int) -> int:
-        return union_merge(a, b)
 
     def format_value(self, value: Any) -> str:
         return f"sources:{{{','.join(map(str, self.sources_in(value)))}}}"

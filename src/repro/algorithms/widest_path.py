@@ -43,7 +43,7 @@ class WidestPath(VertexProgram):
     snapshot_mode = "merge"
     # §II-D: queued capacities from the same sender squash to the wider
     # one (capacities only grow; 0 = "no path yet" loses to any).
-    combine = staticmethod(max)
+    combine = merge = staticmethod(max)
 
     def on_init(self, ctx: VertexContext, payload: Any) -> None:
         ctx.set_value(CAP_INF)
@@ -66,9 +66,6 @@ class WidestPath(VertexProgram):
         elif ctx.undirected and min(value, weight) > vis_val:
             # We can widen the sender's route: notify back.
             ctx.update_single_nbr(vis_id, value, weight)
-
-    def merge(self, a: int, b: int) -> int:
-        return a if a > b else b
 
     def format_value(self, value: Any) -> str:
         if value == 0:

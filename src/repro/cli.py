@@ -100,13 +100,24 @@ def _algo(name: str) -> Algo:
     return ALGOS[name]
 
 
-def _positive_int(text: str) -> int:
-    """argparse ``type`` of every count-valued option: a bad value is a
-    usage error (exit 2, one line), not a traceback from the callee."""
-    value = int(text)  # a ValueError is argparse's "invalid ... value"
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+def _checked(convert: Callable[[str], Any], ok: Callable[[Any], bool], what: str):
+    """An argparse ``type``: a value outside its range is a usage error
+    (exit 2, one line), not a traceback from the callee."""
+
+    def parse(text: str):
+        value = convert(text)  # a ValueError is argparse's "invalid ... value"
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {value}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+# Counts; periods (0 would never advance); a point in the stream.
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_positive_float = _checked(float, lambda v: v > 0, "a positive number")
+_fraction = _checked(float, lambda v: 0 <= v <= 1, "a fraction in [0, 1]")
 
 
 def _add_source_args(parser: argparse.ArgumentParser) -> None:
@@ -144,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="S-T source count")
     run.add_argument(
         "--snapshot-at",
-        type=float,
+        type=_fraction,
         default=None,
         metavar="FRAC",
         help="take a versioned snapshot at this fraction of the stream",
@@ -165,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--trace-per-rank", action="store_true",
                      help="with --backend mp --trace, also write each "
                           "rank's unmerged capture as FILE.rankN.EXT")
-    obs.add_argument("--sample-interval", type=float, default=None,
+    obs.add_argument("--sample-interval", type=_positive_float, default=None,
                      metavar="SECONDS",
                      help="virtual-time sampling period (default: ~1/100 "
                           "of the estimated makespan when sampling is on)")
@@ -178,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="run under a fault plan, e.g. "
                           "'drop=0.1,dup=0.02,crash=0.5,seed=7'; crash/stall "
                           "instants are fractions of the estimated makespan")
-    flt.add_argument("--checkpoint-every", type=float, default=None,
+    flt.add_argument("--checkpoint-every", type=_positive_float, default=None,
                      metavar="FRAC",
                      help="checkpoint period as a fraction of the estimated "
                           "makespan (without it, a crash rolls back to the "
@@ -204,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="query mix: ratio=QUERIES_PER_EVENT,slice=ACTIONS,"
                           "kinds=point:distance,seed=N,max=N "
                           "(default ratio=0.1,slice=2048)")
-    srv.add_argument("--queries", type=int, default=None, metavar="N",
+    srv.add_argument("--queries", type=_positive_int, default=None, metavar="N",
                      help="query count for --backend mp "
                           "(default: ratio * events)")
     srv.add_argument("--reference", action="store_true",
@@ -528,7 +539,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.faults is not None:
         from repro.faults import FaultPlan
 
-        plan = FaultPlan.from_spec(args.faults, time_scale=est)
+        try:
+            plan = FaultPlan.from_spec(args.faults, time_scale=est)
+        except ValueError as exc:
+            chat(f"run: bad --faults spec: {exc}")
+            return 2
         if plan.crashes and (args.snapshot_at is not None or args.freshness):
             chat("faults: --snapshot-at/--freshness do not combine with "
                  "crash plans (the snapshot dies with the incarnation)")

@@ -1,16 +1,17 @@
 """Array frontier kernels: vectorized REMO propagation to a fixpoint.
 
-The per-event engine reaches the monotone fixpoint by recursive visitor
-events (Alg. 3); these kernels reach the *same* fixpoint by repeated
+§II-B makes every REMO algorithm a monotone merge; a family's array
+algebra is one :class:`FrontierKernel` row, declared on the program
+class beside the per-event ``on_update`` it mirrors.  The per-event
+engine reaches the fixpoint by recursive visitor events (Alg. 3);
+:func:`relax_to_fixpoint` reaches the *same* fixpoint by repeated
 whole-frontier relaxation over the key-sorted edge runs of
 :mod:`repro.kernels.mirror`:
 
 * gather the frontier vertices' out-edges (ragged gather, no Python
   loop over vertices),
-* compute candidate values (``tail_value + weight`` for min-plus,
-  the tail's label for max-label),
-* scatter-reduce into the dense value array (``np.minimum.at`` /
-  ``np.maximum.at``),
+* compute candidate values with the row's ``extend``,
+* scatter-reduce them into the dense value array (``reduce.at``),
 * the heads whose value changed form the next frontier.
 
 Because REMO state is monotone and the relaxation operator matches the
@@ -32,127 +33,62 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.algorithms.base import INF
 from repro.kernels.mirror import EdgeRuns, sorted_unique
-from repro.util.hashing import stable_vertex_hash_array
-
-_CC_LABEL_SALT = 0xCC  # must match repro.algorithms.cc._LABEL_SALT
 
 
 class FrontierKernel:
-    """One program's vectorized relaxation strategy.
+    """One family's algebra over dense value arrays of ``dtype``.
 
-    Values live in a dense per-vertex array of ``dtype``; vertex ids are
-    dense indices assigned by the bulk controller.  ``0`` never appears
-    in the dense array — the engine's "unset" sentinel is materialised
-    eagerly by :meth:`init_values` (INF for min kernels, the hash label
-    for CC), exactly as the per-event callbacks do on first touch.
+    A row is ``reduce`` (the monotone merge: ``np.minimum`` or
+    ``np.maximum``), its ``identity`` (the value ``reduce`` never
+    improves on: INF for costs, 0 for labels), ``extend(tail_values,
+    weights)`` (what a value is worth across an edge) and ``seed(ids)``
+    (the first-touch values; ``None`` = the identity).  Every operation
+    below is derived from those.  ``0`` never appears in a dense array:
+    the engine's "unset" sentinel is materialised eagerly by
+    :meth:`init_values`, as the per-event callbacks do on first touch.
     """
 
-    dtype: np.dtype = np.dtype(np.int64)
+    def __init__(self, dtype, reduce, identity, extend, seed=None) -> None:
+        self.dtype = np.dtype(dtype)
+        self.reduce = reduce
+        self.identity = self.dtype.type(identity)
+        self.seed = seed
+        self.relax = extend  # candidates offered along edges
+        self.scatter = reduce.at  # (values, heads, candidates), in place
 
     def init_values(self, ids: np.ndarray) -> np.ndarray:
-        """Initial dense values for newly seen vertex ``ids``."""
-        raise NotImplementedError
-
-    def relax(self, tail_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        """Candidate values offered along edges with the given tails."""
-        raise NotImplementedError
-
-    def scatter(self, values: np.ndarray, heads: np.ndarray, candidates: np.ndarray) -> None:
-        """Reduce candidates into ``values`` at ``heads`` (in place)."""
-        raise NotImplementedError
+        """First-touch values of vertex ``ids``."""
+        if self.seed is None:
+            return np.full(len(ids), self.identity, dtype=self.dtype)
+        return self.seed(ids)
 
     def can_emit(self, tail_values: np.ndarray) -> np.ndarray | None:
-        """Mask of frontier entries that can improve a neighbour
-        (None = all of them)."""
-        return None
-
-    def merge_dense(self, dense: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        """Monotone combine of dense values with values read back from
-        the per-event dicts (0 in ``incoming`` means unset)."""
-        raise NotImplementedError
-
-    def materialize(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Resolve the engine's 0 = "unset" sentinel to the value the
-        per-event callbacks would seed vertex ``ids`` with on first
-        touch (INF for min-plus, the salted hash label for CC)."""
-        raise NotImplementedError
+        """Mask of the tails that can improve a neighbour; ``None`` when
+        all can (an all-true mask would copy every row it selects)."""
+        mask = tail_values != self.identity
+        return None if mask.all() else mask
 
     def improves(self, candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
-        """Strict-improvement mask: would adopting ``candidate`` change
-        ``current``?  Matches the program's ``on_update`` comparison
-        (both sides already materialized)."""
-        raise NotImplementedError
-
-
-class MinPlusKernel(FrontierKernel):
-    """BFS / SSSP: min-converging path costs, identity ``INF``.
-
-    ``unit_weight=True`` relaxes ``tail + 1`` (BFS levels); otherwise
-    ``tail + weight`` (SSSP costs).  Matches Alg. 4/5's
-    ``value > vis_val + weight`` adoption rule.
-    """
-
-    dtype = np.dtype(np.int64)
-
-    def __init__(self, unit_weight: bool = False):
-        self.unit_weight = bool(unit_weight)
-
-    def init_values(self, ids: np.ndarray) -> np.ndarray:
-        return np.full(len(ids), INF, dtype=np.int64)
-
-    def relax(self, tail_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        if self.unit_weight:
-            return tail_values + 1
-        return tail_values + weights
-
-    def scatter(self, values: np.ndarray, heads: np.ndarray, candidates: np.ndarray) -> None:
-        np.minimum.at(values, heads, candidates)
-
-    def can_emit(self, tail_values: np.ndarray) -> np.ndarray | None:
-        return tail_values < INF
+        """Would adopting ``candidate`` change ``current``?"""
+        return self.reduce(candidate, current) != current
 
     def merge_dense(self, dense: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        inc = np.where(incoming == 0, INF, incoming)
-        return np.minimum(dense, inc)
+        """Merge values read back from the dicts (0 = unset) into ``dense``."""
+        return self.reduce(dense, np.where(incoming == 0, self.identity, incoming))
 
     def materialize(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        return np.where(values == 0, INF, values)
-
-    def improves(self, candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
-        return candidate < current
-
-
-class MaxLabelKernel(FrontierKernel):
-    """CC: max-converging salted hash labels (Alg. 6, vectorized).
-
-    Labels are uint64 (the full :func:`stable_vertex_hash` range); the
-    zero hash folds to 1, matching ``component_label``.
-    """
-
-    dtype = np.dtype(np.uint64)
-
-    def init_values(self, ids: np.ndarray) -> np.ndarray:
-        labels = stable_vertex_hash_array(np.asarray(ids, dtype=np.int64), _CC_LABEL_SALT)
-        return np.where(labels == 0, np.uint64(1), labels)
-
-    def relax(self, tail_values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-        return tail_values
-
-    def scatter(self, values: np.ndarray, heads: np.ndarray, candidates: np.ndarray) -> None:
-        np.maximum.at(values, heads, candidates)
-
-    def merge_dense(self, dense: np.ndarray, incoming: np.ndarray) -> np.ndarray:
-        return np.maximum(dense, incoming)
-
-    def materialize(self, values: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        if not (values == 0).any():
+        """``values`` with each 0 = "unset" replaced by its vertex's seed."""
+        unset = values == 0
+        if not unset.any():
             return values
-        return np.where(values == 0, self.init_values(ids), values)
+        return np.where(unset, self.init_values(ids), values)
 
-    def improves(self, candidate: np.ndarray, current: np.ndarray) -> np.ndarray:
-        return candidate > current
+
+def kernel_eligible(programs) -> bool:
+    """Both vectorized paths' program-side rule: every program has a
+    ``bulk_kernel`` and no neighbour cache (vacuously true for none)."""
+    return all(p.bulk_kernel is not None and not p.needs_nbr_cache for p in programs)
 
 
 # ----------------------------------------------------------------------

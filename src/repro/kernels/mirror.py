@@ -8,7 +8,8 @@ stored:
 
 * :class:`Universe` — raw vertex ids in **arrival order**: a dense
   position is assigned once and never moves, so per-vertex arrays only
-  grow at their end; a sorted view answers lookups in O(log V).
+  grow at their end; a sorted view makes :meth:`Universe.resolve`,
+  the one id → position call, O(log V) per distinct id.
 * :class:`EdgeRuns` — the directed edges in dense positions, sorted by
   ``key = tail << 32 | head``, in a large **base** run and a small
   **delta** run, each holding only ``keys`` and ``weights`` (a head is
@@ -102,53 +103,28 @@ class Universe:
     def __len__(self) -> int:
         return self.ids.size
 
-    def _admit(self, distinct: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(positions, fresh)`` of ascending distinct ids: one search
-        places the known ones and is the insertion point of the rest,
-        which are appended (ascending) at the last ``len(fresh)``
-        positions.  Existing positions never move."""
-        at, hit = _find(self._sorted, distinct)
-        pos = self._perm.take(at, mode="clip") if self.ids.size else at
-        if hit.all():
-            return pos, _EMPTY_I64
-        miss = ~hit
-        fresh, at = distinct[miss], at[miss]
-        start = self.ids.size
-        if start + fresh.size >= (1 << 32):  # pragma: no cover - key encoding
-            raise OverflowError("vertex universe exceeds 2^32 vertices")
-        pos[miss] = taken = np.arange(start, start + fresh.size)
-        self._sorted = np.insert(self._sorted, at, fresh)
-        self._perm = np.insert(self._perm, at, taken)
-        self.ids = np.concatenate([self.ids, fresh])
-        return pos, fresh
-
-    def extend(self, vids: np.ndarray) -> np.ndarray:
-        """Admit the ids of ``vids`` not seen before and return them
-        (:meth:`resolve` without the positions)."""
-        return self._admit(sorted_unique(np.asarray(vids, dtype=np.int64)))[1]
-
     def resolve(self, vids: np.ndarray) -> np.ndarray:
-        """The dense position of every entry of ``vids``, never-seen ids
-        admitted on the way.  The entries are sorted once and only the
-        distinct ids are searched for."""
+        """The dense position of every entry of ``vids`` — the layer's
+        one id → position call.  The entries are sorted once and only
+        the distinct ids are searched for; the search places the known
+        ones and is the insertion point of the rest, which are admitted
+        (ascending) at the end.  Existing positions never move."""
         distinct, inverse = np.unique(
             np.asarray(vids, dtype=np.int64), return_inverse=True
         )
-        return self._admit(distinct)[0][inverse]
-
-    def find(self, vids: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """``(positions, hit)``: a position is meaningful only where
-        ``hit`` is set (an id outside the universe gets an arbitrary one)."""
-        at, hit = _find(self._sorted, np.asarray(vids, dtype=np.int64))
-        return (self._perm.take(at, mode="clip") if self.ids.size else at), hit
-
-    def lookup(self, vids: np.ndarray) -> np.ndarray:
-        """Dense positions of ids that must all be in the universe."""
-        pos, hit = self.find(vids)
+        at, hit = _find(self._sorted, distinct)
+        pos = self._perm.take(at, mode="clip") if self.ids.size else at
         if not hit.all():
-            missing = np.asarray(vids)[~hit][:8].tolist()
-            raise KeyError(f"vertex ids outside the universe: {missing}")
-        return pos
+            miss = ~hit
+            fresh, at = distinct[miss], at[miss]
+            start = self.ids.size
+            if start + fresh.size >= (1 << 32):  # pragma: no cover - key encoding
+                raise OverflowError("vertex universe exceeds 2^32 vertices")
+            pos[miss] = taken = np.arange(start, start + fresh.size)
+            self._sorted = np.insert(self._sorted, at, fresh)
+            self._perm = np.insert(self._perm, at, taken)
+            self.ids = np.concatenate([self.ids, fresh])
+        return pos[inverse]
 
 
 class _Run:
@@ -328,7 +304,8 @@ class DenseState:
     else differs between the two.
 
     Growth replaces the columns (positions are stable): :meth:`resolve`
-    (or :meth:`grow`) first, then capture arrays.
+    (or :meth:`fold`, which resolves its own ids) first, then capture
+    arrays.
     """
 
     def __init__(self, kernels, owner_array, rank: int | None = None) -> None:
@@ -343,26 +320,15 @@ class DenseState:
         self.written = [np.empty(0, dtype=bool) for _ in kernels]
         self.synced = [np.empty(0, dtype=k.dtype) for k in kernels]
 
-    def grow(self, raw: np.ndarray) -> None:
-        """Admit the never-seen ids of ``raw`` (:meth:`resolve` without
-        the positions)."""
-        self.universe.extend(raw)
-        self._cover_universe()
-
     def resolve(self, raw: np.ndarray) -> np.ndarray:
-        """The position of every entry of a chunk's id columns,
-        concatenated, never-seen ids admitted first — the one id
-        resolution a chunk pays for."""
+        """The position of every entry of ``raw`` (a chunk's id columns,
+        concatenated: the one id resolution a chunk pays for).  Every
+        column grows at its end over the never-seen ids, values at the
+        program's first-touch seed."""
         pos = self.universe.resolve(raw)
-        self._cover_universe()
-        return pos
-
-    def _cover_universe(self) -> None:
-        """Every column grows at its end over the ids admitted since it
-        last did, values at the program's first-touch seed."""
         fresh = self.universe.ids[self.owner.size :]
         if not fresh.size:
-            return
+            return pos
         owner = self._owner_array(fresh)
         self.owner = np.concatenate([self.owner, owner])
         if self.local is not None:
@@ -374,13 +340,14 @@ class DenseState:
             self.synced[p] = np.concatenate(
                 [self.synced[p], np.zeros(fresh.size, dtype=k.dtype)]
             )
+        return pos
 
     def fold(self, p: int, raw: np.ndarray, vals: np.ndarray) -> np.ndarray:
-        """Fold dict entries ``raw -> vals`` (ids already admitted, 0 =
-        unset) into program ``p`` by its monotone merge; returns the
+        """Fold dict entries ``raw -> vals`` (0 = unset; never-seen ids
+        admitted) into program ``p`` by its monotone merge; returns the
         positions whose dense value improved.  A worse dict value leaves
         the column alone and is simply behind (see :meth:`stale`)."""
-        idx = self.universe.lookup(raw)
+        idx = self.resolve(raw)
         values = self.values[p]
         cur = values[idx]
         merged = self.kernels[p].merge_dense(cur, vals)

@@ -69,7 +69,7 @@ from typing import Any
 
 import numpy as np
 
-from repro.kernels.frontier import relax_to_fixpoint
+from repro.kernels.frontier import kernel_eligible, relax_to_fixpoint
 from repro.kernels.mirror import DenseState
 from repro.parallel.codec import ADD_DTYPE, Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
@@ -81,17 +81,13 @@ def vec_eligible(engine, wire, add_only: bool) -> bool:
     Requires: vectorize on, peers to exchange slabs with (a 1-rank run
     stays per-event), undirected mode, add-only streams (one that
     carries deletes puts every rank on the per-event path), at least one
-    program, and a bulk kernel + no nbr-cache on every program (one
-    per-event program forces the whole drain per-event — same rule as
-    the DES bulk-ingest controller).
+    program, and :func:`~repro.kernels.frontier.kernel_eligible` programs.
     """
     if not wire.vectorize or not add_only or engine.config.n_ranks < 2:
         return False
     if not engine.config.undirected or not engine.programs:
         return False
-    return all(
-        p.bulk_kernel is not None and not p.needs_nbr_cache for p in engine.programs
-    )
+    return kernel_eligible(engine.programs)
 
 
 class VecApplier:
@@ -112,13 +108,6 @@ class VecApplier:
         self.kernels = [p.bulk_kernel for p in engine.programs]
         self.n_programs = len(self.kernels)
         self.partitioner = engine.partitioner
-        one = lambda k, x: np.asarray([x], dtype=k.dtype)  # noqa: E731
-        self._minlike = [
-            bool(k.improves(one(k, 0), one(k, 1))[0]) for k in self.kernels
-        ]
-        # The edge mirror's fresh-key count per batch is the
-        # first-insert test that keeps ``edge_inserts`` agreeing with
-        # the per-event store.
         st = self.state = DenseState(self.kernels, self.partitioner.owner_array, rank)
         # What this rank's INITs wrote.  No edge exists yet, so the
         # folded values have nowhere to broadcast: the first ADD or RADD
@@ -127,7 +116,6 @@ class VecApplier:
             items = engine.values[rank][p]
             if items:
                 raw = np.fromiter(items.keys(), dtype=np.int64, count=len(items))
-                st.grow(raw)
                 st.fold(p, raw, np.array(list(items.values()), dtype=k.dtype))
         self._stats = {
             "kernel_batches": 0,
@@ -366,7 +354,7 @@ class VecApplier:
             t, s = ids[heads], ids[tails]
             # Coalesce by (target, sender), keeping the best candidate —
             # the array analogue of the outbuf §II-D squash.
-            ckey = c if self._minlike[p] else np.invert(c)
+            ckey = c if self.kernels[p].reduce is np.minimum else np.invert(c)
             order = np.lexsort((ckey, s, t))
             t, s, v, w = t[order], s[order], v[order], w[order]
             first = np.ones(t.size, dtype=bool)

@@ -67,7 +67,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.kernels.frontier import relax_to_fixpoint
+from repro.kernels.frontier import kernel_eligible, relax_to_fixpoint
 from repro.kernels.mirror import DenseState, EdgeRuns
 
 
@@ -80,10 +80,7 @@ class BulkIngestor:
         programs = engine.programs
         self.kernels = [p.bulk_kernel for p in programs]
         # Construction-only (no programs) is vacuously supported.
-        self.supported = all(
-            k is not None and not p.needs_nbr_cache
-            for p, k in zip(programs, self.kernels)
-        )
+        self.supported = kernel_eligible(programs)
         self.disabled = False  # set when injected timed events exist
         self.engaged = False  # dense state is ahead of the value dicts
         # An unsupported program list never engages; its state is empty.
@@ -109,36 +106,23 @@ class BulkIngestor:
 
     def _rebuild_topology(self) -> None:
         """Re-read every store's exact edge set (flushes append buffers)."""
-        srcs: list[int] = []
-        dsts: list[int] = []
-        ws: list[int] = []
-        for store in self.engine.stores:
-            for s, d, w in store.edges():
-                srcs.append(s)
-                dsts.append(d)
-                ws.append(w)
-        t = np.asarray(srcs, dtype=np.int64)
-        h = np.asarray(dsts, dtype=np.int64)
+        edges = [e for store in self.engine.stores for e in store.edges()]
+        t, h, w = np.array(edges, dtype=np.int64).reshape(-1, 3).T
         st = self.state
         pos = st.resolve(np.concatenate([t, h]))
         st.edges = EdgeRuns()
-        st.edges.insert(pos[: t.size], pos[t.size :], np.asarray(ws, dtype=np.int64))
+        st.edges.insert(pos[: t.size], pos[t.size :], w)
 
     def _merge_dict_values(self) -> None:
         """Fold per-event dict values into the dense state and queue the
         improved vertices for re-propagation."""
         st = self.state
-        dicts = [
-            (p, d, np.fromiter(d.keys(), np.int64, len(d)))
-            for p in range(len(self.kernels))
-            for rank_vals in self.engine.values
-            if (d := rank_vals[p])
-        ]
-        if dicts:
-            st.grow(np.concatenate([vids for _p, _d, vids in dicts]))
-        for p, d, vids in dicts:
-            vals = np.fromiter(d.values(), self.kernels[p].dtype, len(d))
-            self._pending_frontier[p].append(st.fold(p, vids, vals))
+        for p, kernel in enumerate(self.kernels):
+            for rank_vals in self.engine.values:
+                if d := rank_vals[p]:
+                    vids = np.fromiter(d.keys(), np.int64, len(d))
+                    vals = np.fromiter(d.values(), kernel.dtype, len(d))
+                    self._pending_frontier[p].append(st.fold(p, vids, vals))
 
     # ------------------------------------------------------------------
     # chunk processing

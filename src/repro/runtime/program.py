@@ -165,13 +165,13 @@ class VertexProgram:
       mandatory for programs whose update payloads are commands or
       deltas rather than monotone values (degree counting, the
       generational delete programs).
-    * ``bulk_kernel`` — optional array-native relaxation strategy (a
-      :class:`repro.kernels.frontier.FrontierKernel`) declaring how the
-      bulk-ingest fast path reaches this program's REMO fixpoint over a
-      whole chunk of inserts at once.  Only sound for monotone programs
-      whose fixpoint is interleaving-independent (§II-B); ``None`` (the
-      default) keeps the program per-event, which in turn keeps the
-      whole engine per-event whenever the program is loaded.
+    * ``bulk_kernel`` — optional array-native algebra: one
+      :class:`repro.kernels.frontier.FrontierKernel` row from which both
+      vectorized paths derive how they reach this program's REMO
+      fixpoint over a whole batch of inserts.  Only sound for monotone
+      programs whose fixpoint is interleaving-independent (§II-B);
+      ``None`` (the default) keeps the program — and so the whole
+      engine — per-event whenever it is loaded.
     * ``supports_versioned_collection`` — whether versioned (continuous)
       global-state collection (§III-D) is sound for this program.  The
       generational delete programs set it False: their invalidations

@@ -5,11 +5,15 @@ family's right answer; the named ``verify_*`` checkers, the freshness
 reference, the serving prefix oracle and ``static_answer`` are views of
 it and must say the same thing about the same engine — add-only
 programs and, through ``value_of``, their generational twins on a
-delete-carrying stream.
+delete-carrying stream.  A program's ``bulk_kernel`` row is the
+family's algebra once more, over arrays: on its own it must reach the
+table's answer, and it must merge as the program's scalar ``merge``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import (
     INF,
@@ -40,8 +44,10 @@ from repro.analytics import (
 from repro.analytics.verify import FAMILIES
 from repro.events.types import ADD
 from repro.generators.churn import churn_events, split_churn_streams
+from repro.kernels import build_csr, relax_to_fixpoint
 from repro.obs import make_reference
 from repro.serving import make_prefix_oracle
+from repro.storage.csr import CSRGraph
 
 SOURCES = [0, 1]
 # family -> (the named checker, its seed as the views' keyword pair)
@@ -74,6 +80,17 @@ PROGRAMS = {
         lambda v: v[1],
     ),
 }
+KERNEL_KINDS = [k for k, cls in PROGRAMS["add-only"][0].items() if cls.bulk_kernel]
+
+
+def two_component_edges():
+    """``(a, b, weight)`` of the module's graph: random pairs on 0..23
+    and the path 40-41-42 (so there are unreached vertices), with
+    edge-deterministic weights."""
+    rng = np.random.default_rng(5)
+    pairs = [(int(a), int(b)) for a, b in rng.integers(0, 24, (60, 2)) if a != b]
+    pairs += [(40, 41), (41, 42)]
+    return [(a, b, (min(a, b) * 31 + max(a, b)) % 7 + 1) for a, b in pairs]
 
 
 def quiesced(kind, twin):
@@ -88,12 +105,7 @@ def quiesced(kind, twin):
     elif FAMILIES[kind].seed == "source":
         engine.init_program(prog.name, 0)
     if twin == "add-only":
-        rng = np.random.default_rng(5)
-        pairs = [(int(a), int(b)) for a, b in rng.integers(0, 24, (60, 2)) if a != b]
-        pairs += [(40, 41), (41, 42)]
-        events = [
-            (ADD, a, b, (min(a, b) * 31 + max(a, b)) % 7 + 1) for a, b in pairs
-        ]
+        events = [(ADD, a, b, w) for a, b, w in two_component_edges()]
         engine.attach_streams([ListEventStream(events)])
     else:
         cols = churn_events(36, 150, delete_ratio=0.25, rng=np.random.default_rng(99))
@@ -159,3 +171,47 @@ def test_det_bfs_is_family_bfs_projected_on_the_level():
     claimed = {**engine.state("det-bfs"), 5: (2, 0)}
     found = verify_bfs(engine, "det-bfs", 0, value_of=lambda v: v[0], state=claimed)
     assert len(found) == 1 and "static unreached" in found[0]
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+def test_each_kernel_row_reaches_the_table_answer_on_its_own(kind):
+    """The row alone — first-touch seeds, the source at 1, one
+    ``relax_to_fixpoint`` from every vertex over both directions of
+    every edge in dense positions — is the family's static answer."""
+    kernel = PROGRAMS["add-only"][0][kind].bulk_kernel
+    a, b, w = (np.array(col, dtype=np.int64) for col in zip(*two_component_edges()))
+    tails, heads = np.concatenate([a, b]), np.concatenate([b, a])
+    weights = np.concatenate([w, w])
+    ids, pos = np.unique(tails, return_inverse=True)
+    adj = build_csr(ids.size, pos, np.searchsorted(ids, heads), weights)
+    values = kernel.init_values(ids)
+    seed = next(iter(VIEWS[kind][1].values()), None)
+    if FAMILIES[kind].seed == "source":
+        values[np.searchsorted(ids, seed)] = 1
+    relax_to_fixpoint(adj, values, np.arange(ids.size), kernel)
+
+    expect = static_answer(kind, CSRGraph.from_edges(tails, heads, weights), seed)
+    unreached = FAMILIES[kind].unreached
+    reached = {int(v): int(x) for v, x in zip(ids, values) if not unreached(int(x))}
+    assert len(expect) > 2 and reached == expect
+
+
+dense_value = st.one_of(st.integers(1, 60), st.just(INF))
+
+
+@pytest.mark.parametrize("kind", KERNEL_KINDS)
+@settings(max_examples=150, deadline=None)
+@given(a=dense_value, b=st.one_of(st.just(0), dense_value), c=dense_value)
+def test_each_kernel_row_merges_as_its_programs_scalar_merge(kind, a, b, c):
+    """The vector row and the scalar ``merge`` are two declarations (the
+    per-event hot path stays on Python ints) of one algebra: a dense
+    value ``a`` folds a dict value ``b`` (0 = unset) as ``merge`` does,
+    and a candidate ``c`` improves ``a`` exactly when ``merge`` moves it."""
+    prog = PROGRAMS["add-only"][0][kind]()
+    k = prog.bulk_kernel
+
+    def col(x):
+        return np.array([x], dtype=k.dtype)
+
+    assert k.merge_dense(col(a), col(b))[0] == prog.merge(a, b)
+    assert bool(k.improves(col(c), col(a))[0]) == (prog.merge(a, c) != a)

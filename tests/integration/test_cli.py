@@ -52,6 +52,54 @@ class TestParser:
         assert "must be a positive integer" in err.strip().splitlines()[-1]
 
 
+class TestNumbersAndSpecsAtTheBoundary:
+    """Periods, stream fractions and fault specs fail like counts do:
+    exit 2 and one error line, never a traceback from deep in the run."""
+
+    def rejected(self, argv, capsys):
+        """The exit code and last output line of a run that must stop."""
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        return code, (out + err).strip().splitlines()[-1]
+
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_sample_interval_must_be_positive(self, value, capsys):
+        code, line = self.rejected(["run", "--sample-interval", value], capsys)
+        assert code == 2 and "must be a positive number" in line
+
+    def test_checkpoint_every_must_be_positive(self, capsys):
+        argv = ["run", "--faults", "crash=0.5", "--checkpoint-every", "0"]
+        code, line = self.rejected(argv, capsys)
+        assert code == 2 and "must be a positive number" in line
+
+    @pytest.mark.parametrize(
+        "spec, expect",
+        [
+            ("bogus=1", "unknown fault spec key"),
+            ("drop=2", "drop must be a probability"),
+        ],
+    )
+    def test_faults_spec_is_checked(self, spec, expect, capsys):
+        argv = ["run", "--scale", "6", "--edge-factor", "2", "--faults", spec]
+        code, line = self.rejected(argv, capsys)
+        assert code == 2 and line.startswith("run: bad --faults spec:")
+        assert expect in line
+
+    @pytest.mark.parametrize("value", ["-0.5", "2"])
+    def test_snapshot_at_is_a_fraction(self, value, capsys):
+        code, line = self.rejected(["run", "--snapshot-at", value], capsys)
+        assert code == 2 and "must be a fraction in [0, 1]" in line
+
+    def test_queries_must_be_positive(self, capsys):
+        argv = ["serve", "--backend", "mp", "--queries", "-3"]
+        code, line = self.rejected(argv, capsys)
+        assert code == 2 and "must be a positive integer" in line
+
+
 class TestRun:
     def run_cli(self, *argv, capsys=None):
         code = main(["run", "--scale", "8", "--edge-factor", "4", *argv])

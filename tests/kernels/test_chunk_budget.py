@@ -22,11 +22,17 @@ import numpy as np
 import pytest
 
 import repro
-from repro import DynamicEngine, EngineConfig, IncrementalBFS, IncrementalCC
+from repro import (
+    DynamicEngine,
+    EngineConfig,
+    IncrementalBFS,
+    IncrementalCC,
+    IncrementalSSSP,
+)
 from repro.events.stream import ArrayEventStream, split_streams
 from repro.kernels import frontier, mirror
-from repro.kernels.frontier import MinPlusKernel, relax_to_fixpoint
-from repro.kernels.mirror import DenseState, EdgeRuns, Universe, _Run
+from repro.kernels.frontier import relax_to_fixpoint
+from repro.kernels.mirror import DenseState, EdgeRuns, _Run
 from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 from repro.parallel.vecapply import VecApplier
@@ -63,8 +69,6 @@ def random_edges(seed, n_vertices, n_events):
 
 def test_a_bulk_chunk_resolves_its_ids_once(calls):
     calls.count(DenseState, "resolve")
-    calls.count(DenseState, "grow")
-    calls.count(Universe, "lookup")
     calls.count(BulkIngestor, "process_chunk")
     calls.count(BulkIngestor, "_rebuild_topology")
     src, dst = random_edges(3, 60, 300)
@@ -80,7 +84,6 @@ def test_a_bulk_chunk_resolves_its_ids_once(calls):
     # One per chunk, one per re-read of the stores (the first sync).
     assert calls["_rebuild_topology"] == 1
     assert calls["resolve"] == chunks + calls["_rebuild_topology"]
-    assert calls["grow"] == calls["lookup"] == 0
 
 
 def last_chunk_on_hubs(n_leaves, chunk, monkeypatch):
@@ -152,8 +155,6 @@ def test_a_vec_drain_resolves_its_ids_once(calls):
     codec = Codec(engine.programs)
     applier = VecApplier(engine, 0, codec)
     calls.count(DenseState, "resolve")
-    calls.count(DenseState, "grow")
-    calls.count(Universe, "lookup")
     src, dst = random_edges(5, 40, 30)
     add = np.zeros(30, dtype=ADD_DTYPE)
     add["src"], add["dst"], add["weight"] = src, dst, 1
@@ -166,7 +167,6 @@ def test_a_vec_drain_resolves_its_ids_once(calls):
     assert applier.drain(slabs, NullLoop()) == 60
     # Five id columns (ADD src/dst, RADD dst/src, UPDATE target), one call.
     assert calls["resolve"] == 1
-    assert calls["grow"] == calls["lookup"] == 0
     assert applier.num_edges > 0
 
 
@@ -220,7 +220,7 @@ def test_relaxation_dedupes_once_at_entry_and_once_per_round(calls):
     n = 50
     chain = np.arange(n - 1, dtype=np.int64)
     adj = frontier.build_csr(n, chain, chain + 1, np.ones(n - 1, dtype=np.int64))
-    kernel = MinPlusKernel()
+    kernel = IncrementalSSSP.bulk_kernel
     values = kernel.init_values(np.arange(n))
     values[0] = 1
     rounds, _relaxed = relax_to_fixpoint(adj, values, np.array([0, 0, 0]), kernel)

@@ -1,17 +1,17 @@
-"""Unit tests of the array frontier kernels (repro.kernels.frontier)."""
+"""Unit tests of the array frontier kernels (repro.kernels.frontier),
+through the rows the programs declare."""
 
 import numpy as np
 import pytest
 
+from repro import IncrementalBFS, IncrementalCC, IncrementalSSSP
 from repro.algorithms.base import INF
 from repro.algorithms.cc import component_label
-from repro.kernels import (
-    DenseState,
-    MaxLabelKernel,
-    MinPlusKernel,
-    build_csr,
-    relax_to_fixpoint,
-)
+from repro.kernels import DenseState, build_csr, relax_to_fixpoint
+
+BFS = IncrementalBFS.bulk_kernel
+SSSP = IncrementalSSSP.bulk_kernel
+CC = IncrementalCC.bulk_kernel
 
 
 def csr_of(edges, n):
@@ -47,7 +47,7 @@ def test_bfs_levels_on_a_path():
     for a, b in ((0, 1), (1, 2), (2, 3)):
         edges += [(a, b, 1), (b, a, 1)]
     adj = csr_of(edges, 4)
-    kernel = MinPlusKernel(unit_weight=True)
+    kernel = BFS
     values = kernel.init_values(np.arange(4))
     values[0] = 1  # source level, as Alg. 4's init
     rounds, relaxations = relax_to_fixpoint(
@@ -61,7 +61,7 @@ def test_bfs_levels_on_a_path():
 def test_sssp_prefers_cheap_two_hop_over_heavy_direct():
     edges = [(0, 1, 10), (0, 2, 1), (2, 1, 2)]
     adj = csr_of(edges, 3)
-    kernel = MinPlusKernel(unit_weight=False)
+    kernel = SSSP
     values = kernel.init_values(np.arange(3))
     values[0] = 1
     relax_to_fixpoint(adj, values, np.array([0]), kernel)
@@ -70,7 +70,7 @@ def test_sssp_prefers_cheap_two_hop_over_heavy_direct():
 
 def test_min_kernel_inf_frontier_emits_nothing():
     adj = csr_of([(0, 1, 1)], 2)
-    kernel = MinPlusKernel(unit_weight=True)
+    kernel = BFS
     values = kernel.init_values(np.arange(2))  # all INF, no source
     rounds, relaxations = relax_to_fixpoint(
         adj, values, np.array([0, 1]), kernel
@@ -81,7 +81,7 @@ def test_min_kernel_inf_frontier_emits_nothing():
 
 def test_empty_frontier_is_a_noop():
     adj = csr_of([(0, 1, 1)], 2)
-    kernel = MaxLabelKernel()
+    kernel = CC
     values = kernel.init_values(np.arange(2))
     before = values.copy()
     rounds, relaxations = relax_to_fixpoint(
@@ -92,7 +92,7 @@ def test_empty_frontier_is_a_noop():
 
 
 def test_min_kernel_merge_dense_treats_zero_as_unset():
-    kernel = MinPlusKernel()
+    kernel = SSSP
     dense = np.array([5, INF, 3], dtype=np.int64)
     incoming = np.array([0, 7, 2], dtype=np.int64)
     assert kernel.merge_dense(dense, incoming).tolist() == [5, 7, 2]
@@ -103,7 +103,7 @@ def test_min_kernel_merge_dense_treats_zero_as_unset():
 # ----------------------------------------------------------------------
 def test_max_label_init_matches_component_label():
     ids = np.array([0, 1, 7, 123456], dtype=np.int64)
-    labels = MaxLabelKernel().init_values(ids)
+    labels = CC.init_values(ids)
     assert labels.dtype == np.uint64
     assert labels.tolist() == [component_label(int(v)) for v in ids.tolist()]
 
@@ -114,7 +114,7 @@ def test_cc_floods_max_label_per_component():
     for a, b in ((0, 1), (1, 2), (3, 4)):
         edges += [(a, b, 1), (b, a, 1)]
     adj = csr_of(edges, 5)
-    kernel = MaxLabelKernel()
+    kernel = CC
     ids = np.array([10, 11, 12, 20, 21], dtype=np.int64)  # original ids
     values = kernel.init_values(ids)
     relax_to_fixpoint(
@@ -126,7 +126,7 @@ def test_cc_floods_max_label_per_component():
 
 
 def test_max_label_merge_dense_is_elementwise_max():
-    kernel = MaxLabelKernel()
+    kernel = CC
     dense = np.array([5, 9], dtype=np.uint64)
     incoming = np.array([7, 2], dtype=np.uint64)
     assert kernel.merge_dense(dense, incoming).tolist() == [7, 9]
@@ -134,7 +134,7 @@ def test_max_label_merge_dense_is_elementwise_max():
 
 def test_self_loop_does_not_diverge():
     adj = csr_of([(0, 0, 1), (0, 1, 1)], 2)
-    kernel = MinPlusKernel(unit_weight=True)
+    kernel = BFS
     values = kernel.init_values(np.arange(2))
     values[0] = 1
     rounds, _ = relax_to_fixpoint(
@@ -148,7 +148,7 @@ def test_self_loop_does_not_diverge():
 # the restricted loop: local heads scatter, the rest go to ``remote``
 # ----------------------------------------------------------------------
 BOTH_KERNELS = pytest.mark.parametrize(
-    "kernel", [MinPlusKernel(), MaxLabelKernel()], ids=["min-plus", "max-label"]
+    "kernel", [SSSP, CC], ids=["min-plus", "max-label"]
 )
 
 
@@ -198,7 +198,7 @@ def test_two_sides_exchanging_remote_blocks_reach_the_global_fixpoint(kernel):
     sides = []
     for rank in (0, 1):
         side = DenseState([kernel], lambda vids: np.asarray(vids) % 2, rank)
-        side.grow(np.arange(n))  # positions are the ids on both sides
+        side.resolve(np.arange(n))  # positions are the ids on both sides
         mine = side.local[t]
         side.edges.insert(t[mine], h[mine], w[mine])
         sides.append(side)

@@ -5,8 +5,8 @@ weight``: inserts, re-adds with a changed weight and duplicates inside
 one batch, in batch sizes that put the store on both sides of its fold
 rule, with the universe growing between a run's row-pointer
 build and its next gather.  ``DenseState`` is checked against per-vertex
-``[value, written, synced]`` records under random grow / resolve / fold /
-offer / stale sequences, as the DES holds it (``rank=None``) and as an mp rank
+``[value, written, synced]`` records under random resolve / fold / offer /
+stale sequences, as the DES holds it (``rank=None``) and as an mp rank
 does.
 """
 
@@ -18,8 +18,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from repro import IncrementalCC, IncrementalSSSP
 from repro.kernels import mirror
-from repro.kernels.frontier import MaxLabelKernel, MinPlusKernel
 from repro.kernels.mirror import FOLD_FRACTION, DenseState, EdgeRuns, Universe
 
 I64 = np.int64
@@ -35,58 +35,32 @@ def arr(xs):
 class TestUniverse:
     def test_positions_are_arrival_ordered_and_never_move(self):
         u = Universe()
-        assert u.extend(arr([30, 10, 30])).tolist() == [10, 30]
-        first = u.lookup(arr([10, 30])).tolist()
+        assert u.resolve(arr([30, 10, 30])).tolist() == [1, 0, 1]
+        first = u.resolve(arr([10, 30])).tolist()
         assert first == [0, 1]
-        assert u.extend(arr([20, 10, 5])).tolist() == [5, 20]  # only the new
+        # Only the new are admitted, ascending, at the end.
+        assert u.resolve(arr([20, 10, 5])).tolist() == [3, 0, 2]
         assert u.ids.tolist() == [10, 30, 5, 20]
-        assert u.lookup(arr([10, 30])).tolist() == first
-        assert u.lookup(arr([20, 5, 30])).tolist() == [3, 2, 1]
+        assert u.resolve(arr([10, 30])).tolist() == first
+        assert u.resolve(arr([20, 5, 30])).tolist() == [3, 2, 1]
+        assert u.resolve(arr([])).size == 0
         assert len(u) == 4
 
-    def test_find_reports_misses_instead_of_a_neighbour(self):
-        u = Universe()
-        pos, hit = u.find(arr([1, 2]))  # empty universe: all misses
-        assert hit.tolist() == [False, False] and pos.shape == (2,)
-        u.extend(arr([10, 20, 30]))
-        pos, hit = u.find(arr([5, 10, 15, 30, 99]))
-        assert hit.tolist() == [False, True, False, True, False]
-        assert pos[hit].tolist() == [0, 2]
-
-    def test_lookup_raises_on_an_unknown_id(self):
-        u = Universe()
-        u.extend(arr([10, 20]))
-        with pytest.raises(KeyError, match="15"):
-            u.lookup(arr([10, 15]))
-        assert u.lookup(arr([])).size == 0
-
     @settings(max_examples=60, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(st.booleans(), st.lists(st.integers(-50, 50), max_size=12)),
-            max_size=10,
-        )
-    )
+    @given(st.lists(st.lists(st.integers(-50, 50), max_size=12), max_size=10))
     # One resolve call with repeated, already-known and new ids.
-    @example([(False, [7, 3]), (True, [9, 3, 9, -2, 7, 3, 9])])
+    @example([[7, 3], [9, 3, 9, -2, 7, 3, 9]])
     def test_matches_a_dict_model(self, batches):
         u, model = Universe(), {}
-        for resolve, batch in batches:
+        for batch in batches:
             new = sorted(set(batch) - model.keys())
-            if resolve:
-                pos = u.resolve(arr(batch))
-                for v in new:  # ascending, at the end
-                    model[v] = len(model)
-                assert pos.tolist() == [model[v] for v in batch]
-            else:
-                assert u.extend(arr(batch)).tolist() == new
-                for v in new:
-                    model[v] = len(model)
-            probe = arr(range(-55, 56))
-            pos, hit = u.find(probe)
-            assert hit.tolist() == [v in model for v in probe.tolist()]
-            assert pos[hit].tolist() == [model[v] for v in probe[hit].tolist()]
+            pos = u.resolve(arr(batch))
+            for v in new:  # ascending, at the end
+                model[v] = len(model)
+            assert pos.tolist() == [model[v] for v in batch]
             assert u.ids.tolist() == list(model)
+            # Known ids resolve to where they were admitted, and stay.
+            assert u.resolve(arr(model)).tolist() == list(range(len(model)))
 
 
 # ----------------------------------------------------------------------
@@ -210,14 +184,13 @@ def test_readd_overwrites_in_place_without_counting():
 # ----------------------------------------------------------------------
 # DenseState
 # ----------------------------------------------------------------------
-KERNELS = [MinPlusKernel(), MaxLabelKernel()]
+KERNELS = [IncrementalSSSP.bulk_kernel, IncrementalCC.bulk_kernel]
 N_RANKS = 3
 
 dense_vertex = st.integers(0, 15)
 dense_value = st.integers(0, 40)  # 0 = the dicts' "unset"
 entries = st.lists(st.tuples(dense_vertex, dense_value), max_size=8)
 dense_op = st.one_of(
-    st.tuples(st.just("grow"), st.lists(dense_vertex, max_size=6)),
     st.tuples(st.just("resolve"), st.lists(dense_vertex, max_size=6)),
     st.tuples(st.just("fold"), st.integers(0, 1), entries),
     st.tuples(st.just("offer"), st.integers(0, 1), entries),
@@ -291,10 +264,7 @@ def test_dense_state_matches_a_dict_model(rank, ops):
     state = DenseState(KERNELS, lambda vids: np.asarray(vids) % N_RANKS, rank)
     model = DenseModel(rank)
     for op, *args in ops:
-        if op == "grow":
-            state.grow(arr(args[0]))
-            model.grow(args[0])
-        elif op == "resolve":
+        if op == "resolve":
             pos = state.resolve(arr(args[0]))
             model.grow(args[0])
             assert pos.tolist() == [model.order.index(v) for v in args[0]]
@@ -302,14 +272,13 @@ def test_dense_state_matches_a_dict_model(rank, ops):
             p, items = args[0], dict(args[1])  # dict entries: unique ids
             raw = arr(items)
             vals = np.array(list(items.values()), dtype=KERNELS[p].dtype)
-            state.grow(raw)
-            model.grow(items)
+            model.grow(items)  # fold admits its never-seen ids
             got = state.fold(p, raw, vals)
             assert state.universe.ids[got].tolist() == model.fold(p, items)
         elif op == "offer":
             p = args[0]
             pairs = [(v, c) for v, c in args[1] if v in model.order and c]
-            idx = state.universe.lookup(arr(v for v, _ in pairs))
+            idx = state.resolve(arr(v for v, _ in pairs))
             cands = np.array([c for _, c in pairs], dtype=KERNELS[p].dtype)
             got = state.offer(p, idx, cands)
             assert state.universe.ids[got].tolist() == model.offer(p, pairs)
@@ -322,7 +291,7 @@ def test_dense_state_matches_a_dict_model(rank, ops):
 
 def test_fold_of_a_worse_dict_value_leaves_the_column_and_is_stale():
     state = DenseState(KERNELS, lambda vids: np.asarray(vids) % N_RANKS)
-    state.grow(arr([4, 9]))
+    state.resolve(arr([4, 9]))
     assert state.offer(0, arr([0, 1]), arr([5, 7])).tolist() == [0, 1]
     assert state.stale(0).tolist() == [0, 1]
     # The dict says 9 for vertex 4 (worse than 5) and 3 for vertex 9 (better).
