@@ -19,9 +19,10 @@ from repro.kernels.frontier import (
     kernel_eligible,
     relax_to_fixpoint,
 )
-from repro.kernels.mirror import DenseState, EdgeRuns, Universe
+from repro.kernels.mirror import BULK_CHUNK, DenseState, EdgeRuns, Universe
 
 __all__ = [
+    "BULK_CHUNK",
     "DenseState",
     "EdgeRuns",
     "FrontierKernel",

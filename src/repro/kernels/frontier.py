@@ -23,8 +23,9 @@ convergence argument, vectorized).
 The loop starts from values already at the fixpoint over the edges
 stored before a batch, so a batch's frontier is what its own records
 changed: both callers first ``DenseState.offer`` the batch's
-relaxations (a bulk chunk's rows; an mp drain's REVERSE_ADD and UPDATE
-records) and relax from the positions that adopted (plus, on the DES,
+relaxations (a bulk chunk's rows; an mp drain's local ADD rows, both
+directions, and its REVERSE_ADD and UPDATE records) and relax from the
+positions that adopted (plus, on the DES,
 those a dict fold improved) — not from every endpoint the batch
 touched, whose stored out-edges grow with the graph, not with the batch.
 """

@@ -47,6 +47,14 @@ _LOW = np.uint64(0xFFFFFFFF)
 #: chunk of an early bulk replay) goes straight into the base.
 FOLD_FRACTION = 4
 
+#: Stream events per batch on both vectorized paths: the default of the
+#: DES replay's ``BulkIngestPlugin(chunk=)`` and of an mp rank's
+#: ``WireConfig.ingest_chunk``.  A batch pays a fixed cost (one id
+#: resolution, one insert, one relaxation per program) that a larger one
+#: spreads further; 16,384 ran ``ingest_mp`` no faster and held 5-8%
+#: more memory.
+BULK_CHUNK = 8192
+
 #: Edges per gathered block.  Temporaries of one fixed size are handed
 #: back and forth by the allocator and stay cache-resident; sized by the
 #: frontier's degree sum they grow with the graph, and each one was a
@@ -89,6 +97,17 @@ def sorted_unique(a: np.ndarray) -> np.ndarray:
     slower on the mostly-distinct id and position columns of a chunk."""
     a = np.sort(a)
     return a[_group_starts(a)]
+
+
+def last_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(distinct keys ascending, index of each one's last entry in
+    keys)`` — keep-last de-duplication with one sort.  The sort need not
+    be stable: the last entry of an equal-key group is the largest
+    original index in it."""
+    order = np.argsort(keys)
+    keys = keys[order]
+    starts = np.flatnonzero(_group_starts(keys))
+    return keys[starts], np.maximum.reduceat(order, starts)
 
 
 class Universe:
@@ -207,14 +226,7 @@ class EdgeRuns:
         per first insert)."""
         if tails.size == 0:
             return _EMPTY_I64
-        # One sort.  It need not be stable: the last arrival of an
-        # equal-key group is the largest original index in it.
-        keys = edge_keys(tails, heads)
-        order = np.argsort(keys)
-        keys = keys[order]
-        starts = np.flatnonzero(_group_starts(keys))
-        sel = np.maximum.reduceat(order, starts)
-        keys = keys[starts]
+        keys, sel = last_of_each(edge_keys(tails, heads))
         weights = np.asarray(weights, dtype=np.int64)[sel]
         # One search per run: a hit is a re-add, a miss in both runs a
         # first insert whose insertion points into both runs are in hand.

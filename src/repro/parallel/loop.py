@@ -390,11 +390,12 @@ class ShmLoop:
         srcs: np.ndarray,
         dsts: np.ndarray,
         weights: np.ndarray,
+        owners: np.ndarray | None = None,
     ) -> None:
         """Queue ADD records from bulk stream ingest, routed to each
         source vertex's owner (never this rank — local events apply
         in-drain)."""
-        for dst_rank, sel in self._by_owner(srcs):
+        for dst_rank, sel in self._by_owner(srcs, owners):
             arr = np.empty(int(sel.sum()), dtype=ADD_DTYPE)
             arr["src"] = srcs[sel]
             arr["dst"] = dsts[sel]
@@ -409,11 +410,12 @@ class ShmLoop:
         senders: np.ndarray,
         values_u64: np.ndarray,
         weights: np.ndarray,
+        owners: np.ndarray | None = None,
     ) -> None:
         """Queue UPDATE records (value already a u64 bit pattern),
         routed to each target's owner.  Callers only pass remote
         targets — local offers are applied in-drain."""
-        for dst_rank, sel in self._by_owner(targets):
+        for dst_rank, sel in self._by_owner(targets, owners):
             arr = np.empty(int(sel.sum()), dtype=UPDATE_DTYPE)
             arr["prog"] = prog
             arr["target"] = targets[sel]
@@ -429,10 +431,11 @@ class ShmLoop:
         srcs: np.ndarray,
         weights: np.ndarray,
         vals_u64: np.ndarray,
+        owners: np.ndarray | None = None,
     ) -> None:
         """Queue REVERSE_ADD records (``vals_u64`` one row per record),
         routed to each destination vertex's owner."""
-        for dst_rank, sel in self._by_owner(dsts):
+        for dst_rank, sel in self._by_owner(dsts, owners):
             arr = np.empty(int(sel.sum()), dtype=self._codec.radd_dtype)
             arr["dst"] = dsts[sel]
             arr["src"] = srcs[sel]
@@ -441,9 +444,15 @@ class ShmLoop:
             arr["vals"] = vals_u64[sel]
             self._queue_records(dst_rank, K_RADD, arr)
 
-    def _by_owner(self, vids: np.ndarray):
-        """``(rank, mask)`` per rank owning some of ``vids``, ascending."""
-        owners = self._partitioner.owner_array(vids)
+    def _by_owner(self, vids: np.ndarray, owners: np.ndarray | None):
+        """``(rank, mask)`` per rank owning some of ``vids``, ascending.
+
+        ``owners`` is the owner rank of each of ``vids``: the vectorized
+        drain reads it off ``DenseState.owner`` (and ingest off its own
+        routing column), so it never re-hashes an emitted id; only a
+        caller without that column has the partitioner compute it."""
+        if owners is None:
+            owners = self._partitioner.owner_array(vids)
         counts = np.bincount(owners, minlength=self.n_ranks)
         for dst_rank in np.flatnonzero(counts).tolist():
             yield dst_rank, owners == dst_rank

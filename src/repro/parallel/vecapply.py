@@ -14,7 +14,11 @@ that the REMO fixpoint is interleaving-independent.
 A drain costs what it brings, not what the rank already holds: dense
 positions never move (per-vertex arrays only grow at the end), a drain's
 edges merge into the mirror's small delta run, and the mirror's count of
-keys it had not stored *is* the per-event ``edge_inserts`` test.
+keys it had not stored *is* the per-event ``edge_inserts`` test.  Its
+fixed cost (one id resolution, one edge insert, one relaxation per
+program) is paid once per worker turn: :meth:`VecApplier.ingest` only
+routes and holds, and the turn's one :meth:`VecApplier.drain` takes the
+held rows together with every slab that arrived.
 
 Bit-equality with the per-event path rests on five invariants:
 
@@ -22,10 +26,14 @@ Bit-equality with the per-event path rests on five invariants:
   callback would: UPDATE offers ``relax(vis_val, weight)`` at the
   target, REVERSE_ADD additionally inserts the reverse edge and seeds
   the target, ADD inserts the edge, seeds the source, and synthesizes
-  the REVERSE_ADD toward the destination's owner.  Values carried to
-  other ranks may be *newer* (better) than the per-event interleaving
-  would have carried — monotone-safe over-approximation: any carried
-  value is a real vertex value relaxed along a real edge.
+  the REVERSE_ADD toward the destination's owner.  When this rank owns
+  the destination too, the REVERSE_ADD never leaves it: both directed
+  edges are stored and offered along both directions before the one
+  relaxation, as a DES bulk chunk offers its rows — which is also what
+  that REVERSE_ADD's notify-back would have delivered.  Values carried
+  to other ranks may be *newer* (better) than the per-event
+  interleaving would have carried — monotone-safe over-approximation:
+  any carried value is a real vertex value relaxed along a real edge.
 * **Same seeds.**  Per-event callbacks write the materialized sentinel
   (INF, the CC hash label) into the value dict on *first touch*, even
   when nothing improves.  ``DenseState.written`` follows the same
@@ -37,15 +45,16 @@ Bit-equality with the per-event path rests on five invariants:
   emitted from post-fixpoint values (again monotone-safe, and it never
   misses one the per-event path would send: the destination's value
   only improves, so the improvement test can only flip from False to
-  True).
+  True).  A REVERSE_ADD comes only from its source's owner, so every
+  notify-back leaves the rank as an UPDATE record.
 * **UPDATE notify-backs are redundant.**  Any value they would carry is
   also delivered by the edge-creation exchange or by an adoption
   broadcast over an edge both stores hold by then, so the drain skips
   them — this is where most of the duplicated work of the per-event
   path goes away.
 * **Dicts in at construction, out at harvest.**  Stream ingest is
-  vectorized too (:meth:`VecApplier.ingest` pulls straight from the
-  stream columns), so the only per-event visitors of a vec rank are its
+  vectorized too (:meth:`VecApplier.ingest` takes the stream's column
+  chunks), so the only per-event visitors of a vec rank are its
   INITs, and the worker dispatches those *before* it builds the applier:
   the constructor folds what they wrote into the dense state, once, and
   nothing reads or writes the engine's value dicts again until
@@ -70,7 +79,7 @@ from typing import Any
 import numpy as np
 
 from repro.kernels.frontier import kernel_eligible, relax_to_fixpoint
-from repro.kernels.mirror import DenseState
+from repro.kernels.mirror import DenseState, edge_keys, last_of_each
 from repro.parallel.codec import ADD_DTYPE, Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 
@@ -117,6 +126,7 @@ class VecApplier:
             if items:
                 raw = np.fromiter(items.keys(), dtype=np.int64, count=len(items))
                 st.fold(p, raw, np.array(list(items.values()), dtype=k.dtype))
+        self._held: list[np.ndarray] = []  # local ADD rows awaiting the next drain
         self._stats = {
             "kernel_batches": 0,
             "kernel_records": 0,
@@ -139,28 +149,35 @@ class VecApplier:
     ) -> None:
         """Bulk stream ingest — the vec analogue of ``pull_source``.
 
-        Events whose source this rank owns apply immediately as a
-        synthetic local ADD slab (one :meth:`drain`); the rest travel as
-        ADD records to their owners.  With ingest vectorized too, no
-        per-event topology visitor ever fires in a vec run, which is
-        what lets the engine's (pure-Python) adjacency store stay empty
-        — the edge mirror is the rank's only topology, harvested by
-        :meth:`edges`.
+        Events whose source another rank owns travel as ADD records to
+        their owners; the rest are *held* as local ADD rows, which the
+        next :meth:`drain` applies together with the slabs that arrived
+        by then — one drain per worker turn, however the turn's records
+        came in.  With ingest vectorized too, no per-event topology
+        visitor ever fires in a vec run, which is what lets the engine's
+        (pure-Python) adjacency store stay empty — the edge mirror is
+        the rank's only topology, harvested by :meth:`edges`.
         """
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         weights = np.asarray(weights, dtype=np.int64)
-        local = self.partitioner.owner_array(src) == self.rank
+        owner = self.partitioner.owner_array(src)
+        local = owner == self.rank
         remote = ~local
         if remote.any():
-            loop.queue_add(src[remote], dst[remote], weights[remote])
+            loop.queue_add(src[remote], dst[remote], weights[remote], owner[remote])
         if local.any():
             arr = np.empty(int(local.sum()), dtype=ADD_DTYPE)
             arr["src"] = src[local]
             arr["dst"] = dst[local]
             arr["weight"] = weights[local]
             arr["ver"] = 0
-            self.drain([(K_ADD, len(arr), self.rank, arr)], loop)
+            self._held.append(arr)
+
+    @property
+    def holding(self) -> bool:
+        """Are local ADD rows waiting for the next :meth:`drain`?"""
+        return bool(self._held)
 
     # -- topology harvest ----------------------------------------------
     @property
@@ -176,12 +193,18 @@ class VecApplier:
 
     # -- drain ---------------------------------------------------------
     def drain(self, slabs: list[tuple[int, int, int, np.ndarray]], loop) -> int:
-        """Apply record slabs and queue resulting emissions on ``loop``.
+        """Apply the held local ADD rows and the record ``slabs``, and
+        queue the resulting emissions on ``loop``: one id resolution,
+        one edge insert and one relaxation per program, whatever the
+        mix of records.
 
         Returns the number of records applied.
         """
         codec = self.codec
-        adds = [codec.add_view(p) for kind, _n, _s, p in slabs if kind == K_ADD]
+        adds = self._held + [
+            codec.add_view(p) for kind, _n, _s, p in slabs if kind == K_ADD
+        ]
+        self._held = []
         radds = [codec.radd_view(p) for kind, _n, _s, p in slabs if kind == K_RADD]
         upds = [codec.update_view(p) for kind, _n, _s, p in slabs if kind == K_UPDATE]
         add = np.concatenate(adds) if adds else None
@@ -210,65 +233,67 @@ class VecApplier:
         cuts = np.cumsum([c.size for c in cols.values()])[:-1]
         idx = dict(zip(cols, np.split(pos, cuts)))
 
-        # --- ADD slabs: insert at the source's owner, seed, re-emit ---
+        # --- ADD: insert at the source's owner, seed, re-emit ---------
         # Edges of the whole drain, in arrival order (keep-last), go to
         # the mirror in one batch before anything relaxes over it.
         arrived: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        local_radd = None
         if add is not None:
-            src = add["src"].astype(np.int64)
-            dst = add["dst"].astype(np.int64)
-            w = add["weight"].astype(np.int64)
             src_idx, dst_idx = idx["add_src"], idx["add_dst"]
+            w = add["weight"].astype(np.int64)
             arrived.append((src_idx, dst_idx, w))
             for written in st.written:
                 written[src_idx] = True  # on_add seeds the source
-            # Synthesize the REVERSE_ADD the per-event path emits,
-            # carrying the source's current (seeded) values.
-            vals = np.stack(
-                [
-                    st.values[p][src_idx].astype(np.uint64)
-                    for p in range(self.n_programs)
-                ],
-                axis=1,
-            )
             local = st.local[dst_idx]
             remote = ~local
             if remote.any():
-                loop.queue_radd(dst[remote], src[remote], w[remote], vals[remote])
-            if local.any():
-                local_radd = (
-                    src[local], w[local], vals[local], dst_idx[local], src_idx[local]
+                # Synthesize the REVERSE_ADD the per-event path emits,
+                # carrying the source's current (seeded) values.
+                s_r = src_idx[remote]
+                vals = np.stack([v[s_r].astype(np.uint64) for v in st.values], axis=1)
+                loop.queue_radd(
+                    add["dst"][remote],
+                    add["src"][remote],
+                    w[remote],
+                    vals,
+                    st.owner[dst_idx[remote]],
                 )
+            if local.any():
+                # Both endpoints here: the REVERSE_ADD stays on this
+                # rank, so store its edge and offer along both
+                # directions — what it and its notify-back would carry.
+                s_l, d_l, w_l = src_idx[local], dst_idx[local], w[local]
+                arrived.append((d_l, s_l, w_l))
+                tails = np.concatenate([s_l, d_l])
+                heads = np.concatenate([d_l, s_l])
+                w_2 = np.concatenate([w_l, w_l])
+                for p, k in enumerate(self.kernels):
+                    st.written[p][d_l] = True  # on_reverse_add seeds it
+                    vals_p, at, w_p = st.values[p][tails], heads, w_2
+                    mask = k.can_emit(vals_p)
+                    if mask is not None:
+                        vals_p, at, w_p = vals_p[mask], at[mask], w_p[mask]
+                    changed[p].append(st.offer(p, at, k.relax(vals_p, w_p)))
 
         # --- REVERSE_ADD: insert reverse edge, seed, offer ------------
-        nb_pending: list[
-            tuple[int, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-        ] = []
-        radd_parts = []
         if radd is not None:
-            rsrc = radd["src"].astype(np.int64)
-            radd_parts.append(
-                (
-                    rsrc,
-                    radd["weight"].astype(np.int64),
-                    radd["vals"].reshape(-1, self.n_programs),
-                    idx["radd_dst"],
-                    idx["radd_src"],
+            dst_idx, rsrc_idx = idx["radd_dst"], idx["radd_src"]
+            own = st.local[rsrc_idx]
+            if own.any():
+                raise RuntimeError(
+                    f"rank {self.rank} got a REVERSE_ADD from vertex "
+                    f"{int(radd['src'][own][0])}, which it owns: a REVERSE_ADD "
+                    "comes only from its source's owner, never to it"
                 )
-            )
-        if local_radd is not None:
-            radd_parts.append(local_radd)
-        if radd_parts:
-            rsrc, rw, rvals, dst_idx, rsrc_idx = (
-                np.concatenate(col) for col in zip(*radd_parts)
-            )
+            rsrc = radd["src"].astype(np.int64)
+            rw = radd["weight"].astype(np.int64)
+            rvals = radd["vals"].reshape(-1, self.n_programs)
             arrived.append((dst_idx, rsrc_idx, rw))
+            carried = []
             for p, k in enumerate(self.kernels):
                 vis = k.materialize(rvals[:, p].astype(k.dtype), rsrc)
                 # on_reverse_add seeds the destination, then offers.
                 changed[p].append(st.offer(p, dst_idx, k.relax(vis, rw)))
-                nb_pending.append((p, dst_idx, rsrc, rsrc_idx, rw, vis))
+                carried.append(vis)
 
         # --- UPDATE: offer relax(vis_val, weight) at the target -------
         if upd is not None:
@@ -292,33 +317,20 @@ class VecApplier:
         self._relax_and_broadcast(changed, loop)
 
         # --- REVERSE_ADD notify-backs (load-bearing) ------------------
-        local_offers: list[list[np.ndarray]] = [[] for _ in self.kernels]
-        for p, dst_idx, rsrc, rsrc_idx, rw, vis in nb_pending:
-            k = self.kernels[p]
-            final = st.values[p][dst_idx]
-            cand_back = k.relax(final, rw)
-            mask = k.improves(cand_back, vis)
-            if not mask.any():
-                continue
-            src_m = rsrc[mask]
-            dst_m = st.universe.ids[dst_idx[mask]]
-            back_m = cand_back[mask]
-            final_m = final[mask]
-            w_m = rw[mask]
-            s_idx = rsrc_idx[mask]
-            local = st.local[s_idx]
-            remote = ~local
-            if remote.any():
-                loop.queue_update(
-                    p,
-                    src_m[remote],
-                    dst_m[remote],
-                    final_m[remote].astype(np.uint64),
-                    w_m[remote],
-                )
-            if local.any():
-                local_offers[p].append(st.offer(p, s_idx[local], back_m[local]))
-        self._relax_and_broadcast(local_offers, loop)
+        if radd is not None:
+            ids = st.universe.ids
+            for p, k in enumerate(self.kernels):
+                final = st.values[p][dst_idx]
+                mask = k.improves(k.relax(final, rw), carried[p])
+                if mask.any():
+                    loop.queue_update(
+                        p,
+                        rsrc[mask],
+                        ids[dst_idx[mask]],
+                        final[mask].astype(np.uint64),
+                        rw[mask],
+                        st.owner[rsrc_idx[mask]],
+                    )
 
         if obs is not None:
             # busy=False: this span nests inside the worker's "drain"
@@ -350,16 +362,22 @@ class VecApplier:
             self._stats["kernel_relaxations"] += relaxed
             if not remote:
                 continue
-            heads, tails, v, w, c = (np.concatenate(col) for col in zip(*remote))
-            t, s = ids[heads], ids[tails]
-            # Coalesce by (target, sender), keeping the best candidate —
-            # the array analogue of the outbuf §II-D squash.
-            ckey = c if self.kernels[p].reduce is np.minimum else np.invert(c)
-            order = np.lexsort((ckey, s, t))
-            t, s, v, w = t[order], s[order], v[order], w[order]
-            first = np.ones(t.size, dtype=bool)
-            first[1:] = (t[1:] != t[:-1]) | (s[1:] != s[:-1])
-            loop.queue_update(p, t[first], s[first], v[first].astype(np.uint64), w[first])
+            heads, tails, v, w, _candidates = zip(*remote)
+            heads, tails, v, w = map(np.concatenate, (heads, tails, v, w))
+            # Coalesce by (target, sender) — the array analogue of the
+            # outbuf §II-D squash — keeping the pair's last row: a pair
+            # recurs only in a later round, after its tail improved, and
+            # ``extend`` is monotone, so the last candidate is the best.
+            _keys, last = last_of_each(edge_keys(heads, tails))
+            heads, tails = heads[last], tails[last]
+            loop.queue_update(
+                p,
+                ids[heads],
+                ids[tails],
+                v[last].astype(np.uint64),
+                w[last],
+                st.owner[heads],
+            )
 
     # -- dict write-back ----------------------------------------------
     def write_back(self) -> None:

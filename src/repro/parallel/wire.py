@@ -38,6 +38,8 @@ import queue
 import threading
 from dataclasses import dataclass
 
+from repro.kernels import BULK_CHUNK
+
 FRAME_TOKEN = "T"
 FRAME_STOP = "S"
 FRAME_RESULT = "R"
@@ -55,7 +57,7 @@ class WireConfig:
     kind: str = "shm"  # accepted for callers that name the wire; not an option
     ring_capacity: int = 1 << 20  # bytes per (src,dst) shm ring
     vectorize: bool = True  # apply slabs via bulk kernels when eligible
-    ingest_chunk: int = 4096  # stream events per bulk-ingest chunk (vec only)
+    ingest_chunk: int = BULK_CHUNK  # stream events per bulk-ingest chunk (vec only)
 
     def __post_init__(self) -> None:
         if self.batch_max < 1:

@@ -17,7 +17,8 @@ they wrote, and from then on runs no per-event code and accepts only
 record slabs; a per-event rank accepts only pickled tuple slabs.
 
 Service loop, per turn: drain arrived shm ring slabs (tuple slabs into
-the inbox, record slabs into the kernel drain of
+the inbox; record slabs, with the local rows the last ingest chunk
+held, into the turn's one kernel drain of
 :mod:`repro.parallel.vecapply`) and read pipe control frames →
 dispatch a slice of inbox visitors → pull a slice of stream events when
 the inbox is empty → if nothing progressed, force-flush the outbuffers
@@ -196,11 +197,14 @@ def _run_rank(
 
         On a vec rank the record slabs accumulate for one kernel drain
         (counting their own wire_received — they bypass
-        ``deliver_batch``); on a per-event rank the tuple slabs unpickle
-        into the inbox.  A slab of the other mode means the ranks
-        disagreed about the run (``run_parallel`` decides it once, for
-        all of them: no rank vectorizes unless every stream is pure
-        ADD), which is an error, not a case to handle.  Rings are
+        ``deliver_batch``), which also applies the local ADD rows the
+        applier holds from the last ingest — held rows are progress, so
+        a rank holding some never reports idle; on a per-event rank the
+        tuple slabs unpickle into the inbox.  A slab of the other mode
+        means the ranks disagreed about the run (``run_parallel``
+        decides it once, for all of them: no rank vectorizes unless
+        every stream is pure ADD), which is an error, not a case to
+        handle.  Rings are
         committed only after the kernel drain, which copies out of the
         shared pages before any emission it triggers could need the
         space back.
@@ -234,8 +238,8 @@ def _run_rank(
                     loop.frames_received += 1
                 else:
                     loop.deliver_batch(sender_rank, codec.decode_to_tuples(payload))
-        if vec_slabs:
-            assert applier is not None
+        if applier is not None and (vec_slabs or applier.holding):
+            got = True
             applier.drain(vec_slabs, loop)
         for r_in in touched:
             r_in.commit()
@@ -287,9 +291,11 @@ def _run_rank(
                 doorbells_seen += 1
                 if doorbells_seen % obs.config.ring_sample_every == 0:
                     obs.sample_rings(rings_in, loop)
-            # The doorbell only says "ring went nonempty"; the slabs
-            # themselves are picked up here.
-            got = drain_rings() or got
+            if not got:
+                # The doorbell only says "ring went nonempty"; the slabs
+                # themselves are picked up here — or, when this call has
+                # drained already, by the next turn: one drain per turn.
+                got = drain_rings()
         return got
 
     while not stopping:

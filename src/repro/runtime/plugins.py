@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Protocol
 
+from repro.kernels import BULK_CHUNK
 from repro.util.validate import check_positive
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -229,7 +230,7 @@ class BulkIngestPlugin(EnginePlugin):
 
     name = "bulk-ingest"
 
-    def __init__(self, chunk: int = 8192) -> None:
+    def __init__(self, chunk: int = BULK_CHUNK) -> None:
         check_positive("chunk", chunk)
         self.chunk = chunk
 

@@ -6,7 +6,9 @@ per run and none inside ``merged`` or at a fold per ``EdgeRuns.insert``, one
 ``sorted_unique`` per relaxation round — and that no set operation goes
 through numpy's hash-based plain ``np.unique``.  A bulk chunk relaxes
 what it brought: its own rows once, then only what adopted, so its
-charge does not grow with the edges already stored.  Call and
+charge does not grow with the edges already stored.  An mp rank pays a
+drain's fixed cost once per worker turn — one ``VecApplier.drain``,
+one ``relax_to_fixpoint`` per program in it.  Call and
 relaxation counts are exact for a given input, so they hold the line
 where a timing on a shared host cannot (the per-event path's twin is
 ``tests/runtime/test_hot_path_budget.py``).
@@ -33,7 +35,9 @@ from repro.events.stream import ArrayEventStream, split_streams
 from repro.kernels import frontier, mirror
 from repro.kernels.frontier import relax_to_fixpoint
 from repro.kernels.mirror import DenseState, EdgeRuns, _Run
+from repro.parallel import WireConfig, run_parallel, vecapply
 from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec
+from repro.parallel.loop import ShmLoop
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 from repro.parallel.vecapply import VecApplier
 from repro.runtime import bulk
@@ -158,8 +162,10 @@ def test_a_vec_drain_resolves_its_ids_once(calls):
     src, dst = random_edges(5, 40, 30)
     add = np.zeros(30, dtype=ADD_DTYPE)
     add["src"], add["dst"], add["weight"] = src, dst, 1
+    # A REVERSE_ADD comes from its source's owner: the peer.
+    peer = np.flatnonzero(engine.partitioner.owner_array(np.arange(200)) == 1)
     radd = np.zeros(20, dtype=codec.radd_dtype)
-    radd["dst"], radd["src"], radd["weight"] = dst[:20] + 40, src[:20], 1
+    radd["dst"], radd["src"], radd["weight"] = dst[:20] + 40, peer[src[:20]], 1
     upd = np.zeros(10, dtype=UPDATE_DTYPE)
     upd["prog"], upd["target"], upd["sender"] = 0, dst[:10], src[:10] + 80
     upd["value"], upd["weight"] = 3, 1
@@ -168,6 +174,76 @@ def test_a_vec_drain_resolves_its_ids_once(calls):
     # Five id columns (ADD src/dst, RADD dst/src, UPDATE target), one call.
     assert calls["resolve"] == 1
     assert applier.num_edges > 0
+
+
+def test_a_vec_drain_whose_local_rows_need_a_notify_back_relaxes_once(calls):
+    """An ADD whose destination this rank owns and whose source it
+    learns about only now: the per-event REVERSE_ADD's notify-back would
+    carry the destination's level back to the source.  Offered along
+    both directions before the relaxation, each program relaxes once per
+    drain, and the rank ends where the per-event engine does."""
+    config = EngineConfig(n_ranks=2)
+    engine = DynamicEngine([IncrementalBFS(), IncrementalCC()], config)
+    mine = np.flatnonzero(engine.partitioner.owner_array(np.arange(64)) == 0)
+    root, leaf = int(mine[0]), int(mine[1])
+    engine.init_program("bfs", root)
+    engine.run()
+    applier = VecApplier(engine, 0, Codec(engine.programs))
+    calls.count(vecapply, "relax_to_fixpoint")
+    edge = np.array([leaf]), np.array([root]), np.array([1])
+    applier.ingest(*edge, NullLoop())
+    applier.drain([], NullLoop())
+    assert calls["relax_to_fixpoint"] == applier.n_programs
+    applier.write_back()
+    des = DynamicEngine([IncrementalBFS(), IncrementalCC()], config)
+    des.init_program("bfs", root)
+    des.attach_streams([ArrayEventStream(*edge)])
+    des.run()
+    assert engine.values[0][0][leaf] == 2  # one level below the root
+    assert engine.values[0] == des.values[0]
+
+
+def test_a_vec_rank_drains_at_most_once_per_turn(monkeypatch):
+    """A worker turn starts with ``ShmLoop.pump``; each rank counts its
+    turns and the turns its ``VecApplier.drain`` calls fell in, and
+    reports both with its wire stats (the ranks are forked, so the
+    patches reach them)."""
+    pump, drain, wire_stats = ShmLoop.pump, VecApplier.drain, ShmLoop.wire_stats
+
+    def counted_pump(self):
+        self.turns = getattr(self, "turns", 0) + 1
+        return pump(self)
+
+    def counted_drain(self, slabs, loop):
+        loop.drain_turns = [*getattr(loop, "drain_turns", []), loop.turns]
+        return drain(self, slabs, loop)
+
+    def reported_stats(self):
+        turns = getattr(self, "drain_turns", [])
+        return {
+            **wire_stats(self),
+            "turns": self.turns,
+            "drain_calls": len(turns),
+            "turns_with_a_drain": len(set(turns)),
+        }
+
+    monkeypatch.setattr(ShmLoop, "pump", counted_pump)
+    monkeypatch.setattr(VecApplier, "drain", counted_drain)
+    monkeypatch.setattr(ShmLoop, "wire_stats", reported_stats)
+    src, dst = random_edges(9, 400, 3000)
+    res = run_parallel(
+        [IncrementalBFS(), IncrementalCC()],
+        split_streams(src, dst, 2, rng=np.random.default_rng(10)),
+        config=EngineConfig(n_ranks=2),
+        wire=WireConfig(start_method="fork", ingest_chunk=128),
+        init=[("bfs", int(src[0]), None)],
+        timeout=60.0,
+    )
+    assert res.source_events == len(src)
+    for info in res.per_rank:
+        wire = info["wire"]
+        assert wire["kernel_batches"] > 5  # ingest chunks of 128 events
+        assert wire["drain_calls"] == wire["turns_with_a_drain"] <= wire["turns"]
 
 
 def test_an_insert_searches_each_run_once_and_merged_never(calls, monkeypatch):

@@ -73,21 +73,23 @@ class VecCluster:
             ring.destroy()
 
     def deliver(self) -> bool:
-        """One turn of every rank: flush, then drain what arrived."""
+        """One turn of every rank: flush, then one drain of what arrived
+        together with the local rows its last ingest held."""
         moved = False
         for rank in range(N_RANKS):
             self.loops[rank].flush_all()
             self.loops[rank].pump()
         for rank in range(N_RANKS):
+            applier, rings, slabs = self.appliers[rank], [], []
             for other in range(N_RANKS):
-                if other == rank:
-                    continue
-                ring = self.rings[(other, rank)]
-                slabs = ring.pop_slabs()
-                if slabs:
-                    self.slab_kinds[rank].update(kind for kind, *_ in slabs)
-                    self.appliers[rank].drain(slabs, self.loops[rank])
-                    moved = True
+                if other != rank:
+                    rings.append(self.rings[(other, rank)])
+                    slabs += rings[-1].pop_slabs()
+            if slabs or applier.holding:
+                self.slab_kinds[rank].update(kind for kind, *_ in slabs)
+                applier.drain(slabs, self.loops[rank])
+                moved = True
+            for ring in rings:
                 ring.commit()
         return moved or any(loop.outbuffered for loop in self.loops)
 
