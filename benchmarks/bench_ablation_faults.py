@@ -16,9 +16,9 @@ the loss of nothing else.
 A second sweep prices actual loss (drop = 5%, 20%): reported for
 context — retransmit traffic, virtual-time stretch, converged-state
 equality with the baseline — with no overhead target (a 20%-lossy wire
-is *supposed* to hurt).
-
-Emits ``BENCH_faults.json``.
+is *supposed* to hurt).  The four runs' virtual rates and visits per
+event are pinned exactly by the ``faults_*`` legs of
+``tests/runtime/test_cost_ledger.py``.
 """
 
 import numpy as np
@@ -29,7 +29,6 @@ from harness import (
     RANKS_PER_NODE,
     fmt_rate,
     fmt_table,
-    report_json,
     run_dynamic,
 )
 
@@ -73,11 +72,11 @@ def _experiment():
         )
         for drop in DROP_SWEEP
     }
-    return len(src), baseline, reliable, lossy
+    return baseline, reliable, lossy
 
 
 def test_ablation_faults(benchmark):
-    n_events, baseline, reliable, lossy = benchmark.pedantic(
+    baseline, reliable, lossy = benchmark.pedantic(
         _experiment, iterations=1, rounds=1
     )
 
@@ -96,13 +95,6 @@ def test_ablation_faults(benchmark):
             f"{wire0['acks_sent']:,}",
         ],
     ]
-    json_rows = [
-        {**baseline.report.to_dict(), "transport": False, "drop": 0.0},
-        {
-            **reliable.report.to_dict(), "transport": True, "drop": 0.0,
-            "overhead_vs_baseline": overhead, "wire": wire0,
-        },
-    ]
     for drop, run in lossy.items():
         stretch = run.makespan / baseline.makespan - 1.0
         wire = run.engine.transport.counters()
@@ -113,12 +105,6 @@ def test_ablation_faults(benchmark):
                 f"{wire['retransmits']:,}", f"{wire['frames_dropped']:,}",
                 f"{wire['acks_sent']:,}",
             ]
-        )
-        json_rows.append(
-            {
-                **run.report.to_dict(), "transport": True, "drop": drop,
-                "overhead_vs_baseline": stretch, "wire": wire,
-            }
         )
         # Loss must cost time, never answers.
         assert run.engine.state("cc") == baseline.engine.state("cc")
@@ -136,19 +122,6 @@ def test_ablation_faults(benchmark):
         ),
     )
     report_table("ablation_faults", table)
-    report_json(
-        "faults",
-        {
-            "bench": "ablation_faults",
-            "workload": {
-                "kind": "rmat", "scale": SCALE, "edge_factor": EDGE_FACTOR,
-                "events": n_events,
-            },
-            "overhead_ceiling": OVERHEAD_CEILING,
-            "overhead_at_zero_loss": overhead,
-            "results": json_rows,
-        },
-    )
 
     # Protocol safety and the acceptance floor.
     assert reliable.engine.state("cc") == baseline.engine.state("cc")

@@ -13,8 +13,8 @@ updates squashed in the visitor queues, fan-out batches, and total
 visits.  Asserts the coalesced run is never slower, clears >= 1.3x
 speedup at the widest configuration, and that squashing does not
 change the converged component labels (the REMO §II-D safety claim).
-
-Also emits machine-readable results to ``BENCH_squash.json``.
+The four runs' virtual rates and visits per event are pinned exactly by
+the ``squash_*`` legs of ``tests/runtime/test_cost_ledger.py``.
 """
 
 import numpy as np
@@ -25,7 +25,6 @@ from harness import (
     RANKS_PER_NODE,
     fmt_rate,
     fmt_table,
-    report_json,
     run_dynamic,
 )
 
@@ -89,7 +88,6 @@ def test_ablation_squash(benchmark):
     results = benchmark.pedantic(_experiment, iterations=1, rounds=1)
 
     rows = []
-    json_rows = []
     speedups = {}
     for n_nodes in N_NODES_SWEEP:
         off = results[(n_nodes, False)]
@@ -120,15 +118,6 @@ def test_ablation_squash(benchmark):
                     f"{speedup:.2f}x" if coalesce else "-",
                 ]
             )
-            # Full report via to_dict (single source of truth for the
-            # field list) plus this bench's derived extras.
-            json_rows.append(
-                {
-                    **run.report.to_dict(),
-                    "coalescing": coalesce,
-                    "speedup_vs_off": speedup if coalesce else 1.0,
-                }
-            )
 
     table = fmt_table(
         ["ranks", "coalescing", "rate", "squashed", "squash %", "batches", "visits", "speedup"],
@@ -140,21 +129,6 @@ def test_ablation_squash(benchmark):
         ),
     )
     report_table("ablation_squash", table)
-    report_json(
-        "squash",
-        {
-            "bench": "ablation_squash",
-            "workload": {
-                "kind": "high_fanin_cc",
-                "n_hubs": N_HUBS,
-                "n_spokes": N_SPOKES,
-                "events": N_HUBS * N_SPOKES + N_HUBS - 1,
-            },
-            "target_speedup": TARGET_SPEEDUP,
-            "peak_speedup": max(speedups.values()),
-            "results": json_rows,
-        },
-    )
 
     # Coalescing must never hurt, and the widest sweep point must clear
     # the acceptance floor.

@@ -11,13 +11,14 @@ the add-only assumption.  Two scenarios from
   a decay phase deleting 60% of the crowd edges.
 
 Each DES run is verified against the static oracles on the *final*
-topology (deletes applied).  Two of its numbers are gated in
-``BENCH_churn.json``: ``visits_per_event``, an exact count that repeats
-per seed (lower is better — the write amplification of a delete), and
-``virtual_events_per_second``, the cost-model rate (deletes ride the
-same cost model as adds; it is *not* a wall-clock throughput — that is
-``benchmarks/core``'s ``churn`` workload).  A ``scaling`` series repeats
-the steady scenario at 16 x 64, 128 x 512 and 1,024 x 4,096: cost must
+topology (deletes applied).  Its table prints visits per event, an
+exact count that repeats per seed (the write amplification of a
+delete), and the virtual rate (deletes ride the same cost model as
+adds; it is *not* a wall-clock throughput — that is
+``benchmarks/core``'s ``churn`` workload).  At scale 0 both are pinned
+exactly by the ``churn_bench_*`` legs of
+``tests/runtime/test_cost_ledger.py``.  A scaling series repeats the
+steady scenario at 16 x 64, 128 x 512 and 1,024 x 4,096: cost must
 follow the change, not the graph.
 
 The steady stream then replays on the mp backend (shm wire, real
@@ -32,8 +33,6 @@ checkpoints, all three scheduled off the makespan of a crash-free run
 over the same lossy wire) and must land on exactly the fault-free
 projections: a checkpoint is a consistent generational cut, so suffix
 replay with deletes recovers the same answers.
-
-Emits ``BENCH_churn.json``.
 """
 
 import tempfile
@@ -42,13 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from conftest import report_table
-from harness import (
-    BENCH_SCALE,
-    fmt_rate,
-    fmt_table,
-    fmt_time,
-    report_json,
-)
+from harness import BENCH_SCALE, fmt_rate, fmt_table, fmt_time
 
 from repro import (
     DynamicEngine,
@@ -70,7 +63,6 @@ from repro.analytics.verify import (
     verify_st,
     verify_widest,
 )
-from repro.comm.costmodel import DELETE_CAUSE_COUNTERS
 from repro.generators.churn import (
     churn_events,
     flash_crowd_events,
@@ -244,7 +236,7 @@ def test_churn(benchmark):
         _experiment, iterations=1, rounds=1
     )
 
-    rows, results = [], {}
+    rows = []
     for name, cols in (("steady", steady), ("flash_crowd", flash)):
         engine, report, wall = runs[name]
         kinds = cols[3]
@@ -265,19 +257,6 @@ def test_churn(benchmark):
                 "5/5",
             ]
         )
-        results[name] = {
-            "events": len(kinds),
-            "delete_fraction": n_dels / len(kinds),
-            "visits_per_event": report.visits_per_event,
-            "virtual_events_per_second": report.events_per_second,
-            "wall_seconds": wall,
-            "edge_deletes": applied_deletes,
-            "delete_causes": {
-                cause: getattr(report, cause) for cause in DELETE_CAUSE_COUNTERS
-            },
-            "verified_programs": sorted(mismatches),
-        }
-    results["scaling"] = scaling
     for row in scaling:
         rows.append(
             [
@@ -291,6 +270,9 @@ def test_churn(benchmark):
                 "5/5",
             ]
         )
+    # The mp and crash-sweep rows replay the steady stream.
+    steady_events, steady_deletes = rows[0][1], rows[0][2]
+    n_steady = len(steady[3])
 
     # mp backend: static oracles + projection equality with DES.
     des_engine = runs["steady"][0]
@@ -300,20 +282,12 @@ def test_churn(benchmark):
     des_proj = _projected(des_engine.state)
     mp_proj = _projected(mp.state)
     assert des_proj == mp_proj, "mp projections diverged from DES"
-    results["mp_steady"] = {
-        "wire": "shm",
-        "ranks": N_RANKS,
-        "wall_seconds": mp.wall_seconds,
-        "wall_events_per_second": mp.events_per_second,
-        "edge_deletes": mp.counters.edge_deletes,
-        "projections_equal_des": True,
-    }
     rows.append(
         [
             "mp/shm",
-            f"{results['steady']['events']:,}",
-            f"{results['steady']['delete_fraction']:.0%}",
-            f"{mp.counters.visits / results['steady']['events']:.1f}",
+            steady_events,
+            steady_deletes,
+            f"{mp.counters.visits / n_steady:.1f}",
             f"{fmt_rate(mp.events_per_second)} (wall)",
             fmt_time(mp.wall_seconds),
             f"{mp.counters.edge_deletes:,}",
@@ -329,17 +303,11 @@ def test_churn(benchmark):
     assert rec_proj == des_proj, "recovered projections diverged"
     rec_mismatches = _verify_all(recovered.engine)
     assert all(n == 0 for n in rec_mismatches.values()), rec_mismatches
-    results["crash_recovery"] = {
-        "recoveries": recovered.recoveries,
-        "checkpoints": recovered.checkpoints,
-        "events_replayed": recovered.events_replayed,
-        "projections_equal_fault_free": True,
-    }
     rows.append(
         [
             "crash sweep",
-            f"{results['steady']['events']:,}",
-            f"{results['steady']['delete_fraction']:.0%}",
+            steady_events,
+            steady_deletes,
             "-",
             f"{recovered.recoveries} recoveries",
             f"{recovered.checkpoints} ckpts",
@@ -359,17 +327,3 @@ def test_churn(benchmark):
         ),
     )
     report_table("churn", table)
-    report_json(
-        "churn",
-        {
-            "bench": "churn",
-            "workload": {
-                "kind": "er_churn",
-                "vertices": N_VERTICES,
-                "adds": N_ADDS,
-                "delete_ratio": DELETE_RATIO,
-                "ranks": N_RANKS,
-            },
-            "results": results,
-        },
-    )

@@ -14,10 +14,10 @@ pins the acceptance criterion down two ways:
    event through the per-event engine.  This isolates exactly what the
    instrumentation added and must stay under ``MAX_OVERHEAD``.  The
    denominator is the per-event engine's wall cost, so the fraction
-   *rises* when a PR makes that path faster with the guards untouched
-   (regenerate ``BENCH_obs_overhead.json`` in that PR).
-2. **Enabled-vs-disabled ratio** — informational context in the table
-   and JSON: what turning the tracer ON costs (expected to be
+   *rises* when a change makes that path faster with the guards
+   untouched.
+2. **Enabled-vs-disabled ratio** — informational context in the
+   table: what turning the tracer ON costs (expected to be
    significant — every dispatch then appends an event tuple — which is
    why telemetry is opt-in).
 
@@ -29,8 +29,8 @@ guard cost applies to both rows; only the per-event wall cost and the
 guard budget differ.  A 2-rank shm run with obs disabled provides the
 mp per-event denominator.
 
-Emits machine-readable results to ``BENCH_obs_overhead.json`` (one
-document, a DES section and an mp section).
+Both runs' virtual rate and visits per event are pinned exactly by the
+``obs_cc`` leg of ``tests/runtime/test_cost_ledger.py``.
 """
 
 import time
@@ -38,7 +38,7 @@ import time
 import numpy as np
 
 from conftest import report_table
-from harness import BENCH_SCALE, fmt_table, report_json, run_dynamic
+from harness import BENCH_SCALE, fmt_table, run_dynamic
 
 from repro import IncrementalCC
 from repro.events.stream import split_streams
@@ -190,29 +190,6 @@ def test_obs_overhead(benchmark):
         ),
     )
     report_table("obs_overhead", table)
-    report_json(
-        "obs_overhead",
-        {
-            "bench": "obs_overhead",
-            "workload": {"kind": "uniform_random_cc", "events": N_EVENTS},
-            "per_event_wall_seconds": per_event_s,
-            "guard_seconds": guard_s,
-            "guards_per_event": GUARDS_PER_EVENT,
-            "disabled_overhead_fraction": guard_overhead,
-            "max_overhead": MAX_OVERHEAD,
-            "enabled_wall_ratio": enabled_ratio,
-            "disabled_report": off.report.to_dict(),
-            "traced_report": on.report.to_dict(),
-            "mp": {
-                "ranks": MP_RANKS,
-                "wire": "shm",
-                "per_event_wall_seconds": mp_per_event_s,
-                "guards_per_event": MP_GUARDS_PER_EVENT,
-                "wall_seconds": mp_wall,
-            },
-            "disabled_overhead_mp_fraction": mp_guard_overhead,
-        },
-    )
 
     # The acceptance criterion: instrumentation left on the hot path
     # must cost < 3% of a run with telemetry disabled — on both

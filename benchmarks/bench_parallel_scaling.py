@@ -12,25 +12,17 @@ need real cores: on the shm wire a multi-rank run drains visitor slabs
 through the vectorized bulk kernels (``repro.kernels.frontier``) while
 the 1-rank run replays the stream through the per-event scheduler, so
 the speedup is work-efficiency — numpy record batches replacing ~10^5
-interpreted visits — and survives even a single-core host.  The payload
-still records ``cores`` for context, and ``wall_speedup_4v1`` is the
-one wall-marked metric ``benchmarks/compare.py`` gates (a same-host
-ratio: the machine's absolute speed divides out).
+interpreted visits — and survives even a single-core host.  The table
+title records the host's core count for context.
 
-Read the ratio with its two rates beside it (the table title and
-``wall_rate_4rank_kernel`` / ``wall_rate_1rank_per_event`` carry them):
-the **denominator is the per-event engine**, so a PR that makes the
-per-event path faster lowers ``wall_speedup_4v1`` with the mp side
-untouched — regenerate ``BENCH_parallel.json`` in that PR, or the
-nightly's 25% tolerance reads a faster baseline as a regression.
+Read the ratio with its two rates beside it (the table title carries
+them): the **denominator is the per-event engine**, so a change that
+makes the per-event path faster lowers the 4v1 ratio with the mp side
+untouched.
 
 Regardless of core count, the three runs must agree bit-for-bit on the
 converged CC state (the REMO fixpoint is interleaving-independent), and
 every run's wire counters must balance.
-
-Emits machine-readable results to ``BENCH_parallel.json``.  All other
-machine-dependent rates carry ``wall`` in their key so the regression
-gate never compares them across hosts.
 """
 
 import os
@@ -38,7 +30,7 @@ import os
 import numpy as np
 
 from conftest import report_table
-from harness import BENCH_SCALE, fmt_rate, fmt_table, fmt_time, report_json
+from harness import BENCH_SCALE, fmt_rate, fmt_table, fmt_time
 
 from repro import EngineConfig, IncrementalCC
 from repro.events.stream import split_streams
@@ -88,7 +80,7 @@ def test_parallel_scaling(benchmark):
     base_state = runs[RANK_COUNTS[0]].state("cc")
     base_rate = runs[RANK_COUNTS[0]].events_per_second
     base_work = _rank_work(runs[RANK_COUNTS[0]])
-    rows, json_rows = [], []
+    rows = []
     for n_ranks in RANK_COUNTS:
         result = runs[n_ranks]
         # The fixpoint contract: rank count must not change the answer.
@@ -97,7 +89,7 @@ def test_parallel_scaling(benchmark):
         assert result.source_events == N_EVENTS
         if n_ranks > 1:
             # Ring-health counters must survive the harvest: the shm
-            # data plane's backpressure is part of the artifact now.
+            # data plane's backpressure is part of the run's result.
             for key in ("ring_stalls", "ring_pad_bytes", "ring_torn_retries",
                         "overflow_hwm_records"):
                 assert key in result.ring_health, f"{key} missing at {n_ranks}r"
@@ -117,25 +109,6 @@ def test_parallel_scaling(benchmark):
             f"{result.token_rounds}",
             f"{result.wire['wire_sent']:,}",
         ])
-        json_rows.append({
-            "ranks": n_ranks,
-            "wall_seconds": result.wall_seconds,
-            "wall_events_per_second": result.events_per_second,
-            "wall_speedup_vs_1rank": speedup,
-            "redundant_visit_ratio": redundant_visit_ratio,
-            "token_rounds": result.token_rounds,
-            "wire": dict(result.wire),
-            "ring_health": result.ring_health,
-            "visits": result.counters.visits,
-            "kernel_records": int(result.wire.get("kernel_records", 0)),
-            "edge_inserts": result.counters.edge_inserts,
-            "partition": {
-                "vertex_imbalance": balance.vertex_imbalance,
-                "edge_imbalance": balance.edge_imbalance,
-                "vertex_cv": balance.vertex_cv,
-                "edge_cv": balance.edge_cv,
-            },
-        })
 
     speedup_4v1 = runs[4].events_per_second / base_rate
     assert speedup_4v1 >= TARGET_SPEEDUP, (
@@ -156,26 +129,3 @@ def test_parallel_scaling(benchmark):
         ),
     )
     report_table("parallel_scaling", table)
-    report_json(
-        "parallel",
-        {
-            "bench": "parallel_scaling",
-            "backend": "mp",
-            "cores": cores,
-            "workload": {
-                "kind": "uniform_random",
-                "algorithm": "cc",
-                "events": N_EVENTS,
-                "vertices": N_VERTICES,
-                "batch_max": BATCH_MAX,
-                "start_method": "fork",
-                "wire": "shm",
-            },
-            "target_speedup": TARGET_SPEEDUP,
-            "target_enforced": True,
-            "wall_speedup_4v1": speedup_4v1,
-            "wall_rate_4rank_kernel": runs[4].events_per_second,
-            "wall_rate_1rank_per_event": base_rate,
-            "results": json_rows,
-        },
-    )

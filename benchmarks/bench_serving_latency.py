@@ -6,14 +6,12 @@ The serving layer's three headline claims, measured:
    cache hit answers a point query in O(1) dict work; the honest
    alternative for an exact answer is the in-protocol versioned
    collection (cut -> drain -> harvest).  Both are timed on the same
-   converged engine in the same process, so the ratio
-   (``wall_speedup_cache_vs_collection``) is host-independent and gated.
-   The collection runs through the per-event engine, so the ratio
-   *falls* when a PR makes that path faster (regenerate
-   ``BENCH_serving.json`` in that PR).
+   converged engine in the same process, so the ratio is
+   host-independent.  The collection runs through the per-event engine,
+   so the ratio *falls* when a change makes that path faster.
 2. **>= 90% hit rate on a converged prefix** — once the engine drains,
    every miss admits, so a skewed (Zipf) query mix settles onto the
-   cache.  Deterministic given the seeds; gated as ``hit_rate``.
+   cache.  Deterministic given the seeds.
 3. **< 3% ingest overhead when enabled-but-idle** — the engine-side
    cost of an attached-but-unqueried serving layer is one truth test
    of the compiled ``on_write`` hook tuple per value write.
@@ -22,10 +20,12 @@ The serving layer's three headline claims, measured:
    budget; a full attached-vs-plain A/B wall ratio is reported as
    context.
 
-Plus the serving profile: qps / p50 / p99 / hit-rate / staleness under
-mixed update+query load at several query:update ratios.
+The converged point reads also keep a p99 ceiling: the point-read fast
+path must stay O(1) dict work, and a bypassed cache costs orders of
+magnitude, not the ~2x a slower host may.
 
-Emits machine-readable results to ``BENCH_serving.json``.
+Plus the serving profile: p50 / p99 / hit-rate / staleness under mixed
+update+query load at several query:update ratios.
 """
 
 import time
@@ -33,7 +33,7 @@ import time
 import numpy as np
 
 from conftest import report_table
-from harness import BENCH_SCALE, cost_model, fmt_table, report_json
+from harness import BENCH_SCALE, cost_model, fmt_table
 
 from repro import DynamicEngine, EngineConfig, IncrementalBFS, split_streams
 from repro.generators import rmat_edges
@@ -48,6 +48,9 @@ ZIPF_ALPHA = 1.4  # converged-phase target skew (rank^-alpha)
 N_HIT_TIMING = 20_000  # cache-hit latency sample count
 MIN_CACHE_SPEEDUP = 50.0
 MIN_HIT_RATE = 0.90
+# 2.5x the 10.3 us p99 measured at scale 0 on a 2-core x86-64 Linux
+# host under Python 3.11.
+MAX_P99_POINT_US = 25.8
 # Pessimistic serve-guard budget per topology event: one guard per
 # value write; an ADD + REVERSE_ADD pair rarely commits more than two
 # improved values, budget four.
@@ -87,11 +90,10 @@ def _mixed_profile(src, dst, source, pool):
             {
                 "ratio": ratio,
                 "queries": res.queries,
-                "wall_qps": res.qps,
                 "wall_p50_us": res.p50_us,
                 "wall_p99_us": res.p99_us,
                 # Mid-ingest hit rate depends on where slices pause, so
-                # it is reported, not gated (hence not "hit_rate").
+                # it is reported, not asserted.
                 "hit_rate_mixed": res.hit_rate,
                 "stale_frac": res.stale_served / res.queries if res.queries else 0.0,
             }
@@ -117,13 +119,9 @@ def _converged_phase(serving, pool, rng):
     )
     return {
         "queries": N_CONVERGED,
-        "distinct_targets": int(len(np.unique(targets))),
-        "zipf_alpha": ZIPF_ALPHA,
         "hit_rate": hit_rate,
         "wall_p50_point_us": float(np.percentile(lat_ns, 50)) / 1e3,
         "wall_p99_point_us": float(np.percentile(lat_ns, 99)) / 1e3,
-        "wall_qps": N_CONVERGED / (lat_ns.sum() / 1e9),
-        "min_hit_rate": MIN_HIT_RATE,
     }
 
 
@@ -147,7 +145,6 @@ def _cache_vs_collection(serving, hot_vertex):
         "wall_hit_seconds": best_hit,
         "wall_collection_seconds": best_coll,
         "wall_speedup_cache_vs_collection": best_coll / best_hit,
-        "min_speedup": MIN_CACHE_SPEEDUP,
     }
 
 
@@ -206,12 +203,8 @@ def _idle_overhead(src, dst, source):
     per_event_s = plain_wall / events
     overhead = GUARDS_PER_EVENT * guard_s / per_event_s
     return {
-        "events": events,
         "guard_seconds": guard_s,
-        "guards_per_event": GUARDS_PER_EVENT,
-        "per_event_wall_seconds": per_event_s,
         "idle_overhead_fraction": overhead,
-        "max_overhead": MAX_IDLE_OVERHEAD,
         "wall_attached_over_plain": attached_wall / plain_wall,
     }
 
@@ -247,7 +240,8 @@ def test_serving_latency(benchmark):
             f"{converged['queries']:,} q",
             f"{converged['wall_p50_point_us']:.1f}us / "
             f"{converged['wall_p99_point_us']:.1f}us",
-            f"{converged['hit_rate']:.1%} hit (floor {MIN_HIT_RATE:.0%})",
+            f"{converged['hit_rate']:.1%} hit (floor {MIN_HIT_RATE:.0%}), "
+            f"p99 ceiling {MAX_P99_POINT_US}us",
         ],
         [
             "cache vs collection",
@@ -261,7 +255,8 @@ def test_serving_latency(benchmark):
             "idle serve guard",
             f"{idle['guard_seconds'] * 1e9:.2f} ns",
             f"{idle['idle_overhead_fraction']:.3%} of ingest",
-            f"ceiling {MAX_IDLE_OVERHEAD:.0%}",
+            f"ceiling {MAX_IDLE_OVERHEAD:.0%}; attached/plain wall "
+            f"{idle['wall_attached_over_plain']:.2f}x",
         ],
     ]
     table = fmt_table(
@@ -273,27 +268,14 @@ def test_serving_latency(benchmark):
         ),
     )
     report_table("serving_latency", table)
-    report_json(
-        "serving",
-        {
-            "bench": "serving_latency",
-            "workload": {
-                "kind": "rmat_bfs",
-                "scale": SCALE,
-                "edge_factor": EDGE_FACTOR,
-                "events": int(len(src)),
-                "n_ranks": N_RANKS,
-            },
-            "mixed": mixed,
-            "converged": converged,
-            "cache_vs_collection": speed,
-            "idle_overhead": idle,
-        },
-    )
 
     assert converged["hit_rate"] >= MIN_HIT_RATE, (
         f"converged-prefix hit rate {converged['hit_rate']:.1%} below "
         f"{MIN_HIT_RATE:.0%}"
+    )
+    assert converged["wall_p99_point_us"] <= MAX_P99_POINT_US, (
+        f"converged point-read p99 {converged['wall_p99_point_us']:.1f}us "
+        f"above the {MAX_P99_POINT_US}us ceiling"
     )
     assert speed["wall_speedup_cache_vs_collection"] >= MIN_CACHE_SPEEDUP, (
         f"cache hit only {speed['wall_speedup_cache_vs_collection']:.1f}x "

@@ -13,14 +13,12 @@ trigger:
   write costs ~10k predicate-guard checks.
 * The real manager touches only the (usually empty) slot for the
   written vertex, so the per-write cost is flat in the trigger count.
-
-Emits machine-readable results to ``BENCH_trigger_index.json``.
 """
 
 import time
 
 from conftest import report_table
-from harness import fmt_table, report_json
+from harness import fmt_table
 
 from repro.runtime.queries import Trigger, TriggerManager
 
@@ -121,18 +119,7 @@ def test_trigger_index_speedup(benchmark):
         ),
     )
     report_table("trigger_index", table)
-    report_json(
-        "trigger_index",
-        {
-            "bench": "trigger_index",
-            "n_triggers": N_TRIGGERS,
-            "n_writes": N_WRITES,
-            "indexed_wall_seconds": indexed_s,
-            "linear_wall_seconds": linear_s,
-            "wall_speedup_trigger_index": speedup,
-            "min_speedup": MIN_SPEEDUP,
-        },
-    )
+
     assert speedup >= MIN_SPEEDUP, (
         f"indexed trigger dispatch only {speedup:.1f}x faster than the "
         f"linear scan at {N_TRIGGERS:,} triggers (floor {MIN_SPEEDUP}x)"

@@ -17,13 +17,9 @@ Conventions (see EXPERIMENTS.md for the full methodology):
 
 from __future__ import annotations
 
-import json
 import os
-import platform
-import subprocess
 import time
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -38,7 +34,6 @@ from repro.util.rng import SeedSequenceFactory
 BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "0"))
 RANKS_PER_NODE = int(os.environ.get("REPRO_RANKS_PER_NODE", "4"))
 SEEDS = SeedSequenceFactory(0xB37C)  # stable bench root seed
-REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def cost_model() -> CostModel:
@@ -123,50 +118,6 @@ def static_algorithm_time(ops: OpCounts, n_nodes: int, on_dynamic: bool = False)
     return cost_model().static_traversal_time(
         ops.vertex_visits, ops.edge_scans, n_nodes * RANKS_PER_NODE, on_dynamic
     )
-
-
-# ----------------------------------------------------------------------
-# machine-readable results
-# ----------------------------------------------------------------------
-def run_metadata() -> dict:
-    """Provenance stamp for bench artifacts: where and on what this
-    number was produced.  Wall figures are only comparable against a
-    baseline from a similar host, and a regression report is only
-    actionable if it names the commit — so every ``BENCH_*.json``
-    carries this block (none of its keys are gated by compare.py)."""
-    try:
-        commit = subprocess.run(
-            # "-dirty" marks numbers produced from uncommitted changes
-            # on top of the named commit (a PR measured before it lands).
-            ["git", "describe", "--always", "--dirty", "--exclude=*"],
-            cwd=REPO_ROOT,
-            capture_output=True,
-            text=True,
-            timeout=10,
-        ).stdout.strip() or "unknown"
-    except (OSError, subprocess.SubprocessError):
-        commit = "unknown"
-    return {
-        "cores": os.cpu_count(),
-        "python": platform.python_version(),
-        "host_platform": platform.platform(),
-        "commit": commit,
-        "bench_scale": BENCH_SCALE,
-        "ranks_per_node": RANKS_PER_NODE,
-    }
-
-
-def report_json(name: str, payload: dict) -> Path:
-    """Persist a bench's results as ``BENCH_<name>.json`` at the repo
-    root — the machine-readable companion to the human tables that
-    :func:`conftest.report_table` writes under ``benchmarks/out/``.
-    Every payload is stamped with :func:`run_metadata` under ``meta``.
-    Returns the written path."""
-    path = REPO_ROOT / f"BENCH_{name}.json"
-    if "meta" not in payload:
-        payload = {**payload, "meta": run_metadata()}
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    return path
 
 
 # ----------------------------------------------------------------------

@@ -70,6 +70,16 @@ class FourCounterState:
         return sum(n for label, n in self._received.items() if label < cut)
 
 
+def proves_termination(
+    prev: tuple[int, int, bool] | None, totals: tuple[int, int, bool]
+) -> bool:
+    """The four-counter conclusion rule over two consecutive complete
+    waves' ``(sent, received, all_idle)`` totals: this wave is all-idle
+    and balanced, and the previous one reported the same totals."""
+    sent, received, all_idle = totals
+    return all_idle and sent == received and prev == totals
+
+
 @dataclass
 class _Wave:
     wave_id: int
@@ -139,9 +149,7 @@ class TerminationCoordinator:
         if self._wave is None or not self._wave.complete(self.n_ranks):
             raise RuntimeError("conclude() before the wave is complete")
         totals = self._wave.totals()
-        sent, recv, all_idle = totals
-        consistent = all_idle and sent == recv
-        if consistent and self._prev_totals == totals:
+        if proves_termination(self._prev_totals, totals):
             self.terminated = True
         self._prev_totals = totals
         self._wave = None

@@ -74,7 +74,3 @@ class StreamMultiplexer(EventStream):
 
     def remaining(self) -> int:
         return sum(s.remaining() for s in self._streams)
-
-    @property
-    def source_streams(self) -> list[EventStream]:
-        return list(self._streams)

@@ -13,7 +13,7 @@ local work is completed".
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -273,10 +273,3 @@ def split_streams(
             )
         )
     return out
-
-
-def events_from_iterable(
-    events: Iterable[tuple[int, int, int, int]], stream_id: int = 0
-) -> ListEventStream:
-    """Materialise an iterable of event tuples into a replayable stream."""
-    return ListEventStream(list(events), stream_id=stream_id)

@@ -378,6 +378,20 @@ class DenseState:
         self.kernels[p].scatter(values, idx, candidates)
         return idx[values[idx] != old]
 
+    def offer_edges(
+        self, p: int, tails: np.ndarray, heads: np.ndarray, weights: np.ndarray
+    ) -> tuple[np.ndarray, int]:
+        """:meth:`offer` program ``p``'s relaxation of edges ``tails ->
+        heads`` at their heads, from the tails' current values; a tail
+        that cannot emit offers nothing.  Returns the positions that
+        adopted and the number of rows offered."""
+        kernel = self.kernels[p]
+        vals = self.values[p][tails]
+        mask = kernel.can_emit(vals)
+        if mask is not None:
+            vals, heads, weights = vals[mask], heads[mask], weights[mask]
+        return self.offer(p, heads, kernel.relax(vals, weights)), heads.size
+
     def stale(self, p: int) -> np.ndarray:
         """Positions of program ``p`` whose dict entry is behind the
         dense value — the one write-back rule.  The caller writes them

@@ -31,13 +31,13 @@ moves the actual token frames over the pipes.
 
 from __future__ import annotations
 
+from repro.comm.termination import proves_termination
+
 
 class RingCoordinator:
-    """Rank 0's conclusion rule over completed token rounds.
-
-    Mirrors :meth:`repro.comm.termination.TerminationCoordinator.conclude`:
-    terminated iff two consecutive complete rounds are all-idle,
-    balanced, and report identical cumulative totals.
+    """Rank 0's conclusion rule over completed token rounds: the DES
+    waves' :func:`~repro.comm.termination.proves_termination`, fed one
+    returned token's totals per round.
     """
 
     def __init__(self) -> None:
@@ -51,8 +51,7 @@ class RingCoordinator:
             raise RuntimeError("coordinator already concluded termination")
         self.rounds_completed += 1
         totals = (sent, received, all_idle)
-        consistent = all_idle and sent == received
-        if consistent and self._prev == totals:
+        if proves_termination(self._prev, totals):
             self.terminated = True
         self._prev = totals
         return self.terminated

@@ -266,13 +266,9 @@ class VecApplier:
                 tails = np.concatenate([s_l, d_l])
                 heads = np.concatenate([d_l, s_l])
                 w_2 = np.concatenate([w_l, w_l])
-                for p, k in enumerate(self.kernels):
+                for p in range(self.n_programs):
                     st.written[p][d_l] = True  # on_reverse_add seeds it
-                    vals_p, at, w_p = st.values[p][tails], heads, w_2
-                    mask = k.can_emit(vals_p)
-                    if mask is not None:
-                        vals_p, at, w_p = vals_p[mask], at[mask], w_p[mask]
-                    changed[p].append(st.offer(p, at, k.relax(vals_p, w_p)))
+                    changed[p].append(st.offer_edges(p, tails, heads, w_2)[0])
 
         # --- REVERSE_ADD: insert reverse edge, seed, offer ------------
         if radd is not None:

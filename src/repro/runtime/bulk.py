@@ -177,18 +177,13 @@ class BulkIngestor:
         # loop from what adopted plus the dict-fold improvements.
         total_relax = 0
         for p, kernel in enumerate(self.kernels):
-            vals = st.values[p][tails]
-            at, w_p = heads, wts
-            mask = kernel.can_emit(vals)
-            if mask is not None:
-                vals, at, w_p = vals[mask], at[mask], w_p[mask]
-            adopted = st.offer(p, at, kernel.relax(vals, w_p))
+            adopted, offered = st.offer_edges(p, tails, heads, wts)
             frontier = np.concatenate([adopted, *self._pending_frontier[p]])
             self._pending_frontier[p] = []
             _rounds, relaxed = relax_to_fixpoint(
                 st.edges, st.values[p], frontier, kernel
             )
-            total_relax += at.size + relaxed
+            total_relax += offered + relaxed
         eng._charge(
             rank,
             n * eng.cost.stream_pull_cpu + total_relax * eng.cost.visit_discard_cpu,

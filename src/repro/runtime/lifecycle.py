@@ -1,8 +1,8 @@
 """The :class:`EngineBuilder`: fluent assembly of an engine.
 
 The front door the CLI (both ``run`` and ``serve``), the mp workers and
-``benchmarks/core`` use: it accumulates programs, config, cost model,
-partitioner and plugins, and constructs the engine — exactly
+``benchmarks/core`` use: it accumulates programs, config, cost model
+and plugins, and constructs the engine — exactly
 ``DynamicEngine(programs, config, plugins=[...])``, spelled fluently.
 A built engine has no phase grammar: streams may be attached, events
 injected, collections requested and ``run()`` called in any order for
@@ -41,7 +41,6 @@ class EngineBuilder:
         self._programs: list[Any] = []
         self._config: Any | None = None
         self._cost_model: Any | None = None
-        self._partitioner: Any | None = None
         self._plugins: list[EnginePlugin] = []
 
     def with_programs(self, programs: Sequence[Any]) -> "EngineBuilder":
@@ -54,10 +53,6 @@ class EngineBuilder:
 
     def with_cost_model(self, cost_model: Any) -> "EngineBuilder":
         self._cost_model = cost_model
-        return self
-
-    def with_partitioner(self, partitioner: Any) -> "EngineBuilder":
-        self._partitioner = partitioner
         return self
 
     def with_plugin(self, plugin: EnginePlugin) -> "EngineBuilder":
@@ -75,6 +70,4 @@ class EngineBuilder:
         kwargs: dict[str, Any] = {"plugins": list(self._plugins)}
         if self._cost_model is not None:
             kwargs["cost_model"] = self._cost_model
-        if self._partitioner is not None:
-            kwargs["partitioner"] = self._partitioner
         return DynamicEngine(self._programs, config, **kwargs)

@@ -78,12 +78,8 @@ class ActiveCollection:
     cut_version: int  # events with version < cut_version are "prev"
     requested_at: float
     detector: TerminationCoordinator
-    cut_acks: set[int] = field(default_factory=set)
     parts: dict[int, dict[int, Any]] = field(default_factory=dict)
     callback: Any = None  # called with CollectionResult when done
-
-    def all_cut_acked(self, n_ranks: int) -> bool:
-        return len(self.cut_acks) == n_ranks
 
     def all_parts_in(self, n_ranks: int) -> bool:
         return len(self.parts) == n_ranks

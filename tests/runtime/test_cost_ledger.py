@@ -18,6 +18,11 @@ which that refactor lowers by exactly the second vertex-index lookup
 carries the parent's value and the number of probes removed).  A change
 that moves any other number here changed what the engine computes or
 what it charges — regenerate only for a change that means to.
+
+The legs from ``churn_bench_16x64`` to ``obs_cc`` are the DES runs of
+the churn, fault, squash and telemetry benches at REPRO_BENCH_SCALE=0;
+they pin every virtual rate and visits-per-event figure those benches
+print, and were generated the same way at commit ``88b89f3``.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from repro import (
     CallbackProgram,
     DynamicEngine,
     EngineConfig,
+    FaultPlan,
     GenerationalBFS,
     GenerationalCC,
     GenerationalSSSP,
@@ -44,9 +50,9 @@ from repro import (
 )
 from repro.comm.costmodel import CostModel
 from repro.generators import rmat_edges
-from repro.generators.churn import churn_events, split_churn_streams
+from repro.generators.churn import churn_events, flash_crowd_events, split_churn_streams
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
-from repro.runtime.plugins import MetricsPlugin, TracerPlugin
+from repro.runtime.plugins import FaultInjectionPlugin, MetricsPlugin, TracerPlugin
 from repro.storage.robin_hood import RobinHoodMap
 
 
@@ -131,8 +137,8 @@ def _bfs_cc(
     return engine
 
 
-def _churn() -> DynamicEngine:
-    cols = churn_events(16, 64, 0.25, rng=np.random.default_rng(7))
+def _five_generational() -> DynamicEngine:
+    """All five generational programs on 4 ranks, sources initialised."""
     st = GenerationalST()
     st.register_source(0)
     st.register_source(1)
@@ -148,6 +154,12 @@ def _churn() -> DynamicEngine:
         ("gen-widest", 0),
     ):
         engine.init_program(*init)
+    return engine
+
+
+def _churn() -> DynamicEngine:
+    cols = churn_events(16, 64, 0.25, rng=np.random.default_rng(7))
+    engine = _five_generational()
     engine.run()
     engine.attach_streams(split_churn_streams(*cols, 4))
     engine.run()
@@ -212,6 +224,91 @@ def _checkpointed(tmp_path) -> DynamicEngine:
     return second
 
 
+# ----------------------------------------------------------------------
+# the benchmark tables' deterministic numbers
+# ----------------------------------------------------------------------
+# These legs rebuild the DES runs of four ``benchmarks/bench_*.py`` at
+# REPRO_BENCH_SCALE=0 as those benches build them, so the pinned clocks
+# and counters fix every virtual rate (source events / latest clock) and
+# visits-per-event figure their tables print.
+def _churn_bench(cols) -> DynamicEngine:
+    """``bench_churn``: the stream attached before the inits have run."""
+    engine = _five_generational()
+    engine.attach_streams(split_churn_streams(*cols, 4))
+    engine.run()
+    return engine
+
+
+def _churn_steady(n_vertices: int, n_adds: int) -> DynamicEngine:
+    rng = np.random.default_rng(0xC4A2)
+    return _churn_bench(churn_events(n_vertices, n_adds, 0.25, rng=rng))
+
+
+def _churn_flash() -> DynamicEngine:
+    rng = np.random.default_rng(0xC4A2)
+    churn_events(128, 512, 0.25, rng=rng)  # the steady stream draws first
+    return _churn_bench(flash_crowd_events(128, 256, 256, decay_ratio=0.6, rng=rng))
+
+
+def _harness_run(src, dst, programs, n_nodes, init=(), plugins=None, **config):
+    """``benchmarks/harness.run_dynamic``: four ranks per node, the
+    stream split with shuffle seed 0."""
+    n_ranks = 4 * n_nodes
+    engine = DynamicEngine(
+        programs,
+        EngineConfig(n_ranks=n_ranks, **config),
+        cost_model=CostModel(ranks_per_node=4),
+        plugins=plugins,
+    )
+    for prog, vertex in init:
+        engine.init_program(prog, vertex)
+    engine.attach_streams(split_streams(src, dst, n_ranks, rng=np.random.default_rng(0)))
+    engine.run()
+    return engine
+
+
+def _faults(plan: FaultPlan | None) -> DynamicEngine:
+    """``bench_ablation_faults``: BFS+CC on 8 ranks, coalescing off."""
+    src, dst = rmat_edges(10, edge_factor=8, rng=np.random.default_rng(0xFA17))
+    return _harness_run(
+        src,
+        dst,
+        [IncrementalBFS(), IncrementalCC()],
+        2,
+        init=[("bfs", int(src[0]))],
+        plugins=None if plan is None else [FaultInjectionPlugin(plan)],
+        coalesce_updates=False,
+        batch_updates=False,
+    )
+
+
+def _squash(n_nodes: int, coalesce: bool) -> DynamicEngine:
+    """``bench_ablation_squash``: 12 hub stars of 400 shuffled spokes,
+    then the chain that merges them in ascending label order."""
+    n_hubs, n_spokes = 12, 400
+    order = np.random.default_rng(0).permutation(n_hubs * n_spokes)
+    src = np.repeat(np.arange(1, n_hubs + 1), n_spokes)[order]
+    dst = np.arange(n_hubs + 1, n_hubs * (n_spokes + 1) + 1)[order]
+    chain = np.arange(1, n_hubs)
+    return _harness_run(
+        np.concatenate([src, chain]),
+        np.concatenate([dst, chain + 1]),
+        [IncrementalCC()],
+        n_nodes,
+        coalesce_updates=coalesce,
+        batch_updates=coalesce,
+    )
+
+
+def _obs_cc(plugins: list | None = None) -> DynamicEngine:
+    """``bench_obs_overhead``'s DES run: CC over 16,384 uniform events."""
+    rng = np.random.default_rng(7)
+    src = rng.integers(0, 4096, 16384, dtype=np.int64)
+    dst = rng.integers(0, 4096, 16384, dtype=np.int64)
+    dst = np.where(dst == src, (dst + 1) % 4096, dst)
+    return _harness_run(src, dst, [IncrementalCC()], 1, plugins=plugins)
+
+
 LEGS = {
     "bfs_cc": _bfs_cc,
     "churn": _churn,
@@ -224,6 +321,19 @@ LEGS = {
     "two_per_node": lambda: _bfs_cc(8, cost=CostModel(ranks_per_node=2)),
     "flow_control": lambda: _bfs_cc(8, cost=CostModel(channel_capacity=16)),
     "whole_scale8": lambda: _bfs_cc(8),
+    "churn_bench_16x64": lambda: _churn_steady(16, 64),
+    "churn_bench_128x512": lambda: _churn_steady(128, 512),
+    "churn_bench_1024x4096": lambda: _churn_steady(1024, 4096),
+    "churn_bench_flash": _churn_flash,
+    "faults_off": lambda: _faults(None),
+    "faults_reliable": lambda: _faults(FaultPlan(seed=1)),
+    "faults_drop5": lambda: _faults(FaultPlan(drop=0.05, seed=2)),
+    "faults_drop20": lambda: _faults(FaultPlan(drop=0.20, seed=2)),
+    "squash_4_off": lambda: _squash(1, False),
+    "squash_4_on": lambda: _squash(1, True),
+    "squash_16_off": lambda: _squash(4, False),
+    "squash_16_on": lambda: _squash(4, True),
+    "obs_cc": _obs_cc,
 }
 
 PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
@@ -595,6 +705,613 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
+ 'churn_bench_16x64': {'clock': ['0x1.51a437824d462p-12',
+                                 '0x1.56acb4ff50a62p-12',
+                                 '0x1.56efd0ddd37dap-12',
+                                 '0x1.56ba20f89e047p-12'],
+                       'busy': ['0x1.df68b0c381cc1p-15',
+                                '0x1.1050b01bbc1dap-13',
+                                '0x1.cea1b922cbe17p-13',
+                                '0x1.977a04a8dc2c2p-14'],
+                       'loop': {'actions_executed': 2129,
+                                'messages_delivered': 2040,
+                                'messages_squashed': 0,
+                                'batch_sends': 351,
+                                'stall_time': '0x0.0p+0'},
+                       'counters': {'source_events': 85,
+                                    'edge_inserts': 106,
+                                    'edge_deletes': 36,
+                                    'visits': 2720,
+                                    'messages_sent_local': 2035,
+                                    'messages_sent_remote': 0,
+                                    'control_messages': 0,
+                                    'busy_time': '0x1.08a265f0f5a20p-11',
+                                    'updates_squashed': 0,
+                                    'batch_sends': 351,
+                                    'bulk_chunks': 0,
+                                    'bulk_events': 0,
+                                    'fallback_flushes': 0,
+                                    'deletes_safe': 183,
+                                    'deletes_unsafe': 27,
+                                    'vertices_invalidated': 75,
+                                    'repair_visits': 654},
+                       'rank_counters': 'bf45ec64fd124eb04d2786810dd79ec2256b7f51',
+                       'store': {'probe_count': 2267,
+                                 'displacement_count': 1,
+                                 'resize_count': 0,
+                                 'low_degree_scans': 4279,
+                                 'promotions': 2},
+                       'edges': '769b8a74b0a66cad07309d4ae6e48b32ac114793',
+                       'state': {'gen-bfs': 'd560f76733afe21979979181de7e5c72bc225509',
+                                 'gen-sssp': '656ce5f379495131ee0b8c5ef982e2cf24d1d672',
+                                 'gen-cc': '516248c5bf85c9d77a7bab4d2b3730890897f4a6',
+                                 'gen-st': '91b7c5b1e2eb15d686c9ead0eb305d51dcb94a38',
+                                 'gen-widest': 'c454f037a74c3cf6f47534f0c32aeed649dd83ab'},
+                       'collections': []},
+ 'churn_bench_128x512': {'clock': ['0x1.3b2646bba6129p-9',
+                                   '0x1.3b22ebbd52baep-9',
+                                   '0x1.3abae6f13b1f7p-9',
+                                   '0x1.3acd5b680581bp-9'],
+                         'busy': ['0x1.3dbb4c71c871dp-10',
+                                  '0x1.0ad977d5fa65fp-10',
+                                  '0x1.9b00a1e66edd8p-10',
+                                  '0x1.578374942662bp-10'],
+                         'loop': {'actions_executed': 23287,
+                                  'messages_delivered': 22600,
+                                  'messages_squashed': 0,
+                                  'batch_sends': 3704,
+                                  'stall_time': '0x0.0p+0'},
+                         'counters': {'source_events': 683,
+                                      'edge_inserts': 1004,
+                                      'edge_deletes': 340,
+                                      'visits': 28064,
+                                      'messages_sent_local': 22595,
+                                      'messages_sent_remote': 0,
+                                      'control_messages': 0,
+                                      'busy_time': '0x1.4ec636b096060p-8',
+                                      'updates_squashed': 0,
+                                      'batch_sends': 3704,
+                                      'bulk_chunks': 0,
+                                      'bulk_events': 0,
+                                      'fallback_flushes': 0,
+                                      'deletes_safe': 1575,
+                                      'deletes_unsafe': 135,
+                                      'vertices_invalidated': 638,
+                                      'repair_visits': 6720},
+                         'rank_counters': '75748123cf361ca0d83ab8eaa7f8320366d40a82',
+                         'store': {'probe_count': 34129,
+                                   'displacement_count': 31,
+                                   'resize_count': 0,
+                                   'low_degree_scans': 47006,
+                                   'promotions': 20},
+                         'edges': 'ee4287990f4d20a128b5c817ed5af4ca6ccaa44a',
+                         'state': {'gen-bfs': '0757b4d6296fc42ea8ac3120737391d3106c006d',
+                                   'gen-sssp': 'caa7da601981b531a832da6193c55b34dd6e3c02',
+                                   'gen-cc': '962b70ef524f7e58fabffc4f5d337367bbd6ca84',
+                                   'gen-st': 'f9021501907c01e388c59ec6e584f46b71a9abab',
+                                   'gen-widest': '803b1ad66a7de53c11fa5994d8116d73e0daab01'},
+                         'collections': []},
+ 'churn_bench_1024x4096': {'clock': ['0x1.20db41da9bc63p-5',
+                                     '0x1.20b92db39d536p-5',
+                                     '0x1.20cfb9105d484p-5',
+                                     '0x1.20d77b7c7e032p-5'],
+                           'busy': ['0x1.57e4c3639a126p-6',
+                                    '0x1.50536a0a621b5p-6',
+                                    '0x1.6a605b8a6db03p-6',
+                                    '0x1.6574637f2e887p-6'],
+                           'loop': {'actions_executed': 430616,
+                                    'messages_delivered': 425151,
+                                    'messages_squashed': 0,
+                                    'batch_sends': 71398,
+                                    'stall_time': '0x0.0p+0'},
+                           'counters': {'source_events': 5461,
+                                        'edge_inserts': 8150,
+                                        'edge_deletes': 2728,
+                                        'visits': 468839,
+                                        'messages_sent_local': 425146,
+                                        'messages_sent_remote': 0,
+                                        'control_messages': 0,
+                                        'busy_time': '0x1.5e033b1de619ap-4',
+                                        'updates_squashed': 0,
+                                        'batch_sends': 71398,
+                                        'bulk_chunks': 0,
+                                        'bulk_events': 0,
+                                        'fallback_flushes': 0,
+                                        'deletes_safe': 12005,
+                                        'deletes_unsafe': 1645,
+                                        'vertices_invalidated': 14040,
+                                        'repair_visits': 139388},
+                           'rank_counters': 'ff13a327f8c4b6ac06905958ec0dc2d29b99bfc9',
+                           'store': {'probe_count': 723559,
+                                     'displacement_count': 1816,
+                                     'resize_count': 16,
+                                     'low_degree_scans': 790161,
+                                     'promotions': 221},
+                           'edges': '8b58688ce79414f0137118aff51ff7f3dae0dee1',
+                           'state': {'gen-bfs': '0b8b9ed8215ac819beddd98689d6259705fbf96f',
+                                     'gen-sssp': 'e8488bc59c061a507bd14992e50c9eeb4cf69992',
+                                     'gen-cc': '34d7cb44eaa9b3c44b44c932f4f1e046b9e01294',
+                                     'gen-st': '2f004531083842c40746f60607220257b519a97a',
+                                     'gen-widest': 'f7c1395d2fa79decddf7124ab63ec437bf0df2f9'},
+                           'collections': []},
+ 'churn_bench_flash': {'clock': ['0x1.854a573c26f6cp-9',
+                                 '0x1.84fed7e1d3c3fp-9',
+                                 '0x1.854046412cefdp-9',
+                                 '0x1.850232e0271b9p-9'],
+                       'busy': ['0x1.6092110f1bd60p-10',
+                                '0x1.3388c3888055dp-10',
+                                '0x1.d13363da9a957p-10',
+                                '0x1.ffcbfd99f3ae1p-10'],
+                       'loop': {'actions_executed': 28866,
+                                'messages_delivered': 28196,
+                                'messages_squashed': 0,
+                                'batch_sends': 5374,
+                                'stall_time': '0x0.0p+0'},
+                       'counters': {'source_events': 666,
+                                    'edge_inserts': 716,
+                                    'edge_deletes': 180,
+                                    'visits': 33524,
+                                    'messages_sent_local': 28191,
+                                    'messages_sent_remote': 0,
+                                    'control_messages': 0,
+                                    'busy_time': '0x1.99468d830a9bdp-8',
+                                    'updates_squashed': 0,
+                                    'batch_sends': 5374,
+                                    'bulk_chunks': 0,
+                                    'bulk_events': 0,
+                                    'fallback_flushes': 0,
+                                    'deletes_safe': 1306,
+                                    'deletes_unsafe': 234,
+                                    'vertices_invalidated': 918,
+                                    'repair_visits': 8422},
+                       'rank_counters': '289a3b8f2cb2170dab04d0eb0730b408608e19c3',
+                       'store': {'probe_count': 43114,
+                                 'displacement_count': 109,
+                                 'resize_count': 2,
+                                 'low_degree_scans': 50841,
+                                 'promotions': 10},
+                       'edges': 'b5303d6dfcc0a476dc6341c4be2d631cfca1bd12',
+                       'state': {'gen-bfs': 'fe14b8815a38804c0f44fec3eeb97fef173efa85',
+                                 'gen-sssp': '46c44f2043d417b401ded9e9a7a84f2567dfccaf',
+                                 'gen-cc': 'bdcc109bfd7f82aef843ea439257414070534d80',
+                                 'gen-st': '9415a2e0766027e0defbc8b33d74ad57c283a0e1',
+                                 'gen-widest': 'bc5c1b00969cd02241ae33dd1be426a98e29ebe8'},
+                       'collections': []},
+ 'faults_off': {'clock': ['0x1.f1b9ec1f78ccep-9',
+                          '0x1.f0f3f382439cfp-9',
+                          '0x1.f151e75361317p-9',
+                          '0x1.f1828ebb19a79p-9',
+                          '0x1.f18e4d353d5a1p-9',
+                          '0x1.f17a2b3f494c9p-9',
+                          '0x1.f1249ae9fc130p-9',
+                          '0x1.f16e6cc5259a0p-9'],
+                'busy': ['0x1.5f478e340aef7p-9',
+                         '0x1.6b54e2b063bf2p-10',
+                         '0x1.9373e5aae9f62p-10',
+                         '0x1.502fc33c2a3a6p-10',
+                         '0x1.ca4101520f540p-10',
+                         '0x1.968512231803dp-10',
+                         '0x1.6b4ad1b569b87p-10',
+                         '0x1.ab3aabcd788edp-10'],
+                'loop': {'actions_executed': 41262,
+                         'messages_delivered': 33062,
+                         'messages_squashed': 0,
+                         'batch_sends': 0,
+                         'stall_time': '0x0.0p+0'},
+                'counters': {'source_events': 8192,
+                             'edge_inserts': 12117,
+                             'edge_deletes': 0,
+                             'visits': 49446,
+                             'messages_sent_local': 16430,
+                             'messages_sent_remote': 16631,
+                             'control_messages': 0,
+                             'busy_time': '0x1.b09a671ef2edcp-7',
+                             'updates_squashed': 0,
+                             'batch_sends': 0,
+                             'bulk_chunks': 0,
+                             'bulk_events': 0,
+                             'fallback_flushes': 0,
+                             'deletes_safe': 0,
+                             'deletes_unsafe': 0,
+                             'vertices_invalidated': 0,
+                             'repair_visits': 0},
+                'rank_counters': '2a133495ae8abf87f5dbaadd338fd069082f950d',
+                'store': {'probe_count': 91669,
+                          'displacement_count': 9540,
+                          'resize_count': 411,
+                          'low_degree_scans': 12024,
+                          'promotions': 346},
+                'edges': 'c25943c204a5c301bc7e07a7bcd3b971f4f2df9a',
+                'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
+                          'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
+                'collections': []},
+ 'faults_reliable': {'clock': ['0x1.ffcdab191e324p-9',
+                               '0x1.fea25ce1adacfp-9',
+                               '0x1.ff62a134eec80p-9',
+                               '0x1.ff8c3cb9c5062p-9',
+                               '0x1.ff9b004c00878p-9',
+                               '0x1.ff781ac3d0f89p-9',
+                               '0x1.ff2bef9d06b44p-9',
+                               '0x1.ff781ac3d0f89p-9'],
+                     'busy': ['0x1.5dc908f2eded3p-9',
+                              '0x1.692486c8059cfp-10',
+                              '0x1.90d829f820e06p-10',
+                              '0x1.4cd169ea7f4d1p-10',
+                              '0x1.c69c31238e383p-10',
+                              '0x1.955714b9cb38ap-10',
+                              '0x1.6843b63835b15p-10',
+                              '0x1.a6322e50752ecp-10'],
+                     'loop': {'actions_executed': 40833,
+                              'messages_delivered': 32633,
+                              'messages_squashed': 0,
+                              'batch_sends': 0,
+                              'stall_time': '0x0.0p+0'},
+                     'counters': {'source_events': 8192,
+                                  'edge_inserts': 12117,
+                                  'edge_deletes': 0,
+                                  'visits': 49017,
+                                  'messages_sent_local': 16209,
+                                  'messages_sent_remote': 16423,
+                                  'control_messages': 0,
+                                  'busy_time': '0x1.ad992aded0beap-7',
+                                  'updates_squashed': 0,
+                                  'batch_sends': 0,
+                                  'bulk_chunks': 0,
+                                  'bulk_events': 0,
+                                  'fallback_flushes': 0,
+                                  'deletes_safe': 0,
+                                  'deletes_unsafe': 0,
+                                  'vertices_invalidated': 0,
+                                  'repair_visits': 0},
+                     'rank_counters': '701e0d1adbac5842e53d827d4fbb6e40ca9ef3f9',
+                     'store': {'probe_count': 91556,
+                               'displacement_count': 9525,
+                               'resize_count': 411,
+                               'low_degree_scans': 12010,
+                               'promotions': 346},
+                     'edges': '6821f2de16f40fa7a0e0948a887d058adc1db55b',
+                     'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
+                               'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
+                     'collections': []},
+ 'faults_drop5': {'clock': ['0x1.b719873a9c5bdp-8',
+                            '0x1.b70c1b414efd8p-8',
+                            '0x1.b6528ceab4927p-8',
+                            '0x1.b6b080bbd226ap-8',
+                            '0x1.b6e128238a9c8p-8',
+                            '0x1.b72fd78913623p-8',
+                            '0x1.b6b8e437a2819p-8',
+                            '0x1.b7d0e738b3d01p-8'],
+                  'busy': ['0x1.895c34b43cf91p-9',
+                           '0x1.9ac79702e623ap-10',
+                           '0x1.c70e46ea9fc9ap-10',
+                           '0x1.7ea0190f9b49cp-10',
+                           '0x1.0016a634b25ccp-9',
+                           '0x1.c7a8a09d998cep-10',
+                           '0x1.915450ba2c7f0p-10',
+                           '0x1.dc004676dc810p-10'],
+                  'loop': {'actions_executed': 51389,
+                           'messages_delivered': 43189,
+                           'messages_squashed': 0,
+                           'batch_sends': 0,
+                           'stall_time': '0x0.0p+0'},
+                  'counters': {'source_events': 8192,
+                               'edge_inserts': 12117,
+                               'edge_deletes': 0,
+                               'visits': 59573,
+                               'messages_sent_local': 21645,
+                               'messages_sent_remote': 21543,
+                               'control_messages': 0,
+                               'busy_time': '0x1.e50b1c93b44e0p-7',
+                               'updates_squashed': 0,
+                               'batch_sends': 0,
+                               'bulk_chunks': 0,
+                               'bulk_events': 0,
+                               'fallback_flushes': 0,
+                               'deletes_safe': 0,
+                               'deletes_unsafe': 0,
+                               'vertices_invalidated': 0,
+                               'repair_visits': 0},
+                  'rank_counters': '80e2568196806eca3107f86618599bcb75518606',
+                  'store': {'probe_count': 93425,
+                            'displacement_count': 9766,
+                            'resize_count': 411,
+                            'low_degree_scans': 12048,
+                            'promotions': 346},
+                  'edges': '840606ea8611e52306fb17f0c5a3acbcc256340c',
+                  'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
+                            'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
+                  'collections': []},
+ 'faults_drop20': {'clock': ['0x1.9f792c91ae54bp-7',
+                             '0x1.a5a54096c9027p-7',
+                             '0x1.d0f08868c4bccp-7',
+                             '0x1.e640664c9028ep-7',
+                             '0x1.9ce2237626cd9p-7',
+                             '0x1.e7f3595383618p-7',
+                             '0x1.84ccee5abc0d7p-7',
+                             '0x1.9c5f313de5925p-7'],
+                   'busy': ['0x1.c48f10a99bc21p-9',
+                            '0x1.dc5e3a47f9ebap-10',
+                            '0x1.ff0cbaf965374p-10',
+                            '0x1.baa8071aa61d0p-10',
+                            '0x1.204295a6c5cedp-9',
+                            '0x1.049235f8095b6p-9',
+                            '0x1.dc50ce4eac99dp-10',
+                            '0x1.1238e7a81a541p-9'],
+                   'loop': {'actions_executed': 65176,
+                            'messages_delivered': 56976,
+                            'messages_squashed': 0,
+                            'batch_sends': 0,
+                            'stall_time': '0x0.0p+0'},
+                   'counters': {'source_events': 8192,
+                                'edge_inserts': 12117,
+                                'edge_deletes': 0,
+                                'visits': 73360,
+                                'messages_sent_local': 28392,
+                                'messages_sent_remote': 28583,
+                                'control_messages': 0,
+                                'busy_time': '0x1.1699d528bbc5ap-6',
+                                'updates_squashed': 0,
+                                'batch_sends': 0,
+                                'bulk_chunks': 0,
+                                'bulk_events': 0,
+                                'fallback_flushes': 0,
+                                'deletes_safe': 0,
+                                'deletes_unsafe': 0,
+                                'vertices_invalidated': 0,
+                                'repair_visits': 0},
+                   'rank_counters': '11e71d3c01c990213b317bece79be26743f37897',
+                   'store': {'probe_count': 92783,
+                             'displacement_count': 9674,
+                             'resize_count': 414,
+                             'low_degree_scans': 12003,
+                             'promotions': 346},
+                   'edges': 'aee3130315f803eb4587759d2b3729c261e1e86d',
+                   'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
+                             'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
+                   'collections': []},
+ 'squash_4_off': {'clock': ['0x1.fae7924aeffdbp-8',
+                            '0x1.fade580f8acc9p-8',
+                            '0x1.faebc408d82adp-8',
+                            '0x1.fae93fca19a98p-8'],
+                  'busy': ['0x1.79547fb41537cp-9',
+                           '0x1.b2d681817507ap-9',
+                           '0x1.30171f00762ffp-8',
+                           '0x1.8d5b9db58809ep-9'],
+                  'loop': {'actions_executed': 55358,
+                           'messages_delivered': 50543,
+                           'messages_squashed': 0,
+                           'batch_sends': 0,
+                           'stall_time': '0x0.0p+0'},
+                  'counters': {'source_events': 4811,
+                               'edge_inserts': 9622,
+                               'edge_deletes': 0,
+                               'visits': 50543,
+                               'messages_sent_local': 50543,
+                               'messages_sent_remote': 0,
+                               'control_messages': 0,
+                               'busy_time': '0x1.c66d373affaa4p-7',
+                               'updates_squashed': 0,
+                               'batch_sends': 0,
+                               'bulk_chunks': 0,
+                               'bulk_events': 0,
+                               'fallback_flushes': 0,
+                               'deletes_safe': 0,
+                               'deletes_unsafe': 0,
+                               'vertices_invalidated': 0,
+                               'repair_visits': 0},
+                  'rank_counters': '40136f0d36929fe74adb93dee9e42759c9e6ae78',
+                  'store': {'probe_count': 118827,
+                            'displacement_count': 18635,
+                            'resize_count': 80,
+                            'low_degree_scans': 336,
+                            'promotions': 12},
+                  'edges': '103c528a6b007ba5e5ca91f9103dd43e33b5e992',
+                  'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
+                  'collections': []},
+ 'squash_4_on': {'clock': ['0x1.8e4ee2bc21aabp-8',
+                           '0x1.8e4176c2d44c3p-8',
+                           '0x1.8e4fb97bb6805p-8',
+                           '0x1.8e50903b4b568p-8'],
+                 'busy': ['0x1.703013c402191p-9',
+                          '0x1.ae03b3e9a724ep-9',
+                          '0x1.017e85411d2f6p-8',
+                          '0x1.8a207fd248360p-9'],
+                 'loop': {'actions_executed': 51254,
+                          'messages_delivered': 46439,
+                          'messages_squashed': 1670,
+                          'batch_sends': 21219,
+                          'stall_time': '0x0.0p+0'},
+                 'counters': {'source_events': 4811,
+                              'edge_inserts': 9622,
+                              'edge_deletes': 0,
+                              'visits': 46439,
+                              'messages_sent_local': 46439,
+                              'messages_sent_remote': 0,
+                              'control_messages': 0,
+                              'busy_time': '0x1.aad454808af4bp-7',
+                              'updates_squashed': 1670,
+                              'batch_sends': 21219,
+                              'bulk_chunks': 0,
+                              'bulk_events': 0,
+                              'fallback_flushes': 0,
+                              'deletes_safe': 0,
+                              'deletes_unsafe': 0,
+                              'vertices_invalidated': 0,
+                              'repair_visits': 0},
+                 'rank_counters': 'bb6be1e9c44faa71b12d182aa9274ab5c92b875e',
+                 'store': {'probe_count': 118107,
+                           'displacement_count': 18419,
+                           'resize_count': 80,
+                           'low_degree_scans': 336,
+                           'promotions': 12},
+                 'edges': '53a8b74d1421c8fbe8cf87afda2816c0d61a4b5c',
+                 'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
+                 'collections': []},
+ 'squash_16_off': {'clock': ['0x1.c6484e4d6afbfp-9',
+                             '0x1.c664d3bf2f64dp-9',
+                             '0x1.c6525f4865030p-9',
+                             '0x1.c576973612173p-9',
+                             '0x1.c4f20cf83614fp-9',
+                             '0x1.c560c7c0f4604p-9',
+                             '0x1.c6682ebd82b9cp-9',
+                             '0x1.c6a99d1cdbe80p-9',
+                             '0x1.c67fabb1ca212p-9',
+                             '0x1.c5b4aa9717ebap-9',
+                             '0x1.c646a0ce414dep-9',
+                             '0x1.c66b89bbd613fp-9',
+                             '0x1.c63e3d5270f2ep-9',
+                             '0x1.c6957b26e7dadp-9',
+                             '0x1.c5ef62f9ca688p-9',
+                             '0x1.c684b42f4724ep-9'],
+                   'busy': ['0x1.a91e71db0eaa9p-11',
+                            '0x1.fa54c554327a8p-11',
+                            '0x1.219ddf7977b63p-11',
+                            '0x1.df8388b61c7e2p-11',
+                            '0x1.e31436eea98b8p-11',
+                            '0x1.15592d98bf7c6p-11',
+                            '0x1.2ea52ef911b61p-10',
+                            '0x1.c52b17dbbec91p-11',
+                            '0x1.031a66b393404p-11',
+                            '0x1.1f3478ad90c22p-11',
+                            '0x1.11ffdcc491726p-9',
+                            '0x1.19ce075f6fce8p-11',
+                            '0x1.030644bd9f330p-11',
+                            '0x1.547fb41545ba7p-10',
+                            '0x1.3b1c35c0ac132p-10',
+                            '0x1.0dedff4c7bd8ap-11'],
+                   'loop': {'actions_executed': 53113,
+                            'messages_delivered': 48286,
+                            'messages_squashed': 0,
+                            'batch_sends': 0,
+                            'stall_time': '0x0.0p+0'},
+                   'counters': {'source_events': 4811,
+                                'edge_inserts': 9622,
+                                'edge_deletes': 0,
+                                'visits': 48286,
+                                'messages_sent_local': 12268,
+                                'messages_sent_remote': 36018,
+                                'control_messages': 0,
+                                'busy_time': '0x1.c73bfeb3cf8d7p-7',
+                                'updates_squashed': 0,
+                                'batch_sends': 0,
+                                'bulk_chunks': 0,
+                                'bulk_events': 0,
+                                'fallback_flushes': 0,
+                                'deletes_safe': 0,
+                                'deletes_unsafe': 0,
+                                'vertices_invalidated': 0,
+                                'repair_visits': 0},
+                   'rank_counters': 'c0bcc1623409aab5dce0feeca4447b32ab01eda1',
+                   'store': {'probe_count': 109878,
+                             'displacement_count': 16516,
+                             'resize_count': 108,
+                             'low_degree_scans': 336,
+                             'promotions': 12},
+                   'edges': '319a079919ed72c021a367f97f2c70ea4a160cc5',
+                   'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
+                   'collections': []},
+ 'squash_16_on': {'clock': ['0x1.f488529f5ea58p-10',
+                            '0x1.f43b25c5e1c6fp-10',
+                            '0x1.f2a1c8922a09fp-10',
+                            '0x1.f297b79730036p-10',
+                            '0x1.f06400b07e899p-10',
+                            '0x1.eceacf6c38e0cp-10',
+                            '0x1.f4d2247a882c2p-10',
+                            '0x1.f5189b575e5b8p-10',
+                            '0x1.f4c4b8813acdep-10',
+                            '0x1.f39d711494b2bp-10',
+                            '0x1.f48bad9db1fcep-10',
+                            '0x1.f4346fc93b17ep-10',
+                            '0x1.f47e41a4649e8p-10',
+                            '0x1.f2803aa2e89e6p-10',
+                            '0x1.f3d9d6f670db1p-10',
+                            '0x1.f27629a7ee97ap-10'],
+                  'busy': ['0x1.8f81e8a2ec269p-11',
+                           '0x1.bfe6347cdf407p-11',
+                           '0x1.12556d19dececp-11',
+                           '0x1.be46214c80e0fp-11',
+                           '0x1.b98775aaa6f9ep-11',
+                           '0x1.0498ebf4b0435p-11',
+                           '0x1.bc9f581f7bb58p-11',
+                           '0x1.a5b6078e69aedp-11',
+                           '0x1.e3c2b29797664p-12',
+                           '0x1.0eb752e80461cp-11',
+                           '0x1.545770295d981p-10',
+                           '0x1.0bc7b45f17bf2p-11',
+                           '0x1.e29b6b2af14a8p-12',
+                           '0x1.1b1a37b9aaa48p-10',
+                           '0x1.c49774256bbcdp-11',
+                           '0x1.f9419fdd807efp-12'],
+                  'loop': {'actions_executed': 41948,
+                           'messages_delivered': 37121,
+                           'messages_squashed': 3562,
+                           'batch_sends': 17253,
+                           'stall_time': '0x0.0p+0'},
+                  'counters': {'source_events': 4811,
+                               'edge_inserts': 9622,
+                               'edge_deletes': 0,
+                               'visits': 37121,
+                               'messages_sent_local': 9382,
+                               'messages_sent_remote': 27739,
+                               'control_messages': 0,
+                               'busy_time': '0x1.7de4316d604a6p-7',
+                               'updates_squashed': 3562,
+                               'batch_sends': 17253,
+                               'bulk_chunks': 0,
+                               'bulk_events': 0,
+                               'fallback_flushes': 0,
+                               'deletes_safe': 0,
+                               'deletes_unsafe': 0,
+                               'vertices_invalidated': 0,
+                               'repair_visits': 0},
+                  'rank_counters': '830ffff5f9b9cdad8859b705d991b1af7896af48',
+                  'store': {'probe_count': 106520,
+                            'displacement_count': 16587,
+                            'resize_count': 108,
+                            'low_degree_scans': 336,
+                            'promotions': 12},
+                  'edges': 'df36c43c1cd9c5510a4692560d4a348af9baac0e',
+                  'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
+                  'collections': []},
+ 'obs_cc': {'clock': ['0x1.330ecb1ef7db4p-7',
+                      '0x1.330667a327805p-7',
+                      '0x1.3312917d159e0p-7',
+                      '0x1.33001d064b3c1p-7'],
+            'busy': ['0x1.9e45d0c4a9293p-8',
+                     '0x1.a07a5e6aef795p-8',
+                     '0x1.a465a57646c3fp-8',
+                     '0x1.a2ecff723b9c9p-8'],
+            'loop': {'actions_executed': 76381,
+                     'messages_delivered': 59993,
+                     'messages_squashed': 50,
+                     'batch_sends': 13703,
+                     'stall_time': '0x0.0p+0'},
+            'counters': {'source_events': 16384,
+                         'edge_inserts': 32722,
+                         'edge_deletes': 0,
+                         'visits': 59993,
+                         'messages_sent_local': 59993,
+                         'messages_sent_remote': 0,
+                         'control_messages': 0,
+                         'busy_time': '0x1.a184b50606c0cp-6',
+                         'updates_squashed': 50,
+                         'batch_sends': 13703,
+                         'bulk_chunks': 0,
+                         'bulk_events': 0,
+                         'fallback_flushes': 0,
+                         'deletes_safe': 0,
+                         'deletes_unsafe': 0,
+                         'vertices_invalidated': 0,
+                         'repair_visits': 0},
+            'rank_counters': 'd663a605a349386627b9fac313d16f1f1c1d005b',
+            'store': {'probe_count': 153070,
+                      'displacement_count': 13502,
+                      'resize_count': 150,
+                      'low_degree_scans': 88020,
+                      'promotions': 2256},
+            'edges': '366cc8c98ace5f961359da8bb3860debbd2907ef',
+            'state': {'cc': '7c15c69f16f5e1e582e9134e0aedc6344e9201bb'},
+            'collections': []},
  'checkpointed': {'clock': ['0x1.717df19d66a2ep-11',
                             '0x1.72a5390a0cbe7p-11',
                             '0x1.71773ba0bff3bp-11',
@@ -668,6 +1385,12 @@ def test_observers_do_not_move_the_ledger():
     engine = _bfs_cc(plugins=[TracerPlugin(), MetricsPlugin()])
     assert engine.tracer is not None and engine.metrics is not None
     _check(ledger(engine), PINNED["bfs_cc"], "bfs_cc observed")
+
+
+def test_tracing_does_not_move_the_obs_leg():
+    """``bench_obs_overhead`` reports its traced run beside the untraced
+    one: both are the ``obs_cc`` ledger."""
+    _check(ledger(_obs_cc([TracerPlugin()])), PINNED["obs_cc"], "obs_cc traced")
 
 
 def test_remote_latency_leg_crosses_nodes():
