@@ -8,8 +8,10 @@ stored:
 
 * :class:`Universe` — raw vertex ids in **arrival order**: a dense
   position is assigned once and never moves, so per-vertex arrays only
-  grow at their end; a sorted view makes :meth:`Universe.resolve`,
-  the one id → position call, O(log V) per distinct id.
+  grow at their end.  :meth:`Universe.resolve`, the one id → position
+  call, is one gather from a direct table while the ids are small
+  non-negative integers (:data:`TABLE_DENSITY`), and O(log V) per
+  distinct id over a sorted view once one is not.
 * :class:`EdgeRuns` — the directed edges in dense positions, sorted by
   ``key = tail << 32 | head``, in a large **base** run and a small
   **delta** run, each holding only ``keys`` and ``weights`` (a head is
@@ -46,6 +48,14 @@ _LOW = np.uint64(0xFFFFFFFF)
 #: constant of the structure, not a knob; a batch that large (every
 #: chunk of an early bulk replay) goes straight into the base.
 FOLD_FRACTION = 4
+
+#: A :class:`Universe` resolves ids by a direct table while each batch's
+#: ids lie in ``[0, TABLE_DENSITY * (len(universe) + len(batch)) +
+#: TABLE_SLACK)``, the table never longer than that bound; the first id
+#: outside it switches the universe to a sorted index for good.
+#: Constants of the structure, not knobs.
+TABLE_DENSITY = 4
+TABLE_SLACK = 1 << 16
 
 #: Stream events per batch on both vectorized paths: the default of the
 #: DES replay's ``BulkIngestPlugin(chunk=)`` and of an mp rank's
@@ -110,13 +120,27 @@ def last_of_each(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return keys[starts], np.maximum.reduceat(order, starts)
 
 
+def _admit_check(start: int, n_fresh: int) -> None:
+    if start + n_fresh >= (1 << 32):  # pragma: no cover - key encoding
+        raise OverflowError("vertex universe exceeds 2^32 vertices")
+
+
 class Universe:
     """Arrival-ordered, append-only vertex universe: ``ids[pos]`` is the
-    raw id at dense position ``pos``."""
+    raw id at dense position ``pos``.
+
+    Ids reach positions through a direct table (``table[id]`` is the
+    position, -1 for an id not admitted) while every id seen is a
+    non-negative integer below :data:`TABLE_DENSITY` times the universe
+    plus batch size, plus :data:`TABLE_SLACK`; the first id outside that
+    bound switches the universe, once and for good, to a sorted index.
+    Both give every id the same position.
+    """
 
     def __init__(self) -> None:
         self.ids = _EMPTY_I64
-        self._sorted = _EMPTY_I64  # ids, ascending
+        self._table: np.ndarray | None = _EMPTY_I64  # None: switched
+        self._sorted = _EMPTY_I64  # ids, ascending (sorted index only)
         self._perm = _EMPTY_I64  # dense position of each sorted entry
 
     def __len__(self) -> int:
@@ -124,21 +148,52 @@ class Universe:
 
     def resolve(self, vids: np.ndarray) -> np.ndarray:
         """The dense position of every entry of ``vids`` — the layer's
-        one id → position call.  The entries are sorted once and only
-        the distinct ids are searched for; the search places the known
-        ones and is the insertion point of the rest, which are admitted
-        (ascending) at the end.  Existing positions never move."""
-        distinct, inverse = np.unique(
-            np.asarray(vids, dtype=np.int64), return_inverse=True
-        )
+        one id → position call.  Ids not seen before are admitted at
+        the end, ascending; existing positions never move."""
+        vids = np.asarray(vids, dtype=np.int64)
+        table = self._table
+        if table is not None:
+            top = int(vids.max(initial=-1))
+            bound = TABLE_DENSITY * (self.ids.size + vids.size) + TABLE_SLACK
+            if int(vids.min(initial=0)) >= 0 and top < bound:
+                return self._gather(table, vids, top, bound)
+            self._table = None  # once and for good
+            self._perm = np.argsort(self.ids)  # ids are distinct
+            self._sorted = self.ids[self._perm]
+        return self._search(vids)
+
+    def _gather(
+        self, table: np.ndarray, vids: np.ndarray, top: int, bound: int
+    ) -> np.ndarray:
+        """Table path: one gather, and a sort of the misses only."""
+        if top >= table.size:
+            grown = np.full(min(bound, max(top + 1, 2 * table.size)), -1, np.int64)
+            grown[: table.size] = table
+            self._table = table = grown
+        pos = table[vids]
+        miss = pos < 0
+        if miss.any():
+            missing = vids[miss]
+            fresh = sorted_unique(missing)
+            start = self.ids.size
+            _admit_check(start, fresh.size)
+            table[fresh] = np.arange(start, start + fresh.size)
+            self.ids = np.concatenate([self.ids, fresh])
+            pos[miss] = table[missing]
+        return pos
+
+    def _search(self, vids: np.ndarray) -> np.ndarray:
+        """Sorted-index path: the entries are sorted once and only the
+        distinct ids are searched for; the search places the known ones
+        and is the insertion point of the rest."""
+        distinct, inverse = np.unique(vids, return_inverse=True)
         at, hit = _find(self._sorted, distinct)
         pos = self._perm.take(at, mode="clip") if self.ids.size else at
         if not hit.all():
             miss = ~hit
             fresh, at = distinct[miss], at[miss]
             start = self.ids.size
-            if start + fresh.size >= (1 << 32):  # pragma: no cover - key encoding
-                raise OverflowError("vertex universe exceeds 2^32 vertices")
+            _admit_check(start, fresh.size)
             pos[miss] = taken = np.arange(start, start + fresh.size)
             self._sorted = np.insert(self._sorted, at, fresh)
             self._perm = np.insert(self._perm, at, taken)

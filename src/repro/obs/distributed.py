@@ -49,6 +49,10 @@ from repro.obs.tracer import Tracer
 #: CPU.
 MP_BUSY_CATEGORIES = ("drain", "compute", "ingest", "emit", "ctrl")
 
+#: Busy intervals a :class:`RankObs` keeps for merging (spans nest a
+#: level or two deep, so a closing span reaches only the last few).
+_BUSY_INTERVALS = 256
+
 
 @dataclass(frozen=True)
 class ObsConfig:
@@ -120,7 +124,8 @@ class RankObs:
         "tracer",
         "registry",
         "busy_seconds",
-        "_busy_until",
+        "_busy",
+        "_busy_floor",
     )
 
     def __init__(self, rank: int, config: ObsConfig):
@@ -130,7 +135,10 @@ class RankObs:
         self.tracer: Tracer | None = Tracer() if config.trace else None
         self.registry: MetricsRegistry = MetricsRegistry()
         self.busy_seconds = 0.0
-        self._busy_until = 0.0
+        # The busy union as disjoint (start, end) intervals, ascending;
+        # the instants before ``_busy_floor`` were dropped from the list.
+        self._busy: list[tuple[float, float]] = []
+        self._busy_floor = 0.0
 
     def now(self) -> float:
         return time.perf_counter() - self.anchor.perf
@@ -144,21 +152,38 @@ class RankObs:
         args: dict[str, Any] | None = None,
         busy: bool = True,
     ) -> None:
-        """Close a span opened at ``t0`` (ends now).  Pass
-        ``busy=False`` for a span fully nested inside another busy span
-        so its time is not double-counted in ``busy_seconds``.  Busy
-        accounting is watermark-based: only the portion of a span past
-        the furthest already-counted instant accrues, so overlapping
-        spans (an ``emit`` flushed mid-``dispatch``) can never push
-        ``busy_seconds`` above wall time."""
+        """Close a span opened at ``t0`` (ends now).  ``busy_seconds``
+        is the measure of the union of busy spans: a span accrues what
+        no span counted before it covers, so an outer span keeps its
+        time around a nested busy child (an ``emit`` flushed inside a
+        ``drain``) and overlapping spans never count an instant twice —
+        the total never exceeds wall time.  ``busy=False`` leaves a span
+        out of the accounting altogether."""
         t1 = self.now()
         if busy and cat in MP_BUSY_CATEGORIES:
-            start = max(t0, self._busy_until)
-            if t1 > start:
-                self.busy_seconds += t1 - start
-                self._busy_until = t1
+            self._count_busy(t0, t1)
         if self.tracer is not None:
             self.tracer.span(self.rank, name, t0, t1, cat, args)
+
+    def _count_busy(self, t0: float, t1: float) -> None:
+        """Add ``[t0, t1]`` to the busy union.  Spans close in time
+        order, so every counted interval ends by ``t1`` and the ones
+        this span reaches are a suffix of the list, merged into it.
+        Only the last :data:`_BUSY_INTERVALS` intervals are kept: a span
+        reaching back past them accrues from ``_busy_floor`` on."""
+        busy = self._busy
+        start, added = t0, t1 - max(t0, self._busy_floor)
+        while busy and busy[-1][1] >= t0:
+            s, e = busy.pop()
+            added -= e - max(s, t0)
+            start = min(start, s)
+        if added > 0:
+            self.busy_seconds += added
+        busy.append((start, t1))
+        if len(busy) > _BUSY_INTERVALS:
+            half = len(busy) // 2
+            self._busy_floor = busy[half - 1][1]
+            del busy[:half]
 
     def instant(
         self, name: str, cat: str = "ctrl", args: dict[str, Any] | None = None

@@ -1,4 +1,4 @@
-"""What rides a ring slab: pickled tuple batches or numpy record arrays.
+"""What rides a ring slab: pickled tuple batches or int64 record columns.
 
 An mp run speaks exactly one of two wire formats, decided for every
 rank before the first event (:func:`repro.parallel.vecapply.vec_eligible`):
@@ -9,20 +9,24 @@ rank before the first event (:func:`repro.parallel.vecapply.vec_eligible`):
   The list is the batch, so order within it — the §III-C per-channel
   FIFO guarantee — is preserved by construction.
 * **Vec ranks exchange arrays.**  The vectorized drain
-  (:mod:`repro.parallel.vecapply`) queues structured record arrays that
-  are copied onto the ring as they are and decode as zero-copy views
-  over the shared pages; no tuple exists on either end:
+  (:mod:`repro.parallel.vecapply`) queues record batches as C contiguous
+  little-endian int64 column blocks, which are copied onto the ring as
+  they are and decode as zero-copy ``(C, n)`` views over the shared
+  pages (row ``c`` is column ``c`` of ``n`` records); no tuple exists on
+  either end:
 
-  ========== =========================================================
-  K_ADD      ``src i8, dst i8, weight i8, ver u4``            (28 B)
-  K_RADD     ``dst i8, src i8, weight i8, ver u4, vals u8×P`` (28+8P B)
-  K_UPDATE   ``prog u2, target i8, sender i8, value u8, weight i8,
-             ver u4``                                         (38 B)
-  ========== =========================================================
+  ========== ================================================ ========
+  K_ADD      ``src, dst, weight``                             24 B
+  K_RADD     ``dst, src, weight, value × P``                  24+8P B
+  K_UPDATE   ``prog, target, sender, value, weight``          40 B
+  ========== ================================================ ========
 
   ``P`` is the number of loaded programs (RADD carries one value per
-  program).  Values are 64-bit *bit patterns* of the owning program's
-  ``bulk_kernel`` dtype (int64 min-plus costs, uint64 max-label hashes).
+  program).  A value is the 64-bit *bit pattern* of the owning program's
+  ``bulk_kernel`` dtype (int64 min-plus costs, uint64 max-label hashes),
+  read back with ``.view(dtype)``.  There is no version column: a vec
+  run has no stream cut, so every version is 0 (the tuple lane carries
+  one).
 
 Fixed records pay where one end is an array; between two Python tuple
 ends they measured 3x (one kind) to 27x (alternating kinds) slower than
@@ -41,45 +45,27 @@ import numpy as np
 
 from repro.parallel.shm import K_PICKLE
 
-ADD_DTYPE = np.dtype(
-    [("src", "<i8"), ("dst", "<i8"), ("weight", "<i8"), ("ver", "<u4")]
-)
-
-UPDATE_DTYPE = np.dtype(
-    [
-        ("prog", "<u2"),
-        ("target", "<i8"),
-        ("sender", "<i8"),
-        ("value", "<u8"),
-        ("weight", "<i8"),
-        ("ver", "<u4"),
-    ]
-)
+#: Columns of each record kind, in row order; RADD appends one value
+#: row per program.
+ADD_COLUMNS = ("src", "dst", "weight")
+RADD_COLUMNS = ("dst", "src", "weight")
+UPDATE_COLUMNS = ("prog", "target", "sender", "value", "weight")
 
 
-def radd_dtype(n_programs: int) -> np.dtype:
-    """RADD record layout for a run loading ``n_programs`` programs."""
-    return np.dtype(
-        [
-            ("dst", "<i8"),
-            ("src", "<i8"),
-            ("weight", "<i8"),
-            ("ver", "<u4"),
-            ("vals", "<u8", (n_programs,)),
-        ]
-    )
+def _columns(payload: np.ndarray | bytes, n_columns: int) -> np.ndarray:
+    return np.frombuffer(payload, dtype="<i8").reshape(n_columns, -1)
 
 
 class Codec:
     """Wire codec bound to one run's program list.
 
     Both ends build it from the same ``programs`` list (workers get it
-    in their spawn args), so the RADD record width agrees by construction.
+    in their spawn args), so the RADD column count agrees by construction.
     """
 
     def __init__(self, programs: Sequence[Any]):
         self.n_programs = len(programs)
-        self.radd_dtype = radd_dtype(self.n_programs)
+        self.radd_columns = len(RADD_COLUMNS) + self.n_programs
 
     # -- tuple lane (per-event ranks) ----------------------------------
     def encode_batch(self, msgs: list[tuple]) -> tuple[int, int, bytes]:
@@ -91,12 +77,12 @@ class Codec:
         """The visitor tuples a ``K_PICKLE`` slab was packed from."""
         return pickle.loads(payload)
 
-    # -- array lane (vec ranks): zero-copy record views ----------------
-    def add_view(self, payload: np.ndarray) -> np.ndarray:
-        return np.frombuffer(payload, dtype=ADD_DTYPE)
+    # -- array lane (vec ranks): zero-copy (columns, n) views ----------
+    def add_view(self, payload: np.ndarray | bytes) -> np.ndarray:
+        return _columns(payload, len(ADD_COLUMNS))
 
-    def radd_view(self, payload: np.ndarray) -> np.ndarray:
-        return np.frombuffer(payload, dtype=self.radd_dtype)
+    def radd_view(self, payload: np.ndarray | bytes) -> np.ndarray:
+        return _columns(payload, self.radd_columns)
 
-    def update_view(self, payload: np.ndarray) -> np.ndarray:
-        return np.frombuffer(payload, dtype=UPDATE_DTYPE)
+    def update_view(self, payload: np.ndarray | bytes) -> np.ndarray:
+        return _columns(payload, len(UPDATE_COLUMNS))

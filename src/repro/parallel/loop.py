@@ -19,7 +19,7 @@ Differences from the simulated NIC, by design:
 * **Outbuffers instead of per-send latency.**  Cross-rank messages
   buffer per destination and travel as slabs
   (:class:`repro.parallel.codec.Codec`: one pickled tuple batch per
-  flush on a per-event rank, record arrays on a vec rank) pushed onto
+  flush on a per-event rank, int64 record columns on a vec rank) pushed onto
   the destination's shm ring when the buffer reaches a flush threshold
   (or the worker goes idle) — the PR 1 ``send_many`` batching moved onto
   the wire.  The threshold can be *randomized per flush*
@@ -46,14 +46,24 @@ Differences from the simulated NIC, by design:
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Callable
+from typing import Any, Callable, Sequence
 
 import numpy as np
 
-from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec
+from repro.parallel.codec import Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE, ShmRing
 from repro.parallel.wire import FRAME_DOORBELL
 from repro.runtime.visitor import VT_UPDATE
+
+
+def _records(sel: Any, n: int, *cols: Any) -> np.ndarray:
+    """Entries ``sel`` (``n`` of them) of ``cols`` as one C contiguous
+    ``(len(cols), n)`` int64 block, a column per row; an int column is
+    one value for every record.  64-bit values keep their bits."""
+    out = np.empty((len(cols), n), dtype=np.int64)
+    for row, col in zip(out, cols):
+        row[...] = col if isinstance(col, int) else col[sel]
+    return out
 
 
 class _Pending:
@@ -79,7 +89,7 @@ class ShmLoop:
 
     A rank fills one of two per-destination buffers for the whole run
     — visitor tuples (``send`` / ``send_many``, per-event ranks) or
-    structured record arrays (``queue_*``, the vectorized drain of
+    int64 record columns (``queue_*``, the vectorized drain of
     :mod:`repro.parallel.vecapply`, which never passes through tuple
     space) — and both join the termination accounting, with the
     **overflow queue** that holds slabs a full ring refused
@@ -141,7 +151,7 @@ class ShmLoop:
         self._combiners: list[Callable[[tuple, tuple], tuple] | None] = []
         self._overflow: dict[int, deque] = {d: deque() for d in rings_out}
         self._overflow_records = 0
-        # dst -> list of (kind, structured record array)
+        # dst -> list of (kind, (columns, n) int64 record block)
         self._rec_out: dict[int, list[tuple[int, np.ndarray]]] = {
             d: [] for d in rings_out
         }
@@ -272,7 +282,7 @@ class ShmLoop:
 
     def flush(self, dst_rank: int) -> None:
         """Turn one destination's buffered visitors (per-event rank) or
-        queued record arrays (vec rank) into slabs and push them,
+        queued record blocks (vec rank) into slabs and push them,
         overflowing without blocking.  Either buffer is FIFO and a run
         fills only one of them, so channel order (§III-C) is the order
         of the slabs."""
@@ -301,9 +311,11 @@ class ShmLoop:
             self.pickle_records += len(batch)
         if recs:
             for kind, arr in recs:
-                per = max(1, limit // arr.itemsize)
-                parts = (arr[i : i + per] for i in range(0, len(arr), per))
-                slabs.extend((kind, len(part), part) for part in parts)
+                per = max(1, limit // (arr.itemsize * len(arr)))  # records
+                for i in range(0, arr.shape[1], per):
+                    # A whole block is its own contiguous slice: no copy.
+                    part = np.ascontiguousarray(arr[:, i : i + per])
+                    slabs.append((kind, part.shape[1], part))
             self._rec_out[dst_rank] = []
             self._rec_counts[dst_rank] = 0
         self._push_slabs(dst_rank, slabs)
@@ -395,57 +407,43 @@ class ShmLoop:
         """Queue ADD records from bulk stream ingest, routed to each
         source vertex's owner (never this rank — local events apply
         in-drain)."""
-        for dst_rank, sel in self._by_owner(srcs, owners):
-            arr = np.empty(int(sel.sum()), dtype=ADD_DTYPE)
-            arr["src"] = srcs[sel]
-            arr["dst"] = dsts[sel]
-            arr["weight"] = weights[sel]
-            arr["ver"] = 0
-            self._queue_records(dst_rank, K_ADD, arr)
+        for dst_rank, sel, n in self._by_owner(srcs, owners):
+            self._queue_records(dst_rank, K_ADD, _records(sel, n, srcs, dsts, weights))
 
     def queue_update(
         self,
         prog: int,
         targets: np.ndarray,
         senders: np.ndarray,
-        values_u64: np.ndarray,
+        values: np.ndarray,
         weights: np.ndarray,
         owners: np.ndarray | None = None,
     ) -> None:
-        """Queue UPDATE records (value already a u64 bit pattern),
-        routed to each target's owner.  Callers only pass remote
-        targets — local offers are applied in-drain."""
-        for dst_rank, sel in self._by_owner(targets, owners):
-            arr = np.empty(int(sel.sum()), dtype=UPDATE_DTYPE)
-            arr["prog"] = prog
-            arr["target"] = targets[sel]
-            arr["sender"] = senders[sel]
-            arr["value"] = values_u64[sel]
-            arr["weight"] = weights[sel]
-            arr["ver"] = 0
-            self._queue_records(dst_rank, K_UPDATE, arr)
+        """Queue UPDATE records (``values`` int64 or uint64, carried as
+        their bit patterns), routed to each target's owner.  Callers
+        only pass remote targets — local offers are applied in-drain."""
+        for dst_rank, sel, n in self._by_owner(targets, owners):
+            recs = _records(sel, n, prog, targets, senders, values, weights)
+            self._queue_records(dst_rank, K_UPDATE, recs)
 
     def queue_radd(
         self,
         dsts: np.ndarray,
         srcs: np.ndarray,
         weights: np.ndarray,
-        vals_u64: np.ndarray,
+        vals: Sequence[np.ndarray],
         owners: np.ndarray | None = None,
     ) -> None:
-        """Queue REVERSE_ADD records (``vals_u64`` one row per record),
-        routed to each destination vertex's owner."""
-        for dst_rank, sel in self._by_owner(dsts, owners):
-            arr = np.empty(int(sel.sum()), dtype=self._codec.radd_dtype)
-            arr["dst"] = dsts[sel]
-            arr["src"] = srcs[sel]
-            arr["weight"] = weights[sel]
-            arr["ver"] = 0
-            arr["vals"] = vals_u64[sel]
-            self._queue_records(dst_rank, K_RADD, arr)
+        """Queue REVERSE_ADD records (``vals`` one column per program,
+        int64 or uint64), routed to each destination vertex's owner."""
+        for dst_rank, sel, n in self._by_owner(dsts, owners):
+            recs = _records(sel, n, dsts, srcs, weights, *vals)
+            self._queue_records(dst_rank, K_RADD, recs)
 
     def _by_owner(self, vids: np.ndarray, owners: np.ndarray | None):
-        """``(rank, mask)`` per rank owning some of ``vids``, ascending.
+        """``(rank, sel, n)`` per rank owning ``n`` of ``vids``,
+        ascending; ``sel`` selects them — ``slice(None)``, no mask, when
+        one rank owns them all.
 
         ``owners`` is the owner rank of each of ``vids``: the vectorized
         drain reads it off ``DenseState.owner`` (and ingest off its own
@@ -454,14 +452,16 @@ class ShmLoop:
         if owners is None:
             owners = self._partitioner.owner_array(vids)
         counts = np.bincount(owners, minlength=self.n_ranks)
-        for dst_rank in np.flatnonzero(counts).tolist():
-            yield dst_rank, owners == dst_rank
+        ranks = np.flatnonzero(counts).tolist()
+        for dst_rank in ranks:
+            sel = slice(None) if len(ranks) == 1 else owners == dst_rank
+            yield dst_rank, sel, int(counts[dst_rank])
 
-    def _queue_records(self, dst_rank: int, kind: int, arr: np.ndarray) -> None:
+    def _queue_records(self, dst_rank: int, kind: int, recs: np.ndarray) -> None:
         if dst_rank == self.rank:
             raise RuntimeError("vectorized drain queued records to itself")
-        self._rec_out[dst_rank].append((kind, arr))
-        self._rec_counts[dst_rank] += len(arr)
+        self._rec_out[dst_rank].append((kind, recs))
+        self._rec_counts[dst_rank] += recs.shape[1]
         if self._rec_counts[dst_rank] >= self._threshold:
             self.flush(dst_rank)
 

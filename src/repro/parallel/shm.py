@@ -3,11 +3,11 @@
 The mp backend's *data plane*: one :class:`ShmRing` per ordered
 ``(src, dst)`` rank pair, carved out of a ``multiprocessing.shared_memory``
 segment the parent creates before spawning workers.  The producer
-copies a slab payload in — a vec rank's record array or a per-event
+copies a slab payload in — a vec rank's record columns or a per-event
 rank's pickled tuple batch (:mod:`repro.parallel.codec`; a run carries
 one of the two, never both) — and commits it with a single tail-pointer
 store; the consumer reads it *directly over the shared pages*, as numpy
-record views or one ``pickle.loads`` per slab, with no socket syscalls.
+column views or one ``pickle.loads`` per slab, with no socket syscalls.
 Pipes remain for the control plane only (token ring, doorbells, stop,
 harvest).
 

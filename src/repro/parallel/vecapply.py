@@ -80,7 +80,7 @@ import numpy as np
 
 from repro.kernels.frontier import kernel_eligible, relax_to_fixpoint
 from repro.kernels.mirror import DenseState, edge_keys, last_of_each
-from repro.parallel.codec import ADD_DTYPE, Codec
+from repro.parallel.codec import Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 
 
@@ -167,12 +167,8 @@ class VecApplier:
         if remote.any():
             loop.queue_add(src[remote], dst[remote], weights[remote], owner[remote])
         if local.any():
-            arr = np.empty(int(local.sum()), dtype=ADD_DTYPE)
-            arr["src"] = src[local]
-            arr["dst"] = dst[local]
-            arr["weight"] = weights[local]
-            arr["ver"] = 0
-            self._held.append(arr)
+            # Held as the ADD record columns a slab would decode to.
+            self._held.append(np.stack([src[local], dst[local], weights[local]]))
 
     @property
     def holding(self) -> bool:
@@ -207,10 +203,11 @@ class VecApplier:
         self._held = []
         radds = [codec.radd_view(p) for kind, _n, _s, p in slabs if kind == K_RADD]
         upds = [codec.update_view(p) for kind, _n, _s, p in slabs if kind == K_UPDATE]
-        add = np.concatenate(adds) if adds else None
-        radd = np.concatenate(radds) if radds else None
-        upd = np.concatenate(upds) if upds else None
-        n_records = sum(int(a.size) for a in (add, radd, upd) if a is not None)
+        # (columns, n) blocks, records along axis 1 (codec's row order).
+        add = np.concatenate(adds, axis=1) if adds else None
+        radd = np.concatenate(radds, axis=1) if radds else None
+        upd = np.concatenate(upds, axis=1) if upds else None
+        n_records = sum(a.shape[1] for a in (add, radd, upd) if a is not None)
         if n_records == 0:
             return 0
         obs = self.obs
@@ -223,11 +220,11 @@ class VecApplier:
         # grows the universe, so every array captured below stays current).
         cols = {}
         if add is not None:
-            cols["add_src"], cols["add_dst"] = add["src"], add["dst"]
+            cols["add_src"], cols["add_dst"] = add[0], add[1]
         if radd is not None:
-            cols["radd_dst"], cols["radd_src"] = radd["dst"], radd["src"]
+            cols["radd_dst"], cols["radd_src"] = radd[0], radd[1]
         if upd is not None:
-            cols["upd_target"] = upd["target"]
+            cols["upd_target"] = upd[1]
         st = self.state
         pos = st.resolve(np.concatenate(list(cols.values())))
         cuts = np.cumsum([c.size for c in cols.values()])[:-1]
@@ -239,7 +236,7 @@ class VecApplier:
         arrived: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         if add is not None:
             src_idx, dst_idx = idx["add_src"], idx["add_dst"]
-            w = add["weight"].astype(np.int64)
+            w = add[2]
             arrived.append((src_idx, dst_idx, w))
             for written in st.written:
                 written[src_idx] = True  # on_add seeds the source
@@ -249,12 +246,11 @@ class VecApplier:
                 # Synthesize the REVERSE_ADD the per-event path emits,
                 # carrying the source's current (seeded) values.
                 s_r = src_idx[remote]
-                vals = np.stack([v[s_r].astype(np.uint64) for v in st.values], axis=1)
                 loop.queue_radd(
-                    add["dst"][remote],
-                    add["src"][remote],
+                    add[1][remote],
+                    add[0][remote],
                     w[remote],
-                    vals,
+                    [v[s_r] for v in st.values],
                     st.owner[dst_idx[remote]],
                 )
             if local.any():
@@ -277,32 +273,28 @@ class VecApplier:
             if own.any():
                 raise RuntimeError(
                     f"rank {self.rank} got a REVERSE_ADD from vertex "
-                    f"{int(radd['src'][own][0])}, which it owns: a REVERSE_ADD "
+                    f"{int(radd[1][own][0])}, which it owns: a REVERSE_ADD "
                     "comes only from its source's owner, never to it"
                 )
-            rsrc = radd["src"].astype(np.int64)
-            rw = radd["weight"].astype(np.int64)
-            rvals = radd["vals"].reshape(-1, self.n_programs)
+            rsrc, rw = radd[1], radd[2]
             arrived.append((dst_idx, rsrc_idx, rw))
             carried = []
             for p, k in enumerate(self.kernels):
-                vis = k.materialize(rvals[:, p].astype(k.dtype), rsrc)
+                vis = k.materialize(radd[3 + p].view(k.dtype), rsrc)
                 # on_reverse_add seeds the destination, then offers.
                 changed[p].append(st.offer(p, dst_idx, k.relax(vis, rw)))
                 carried.append(vis)
 
         # --- UPDATE: offer relax(vis_val, weight) at the target -------
         if upd is not None:
-            progs = upd["prog"].astype(np.int64)
+            progs, _target, senders, values, weights = upd
             target_idx = idx["upd_target"]
             for p, k in enumerate(self.kernels):
                 sel = progs == p
                 if not sel.any():
                     continue
-                sender = upd["sender"][sel].astype(np.int64)
-                value = upd["value"][sel].astype(k.dtype)
-                w = upd["weight"][sel].astype(np.int64)
-                vis = k.materialize(value, sender)
+                sender, w = senders[sel], weights[sel]
+                vis = k.materialize(values[sel].view(k.dtype), sender)
                 # on_update seeds the target, then offers.
                 changed[p].append(st.offer(p, target_idx[sel], k.relax(vis, w)))
 
@@ -323,7 +315,7 @@ class VecApplier:
                         p,
                         rsrc[mask],
                         ids[dst_idx[mask]],
-                        final[mask].astype(np.uint64),
+                        final[mask],
                         rw[mask],
                         st.owner[rsrc_idx[mask]],
                     )
@@ -370,7 +362,7 @@ class VecApplier:
                 p,
                 ids[heads],
                 ids[tails],
-                v[last].astype(np.uint64),
+                v[last],
                 w[last],
                 st.owner[heads],
             )

@@ -36,7 +36,7 @@ from repro.kernels import frontier, mirror
 from repro.kernels.frontier import relax_to_fixpoint
 from repro.kernels.mirror import DenseState, EdgeRuns, _Run
 from repro.parallel import WireConfig, run_parallel, vecapply
-from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec
+from repro.parallel.codec import Codec
 from repro.parallel.loop import ShmLoop
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 from repro.parallel.vecapply import VecApplier
@@ -160,15 +160,15 @@ def test_a_vec_drain_resolves_its_ids_once(calls):
     applier = VecApplier(engine, 0, codec)
     calls.count(DenseState, "resolve")
     src, dst = random_edges(5, 40, 30)
-    add = np.zeros(30, dtype=ADD_DTYPE)
-    add["src"], add["dst"], add["weight"] = src, dst, 1
+    # Records as the codec's int64 column blocks, a column per row.
+    add = np.stack([src, dst, np.ones(30, dtype=np.int64)])
     # A REVERSE_ADD comes from its source's owner: the peer.
     peer = np.flatnonzero(engine.partitioner.owner_array(np.arange(200)) == 1)
-    radd = np.zeros(20, dtype=codec.radd_dtype)
-    radd["dst"], radd["src"], radd["weight"] = dst[:20] + 40, peer[src[:20]], 1
-    upd = np.zeros(10, dtype=UPDATE_DTYPE)
-    upd["prog"], upd["target"], upd["sender"] = 0, dst[:10], src[:10] + 80
-    upd["value"], upd["weight"] = 3, 1
+    radd = np.zeros((codec.radd_columns, 20), dtype=np.int64)
+    radd[0], radd[1], radd[2] = dst[:20] + 40, peer[src[:20]], 1  # dst, src, weight
+    upd = np.zeros((5, 10), dtype=np.int64)
+    upd[1], upd[2] = dst[:10], src[:10] + 80  # target, sender (prog 0)
+    upd[3], upd[4] = 3, 1  # value, weight
     slabs = [(K_ADD, 30, 1, add), (K_RADD, 20, 1, radd), (K_UPDATE, 10, 1, upd)]
     assert applier.drain(slabs, NullLoop()) == 60
     # Five id columns (ADD src/dst, RADD dst/src, UPDATE target), one call.

@@ -1,5 +1,8 @@
 """The shared dense mirror (repro.kernels.mirror) against plain models.
 
+``Universe`` is checked against a dict model and, across its switch from
+the direct id table to the sorted index, against a universe that only
+ever had the index.
 ``EdgeRuns`` is checked step by step against a ``dict[(tail, head)] ->
 weight``: inserts, re-adds with a changed weight and duplicates inside
 one batch, in batch sizes that put the store on both sides of its fold
@@ -20,7 +23,14 @@ from hypothesis import strategies as st
 
 from repro import IncrementalCC, IncrementalSSSP
 from repro.kernels import mirror
-from repro.kernels.mirror import FOLD_FRACTION, DenseState, EdgeRuns, Universe
+from repro.kernels.mirror import (
+    FOLD_FRACTION,
+    TABLE_DENSITY,
+    TABLE_SLACK,
+    DenseState,
+    EdgeRuns,
+    Universe,
+)
 
 I64 = np.int64
 
@@ -61,6 +71,46 @@ class TestUniverse:
             assert u.ids.tolist() == list(model)
             # Known ids resolve to where they were admitted, and stay.
             assert u.resolve(arr(model)).tolist() == list(range(len(model)))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dense=st.lists(st.integers(0, 300), min_size=1, max_size=40),
+        crossing=st.sampled_from([-1, -(1 << 40), TABLE_SLACK + 4 * 81, 1 << 33, 1 << 62]),
+        after=st.lists(
+            st.one_of(st.integers(0, 400), st.integers(-(1 << 62), 1 << 62)), max_size=40
+        ),
+        cuts=st.lists(st.integers(1, 17), min_size=1, max_size=12),
+    )
+    def test_the_table_and_the_sorted_index_place_every_id_alike(
+        self, dense, crossing, after, cuts
+    ):
+        """A stream of dense ids crosses the table's bound through one
+        huge or negative id, then goes on with ids of any size, in any
+        chunking: the positions are those of a universe that only ever
+        had the sorted index."""
+        u, model = Universe(), Universe()
+        model._table = None  # the sorted index from the first call
+        ids = dense + [crossing] + after
+        at, k, switched = 0, 0, False
+        while at < len(ids):
+            chunk = arr(ids[at : at + cuts[k % len(cuts)]])
+            at, k = at + chunk.size, k + 1
+            switched = switched or crossing in chunk.tolist()
+            assert u.resolve(chunk).tolist() == model.resolve(chunk).tolist()
+            assert u.ids.tolist() == model.ids.tolist()
+            assert (u._table is None) == switched  # once, and for good
+        assert u.resolve(arr([])).size == 0
+
+    def test_the_first_id_at_the_bound_switches_to_the_sorted_index(self):
+        u = Universe()
+        below = TABLE_DENSITY * 1 + TABLE_SLACK - 1  # batch of one, empty universe
+        assert u.resolve(arr([below])).tolist() == [0]
+        assert u._table is not None and u._table.size <= below + 1
+        bound = TABLE_DENSITY * (1 + 2) + TABLE_SLACK
+        assert u.resolve(arr([bound, 3])).tolist() == [2, 1]
+        assert u._table is None
+        assert u.resolve(arr([3, below, 7])).tolist() == [1, 0, 3]
+        assert u.ids.tolist() == [below, 3, bound, 7]
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,8 @@ clock alignment, cross-rank merge, and the merged Chrome trace."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro import IncrementalCC
 from repro.events.stream import split_streams
@@ -111,6 +113,15 @@ class TestMergeAssociativity:
 # ----------------------------------------------------------------------
 # RankObs capture semantics
 # ----------------------------------------------------------------------
+class ClockedObs(RankObs):
+    """A capture whose clock reads ``t``, set by the test."""
+
+    __slots__ = ("t",)
+
+    def now(self):
+        return self.t
+
+
 class TestRankObs:
     def test_metrics_only_capture_has_no_tracer(self):
         obs = RankObs(0, ObsConfig(metrics=True))
@@ -134,6 +145,41 @@ class TestRankObs:
         obs.span("emit", t_outer, "emit")
         obs.span("dispatch", t_outer, "compute")
         assert obs.busy_seconds <= obs.now()
+
+    def test_an_outer_span_accrues_its_full_length_around_a_nested_child(self):
+        # A drain opened at 1 flushes an emit over [2, 3] and closes at
+        # 5: the rank was busy for 4 s, not for the 1 s of the emit plus
+        # what the drain ran after it.
+        obs = ClockedObs(0, ObsConfig(metrics=True))
+        obs.t = 3.0
+        obs.span("emit", 2.0, "emit")
+        obs.t = 5.0
+        obs.span("drain", 1.0, "drain")
+        assert obs.busy_seconds == 4.0
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 40), st.integers(0, 6)), max_size=30))
+    def test_busy_is_the_measure_of_the_union_of_busy_spans(self, spans):
+        """Spans close in time order (``t1`` never decreases) and open
+        anywhere before they close, nested or overlapping."""
+        obs, covered, t1 = ClockedObs(0, ObsConfig(metrics=True)), set(), 0
+        for back, step in spans:
+            t1 += step
+            t0 = max(t1 - back, 0)
+            obs.t = float(t1)
+            obs.span("drain", float(t0), "drain")
+            covered.update(range(t0, t1))  # unit cells [i, i + 1)
+            assert obs.busy_seconds == len(covered) <= t1
+
+    def test_a_span_reaching_past_the_kept_intervals_stays_within_wall(self):
+        obs = ClockedObs(0, ObsConfig(metrics=True))
+        for i in range(600):  # disjoint: [2i, 2i + 1]
+            obs.t = 2.0 * i + 1
+            obs.span("ingest", 2.0 * i, "ingest")
+        assert obs.busy_seconds == 600.0
+        obs.t = 1300.0
+        obs.span("drain", 0.0, "drain")  # over everything so far
+        assert 700.0 <= obs.busy_seconds <= 1300.0
 
     def test_busy_false_spans_record_but_do_not_accrue(self):
         obs = RankObs(1, ObsConfig(trace=True))

@@ -5,7 +5,8 @@ round-trip through ``encode_batch`` / ``decode_to_tuples`` to the
 *identical* tuple list — same order (the §III-C FIFO guarantee), same
 native-int values whatever their sign or width, same payload objects
 (generational tuples, S-T bitmaps) — as exactly one ``K_PICKLE`` slab.
-The array lane is three record layouts read back as zero-copy views.
+The array lane is three int64 column layouts read back as zero-copy
+``(columns, n)`` views.
 """
 
 import numpy as np
@@ -19,7 +20,7 @@ from repro import (
     MultiSTConnectivity,
     WidestPath,
 )
-from repro.parallel.codec import ADD_DTYPE, UPDATE_DTYPE, Codec, radd_dtype
+from repro.parallel.codec import ADD_COLUMNS, UPDATE_COLUMNS, Codec
 from repro.parallel.shm import K_PICKLE
 from repro.runtime.visitor import VT_ADD, VT_DEL, VT_RADD, VT_RDEL, VT_UPDATE
 
@@ -114,29 +115,42 @@ class TestSlabKinds:
         assert roundtrip(PACKABLE, batch) == batch
 
 
+def payload(*columns):
+    """The ring bytes of records given column by column: little-endian
+    int64, each column contiguous, in row order."""
+    raw = b"".join(np.asarray(c, dtype="<i8").tobytes() for c in columns)
+    return np.frombuffer(raw, dtype=np.uint8)
+
+
 class TestRecordViews:
     def test_add_view_is_zero_copy_over_the_payload(self):
-        recs = np.array([(3, 4, 5, 1), (6, 7, -8, 2)], dtype=ADD_DTYPE)
-        view = PACKABLE.add_view(np.frombuffer(recs.tobytes(), dtype=np.uint8))
-        assert view.dtype == ADD_DTYPE and view.base is not None
-        assert view["src"].tolist() == [3, 6]
-        assert view["dst"].tolist() == [4, 7]
-        assert view["weight"].tolist() == [5, -8]
-        assert view["ver"].tolist() == [1, 2]
+        assert ADD_COLUMNS == ("src", "dst", "weight")
+        raw = payload([3, 6], [4, 7], [5, -8])
+        view = PACKABLE.add_view(raw)
+        assert view.dtype == np.dtype("<i8") and view.shape == (3, 2)
+        assert view.flags.c_contiguous and np.shares_memory(view, raw)
+        assert view.tolist() == [[3, 6], [4, 7], [5, -8]]
+        assert raw.nbytes == 24 * 2  # 24 B per record, no version column
 
     def test_update_view_field_layout(self):
-        recs = np.array([(1, 10, 11, 12, 13, 14)], dtype=UPDATE_DTYPE)
-        assert UPDATE_DTYPE.itemsize == 38
-        view = PACKABLE.update_view(np.frombuffer(recs.tobytes(), dtype=np.uint8))
-        assert view.dtype == UPDATE_DTYPE
-        assert view[0].item() == (1, 10, 11, 12, 13, 14)
+        assert UPDATE_COLUMNS == ("prog", "target", "sender", "value", "weight")
+        # A uint64 value travels as its bit pattern.
+        bits = np.array([(1 << 63) + 12], dtype=np.uint64).view(np.int64)
+        raw = payload([1], [10], [11], bits, [13])
+        assert raw.nbytes == 40
+        view = PACKABLE.update_view(raw)
+        assert view.shape == (5, 1) and np.shares_memory(view, raw)
+        assert view[:, 0].tolist() == [1, 10, 11, int(bits[0]), 13]
+        assert view[3].view(np.uint64).tolist() == [(1 << 63) + 12]
 
     def test_radd_view_carries_one_value_lane_per_program(self):
-        assert PACKABLE.radd_dtype == radd_dtype(3) != MIXED.radd_dtype
-        recs = np.array([(1, 2, 3, 0, (7, 8, 9))], dtype=radd_dtype(3))
-        view = PACKABLE.radd_view(np.frombuffer(recs.tobytes(), dtype=np.uint8))
-        assert view.dtype == radd_dtype(3)
-        assert view["vals"].tolist() == [[7, 8, 9]]
+        assert (PACKABLE.radd_columns, MIXED.radd_columns) == (3 + 3, 3 + 5)
+        raw = payload([1, 4], [2, 5], [3, 6], [7, 17], [8, 18], [9, 19])
+        assert raw.nbytes == (24 + 8 * 3) * 2
+        view = PACKABLE.radd_view(raw)
+        assert view.shape == (6, 2) and np.shares_memory(view, raw)
+        assert view[:3].tolist() == [[1, 4], [2, 5], [3, 6]]  # dst, src, weight
+        assert view[3:, 0].tolist() == [7, 8, 9]  # one value per program
 
 
 class TestDelLane:

@@ -25,7 +25,7 @@ from repro.events.stream import split_streams
 from repro.generators import rmat_edges
 from repro.generators.weights import pairwise_weights
 from repro.parallel import WireConfig, run_parallel
-from repro.parallel.codec import ADD_DTYPE, Codec
+from repro.parallel.codec import Codec
 from repro.parallel.shm import K_ADD, create_ring
 from repro.parallel.wire import FRAME_ERROR
 from repro.parallel.worker import worker_main
@@ -97,7 +97,7 @@ def _tuple_slab():
 
 
 def _record_slab():
-    return (K_ADD, 1, np.array([(3, 4, 1, 0)], dtype=ADD_DTYPE).tobytes())
+    return (K_ADD, 1, np.array([[3], [4], [1]], dtype=np.int64).tobytes())
 
 
 @pytest.mark.parametrize(

@@ -16,13 +16,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import DynamicEngine, EngineConfig, IncrementalBFS, IncrementalCC
-from repro.parallel.codec import Codec
+from repro.parallel.codec import ADD_COLUMNS, RADD_COLUMNS, UPDATE_COLUMNS, Codec
 from repro.parallel.loop import ShmLoop
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE, create_ring
 from repro.parallel.vecapply import VecApplier
 from repro.partition import ConsistentHashPartitioner
 
-ROUTING_FIELD = {K_ADD: "src", K_RADD: "dst", K_UPDATE: "target"}
+ROUTING_ROW = {
+    K_ADD: ADD_COLUMNS.index("src"),
+    K_RADD: RADD_COLUMNS.index("dst"),
+    K_UPDATE: UPDATE_COLUMNS.index("target"),
+}
 
 
 @settings(max_examples=40, deadline=None)
@@ -45,12 +49,12 @@ def test_every_record_lands_at_the_owner_of_its_routing_id(n_ranks, salt, ids, d
             rank, n_ranks, lambda *_: None, rings, codec, None, batch_max=1 << 20
         )
         ones = np.ones(ids.size, dtype=np.int64)
-        vals = np.ones((ids.size, 2), dtype=np.uint64)
+        vals = np.ones((2, ids.size), dtype=np.uint64)  # a column per program
         loop.queue_add(ids, ids + 1, ones, owners)
         loop.queue_radd(ids, ids + 1, ones, vals, owners)
         loop.queue_update(1, ids, ids + 1, ones.astype(np.uint64), ones, owners)
         loop.flush_all()
-        routed = {kind: [] for kind in ROUTING_FIELD}
+        routed = {kind: [] for kind in ROUTING_ROW}
         for other, ring in rings.items():
             for kind, _n, _sender, payload in ring.pop_slabs():
                 view = {
@@ -58,11 +62,11 @@ def test_every_record_lands_at_the_owner_of_its_routing_id(n_ranks, salt, ids, d
                     K_RADD: codec.radd_view,
                     K_UPDATE: codec.update_view,
                 }[kind](payload)
-                got = view[ROUTING_FIELD[kind]].astype(np.int64)
+                got = view[ROUTING_ROW[kind]]
                 assert (partitioner.owner_array(got) == other).all()
                 routed[kind] += got.tolist()
             ring.commit()
-        for kind in ROUTING_FIELD:
+        for kind in ROUTING_ROW:
             assert sorted(routed[kind]) == sorted(ids.tolist())
         assert loop.wire_sent == 3 * ids.size
     finally:
@@ -78,7 +82,7 @@ def test_a_reverse_add_from_a_source_the_rank_owns_is_refused():
     applier = VecApplier(engine, 0, codec)
     owner = engine.partitioner.owner_array(np.arange(64))
     mine, peers = np.flatnonzero(owner == 0), np.flatnonzero(owner == 1)
-    radd = np.zeros(2, dtype=codec.radd_dtype)
-    radd["dst"], radd["src"], radd["weight"] = mine[:2], [peers[0], mine[2]], 1
+    radd = np.zeros((codec.radd_columns, 2), dtype=np.int64)
+    radd[0], radd[1], radd[2] = mine[:2], [peers[0], mine[2]], 1  # dst, src, weight
     with pytest.raises(RuntimeError, match=f"REVERSE_ADD from vertex {mine[2]}"):
         applier.drain([(K_RADD, 2, 1, radd)], loop=None)

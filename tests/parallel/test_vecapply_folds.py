@@ -16,10 +16,8 @@ from repro import DynamicEngine, EngineConfig, IncrementalBFS, IncrementalSSSP
 from repro.events.stream import ArrayEventStream, split_streams
 from repro.generators.rmat import rmat_edges
 from repro.parallel import WireConfig, run_parallel
-from repro.parallel.codec import Codec
-from repro.parallel.loop import ShmLoop
-from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE, create_ring
-from repro.parallel.vecapply import VecApplier
+from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
+from vec_cluster import VecCluster
 
 N_RANKS = 2
 CHUNK = 48  # events per ingest: >= 64 equal ADD slabs per rank
@@ -41,79 +39,11 @@ def streams_columns():
     return [(src[r::N_RANKS], dst[r::N_RANKS], w[r::N_RANKS]) for r in range(N_RANKS)]
 
 
-class VecCluster:
-    """Both ranks of a vectorized run, stepped by hand."""
-
-    def __init__(self):
-        self.rings = {
-            (a, b): create_ring(1 << 22) for a in range(N_RANKS) for b in range(N_RANKS) if a != b
-        }
-        self.engines, self.appliers, self.loops = [], [], []
-        for rank in range(N_RANKS):
-            engine = DynamicEngine(programs(), EngineConfig(n_ranks=N_RANKS))
-            codec = Codec(engine.programs)
-            loop = ShmLoop(
-                rank, N_RANKS, lambda dst, frame: None,
-                {o: self.rings[(rank, o)] for o in range(N_RANKS) if o != rank},
-                codec, engine.partitioner, batch_max=64,
-            )
-            # As in the worker: a rank's INITs run first (seeds through
-            # the real write path), then its applier folds the dicts.
-            if engine.partitioner.owner(SOURCE) == rank:
-                for name in ("bfs", "sssp"):
-                    engine.init_program(name, SOURCE)
-                engine.run()
-            self.engines.append(engine)
-            self.appliers.append(VecApplier(engine, rank, codec))
-            self.loops.append(loop)
-        self.slab_kinds = [set() for _ in range(N_RANKS)]
-
-    def close(self):
-        for ring in self.rings.values():
-            ring.destroy()
-
-    def deliver(self) -> bool:
-        """One turn of every rank: flush, then one drain of what arrived
-        together with the local rows its last ingest held."""
-        moved = False
-        for rank in range(N_RANKS):
-            self.loops[rank].flush_all()
-            self.loops[rank].pump()
-        for rank in range(N_RANKS):
-            applier, rings, slabs = self.appliers[rank], [], []
-            for other in range(N_RANKS):
-                if other != rank:
-                    rings.append(self.rings[(other, rank)])
-                    slabs += rings[-1].pop_slabs()
-            if slabs or applier.holding:
-                self.slab_kinds[rank].update(kind for kind, *_ in slabs)
-                applier.drain(slabs, self.loops[rank])
-                moved = True
-            for ring in rings:
-                ring.commit()
-        return moved or any(loop.outbuffered for loop in self.loops)
-
-    def run(self, columns):
-        cursors = [0] * N_RANKS
-        live = True
-        while live:
-            live = False
-            for rank, (src, dst, w) in enumerate(columns):
-                lo = cursors[rank]
-                if lo < len(src):
-                    hi = cursors[rank] = lo + CHUNK
-                    self.appliers[rank].ingest(src[lo:hi], dst[lo:hi], w[lo:hi], self.loops[rank])
-                    self.engines[rank].counters[rank].source_events += len(src[lo:hi])
-                    live = True
-            live = self.deliver() or live
-        for applier in self.appliers:
-            applier.write_back()  # the harvest: dicts are read from here on
-
-
 @pytest.fixture(scope="module")
 def converged():
     columns = streams_columns()
-    cluster = VecCluster()
+    init = [("bfs", SOURCE), ("sssp", SOURCE)]
+    cluster = VecCluster(programs, init, CHUNK)
     cluster.run(columns)
     des = DynamicEngine(programs(), EngineConfig(n_ranks=N_RANKS))
     for name in ("bfs", "sssp"):
