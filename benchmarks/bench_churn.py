@@ -28,11 +28,10 @@ bit-equality (raw generational tags are interleaving-dependent; the
 projections are not).
 
 Finally a crash-recovery sweep drives the same churn stream through
-the FaultTolerantRunner (drops + two mid-ingest crashes + periodic
-checkpoints, all three scheduled off the makespan of a crash-free run
-over the same lossy wire) and must land on exactly the fault-free
-projections: a checkpoint is a consistent generational cut, so suffix
-replay with deletes recovers the same answers.
+the FaultTolerantRunner (two mid-ingest crashes + periodic checkpoints,
+scheduled off the fault-free steady makespan) and must land on exactly
+the fault-free projections: a checkpoint is a consistent generational
+cut, so suffix replay with deletes recovers the same answers.
 """
 
 import tempfile
@@ -206,28 +205,22 @@ def _experiment():
     def stream_factory():
         return split_churn_streams(*steady, N_RANKS)
 
-    def lossy_run(tmp, crash_times=(), checkpoint_interval=None):
-        plan = FaultPlan(
-            drop=0.05,
-            seed=0xC4A2,
-            crashes=[RankCrash(time=t) for t in crash_times],
-        )
-        return FaultTolerantRunner(
+    # Both crashes land inside the ingestion window of the fault-free
+    # steady run; a checkpoint every 20% of it bounds each replay.
+    vt = runs["steady"][0].loop.max_time()
+    plan = FaultPlan(
+        seed=0xC4A2,
+        crashes=[RankCrash(time=vt * 0.15), RankCrash(time=vt * 0.30)],
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        recovered = FaultTolerantRunner(
             engine_factory,
             stream_factory,
             plan,
             Path(tmp) / "churn.npz",
-            checkpoint_interval=checkpoint_interval,
+            checkpoint_interval=vt * 0.20,
             init_fn=_init,
         ).run()
-
-    with tempfile.TemporaryDirectory() as tmp:
-        # A lossy run is as long as its retransmit timeouts make it,
-        # whatever the fault-free makespan (5.7x longer at this scale):
-        # schedule both crashes and the checkpoints off a crash-free
-        # probe of the same lossy wire.
-        vt = lossy_run(tmp).virtual_time
-        recovered = lossy_run(tmp, (vt * 0.03, vt * 0.06), vt * 0.04)
     return steady, flash, runs, scaling, mp, recovered
 
 

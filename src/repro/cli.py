@@ -12,7 +12,7 @@ Usage (also available as ``python -m repro``)::
         --freshness
     python -m repro report --trace trace.json --metrics m.jsonl
     python -m repro run --algo cc --verify \
-        --faults drop=0.1,dup=0.02,crash=0.4 --checkpoint-every 0.2
+        --faults crash=0.4,stall=0.2,seed=7 --checkpoint-every 0.2
     python -m repro serve --graph rmat --scale 10 --algo bfs \
         --workload ratio=0.2,slice=2048 --reference --verify
 
@@ -187,8 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     flt = run.add_argument_group("fault injection (repro.faults)")
     flt.add_argument("--faults", default=None, metavar="SPEC",
                      help="run under a fault plan, e.g. "
-                          "'drop=0.1,dup=0.02,crash=0.5,seed=7'; crash/stall "
-                          "instants are fractions of the estimated makespan")
+                          "'crash=0.5,stall=0.3:500,seed=7'; crash/stall "
+                          "instants are fractions of the estimated makespan, "
+                          "a stall may add its duration in virtual us")
     flt.add_argument("--checkpoint-every", type=_positive_float, default=None,
                      metavar="FRAC",
                      help="checkpoint period as a fraction of the estimated "
@@ -593,7 +594,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # for the tracer and the sampler at setup), then the extras.
         plugins = telemetry_plugins()
         if plan is not None:
-            # Transport must attach before the first message moves.
+            # Stalls are scheduled before the first message moves.
             plugins.append(FaultInjectionPlugin(plan))
         if args.freshness and not programs:
             chat("freshness: nothing to probe for construction-only")
@@ -614,24 +615,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     report = throughput_report(engine, wall_seconds=timer.elapsed)
     chat(report.summary())
 
-    wire = None
-    if plan is not None:
-        wire = (
-            fault_result.wire if fault_result is not None
-            else engine.transport.counters()
+    if fault_result is not None:
+        chat(
+            f"faults: recoveries={fault_result.recoveries}"
+            f" checkpoints={fault_result.checkpoints}"
+            f" replayed={fault_result.events_replayed:,}"
         )
-        line = (
-            f"faults: dropped={wire['frames_dropped']:,} "
-            f"retransmits={wire['retransmits']:,} "
-            f"dup_frames={wire['dup_frames']:,} acks={wire['acks_sent']:,}"
-        )
-        if fault_result is not None:
-            line += (
-                f" | recoveries={fault_result.recoveries}"
-                f" checkpoints={fault_result.checkpoints}"
-                f" replayed={fault_result.events_replayed:,}"
-            )
-        chat(line)
 
     for res in engine.collection_results:
         chat(
@@ -677,7 +666,6 @@ def cmd_run(args: argparse.Namespace) -> int:
         if plan is not None:
             doc["faults"] = {
                 "plan": plan.describe(),
-                "wire": wire,
                 "incarnations": (
                     fault_result.incarnations if fault_result else 1
                 ),

@@ -19,7 +19,6 @@ simulation** of a cluster of ranks.
   (HavoqGT's quiescence detection [24] plays this role in the paper).
 """
 
-from repro.comm.channel import Frame, ReliableDelivery
 from repro.comm.costmodel import CostModel
 from repro.comm.des import DiscreteEventLoop, RankHandler
 from repro.comm.termination import FourCounterState, TerminationCoordinator
@@ -28,8 +27,6 @@ __all__ = [
     "CostModel",
     "DiscreteEventLoop",
     "RankHandler",
-    "Frame",
-    "ReliableDelivery",
     "FourCounterState",
     "TerminationCoordinator",
 ]

@@ -79,22 +79,6 @@ class CostModel:
     channel_capacity: int = 1 << 40  # per-receiver queued-message bound
     backpressure_stall_cpu: float = 0.05 * US  # receiver service time per queued msg
 
-    # --- reliable delivery (lossy-channel protocol) -------------------
-    # The fault-tolerance layer wraps cross-rank messages in sequenced
-    # frames with cumulative acks and timeout-driven retransmission
-    # (see repro.comm.channel).  Acks are delayed and cumulative — one
-    # ack covers every frame that arrived in the window — which is what
-    # keeps the protocol's overhead at 0% loss under the <5% budget.
-    # The base timeout deliberately clears ack_delay + 2x remote latency
-    # so a healthy channel never retransmits spuriously.
-    reliable_frame_cpu: float = 0.01 * US  # receiver-side frame handling
-    ack_cpu: float = 0.05 * US  # assemble + send one cumulative ack
-    ack_delay: float = 20.0 * US  # ack aggregation window
-    retransmit_cpu: float = 0.10 * US  # re-enqueue one unacked frame
-    retransmit_timeout: float = 50.0 * US  # base RTO
-    retransmit_backoff: float = 2.0  # RTO multiplier per barren timer
-    retransmit_timeout_cap: float = 1000.0 * US  # RTO ceiling
-
     # --- out-of-core storage (§III-B: spill to NVRAM when needed) -----
     # When a rank's DegAwareRHH footprint exceeds its memory budget, the
     # overflow fraction lives on NVRAM (Catalyst: PCI-attached flash);
@@ -141,18 +125,8 @@ class CostModel:
             "static_build_edge_cpu",
             "static_vertex_cpu",
             "static_edge_cpu",
-            "reliable_frame_cpu",
-            "ack_cpu",
-            "ack_delay",
-            "retransmit_cpu",
         ):
             check_non_negative(name, getattr(self, name))
-        check_positive("retransmit_timeout", self.retransmit_timeout)
-        check_positive("retransmit_timeout_cap", self.retransmit_timeout_cap)
-        if self.retransmit_backoff < 1.0:
-            raise ValueError(
-                f"retransmit_backoff must be >= 1, got {self.retransmit_backoff}"
-            )
         check_positive("ranks_per_node", self.ranks_per_node)
         check_positive("dynamic_read_penalty", self.dynamic_read_penalty)
         check_positive("channel_capacity", self.channel_capacity)

@@ -55,7 +55,6 @@ from __future__ import annotations
 import heapq
 from typing import Any, Callable
 
-from repro.comm.channel import Frame
 from repro.comm.costmodel import CostModel
 from repro.util.validate import check_positive
 
@@ -135,41 +134,17 @@ class DiscreteEventLoop:
         self.stall_time = 0.0  # total backpressure stalls (virtual s)
         self.fault_stall_time = 0.0  # injected rank freezes (virtual s)
         self._acting_rank: int | None = None
-        # Optional transport (repro.comm.channel.ReliableDelivery): when
-        # attached, cross-rank messages travel as sequenced frames with
-        # acks/retransmission instead of the perfect built-in channels.
-        self._transport: Any = None
 
     # ------------------------------------------------------------------
-    # transport & fault-injection hooks
+    # fault injection
     # ------------------------------------------------------------------
-    @property
-    def transport(self) -> Any:
-        """The attached reliable-delivery transport, or None."""
-        return self._transport
-
-    def attach_transport(self, transport: Any) -> None:
-        """Route cross-rank traffic through ``transport``.
-
-        Must be attached before any message is sent: mixing perfectly-
-        delivered and framed traffic on one channel would break FIFO.
-        """
-        if self.in_flight or self.actions_executed:
-            raise RuntimeError("attach_transport before the simulation starts")
-        self._transport = transport
-
     def stall_rank(self, rank: int, until: float) -> None:
         """Freeze ``rank`` until virtual time ``until`` (fault injection:
         a GC pause / OS hiccup).  Pending arrivals are simply serviced
-        late; the reliability layer absorbs any retransmissions the
-        stall provokes."""
+        late, in channel order."""
         if until > self.clock[rank]:
             self.fault_stall_time += until - self.clock[rank]
             self.clock[rank] = until
-
-    def on_frame_dropped(self, frame: Frame) -> None:
-        """Hook: the transport lost a frame on the wire.  No-op here;
-        fault wiring replaces it to emit trace instants."""
 
     # ------------------------------------------------------------------
     # time & scheduling primitives
@@ -243,10 +218,8 @@ class DiscreteEventLoop:
 
         Returns True iff the message was squashed into a queued one.
         """
-        if (
-            coalesce_key is not None
-            and not (self._transport is not None and src_rank != dst_rank)
-            and self._try_squash(src_rank, dst_rank, msg, coalesce_key, combiner)
+        if coalesce_key is not None and self._try_squash(
+            src_rank, dst_rank, msg, coalesce_key, combiner
         ):
             return True
         self.clock[src_rank] += self.cost.send_cpu
@@ -284,10 +257,8 @@ class DiscreteEventLoop:
         inboxes, capacity = self._inbox, self.cost.channel_capacity
         squashed = []
         for dst_rank, msg, key in batch:
-            if (
-                key is not None
-                and not (self._transport is not None and src_rank != dst_rank)
-                and self._try_squash(src_rank, dst_rank, msg, key, combiner)
+            if key is not None and self._try_squash(
+                src_rank, dst_rank, msg, key, combiner
             ):
                 squashed.append(True)
                 continue
@@ -359,16 +330,6 @@ class DiscreteEventLoop:
         priority: bool,
         coalesce_key: Any = None,
     ) -> None:
-        if self._transport is not None and src_rank != dst_rank:
-            # Cross-rank traffic travels as sequenced frames.  The
-            # message still counts as in flight at the *application*
-            # level from this instant until the transport releases it
-            # to the handler — drops and retransmissions in between are
-            # invisible to quiescence accounting, but an undelivered
-            # message keeps the cluster visibly non-quiescent.
-            self.in_flight += 1
-            self._transport.send_app(departure, src_rank, dst_rank, msg, priority)
-            return
         node_of = self._node_of
         arrival = departure + (
             self._local_latency
@@ -389,50 +350,6 @@ class DiscreteEventLoop:
         heapq.heappush(queue, (arrival, self._seq, msg))
         self.in_flight += 1
         # A new arrival can move the receiver's next action earlier.
-        cur = self._scheduled[dst_rank]
-        if dst_rank != self._acting_rank and (cur is None or arrival < cur):
-            self._reschedule(dst_rank)
-
-    def deliver_frame(
-        self,
-        departure: float,
-        frame: Frame,
-        extra_delay: float = 0.0,
-        fifo: bool = True,
-    ) -> None:
-        """Transport hook: put one wire frame in flight.
-
-        Frames are physical artefacts: they never touch ``in_flight``
-        or the delivery counters (those track application messages) and
-        never occupy a rank inbox.  Arrival is handled at NIC level —
-        an alarm at the wire-arrival instant — so the transport's
-        dedup/reorder/ack machinery runs even while the receiving rank
-        is busy, keeping ack turnaround independent of application
-        backlog.  ``fifo=False`` (retransmissions, duplicates, fault
-        delays) bypasses the channel FIFO clamp — delivery order is
-        restored by the receiver's reorder buffer, and causality is
-        safe because the arrival is always in the future.
-        """
-        latency = self.cost.latency(frame.src, frame.dst)
-        arrival = departure + latency + extra_delay
-        if fifo:
-            key = (frame.src, frame.dst, frame.lane)
-            arrival = max(arrival, self._channel_last.get(key, 0.0))
-            self._channel_last[key] = arrival
-        self.schedule_alarm(
-            arrival, lambda: self._transport.on_frame_arrival(frame, arrival)
-        )
-
-    def deliver_released(
-        self, arrival: float, dst_rank: int, msg: Any, priority: bool
-    ) -> None:
-        """Transport hook: enqueue an application message the reliable
-        layer released in channel order.  The message has counted as in
-        flight since its original send, so the counter is untouched; it
-        is decremented when the rank dispatches the message."""
-        queue = self._inbox_prio[dst_rank] if priority else self._inbox[dst_rank]
-        self._seq += 1
-        heapq.heappush(queue, (arrival, self._seq, msg))
         cur = self._scheduled[dst_rank]
         if dst_rank != self._acting_rank and (cur is None or arrival < cur):
             self._reschedule(dst_rank)

@@ -17,19 +17,6 @@ by tests to validate that the detector never fires early.
 Counters are kept per *channel label* so several detectors can run at
 once — e.g. one per snapshot version during Chandy-Lamport-style global
 state collection (§III-D), where only prior-version traffic must drain.
-
-Reliable-delivery interplay
----------------------------
-Under fault injection (:mod:`repro.faults`) the wire may drop, duplicate
-or delay frames, and :mod:`repro.comm.channel` retransmits them.  The
-counters here stay sound because they live strictly *above* that layer:
-a send is recorded once when the application entrusts the message to the
-kernel, a receive once when the transport releases it to the handler —
-retransmitted copies, duplicates and acks are never counted.  Since the
-transport delivers each application message exactly once, balanced
-counters still mean "no application message outstanding", so the
-two-wave rule can neither fire early because a retransmission is in
-flight nor hang waiting for one.
 """
 
 from __future__ import annotations

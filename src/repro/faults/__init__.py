@@ -1,13 +1,12 @@
 """Fault injection and crash recovery for the simulated cluster.
 
 The paper's platform runs on thousands of cores for hours; at that
-scale message loss and rank failure are operating conditions, not
-exceptions.  This subpackage makes the simulator hostile on purpose:
+scale rank failure is an operating condition, not an exception.  This
+subpackage makes the simulator hostile on purpose, on the same FIFO
+channels a fault-free run uses (neither backend loses a message):
 
 * :class:`~repro.faults.plan.FaultPlan` — a seeded, virtual-time fault
-  schedule: per-frame drop/duplicate/delay probabilities for the wire
-  (consumed by :class:`repro.comm.channel.ReliableDelivery`), plus
-  rank crash and stall events at chosen virtual instants;
+  schedule of rank crash and stall events at chosen virtual instants;
 * :class:`~repro.faults.runner.FaultTolerantRunner` — orchestrates a
   run under a plan: periodic quiescent checkpoints, whole-cluster
   rollback on a crash (fresh engine + last checkpoint + stream

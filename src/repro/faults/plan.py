@@ -1,11 +1,11 @@
 """Seeded virtual-time fault schedules.
 
 A :class:`FaultPlan` is the single source of hostility for a run: the
-wire consults it once per frame (drop / duplicate / delay), and the
-fault-tolerant runner consults its crash/stall event lists.  Everything
-is driven by one seeded generator, so a plan replays identically —
-including across crash recoveries, because the generator's state simply
-continues into the next incarnation.
+fault-tolerant runner consumes its crash events and the engine its
+stall events, over the same FIFO channels a fault-free run uses.  One
+seeded generator picks the victims of events that name no rank, so a
+plan replays identically — including across crash recoveries, because
+the generator's state simply continues into the next incarnation.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ class RankCrash:
 class RankStall:
     """Freeze one rank for ``duration`` virtual seconds (GC pause / OS
     hiccup): the rank services nothing while frozen; peers keep sending
-    and the reliability layer absorbs the resulting retransmissions."""
+    and its queued arrivals are serviced late, in channel order."""
 
     time: float
     rank: int = -1
@@ -44,65 +44,25 @@ class FaultPlan:
 
     Parameters
     ----------
-    drop, dup, delay:
-        Per-frame probabilities (disjoint: one uniform draw per frame
-        is bucketed drop → dup → delay → ok).  ``drop`` is capped at
-        0.5 — above that, retransmission becomes a coin-flip gambler's
-        ruin and runs stop terminating in reasonable virtual time.
-    delay_scale:
-        Upper bound of the uniform extra latency (also used as the
-        duplicate copy's lag).
     crashes, stalls:
         :class:`RankCrash` / :class:`RankStall` events, consumed in
         time order by the runner / engine.
     seed:
-        Seeds the single generator behind frame fates and victim picks.
+        Seeds the generator behind victim picks.
     """
 
     def __init__(
         self,
-        drop: float = 0.0,
-        dup: float = 0.0,
-        delay: float = 0.0,
-        delay_scale: float = 50.0 * US,
         crashes: tuple[RankCrash, ...] | list[RankCrash] = (),
         stalls: tuple[RankStall, ...] | list[RankStall] = (),
         seed: int = 0,
     ):
-        for name, p in (("drop", drop), ("dup", dup), ("delay", delay)):
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must be a probability, got {p}")
-        if drop > 0.5:
-            raise ValueError(f"drop must be <= 0.5, got {drop}")
-        if drop + dup + delay > 1.0:
-            raise ValueError("drop + dup + delay must not exceed 1")
-        if delay_scale < 0:
-            raise ValueError(f"delay_scale must be >= 0, got {delay_scale}")
-        self.drop = float(drop)
-        self.dup = float(dup)
-        self.delay = float(delay)
-        self.delay_scale = float(delay_scale)
         self.crashes = sorted(crashes, key=lambda c: c.time)
         self.stalls = sorted(stalls, key=lambda s: s.time)
         self.seed = int(seed)
         self.rng = np.random.default_rng(seed)
 
     # ------------------------------------------------------------------
-    def frame_fate(self) -> tuple[str, float]:
-        """Decide one frame's fate: ``("ok"|"drop"|"dup"|"delay", lag)``.
-
-        ``lag`` is the extra in-flight latency for a delayed frame, or
-        the duplicate copy's lag behind the original.
-        """
-        r = self.rng.random()
-        if r < self.drop:
-            return ("drop", 0.0)
-        if r < self.drop + self.dup:
-            return ("dup", float(self.rng.uniform(0.0, self.delay_scale)))
-        if r < self.drop + self.dup + self.delay:
-            return ("delay", float(self.rng.uniform(0.0, self.delay_scale)))
-        return ("ok", 0.0)
-
     def pick_rank(self, n_ranks: int) -> int:
         """Choose a victim rank for an event that left it unspecified."""
         return int(self.rng.integers(n_ranks))
@@ -110,10 +70,6 @@ class FaultPlan:
     def describe(self) -> dict:
         """JSON-safe summary (benchmark/CLI reports)."""
         return {
-            "drop": self.drop,
-            "dup": self.dup,
-            "delay": self.delay,
-            "delay_scale": self.delay_scale,
             "seed": self.seed,
             "crashes": [(c.time, c.rank) for c in self.crashes],
             "stalls": [(s.time, s.rank, s.duration) for s in self.stalls],
@@ -126,7 +82,7 @@ class FaultPlan:
 
         ``spec`` is comma-separated ``key=value`` pairs::
 
-            drop=0.1,dup=0.02,delay=0.05,seed=7,crash=0.5,stall=0.3
+            seed=7,crash=0.5,stall=0.3
 
         ``crash``/``stall`` may repeat; their values are *fractions* of
         the run's estimated makespan and are multiplied by
@@ -134,7 +90,7 @@ class FaultPlan:
         makespan estimate).  A stall may carry a duration in virtual
         microseconds as ``stall=FRAC:US``.
         """
-        kwargs: dict = {}
+        seed = 0
         crashes: list[RankCrash] = []
         stalls: list[RankStall] = []
         for part in spec.split(","):
@@ -154,10 +110,8 @@ class FaultPlan:
                 stalls.append(
                     RankStall(time=float(frac) * time_scale, duration=duration)
                 )
-            elif key in ("drop", "dup", "delay", "delay_scale"):
-                kwargs[key] = float(value)
             elif key == "seed":
-                kwargs[key] = int(value)
+                seed = int(value)
             else:
                 raise ValueError(f"unknown fault spec key {key!r}")
-        return cls(crashes=crashes, stalls=stalls, **kwargs)
+        return cls(crashes=crashes, stalls=stalls, seed=seed)

@@ -271,13 +271,6 @@ class VirtualTimeSampler:
             "updates_squashed": sum(c.updates_squashed for c in counters),
             "stall_time": loop.stall_time,
         }
-        transport = getattr(loop, "transport", None)
-        if transport is not None:
-            # Reliable-delivery wire telemetry (fault-injection runs).
-            row["retransmits"] = transport.retransmits
-            row["dropped"] = transport.frames_dropped
-            row["unacked"] = transport.unacked_total()
-            row["acks_sent"] = transport.acks_sent
         self.registry.record(row)
         tracer = eng.tracer
         if tracer is not None:

@@ -135,7 +135,6 @@ class ShmLoop:
         self.batch_sends = 0  # send_many invocations
         self.stall_time = 0.0  # no backpressure model on a real wire
         self.in_flight = 0  # local inbox depth (engine never reads it)
-        self.transport = None  # reliable delivery is DES-only
         self._source_active = [False] * n_ranks
         # Local inbox: FIFO of raw messages / _Pending holders, plus the
         # coalesce index over still-queued UPDATE holders.
@@ -236,9 +235,6 @@ class ShmLoop:
             "schedule_alarm needs virtual time; the mp backend has none "
             "(collections/faults/telemetry are DES-only)"
         )
-
-    def attach_transport(self, _transport: Any) -> None:
-        raise RuntimeError("reliable-delivery transport is DES-only")
 
     # ------------------------------------------------------------------
     # queueing internals

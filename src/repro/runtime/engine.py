@@ -380,36 +380,12 @@ class DynamicEngine(RankHandler):
         """Register a "When" query on a program's vertex-local state."""
         return self.triggers.add(self.prog_index(prog), predicate, callback, vertex, once)
 
-    @property
-    def transport(self):
-        """The reliable-delivery transport, or None (fault-free runs)."""
-        return self.loop.transport
-
     def _install_fault_plan(self, plan) -> None:
         """Wire a fault plan into the loop (FaultInjectionPlugin body)."""
-        from repro.comm.channel import ReliableDelivery
-
         if self._started:
             raise RuntimeError("register the fault plan before the engine runs")
-        self.loop.attach_transport(ReliableDelivery(self.loop, plan))
         if self._bulk is not None:
             self._bulk.disabled = True
-        tracer, metrics = self.tracer, self.metrics
-        if tracer is not None or metrics is not None:
-
-            def on_drop(frame) -> None:
-                if metrics is not None:
-                    metrics.inc("frames_dropped")
-                if tracer is not None:
-                    tracer.instant(
-                        frame.dst,
-                        "fault/drop",
-                        self.loop.clock[frame.src],
-                        "fault",
-                        {"src": frame.src, "kind": frame.kind, "seq": frame.seq},
-                    )
-
-            self.loop.on_frame_dropped = on_drop
         for stall in plan.stalls:
             rank = stall.rank if stall.rank >= 0 else plan.pick_rank(self.config.n_ranks)
             until = stall.time + stall.duration

@@ -243,15 +243,15 @@ class BulkIngestPlugin(EnginePlugin):
 class FaultInjectionPlugin(EnginePlugin):
     """Run the engine under a :class:`repro.faults.FaultPlan`.
 
-    Setup attaches the lossy reliable-delivery transport, schedules the
-    plan's rank stalls, and wires drop/stall instants into the tracer
-    and metrics when those plugins are registered before this one.
-    Crash events are *not* handled here — a crash discards the whole
-    engine, so it is orchestrated by
+    Setup schedules the plan's rank stalls as alarms and wires stall
+    instants into the tracer and metrics when those plugins are
+    registered before this one.  Crash events are *not* handled here —
+    a crash discards the whole engine, so it is orchestrated by
     :class:`repro.faults.FaultTolerantRunner`.  Must be registered
-    before the engine runs.  Bulk ingest is disabled for the run: the
-    chunked array path bypasses the message layer and would never put
-    frames on the lossy wire.
+    before the engine runs.  Bulk ingest is disabled for the run: a
+    chunk advances its rank over thousands of events in one action, so
+    a stall, crash or checkpoint instant would fall only between chunks
+    instead of between the events the plan is timed against.
     """
 
     name = "faults"

@@ -36,6 +36,7 @@ from repro.analytics.verify import (
     verify_st,
     verify_widest,
 )
+from repro.faults import runner as runner_module
 from repro.generators.churn import churn_events, split_churn_streams
 
 N_RANKS = 3
@@ -106,7 +107,6 @@ def test_crash_mid_churn_recovers_fault_free_projections(seed, tmp_path):
     assert sum(c.edge_deletes for c in ref.counters) > 0
 
     plan = FaultPlan(
-        drop=0.08,
         seed=seed,
         crashes=[RankCrash(time=vt * 0.03), RankCrash(time=vt * 0.06)],
     )
@@ -171,4 +171,51 @@ def test_delete_counters_survive_recovery(tmp_path):
     # Replay may re-apply a delete from the suffix at most once per
     # occurrence; it must never LOSE the pre-crash deletes.
     assert got >= ref_deletes
+    assert projected(res.engine) == projected(ref)
+
+
+def test_every_checkpoint_saves_stream_progress(tmp_path, monkeypatch):
+    """A checkpoint drain outlasts several checkpoint intervals here, so
+    the next checkpoint is due at the first interval instant after the
+    drain: none may save the positions of the one before it."""
+    saved = []
+    real_save = runner_module.save_checkpoint
+
+    def logged_save(engine, path, extra=None):
+        saved.append(sum(extra["stream_positions"].values()))
+        return real_save(engine, path, extra=extra)
+
+    monkeypatch.setattr(runner_module, "save_checkpoint", logged_save)
+    cols = churn_events(
+        50, 220, delete_ratio=0.25, rng=np.random.default_rng(3)
+    )
+
+    def engine_factory():
+        return DynamicEngine(
+            programs(), EngineConfig(n_ranks=N_RANKS, undirected=True)
+        )
+
+    def stream_factory():
+        return split_churn_streams(*cols, N_RANKS)
+
+    ref = engine_factory()
+    init(ref)
+    ref.attach_streams(stream_factory())
+    ref.run()
+    vt = ref.loop.max_time()
+
+    plan = FaultPlan(
+        seed=3, crashes=[RankCrash(time=vt * 0.03), RankCrash(time=vt * 0.06)]
+    )
+    res = FaultTolerantRunner(
+        engine_factory,
+        stream_factory,
+        plan,
+        tmp_path / "progress.npz",
+        checkpoint_interval=vt * 0.04,
+        init_fn=init,
+    ).run()
+    assert res.recoveries == 2
+    assert len(saved) == res.checkpoints >= 2
+    assert all(a < b for a, b in zip(saved, saved[1:])), saved
     assert projected(res.engine) == projected(ref)

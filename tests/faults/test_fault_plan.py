@@ -1,4 +1,4 @@
-"""Unit tests for FaultPlan: validation, determinism, spec parsing."""
+"""Unit tests for FaultPlan: event order, victims, spec parsing."""
 
 import pytest
 
@@ -8,24 +8,6 @@ US = 1e-6
 
 
 class TestValidation:
-    def test_probabilities_must_be_probabilities(self):
-        with pytest.raises(ValueError, match="drop"):
-            FaultPlan(drop=-0.1)
-        with pytest.raises(ValueError, match="dup"):
-            FaultPlan(dup=1.5)
-
-    def test_drop_capped_at_half(self):
-        with pytest.raises(ValueError, match="0.5"):
-            FaultPlan(drop=0.6)
-
-    def test_fates_must_not_exceed_one(self):
-        with pytest.raises(ValueError, match="exceed 1"):
-            FaultPlan(drop=0.5, dup=0.3, delay=0.3)
-
-    def test_negative_delay_scale_rejected(self):
-        with pytest.raises(ValueError, match="delay_scale"):
-            FaultPlan(delay_scale=-1.0)
-
     def test_events_sorted_by_time(self):
         plan = FaultPlan(
             crashes=[RankCrash(time=3.0), RankCrash(time=1.0)],
@@ -36,42 +18,20 @@ class TestValidation:
 
 
 class TestFate:
-    def test_fates_are_seed_deterministic(self):
-        a = FaultPlan(drop=0.2, dup=0.1, delay=0.1, seed=9)
-        b = FaultPlan(drop=0.2, dup=0.1, delay=0.1, seed=9)
-        assert [a.frame_fate() for _ in range(200)] == [
-            b.frame_fate() for _ in range(200)
-        ]
-
-    def test_fate_frequencies_roughly_match(self):
-        plan = FaultPlan(drop=0.3, dup=0.2, delay=0.1, seed=0)
-        fates = [plan.frame_fate()[0] for _ in range(5000)]
-        assert abs(fates.count("drop") / 5000 - 0.3) < 0.03
-        assert abs(fates.count("dup") / 5000 - 0.2) < 0.03
-        assert abs(fates.count("delay") / 5000 - 0.1) < 0.03
-
-    def test_clean_plan_always_ok(self):
-        plan = FaultPlan(seed=1)
-        assert all(plan.frame_fate() == ("ok", 0.0) for _ in range(100))
-
-    def test_lag_bounded_by_delay_scale(self):
-        plan = FaultPlan(delay=1.0, delay_scale=7 * US, seed=2)
-        for _ in range(200):
-            fate, lag = plan.frame_fate()
-            assert fate == "delay" and 0.0 <= lag <= 7 * US
-
     def test_pick_rank_in_range(self):
         plan = FaultPlan(seed=4)
         assert all(0 <= plan.pick_rank(6) < 6 for _ in range(100))
 
+    def test_picks_are_seed_deterministic(self):
+        a, b = FaultPlan(seed=9), FaultPlan(seed=9)
+        assert [a.pick_rank(8) for _ in range(50)] == [
+            b.pick_rank(8) for _ in range(50)
+        ]
+
 
 class TestSpec:
     def test_parse_full_spec(self):
-        plan = FaultPlan.from_spec(
-            "drop=0.1,dup=0.02,delay=0.05,seed=7,crash=0.5,stall=0.3",
-            time_scale=2.0,
-        )
-        assert plan.drop == 0.1 and plan.dup == 0.02 and plan.delay == 0.05
+        plan = FaultPlan.from_spec("seed=7,crash=0.5,stall=0.3", time_scale=2.0)
         assert plan.seed == 7
         assert [c.time for c in plan.crashes] == [1.0]  # 0.5 * time_scale
         assert [s.time for s in plan.stalls] == [0.6]
@@ -87,21 +47,23 @@ class TestSpec:
         assert stall.duration == pytest.approx(RankStall.duration)
 
     def test_unknown_key_rejected(self):
-        with pytest.raises(ValueError, match="explode"):
-            FaultPlan.from_spec("explode=1")
+        # The channels never lose a frame, so frame fates are unknown too.
+        for key in ("explode", "drop", "dup", "delay", "delay_scale"):
+            with pytest.raises(ValueError, match=f"unknown fault spec key '{key}'"):
+                FaultPlan.from_spec(f"{key}=0.1")
 
     def test_missing_equals_rejected(self):
         with pytest.raises(ValueError, match="key=value"):
-            FaultPlan.from_spec("drop")
+            FaultPlan.from_spec("crash")
 
     def test_empty_items_skipped(self):
-        plan = FaultPlan.from_spec("drop=0.1,,")
-        assert plan.drop == 0.1
+        plan = FaultPlan.from_spec("seed=3,,")
+        assert plan.seed == 3
 
     def test_describe_is_json_safe(self):
         import json
 
-        plan = FaultPlan.from_spec("drop=0.1,crash=0.5,stall=0.2", time_scale=1.0)
+        plan = FaultPlan.from_spec("crash=0.5,stall=0.2", time_scale=1.0)
         doc = json.loads(json.dumps(plan.describe()))
-        assert doc["drop"] == 0.1
+        assert doc["seed"] == 0
         assert doc["crashes"] == [[0.5, -1]]

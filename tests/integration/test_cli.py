@@ -80,7 +80,7 @@ class TestNumbersAndSpecsAtTheBoundary:
         "spec, expect",
         [
             ("bogus=1", "unknown fault spec key"),
-            ("drop=2", "drop must be a probability"),
+            ("drop=0.1", "unknown fault spec key"),
         ],
     )
     def test_faults_spec_is_checked(self, spec, expect, capsys):

@@ -1,4 +1,4 @@
-"""CLI integration: `repro run --faults` (lossy wire and crash plans)."""
+"""CLI integration: `repro run --faults` (stall and crash plans)."""
 
 import json
 
@@ -9,35 +9,19 @@ def run_cli(*argv):
     return main(["run", "--scale", "7", "--edge-factor", "4", *argv])
 
 
-class TestLossyWire:
-    def test_lossy_run_verifies(self, capsys):
-        code = run_cli(
-            "--algo", "bfs", "--verify",
-            "--faults", "drop=0.1,dup=0.02,delay=0.05,seed=3",
-        )
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "verify: OK" in out
-        assert "faults:" in out and "retransmits=" in out
-
-    def test_clean_plan_reports_zero_drops(self, capsys):
-        assert run_cli("--algo", "cc", "--faults", "seed=1") == 0
-        out = capsys.readouterr().out
-        assert "dropped=0" in out and "retransmits=0" in out
-
+class TestPlansWithoutCrashes:
     def test_json_document_carries_fault_block(self, capsys):
         code = run_cli(
             "--algo", "cc", "--json", "--verify",
-            "--faults", "drop=0.05,seed=2",
+            "--faults", "stall=0.3:500,seed=2",
         )
         assert code == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["verify"]["mismatches"] == 0
-        assert doc["faults"]["plan"]["drop"] == 0.05
+        assert doc["faults"]["plan"]["seed"] == 2
+        assert len(doc["faults"]["plan"]["stalls"]) == 1
         assert doc["faults"]["recoveries"] == 0
-        assert doc["faults"]["wire"]["app_sent"] == doc["faults"]["wire"][
-            "app_delivered"
-        ]
+        assert "wire" not in doc["faults"]
 
     def test_bad_spec_rejected(self, capsys):
         assert run_cli("--algo", "bfs", "--faults", "explode=1") == 2
@@ -48,7 +32,7 @@ class TestCrashPlans:
     def test_crash_run_recovers_and_verifies(self, capsys):
         code = run_cli(
             "--algo", "cc", "--verify",
-            "--faults", "drop=0.05,crash=0.4,seed=5",
+            "--faults", "crash=0.4,seed=5",
             "--checkpoint-every", "0.25",
         )
         out = capsys.readouterr().out

@@ -50,7 +50,7 @@ class TestDesOnlyFlagsRejected:
     @pytest.mark.parametrize(
         "flags",
         [
-            ["--faults", "drop=0.1"],
+            ["--faults", "crash=0.5"],
             ["--snapshot-at", "0.5"],
             ["--sample-interval", "0.1"],
             ["--freshness"],

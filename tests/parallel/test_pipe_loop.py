@@ -238,5 +238,3 @@ class TestEngineSurface:
             loop.send_at(0, 1, ("x",), 1.0)
         with pytest.raises(RuntimeError):
             loop.schedule_alarm(0, 1.0, lambda: None)
-        with pytest.raises(RuntimeError):
-            loop.attach_transport(object())

@@ -268,7 +268,7 @@ def _harness_run(src, dst, programs, n_nodes, init=(), plugins=None, **config):
 
 
 def _faults(plan: FaultPlan | None) -> DynamicEngine:
-    """``bench_ablation_faults``: BFS+CC on 8 ranks, coalescing off."""
+    """BFS+CC on 8 ranks, coalescing off, optionally under a fault plan."""
     src, dst = rmat_edges(10, edge_factor=8, rng=np.random.default_rng(0xFA17))
     return _harness_run(
         src,
@@ -326,9 +326,6 @@ LEGS = {
     "churn_bench_1024x4096": lambda: _churn_steady(1024, 4096),
     "churn_bench_flash": _churn_flash,
     "faults_off": lambda: _faults(None),
-    "faults_reliable": lambda: _faults(FaultPlan(seed=1)),
-    "faults_drop5": lambda: _faults(FaultPlan(drop=0.05, seed=2)),
-    "faults_drop20": lambda: _faults(FaultPlan(drop=0.20, seed=2)),
     "squash_4_off": lambda: _squash(1, False),
     "squash_4_on": lambda: _squash(1, True),
     "squash_16_off": lambda: _squash(4, False),
@@ -925,150 +922,6 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                 'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
                           'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
                 'collections': []},
- 'faults_reliable': {'clock': ['0x1.ffcdab191e324p-9',
-                               '0x1.fea25ce1adacfp-9',
-                               '0x1.ff62a134eec80p-9',
-                               '0x1.ff8c3cb9c5062p-9',
-                               '0x1.ff9b004c00878p-9',
-                               '0x1.ff781ac3d0f89p-9',
-                               '0x1.ff2bef9d06b44p-9',
-                               '0x1.ff781ac3d0f89p-9'],
-                     'busy': ['0x1.5dc908f2eded3p-9',
-                              '0x1.692486c8059cfp-10',
-                              '0x1.90d829f820e06p-10',
-                              '0x1.4cd169ea7f4d1p-10',
-                              '0x1.c69c31238e383p-10',
-                              '0x1.955714b9cb38ap-10',
-                              '0x1.6843b63835b15p-10',
-                              '0x1.a6322e50752ecp-10'],
-                     'loop': {'actions_executed': 40833,
-                              'messages_delivered': 32633,
-                              'messages_squashed': 0,
-                              'batch_sends': 0,
-                              'stall_time': '0x0.0p+0'},
-                     'counters': {'source_events': 8192,
-                                  'edge_inserts': 12117,
-                                  'edge_deletes': 0,
-                                  'visits': 49017,
-                                  'messages_sent_local': 16209,
-                                  'messages_sent_remote': 16423,
-                                  'control_messages': 0,
-                                  'busy_time': '0x1.ad992aded0beap-7',
-                                  'updates_squashed': 0,
-                                  'batch_sends': 0,
-                                  'bulk_chunks': 0,
-                                  'bulk_events': 0,
-                                  'fallback_flushes': 0,
-                                  'deletes_safe': 0,
-                                  'deletes_unsafe': 0,
-                                  'vertices_invalidated': 0,
-                                  'repair_visits': 0},
-                     'rank_counters': '701e0d1adbac5842e53d827d4fbb6e40ca9ef3f9',
-                     'store': {'probe_count': 91556,
-                               'displacement_count': 9525,
-                               'resize_count': 411,
-                               'low_degree_scans': 12010,
-                               'promotions': 346},
-                     'edges': '6821f2de16f40fa7a0e0948a887d058adc1db55b',
-                     'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
-                               'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
-                     'collections': []},
- 'faults_drop5': {'clock': ['0x1.b719873a9c5bdp-8',
-                            '0x1.b70c1b414efd8p-8',
-                            '0x1.b6528ceab4927p-8',
-                            '0x1.b6b080bbd226ap-8',
-                            '0x1.b6e128238a9c8p-8',
-                            '0x1.b72fd78913623p-8',
-                            '0x1.b6b8e437a2819p-8',
-                            '0x1.b7d0e738b3d01p-8'],
-                  'busy': ['0x1.895c34b43cf91p-9',
-                           '0x1.9ac79702e623ap-10',
-                           '0x1.c70e46ea9fc9ap-10',
-                           '0x1.7ea0190f9b49cp-10',
-                           '0x1.0016a634b25ccp-9',
-                           '0x1.c7a8a09d998cep-10',
-                           '0x1.915450ba2c7f0p-10',
-                           '0x1.dc004676dc810p-10'],
-                  'loop': {'actions_executed': 51389,
-                           'messages_delivered': 43189,
-                           'messages_squashed': 0,
-                           'batch_sends': 0,
-                           'stall_time': '0x0.0p+0'},
-                  'counters': {'source_events': 8192,
-                               'edge_inserts': 12117,
-                               'edge_deletes': 0,
-                               'visits': 59573,
-                               'messages_sent_local': 21645,
-                               'messages_sent_remote': 21543,
-                               'control_messages': 0,
-                               'busy_time': '0x1.e50b1c93b44e0p-7',
-                               'updates_squashed': 0,
-                               'batch_sends': 0,
-                               'bulk_chunks': 0,
-                               'bulk_events': 0,
-                               'fallback_flushes': 0,
-                               'deletes_safe': 0,
-                               'deletes_unsafe': 0,
-                               'vertices_invalidated': 0,
-                               'repair_visits': 0},
-                  'rank_counters': '80e2568196806eca3107f86618599bcb75518606',
-                  'store': {'probe_count': 93425,
-                            'displacement_count': 9766,
-                            'resize_count': 411,
-                            'low_degree_scans': 12048,
-                            'promotions': 346},
-                  'edges': '840606ea8611e52306fb17f0c5a3acbcc256340c',
-                  'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
-                            'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
-                  'collections': []},
- 'faults_drop20': {'clock': ['0x1.9f792c91ae54bp-7',
-                             '0x1.a5a54096c9027p-7',
-                             '0x1.d0f08868c4bccp-7',
-                             '0x1.e640664c9028ep-7',
-                             '0x1.9ce2237626cd9p-7',
-                             '0x1.e7f3595383618p-7',
-                             '0x1.84ccee5abc0d7p-7',
-                             '0x1.9c5f313de5925p-7'],
-                   'busy': ['0x1.c48f10a99bc21p-9',
-                            '0x1.dc5e3a47f9ebap-10',
-                            '0x1.ff0cbaf965374p-10',
-                            '0x1.baa8071aa61d0p-10',
-                            '0x1.204295a6c5cedp-9',
-                            '0x1.049235f8095b6p-9',
-                            '0x1.dc50ce4eac99dp-10',
-                            '0x1.1238e7a81a541p-9'],
-                   'loop': {'actions_executed': 65176,
-                            'messages_delivered': 56976,
-                            'messages_squashed': 0,
-                            'batch_sends': 0,
-                            'stall_time': '0x0.0p+0'},
-                   'counters': {'source_events': 8192,
-                                'edge_inserts': 12117,
-                                'edge_deletes': 0,
-                                'visits': 73360,
-                                'messages_sent_local': 28392,
-                                'messages_sent_remote': 28583,
-                                'control_messages': 0,
-                                'busy_time': '0x1.1699d528bbc5ap-6',
-                                'updates_squashed': 0,
-                                'batch_sends': 0,
-                                'bulk_chunks': 0,
-                                'bulk_events': 0,
-                                'fallback_flushes': 0,
-                                'deletes_safe': 0,
-                                'deletes_unsafe': 0,
-                                'vertices_invalidated': 0,
-                                'repair_visits': 0},
-                   'rank_counters': '11e71d3c01c990213b317bece79be26743f37897',
-                   'store': {'probe_count': 92783,
-                             'displacement_count': 9674,
-                             'resize_count': 414,
-                             'low_degree_scans': 12003,
-                             'promotions': 346},
-                   'edges': 'aee3130315f803eb4587759d2b3729c261e1e86d',
-                   'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
-                             'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
-                   'collections': []},
  'squash_4_off': {'clock': ['0x1.fae7924aeffdbp-8',
                             '0x1.fade580f8acc9p-8',
                             '0x1.faebc408d82adp-8',
