@@ -2,8 +2,9 @@
 
 The engine's hot paths (visitor dispatch, stream pull, bulk chunks) are
 instrumented with inline guards — one attribute load plus an identity
-check (``if self.tracer is not None``) per emission site; the two hook
-sites (``if self._hk_write:``) are the same operation.  This bench
+check (``if self.tracer is not None``) per emission site; the serving
+caches' coherence guard (``if self._serve_caches:``) is the same
+operation.  This bench
 pins the acceptance criterion down two ways:
 
 1. **Guard micro-cost vs per-event cost** — the primary, noise-free
@@ -53,7 +54,7 @@ N_NODES = 1
 # counted at the sites in ``runtime/engine.py``: the source pull
 # evaluates 3 (the bulk slot, the tracer at entry and at exit); every
 # dispatch 5 (tracer + metrics at entry and again at exit, the bulk
-# slot), plus 1 for the ``on_write`` hook tuple when its callback
+# slot), plus 1 for the ``_serve_caches`` tuple when its callback
 # writes.  An event is an ADD and a REVERSE_ADD dispatch plus its UPDATE
 # fan-out — 3.7 dispatches on this workload, budgeted as 4 that all
 # write: 3 + 4 * (5 + 1).  The insert/delete paths carry no guard.

@@ -14,7 +14,7 @@ The serving layer's three headline claims, measured:
    cache.  Deterministic given the seeds.
 3. **< 3% ingest overhead when enabled-but-idle** — the engine-side
    cost of an attached-but-unqueried serving layer is one truth test
-   of the compiled ``on_write`` hook tuple per value write.
+   of the engine's ``_serve_caches`` tuple per value write.
    Like ``bench_obs_overhead``, the guard is measured directly
    (noise-free) and multiplied by a pessimistic guards-per-event
    budget; a full attached-vs-plain A/B wall ratio is reported as
@@ -151,25 +151,25 @@ def _cache_vs_collection(serving, hot_vertex):
 def _serve_guard_loop(engine, n: int) -> float:
     """Seconds for ``8 * n`` serve-invalidation guards (the exact
     expression ``_write_value`` evaluates when serving is idle: one
-    attribute load + truth test of the compiled ``on_write`` hook
-    tuple, empty when no serving layer is hooked)."""
+    attribute load + truth test of the engine's ``_serve_caches``
+    tuple, empty when no serving layer has attached its cache)."""
     t0 = time.perf_counter()
     for _ in range(n):
-        if engine._hk_write:
+        if engine._serve_caches:
             raise AssertionError
-        if engine._hk_write:
+        if engine._serve_caches:
             raise AssertionError
-        if engine._hk_write:
+        if engine._serve_caches:
             raise AssertionError
-        if engine._hk_write:
+        if engine._serve_caches:
             raise AssertionError
-        if engine._hk_write:
+        if engine._serve_caches:
             raise AssertionError
-        if engine._hk_write:
+        if engine._serve_caches:
             raise AssertionError
-        if engine._hk_write:
+        if engine._serve_caches:
             raise AssertionError
-        if engine._hk_write:
+        if engine._serve_caches:
             raise AssertionError
     return time.perf_counter() - t0
 
@@ -193,7 +193,7 @@ def _idle_overhead(src, dst, source):
     idle_engine.run()
     attached_wall = time.perf_counter() - t0
 
-    assert plain_engine._hk_write == ()
+    assert plain_engine._serve_caches == ()
     n = 100_000
     guard_s = min(
         max(_serve_guard_loop(plain_engine, n) - _empty_loop(n), 0.0) / (8 * n)

@@ -563,7 +563,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         stream_seed = int(rng.integers(2**31))
 
         def engine_factory():
-            # The runner registers FaultInjectionPlugin per incarnation.
+            # The runner sets up FaultInjectionPlugin per incarnation.
             progs = _instantiate(algo, src, args.sources)[0]
             return _engine(progs, n_ranks, cost, telemetry_plugins())
 

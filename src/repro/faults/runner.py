@@ -134,9 +134,9 @@ class FaultTolerantRunner:
                 )
             incarnations += 1
             engine = self.engine_factory()
-            # Each incarnation is a fresh engine, so the "faults" name
-            # never collides.
-            engine.plugins.register_late(FaultInjectionPlugin(self.plan), engine)
+            # Each incarnation is a fresh engine: attach the plan to it
+            # before anything runs.
+            FaultInjectionPlugin(self.plan).setup(engine)
             streams = list(self.stream_factory())
             if have_ckpt:
                 extra = load_checkpoint(engine, self.checkpoint_path)

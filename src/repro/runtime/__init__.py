@@ -15,13 +15,11 @@ from repro.runtime.engine import (
 )
 from repro.runtime.lifecycle import EngineBuilder
 from repro.runtime.plugins import (
-    HOOK_SITES,
     BulkIngestPlugin,
     EnginePlugin,
     FaultInjectionPlugin,
     FreshnessPlugin,
     MetricsPlugin,
-    PluginRegistry,
     TracerPlugin,
 )
 from repro.runtime.queries import Trigger, TriggerManager
@@ -35,9 +33,7 @@ __all__ = [
     "UnsupportedCollectionError",
     "EngineConfig",
     "EngineBuilder",
-    "HOOK_SITES",
     "EnginePlugin",
-    "PluginRegistry",
     "TracerPlugin",
     "MetricsPlugin",
     "FreshnessPlugin",

@@ -49,8 +49,8 @@ Exactness contract
 * **Resync**: per-event activity bumps ``_topo_mutations`` /
   ``_value_mutations`` on the engine; the next chunk re-reads the stores
   and ``DenseState.fold``s the dicts before trusting its dense state.
-  (Counters, not the mp applier's ``on_write`` hook: checkpoint restore
-  and ``_rebuild_topology`` change state outside ``_write_value``, and
+  (Counters, not a per-write callback: checkpoint restore and
+  ``_rebuild_topology`` change state outside ``_write_value``, and
   ``write_epoch()`` needs the counters anyway.)
 
 Virtual-time accounting is kept comparable to the per-event path: each
@@ -281,13 +281,13 @@ class BulkIngestor:
                         eng.triggers.on_change(p, vid, v, now)
                 else:
                     d.update(pairs)
-            # A bulk flush bypasses _write_value, so per-write on_write
-            # hooks never fired; the coarse on_bulk_flush site fires once
-            # per program that wrote something instead (the serving
-            # layer drops its non-absorbing cached entries for the whole
-            # program wholesale).
-            for h in eng._hk_bulk_flush:
-                h(p)
+            # A bulk flush bypasses _write_value's per-write
+            # invalidation, so each attached serving cache drops the
+            # whole program at once instead.  Absorbing entries survive
+            # only while the monotone-bound argument does (insert-only
+            # sources).
+            for cache in eng._serve_caches:
+                cache.flush_prog(p, keep_absorbing=eng._streams_add_only)
         self.engaged = False
         self._synced_vals = eng._value_mutations
         if count_fallback:

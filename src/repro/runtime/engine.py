@@ -29,7 +29,7 @@ from repro.comm.termination import FourCounterState, TerminationCoordinator
 from repro.events.stream import EventStream
 from repro.events.types import ADD as EV_ADD
 from repro.partition.partitioners import ConsistentHashPartitioner, Partitioner
-from repro.runtime.plugins import EnginePlugin, PluginRegistry
+from repro.runtime.plugins import EnginePlugin
 from repro.runtime.program import VertexContext, VertexProgram
 from repro.runtime.queries import Trigger, TriggerManager
 from repro.runtime.snapshot import ActiveCollection, CollectionResult
@@ -54,6 +54,7 @@ if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.obs.registry import MetricsRegistry, VirtualTimeSampler
     from repro.obs.tracer import Tracer
     from repro.runtime.bulk import BulkIngestor
+    from repro.serving.cache import StableValueCache
 
 # Trace span names per dispatched message type (repro.obs).  The "cat"
 # is what busy-coverage aggregation keys on (see BUSY_CATEGORIES).
@@ -130,7 +131,8 @@ class DynamicEngine(RankHandler):
     plugins:
         Cross-cutting attachments (:mod:`repro.runtime.plugins`): bulk
         ingest, tracer, metrics sampler, fault plan, ...  None attaches
-        nothing.
+        nothing; names must be unique.  Each ``setup`` runs once, in
+        order, at the end of construction.
     """
 
     def __init__(
@@ -156,6 +158,12 @@ class DynamicEngine(RankHandler):
         names = [p.name for p in programs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate program names: {names}")
+        self.plugins = tuple(plugins or ())
+        seen: set[str] = set()
+        for plugin in self.plugins:
+            if plugin.name in seen:
+                raise ValueError(f"duplicate plugin name {plugin.name!r}")
+            seen.add(plugin.name)
         self.programs = list(programs)
         self.loop = DiscreteEventLoop(n, self.cost, self)
         self.stores = [
@@ -233,19 +241,19 @@ class DynamicEngine(RankHandler):
         self.tracer: Tracer | None = None
         self.metrics: MetricsRegistry | None = None
         self.sampler: VirtualTimeSampler | None = None
-        # Hook-site tuples (repro.runtime.plugins): the two places a
-        # second copy of vertex values — the mp backend's dense mirror
-        # (vecapply), the serving layer's stable-value cache — hears
-        # about a change to the first.  The empty tuple is the disabled
-        # state, so each site costs the hot path exactly one attribute
-        # load + truth test (``if self._hk_write:``) — the same grade as
-        # the ``is not None`` guards, gated by bench_obs_overhead.py.
-        self._hk_write: tuple[Callable[[int, int, Any], None], ...] = ()
-        self._hk_bulk_flush: tuple[Callable[[int], None], ...] = ()
+        # The serving layers' stable-value caches (repro.serving), the
+        # one second copy of vertex values that must hear about every
+        # write: _write_value invalidates the entry, bulk.flush_values
+        # the program.  A layer attaches its cache on first admission
+        # and detaches it on close().  The empty tuple is the disabled
+        # state, so an idle write pays one attribute load + truth test
+        # (``if self._serve_caches:``), gated by
+        # bench_serving_latency.py.
+        self._serve_caches: tuple[StableValueCache, ...] = ()
         for r in range(n):
             self.loop.set_source_active(r, False)
-        self.plugins = PluginRegistry(plugins or ())
-        self.plugins.compile(self)
+        for plugin in self.plugins:
+            plugin.setup(self)
 
     # ------------------------------------------------------------------
     # public API: setup and execution
@@ -414,20 +422,6 @@ class DynamicEngine(RankHandler):
             # not a de-optimization (nothing forced per-event replay).
             self._bulk.flush_values(count_fallback=False)
         return makespan
-
-    # ------------------------------------------------------------------
-    # hooks (repro.runtime.plugins)
-    # ------------------------------------------------------------------
-    def install_hook(self, site: str, fn: Callable[..., None]) -> None:
-        """Install a callback at a named hook site (see
-        :data:`repro.runtime.plugins.HOOK_SITES`); it fires after the
-        ones installed before it, from the next event on."""
-        self.plugins.install(site, fn)
-
-    def uninstall_hook(self, site: str, fn: Callable[..., None]) -> bool:
-        """Remove an installed callback; returns whether it was
-        present."""
-        return self.plugins.uninstall(site, fn)
 
     # ------------------------------------------------------------------
     # public API: observation
@@ -904,9 +898,9 @@ class DynamicEngine(RankHandler):
                 merged = program.merge(old, value)
                 if merged != old:
                     vals[vertex] = merged
-                    if self._hk_write:
-                        for h in self._hk_write:
-                            h(prog, vertex, merged)
+                    if self._serve_caches:
+                        for cache in self._serve_caches:
+                            cache.invalidate(prog, vertex)
                     if self.triggers.has_triggers(prog):
                         self.triggers.on_change(prog, vertex, merged, self.loop.now(rank))
             return
@@ -922,9 +916,9 @@ class DynamicEngine(RankHandler):
                 # prev-version view (§III-D).
                 prev[vertex] = vals.get(vertex, 0)
         vals[vertex] = value
-        if self._hk_write:
-            for h in self._hk_write:
-                h(prog, vertex, value)
+        if self._serve_caches:
+            for cache in self._serve_caches:
+                cache.invalidate(prog, vertex)
         if self.triggers.has_triggers(prog):
             self.triggers.on_change(prog, vertex, value, self.loop.now(rank))
 

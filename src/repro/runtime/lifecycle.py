@@ -29,12 +29,12 @@ class EngineBuilder:
             EngineBuilder()
             .with_programs([prog])
             .with_config(EngineConfig(n_ranks=4))
-            .with_plugin(TracerPlugin())
+            .with_plugins([TracerPlugin()])
             .build()
         )
 
     ``build()`` constructs the engine, which runs every plugin's
-    ``setup`` in registration order.
+    ``setup`` in list order.
     """
 
     def __init__(self) -> None:
@@ -53,10 +53,6 @@ class EngineBuilder:
 
     def with_cost_model(self, cost_model: Any) -> "EngineBuilder":
         self._cost_model = cost_model
-        return self
-
-    def with_plugin(self, plugin: EnginePlugin) -> "EngineBuilder":
-        self._plugins.append(plugin)
         return self
 
     def with_plugins(self, plugins: Iterable[EnginePlugin]) -> "EngineBuilder":

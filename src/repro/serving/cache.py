@@ -17,18 +17,18 @@ there are two moments at which a value is provably done changing —
   lag zero at an unchanged write epoch), i.e. the value is the
   converged answer on the *ingested-so-far* prefix.  It may still
   change when future stream events arrive, which is why every per-event
-  value write fires the engine's ``on_write`` hook site
-  (:mod:`repro.runtime.plugins`) and drops the entry.
+  value write calls :meth:`StableValueCache.invalidate` on each cache
+  attached to the engine (``engine._serve_caches``) and drops the entry.
 
 Either way, a cached entry always equals the live engine value — the
-per-write invalidation hook guarantees coherence — so a cache hit is an
+per-write invalidation guarantees coherence — so a cache hit is an
 exact substitute for a live read that costs one dict probe instead of
 touching engine state at all.
 
 Keyed by ``(prog, vertex)`` as two levels of dict; the hot invalidation
 path (`invalidate`) is a get + pop, cheap enough to ride every value
-write once any entries exist (the ServingLayer installs the hook
-lazily so an idle serving layer costs nothing).
+write once any entries exist (the ServingLayer attaches its cache on
+first admission, so an idle serving layer costs nothing).
 """
 
 from __future__ import annotations
@@ -69,12 +69,10 @@ class StableValueCache:
         self.admissions += 1
 
     # -- invalidation ----------------------------------------------------
-    def invalidate(self, prog: int, vertex: int, _value: Any = None) -> None:
-        """Per-write hook: the engine wrote ``(prog, vertex)``; drop the
-        entry (absorbing included — a write to an absorbed vertex can
-        only restate the same value, so dropping is merely a re-miss).
-        Matches the ``on_write`` hook-site signature; the written value
-        is irrelevant to invalidation and ignored."""
+    def invalidate(self, prog: int, vertex: int) -> None:
+        """The engine wrote ``(prog, vertex)``; drop the entry
+        (absorbing included — a write to an absorbed vertex can only
+        restate the same value, so dropping is merely a re-miss)."""
         if self._entries[prog].pop(vertex, None) is not None:
             self.invalidations += 1
 
@@ -89,7 +87,7 @@ class StableValueCache:
             self.invalidations += 1
 
     def flush_prog(self, prog: int, keep_absorbing: bool = True) -> None:
-        """Bulk-flush hook: values for ``prog`` were rewritten outside
+        """Bulk flush: values for ``prog`` were rewritten outside
         the per-write path; drop everything except absorbing entries
         (their monotone bound holds regardless of how values flow).
 

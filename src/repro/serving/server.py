@@ -14,7 +14,7 @@ without stopping the stream, in three tiers —
    the full stream — can never change again) or settled (the engine is
    drained / the freshness probe proved lag zero at an unchanged write
    epoch — converged on the ingested prefix, dropped again by the
-   per-write invalidation hook the moment anything improves it).
+   engine's per-write invalidation the moment anything improves it).
 2. **bounded-staleness live read** — a constant-time read of live rank
    state with an explicit ``(value, as_of_vtime, stale)`` envelope;
    ``stale=True`` says pending frontier work may still improve this
@@ -90,10 +90,6 @@ class EngineBackend:
     def __init__(self, engine):
         self.engine = engine
         self.prog_names = [p.name for p in engine.programs]
-        # The dynamically installed cache-coherence hooks, kept so
-        # uninstall_hooks can remove exactly what it added.
-        self._invalidate_fn: Callable[..., None] | None = None
-        self._flush_fn: Callable[[int], None] | None = None
 
     def prog_index(self, prog: int | str) -> int:
         return self.engine.prog_index(prog)
@@ -138,27 +134,6 @@ class EngineBackend:
             and w.last_stale == 0
             and w.last_epoch == eng.write_epoch()
         )
-
-    def install_hooks(
-        self,
-        invalidate: Callable[..., None],
-        flush: Callable[[int], None],
-    ) -> None:
-        """Route cache coherence through the engine's plugin registry:
-        ``invalidate`` rides the per-write ``on_write`` site, ``flush``
-        the coarse ``on_bulk_flush`` site."""
-        self._invalidate_fn = invalidate
-        self._flush_fn = flush
-        self.engine.install_hook("on_write", invalidate)
-        self.engine.install_hook("on_bulk_flush", flush)
-
-    def uninstall_hooks(self) -> None:
-        if self._invalidate_fn is not None:
-            self.engine.uninstall_hook("on_write", self._invalidate_fn)
-            self._invalidate_fn = None
-        if self._flush_fn is not None:
-            self.engine.uninstall_hook("on_bulk_flush", self._flush_fn)
-            self._flush_fn = None
 
 
 class FrozenBackend:
@@ -221,12 +196,6 @@ class FrozenBackend:
     def probe_converged(self, prog: int) -> bool:
         return True
 
-    def install_hooks(self, invalidate, flush) -> None:
-        pass  # frozen state never mutates; nothing to invalidate
-
-    def uninstall_hooks(self) -> None:
-        pass
-
 
 class ServingLayer:
     """Long-lived query front-end over live (or harvested) REMO state.
@@ -261,17 +230,18 @@ class ServingLayer:
         else:
             self.backend = EngineBackend(engine)
         self.cache = StableValueCache(len(self.backend.prog_names))
+        # The live engine whose writes the cache must hear about; None
+        # for a frozen harvest, which never mutates.
+        self._engine = getattr(self.backend, "engine", None)
         if metrics is not None:
             self.metrics = metrics
         else:
-            engine_metrics = getattr(
-                getattr(self.backend, "engine", None), "metrics", None
-            )
+            engine_metrics = getattr(self._engine, "metrics", None)
             self.metrics = (
                 engine_metrics if engine_metrics is not None else MetricsRegistry()
             )
         self._refs: dict[int, Mapping[int, Any]] = {}
-        self._hooked = False
+        self._attached = False
         for prog, vals in (references or {}).items():
             self.set_reference(prog, vals)
 
@@ -283,10 +253,13 @@ class ServingLayer:
         self._refs[self.backend.prog_index(prog)] = final_values
 
     def close(self) -> None:
-        """Detach the invalidation hooks and drop the cache."""
-        if self._hooked:
-            self.backend.uninstall_hooks()
-            self._hooked = False
+        """Detach the cache from the engine and drop it."""
+        if self._attached:
+            eng = self._engine
+            eng._serve_caches = tuple(
+                c for c in eng._serve_caches if c is not self.cache
+            )
+            self._attached = False
         self.cache.clear()
 
     # ------------------------------------------------------------------
@@ -327,9 +300,9 @@ class ServingLayer:
                 and value == ref.get(vertex, 0)
             )
             if absorbing or settled:
-                if not self._hooked:
-                    backend.install_hooks(self.cache.invalidate, self._flush_prog)
-                    self._hooked = True
+                if not self._attached and self._engine is not None:
+                    self._engine._serve_caches += (self.cache,)
+                    self._attached = True
                 self.cache.admit(p, vertex, value, backend.vtime(), absorbing)
                 m.inc("serve_admissions")
             stale = not (absorbing or settled)
@@ -346,11 +319,6 @@ class ServingLayer:
         """Is every already-ingested event provably propagated?"""
         backend = self.backend
         return backend.drained() or backend.probe_converged(prog)
-
-    def _flush_prog(self, prog: int) -> None:
-        """Bulk-flush hook: absorbing entries survive only while the
-        monotone-bound argument does (insert-only sources)."""
-        self.cache.flush_prog(prog, keep_absorbing=self.backend.add_only())
 
     # -- typed wrappers over point() -------------------------------------
     def distance(self, prog: int | str, vertex: int) -> QueryResult:

@@ -17,10 +17,11 @@ from repro import (
     IncrementalBFS,
     IncrementalCC,
     RankCrash,
+    RankStall,
 )
 from repro.analytics import verify_bfs, verify_cc
 from repro.events.stream import split_streams
-from repro.runtime.plugins import MetricsPlugin
+from repro.runtime.plugins import BulkIngestPlugin, MetricsPlugin
 
 N_RANKS = 3
 
@@ -218,3 +219,41 @@ def test_empty_plan_is_the_fault_free_run(tmp_path):
     assert eng._prog_visits == plain._prog_visits
     assert eng.state("bfs") == plain.state("bfs")
     assert eng.state("cc") == plain.state("cc")
+
+
+def test_every_incarnation_runs_under_the_plan(tmp_path):
+    """The runner sets the plan up on each fresh engine before it runs:
+    a factory's bulk ingestor stays off in every incarnation (a chunk
+    would step over the plan's instants), and the stall fires in the
+    incarnation that finishes."""
+    src, dst = workload()
+    bfs_ref, cc_ref, vt = fault_free_state(src, dst)
+    built = []
+
+    def engine_factory():
+        built.append(
+            DynamicEngine(
+                [IncrementalBFS(), IncrementalCC()],
+                EngineConfig(n_ranks=N_RANKS),
+                plugins=[BulkIngestPlugin()],
+            )
+        )
+        return built[-1]
+
+    _, sf, init, path = make_harness(src, dst, tmp_path)
+    plan = FaultPlan(
+        seed=2,
+        crashes=[RankCrash(time=vt * 0.4)],
+        stalls=[RankStall(time=vt * 0.7, rank=1)],
+    )
+    res = FaultTolerantRunner(
+        engine_factory, sf, plan, path, checkpoint_interval=vt * 0.2, init_fn=init
+    ).run()
+    assert res.incarnations == len(built) == 2
+    for eng in built:
+        assert eng._bulk is not None and eng._bulk.disabled
+        assert eng.total_counters().bulk_chunks == 0
+    assert res.engine is built[-1]
+    assert res.engine.loop.fault_stall_time > 0
+    assert res.engine.state("bfs") == bfs_ref
+    assert res.engine.state("cc") == cc_ref

@@ -18,6 +18,7 @@ from repro.events.stream import ArrayEventStream, split_streams
 from repro.events.types import ADD, DELETE
 from repro.generators import rmat_edges
 from repro.runtime.plugins import BulkIngestPlugin
+from repro.serving.cache import StableValueCache
 from repro.storage.degaware import DegAwareRHH
 
 
@@ -111,6 +112,18 @@ class RecordingDict(dict):
             self[key] = value
 
 
+class FlushRecorder(StableValueCache):
+    """An attached serving cache that lists the programs flushed."""
+
+    def __init__(self, n_progs):
+        super().__init__(n_progs)
+        self.flushed = []
+
+    def flush_prog(self, prog, keep_absorbing=True):
+        self.flushed.append(prog)
+        super().flush_prog(prog, keep_absorbing)
+
+
 def test_flush_writes_and_fires_only_for_what_changed():
     eng = DynamicEngine(
         [IncrementalBFS(), IncrementalCC()],
@@ -119,8 +132,9 @@ def test_flush_writes_and_fires_only_for_what_changed():
     )
     for rank_vals in eng.values:
         rank_vals[:] = [RecordingDict() for _ in rank_vals]
-    fired = []
-    eng.install_hook("on_bulk_flush", fired.append)
+    recorder = FlushRecorder(2)
+    eng._serve_caches = (recorder,)
+    fired = recorder.flushed
     bulk = eng._bulk
 
     def ingest(edges):
@@ -129,7 +143,7 @@ def test_flush_writes_and_fires_only_for_what_changed():
         assert bulk.engaged
 
     def flush():
-        """Hook firings and the keys written per program by one flush."""
+        """Programs flushed and the keys written per program by one flush."""
         del fired[:]
         for rank_vals in eng.values:
             for d in rank_vals:

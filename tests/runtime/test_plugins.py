@@ -1,12 +1,12 @@
-"""PluginRegistry semantics, the two hook sites, and the EngineBuilder.
+"""Engine plugins, the serving-cache slot, and the EngineBuilder.
 
 The contract (repro.runtime.plugins): a plugin is a name plus
-``setup(engine)``; duplicate names are rejected; hooks exist at exactly
-two sites, fire in installation order, and an engine nobody subscribed
-to leaves both per-site tuples empty (the disabled-cost guard).  Hooks
-are observers consuming no virtual time: plugins and hooks change
-neither the programs' state nor the DES schedule, whichever way the
-engine is assembled.
+``setup(engine)``; the engine keeps its plugins as a plain tuple,
+rejects duplicate names and runs each ``setup`` once, in order.  An
+engine no serving layer attached a cache to leaves ``_serve_caches``
+empty (the disabled-cost guard).  Plugins and attached caches are
+observers consuming no virtual time: they change neither the programs'
+state nor the DES schedule, whichever way the engine is assembled.
 """
 
 from collections import Counter
@@ -19,18 +19,17 @@ from repro import (
     IncrementalBFS,
     IncrementalCC,
     ListEventStream,
+    ServingLayer,
 )
 from repro.events.types import ADD, DELETE
 from repro.runtime.lifecycle import EngineBuilder
 from repro.runtime.plugins import (
-    HOOK_ATTRS,
-    HOOK_SITES,
     BulkIngestPlugin,
     EnginePlugin,
     MetricsPlugin,
-    PluginRegistry,
     TracerPlugin,
 )
+from repro.serving.cache import StableValueCache
 
 
 def bare_engine(plugins=None):
@@ -50,57 +49,49 @@ def run_path(e, n=6):
 
 
 class Named(EnginePlugin):
-    """A plugin that subscribes the way plugins do: from ``setup``."""
+    """A plugin that logs each ``setup`` call by name."""
 
-    def __init__(self, name, hooks=None):
+    def __init__(self, name, log=None):
         self.name = name
-        self._hooks = hooks or {}
+        self.log = log if log is not None else []
 
     def setup(self, engine):
-        for site, fn in self._hooks.items():
-            engine.install_hook(site, fn)
+        self.log.append(self.name)
 
 
 class TestRegistration:
     def test_duplicate_name_rejected(self):
-        reg = PluginRegistry([Named("a")])
-        with pytest.raises(ValueError, match="duplicate plugin name"):
-            reg.register(Named("a"))
+        log = []
+        builder = (
+            EngineBuilder()
+            .with_programs([IncrementalBFS()])
+            .with_plugins([Named("a", log)])
+            .with_plugins([Named("a", log)])
+        )
+        with pytest.raises(ValueError, match="duplicate plugin name 'a'"):
+            builder.build()
+        assert log == []  # an input check: no setup ran
 
     def test_duplicate_name_rejected_via_engine(self):
-        e = bare_engine(plugins=[Named("a")])
         with pytest.raises(ValueError, match="duplicate plugin name"):
-            e.plugins.register_late(Named("a"), e)
+            bare_engine(plugins=[Named("a"), Named("b"), Named("a")])
 
-    def test_register_after_compile_requires_register_late(self):
-        e = bare_engine()
-        with pytest.raises(RuntimeError, match="already compiled"):
-            e.plugins.register(Named("late"))
-        fn = lambda *args: None
-        e.plugins.register_late(Named("late", hooks={"on_write": fn}), e)
-        assert "late" in e.plugins.names()
-        assert e._hk_write == (fn,)  # its setup ran against the live engine
-
-    def test_register_late_rejects_foreign_engine(self):
-        e1, e2 = bare_engine(), bare_engine()
-        with pytest.raises(RuntimeError, match="not compiled for this engine"):
-            e1.plugins.register_late(Named("x"), e2)
-
-    def test_get_and_names(self):
-        p = Named("a")
-        e = bare_engine(plugins=[p])
-        assert e.plugins.get("a") is p
-        assert e.plugins.get("nope") is None
-        assert e.plugins.names() == ["a"]
+    def test_plugins_are_a_tuple_set_up_once_in_order(self):
+        log = []
+        a, b = Named("a", log), Named("b", log)
+        e = bare_engine(plugins=[a, b])
+        assert e.plugins == (a, b)
+        assert log == ["a", "b"]
+        run_path(e)
+        assert log == ["a", "b"]
 
 
 class TestEmptyRegistryGuard:
     def test_every_hook_site_is_the_empty_tuple(self):
+        """Both coherence sites read one slot; a bare engine's is ()."""
         e = bare_engine()
-        assert e.plugins.names() == []
-        assert HOOK_SITES == ("on_write", "on_bulk_flush")
-        for site in HOOK_SITES:
-            assert getattr(e, HOOK_ATTRS[site]) == (), site
+        assert e.plugins == ()
+        assert e._serve_caches == ()
 
     def test_no_sugar_objects_without_flags(self):
         e = bare_engine()
@@ -110,44 +101,29 @@ class TestEmptyRegistryGuard:
         assert e._bulk is None
 
 
-class TestCompiledOrder:
-    def test_firing_order_is_registration_then_install_order(self):
-        fired = []
-        a = Named("a", hooks={"on_write": lambda *args: fired.append("a")})
-        b = Named("b", hooks={"on_write": lambda *args: fired.append("b")})
-        e = bare_engine(plugins=[a, b])
-        dyn = lambda *args: fired.append("dyn")
-        e.install_hook("on_write", dyn)
-        run_path(e, n=3)
-        assert fired[:3] == ["a", "b", "dyn"]
-        # One a/b/dyn round per committed value write, same order each.
-        assert fired == ["a", "b", "dyn"] * (len(fired) // 3)
-
-
 class TestDynamicHooks:
     def test_install_uninstall_round_trip(self):
-        e = bare_engine()
-        fn = lambda *args: None
-        for site in HOOK_SITES:
-            e.install_hook(site, fn)
-            assert getattr(e, HOOK_ATTRS[site]) == (fn,)
-            assert e.uninstall_hook(site, fn) is True
-            assert getattr(e, HOOK_ATTRS[site]) == ()
-            assert e.uninstall_hook(site, fn) is False
-
-    def test_unknown_site_rejected(self):
-        e = bare_engine()
-        with pytest.raises(ValueError, match="unknown hook site"):
-            e.install_hook("on_warp", lambda: None)
-        with pytest.raises(ValueError, match="unknown hook site"):
-            e.uninstall_hook("on_warp", lambda: None)
-
-    def test_removed_sites_are_rejected_naming_the_survivors(self):
-        """The six sites that had no subscriber are gone, not dormant."""
-        e = bare_engine()
-        for site in ("on_dispatch", "on_insert", "on_delete", "on_quiesce"):
-            with pytest.raises(ValueError, match="on_write, on_bulk_flush"):
-                e.install_hook(site, lambda *args: None)
+        """A serving layer's cache hears both sites while attached and
+        leaves the slot as it found it when closed."""
+        e = DynamicEngine(
+            [IncrementalBFS()],
+            EngineConfig(n_ranks=2),
+            plugins=[BulkIngestPlugin(4)],
+        )
+        run_path(e, n=8)
+        serving = ServingLayer(e)
+        assert serving.point("bfs", 8).source == "live"  # admits, attaches
+        assert e._serve_caches == (serving.cache,)
+        # Bulk replay flushes the whole program: the settled entry goes.
+        second = [(ADD, 20 + i, 21 + i, 1) for i in range(8)]
+        e.attach_streams([ListEventStream(second)])
+        e.run()
+        assert e.total_counters().bulk_chunks > 0
+        assert len(serving.cache) == 0 and serving.cache.invalidations == 1
+        serving.point("bfs", 8)
+        serving.close()
+        assert e._serve_caches == ()
+        assert len(serving.cache) == 0
 
 
 class TestEngineBuilder:
@@ -208,23 +184,38 @@ def fingerprint(engine):
     }
 
 
+class CountingCache(StableValueCache):
+    """An attached cache that counts what each coherence site asks."""
+
+    def __init__(self, n_progs, counts):
+        super().__init__(n_progs)
+        self.counts = counts
+
+    def invalidate(self, prog, vertex):
+        self.counts["write"] += 1
+        super().invalidate(prog, vertex)
+
+    def flush_prog(self, prog, keep_absorbing=True):
+        self.counts["bulk_flush"] += 1
+        super().flush_prog(prog, keep_absorbing)
+
+
 def test_observer_plugin_leaves_results_bit_identical():
-    """A hook on every site must not perturb state or the DES schedule."""
+    """A cache on both sites must not perturb state or the DES schedule."""
     counts = Counter()
 
     def observed(engine):
-        for site in HOOK_SITES:
-            engine.install_hook(site, lambda *_args, site=site: counts.update([site]))
+        engine._serve_caches = (CountingCache(len(engine.programs), counts),)
         return engine
 
-    # Per-event churn: every value write passes the on_write site.
+    # Per-event churn: every value write passes the write site.
     bare = drive(churn_builder([]).build())
     hooked = drive(observed(churn_builder([]).build()))
     assert fingerprint(hooked) == fingerprint(bare)
-    assert counts["on_write"] > 0 and counts["on_bulk_flush"] == 0
+    assert counts["write"] > 0 and counts["bulk_flush"] == 0
 
     # Bulk replay bypasses _write_value; each flush of its dense mirror
-    # passes the on_bulk_flush site once per program.
+    # passes the bulk-flush site once per program.
     def bulk_run(wrap):
         e = wrap(churn_builder([BulkIngestPlugin(8)]).build())
         e.init_program("bfs", 0)
@@ -233,7 +224,7 @@ def test_observer_plugin_leaves_results_bit_identical():
         return e
 
     assert fingerprint(bulk_run(observed)) == fingerprint(bulk_run(lambda e: e))
-    assert counts["on_bulk_flush"] > 0 and counts["on_bulk_flush"] % 2 == 0
+    assert counts["bulk_flush"] > 0 and counts["bulk_flush"] % 2 == 0
 
 
 def test_builder_and_constructor_are_bit_identical():
@@ -250,5 +241,5 @@ def test_builder_and_constructor_are_bit_identical():
     assert built.tracer.events == direct.tracer.events
     assert built.metrics.samples == direct.metrics.samples
     for e in (built, direct):
-        assert e.plugins.names() == ["bulk-ingest", "tracer", "metrics"]
+        assert [p.name for p in e.plugins] == ["bulk-ingest", "tracer", "metrics"]
         assert e.sampler is not None and e._bulk is not None

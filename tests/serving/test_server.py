@@ -3,7 +3,8 @@
 The contract under test (DESIGN.md §10): a ``stale=False`` answer
 always equals the static answer on the ingested prefix; a cache entry
 always equals the live engine value; the engine pays nothing for an
-idle serving layer (hooks install lazily on first admission).
+idle serving layer (its cache attaches to the engine's
+``_serve_caches`` slot on first admission).
 """
 
 import pytest
@@ -78,17 +79,15 @@ class TestAdmissionAndInvalidation:
     def test_hooks_install_lazily(self):
         e = path_engine(n=12)
         serving = ServingLayer(e)
-        assert e._hk_write == ()  # idle layer: no hook
+        assert e._serve_caches == ()  # idle layer: nothing attached
         e.run(max_actions=1)
         serving.point("bfs", 11)  # stale miss: still no admission
-        assert e._hk_write == ()
+        assert e._serve_caches == ()
         e.run()
-        serving.point("bfs", 11)  # drained miss: admits, installs
-        assert e._hk_write != ()
-        assert e._hk_bulk_flush != ()
+        serving.point("bfs", 11)  # drained miss: admits, attaches
+        assert e._serve_caches == (serving.cache,)
         serving.close()
-        assert e._hk_write == ()
-        assert e._hk_bulk_flush == ()
+        assert e._serve_caches == ()
 
     def test_write_invalidates_cached_entry(self):
         # Path 0-1-2-3-4-5 ingested in two stages; a shortcut edge 0-5
@@ -139,6 +138,64 @@ class TestAdmissionAndInvalidation:
                 assert res.value == e.value_of("bfs", v)
         for v in range(9):
             assert serving.point("bfs", v).value == v + 1
+
+
+class TestTwoLayersOnOneEngine:
+    """Both coherence sites serve every attached cache: two layers on
+    one engine each hear every write, and each detaches only itself."""
+
+    @staticmethod
+    def staged_engine():
+        # Path 0-1-2-3-4-5, drained; a later shortcut 0-5 improves
+        # vertex 5 from level 6 to level 2.
+        e = DynamicEngine([IncrementalBFS()], EngineConfig(n_ranks=2))
+        e.init_program("bfs", 0)
+        e.attach_streams([ListEventStream([(ADD, i, i + 1, 1) for i in range(5)])])
+        e.run()
+        return e
+
+    @staticmethod
+    def shortcut(e):
+        e.attach_streams([ListEventStream([(ADD, 0, 5, 1)])])
+        e.run()
+
+    def test_shortcut_write_evicts_from_both_caches(self):
+        e = self.staged_engine()
+        a, b = ServingLayer(e), ServingLayer(e)
+        for layer in (a, b):
+            assert layer.point("bfs", 5).value == 6
+            assert layer.point("bfs", 5).source == "cache"
+        assert e._serve_caches == (a.cache, b.cache)
+        self.shortcut(e)
+        for layer in (a, b):
+            assert layer.cache.invalidations == 1
+            res = layer.point("bfs", 5)
+            assert (res.source, res.value) == ("live", 2)
+
+    def test_closing_one_leaves_the_other_coherent(self):
+        e = self.staged_engine()
+        a, b = ServingLayer(e), ServingLayer(e)
+        for layer in (a, b):
+            layer.point("bfs", 5)
+        a.close()
+        assert e._serve_caches == (b.cache,)
+        assert b.point("bfs", 5).source == "cache"
+        self.shortcut(e)
+        res = b.point("bfs", 5)
+        assert (res.source, res.value) == ("live", 2)
+        assert len(a.cache) == 0 and a.cache.invalidations == 0
+
+    def test_slot_is_empty_only_after_both_close(self):
+        e = self.staged_engine()
+        a, b = ServingLayer(e), ServingLayer(e)
+        for layer in (a, b):
+            layer.point("bfs", 5)
+        b.close()
+        assert e._serve_caches == (a.cache,)
+        b.close()  # a second close detaches nothing more
+        assert e._serve_caches == (a.cache,)
+        a.close()
+        assert e._serve_caches == ()
 
 
 class TestTypedQueries:
