@@ -16,6 +16,11 @@ the simulation conservative (causally correct): when an action at time
 *t* runs, every other rank's next action is at ≥ *t*, so no message that
 should have arrived before *t* can materialise later.
 
+A ``max_virtual_time`` stop peeks at the heap head and leaves it in
+place, with its ``seq``: a run cut into time slices executes the same
+actions in the same order as one ``run()``.  ``quiescent()`` is two
+counter tests.
+
 Channels
 --------
 Messages between a (sender, receiver) pair form a FIFO channel: arrival
@@ -126,7 +131,8 @@ class DiscreteEventLoop:
         self._scheduled: list[float | None] = [None] * self.n_ranks
         self._seq = 0
         self._source_active = [True] * self.n_ranks
-        self.in_flight = 0  # messages sent but not yet handled
+        self._live_sources = self.n_ranks  # count of True in _source_active
+        self.in_flight = 0  # messages queued in either lane, not yet handled
         self.messages_delivered = 0
         self.messages_squashed = 0  # sends combined into a queued message
         self.batch_sends = 0  # send_many invocations
@@ -380,7 +386,10 @@ class DiscreteEventLoop:
 
     def set_source_active(self, rank: int, active: bool) -> None:
         """(De)activate a rank's source stream (engine wiring)."""
-        self._source_active[rank] = bool(active)
+        active = bool(active)
+        if active != self._source_active[rank]:
+            self._source_active[rank] = active
+            self._live_sources += 1 if active else -1
         if active and rank != self._acting_rank:
             self._reschedule(rank)
 
@@ -397,14 +406,11 @@ class DiscreteEventLoop:
 
         This is ground truth the *distributed* detector in
         :mod:`repro.comm.termination` is tested against; the engine's
-        algorithms must not rely on it.
+        algorithms must not rely on it.  Two counters answer it:
+        ``in_flight`` counts every message queued in either lane, so
+        empty inboxes need no scan.
         """
-        return (
-            self.in_flight == 0
-            and all(not ib for ib in self._inbox)
-            and all(not ib for ib in self._inbox_prio)
-            and not any(self._source_active)
-        )
+        return self.in_flight == 0 and self._live_sources == 0
 
     def run(
         self,
@@ -421,6 +427,7 @@ class DiscreteEventLoop:
         inboxes, prios = self._inbox, self._inbox_prio
         source_active, handler = self._source_active, self.handler
         heappop = heapq.heappop
+        horizon = _INF if max_virtual_time is None else max_virtual_time
         executed = 0
         while actions or alarms:
             # Fire any alarms due before the next rank action.
@@ -437,13 +444,13 @@ class DiscreteEventLoop:
                     cb()
                     continue
                 break
-            t, _, rank = heappop(actions)
+            t, _, rank = actions[0]
             if scheduled[rank] != t:
+                heappop(actions)
                 continue  # stale entry
-            if max_virtual_time is not None and t > max_virtual_time:
-                self._seq += 1
-                heapq.heappush(actions, (t, self._seq, rank))
-                break
+            if t > horizon:
+                break  # left in the heap, its seq (tie rank) intact
+            heappop(actions)
             scheduled[rank] = None
             # One action of ``rank`` at time ``t``: its earliest arrived
             # message (control lane first), else one source pull.
@@ -471,8 +478,10 @@ class DiscreteEventLoop:
                     handler.on_message(self, rank, msg)
                 elif source_active[rank]:
                     clock[rank] = now
-                    if not handler.pull_source(self, rank):
+                    # (the handler may have deactivated it itself)
+                    if not handler.pull_source(self, rank) and source_active[rank]:
                         source_active[rank] = False
+                        self._live_sources -= 1
                 # else: stale wake-up with an inbox drained meanwhile.
             finally:
                 self._acting_rank = None

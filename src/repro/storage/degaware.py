@@ -18,7 +18,10 @@ This reproduction keeps both tiers:
 
 The vertex index itself is also a Robin Hood map by default (pass
 ``vertex_index="dict"`` to use a Python dict — the storage ablation bench
-compares the two).  Edge weights are stored as int64; unweighted graphs
+compares the two).  Every Robin Hood map of one store is keyed by vertex
+ids, so they share one :class:`~repro.storage.robin_hood.HashMemo`: a
+vertex id is mixed once per store, not once per probe sequence of each
+table it lands in.  Edge weights are stored as int64; unweighted graphs
 use weight 1.
 
 The store is *rank-local*: each simulated process owns one instance and
@@ -32,7 +35,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.storage.robin_hood import RobinHoodMap
+from repro.storage.robin_hood import HashMemo, RobinHoodMap
 from repro.util.validate import check_positive
 
 
@@ -88,9 +91,13 @@ class DegAwareRHH:
             raise ValueError(f"vertex_index must be 'robinhood' or 'dict', got {vertex_index!r}")
         self.promote_threshold = int(promote_threshold)
         self._index_kind = vertex_index
+        # The hash memo of the index and of every promoted table.
+        self._hashes = HashMemo()
         # vertex id -> slot in self._adj
         self._index: RobinHoodMap | dict[int, int]
-        self._index = RobinHoodMap(64) if vertex_index == "robinhood" else {}
+        self._index = (
+            RobinHoodMap(64, hashes=self._hashes) if vertex_index == "robinhood" else {}
+        )
         # Bind the index-lookup strategy once: _slot_of is on every
         # edge operation's critical path, so a per-call string compare on
         # the index kind is measurable (see bench_ablation_storage.py).
@@ -287,7 +294,9 @@ class DegAwareRHH:
         return True
 
     def _promote(self, slot: int, adj: _LowDegreeAdjacency) -> None:
-        table = RobinHoodMap(initial_capacity=2 * self.promote_threshold)
+        table = RobinHoodMap(
+            initial_capacity=2 * self.promote_threshold, hashes=self._hashes
+        )
         for nbr, w in zip(adj.nbrs, adj.weights):
             table.put(nbr, w)
         self._adj[slot] = table
@@ -414,7 +423,8 @@ class DegAwareRHH:
         slot at promotion time).  Pending bulk-append edges count at
         their packed column footprint (3 x int64) per row this store
         owns, without forcing a flush — whether the columns are its own
-        or a chunk shared with the other ranks' stores.
+        or a chunk shared with the other ranks' stores.  The hash memo
+        is not counted: it is a cache of the mix, not modelled storage.
         """
         return (
             88 * len(self._vids)
