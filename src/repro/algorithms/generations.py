@@ -115,6 +115,7 @@ quiescence collection.
 
 from __future__ import annotations
 
+import operator
 from typing import Any
 
 from repro.algorithms.base import INF
@@ -177,7 +178,11 @@ class _SupportTree(VertexProgram):
     def on_init(self, ctx: VertexContext, payload: Any) -> None:
         state = self._ensure(ctx)
         if len(state) == 3:
-            self._adopt(ctx, state, self.by_right(payload), SELF)
+            gen, value, support = state
+            granted = self.absorb(value, support, self.by_right(payload), SELF)
+            if granted is not None:
+                ctx.set_value((gen, *granted))
+                ctx.update_nbrs(("U", granted[0]))
         else:  # frozen: the grant survives the thaw at index 1
             _, support = self.intrinsic(ctx.vertex)
             granted = self.absorb(state[1], support, self.by_right(payload), SELF)
@@ -193,7 +198,10 @@ class _SupportTree(VertexProgram):
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
         theirs = self.intrinsic(vis_id)[0] if vis_val == 0 else vis_val[1]
-        self._offer(ctx, self._ensure(ctx), vis_id, theirs, weight)
+        state = ctx.value
+        if state == 0:
+            state = self._ensure(ctx)
+        self._offer(ctx, state, vis_id, theirs, weight)
 
     def on_delete(self, ctx: VertexContext, vis_id: int, weight: int) -> None:
         self._edge_removed(ctx, vis_id)
@@ -207,7 +215,9 @@ class _SupportTree(VertexProgram):
     def on_update(
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
-        state = self._ensure(ctx)
+        state = ctx.value
+        if state == 0:
+            state = self._ensure(ctx)
         kind = vis_val[0]
         if kind == "U":
             # An offer over an edge deleted in the meantime would
@@ -255,23 +265,15 @@ class _SupportTree(VertexProgram):
     ) -> None:
         if len(state) != 3:
             return  # frozen: the thaw's T asks again
-        if self._adopt(ctx, state, self.extend(theirs, weight), nbr):
-            return
-        mine = state[1]
-        if self.better(self.extend(mine, weight), theirs):
+        gen, mine, support = state
+        candidate = self.extend(theirs, weight)
+        if self.better(candidate, mine):
+            value, support = self.absorb(mine, support, candidate, nbr)
+            ctx.set_value((gen, value, support))
+            ctx.update_nbrs(("U", value))
+        elif self.better(self.extend(mine, weight), theirs):
             # We hold the better side: notify back the visitor.
             ctx.update_single_nbr(nbr, ("U", mine), weight)
-
-    def _adopt(
-        self, ctx: VertexContext, state: tuple, candidate: Any, nbr: int
-    ) -> bool:
-        gen, value, support = state
-        adopted = self.absorb(value, support, candidate, nbr)
-        if adopted is None:
-            return False
-        ctx.set_value((gen, *adopted))
-        ctx.update_nbrs(("U", adopted[0]))
-        return True
 
     def _edge_removed(self, ctx: VertexContext, nbr: int) -> bool:
         """Rule 2; False at a vertex no event ever touched."""
@@ -326,20 +328,13 @@ class _SupportTree(VertexProgram):
 
 class _GenerationalDistance(_SupportTree):
     """Distances: intrinsic ``INF``, the source holds 1 by right, an
-    offer is the sender's distance plus :meth:`hop_cost`, smaller is
-    better, support is the parent."""
+    offer is the sender's distance plus one hop (:meth:`extend`), smaller
+    is better, support is the parent."""
 
-    def hop_cost(self, weight: int) -> int:
-        raise NotImplementedError
+    better = staticmethod(operator.lt)
 
     def intrinsic(self, vertex: int) -> tuple[int, int]:
         return INF, SELF
-
-    def extend(self, value: int, weight: int) -> int:
-        return value + self.hop_cost(weight) if value < INF else INF
-
-    def better(self, a: int, b: int) -> bool:
-        return a < b
 
     def by_right(self, payload: Any) -> int:
         return 1
@@ -355,8 +350,8 @@ class GenerationalBFS(_GenerationalDistance):
 
     name = "gen-bfs"
 
-    def hop_cost(self, weight: int) -> int:
-        return 1
+    def extend(self, value: int, weight: int) -> int:
+        return value + 1 if value < INF else INF
 
 
 class GenerationalSSSP(_GenerationalDistance):
@@ -367,8 +362,8 @@ class GenerationalSSSP(_GenerationalDistance):
 
     name = "gen-sssp"
 
-    def hop_cost(self, weight: int) -> int:
-        return weight
+    def extend(self, value: int, weight: int) -> int:
+        return value + weight if value < INF else INF
 
 
 class GenerationalWidest(_SupportTree):
@@ -378,15 +373,11 @@ class GenerationalWidest(_SupportTree):
     support is the last hop.  State ``(generation, capacity, parent)``."""
 
     name = "gen-widest"
+    extend = staticmethod(min)
+    better = staticmethod(operator.gt)
 
     def intrinsic(self, vertex: int) -> tuple[int, int]:
         return 0, SELF
-
-    def extend(self, value: int, weight: int) -> int:
-        return min(value, weight)
-
-    def better(self, a: int, b: int) -> bool:
-        return a > b
 
     def by_right(self, payload: Any) -> int:
         return CAP_INF
@@ -405,12 +396,10 @@ class GenerationalCC(_SupportTree):
     ``(generation, label, support)``; takes no ``init()``."""
 
     name = "gen-cc"
+    better = staticmethod(operator.gt)
 
     def intrinsic(self, vertex: int) -> tuple[int, int]:
         return component_label(vertex), SELF
-
-    def better(self, a: int, b: int) -> bool:
-        return a > b
 
     def show(self, value: int) -> str:
         return f"comp:{value:016x}"

@@ -1096,7 +1096,9 @@ class DynamicEngine(RankHandler):
             self._charge(rank, self.cost.storage_probe_cpu)
             if weight is None:
                 weight = 1  # edge raced away (delete); carry the default
-        ver = self._emit_version(rank, vertex, nbr, self._proc_version[rank])
+        ver = self._proc_version[rank]
+        if self.active_collection is not None:
+            ver = self._emit_version(rank, vertex, nbr, ver)
         combiner = self._combiners[prog]
         self._send_visitor(
             rank,

@@ -331,7 +331,24 @@ class DegAwareRHH:
         return removed
 
     def has_edge(self, src: int, dst: int) -> bool:
-        return self.edge_weight(src, dst) is not None
+        # edge_weight's probe without its frames: the receiver of every
+        # delete-capable offer asks this (same scans, same probe count).
+        if self._pending_count:
+            self._flush_pending()
+        slot = self._slot_of(src)
+        if slot < 0:
+            return False
+        adj = self._adj[slot]
+        if isinstance(adj, RobinHoodMap):
+            return adj._find_slot(int(dst)) >= 0
+        nbrs = adj.nbrs
+        try:
+            pos = nbrs.index(dst)
+        except ValueError:
+            self.stats.low_degree_scans += len(nbrs)
+            return False
+        self.stats.low_degree_scans += pos + 1
+        return True
 
     def edge_weight(self, src: int, dst: int) -> int | None:
         """Weight of ``src -> dst``, or None if the edge is absent."""
