@@ -40,10 +40,13 @@ thaw-and-offer (value None: thaw only), ``("F",)`` fence.
 **Rules.**
 
 1. *Offer* (``U``, the value in ``T``, a REVERSE_ADD value): a live
-   vertex adopts a strictly better candidate (``support := sender``,
-   broadcast ``U``) or notifies back when it holds the better side; a
-   frozen vertex ignores offers.  Offers cross edges, so they are
-   dropped unless the edge exists at the receiver.
+   vertex adopts a strictly better candidate (``support := sender``)
+   and broadcasts ``U`` to every neighbour but the sender — to the
+   sender too only if ``better(extend(new, w), theirs)``, which only
+   S-T can make true (the receiver held a bit the sender lacks) — or
+   notifies back when it holds the better side; a frozen vertex
+   ignores offers.  Offers cross edges, so they are dropped unless the
+   edge exists at the receiver.
 2. *Delete / reverse-delete of the edge to n*: live and supported by n
    -> invalidate as root; anything else -> nothing.
 3. *Invalidate* (as root, or under target t): ``generation += 1``,
@@ -57,9 +60,10 @@ thaw-and-offer (value None: thaw only), ``("F",)`` fence.
 7. *Thaw*: become live holding the intrinsic value by right, send
    ``T(value)`` to every current neighbour and ``T(None)`` to every kid
    that no longer is one.
-8. *On* ``T(value)`` *from s*: frozen under s -> thaw; then rule 1.  A
-   better neighbour's reply to ``T`` *is* the re-relaxation from the
-   boundary.
+8. *On* ``T(value)`` *from s*: frozen under s -> thaw, taking s's
+   value in the same step if it is better (one broadcast, to every
+   neighbour); otherwise rule 1.  A better neighbour's reply to ``T``
+   *is* the re-relaxation from the boundary.
 9. *Fence*: the reverse-delete side also sends ``F`` to the other
    endpoint; on ``F`` from s, live and supported by s -> invalidate as
    root.
@@ -76,7 +80,13 @@ after thawing:** per-channel FIFO (§III-C) puts any stale ``U`` a
 member sent before its ``I`` and its ``A``, so when the last ack
 arrives no stale value is stored or in flight; a live vertex that
 adopts a stale offer meanwhile has just made the sender its support and
-receives that sender's ``I`` next on the same channel.  **Termination:**
+receives that sender's ``I`` next on the same channel.  **Why rule 1
+may skip the sender:** while the sender stays live in its generation
+its value only improves, so it holds at least the ``theirs`` it
+offered, and only S-T's ``extend(new, w)`` can beat that; its value
+regresses only through an invalidation, which reaches the receiver
+after the offer on the same FIFO channel as ``I`` and then ``T`` — and
+the receiver answers that ``T`` by rule 1 anyway.  **Termination:**
 a wave freezes a vertex at most once, waves are bounded by support
 deletes plus fences, and inside one generation values only improve.
 
@@ -157,8 +167,8 @@ class _SupportTree(VertexProgram):
         or None when it brings nothing."""
         return (candidate, nbr) if self.better(candidate, value) else None
 
-    def supported_by(self, support: Any, nbr: int) -> bool:
-        return support == nbr
+    #: Is ``nbr`` (one of) the vertex's support(s)?
+    supported_by = staticmethod(operator.eq)
 
     def by_right(self, payload: Any) -> Any:
         """The candidate an ``init()`` visitor grants its vertex."""
@@ -177,22 +187,22 @@ class _SupportTree(VertexProgram):
 
     def on_init(self, ctx: VertexContext, payload: Any) -> None:
         state = self._ensure(ctx)
-        if len(state) == 3:
-            gen, value, support = state
-            granted = self.absorb(value, support, self.by_right(payload), SELF)
-            if granted is not None:
-                ctx.set_value((gen, *granted))
-                ctx.update_nbrs(("U", granted[0]))
+        live = len(state) == 3
+        support = state[2] if live else self.intrinsic(ctx.vertex)[1]
+        granted = self.absorb(state[1], support, self.by_right(payload), SELF)
+        if granted is None:
+            return
+        if live:
+            ctx.set_value((state[0], *granted))
+            ctx.update_nbrs(("U", granted[0]))
         else:  # frozen: the grant survives the thaw at index 1
-            _, support = self.intrinsic(ctx.vertex)
-            granted = self.absorb(state[1], support, self.by_right(payload), SELF)
-            if granted is not None:
-                ctx.set_value((state[0], granted[0], *state[2:]))
+            ctx.set_value((state[0], granted[0], *state[2:]))
 
     def on_add(
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
-        self._ensure(ctx)
+        if ctx.value == 0:
+            self._ensure(ctx)
 
     def on_reverse_add(
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
@@ -270,7 +280,9 @@ class _SupportTree(VertexProgram):
         if self.better(candidate, mine):
             value, support = self.absorb(mine, support, candidate, nbr)
             ctx.set_value((gen, value, support))
-            ctx.update_nbrs(("U", value))
+            # Rule 1: no echo to the sender unless it gains (S-T only).
+            echo = self.better(self.extend(value, weight), theirs)
+            ctx.update_nbrs(("U", value), None if echo else nbr)
         elif self.better(self.extend(mine, weight), theirs):
             # We hold the better side: notify back the visitor.
             ctx.update_single_nbr(nbr, ("U", mine), weight)

@@ -992,7 +992,9 @@ class DynamicEngine(RankHandler):
             return col.cut_version
         return ver
 
-    def _emit_update_all(self, rank: int, prog: int, vertex: int, value: Any) -> None:
+    def _emit_update_all(
+        self, rank: int, prog: int, vertex: int, value: Any, skip: int | None = None
+    ) -> None:
         if self._suppress_sends[rank]:
             return
         self._cb_effect[rank] = True
@@ -1007,6 +1009,8 @@ class DynamicEngine(RankHandler):
         )
         if not self.config.batch_updates:
             for nbr, weight in self.stores[rank].neighbors(vertex):
+                if nbr == skip:
+                    continue
                 mver = self._emit_version(rank, vertex, nbr, ver) if relabel else ver
                 self._send_visitor(
                     rank,
@@ -1020,6 +1024,12 @@ class DynamicEngine(RankHandler):
         # Batched fast path: one send_many per fan-out, built over the
         # store's borrowed parallel adjacency lists (no pair tuples).
         nbrs, weights = self.stores[rank].neighbors_arrays(vertex)
+        # Leave out ``skip`` (the support tree's rule 1); a fan-out it
+        # empties charges nothing, as an empty one never did.
+        if skip is not None and skip in nbrs:
+            i = nbrs.index(skip)
+            nbrs = nbrs[:i] + nbrs[i + 1 :]
+            weights = weights[:i] + weights[i + 1 :]
         if not nbrs:
             return
         if relabel:

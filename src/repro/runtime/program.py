@@ -128,9 +128,16 @@ class VertexContext:
         setattr(counters, counter, getattr(counters, counter) + 1)
 
     # -- event emission (Alg. 3's two primitives) ------------------------
-    def update_nbrs(self, value: Any) -> None:
-        """Send an UPDATE event carrying ``value`` to every neighbour."""
-        self._engine._emit_update_all(self._rank, self._prog, self.vertex, value)
+    def update_nbrs(self, value: Any, skip: int | None = None) -> None:
+        """Send an UPDATE event carrying ``value`` to every neighbour but
+        ``skip``.
+
+        A program that adopted ``value`` from neighbour ``skip`` passes
+        it when that neighbour cannot gain from the value (the support
+        tree's rule 1): the fan-out leaves it out, and one that is left
+        empty sends and charges nothing.
+        """
+        self._engine._emit_update_all(self._rank, self._prog, self.vertex, value, skip)
 
     def update_single_nbr(self, nbr: int, value: Any, weight: int | None = None) -> None:
         """Send an UPDATE event carrying ``value`` to one neighbour.

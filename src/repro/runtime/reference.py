@@ -71,8 +71,10 @@ class _RefContext:
     def count(self, counter: str) -> None:
         """No ranks here, so no per-rank attribution counters."""
 
-    def update_nbrs(self, value: Any) -> None:
+    def update_nbrs(self, value: Any, skip: int | None = None) -> None:
         for nbr, weight in list(self._engine.store.neighbors(self.vertex)):
+            if nbr == skip:
+                continue
             self._engine.queue.append(
                 (VT_UPDATE, self._prog, nbr, self.vertex, value, weight)
             )

@@ -27,7 +27,9 @@ from repro import (
     GenerationalWidest,
     INF,
     ListEventStream,
+    ReferenceEngine,
 )
+from repro.algorithms.cc import component_label
 from repro.analytics.metrics import parallel_throughput_report, throughput_report
 from repro.analytics.verify import (
     verify_bfs,
@@ -114,13 +116,18 @@ op = st.tuples(
 )
 
 
+# 60 examples in tier-1; the profile's 1,500 under CI's churn-sweep
+# profile (tests/conftest.py).
+SWEEP = {} if settings.get_current_profile_name() == "churn-sweep" else {"max_examples": 60}
+
+
 @given(
     ops=st.lists(op, min_size=40, max_size=120),
     n_vertices=st.integers(3, 12),
     n_ranks=st.integers(1, 7),
     canonical_split=st.booleans(),
 )
-@settings(max_examples=60, deadline=None)
+@settings(deadline=None, **SWEEP)
 def test_five_programs_converge_under_heavy_churn(
     ops, n_vertices, n_ranks, canonical_split
 ):
@@ -329,6 +336,74 @@ def test_init_landing_on_a_frozen_vertex_survives_the_thaw():
         2: (1, 1, -2),
         3: (1, 2, 2),
     }
+
+
+def messages(engine):
+    total = engine.total_counters()
+    return total.messages_sent_local + total.messages_sent_remote
+
+
+# Rule 1 without its echo: a hub of degree k + 1 that adopts over its
+# new edge offers the value to its k old neighbours only, and a leaf
+# that adopts from the hub has nobody left to tell.
+HUB, LEAVES = 100, range(101, 106)
+
+
+@pytest.mark.parametrize(
+    "program", [GenerationalBFS, GenerationalSSSP, GenerationalCC, GenerationalWidest]
+)
+def test_an_adoption_fans_out_to_all_but_its_sender(program):
+    prog = program()
+    engine = run_des([ListEventStream([(ADD, HUB, v, 3) for v in LEAVES])], 2, [prog])
+    if program is GenerationalCC:
+        # The joining vertex carries a label above the whole star's.
+        joiner = max(range(HUB), key=component_label)
+        assert component_label(joiner) > max(map(component_label, (HUB, *LEAVES)))
+    else:
+        joiner = 0  # the source, unseen by the star until now
+    before = messages(engine)
+    # ADD at the joiner (the canonical lo endpoint), REVERSE_ADD at the
+    # hub, which adopts: one U per leaf, none back to the joiner, and
+    # no leaf echoes the hub.
+    delta = then(engine, [(ADD, joiner, HUB, 5)])
+    assert delta["visits"] == 2 + len(LEAVES)
+    assert messages(engine) - before == 2 + len(LEAVES)
+    joined = engine.value_of(prog.name, HUB)
+    assert joined[2] == joiner
+    assert all(engine.value_of(prog.name, v)[2] == HUB for v in LEAVES)
+
+
+def test_st_adoption_still_answers_a_sender_that_lacks_a_bit():
+    """Two sources, each holding its own bit, joined by one edge: the
+    REVERSE_ADD side adopts the other's bit and must still send the
+    union back — the one case where the sender gains from the echo."""
+    prog = GenerationalST()
+    prog.register_source(0)
+    prog.register_source(1)
+    engine = run_des([ListEventStream([])], 2, [prog])
+    assert [engine.value_of("gen-st", v)[1] for v in (0, 1)] == [0b01, 0b10]
+    delta = then(engine, [(ADD, 0, 1, 1)])
+    assert [engine.value_of("gen-st", v)[1] for v in (0, 1)] == [0b11, 0b11]
+    # ADD at 0, REVERSE_ADD at 1 (adopts bit 0, echoes), U at 0 (adopts
+    # bit 1; 1 now lacks nothing, so no second echo).
+    assert delta["visits"] == 3
+
+
+@pytest.mark.parametrize("n_vertices,n_adds,ratio,ranks,seed", PINNED[:4])
+def test_des_with_skipped_echoes_equals_the_reference_engine(
+    n_vertices, n_adds, ratio, ranks, seed
+):
+    """The sequential spec runs the same callbacks, skip included: the
+    asynchronous run reaches its projected state exactly."""
+    cols = pinned_columns(n_vertices, n_adds, ratio, seed)
+    src, dst, weights, kinds = (col.tolist() for col in cols)
+    ref = ReferenceEngine(five_programs())
+    for prog, vertex, payload in INIT:
+        ref.init_program(prog, vertex, payload)
+    ref.ingest(zip(kinds, src, dst, weights))
+    des = run_des(split_churn_streams(*cols, ranks), ranks)
+    assert projected(des.state) == projected(ref.state)
+    assert_none_frozen(ref.state)
 
 
 # ----------------------------------------------------------------------

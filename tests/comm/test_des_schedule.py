@@ -173,10 +173,12 @@ def toy_order(seed: int) -> tuple[int, int, str]:
     return executed, len(trace), _digest((trace, clocks))
 
 
-# (actions_executed, handler entries, SHA-1), generated at ``51d84c9``.
+# (actions_executed, handler entries, SHA-1), generated at ``51d84c9``;
+# churn regenerated when the support tree's rule 1 stopped echoing an
+# adopted value to its sender (1,792 actions before).
 PINNED_ENGINE = {
     "bfs_cc": (16585, 16585, "c5b05869717b6fba0da6d2e9abcafeb1b77a0141"),
-    "churn": (1792, 1792, "5eaad78ebed64724945e8dd1bd4884dbb728e7a8"),
+    "churn": (1489, 1489, "dab8f41f8cb37bfe52b63b419ad8e53d769248b9"),
 }
 PINNED_TOY = {
     0: (815, 815, "79aea3c36e4b5f03ec1ce6aa94221faea42e1c3c"),

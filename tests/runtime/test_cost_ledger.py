@@ -23,6 +23,12 @@ The legs from ``churn_bench_16x64`` to ``obs_cc`` are the DES runs of
 the churn, fault, squash and telemetry benches at REPRO_BENCH_SCALE=0;
 they pin every virtual rate and visits-per-event figure those benches
 print, and were generated the same way at commit ``88b89f3``.
+
+The five generational legs (``churn`` and the four ``churn_bench_*``)
+were regenerated once since, whole, when the support tree's rule 1
+stopped echoing an adopted value to the neighbour it came from: fewer
+messages move every clock, and the changed interleaving moves the
+support forest, the generation tags and the adjacency order.
 """
 
 from __future__ import annotations
@@ -373,47 +379,47 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
             'state': {'bfs': '26bbc18b0b21f599653afe6d1b3fb806be4d00a4',
                       'cc': '556b90d2f5699eac0a6b46565b9b61edf8a0ed69'},
             'collections': []},
- 'churn': {'clock': ['0x1.0e95c4f8c2f65p-12',
-                     '0x1.08a91bed9c523p-12',
-                     '0x1.0ebe08e4ab115p-12',
-                     '0x1.03785a84b0d74p-12'],
-           'busy': ['0x1.f75104d551d8bp-15',
-                    '0x1.d811a46d32306p-14',
-                    '0x1.6c10ca529f0b7p-13',
-                    '0x1.f212d77318f9ep-14'],
-           'loop': {'actions_executed': 1792,
-                    'messages_delivered': 1703,
+ 'churn': {'clock': ['0x1.ef58e8cf61d92p-13',
+                     '0x1.e456564dea74fp-13',
+                     '0x1.efa970a7320f3p-13',
+                     '0x1.e075203d8d2f8p-13'],
+           'busy': ['0x1.cea1b922cbdecp-15',
+                    '0x1.b61855615b62cp-14',
+                    '0x1.540d9e4e3441ep-13',
+                    '0x1.d29dc725c3dcap-14'],
+           'loop': {'actions_executed': 1489,
+                    'messages_delivered': 1400,
                     'messages_squashed': 0,
-                    'batch_sends': 270,
+                    'batch_sends': 230,
                     'stall_time': '0x0.0p+0'},
            'counters': {'source_events': 85,
                         'edge_inserts': 106,
                         'edge_deletes': 40,
-                        'visits': 2383,
-                        'messages_sent_local': 1698,
+                        'visits': 2080,
+                        'messages_sent_local': 1395,
                         'messages_sent_remote': 0,
                         'control_messages': 0,
-                        'busy_time': '0x1.e77ba4bc0c8b6p-12',
+                        'busy_time': '0x1.c6088d6d3b6cap-12',
                         'updates_squashed': 0,
-                        'batch_sends': 270,
+                        'batch_sends': 230,
                         'bulk_chunks': 0,
                         'bulk_events': 0,
                         'fallback_flushes': 0,
                         'deletes_safe': 194,
                         'deletes_unsafe': 16,
-                        'vertices_invalidated': 48,
-                        'repair_visits': 538},
-           'rank_counters': '5627a3f321fd32c0fe0173e69e5c6b497cf84a56',
-           'store': {'probe_count': 1737,  # parent 1865: 128 second index lookups gone
+                        'vertices_invalidated': 43,
+                        'repair_visits': 492},
+           'rank_counters': 'baf7bc4e112c83b14311b17b222ec4bed1eebdd2',
+           'store': {'probe_count': 1447,
                      'displacement_count': 0,
                      'resize_count': 0,
-                     'low_degree_scans': 3583,
+                     'low_degree_scans': 2861,
                      'promotions': 0},
            'edges': '10e7bf452cb53d3ba4460495965c3c07ca072f86',
            'state': {'gen-bfs': '400709d23a998ab71fae865c8d1549a6bbf4c6ff',
                      'gen-sssp': '788991fbd8f52b13d7cfc319290762e52a32feae',
-                     'gen-cc': 'a3745680f69f38735527224a24bbbaac77642237',
-                     'gen-st': '36b523b06225d1ea3b2f7bf8fd9564ebbedbd688',
+                     'gen-cc': '2c30d4ba0b65a11224309af660a77a84f3c0cf61',
+                     'gen-st': '20a236539db99cff4a6052e77c148ead67d0bd85',
                      'gen-widest': 'dc0f3541e57b11e2f8f792e5845741ab53e31376'},
            'collections': []},
  'collect_merge': {'clock': ['0x1.4ea0211d31034p-9',
@@ -702,177 +708,177 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
- 'churn_bench_16x64': {'clock': ['0x1.51a437824d462p-12',
-                                 '0x1.56acb4ff50a62p-12',
-                                 '0x1.56efd0ddd37dap-12',
-                                 '0x1.56ba20f89e047p-12'],
-                       'busy': ['0x1.df68b0c381cc1p-15',
-                                '0x1.1050b01bbc1dap-13',
-                                '0x1.cea1b922cbe17p-13',
-                                '0x1.977a04a8dc2c2p-14'],
-                       'loop': {'actions_executed': 2129,
-                                'messages_delivered': 2040,
+ 'churn_bench_16x64': {'clock': ['0x1.63baba7b91678p-12',
+                                 '0x1.67f9e45d0c409p-12',
+                                 '0x1.682f944241b9cp-12',
+                                 '0x1.68075056599eep-12'],
+                       'busy': ['0x1.114247a32cc0dp-14',
+                                '0x1.19553b9bb7805p-13',
+                                '0x1.e8a2ec28b2ac0p-13',
+                                '0x1.ac72ba31bf948p-14'],
+                       'loop': {'actions_executed': 2103,
+                                'messages_delivered': 2014,
                                 'messages_squashed': 0,
-                                'batch_sends': 351,
+                                'batch_sends': 355,
                                 'stall_time': '0x0.0p+0'},
                        'counters': {'source_events': 85,
                                     'edge_inserts': 106,
                                     'edge_deletes': 36,
-                                    'visits': 2720,
-                                    'messages_sent_local': 2035,
+                                    'visits': 2694,
+                                    'messages_sent_local': 2009,
                                     'messages_sent_remote': 0,
                                     'control_messages': 0,
-                                    'busy_time': '0x1.08a265f0f5a20p-11',
+                                    'busy_time': '0x1.1834aa2bb815cp-11',
                                     'updates_squashed': 0,
-                                    'batch_sends': 351,
+                                    'batch_sends': 355,
                                     'bulk_chunks': 0,
                                     'bulk_events': 0,
                                     'fallback_flushes': 0,
                                     'deletes_safe': 183,
                                     'deletes_unsafe': 27,
-                                    'vertices_invalidated': 75,
-                                    'repair_visits': 654},
-                       'rank_counters': 'bf45ec64fd124eb04d2786810dd79ec2256b7f51',
-                       'store': {'probe_count': 2267,
-                                 'displacement_count': 1,
+                                    'vertices_invalidated': 85,
+                                    'repair_visits': 798},
+                       'rank_counters': '4c7e5504b255a285bff09483a9543bf9d38c358c',
+                       'store': {'probe_count': 2164,
+                                 'displacement_count': 0,
                                  'resize_count': 0,
-                                 'low_degree_scans': 4279,
-                                 'promotions': 2},
-                       'edges': '769b8a74b0a66cad07309d4ae6e48b32ac114793',
-                       'state': {'gen-bfs': 'd560f76733afe21979979181de7e5c72bc225509',
-                                 'gen-sssp': '656ce5f379495131ee0b8c5ef982e2cf24d1d672',
-                                 'gen-cc': '516248c5bf85c9d77a7bab4d2b3730890897f4a6',
-                                 'gen-st': '91b7c5b1e2eb15d686c9ead0eb305d51dcb94a38',
-                                 'gen-widest': 'c454f037a74c3cf6f47534f0c32aeed649dd83ab'},
+                                 'low_degree_scans': 4218,
+                                 'promotions': 1},
+                       'edges': '9cfa945462a0f458eda977828320ab37181a2efe',
+                       'state': {'gen-bfs': '5a87e06a459081f865bbc4631e85c24cc189ba09',
+                                 'gen-sssp': '4f944be799b92060cecf5830c2c655972894a506',
+                                 'gen-cc': 'cd81025e740591fa3693e0bb9eb4f4da0c60b4ee',
+                                 'gen-st': '89e42a977a5191547c160f63e0b56907a8c06e58',
+                                 'gen-widest': '22841a5d38256b9fbe1e219a692dc8d0b6661d68'},
                        'collections': []},
- 'churn_bench_128x512': {'clock': ['0x1.3b2646bba6129p-9',
-                                   '0x1.3b22ebbd52baep-9',
-                                   '0x1.3abae6f13b1f7p-9',
-                                   '0x1.3acd5b680581bp-9'],
-                         'busy': ['0x1.3dbb4c71c871dp-10',
-                                  '0x1.0ad977d5fa65fp-10',
-                                  '0x1.9b00a1e66edd8p-10',
-                                  '0x1.578374942662bp-10'],
-                         'loop': {'actions_executed': 23287,
-                                  'messages_delivered': 22600,
+ 'churn_bench_128x512': {'clock': ['0x1.312e76351055ap-9',
+                                   '0x1.3124653a164ebp-9',
+                                   '0x1.313023b43a016p-9',
+                                   '0x1.312cc8b5e6a9cp-9'],
+                         'busy': ['0x1.313d8fad876c9p-10',
+                                  '0x1.fca3542d7eaf6p-11',
+                                  '0x1.93194cd81f987p-10',
+                                  '0x1.54ab52ff812cfp-10'],
+                         'loop': {'actions_executed': 20428,
+                                  'messages_delivered': 19741,
                                   'messages_squashed': 0,
-                                  'batch_sends': 3704,
+                                  'batch_sends': 3415,
                                   'stall_time': '0x0.0p+0'},
                          'counters': {'source_events': 683,
                                       'edge_inserts': 1004,
                                       'edge_deletes': 340,
-                                      'visits': 28064,
-                                      'messages_sent_local': 22595,
+                                      'visits': 25205,
+                                      'messages_sent_local': 19736,
                                       'messages_sent_remote': 0,
                                       'control_messages': 0,
-                                      'busy_time': '0x1.4ec636b096060p-8',
+                                      'busy_time': '0x1.45d4f666f9e27p-8',
                                       'updates_squashed': 0,
-                                      'batch_sends': 3704,
+                                      'batch_sends': 3415,
                                       'bulk_chunks': 0,
                                       'bulk_events': 0,
                                       'fallback_flushes': 0,
-                                      'deletes_safe': 1575,
-                                      'deletes_unsafe': 135,
-                                      'vertices_invalidated': 638,
-                                      'repair_visits': 6720},
-                         'rank_counters': '75748123cf361ca0d83ab8eaa7f8320366d40a82',
-                         'store': {'probe_count': 34129,
-                                   'displacement_count': 31,
+                                      'deletes_safe': 1558,
+                                      'deletes_unsafe': 152,
+                                      'vertices_invalidated': 630,
+                                      'repair_visits': 6460},
+                         'rank_counters': '5bd3502f75d6c7afbc8fe4e62ab98bde1910c274',
+                         'store': {'probe_count': 31196,
+                                   'displacement_count': 32,
                                    'resize_count': 0,
-                                   'low_degree_scans': 47006,
+                                   'low_degree_scans': 39978,
                                    'promotions': 20},
-                         'edges': 'ee4287990f4d20a128b5c817ed5af4ca6ccaa44a',
-                         'state': {'gen-bfs': '0757b4d6296fc42ea8ac3120737391d3106c006d',
-                                   'gen-sssp': 'caa7da601981b531a832da6193c55b34dd6e3c02',
-                                   'gen-cc': '962b70ef524f7e58fabffc4f5d337367bbd6ca84',
-                                   'gen-st': 'f9021501907c01e388c59ec6e584f46b71a9abab',
-                                   'gen-widest': '803b1ad66a7de53c11fa5994d8116d73e0daab01'},
+                         'edges': '2be28bb8efae0710055807805b0c8d63cf8c41d6',
+                         'state': {'gen-bfs': '5b61242154d79dd6841105ced0f742eaf9c8bd7e',
+                                   'gen-sssp': '7f87ad0c64901427fb9f0a9dedbf4d9063b9aad1',
+                                   'gen-cc': '919c9b7404b633664574ceb53172f47a919025a0',
+                                   'gen-st': 'a76fbb880d67273e82ff44f5be972e5ee6bdacd7',
+                                   'gen-widest': 'd6d2180f4e0bc1b34a8e7b361c92260443319a79'},
                          'collections': []},
- 'churn_bench_1024x4096': {'clock': ['0x1.20db41da9bc63p-5',
-                                     '0x1.20b92db39d536p-5',
-                                     '0x1.20cfb9105d484p-5',
-                                     '0x1.20d77b7c7e032p-5'],
-                           'busy': ['0x1.57e4c3639a126p-6',
-                                    '0x1.50536a0a621b5p-6',
-                                    '0x1.6a605b8a6db03p-6',
-                                    '0x1.6574637f2e887p-6'],
-                           'loop': {'actions_executed': 430616,
-                                    'messages_delivered': 425151,
+ 'churn_bench_1024x4096': {'clock': ['0x1.190950e19f534p-5',
+                                     '0x1.19085f4a17e27p-5',
+                                     '0x1.190844722547bp-5',
+                                     '0x1.18fca0cff42fap-5'],
+                           'busy': ['0x1.53ed1cce6f5f0p-6',
+                                    '0x1.4babcffd0529ep-6',
+                                    '0x1.68be652b002e0p-6',
+                                    '0x1.6270d8b032cf3p-6'],
+                           'loop': {'actions_executed': 379849,
+                                    'messages_delivered': 374384,
                                     'messages_squashed': 0,
-                                    'batch_sends': 71398,
+                                    'batch_sends': 67703,
                                     'stall_time': '0x0.0p+0'},
                            'counters': {'source_events': 5461,
                                         'edge_inserts': 8150,
                                         'edge_deletes': 2728,
-                                        'visits': 468839,
-                                        'messages_sent_local': 425146,
+                                        'visits': 418072,
+                                        'messages_sent_local': 374379,
                                         'messages_sent_remote': 0,
                                         'control_messages': 0,
-                                        'busy_time': '0x1.5e033b1de619ap-4',
+                                        'busy_time': '0x1.5ab20aa9a9e19p-4',
                                         'updates_squashed': 0,
-                                        'batch_sends': 71398,
+                                        'batch_sends': 67703,
                                         'bulk_chunks': 0,
                                         'bulk_events': 0,
                                         'fallback_flushes': 0,
-                                        'deletes_safe': 12005,
-                                        'deletes_unsafe': 1645,
-                                        'vertices_invalidated': 14040,
-                                        'repair_visits': 139388},
-                           'rank_counters': 'ff13a327f8c4b6ac06905958ec0dc2d29b99bfc9',
-                           'store': {'probe_count': 723559,
-                                     'displacement_count': 1816,
+                                        'deletes_safe': 11689,
+                                        'deletes_unsafe': 1961,
+                                        'vertices_invalidated': 17057,
+                                        'repair_visits': 156285},
+                           'rank_counters': '36dd8909843709ff3cf764f0256d3ad029e0a15a',
+                           'store': {'probe_count': 639101,
+                                     'displacement_count': 1786,
                                      'resize_count': 16,
-                                     'low_degree_scans': 790161,
-                                     'promotions': 221},
-                           'edges': '8b58688ce79414f0137118aff51ff7f3dae0dee1',
-                           'state': {'gen-bfs': '0b8b9ed8215ac819beddd98689d6259705fbf96f',
-                                     'gen-sssp': 'e8488bc59c061a507bd14992e50c9eeb4cf69992',
-                                     'gen-cc': '34d7cb44eaa9b3c44b44c932f4f1e046b9e01294',
-                                     'gen-st': '2f004531083842c40746f60607220257b519a97a',
-                                     'gen-widest': 'f7c1395d2fa79decddf7124ab63ec437bf0df2f9'},
+                                     'low_degree_scans': 663825,
+                                     'promotions': 222},
+                           'edges': '8210e08d7bfb08154c67a805c937345d0785c3ab',
+                           'state': {'gen-bfs': '437b3a6d18745c0ee9f970b8913ad6c4a0202c1c',
+                                     'gen-sssp': '114894a52eb3466e5eb634789db18e77232e83c6',
+                                     'gen-cc': '91444ca502436af394277a568149588a341fd095',
+                                     'gen-st': 'e3814e22bd261a0bf3715a20dc2233f4a084b3de',
+                                     'gen-widest': '78ef9d94d628c926b68559411a7f27d9d6694d9a'},
                            'collections': []},
- 'churn_bench_flash': {'clock': ['0x1.854a573c26f6cp-9',
-                                 '0x1.84fed7e1d3c3fp-9',
-                                 '0x1.854046412cefdp-9',
-                                 '0x1.850232e0271b9p-9'],
-                       'busy': ['0x1.6092110f1bd60p-10',
-                                '0x1.3388c3888055dp-10',
-                                '0x1.d13363da9a957p-10',
-                                '0x1.ffcbfd99f3ae1p-10'],
-                       'loop': {'actions_executed': 28866,
-                                'messages_delivered': 28196,
+ 'churn_bench_flash': {'clock': ['0x1.6ef9b2dee4ecdp-9',
+                                 '0x1.6efb605e0e98ap-9',
+                                 '0x1.6ef657e091954p-9',
+                                 '0x1.6ee8ebe744370p-9'],
+                       'busy': ['0x1.4987328ec8667p-10',
+                                '0x1.252121b8b755ap-10',
+                                '0x1.b4245f5ad91d4p-10',
+                                '0x1.eee6d3084fc6bp-10'],
+                       'loop': {'actions_executed': 24303,
+                                'messages_delivered': 23633,
                                 'messages_squashed': 0,
-                                'batch_sends': 5374,
+                                'batch_sends': 4543,
                                 'stall_time': '0x0.0p+0'},
                        'counters': {'source_events': 666,
                                     'edge_inserts': 716,
                                     'edge_deletes': 180,
-                                    'visits': 33524,
-                                    'messages_sent_local': 28191,
+                                    'visits': 28961,
+                                    'messages_sent_local': 23628,
                                     'messages_sent_remote': 0,
                                     'control_messages': 0,
-                                    'busy_time': '0x1.99468d830a9bdp-8',
+                                    'busy_time': '0x1.846ce1aaaa280p-8',
                                     'updates_squashed': 0,
-                                    'batch_sends': 5374,
+                                    'batch_sends': 4543,
                                     'bulk_chunks': 0,
                                     'bulk_events': 0,
                                     'fallback_flushes': 0,
-                                    'deletes_safe': 1306,
-                                    'deletes_unsafe': 234,
-                                    'vertices_invalidated': 918,
-                                    'repair_visits': 8422},
-                       'rank_counters': '289a3b8f2cb2170dab04d0eb0730b408608e19c3',
-                       'store': {'probe_count': 43114,
-                                 'displacement_count': 109,
+                                    'deletes_safe': 1300,
+                                    'deletes_unsafe': 240,
+                                    'vertices_invalidated': 1064,
+                                    'repair_visits': 9537},
+                       'rank_counters': '2c9918e265261a246c081b276324f4e04d312c48',
+                       'store': {'probe_count': 35999,
+                                 'displacement_count': 124,
                                  'resize_count': 2,
-                                 'low_degree_scans': 50841,
+                                 'low_degree_scans': 40940,
                                  'promotions': 10},
-                       'edges': 'b5303d6dfcc0a476dc6341c4be2d631cfca1bd12',
-                       'state': {'gen-bfs': 'fe14b8815a38804c0f44fec3eeb97fef173efa85',
-                                 'gen-sssp': '46c44f2043d417b401ded9e9a7a84f2567dfccaf',
-                                 'gen-cc': 'bdcc109bfd7f82aef843ea439257414070534d80',
-                                 'gen-st': '9415a2e0766027e0defbc8b33d74ad57c283a0e1',
-                                 'gen-widest': 'bc5c1b00969cd02241ae33dd1be426a98e29ebe8'},
+                       'edges': '0ef32c948d728b733a1345d4178b58c700aa26b0',
+                       'state': {'gen-bfs': 'c8e26dec54867d910f348c87909ca77867c9701e',
+                                 'gen-sssp': 'd010b472f1e16a7d9f4d955f1eeb8093e920480b',
+                                 'gen-cc': 'aa16e7d0857fe106a2aba42f58b9212fb8e09801',
+                                 'gen-st': '90fd1d43a52b71f8b97a76da31a4fb717dc4636d',
+                                 'gen-widest': '250ce97cb85d8a6b589d305532d4a8374aa63f81'},
                        'collections': []},
  'faults_off': {'clock': ['0x1.f1b9ec1f78ccep-9',
                           '0x1.f0f3f382439cfp-9',
