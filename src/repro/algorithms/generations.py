@@ -178,15 +178,15 @@ class _SupportTree(VertexProgram):
         return str(value)
 
     # -- callbacks ---------------------------------------------------------
-    def _ensure(self, ctx: VertexContext) -> tuple:
-        state = ctx.value
-        if state == 0:
-            state = (EPOCH0, *self.intrinsic(ctx.vertex))
-            ctx.set_value(state)
+    def _birth(self, ctx: VertexContext) -> tuple:
+        """Write and return the first state of a vertex never written
+        (whose ``ctx.value`` is 0)."""
+        state = (EPOCH0, *self.intrinsic(ctx.vertex))
+        ctx.set_value(state)
         return state
 
     def on_init(self, ctx: VertexContext, payload: Any) -> None:
-        state = self._ensure(ctx)
+        state = ctx.value or self._birth(ctx)
         live = len(state) == 3
         support = state[2] if live else self.intrinsic(ctx.vertex)[1]
         granted = self.absorb(state[1], support, self.by_right(payload), SELF)
@@ -202,16 +202,13 @@ class _SupportTree(VertexProgram):
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
         if ctx.value == 0:
-            self._ensure(ctx)
+            self._birth(ctx)
 
     def on_reverse_add(
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
         theirs = self.intrinsic(vis_id)[0] if vis_val == 0 else vis_val[1]
-        state = ctx.value
-        if state == 0:
-            state = self._ensure(ctx)
-        self._offer(ctx, state, vis_id, theirs, weight)
+        self._offer(ctx, ctx.value or self._birth(ctx), vis_id, theirs, weight)
 
     def on_delete(self, ctx: VertexContext, vis_id: int, weight: int) -> None:
         self._edge_removed(ctx, vis_id)
@@ -225,9 +222,7 @@ class _SupportTree(VertexProgram):
     def on_update(
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
-        state = ctx.value
-        if state == 0:
-            state = self._ensure(ctx)
+        state = ctx.value or self._birth(ctx)
         kind = vis_val[0]
         if kind == "U":
             # An offer over an edge deleted in the meantime would

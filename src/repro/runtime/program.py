@@ -137,7 +137,9 @@ class VertexContext:
         tree's rule 1): the fan-out leaves it out, and one that is left
         empty sends and charges nothing.
         """
-        self._engine._emit_update_all(self._rank, self._prog, self.vertex, value, skip)
+        self._engine._emit_update_all(
+            self._rank, self._prog, self.vertex, value, skip
+        )
 
     def update_single_nbr(self, nbr: int, value: Any, weight: int | None = None) -> None:
         """Send an UPDATE event carrying ``value`` to one neighbour.

@@ -118,7 +118,9 @@ op = st.tuples(
 
 # 60 examples in tier-1; the profile's 1,500 under CI's churn-sweep
 # profile (tests/conftest.py).
-SWEEP = {} if settings.get_current_profile_name() == "churn-sweep" else {"max_examples": 60}
+SWEEP = (
+    {} if settings.get_current_profile_name() == "churn-sweep" else {"max_examples": 60}
+)
 
 
 @given(
@@ -368,8 +370,7 @@ def test_an_adoption_fans_out_to_all_but_its_sender(program):
     delta = then(engine, [(ADD, joiner, HUB, 5)])
     assert delta["visits"] == 2 + len(LEAVES)
     assert messages(engine) - before == 2 + len(LEAVES)
-    joined = engine.value_of(prog.name, HUB)
-    assert joined[2] == joiner
+    assert engine.value_of(prog.name, HUB)[2] == joiner
     assert all(engine.value_of(prog.name, v)[2] == HUB for v in LEAVES)
 
 

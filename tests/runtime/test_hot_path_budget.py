@@ -10,7 +10,7 @@ from 1,125.3 to 597.7.  The store's hash memo (no ``_home`` frame per
 probe sequence) then took them to 72.7 and 577.9, counted warm (those
 counts were first read cold as 73.1 and 597.4, see below).  Churn's
 offer path (one probe and two compares per offer, no echo of an adopted
-value to its sender) then took churn to 390.3 on 24.5 visits per event.
+value to its sender) then took churn to 389.4 on 24.5 visits per event.
 The ceilings keep ~16% headroom above the counts: room for the spread
 across CPython 3.10-3.13 (3.12 inlines comprehensions, which only
 lowers the count) and for a small honest addition — not for a per-visit
@@ -20,6 +20,7 @@ prints both counts.
 
 from __future__ import annotations
 
+import gc
 import sys
 from collections import Counter
 
@@ -32,10 +33,13 @@ def _calls_per_event(build) -> tuple[float, Counter]:
     The leg runs once unprofiled first.  A cold leg books whatever the
     process imports lazily on first use (``numpy.random`` pulls in
     ``secrets`` and ``hmac``) to the first leg a process measures: +0.4
-    calls per event on ``bfs_cc``, +19.5 on ``churn``.  What is left is
-    the leg's own engine and stream set-up beside its run.
+    calls per event on ``bfs_cc``, +19.5 on ``churn``.  The collector is
+    off while profiling: a collection runs other modules' gc callbacks
+    (hypothesis registers one) wherever earlier tests left it due.  What
+    is left is the leg's own engine and stream set-up beside its run.
     """
     build()
+    gc.collect()
     calls: Counter = Counter()
 
     def profiler(frame, event, _arg):
@@ -43,11 +47,13 @@ def _calls_per_event(build) -> tuple[float, Counter]:
             code = frame.f_code
             calls[f"{code.co_filename.rsplit('/', 1)[-1]}:{code.co_name}"] += 1
 
+    gc.disable()
     sys.setprofile(profiler)
     try:
         engine = build()
     finally:
         sys.setprofile(None)
+        gc.enable()
     events = sum(c.source_events for c in engine.counters)
     return sum(calls.values()) / events, calls
 
