@@ -7,8 +7,8 @@ version, so it can.  On CPython 3.11 the hot-path refactor took the
 BFS+CC input below (5.05 visits per event) from 194.9 calls per source
 event to 77.6, and the five-program churn input (28 visits per event)
 from 1,125.3 to 597.7.  The store's hash memo (no ``_home`` frame per
-probe sequence) then took them to 72.7 and 577.9, counted warm (those
-counts were first read cold as 73.1 and 597.4, see below).  Churn's
+probe sequence) then took them to 72.7 and 577.9, counted warm (a cold
+first leg reads 73.1 and 597.4; see ``_calls_per_event``).  Churn's
 offer path (one probe and two compares per offer, no echo of an adopted
 value to its sender) then took churn to 389.4 on 24.5 visits per event.
 The ceilings keep ~16% headroom above the counts: room for the spread
