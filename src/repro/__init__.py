@@ -43,7 +43,7 @@ from repro.algorithms import (
     MultiSTConnectivity,
     WidestPath,
 )
-from repro.analytics import parallel_throughput_report, throughput_report
+from repro.analytics import throughput_report
 from repro.batching import SnapshotPipeline
 from repro.comm import CostModel
 from repro.events import (
@@ -105,7 +105,6 @@ __all__ = [
     "IncrementalSSSP",
     "MultiSTConnectivity",
     "WidestPath",
-    "parallel_throughput_report",
     "throughput_report",
     "SnapshotPipeline",
     "CostModel",

@@ -13,11 +13,7 @@ from repro.analytics.graphstats import (
     component_stats,
     degree_stats,
 )
-from repro.analytics.metrics import (
-    ThroughputReport,
-    parallel_throughput_report,
-    throughput_report,
-)
+from repro.analytics.metrics import ThroughputReport, throughput_report
 from repro.analytics.verify import (
     csr_from_engine,
     static_answer,
@@ -34,7 +30,6 @@ __all__ = [
     "component_stats",
     "degree_stats",
     "ThroughputReport",
-    "parallel_throughput_report",
     "throughput_report",
     "csr_from_engine",
     "static_answer",

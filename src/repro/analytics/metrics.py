@@ -40,10 +40,6 @@ class ThroughputReport:
     vertices_invalidated: int = 0  # freezes across all repair waves
     repair_visits: int = 0  # visits handling I/A/T/F protocol messages
     wall_seconds: float | None = None
-    #: Wire/ring-health counters from the mp backend (ring_stalls,
-    #: ring_pad_bytes, overflow_hwm_records, torn retries, ...); None
-    #: for DES runs, which have no physical wire.
-    wire: dict | None = None
 
     @property
     def events_per_second(self) -> float:
@@ -107,13 +103,6 @@ class ThroughputReport:
             lines.append(
                 f"  simulator wall time: {format_seconds(self.wall_seconds)}"
             )
-        if self.wire is not None:
-            lines.append(
-                f"  rings: stalls={self.wire.get('ring_stalls', 0):,} "
-                f"pad_bytes={self.wire.get('ring_pad_bytes', 0):,} "
-                f"overflow_hwm={self.wire.get('overflow_hwm_records', 0):,} "
-                f"torn_retries={self.wire.get('ring_torn_retries', 0):,}"
-            )
         return "\n".join(lines)
 
     def to_dict(self) -> dict:
@@ -154,37 +143,5 @@ def throughput_report(engine, wall_seconds: float | None = None) -> ThroughputRe
         fallback_flushes=total.fallback_flushes,
         bulk_enabled=engine._bulk is not None,
         wall_seconds=wall_seconds,
-        **_delete_causes(total),
-    )
-
-
-def parallel_throughput_report(result) -> ThroughputReport:
-    """Build a :class:`ThroughputReport` from a
-    :class:`~repro.parallel.runner.ParallelResult`.
-
-    The mp backend has no virtual clock, so ``makespan`` is the wall
-    time (``events_per_second`` then matches
-    ``result.events_per_second``), and the wire/ring-health counters
-    land in :attr:`ThroughputReport.wire` — the post-mortem view of shm
-    backpressure the DES never has.
-    """
-    total = result.counters
-    return ThroughputReport(
-        n_ranks=result.n_ranks,
-        source_events=total.source_events,
-        makespan=result.wall_seconds,
-        visits=total.visits,
-        edge_inserts=total.edge_inserts,
-        edge_deletes=total.edge_deletes,
-        messages_local=total.messages_sent_local,
-        messages_remote=result.wire.get("wire_sent", 0),
-        control_messages=total.control_messages,
-        busy_time_total=total.busy_time,
-        updates_squashed=total.updates_squashed
-        + result.wire.get("outbuf_squashed", 0)
-        + result.wire.get("inbox_squashed", 0),
-        batch_sends=result.wire.get("batch_sends", 0),
-        wall_seconds=result.wall_seconds,
-        wire=dict(result.wire),
         **_delete_causes(total),
     )

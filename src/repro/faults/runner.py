@@ -54,6 +54,7 @@ from repro.events.stream import EventStream
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.engine import DynamicEngine
 from repro.runtime.plugins import FaultInjectionPlugin
+from repro.runtime.visitor import COORDINATOR_RANK
 
 
 @dataclass
@@ -228,7 +229,7 @@ class FaultTolerantRunner:
             engine.metrics.inc("checkpoints_taken")
         if engine.tracer is not None:
             engine.tracer.instant(
-                engine.config.coordinator_rank,
+                COORDINATOR_RANK,
                 "fault/checkpoint",
                 loop.max_time(),
                 "fault",

@@ -88,8 +88,8 @@ class FrontierKernel:
 
 def kernel_eligible(programs) -> bool:
     """Both vectorized paths' program-side rule: every program has a
-    ``bulk_kernel`` and no neighbour cache (vacuously true for none)."""
-    return all(p.bulk_kernel is not None and not p.needs_nbr_cache for p in programs)
+    ``bulk_kernel`` (vacuously true for none)."""
+    return all(p.bulk_kernel is not None for p in programs)
 
 
 # ----------------------------------------------------------------------

@@ -59,21 +59,13 @@ class ObsConfig:
     """What the mp backend should capture (picklable, sent to workers).
 
     ``trace`` records phase spans; ``metrics`` records counters and
-    ring-occupancy samples.  Either flag implies a registry (the
-    cross-rank counters report is always wanted when obs is on);
-    ``ring_sample_every`` throttles occupancy sampling to every N-th
-    doorbell.
+    ring-occupancy samples, one per doorbell.  Either flag implies a
+    registry (the cross-rank counters report is always wanted when obs
+    is on).
     """
 
     trace: bool = False
     metrics: bool = False
-    ring_sample_every: int = 1
-
-    def __post_init__(self) -> None:
-        if self.ring_sample_every < 1:
-            raise ValueError(
-                f"ring_sample_every must be >= 1, got {self.ring_sample_every}"
-            )
 
     @property
     def enabled(self) -> bool:

@@ -35,6 +35,7 @@ from __future__ import annotations
 from typing import Any, Callable
 
 from repro.analytics.verify import family, verify_family
+from repro.runtime.visitor import COORDINATOR_RANK
 
 
 def make_reference(
@@ -67,8 +68,6 @@ class _Watch:
         "fn",
         "last_fresh_t",
         "last_fresh_events",
-        "last_stale",
-        "last_epoch",
     )
 
     def __init__(self, prog: str, fn: Callable[[Any, str], list[str]]):
@@ -76,12 +75,6 @@ class _Watch:
         self.fn = fn
         self.last_fresh_t = 0.0
         self.last_fresh_events = 0
-        # Last sample's verdict, consumed by the serving layer's
-        # stability criterion (repro.serving): ``last_stale == 0`` with
-        # the engine's write_epoch() still equal to ``last_epoch``
-        # proves the live state is converged on the ingested prefix.
-        self.last_stale = -1  # -1 = never sampled
-        self.last_epoch = -1
 
 
 class FreshnessProbe:
@@ -101,14 +94,6 @@ class FreshnessProbe:
     def watched(self) -> list[str]:
         return [w.prog for w in self._watches]
 
-    def watch_for(self, prog: str) -> _Watch | None:
-        """The :class:`_Watch` record for ``prog`` (None if unwatched);
-        the serving layer reads its ``last_stale``/``last_epoch``."""
-        for w in self._watches:
-            if w.prog == prog:
-                return w
-        return None
-
     def sample(self, t: float, registry: Any) -> None:
         """Record one ``kind="freshness"`` row per watched program."""
         if not self._watches:
@@ -124,8 +109,6 @@ class FreshnessProbe:
         vertices = sum(s.approx_num_vertices for s in eng.stores)
         for w in self._watches:
             stale = len(w.fn(eng, w.prog))
-            w.last_stale = stale
-            w.last_epoch = eng.write_epoch()
             if stale == 0:
                 w.last_fresh_t = t
                 w.last_fresh_events = events
@@ -144,7 +127,7 @@ class FreshnessProbe:
             tracer = eng.tracer
             if tracer is not None:
                 tracer.counter(
-                    eng.config.coordinator_rank,
+                    COORDINATOR_RANK,
                     f"freshness/{w.prog}",
                     t,
                     {"stale": stale},

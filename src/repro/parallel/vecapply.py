@@ -84,15 +84,15 @@ from repro.parallel.codec import Codec
 from repro.parallel.shm import K_ADD, K_RADD, K_UPDATE
 
 
-def vec_eligible(engine, wire, add_only: bool) -> bool:
+def vec_eligible(engine, add_only: bool) -> bool:
     """Can this run drain slabs through the kernels?
 
-    Requires: vectorize on, peers to exchange slabs with (a 1-rank run
-    stays per-event), undirected mode, add-only streams (one that
-    carries deletes puts every rank on the per-event path), at least one
+    Requires: peers to exchange slabs with (a 1-rank run stays
+    per-event), undirected mode, add-only streams (one that carries
+    deletes puts every rank on the per-event path), at least one
     program, and :func:`~repro.kernels.frontier.kernel_eligible` programs.
     """
-    if not wire.vectorize or not add_only or engine.config.n_ranks < 2:
+    if not add_only or engine.config.n_ranks < 2:
         return False
     if not engine.config.undirected or not engine.programs:
         return False

@@ -56,7 +56,6 @@ class WireConfig:
     start_method: str = "spawn"  # multiprocessing context
     kind: str = "shm"  # accepted for callers that name the wire; not an option
     ring_capacity: int = 1 << 20  # bytes per (src,dst) shm ring
-    vectorize: bool = True  # apply slabs via bulk kernels when eligible
     ingest_chunk: int = BULK_CHUNK  # stream events per bulk-ingest chunk (vec only)
 
     def __post_init__(self) -> None:

@@ -143,7 +143,7 @@ def _run_rank(
     )
     loop.set_update_combiners(engine._combiners)
     engine.loop = loop
-    vec = vec_eligible(engine, wire, add_only)
+    vec = vec_eligible(engine, add_only)
     # Ownership-gated seeding: every worker gets the full init list and
     # takes the visitors of vertices it owns (version 0 — inits precede
     # any stream cut).  A vec rank dispatches them now — the only
@@ -248,10 +248,8 @@ def _run_rank(
             obs.span("drain", t0, "drain", {"slabs": n_slabs})
         return got
 
-    doorbells_seen = 0
-
     def drain(block: bool) -> bool:
-        nonlocal stopping, doorbells_seen
+        nonlocal stopping
         got = drain_rings()
         if block and conns and not got:
             if obs is not None:
@@ -288,9 +286,7 @@ def _run_rank(
             if obs is not None:
                 # Doorbell boundaries are where the occupancy picture
                 # just changed — the designated ring-sampling instants.
-                doorbells_seen += 1
-                if doorbells_seen % obs.config.ring_sample_every == 0:
-                    obs.sample_rings(rings_in, loop)
+                obs.sample_rings(rings_in, loop)
             if not got:
                 # The doorbell only says "ring went nonempty"; the slabs
                 # themselves are picked up here — or, when this call has

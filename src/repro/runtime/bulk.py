@@ -50,8 +50,7 @@ Exactness contract
   ``_value_mutations`` on the engine; the next chunk re-reads the stores
   and ``DenseState.fold``s the dicts before trusting its dense state.
   (Counters, not a per-write callback: checkpoint restore and
-  ``_rebuild_topology`` change state outside ``_write_value``, and
-  ``write_epoch()`` needs the counters anyway.)
+  ``_rebuild_topology`` change state outside ``_write_value``.)
 
 Virtual-time accounting is kept comparable to the per-event path: each
 chunk charges ``stream_pull_cpu`` per event to the ingesting rank,
@@ -69,6 +68,7 @@ import numpy as np
 
 from repro.kernels.frontier import kernel_eligible, relax_to_fixpoint
 from repro.kernels.mirror import DenseState, EdgeRuns
+from repro.runtime.visitor import COORDINATOR_RANK
 
 
 class BulkIngestor:
@@ -243,7 +243,7 @@ class BulkIngestor:
         if self.engaged:
             eng = self.engine
             if eng.tracer is not None:
-                coord = eng.config.coordinator_rank
+                coord = COORDINATOR_RANK
                 eng.tracer.instant(
                     coord, "bulk/deopt", eng.loop.now(coord), "bulk"
                 )
@@ -291,4 +291,4 @@ class BulkIngestor:
         self.engaged = False
         self._synced_vals = eng._value_mutations
         if count_fallback:
-            eng.counters[eng.config.coordinator_rank].fallback_flushes += 1
+            eng.counters[COORDINATOR_RANK].fallback_flushes += 1

@@ -34,6 +34,7 @@ from repro.runtime.program import VertexContext, VertexProgram
 from repro.runtime.queries import Trigger, TriggerManager
 from repro.runtime.snapshot import ActiveCollection, CollectionResult
 from repro.runtime.visitor import (
+    COORDINATOR_RANK,
     CTRL_CUT,
     CTRL_HARVEST,
     CTRL_PART,
@@ -98,7 +99,6 @@ class EngineConfig:
     promote_threshold: int = 8
     vertex_index: str = "robinhood"
     partition_salt: int = 0
-    coordinator_rank: int = 0
     # §II-D visitor-queue fast path: squash monotone UPDATEs into
     # pending same-key messages (programs opt in via their ``combine``
     # hook) and emit a vertex's fan-out as one send_many batch.  Both
@@ -109,8 +109,6 @@ class EngineConfig:
     def __post_init__(self) -> None:
         check_positive("n_ranks", self.n_ranks)
         check_positive("promote_threshold", self.promote_threshold)
-        if not 0 <= self.coordinator_rank < self.n_ranks:
-            raise ValueError("coordinator_rank out of range")
 
 
 class DynamicEngine(RankHandler):
@@ -173,9 +171,6 @@ class DynamicEngine(RankHandler):
         # values[rank][prog]: vid -> S_new (or sole) value; 0 = unset
         self.values: list[list[dict[int, Any]]] = [
             [dict() for _ in programs] for _ in range(n)
-        ]
-        self._nbr_cache: list[list[dict[int, dict[int, Any]] | None]] = [
-            [dict() if p.needs_nbr_cache else None for p in programs] for _ in range(n)
         ]
         self._ctx = [
             [VertexContext(self, r, p) for p in range(len(programs))] for r in range(n)
@@ -466,12 +461,6 @@ class DynamicEngine(RankHandler):
         the discretized prefix a served answer reflects."""
         return sum(c.source_events for c in self.counters)
 
-    def write_epoch(self) -> int:
-        """Monotone counter over topology + value mutations.  Two reads
-        bracketed by equal epochs observed identical engine state; the
-        freshness-probe stability criterion keys off it."""
-        return self._topo_mutations + self._value_mutations
-
     @property
     def num_edges(self) -> int:
         """Directed edges stored across all ranks (undirected runs store
@@ -581,7 +570,7 @@ class DynamicEngine(RankHandler):
         )
         self._next_collection_id += 1
         self.active_collection = col
-        coord = self.config.coordinator_rank
+        coord = COORDINATOR_RANK
         if self.tracer is not None:
             self.tracer.instant(
                 coord,
@@ -689,9 +678,6 @@ class DynamicEngine(RankHandler):
             _, p, target, vis_id, vis_val, weight, ver = msg
             self.term[rank].record_receive(ver)
             self._proc_version[rank] = ver
-            cache = self._nbr_cache[rank][p]
-            if cache is not None:
-                cache.setdefault(target, {})[vis_id] = vis_val
             self._run_callback(
                 rank, p, target, self._on_update[p], vis_id, vis_val, weight
             )
@@ -734,9 +720,6 @@ class DynamicEngine(RankHandler):
             if self.active_collection is not None:
                 self._note_cut_edge(rank, dst, src, ver)
             for p, fn in enumerate(self._on_reverse_add):
-                cache = self._nbr_cache[rank][p]
-                if cache is not None:
-                    cache.setdefault(dst, {})[src] = vals[p]
                 self._run_callback(rank, p, dst, fn, src, vals[p], weight)
         elif vt == VT_INIT:
             _, p, target, payload, ver = msg
@@ -750,9 +733,6 @@ class DynamicEngine(RankHandler):
             weight = self.stores[rank].edge_weight(src, dst)
             self._apply_delete(rank, src, dst)
             for p, fn in enumerate(self._on_delete):
-                cache = self._nbr_cache[rank][p]
-                if cache is not None:
-                    cache.get(src, {}).pop(dst, None)
                 self._run_callback(rank, p, src, fn, dst, weight or 0)
             if self.config.undirected:
                 vals = self._values_for_send(rank, src, ver)
@@ -765,9 +745,6 @@ class DynamicEngine(RankHandler):
             weight = self.stores[rank].edge_weight(dst, src)
             self._apply_delete(rank, dst, src)
             for p, fn in enumerate(self._on_reverse_delete):
-                cache = self._nbr_cache[rank][p]
-                if cache is not None:
-                    cache.get(dst, {}).pop(src, None)
                 self._run_callback(rank, p, dst, fn, src, vals[p], weight or 0)
         elif vt == VT_CTRL:
             self._on_control(rank, msg)
@@ -933,15 +910,6 @@ class DynamicEngine(RankHandler):
             if vertex in prev:
                 vals[col.prog] = prev[vertex]
         return tuple(vals)
-
-    def _nbr_cache_for(self, rank: int, prog: int, vertex: int) -> dict[int, Any]:
-        cache = self._nbr_cache[rank][prog]
-        if cache is None:
-            raise RuntimeError(
-                f"program {self.programs[prog].name!r} did not declare "
-                "needs_nbr_cache=True"
-            )
-        return cache.setdefault(vertex, {})
 
     # ------------------------------------------------------------------
     # event emission
@@ -1154,7 +1122,7 @@ class DynamicEngine(RankHandler):
         self._charge(rank, self.cost.control_cpu)
         self.counters[rank].control_messages += 1
         subtype = msg[1]
-        coord = self.config.coordinator_rank
+        coord = COORDINATOR_RANK
         col = self.active_collection
         if subtype == CTRL_CUT:
             _, _, col_id, cut = msg

@@ -114,13 +114,6 @@ class VertexContext:
         """Iterate ``(neighbour, weight)`` over this vertex's edges."""
         return self._store.neighbors(self.vertex)
 
-    @property
-    def nbr_cache(self) -> dict[int, Any]:
-        """Per-edge cache of the last value heard from each neighbour
-        (Alg. 3's ``nbrs`` value map).  Only maintained when the program
-        sets ``needs_nbr_cache = True``."""
-        return self._engine._nbr_cache_for(self._rank, self._prog, self.vertex)
-
     def count(self, counter: str) -> None:
         """Bump one of this rank's ``RankCounters`` attribution fields
         (the delete-capable programs say *why* a visit happened)."""
@@ -159,8 +152,6 @@ class VertexProgram:
     Class attributes:
 
     * ``name`` — identifier used in metrics and engine lookups.
-    * ``needs_nbr_cache`` — maintain Alg. 3's per-edge neighbour-value
-      map (costs memory; only the decremental algorithms need it).
     * ``snapshot_mode`` — ``"merge"`` (REMO monotone state; requires
       :meth:`merge`) or ``"replay"`` (commutative-delta state).
     * ``combine`` — optional visitor-queue coalescing hook (§II-D).
@@ -191,7 +182,6 @@ class VertexProgram:
     """
 
     name = "vertex-program"
-    needs_nbr_cache = False
     snapshot_mode = "merge"
     combine: Callable[[Any, Any], Any] | None = None
     bulk_kernel: Any | None = None
@@ -263,10 +253,8 @@ class CallbackProgram(VertexProgram):
         on_update: Callable | None = None,
         on_delete: Callable | None = None,
         on_reverse_delete: Callable | None = None,
-        needs_nbr_cache: bool = False,
     ):
         self.name = name
-        self.needs_nbr_cache = needs_nbr_cache
         if on_init is not None:
             self.on_init = on_init  # type: ignore[method-assign]
         if on_add is not None:

@@ -64,10 +64,6 @@ class _RefContext:
     def neighbors(self) -> Iterable[tuple[int, int]]:
         return self._engine.store.neighbors(self.vertex)
 
-    @property
-    def nbr_cache(self) -> dict[int, Any]:
-        return self._engine._nbr_cache[self._prog].setdefault(self.vertex, {})
-
     def count(self, counter: str) -> None:
         """No ranks here, so no per-rank attribution counters."""
 
@@ -104,7 +100,6 @@ class ReferenceEngine:
         self.undirected = undirected
         self.store = DegAwareRHH(vertex_index="dict")
         self.values: list[dict[int, Any]] = [dict() for _ in programs]
-        self._nbr_cache: list[dict[int, dict[int, Any]]] = [dict() for _ in programs]
         self._ctx = [_RefContext(self, p) for p in range(len(programs))]
         self.queue: deque = deque()
         self._edge_was_new = True
@@ -163,9 +158,6 @@ class ReferenceEngine:
             vt = msg[0]
             if vt == VT_UPDATE:
                 _, p, target, vis_id, vis_val, weight = msg
-                cache = self._nbr_cache[p]
-                if self.programs[p].needs_nbr_cache:
-                    cache.setdefault(target, {})[vis_id] = vis_val
                 self._run(p, target, "on_update", vis_id, vis_val, weight)
             elif vt == VT_ADD:
                 _, src, dst, weight = msg
@@ -185,8 +177,6 @@ class ReferenceEngine:
                 _, dst, src, vals, weight = msg
                 self._edge_was_new = self.store.insert_edge(dst, src, weight)
                 for p in range(len(self.programs)):
-                    if self.programs[p].needs_nbr_cache:
-                        self._nbr_cache[p].setdefault(dst, {})[src] = vals[p]
                     self._run(p, dst, "on_reverse_add", src, vals[p], weight)
             elif vt == VT_DEL:
                 _, src, dst = msg

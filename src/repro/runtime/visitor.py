@@ -39,6 +39,10 @@ CTRL_CUT = 2  # coordinator -> rank: begin snapshot version v
 CTRL_HARVEST = 3  # coordinator -> rank: pack & return prev-version state
 CTRL_PART = 4  # rank -> coordinator: one rank's snapshot fragment
 
+# The rank that runs collection waves and owns cluster-wide instants
+# (trace marks, bulk de-opt counts).
+COORDINATOR_RANK = 0
+
 VISIT_NAMES = {
     VT_ADD: "ADD",
     VT_RADD: "REVERSE_ADD",

@@ -13,8 +13,7 @@ there are two moments at which a value is provably done changing —
   equality with the bound is revisitable, so the serving layer refuses
   absorbing admission (and demotes stale absorbing entries) the moment
   a delete-carrying stream is attached;
-* **settled** — the engine is drained (or the freshness probe proved
-  lag zero at an unchanged write epoch), i.e. the value is the
+* **settled** — the engine is drained, i.e. the value is the
   converged answer on the *ingested-so-far* prefix.  It may still
   change when future stream events arrive, which is why every per-event
   value write calls :meth:`StableValueCache.invalidate` on each cache

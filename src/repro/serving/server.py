@@ -12,8 +12,7 @@ without stopping the stream, in three tiers —
    :mod:`repro.serving.cache`): a value enters the cache only when it
    is provably converged, either absorbing (equals the static bound on
    the full stream — can never change again) or settled (the engine is
-   drained / the freshness probe proved lag zero at an unchanged write
-   epoch — converged on the ingested prefix, dropped again by the
+   drained — converged on the ingested prefix, dropped again by the
    engine's per-write invalidation the moment anything improves it).
 2. **bounded-staleness live read** — a constant-time read of live rank
    state with an explicit ``(value, as_of_vtime, stale)`` envelope;
@@ -120,21 +119,6 @@ class EngineBackend:
     def watermark(self) -> int:
         return self.engine.ingest_watermark()
 
-    def probe_converged(self, prog: int) -> bool:
-        """Freshness-probe stability: the last probe sample found zero
-        stale vertices and nothing mutated since (write epoch
-        unchanged), so the live state is still converged."""
-        eng = self.engine
-        sampler = eng.sampler
-        if sampler is None or sampler.freshness is None:
-            return False
-        w = sampler.freshness.watch_for(self.prog_names[prog])
-        return (
-            w is not None
-            and w.last_stale == 0
-            and w.last_epoch == eng.write_epoch()
-        )
-
 
 class FrozenBackend:
     """Serving adapter over a quiesced state harvest.
@@ -192,9 +176,6 @@ class FrozenBackend:
 
     def watermark(self) -> int:
         return 0
-
-    def probe_converged(self, prog: int) -> bool:
-        return True
 
 
 class ServingLayer:
@@ -281,14 +262,14 @@ class ServingLayer:
             entry = None
         if entry is not None:
             value, _admitted_at, absorbing = entry
-            stale = not absorbing and not self._stable_now(p)
+            stale = not absorbing and not backend.drained()
             res = QueryResult(
                 backend.prog_names[p], vertex, value, backend.vtime(), stale, "cache"
             )
             m.inc("serve_hits")
         else:
             value = backend.read(p, vertex)
-            settled = self._stable_now(p)
+            settled = backend.drained()
             ref = self._refs.get(p)
             # Absorbing admission requires the monotone-bound argument,
             # which only holds on insert-only sources (§VI-B deletes
@@ -314,11 +295,6 @@ class ServingLayer:
             m.inc("serve_stale_served")
         m.histogram("serve_latency_us").observe((time.perf_counter_ns() - t0) / 1e3)
         return res
-
-    def _stable_now(self, prog: int) -> bool:
-        """Is every already-ingested event provably propagated?"""
-        backend = self.backend
-        return backend.drained() or backend.probe_converged(prog)
 
     # -- typed wrappers over point() -------------------------------------
     def distance(self, prog: int | str, vertex: int) -> QueryResult:

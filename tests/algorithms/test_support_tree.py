@@ -30,7 +30,7 @@ from repro import (
     ReferenceEngine,
 )
 from repro.algorithms.cc import component_label
-from repro.analytics.metrics import parallel_throughput_report, throughput_report
+from repro.analytics.metrics import throughput_report
 from repro.analytics.verify import (
     verify_bfs,
     verify_cc,
@@ -471,4 +471,3 @@ def test_delete_callbacks_agree_between_des_and_mp():
     # sum is the number of delete callbacks dispatched.
     assert mp.deletes_safe + mp.deletes_unsafe == des.deletes_safe + des.deletes_unsafe
     assert mp.deletes_unsafe > 0 and mp.repair_visits > 0
-    assert parallel_throughput_report(res).to_dict()["deletes_safe"] == mp.deletes_safe

@@ -18,6 +18,7 @@ from repro import (
     split_streams,
 )
 from repro.runtime.plugins import BulkIngestPlugin, TracerPlugin
+from repro.runtime.visitor import COORDINATOR_RANK
 
 COVERAGE_FLOOR = 0.99
 
@@ -98,7 +99,7 @@ class TestPerEventCoverage:
         assert len(epochs) == 1
         _, rank, name, _, ts, dur, args = epochs[0]
         assert name == "collection/epoch"
-        assert rank == eng.config.coordinator_rank
+        assert rank == COORDINATOR_RANK
         assert ts == result.requested_at
         assert dur == result.latency
         assert args["vertices"] == result.vertices_collected

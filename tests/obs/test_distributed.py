@@ -32,10 +32,6 @@ class TestObsConfig:
         assert ObsConfig(trace=True).enabled
         assert ObsConfig(metrics=True).enabled
 
-    def test_ring_sample_every_validated(self):
-        with pytest.raises(ValueError, match="ring_sample_every"):
-            ObsConfig(metrics=True, ring_sample_every=0)
-
 
 class TestClockAnchor:
     def test_offset_is_wall_delta(self):

@@ -129,25 +129,6 @@ class TestFreshnessProbe:
         series = [ev for ev in eng.tracer.events if ev[2] == "freshness/cc"]
         assert len(series) == len(eng.metrics.rows("freshness"))
 
-    def test_watch_for_exposes_last_verdict(self):
-        # The serving layer's probe-based stability criterion reads the
-        # last sampled verdict: last_stale == 0 with write_epoch
-        # unchanged proves convergence on the ingested prefix.
-        eng = probed_run([IncrementalCC()], kind="cc")
-        watch = eng.sampler.freshness.watch_for("cc")
-        assert watch is not None
-        assert watch.last_stale == 0
-        assert watch.last_epoch == eng.write_epoch()
-        assert eng.sampler.freshness.watch_for("nope") is None
-
-    def test_watch_starts_unsampled(self):
-        eng = DynamicEngine(
-            [IncrementalCC()], EngineConfig(n_ranks=1), plugins=sampled(1.0)
-        )
-        eng.add_freshness_probe("cc", make_reference("cc"))
-        watch = eng.sampler.freshness.watch_for("cc")
-        assert watch.last_stale == -1 and watch.last_epoch == -1
-
     def test_widest_reference_with_weights(self):
         from repro import WidestPath
         from repro.generators.weights import pairwise_weights

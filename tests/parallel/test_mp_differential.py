@@ -207,21 +207,28 @@ class TestParallelRmat:
         assert result.counters.visits > 0
 
 
-def run_vec_workload(vectorize):
-    """BFS/CC/SSSP all declare bulk kernels, so ``vectorize`` alone picks
-    the side of the vectorized drain's de-opt boundary the run is on."""
+class PerEventSSSP(IncrementalSSSP):
+    """SSSP without its kernel row: a run that loads it is per-event."""
+
+    bulk_kernel = None
+
+
+def run_vec_workload(sssp):
+    """BFS/CC/SSSP all declare bulk kernels, so the ``sssp`` class alone
+    picks the side of the vectorized drain's de-opt boundary the run is
+    on: :class:`PerEventSSSP` puts every rank on the per-event lane."""
     rng = np.random.default_rng(3)
     src, dst = rmat_edges(7, edge_factor=8, rng=rng)
     weights = pairwise_weights(src, dst, 1, 50)
     source = int(src[0])
-    programs = [IncrementalBFS(), IncrementalCC(), IncrementalSSSP()]
+    programs = [IncrementalBFS(), IncrementalCC(), sssp()]
     init = [("bfs", source, None), ("sssp", source, None)]
     streams = split_streams(
         src, dst, 4, weights=weights, rng=np.random.default_rng(1)
     )
     result = run_parallel(
         programs, streams, config=EngineConfig(n_ranks=4),
-        wire=WireConfig(start_method="fork", batch_max=64, vectorize=vectorize),
+        wire=WireConfig(start_method="fork", batch_max=64),
         init=init, collect_edges=True, timeout=120.0,
     )
     return result, src, dst, weights, source
@@ -230,12 +237,12 @@ def run_vec_workload(vectorize):
 class TestVectorizedDrain:
     """All-packable workload: the rings' slabs must go through the
     vectorized drain — zero per-event visits — and still match DES
-    bit-for-bit with the oracles green; with ``vectorize=False`` the same
+    bit-for-bit with the oracles green; with a kernel-less SSSP the same
     slabs dispatch per event to the same state."""
 
     @pytest.fixture(scope="class")
     def vec_workload(self):
-        return run_vec_workload(vectorize=True)
+        return run_vec_workload(IncrementalSSSP)
 
     def test_vector_path_engaged(self, vec_workload):
         result = vec_workload[0]
@@ -247,7 +254,7 @@ class TestVectorizedDrain:
 
     def test_per_event_drain_agrees_across_the_deopt_boundary(self, vec_workload):
         vec = vec_workload[0]
-        per_event, src, *_ = run_vec_workload(vectorize=False)
+        per_event, src, *_ = run_vec_workload(PerEventSSSP)
         assert per_event.wire.get("kernel_records", 0) == 0
         assert per_event.counters.visits > len(src)
         assert per_event.wire["ring_pushes"] > 0  # still over the rings
@@ -331,6 +338,11 @@ from repro import DynamicEngine, EngineConfig, IncrementalCC, ListEventStream
 from repro.events.types import ADD
 from repro.parallel import WireConfig, run_parallel
 
+
+class PerEventCC(IncrementalCC):
+    bulk_kernel = None
+
+
 def main():
     events = [(ADD, i, i + 1, 1) for i in range(12)] + [(ADD, 20, 21, 1)]
 
@@ -340,20 +352,21 @@ def main():
     )
     engine.run()
 
-    for vectorize in (True, False):
+    for cc in (IncrementalCC, PerEventCC):
         streams = [ListEventStream(events[0::2]), ListEventStream(events[1::2])]
         result = run_parallel(
-            [IncrementalCC()], streams, config=EngineConfig(n_ranks=2),
-            wire=WireConfig(start_method="spawn", vectorize=vectorize),
+            [cc()], streams, config=EngineConfig(n_ranks=2),
+            wire=WireConfig(start_method="spawn"),
             timeout=120.0,
         )
         assert result.state("cc") == engine.state("cc"), (
-            "spawn run diverged from DES", vectorize
+            "spawn run diverged from DES", cc.__name__
         )
-        # CC declares a bulk kernel, so the drain is vectorized exactly
-        # when the wire allows it.
+        # The drain is vectorized exactly when the program has a kernel
+        # row; a spawned worker unpickles the twin from this __main__.
+        vectorized = cc.bulk_kernel is not None
         vec = result.wire.get("kernel_records", 0)
-        assert (vec > 0) == vectorize, (vectorize, vec)
+        assert (vec > 0) == vectorized, (cc.__name__, vec)
     print("SPAWN-OK")
 
 

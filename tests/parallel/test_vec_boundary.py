@@ -32,6 +32,12 @@ from repro.parallel.worker import worker_main
 from repro.runtime.visitor import VT_DEL
 
 
+class PerEventBFS(IncrementalBFS):
+    """BFS without its kernel row: a run that loads it is per-event."""
+
+    bulk_kernel = None
+
+
 def test_a_vec_run_dispatches_only_its_inits_per_event():
     src, dst = rmat_edges(8, edge_factor=8, rng=np.random.default_rng(5))
     weights = pairwise_weights(src, dst, 1, 50)
@@ -53,13 +59,13 @@ def test_a_vec_run_dispatches_only_its_inits_per_event():
     assert res.wire["pickle_records"] == 0
 
 
-@pytest.mark.parametrize("vectorize", [True, False], ids=["vec", "per-event"])
-def test_a_run_rides_one_lane_and_equals_the_des(vectorize):
+@pytest.mark.parametrize("bfs", [IncrementalBFS, PerEventBFS], ids=["vec", "per-event"])
+def test_a_run_rides_one_lane_and_equals_the_des(bfs):
     src, dst = rmat_edges(8, edge_factor=8, rng=np.random.default_rng(7))
     source = int(src[0])
 
     def programs():
-        return [IncrementalBFS(), IncrementalCC()]
+        return [bfs(), IncrementalCC()]
 
     def streams():
         return split_streams(src, dst, 2, rng=np.random.default_rng(8))
@@ -68,7 +74,7 @@ def test_a_run_rides_one_lane_and_equals_the_des(vectorize):
         programs(),
         streams(),
         config=EngineConfig(n_ranks=2),
-        wire=WireConfig(start_method="fork", ingest_chunk=256, vectorize=vectorize),
+        wire=WireConfig(start_method="fork", ingest_chunk=256),
         init=[("bfs", source, None)],
         timeout=60.0,
     )
@@ -80,7 +86,7 @@ def test_a_run_rides_one_lane_and_equals_the_des(vectorize):
         assert res.state(name) == des.state(name)
     wire = res.wire
     assert wire["wire_sent"] == wire["wire_received"] > 0
-    if vectorize:
+    if bfs.bulk_kernel is not None:
         # Arrays on record slabs: not one tuple was pickled, and every
         # slab passed the receiving rank's record-kinds-only check.
         assert wire["kernel_records"] > 0
@@ -101,7 +107,7 @@ def _record_slab():
 
 
 @pytest.mark.parametrize(
-    "vectorize, slab, named",
+    "add_only, slab, named",
     [
         (True, _tuple_slab(), ("is vectorized", "K_PICKLE")),
         (False, _record_slab(), ("is per-event", "K_ADD")),
@@ -109,10 +115,12 @@ def _record_slab():
     ],
     ids=["tuples-at-a-vec-rank", "records-at-a-per-event-rank", "unknown-kind"],
 )
-def test_a_wrong_mode_slab_raises(vectorize, slab, named):
-    """Rank 0 of a 2-rank add-only run finds a slab of the other mode
-    from its peer (a delete at a vec rank arrives as exactly that: a
-    tuple slab): the worker must die naming rank, kind and sender."""
+def test_a_wrong_mode_slab_raises(add_only, slab, named):
+    """Rank 0 of a 2-rank BFS run finds a slab of the other mode from
+    its peer (a delete at a vec rank arrives as exactly that: a tuple
+    slab): the worker must die naming rank, kind and sender.  The
+    ``add_only`` flag is what run_parallel's sniff would have said; it
+    alone puts this rank on the vec or the per-event lane."""
     ctx = multiprocessing.get_context("fork")
     programs = [IncrementalBFS()]
     rings = {pair: create_ring(1 << 16) for pair in ((0, 1), (1, 0))}
@@ -126,9 +134,9 @@ def test_a_wrong_mode_slab_raises(vectorize, slab, named):
             args=(
                 0, 2, child_end, {1: worker_end}, programs,
                 EngineConfig(n_ranks=2), None, [],
-                WireConfig(vectorize=vectorize), False,
+                WireConfig(), False,
                 {pair: ring.name for pair, ring in rings.items()},
-                True,  # add_only: what run_parallel's sniff would have said
+                add_only,
             ),
             daemon=True,
         )

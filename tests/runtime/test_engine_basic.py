@@ -44,8 +44,6 @@ class TestConstruction:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             EngineConfig(n_ranks=0)
-        with pytest.raises(ValueError):
-            EngineConfig(n_ranks=2, coordinator_rank=5)
 
     def test_prog_index_lookup(self):
         e = DynamicEngine([IncrementalBFS(), IncrementalCC()])

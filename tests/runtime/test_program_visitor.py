@@ -105,40 +105,6 @@ class TestVertexContext:
         e.run()
         assert (1, True, False) in checks
 
-    def test_nbr_cache_requires_declaration(self):
-        errors = []
-
-        class Probe(VertexProgram):
-            name = "probe"  # needs_nbr_cache defaults to False
-
-            def on_reverse_add(self, ctx, vid, val, w):
-                try:
-                    ctx.nbr_cache
-                except RuntimeError as exc:
-                    errors.append(str(exc))
-
-        e = self.make_engine(Probe())
-        e.run()
-        assert errors and "needs_nbr_cache" in errors[0]
-
-    def test_nbr_cache_records_values(self):
-        observed = {}
-
-        class Probe(VertexProgram):
-            name = "probe"
-            needs_nbr_cache = True
-
-            def on_add(self, ctx, vid, val, w):
-                ctx.set_value(ctx.vertex + 100)
-
-            def on_reverse_add(self, ctx, vid, val, w):
-                observed[ctx.vertex] = dict(ctx.nbr_cache)
-
-        e = self.make_engine(Probe())
-        e.run()
-        # vertex 1's cache holds vertex 0's value at ADD time (100)
-        assert observed[1] == {0: 100}
-
     def test_edge_was_new_flag(self):
         observations = []
 
