@@ -192,11 +192,11 @@ def build_parser() -> argparse.ArgumentParser:
                           "a stall may add its duration in virtual us")
     flt.add_argument("--checkpoint-every", type=_positive_float, default=None,
                      metavar="FRAC",
-                     help="checkpoint period as a fraction of the estimated "
-                          "makespan (without it, a crash rolls back to the "
-                          "start of the stream)")
+                     help="checkpoint period of a crash plan, as a fraction "
+                          "of the estimated makespan (without it, a crash "
+                          "rolls back to the start of the stream)")
     flt.add_argument("--checkpoint-path", default=None, metavar="FILE",
-                     help="where the rolling checkpoint lives "
+                     help="where a crash plan's rolling checkpoint lives "
                           "(default: a temp file, removed afterwards)")
     srv = sub.add_parser(
         "serve",
@@ -387,6 +387,8 @@ def _run_mp(args, chat, meta, streams, algo, programs, init, seed) -> int:
             ("--snapshot-at", args.snapshot_at),
             ("--sample-interval", args.sample_interval),
             ("--freshness", args.freshness or None),
+            ("--checkpoint-every", args.checkpoint_every),
+            ("--checkpoint-path", args.checkpoint_path),
         ] if value is not None
     ]
     if des_only:
@@ -495,6 +497,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # In --json mode stdout carries exactly one JSON document; all
     # human-facing chatter moves to stderr so CI can pipe stdout.
     chat = functools.partial(print, file=sys.stderr) if args.json else print
+    if args.trace_per_rank and (args.backend != "mp" or args.trace is None):
+        chat("run: --trace-per-rank needs --backend mp and --trace")
+        return 2
     rng = np.random.default_rng(args.seed)
     src, dst, weights, label = _load_stream(args, chat, rng)
 
@@ -548,6 +553,16 @@ def cmd_run(args: argparse.Namespace) -> int:
         if plan.crashes and (args.snapshot_at is not None or args.freshness):
             chat("faults: --snapshot-at/--freshness do not combine with "
                  "crash plans (the snapshot dies with the incarnation)")
+            return 2
+    if plan is None or not plan.crashes:
+        unused = [
+            name for name, value in [
+                ("--checkpoint-every", args.checkpoint_every),
+                ("--checkpoint-path", args.checkpoint_path),
+            ] if value is not None
+        ]
+        if unused:
+            chat(f"run: {', '.join(unused)} needs a crash plan (--faults crash=...)")
             return 2
 
     fault_result = None
@@ -721,6 +736,10 @@ def cmd_serve(args: argparse.Namespace) -> int:
         spec = WorkloadSpec.from_spec(args.workload)
     except ValueError as exc:
         chat(f"serve: bad --workload spec: {exc}")
+        return 2
+    if args.queries is not None and args.backend != "mp":
+        chat("serve: --queries needs --backend mp (on des, --workload ratio "
+             "sets the query count)")
         return 2
     rng = np.random.default_rng(args.seed)
     src, dst, weights, label = _load_stream(args, chat, rng)

@@ -99,6 +99,40 @@ class TestNumbersAndSpecsAtTheBoundary:
         code, line = self.rejected(argv, capsys)
         assert code == 2 and "must be a positive integer" in line
 
+    @pytest.mark.parametrize(
+        "argv, flag, needs",
+        [
+            (["run", "--checkpoint-every", "0.2", "--checkpoint-path", "{ckpt}"],
+             "--checkpoint-every, --checkpoint-path", "crash plan"),
+            (["run", "--faults", "stall=0.3:500", "--checkpoint-every", "0.2"],
+             "--checkpoint-every", "crash plan"),
+            (["run", "--backend", "mp", "--checkpoint-every", "0.2"],
+             "--checkpoint-every", "--backend des"),
+            (["run", "--trace", "{trace}", "--trace-per-rank"],
+             "--trace-per-rank", "--backend mp and --trace"),
+            (["run", "--backend", "mp", "--trace-per-rank"],
+             "--trace-per-rank", "--backend mp and --trace"),
+            (["serve", "--queries", "10"], "--queries", "--backend mp"),
+        ],
+        ids=[
+            "checkpoint-without-faults", "checkpoint-with-stalls-only",
+            "checkpoint-on-mp", "trace-per-rank-on-des",
+            "trace-per-rank-without-trace", "queries-on-des",
+        ],
+    )
+    def test_a_flag_the_path_cannot_honour_is_a_usage_error(
+        self, argv, flag, needs, tmp_path, capsys
+    ):
+        """A flag the chosen path would silently ignore stops the run:
+        exit 2 and one line naming the flag and what it needs, before
+        anything is written."""
+        paths = {"ckpt": str(tmp_path / "c.npz"), "trace": str(tmp_path / "t.json")}
+        argv = [a.format(**paths) for a in argv]
+        code, line = self.rejected([*argv, "--scale", "6", "--edge-factor", "2"], capsys)
+        assert code == 2
+        assert flag in line and needs in line
+        assert list(tmp_path.iterdir()) == []
+
 
 class TestRun:
     def run_cli(self, *argv, capsys=None):

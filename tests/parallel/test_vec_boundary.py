@@ -22,11 +22,13 @@ from repro import (
     IncrementalSSSP,
 )
 from repro.events.stream import split_streams
+from repro.kernels.frontier import kernel_eligible
 from repro.generators import rmat_edges
 from repro.generators.weights import pairwise_weights
 from repro.parallel import WireConfig, run_parallel
 from repro.parallel.codec import Codec
 from repro.parallel.shm import K_ADD, create_ring
+from repro.parallel.vecapply import vec_eligible
 from repro.parallel.wire import FRAME_ERROR
 from repro.parallel.worker import worker_main
 from repro.runtime.visitor import VT_DEL
@@ -36,6 +38,36 @@ class PerEventBFS(IncrementalBFS):
     """BFS without its kernel row: a run that loads it is per-event."""
 
     bulk_kernel = None
+
+
+@pytest.mark.parametrize(
+    "programs, n_ranks, undirected, add_only, vec",
+    [
+        ([IncrementalBFS, IncrementalCC], 2, True, True, True),
+        ([PerEventBFS, IncrementalCC], 2, True, True, False),
+        ([IncrementalBFS, IncrementalCC], 2, True, False, False),
+        ([IncrementalBFS, IncrementalCC], 1, True, True, False),
+        ([IncrementalBFS, IncrementalCC], 2, False, True, False),
+        ([], 2, True, True, False),
+    ],
+    ids=["all-eligible", "kernel-less-program", "deletes", "one-rank", "directed",
+         "no-programs"],
+)
+def test_the_input_alone_picks_the_lane(programs, n_ranks, undirected, add_only, vec):
+    """The lane rule, input by input and without a process: every
+    condition holds -> vec; any one of them fails -> per-event."""
+    engine = DynamicEngine(
+        [cls() for cls in programs],
+        EngineConfig(n_ranks=n_ranks, undirected=undirected),
+    )
+    assert vec_eligible(engine, add_only) is vec
+
+
+def test_no_programs_are_vacuously_kernel_eligible():
+    # vec_eligible turns the empty engine away itself.
+    assert kernel_eligible([]) is True
+    assert kernel_eligible([IncrementalBFS(), IncrementalCC()]) is True
+    assert kernel_eligible([IncrementalBFS(), PerEventBFS()]) is False
 
 
 def test_a_vec_run_dispatches_only_its_inits_per_event():

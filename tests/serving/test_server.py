@@ -7,6 +7,7 @@ idle serving layer (its cache attaches to the engine's
 ``_serve_caches`` slot on first admission).
 """
 
+import numpy as np
 import pytest
 
 from repro import (
@@ -20,8 +21,11 @@ from repro import (
     WidestPath,
 )
 from repro.algorithms.cc import component_label
+from repro.events.stream import split_streams
 from repro.events.types import ADD
-from repro.runtime.plugins import MetricsPlugin
+from repro.generators import rmat_edges
+from repro.obs import make_reference
+from repro.runtime.plugins import FreshnessPlugin, MetricsPlugin
 from repro.serving import FrozenBackend, QueryResult
 
 
@@ -138,6 +142,50 @@ class TestAdmissionAndInvalidation:
                 assert res.value == e.value_of("bfs", v)
         for v in range(9):
             assert serving.point("bfs", v).value == v + 1
+
+
+class TestProbeIsAnObserver:
+    """Plugins observe (``runtime/plugins.py``): a freshness probe
+    sampling the engine mid-ingest must not change what is served."""
+
+    def test_a_freshness_probe_does_not_change_a_served_answer(self):
+        src, dst = rmat_edges(7, edge_factor=4, rng=np.random.default_rng(4))
+        source = int(src[0])
+        pool = sorted(set(src.tolist()) | set(dst.tolist()))
+
+        def engine(plugins=()):
+            e = DynamicEngine(
+                [IncrementalBFS()], EngineConfig(n_ranks=2), plugins=plugins
+            )
+            e.init_program("bfs", source)
+            e.attach_streams(split_streams(src, dst, 2, rng=np.random.default_rng(5)))
+            return e
+
+        full = engine()
+        makespan = full.run()
+
+        def serve(e):
+            serving = ServingLayer(e, references={"bfs": full.state("bfs")})
+            answers = []
+            while not e.loop.quiescent():
+                e.run(max_actions=200)
+                for v in pool:
+                    res = serving.point("bfs", v)
+                    answers.append((v, res.value, res.stale, res.source))
+            return answers
+
+        probed = engine(
+            [
+                MetricsPlugin(makespan / 20),
+                FreshnessPlugin("bfs", make_reference("bfs", source=source)),
+            ]
+        )
+        with_probe = serve(probed)
+        assert with_probe == serve(engine())
+        assert len(probed.metrics.rows("freshness")) > 1
+        # The comparison covers every envelope the layer can serve.
+        kinds = {(stale, where) for _, _, stale, where in with_probe}
+        assert {(True, "live"), (False, "live"), (False, "cache")} <= kinds
 
 
 class TestTwoLayersOnOneEngine:
