@@ -562,7 +562,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             ] if value is not None
         ]
         if unused:
-            chat(f"run: {', '.join(unused)} needs a crash plan (--faults crash=...)")
+            chat(f"run: {', '.join(unused)}: needs a crash plan (--faults crash=...)")
             return 2
 
     fault_result = None

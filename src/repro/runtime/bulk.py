@@ -243,9 +243,11 @@ class BulkIngestor:
         if self.engaged:
             eng = self.engine
             if eng.tracer is not None:
-                coord = COORDINATOR_RANK
                 eng.tracer.instant(
-                    coord, "bulk/deopt", eng.loop.now(coord), "bulk"
+                    COORDINATOR_RANK,
+                    "bulk/deopt",
+                    eng.loop.now(COORDINATOR_RANK),
+                    "bulk",
                 )
             if eng.metrics is not None:
                 eng.metrics.inc("bulk_deopts")

@@ -127,8 +127,8 @@ class TestNumbersAndSpecsAtTheBoundary:
         exit 2 and one line naming the flag and what it needs, before
         anything is written."""
         paths = {"ckpt": str(tmp_path / "c.npz"), "trace": str(tmp_path / "t.json")}
-        argv = [a.format(**paths) for a in argv]
-        code, line = self.rejected([*argv, "--scale", "6", "--edge-factor", "2"], capsys)
+        argv = [a.format(**paths) for a in argv] + ["--scale", "6"]
+        code, line = self.rejected(argv + ["--edge-factor", "2"], capsys)
         assert code == 2
         assert flag in line and needs in line
         assert list(tmp_path.iterdir()) == []
