@@ -75,10 +75,7 @@ def _experiment():
                 dst,
                 [IncrementalCC()],
                 n_nodes,
-                config_overrides={
-                    "coalesce_updates": coalesce,
-                    "batch_updates": coalesce,
-                },
+                config_overrides={"coalesce_updates": coalesce},
             )
             results[(n_nodes, coalesce)] = run
     return results

@@ -7,12 +7,7 @@ leans on it heavily.  :mod:`repro.analytics.metrics` turns engine
 counters into the events/s-style reports the benchmark harness prints.
 """
 
-from repro.analytics.graphstats import (
-    ComponentStats,
-    DegreeStats,
-    component_stats,
-    degree_stats,
-)
+from repro.analytics.graphstats import DegreeStats, degree_stats
 from repro.analytics.metrics import ThroughputReport, throughput_report
 from repro.analytics.verify import (
     csr_from_engine,
@@ -25,9 +20,7 @@ from repro.analytics.verify import (
 )
 
 __all__ = [
-    "ComponentStats",
     "DegreeStats",
-    "component_stats",
     "degree_stats",
     "ThroughputReport",
     "throughput_report",

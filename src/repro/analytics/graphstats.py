@@ -7,8 +7,10 @@ topology".  This module quantifies that structure so benches and users
 can relate event rates to the workload's shape:
 
 * degree distribution summary (mean/median/max, skew ratio, Gini);
-* an approximate power-law tail exponent (rank-size regression);
-* component census via union-find.
+* an approximate power-law tail exponent (rank-size regression).
+
+Connected components have one implementation,
+:func:`repro.staticalgs.algorithms.static_cc`.
 """
 
 from __future__ import annotations
@@ -86,46 +88,3 @@ def _tail_exponent(degs: np.ndarray, top_fraction: float = 0.1) -> float | None:
     if slope >= 0:
         return None
     return float(1.0 - 1.0 / slope)
-
-
-@dataclass(frozen=True)
-class ComponentStats:
-    """Component census of an edge list (undirected view)."""
-
-    n_components: int
-    largest: int
-    isolated_free_vertices: int  # vertices in the edge list, all in comps
-
-    @property
-    def largest_fraction(self) -> float:
-        total = self.isolated_free_vertices
-        return self.largest / total if total else 0.0
-
-
-def component_stats(src: np.ndarray, dst: np.ndarray) -> ComponentStats:
-    """Union-find census over the undirected closure of the edge list."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
-    if len(src) == 0:
-        return ComponentStats(0, 0, 0)
-    ids = np.unique(np.concatenate([src, dst]))
-    index = {int(v): i for i, v in enumerate(ids)}
-    parent = np.arange(len(ids), dtype=np.int64)
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = int(parent[x])
-        return x
-
-    for s, d in zip(src, dst):
-        a, b = find(index[int(s)]), find(index[int(d)])
-        if a != b:
-            parent[a] = b
-    roots = np.array([find(i) for i in range(len(ids))])
-    _uniq, counts = np.unique(roots, return_counts=True)
-    return ComponentStats(
-        n_components=len(counts),
-        largest=int(counts.max()),
-        isolated_free_vertices=len(ids),
-    )

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 
 from repro.comm.costmodel import DELETE_CAUSE_COUNTERS, RankCounters
+from repro.runtime.plugins import BulkIngestPlugin
 from repro.util.timers import format_rate, format_seconds
 
 
@@ -141,7 +142,7 @@ def throughput_report(engine, wall_seconds: float | None = None) -> ThroughputRe
         bulk_chunks=total.bulk_chunks,
         bulk_events=total.bulk_events,
         fallback_flushes=total.fallback_flushes,
-        bulk_enabled=engine._bulk is not None,
+        bulk_enabled=any(isinstance(p, BulkIngestPlugin) for p in engine.plugins),
         wall_seconds=wall_seconds,
         **_delete_causes(total),
     )

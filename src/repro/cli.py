@@ -19,7 +19,9 @@ Usage (also available as ``python -m repro``)::
 ``run`` generates the requested workload, ingests it at saturation on a
 simulated cluster, optionally takes a versioned global-state snapshot
 at a fraction of the (estimated) stream, optionally verifies against
-the static oracle, and prints the throughput report.
+the static oracle, and prints the throughput report.  ``--trace`` always
+writes Chrome/Perfetto ``trace_event`` JSON, which ``report --trace``
+renders.
 
 ``serve`` is the on-line mode: the same ingest, but with point queries
 (distance / component membership / reachability / widest capacity)
@@ -168,8 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--trace", default=None, metavar="FILE",
                      help="record a trace (virtual time on des, wall clock "
                           "on mp, where all ranks merge into one multi-"
-                          "process timeline); .json = Chrome/Perfetto "
-                          "trace_event, .jsonl = compact JSONL")
+                          "process timeline), as Chrome/Perfetto "
+                          "trace_event JSON")
     obs.add_argument("--metrics", default=None, metavar="FILE",
                      help="write sampled time-series metrics as JSONL (on "
                           "mp: the merged cross-rank counters report)")
@@ -229,10 +231,6 @@ def build_parser() -> argparse.ArgumentParser:
     srv.add_argument("--json", action="store_true",
                      help="emit the serving report as one JSON document on "
                           "stdout (progress chatter moves to stderr)")
-    srv.add_argument("--metrics", default=None, metavar="FILE",
-                     help="write the serving layer's metrics registry "
-                          "(serve_* counters plus the serve_latency_us "
-                          "histogram) as JSONL, renderable by repro report")
     rep = sub.add_parser(
         "report", help="render a trace/metrics capture as text tables"
     )
@@ -345,14 +343,11 @@ def _write_mp_obs(args, chat, result, meta) -> None:
     """Write the merged (and optionally per-rank) mp telemetry capture."""
     import os
 
-    from repro.obs import Tracer, write_chrome_trace, write_metrics_jsonl, write_trace_jsonl
+    from repro.obs import Tracer, write_chrome_trace, write_metrics_jsonl
 
     merged = result.obs
     if args.trace is not None and merged.tracer is not None:
-        writer = (
-            write_trace_jsonl if args.trace.endswith(".jsonl") else write_chrome_trace
-        )
-        writer(args.trace, merged.tracer, meta)
+        write_chrome_trace(args.trace, merged.tracer, meta)
         chat(
             f"trace: {len(merged.tracer):,} events from "
             f"{len(merged.offsets)} ranks (one pid each) -> {args.trace}"
@@ -363,7 +358,7 @@ def _write_mp_obs(args, chat, result, meta) -> None:
                 sub = Tracer()
                 sub.events = [ev for ev in merged.tracer.events if ev[1] == rank]
                 path = f"{stem}.rank{rank}{ext}"
-                writer(path, sub, {**meta, "rank": rank})
+                write_chrome_trace(path, sub, {**meta, "rank": rank})
             chat(
                 f"trace: per-rank captures -> {stem}.rank*{ext} "
                 f"({len(merged.offsets)} files)"
@@ -645,12 +640,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     capture_meta = {**meta, "cost_model": cost.to_dict()}
     if args.trace is not None:
-        from repro.obs import write_chrome_trace, write_trace_jsonl
+        from repro.obs import write_chrome_trace
 
-        writer = (
-            write_trace_jsonl if args.trace.endswith(".jsonl") else write_chrome_trace
-        )
-        writer(args.trace, engine.tracer, capture_meta)
+        write_chrome_trace(args.trace, engine.tracer, capture_meta)
         chat(f"trace: {len(engine.tracer):,} events -> {args.trace}")
     if args.metrics is not None:
         from repro.obs import write_metrics_jsonl
@@ -809,16 +801,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         res.events_ingested = result.source_events
 
     _serve_report(chat, res)
-    if args.metrics is not None:
-        from repro.obs import write_metrics_jsonl
-
-        write_metrics_jsonl(args.metrics, serving.metrics)
-        h = serving.metrics.histograms.get("serve_latency_us")
-        chat(
-            f"metrics: {len(serving.metrics.counters)} counters, "
-            f"latency histogram of {h.count if h is not None else 0:,} "
-            f"queries -> {args.metrics}"
-        )
     if args.json:
         doc = {
             "label": label,

@@ -40,7 +40,6 @@ from repro.obs.export import (
     validate_chrome_trace,
     write_chrome_trace,
     write_metrics_jsonl,
-    write_trace_jsonl,
 )
 from repro.obs.freshness import FreshnessProbe, make_reference
 from repro.obs.registry import (
@@ -74,5 +73,4 @@ __all__ = [
     "validate_chrome_trace",
     "write_chrome_trace",
     "write_metrics_jsonl",
-    "write_trace_jsonl",
 ]

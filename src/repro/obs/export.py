@@ -7,10 +7,13 @@ Two on-disk shapes:
   metadata events), virtual-time timestamps in microseconds, complete
   spans (``ph="X"``), instants (``"i"``) and counters (``"C"``).  Drop
   the file into https://ui.perfetto.dev or ``chrome://tracing``.
-* **JSONL** — one JSON object per line.  The first line is a ``meta``
-  row (run parameters, cost-model constants); a trace JSONL holds one
-  event per line (the compact mode), a metrics JSONL holds the
+* **metrics JSONL** — one JSON object per line.  The first line is a
+  ``meta`` row (run parameters, cost-model constants), then the
   sampler's time-series rows plus final counter/histogram rows.
+
+A trace is always written as Chrome JSON, whatever the file's
+extension: ``repro report``, Perfetto and :func:`validate_chrome_trace`
+all read that shape.
 
 :func:`validate_chrome_trace` is the shape contract CI's smoke job
 enforces; :func:`render_trace_report` / :func:`render_metrics_report`
@@ -86,29 +89,6 @@ def write_chrome_trace(
     with open(path, "w") as f:
         json.dump(chrome_trace_dict(tracer, meta), f)
         f.write("\n")
-
-
-def write_trace_jsonl(
-    path: str, tracer: Tracer, meta: dict[str, Any] | None = None
-) -> None:
-    """Compact mode: one event per line, meta first (virtual seconds,
-    not scaled — this shape is for programmatic diffing, not viewers)."""
-    with open(path, "w") as f:
-        f.write(json.dumps({"kind": "meta", **(meta or {})}) + "\n")
-        for ph, rank, name, cat, ts, dur, args in tracer.events:
-            row: dict[str, Any] = {
-                "kind": "event",
-                "ph": ph,
-                "rank": rank,
-                "name": name,
-                "cat": cat,
-                "t": ts,
-            }
-            if ph == PH_SPAN:
-                row["dur"] = dur
-            if args is not None:
-                row["args"] = args
-            f.write(json.dumps(row) + "\n")
 
 
 # ----------------------------------------------------------------------

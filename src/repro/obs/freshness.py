@@ -99,12 +99,7 @@ class FreshnessProbe:
         if not self._watches:
             return
         eng = self.engine
-        bulk = eng._bulk
-        if bulk is not None and bulk.engaged:
-            # Read exact values: fold the dense mirror back without
-            # counting a de-optimization (nothing forced per-event
-            # replay; the next chunk re-syncs and carries on).
-            bulk.flush_values(count_fallback=False)
+        eng.sync_values()
         events = sum(c.source_events for c in eng.counters)
         vertices = sum(s.approx_num_vertices for s in eng.stores)
         for w in self._watches:

@@ -101,10 +101,9 @@ class EngineConfig:
     partition_salt: int = 0
     # §II-D visitor-queue fast path: squash monotone UPDATEs into
     # pending same-key messages (programs opt in via their ``combine``
-    # hook) and emit a vertex's fan-out as one send_many batch.  Both
-    # ON by default; the coalescing ablation bench turns them off.
+    # hook) and emit a vertex's fan-out as one send_many batch.  ON by
+    # default; the coalescing ablation bench turns it off.
     coalesce_updates: bool = True
-    batch_updates: bool = True
 
     def __post_init__(self) -> None:
         check_positive("n_ranks", self.n_ranks)
@@ -412,11 +411,17 @@ class DynamicEngine(RankHandler):
         makespan = self.loop.run(
             max_virtual_time=max_virtual_time, max_actions=max_actions
         )
-        if self._bulk is not None and self._bulk.engaged:
-            # End-of-run flush so observation APIs read exact values;
-            # not a de-optimization (nothing forced per-event replay).
-            self._bulk.flush_values(count_fallback=False)
+        self.sync_values()
         return makespan
+
+    def sync_values(self) -> None:
+        """Exact-read barrier: fold the bulk mirror's values back into
+        the per-rank dicts when it is ahead of them, so every read after
+        this observes exact state.  Not a de-optimization (nothing forced
+        per-event replay; the next chunk re-syncs and carries on)."""
+        b = self._bulk
+        if b is not None and b.engaged:
+            b.flush_values(count_fallback=False)
 
     # ------------------------------------------------------------------
     # public API: observation
@@ -975,7 +980,9 @@ class DynamicEngine(RankHandler):
             and ver < col.cut_version
             and bool(self._cut_new_edges[rank])
         )
-        if not self.config.batch_updates:
+        if not self.config.coalesce_updates:
+            # The §II-D ablation: one unsquashed send per neighbour
+            # (there is no combiner when coalescing is off).
             for nbr, weight in self.stores[rank].neighbors(vertex):
                 if nbr == skip:
                     continue
@@ -985,8 +992,6 @@ class DynamicEngine(RankHandler):
                     owner(nbr),
                     (VT_UPDATE, prog, nbr, vertex, value, weight, mver),
                     mver,
-                    (prog, nbr, vertex, mver) if combiner is not None else None,
-                    combiner,
                 )
             return
         # Batched fast path: one send_many per fan-out, built over the

@@ -37,12 +37,10 @@ is trivially stable.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Mapping
 
 from repro.analytics.verify import FAMILIES
-from repro.obs.registry import MetricsRegistry
 from repro.serving.cache import StableValueCache
 
 # The typed wrappers' "no answer" tests are the families' own (BFS and
@@ -95,12 +93,7 @@ class EngineBackend:
 
     def read(self, prog: int, vertex: int) -> Any:
         eng = self.engine
-        b = eng._bulk
-        if b is not None and b.engaged:
-            # Exactness barrier, as in the freshness probe: fold the
-            # dense bulk mirror back so the read observes exact state
-            # (not counted as a de-optimization).
-            b.flush_values(count_fallback=False)
+        eng.sync_values()
         return eng.value_of(prog, vertex)
 
     def vtime(self) -> float:
@@ -186,12 +179,6 @@ class ServingLayer:
     engine:
         A :class:`DynamicEngine`, or an explicit backend
         (:class:`EngineBackend` / :class:`FrozenBackend`).
-    metrics:
-        A :class:`MetricsRegistry` for the serve counters
-        (``serve_hits`` / ``serve_misses`` / ``serve_admissions`` /
-        ``serve_stale_served``) and the ``serve_latency_us`` histogram.
-        Defaults to the engine's registry when telemetry is configured,
-        else a private one.
     references:
         Optional ``{prog: {vertex: final_value}}`` monotone bounds (the
         static answer on the full intended stream).  With a reference,
@@ -203,7 +190,6 @@ class ServingLayer:
     def __init__(
         self,
         engine,
-        metrics: MetricsRegistry | None = None,
         references: Mapping[int | str, Mapping[int, Any]] | None = None,
     ):
         if isinstance(engine, (EngineBackend, FrozenBackend)):
@@ -214,13 +200,6 @@ class ServingLayer:
         # The live engine whose writes the cache must hear about; None
         # for a frozen harvest, which never mutates.
         self._engine = getattr(self.backend, "engine", None)
-        if metrics is not None:
-            self.metrics = metrics
-        else:
-            engine_metrics = getattr(self._engine, "metrics", None)
-            self.metrics = (
-                engine_metrics if engine_metrics is not None else MetricsRegistry()
-            )
         self._refs: dict[int, Mapping[int, Any]] = {}
         self._attached = False
         for prog, vals in (references or {}).items():
@@ -248,10 +227,8 @@ class ServingLayer:
     # ------------------------------------------------------------------
     def point(self, prog: int | str, vertex: int) -> QueryResult:
         """Serve one raw point lookup of a program's vertex value."""
-        t0 = time.perf_counter_ns()
         backend = self.backend
         p = prog if type(prog) is int else backend.prog_index(prog)
-        m = self.metrics
         entry = self.cache.lookup(p, vertex)
         if entry is not None and entry[2] and not backend.add_only():
             # The entry was admitted absorbing while every stream was
@@ -263,38 +240,28 @@ class ServingLayer:
         if entry is not None:
             value, _admitted_at, absorbing = entry
             stale = not absorbing and not backend.drained()
-            res = QueryResult(
+            return QueryResult(
                 backend.prog_names[p], vertex, value, backend.vtime(), stale, "cache"
             )
-            m.inc("serve_hits")
-        else:
-            value = backend.read(p, vertex)
-            settled = backend.drained()
-            ref = self._refs.get(p)
-            # Absorbing admission requires the monotone-bound argument,
-            # which only holds on insert-only sources (§VI-B deletes
-            # make "equals the bound" a revisitable state, not a fixed
-            # point) — on churn streams only settled admission remains.
-            absorbing = (
-                ref is not None
-                and backend.add_only()
-                and value == ref.get(vertex, 0)
-            )
-            if absorbing or settled:
-                if not self._attached and self._engine is not None:
-                    self._engine._serve_caches += (self.cache,)
-                    self._attached = True
-                self.cache.admit(p, vertex, value, backend.vtime(), absorbing)
-                m.inc("serve_admissions")
-            stale = not (absorbing or settled)
-            res = QueryResult(
-                backend.prog_names[p], vertex, value, backend.vtime(), stale, "live"
-            )
-            m.inc("serve_misses")
-        if res.stale:
-            m.inc("serve_stale_served")
-        m.histogram("serve_latency_us").observe((time.perf_counter_ns() - t0) / 1e3)
-        return res
+        value = backend.read(p, vertex)
+        settled = backend.drained()
+        ref = self._refs.get(p)
+        # Absorbing admission requires the monotone-bound argument,
+        # which only holds on insert-only sources (§VI-B deletes make
+        # "equals the bound" a revisitable state, not a fixed point) —
+        # on churn streams only settled admission remains.
+        absorbing = (
+            ref is not None and backend.add_only() and value == ref.get(vertex, 0)
+        )
+        if absorbing or settled:
+            if not self._attached and self._engine is not None:
+                self._engine._serve_caches += (self.cache,)
+                self._attached = True
+            self.cache.admit(p, vertex, value, backend.vtime(), absorbing)
+        stale = not (absorbing or settled)
+        return QueryResult(
+            backend.prog_names[p], vertex, value, backend.vtime(), stale, "live"
+        )
 
     # -- typed wrappers over point() -------------------------------------
     def distance(self, prog: int | str, vertex: int) -> QueryResult:
@@ -371,7 +338,6 @@ class ServingLayer:
         virtual instant the predicate first holds (§III-E)."""
         if not self.backend.supports_subscriptions:
             raise RuntimeError("subscriptions need a live engine backend")
-        self.metrics.inc("serve_subscriptions")
         return self.backend.engine.add_trigger(prog, predicate, callback, vertex, once)
 
     def unsubscribe(self, trigger) -> bool:
@@ -388,16 +354,4 @@ class ServingLayer:
             self.backend.prog_names[p] for p in self._refs
         )
         out["watermark"] = self.backend.watermark()
-        h = self.metrics.histograms.get("serve_latency_us")
-        if h is not None:
-            out["latency_us"] = h.to_dict()
-        for key in (
-            "serve_hits",
-            "serve_misses",
-            "serve_admissions",
-            "serve_stale_served",
-            "serve_subscriptions",
-        ):
-            if key in self.metrics.counters:
-                out[key] = self.metrics.counters[key]
         return out

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analytics.graphstats import component_stats, degree_stats
+from repro.analytics.graphstats import degree_stats
 from repro.generators import barabasi_albert_edges, erdos_renyi_edges, rmat_edges
 
 
@@ -52,34 +52,3 @@ class TestDegreeStats:
     def test_describe_readable(self):
         s = degree_stats(np.array([0, 0]), np.array([1, 2]))
         assert "V=3" in s.describe()
-
-
-class TestComponentStats:
-    def test_two_components(self):
-        c = component_stats(np.array([0, 5]), np.array([1, 6]))
-        assert c.n_components == 2
-        assert c.largest == 2
-        assert c.largest_fraction == pytest.approx(0.5)
-
-    def test_single_giant_component(self):
-        src = np.arange(50)
-        dst = np.arange(50) + 1
-        c = component_stats(src, dst)
-        assert c.n_components == 1
-        assert c.largest == 51
-
-    def test_empty(self):
-        c = component_stats(np.empty(0, np.int64), np.empty(0, np.int64))
-        assert c.n_components == 0
-        assert c.largest_fraction == 0.0
-
-    def test_matches_networkx(self):
-        import networkx as nx
-
-        rng = np.random.default_rng(2)
-        src, dst = erdos_renyi_edges(200, 150, rng=rng)
-        c = component_stats(src, dst)
-        g = nx.Graph(zip(src.tolist(), dst.tolist()))
-        comps = list(nx.connected_components(g))
-        assert c.n_components == len(comps)
-        assert c.largest == max(len(x) for x in comps)

@@ -30,12 +30,15 @@ class TestTrace:
         assert meta["n_ranks"] == 4
         assert "cost_model" in meta
 
-    def test_jsonl_extension_selects_compact_mode(self, tmp_path):
+    def test_trace_under_a_jsonl_name_renders_through_report(self, tmp_path, capsys):
+        """The file name picks no format: a capture saved as ``.jsonl``
+        is Chrome JSON too, and ``report --trace`` renders it."""
         path = str(tmp_path / "trace.jsonl")
         assert run_cli("--algo", "cc", "--trace", path) == 0
-        rows = read_jsonl(path)
-        assert rows[0]["kind"] == "meta"
-        assert all(r["kind"] == "event" for r in rows[1:])
+        assert validate_chrome_trace(path)["X"] > 0
+        capsys.readouterr()
+        assert main(["report", "--trace", path]) == 0
+        assert "Span time by name" in capsys.readouterr().out
 
 
 class TestMetrics:

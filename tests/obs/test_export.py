@@ -12,7 +12,6 @@ from repro.obs import (
     validate_chrome_trace,
     write_chrome_trace,
     write_metrics_jsonl,
-    write_trace_jsonl,
 )
 
 
@@ -145,20 +144,6 @@ class TestValidator:
 
 
 class TestJsonl:
-    def test_trace_jsonl_meta_first_then_events(self, tmp_path):
-        path = str(tmp_path / "trace.jsonl")
-        write_trace_jsonl(path, sample_tracer(), meta={"algo": "cc"})
-        rows = read_jsonl(path)
-        assert rows[0] == {"kind": "meta", "algo": "cc"}
-        events = rows[1:]
-        assert len(events) == 5
-        assert all(r["kind"] == "event" for r in events)
-        # Unscaled virtual seconds, dur only on spans.
-        spans = [r for r in events if r["ph"] == "X"]
-        assert spans[0]["t"] == 1e-6
-        assert spans[0]["dur"] == pytest.approx(2e-6)
-        assert all("dur" not in r for r in events if r["ph"] != "X")
-
     def test_metrics_jsonl_row_kinds(self, tmp_path):
         reg = MetricsRegistry()
         reg.record({"kind": "sample", "t": 0.0, "edges": 3})

@@ -67,9 +67,7 @@ def high_fanin_stream(n_hubs=6, n_spokes=80):
 def run_once(make_programs, init, src, dst, weights, n_ranks, coalesce):
     engine = DynamicEngine(
         make_programs(),
-        EngineConfig(
-            n_ranks=n_ranks, coalesce_updates=coalesce, batch_updates=coalesce
-        ),
+        EngineConfig(n_ranks=n_ranks, coalesce_updates=coalesce),
     )
     init(engine)
     engine.attach_streams(
@@ -144,29 +142,6 @@ def test_high_fanin_workload_actually_squashes():
     # books: the run drained fully (quiescence is asserted by run_once)
     # and the answer is still right.
     assert verify_cc(engine, "cc") == []
-
-
-def test_toggles_are_independent():
-    src, dst = high_fanin_stream(n_hubs=4, n_spokes=40)
-    coalesce_only = DynamicEngine(
-        [IncrementalCC()],
-        EngineConfig(n_ranks=4, coalesce_updates=True, batch_updates=False),
-    )
-    coalesce_only.attach_streams(split_streams(src, dst, 4))
-    coalesce_only.run()
-    c = coalesce_only.total_counters()
-    assert c.updates_squashed > 0 and c.batch_sends == 0
-
-    batch_only = DynamicEngine(
-        [IncrementalCC()],
-        EngineConfig(n_ranks=4, coalesce_updates=False, batch_updates=True),
-    )
-    batch_only.attach_streams(split_streams(src, dst, 4))
-    batch_only.run()
-    b = batch_only.total_counters()
-    assert b.updates_squashed == 0 and b.batch_sends > 0
-    assert verify_cc(batch_only, "cc") == []
-    assert coalesce_only.state("cc") == batch_only.state("cc")
 
 
 def test_counters_surface_in_throughput_report():

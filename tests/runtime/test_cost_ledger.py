@@ -284,7 +284,6 @@ def _faults(plan: FaultPlan | None) -> DynamicEngine:
         init=[("bfs", int(src[0]))],
         plugins=None if plan is None else [FaultInjectionPlugin(plan)],
         coalesce_updates=False,
-        batch_updates=False,
     )
 
 
@@ -302,7 +301,6 @@ def _squash(n_nodes: int, coalesce: bool) -> DynamicEngine:
         [IncrementalCC()],
         n_nodes,
         coalesce_updates=coalesce,
-        batch_updates=coalesce,
     )
 
 
@@ -322,7 +320,7 @@ LEGS = {
     "collect_replay": lambda: _collection("echo"),
     "directed": lambda: _bfs_cc(8, EngineConfig(n_ranks=4, undirected=False)),
     "unbatched": lambda: _bfs_cc(
-        8, EngineConfig(n_ranks=4, batch_updates=False, coalesce_updates=False)
+        8, EngineConfig(n_ranks=4, coalesce_updates=False)
     ),
     "two_per_node": lambda: _bfs_cc(8, cost=CostModel(ranks_per_node=2)),
     "flow_control": lambda: _bfs_cc(8, cost=CostModel(channel_capacity=16)),

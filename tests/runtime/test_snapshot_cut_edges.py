@@ -38,18 +38,16 @@ def split(events, n):
     return streams
 
 
-@pytest.mark.parametrize("coalesce", [False, True])
-@pytest.mark.parametrize("batch", [False, True])
-def test_post_cut_edge_does_not_leak_into_snapshot(coalesce, batch):
+# §II-D coalescing off and on, under the test's long-standing ids.
+@pytest.mark.parametrize("coalesce", [False, True], ids=["False-False", "True-True"])
+def test_post_cut_edge_does_not_leak_into_snapshot(coalesce):
     events = [(ADD, s, d, 1) for s, d in EDGES]
     source = 0
     evsplit = split(events, N_RANKS)
     streams = [ListEventStream(evts, stream_id=k) for k, evts in enumerate(evsplit)]
     engine = DynamicEngine(
         [IncrementalBFS()],
-        EngineConfig(
-            n_ranks=N_RANKS, coalesce_updates=coalesce, batch_updates=batch
-        ),
+        EngineConfig(n_ranks=N_RANKS, coalesce_updates=coalesce),
     )
     engine.init_program("bfs", source)
     engine.attach_streams(streams)

@@ -307,7 +307,6 @@ class TestSubscriptionsAndSnapshots:
         assert fired == [6]
         assert serving.unsubscribe(trig) is True
         assert serving.unsubscribe(trig) is False
-        assert serving.metrics.counters["serve_subscriptions"] == 1
 
     def test_snapshot_returns_collection(self):
         e = path_engine()
@@ -318,34 +317,18 @@ class TestSubscriptionsAndSnapshots:
         assert dict(result.state) == {i: i + 1 for i in range(6)}
 
 
-class TestMetrics:
-    def test_counters_and_latency_histogram(self):
+class TestStats:
+    def test_the_cache_counts_reads_and_the_engine_the_watermark(self):
+        """Serving keeps no counts of its own: the cache owns hits,
+        misses and admissions, the engine the ingested count."""
         e = path_engine()
         e.run()
         serving = ServingLayer(e)
         serving.point("bfs", 1)
         serving.point("bfs", 1)
-        m = serving.metrics
-        assert m.counters["serve_misses"] == 1
-        assert m.counters["serve_hits"] == 1
-        assert m.counters["serve_admissions"] == 1
-        assert m.histograms["serve_latency_us"].count == 2
-        stats = serving.stats()
-        assert stats["serve_hits"] == 1
-        assert stats["latency_us"]["count"] == 2
-        assert stats["watermark"] == 5
-
-    def test_uses_engine_registry_when_sampling(self):
-        e = DynamicEngine(
-            [IncrementalBFS()],
-            EngineConfig(n_ranks=2),
-            plugins=[MetricsPlugin(1e-4)],
-        )
-        e.init_program("bfs", 0)
-        e.attach_streams([ListEventStream([(ADD, 0, 1, 1)])])
-        e.run()
-        serving = ServingLayer(e)
-        assert serving.metrics is e.metrics
+        cache = serving.cache.stats()
+        assert (cache["misses"], cache["hits"], cache["admissions"]) == (1, 1, 1)
+        assert serving.stats()["watermark"] == 5
 
 
 class TestFrozenBackend:
