@@ -29,6 +29,9 @@ served through the stable-value cache *while* the stream runs, each
 answer carrying its ``(value, as_of_vtime, stale)`` envelope; with
 ``--verify``, every ``stale=False`` answer is differentially checked
 against the static oracle on the exact ingested prefix.
+
+A flag, value or combination a command cannot honour is a usage error:
+one line on stderr and exit 2, before any input is read or generated.
 """
 
 from __future__ import annotations
@@ -376,22 +379,6 @@ def _run_mp(args, chat, meta, streams, algo, programs, init, seed) -> int:
     """Execute ``run`` on the process-parallel backend."""
     from repro.parallel import ParallelStateView, run_parallel
 
-    des_only = [
-        name for name, value in [
-            ("--faults", args.faults),
-            ("--snapshot-at", args.snapshot_at),
-            ("--sample-interval", args.sample_interval),
-            ("--freshness", args.freshness or None),
-            ("--checkpoint-every", args.checkpoint_every),
-            ("--checkpoint-path", args.checkpoint_path),
-        ] if value is not None
-    ]
-    if des_only:
-        chat(
-            f"backend mp: {', '.join(des_only)} need virtual time and are "
-            "only available on --backend des"
-        )
-        return 2
     obs_cfg = None
     if args.trace is not None or args.metrics is not None:
         from repro.obs import ObsConfig
@@ -451,6 +438,59 @@ def _run_mp(args, chat, meta, streams, algo, programs, init, seed) -> int:
     return 1 if verify_doc["mismatches"] else 0
 
 
+def _usage(message: str) -> int:
+    """A flag, value or combination the command cannot honour: one
+    stderr line and exit 2."""
+    print(message, file=sys.stderr)
+    return 2
+
+
+def _run_usage(args: argparse.Namespace) -> str | None:
+    """The first flag ``run`` cannot honour on its chosen path, as one
+    line, or None; checked before any input is read."""
+    if args.trace_per_rank and (args.backend != "mp" or args.trace is None):
+        return "run: --trace-per-rank needs --backend mp and --trace"
+    if args.backend == "mp":
+        des_only = [
+            name for name, value in [
+                ("--faults", args.faults),
+                ("--snapshot-at", args.snapshot_at),
+                ("--sample-interval", args.sample_interval),
+                ("--freshness", args.freshness or None),
+                ("--checkpoint-every", args.checkpoint_every),
+                ("--checkpoint-path", args.checkpoint_path),
+            ] if value is not None
+        ]
+        if des_only:
+            return (
+                f"backend mp: {', '.join(des_only)} need virtual time and are "
+                "only available on --backend des"
+            )
+        return None
+    crashes = False
+    if args.faults is not None:
+        from repro.faults import FaultPlan
+
+        try:
+            crashes = bool(FaultPlan.from_spec(args.faults).crashes)
+        except ValueError as exc:
+            return f"run: bad --faults spec: {exc}"
+        if crashes and (args.snapshot_at is not None or args.freshness):
+            return (
+                "faults: --snapshot-at/--freshness do not combine with crash "
+                "plans (the snapshot dies with the incarnation)"
+            )
+    unused = [
+        name for name, value in [
+            ("--checkpoint-every", args.checkpoint_every),
+            ("--checkpoint-path", args.checkpoint_path),
+        ] if value is not None
+    ]
+    if unused and not crashes:
+        return f"run: {', '.join(unused)}: needs a crash plan (--faults crash=...)"
+    return None
+
+
 def _input_error(message: str) -> NoReturn:
     """A bad ``--input`` is a usage error: one line, exit 2."""
     print(f"repro: error: --input: {message}", file=sys.stderr)
@@ -492,9 +532,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # In --json mode stdout carries exactly one JSON document; all
     # human-facing chatter moves to stderr so CI can pipe stdout.
     chat = functools.partial(print, file=sys.stderr) if args.json else print
-    if args.trace_per_rank and (args.backend != "mp" or args.trace is None):
-        chat("run: --trace-per-rank needs --backend mp and --trace")
-        return 2
+    problem = _run_usage(args)
+    if problem is not None:
+        return _usage(problem)
     rng = np.random.default_rng(args.seed)
     src, dst, weights, label = _load_stream(args, chat, rng)
 
@@ -540,25 +580,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.faults is not None:
         from repro.faults import FaultPlan
 
-        try:
-            plan = FaultPlan.from_spec(args.faults, time_scale=est)
-        except ValueError as exc:
-            chat(f"run: bad --faults spec: {exc}")
-            return 2
-        if plan.crashes and (args.snapshot_at is not None or args.freshness):
-            chat("faults: --snapshot-at/--freshness do not combine with "
-                 "crash plans (the snapshot dies with the incarnation)")
-            return 2
-    if plan is None or not plan.crashes:
-        unused = [
-            name for name, value in [
-                ("--checkpoint-every", args.checkpoint_every),
-                ("--checkpoint-path", args.checkpoint_path),
-            ] if value is not None
-        ]
-        if unused:
-            chat(f"run: {', '.join(unused)}: needs a crash plan (--faults crash=...)")
-            return 2
+        # The spec passed _run_usage; its fractions now scale to instants.
+        plan = FaultPlan.from_spec(args.faults, time_scale=est)
 
     fault_result = None
     if plan is not None and plan.crashes:
@@ -724,18 +747,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
     )
 
     chat = functools.partial(print, file=sys.stderr) if args.json else print
+    algo = _algo(args.algo)
     try:
         spec = WorkloadSpec.from_spec(args.workload)
+        spec.query_kinds(algo.family)
     except ValueError as exc:
-        chat(f"serve: bad --workload spec: {exc}")
-        return 2
+        return _usage(f"serve: bad --workload spec: {exc}")
     if args.queries is not None and args.backend != "mp":
-        chat("serve: --queries needs --backend mp (on des, --workload ratio "
-             "sets the query count)")
-        return 2
+        return _usage(
+            "serve: --queries needs --backend mp (on des, --workload ratio "
+            "sets the query count)"
+        )
     rng = np.random.default_rng(args.seed)
     src, dst, weights, label = _load_stream(args, chat, rng)
-    algo = _algo(args.algo)
     programs, init, seed = _instantiate(algo, src, args.sources)
     pool = np.unique(np.concatenate([src, dst]))
     # S-T's connected_to queries probe the registered source bits.
@@ -830,8 +854,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     from repro.obs import read_jsonl, render_metrics_report, render_trace_report
 
     if args.trace is None and args.metrics is None:
-        print("report: pass --trace and/or --metrics", file=sys.stderr)
-        return 2
+        return _usage("report: pass --trace and/or --metrics")
     sections = []
     if args.trace is not None:
         sections.append(render_trace_report(args.trace))

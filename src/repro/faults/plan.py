@@ -10,6 +10,7 @@ the generator's state simply continues into the next incarnation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +89,17 @@ class FaultPlan:
         the run's estimated makespan and are multiplied by
         ``time_scale`` to become virtual instants (the CLI passes its
         makespan estimate).  A stall may carry a duration in virtual
-        microseconds as ``stall=FRAC:US``.
+        microseconds as ``stall=FRAC:US``.  Every fraction and duration
+        must be a finite number >= 0: anything else is a ``ValueError``
+        here, not a fault that never fires (or fires before the run).
         """
+
+        def amount(what: str, text: str) -> float:
+            value = float(text)
+            if not 0 <= value < math.inf:  # also false for nan
+                raise ValueError(f"{what} must be a finite number >= 0, got {text!r}")
+            return value
+
         seed = 0
         crashes: list[RankCrash] = []
         stalls: list[RankStall] = []
@@ -103,13 +113,14 @@ class FaultPlan:
             key = key.strip()
             value = value.strip()
             if key == "crash":
-                crashes.append(RankCrash(time=float(value) * time_scale))
+                crashes.append(RankCrash(time=amount("crash", value) * time_scale))
             elif key == "stall":
                 frac, _, dur = value.partition(":")
-                duration = float(dur) * US if dur else RankStall.duration
-                stalls.append(
-                    RankStall(time=float(frac) * time_scale, duration=duration)
+                at = amount("stall", frac) * time_scale
+                duration = (
+                    amount("stall duration", dur) * US if dur else RankStall.duration
                 )
+                stalls.append(RankStall(time=at, duration=duration))
             elif key == "seed":
                 seed = int(value)
             else:

@@ -16,6 +16,7 @@ and the differential tests — one driver, three consumers.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable
@@ -101,11 +102,29 @@ class WorkloadSpec:
                 kw["final_queries"] = int(val)
             else:
                 raise ValueError(f"unknown workload spec key {key!r}")
-        if kw.get("ratio", 0.1) < 0:
-            raise ValueError("workload ratio must be >= 0")
+        if not 0 <= kw.get("ratio", 0.1) < math.inf:  # also false for nan
+            raise ValueError("workload ratio must be a finite number >= 0")
         if kw.get("slice_actions", 2048) <= 0:
             raise ValueError("workload slice must be > 0")
+        for key, name in (("final_queries", "final"), ("max_queries", "max")):
+            if kw.get(key, 0) < 0:
+                raise ValueError(f"workload {name} must be >= 0")
+        if "" in kw.get("kinds", ()):
+            raise ValueError("workload kinds must be names, e.g. point:distance")
         return cls(**kw)
+
+    def query_kinds(self, algo: str) -> tuple[str, ...]:
+        """The query kinds issued against family ``algo``: ``kinds`` when
+        given, else every kind the family offers.  A kind the family
+        lacks is a ``ValueError``."""
+        offered = KINDS_FOR[algo]
+        for k in self.kinds or ():
+            if k not in offered:
+                raise ValueError(
+                    f"query kind {k!r} not available for {algo!r} "
+                    f"(choose from {', '.join(offered)})"
+                )
+        return self.kinds or offered
 
     def describe(self) -> str:
         kinds = ":".join(self.kinds) if self.kinds else "auto"
@@ -226,13 +245,7 @@ class MixedWorkloadDriver:
         self.aux = aux or []
         self.oracle_fn = oracle_fn
         self.max_violations = max_violations
-        self.kinds = tuple(spec.kinds) if spec.kinds else KINDS_FOR[algo]
-        for k in self.kinds:
-            if k not in KINDS_FOR[algo]:
-                raise ValueError(
-                    f"query kind {k!r} not available for {algo!r} "
-                    f"(choose from {KINDS_FOR[algo]})"
-                )
+        self.kinds = spec.query_kinds(algo)
         self.rng = np.random.default_rng(spec.seed)
         self.prog = serving.backend.prog_names[0] if serving.backend.prog_names else None
 

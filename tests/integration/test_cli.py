@@ -57,14 +57,16 @@ class TestNumbersAndSpecsAtTheBoundary:
     exit 2 and one error line, never a traceback from deep in the run."""
 
     def rejected(self, argv, capsys):
-        """The exit code and last output line of a run that must stop."""
+        """The exit code and last stderr line of a run that must stop
+        before it reads or generates anything (stdout stays empty)."""
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        assert "Traceback" not in out + err
-        return code, (out + err).strip().splitlines()[-1]
+        assert out == ""
+        assert "Traceback" not in err
+        return code, err.strip().splitlines()[-1]
 
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_sample_interval_must_be_positive(self, value, capsys):
@@ -81,12 +83,33 @@ class TestNumbersAndSpecsAtTheBoundary:
         [
             ("bogus=1", "unknown fault spec key"),
             ("drop=0.1", "unknown fault spec key"),
+            ("crash=nan", "crash must be a finite number >= 0"),
+            ("crash=inf", "crash must be a finite number >= 0"),
+            ("crash=-1", "crash must be a finite number >= 0"),
+            ("stall=0.3:-50", "stall duration must be a finite number >= 0"),
         ],
     )
     def test_faults_spec_is_checked(self, spec, expect, capsys):
         argv = ["run", "--scale", "6", "--edge-factor", "2", "--faults", spec]
         code, line = self.rejected(argv, capsys)
         assert code == 2 and line.startswith("run: bad --faults spec:")
+        assert expect in line
+
+    @pytest.mark.parametrize(
+        "spec, expect",
+        [
+            ("ratio=inf", "ratio must be a finite number >= 0"),
+            ("ratio=nan", "ratio must be a finite number >= 0"),
+            ("kinds=", "kinds must be names"),
+            ("kinds=capacity", "'capacity' not available for 'bfs'"),
+            ("final=-3", "final must be >= 0"),
+            ("max=-1", "max must be >= 0"),
+        ],
+    )
+    def test_serve_workload_spec_is_checked(self, spec, expect, capsys):
+        argv = ["serve", "--scale", "6", "--edge-factor", "2", "--workload", spec]
+        code, line = self.rejected(argv, capsys)
+        assert code == 2 and line.startswith("serve: bad --workload spec:")
         assert expect in line
 
     @pytest.mark.parametrize("value", ["-0.5", "2"])

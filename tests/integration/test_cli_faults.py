@@ -25,7 +25,7 @@ class TestPlansWithoutCrashes:
 
     def test_bad_spec_rejected(self, capsys):
         assert run_cli("--algo", "bfs", "--faults", "explode=1") == 2
-        assert "unknown fault spec" in capsys.readouterr().out
+        assert "unknown fault spec" in capsys.readouterr().err
 
 
 class TestCrashPlans:
@@ -61,4 +61,4 @@ class TestCrashPlans:
             "--snapshot-at", "0.5",
         )
         assert code == 2
-        assert "do not combine" in capsys.readouterr().out
+        assert "do not combine" in capsys.readouterr().err

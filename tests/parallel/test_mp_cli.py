@@ -59,7 +59,7 @@ class TestDesOnlyFlagsRejected:
     def test_rejected_with_exit_2(self, flags, capsys):
         code = main(["run", "--backend", "mp", "--scale", "6", *flags])
         assert code == 2
-        assert "only available on --backend des" in capsys.readouterr().out
+        assert "only available on --backend des" in capsys.readouterr().err
 
 
 def run_cli_json(*argv):
