@@ -58,6 +58,7 @@ from repro.comm.costmodel import CostModel
 from repro.events.io import read_edge_npz, read_edge_text, write_edge_npz, write_edge_text
 from repro.events.stream import split_streams
 from repro.events.types import ADD
+from repro.faults import FaultPlan
 from repro.generators import DATASET_PRESETS, generate_preset, rmat_edges
 from repro.generators.weights import pairwise_weights
 from repro.runtime.engine import EngineConfig
@@ -469,8 +470,6 @@ def _run_usage(args: argparse.Namespace) -> str | None:
         return None
     crashes = False
     if args.faults is not None:
-        from repro.faults import FaultPlan
-
         try:
             crashes = bool(FaultPlan.from_spec(args.faults).crashes)
         except ValueError as exc:
@@ -493,8 +492,7 @@ def _run_usage(args: argparse.Namespace) -> str | None:
 
 def _input_error(message: str) -> NoReturn:
     """A bad ``--input`` is a usage error: one line, exit 2."""
-    print(f"repro: error: --input: {message}", file=sys.stderr)
-    raise SystemExit(2)
+    raise SystemExit(_usage(f"repro: error: --input: {message}"))
 
 
 def _load_stream(args: argparse.Namespace, chat, rng):
@@ -578,8 +576,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     plan = None
     if args.faults is not None:
-        from repro.faults import FaultPlan
-
         # The spec passed _run_usage; its fractions now scale to instants.
         plan = FaultPlan.from_spec(args.faults, time_scale=est)
 
