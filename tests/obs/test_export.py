@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs import (
+    Histogram,
     MetricsRegistry,
     Tracer,
     chrome_trace_dict,
@@ -197,6 +198,36 @@ class TestRendering:
         assert "busy (per-rank)" in text
         assert "Convergence lag" in text
         assert "cc" in text
+
+    def test_histogram_quantile_columns(self):
+        """p50/p99 are the containing bucket's upper bound, the row's
+        max when the quantile lands in the overflow bucket, and 0.0 for
+        an empty histogram."""
+        bounded = Histogram((1.0, 10.0, 100.0))
+        for v in (0.5, 5.0, 5.0, 50.0):
+            bounded.observe(v)
+        overflow = Histogram((1.0, 10.0))
+        for v in (0.5, 0.5, 0.5, 250.0):
+            overflow.observe(v)
+        rows = [
+            {"kind": "histogram", "name": name, **h.to_dict()}
+            for name, h in (
+                ("bounded", bounded),
+                ("overflow", overflow),
+                ("empty", Histogram((1.0,))),
+            )
+        ]
+        text = render_metrics_report(rows)
+        cols = {
+            cells[0]: (cells[3], cells[4])
+            for cells in (line.split() for line in text.splitlines())
+            if cells and cells[0] in ("bounded", "overflow", "empty")
+        }
+        assert cols == {
+            "bounded": ("10.0", "100.0"),
+            "overflow": ("1.0", "250.0"),
+            "empty": ("0.0", "0.0"),
+        }
 
     def test_metrics_report_handles_no_samples(self):
         assert "no sample rows" in render_metrics_report([{"kind": "meta"}])
