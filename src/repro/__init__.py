@@ -52,7 +52,6 @@ from repro.events import (
     ArrayEventStream,
     EdgeEvent,
     ListEventStream,
-    StreamMultiplexer,
     split_streams,
 )
 from repro.faults import (
@@ -67,7 +66,6 @@ from repro.generators import (
     erdos_renyi_edges,
     generate_preset,
     rmat_edges,
-    uniform_weights,
 )
 from repro.partition import ConsistentHashPartitioner
 from repro.runtime import (
@@ -113,7 +111,6 @@ __all__ = [
     "ArrayEventStream",
     "EdgeEvent",
     "ListEventStream",
-    "StreamMultiplexer",
     "split_streams",
     "FaultPlan",
     "FaultRunResult",
@@ -124,7 +121,6 @@ __all__ = [
     "erdos_renyi_edges",
     "generate_preset",
     "rmat_edges",
-    "uniform_weights",
     "ConsistentHashPartitioner",
     "CollectionResult",
     "DynamicEngine",

@@ -90,7 +90,6 @@ class CostModel:
 
     # --- global state collection --------------------------------------
     gather_per_vertex_cpu: float = 0.02 * US  # pack one vertex's state
-    reduction_hop_latency: float = 5.0 * US  # per tree level of gather
 
     # --- static baseline (CSR bulk build + static traversal) ----------
     static_build_edge_cpu: float = 0.40 * US  # sort+compress, per stored edge
@@ -121,7 +120,6 @@ class CostModel:
             "local_latency",
             "remote_latency",
             "gather_per_vertex_cpu",
-            "reduction_hop_latency",
             "static_build_edge_cpu",
             "static_vertex_cpu",
             "static_edge_cpu",

@@ -6,9 +6,8 @@ ordered while events across streams do not have a relative order."
 
 Hot-path events are plain tuples ``(kind, src, dst, weight)`` (see
 :mod:`repro.events.types`) so the simulator does not pay Python object
-overhead per edge; the classes here manage batching, ordering, splitting
-an edge list into per-rank streams, and multiplexing streams back into a
-single interleaved feed for the sequential engine.
+overhead per edge; the classes here manage batching, ordering, and
+splitting an edge list into per-rank streams.
 """
 
 from repro.events.types import (
@@ -30,7 +29,6 @@ from repro.events.io import (
     write_edge_npz,
     write_edge_text,
 )
-from repro.events.multiplex import StreamMultiplexer
 
 __all__ = [
     "ADD",
@@ -42,7 +40,6 @@ __all__ = [
     "ListEventStream",
     "split_round_robin",
     "split_streams",
-    "StreamMultiplexer",
     "read_edge_npz",
     "read_edge_text",
     "write_edge_npz",

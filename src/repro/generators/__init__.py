@@ -21,7 +21,6 @@ from repro.generators.presets import (
     generate_preset,
 )
 from repro.generators.rmat import rmat_edges
-from repro.generators.weights import uniform_weights
 
 __all__ = [
     "barabasi_albert_edges",
@@ -33,5 +32,4 @@ __all__ = [
     "DatasetPreset",
     "generate_preset",
     "rmat_edges",
-    "uniform_weights",
 ]

@@ -2,7 +2,8 @@
 
 The paper's SSSP (Alg. 5) uses integer edge weights whose updates are
 "limited only to reducing edge weight" to preserve monotonicity.  Weights
-here are positive int64 draws; :func:`decreasing_reweights` produces a
+here are positive int64 values, one per endpoint pair
+(:func:`pairwise_weights`); :func:`decreasing_reweights` produces a
 stream of weight-*decrease* attribute updates for the SSSP-update tests.
 """
 
@@ -11,19 +12,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.util.validate import check_positive
-
-
-def uniform_weights(
-    n_edges: int, lo: int = 1, hi: int = 100, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """Uniform integer weights in ``[lo, hi]`` (inclusive), int64."""
-    check_positive("n_edges", n_edges)
-    check_positive("lo", lo)
-    if hi < lo:
-        raise ValueError(f"hi ({hi}) must be >= lo ({lo})")
-    if rng is None:
-        rng = np.random.default_rng()
-    return rng.integers(lo, hi + 1, size=n_edges, dtype=np.int64)
 
 
 def pairwise_weights(

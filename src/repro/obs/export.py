@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Histogram, MetricsRegistry
 from repro.obs.tracer import PH_COUNTER, PH_INSTANT, PH_SPAN, Tracer
 
 _SCALE = 1e6  # virtual seconds -> trace microseconds
@@ -389,17 +389,19 @@ def render_metrics_report(rows: Iterable[dict[str, Any]]) -> str:
             f"peak inbound ring {peak:,} bytes"
         )
     if hists:
-        table = [
-            [
-                str(h.get("name", "?")),
-                f"{h.get('count', 0):,}",
-                f"{h.get('mean', 0.0):,.1f}",
-                f"{_hist_quantile(h, 0.5):,.1f}",
-                f"{_hist_quantile(h, 0.99):,.1f}",
-                f"{h.get('max', 0) or 0:,.1f}",
-            ]
-            for h in hists
-        ]
+        table = []
+        for h in hists:
+            hist = Histogram.from_dict(h)
+            table.append(
+                [
+                    str(h.get("name", "?")),
+                    f"{h.get('count', 0):,}",
+                    f"{h.get('mean', 0.0):,.1f}",
+                    f"{hist.quantile(0.5):,.1f}",
+                    f"{hist.quantile(0.99):,.1f}",
+                    f"{h.get('max', 0) or 0:,.1f}",
+                ]
+            )
         if parts:
             parts.append("")
         parts.append(
@@ -431,22 +433,3 @@ def render_metrics_report(rows: Iterable[dict[str, Any]]) -> str:
     if not parts:
         parts.append("no sample rows found")
     return "\n".join(parts)
-
-
-def _hist_quantile(doc: dict[str, Any], q: float) -> float:
-    """Quantile estimate from a serialized histogram row (upper bound of
-    the containing bucket; the overflow bucket reports the max)."""
-    counts = doc.get("counts") or []
-    bounds = doc.get("bounds") or []
-    total = doc.get("count", 0)
-    if not total or not counts:
-        return 0.0
-    target = q * total
-    seen = 0
-    for i, c in enumerate(counts):
-        seen += c
-        if seen >= target and c:
-            if i < len(bounds):
-                return float(bounds[i])
-            return float(doc.get("max") or 0.0)
-    return float(doc.get("max") or 0.0)

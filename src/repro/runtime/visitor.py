@@ -42,21 +42,3 @@ CTRL_PART = 4  # rank -> coordinator: one rank's snapshot fragment
 # The rank that runs collection waves and owns cluster-wide instants
 # (trace marks, bulk de-opt counts).
 COORDINATOR_RANK = 0
-
-VISIT_NAMES = {
-    VT_ADD: "ADD",
-    VT_RADD: "REVERSE_ADD",
-    VT_UPDATE: "UPDATE",
-    VT_INIT: "INIT",
-    VT_DEL: "DELETE",
-    VT_RDEL: "REVERSE_DELETE",
-    VT_CTRL: "CONTROL",
-}
-
-
-def visit_name(vt: int) -> str:
-    """Human-readable visitor-type name (raises on unknown types)."""
-    try:
-        return VISIT_NAMES[vt]
-    except KeyError:
-        raise ValueError(f"unknown visitor type {vt!r}") from None

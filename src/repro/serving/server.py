@@ -18,10 +18,11 @@ without stopping the stream, in three tiers —
    state with an explicit ``(value, as_of_vtime, stale)`` envelope;
    ``stale=True`` says pending frontier work may still improve this
    answer.
-3. **subscription** — the "When"-trigger tier
-   (:class:`repro.runtime.queries.TriggerManager`): a predicate plus
+3. **trigger** — the "When"-query tier, registered on the engine
+   itself (:meth:`~repro.runtime.engine.DynamicEngine.add_trigger`, kept
+   by :class:`repro.runtime.queries.TriggerManager`): a predicate plus
    callback fired at the exact virtual instant the condition first
-   holds.
+   holds.  A frozen harvest has no engine and no trigger tier.
 
 Whole-state reads stay available as the in-protocol versioned
 collection (:meth:`ServingLayer.snapshot` — the paper's cut → drain →
@@ -38,7 +39,7 @@ is trivially stable.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Any, Callable, Mapping
+from typing import Any, Mapping
 
 from repro.analytics.verify import FAMILIES
 from repro.serving.cache import StableValueCache
@@ -81,7 +82,6 @@ class QueryResult:
 class EngineBackend:
     """Serving adapter over a live :class:`DynamicEngine` (DES)."""
 
-    supports_subscriptions = True
     supports_snapshots = True
 
     def __init__(self, engine):
@@ -122,7 +122,6 @@ class FrozenBackend:
     every read is stable and every vertex is cache-admissible.
     """
 
-    supports_subscriptions = False
     supports_snapshots = False
 
     def __init__(
@@ -305,7 +304,7 @@ class ServingLayer:
         )
 
     # ------------------------------------------------------------------
-    # the slow tiers: snapshots and subscriptions
+    # the slow tier: snapshots
     # ------------------------------------------------------------------
     def snapshot(self, prog: int | str, max_rounds: int = 1_000_000):
         """Whole-state read via the in-protocol versioned collection
@@ -325,25 +324,6 @@ class ServingLayer:
             if len(eng.collection_results) > n0:
                 return eng.collection_results[-1]
         raise RuntimeError(f"collection did not conclude in {max_rounds} rounds")
-
-    def subscribe(
-        self,
-        prog: int | str,
-        predicate: Callable[[int, Any], bool],
-        callback: Callable[[int, Any, float], None],
-        vertex: int | None = None,
-        once: bool = True,
-    ):
-        """The subscription tier: a "When" trigger fired at the exact
-        virtual instant the predicate first holds (§III-E)."""
-        if not self.backend.supports_subscriptions:
-            raise RuntimeError("subscriptions need a live engine backend")
-        return self.backend.engine.add_trigger(prog, predicate, callback, vertex, once)
-
-    def unsubscribe(self, trigger) -> bool:
-        if not self.backend.supports_subscriptions:
-            raise RuntimeError("subscriptions need a live engine backend")
-        return self.backend.engine.triggers.remove(trigger)
 
     # ------------------------------------------------------------------
     # introspection

@@ -137,11 +137,5 @@ class CSRGraph:
         """Dense neighbour indices of ``dense_v`` (zero-copy slice)."""
         return self.targets[self.offsets[dense_v] : self.offsets[dense_v + 1]]
 
-    def neighbor_weights(self, dense_v: int) -> np.ndarray:
-        return self.weights[self.offsets[dense_v] : self.offsets[dense_v + 1]]
-
-    def out_degrees(self) -> np.ndarray:
-        return np.diff(self.offsets)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"CSRGraph(V={self.num_vertices}, E={self.num_edges})"

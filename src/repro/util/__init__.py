@@ -19,7 +19,6 @@ from repro.util.validate import (
     check_non_negative,
     check_positive,
     check_power_of_two,
-    check_type,
 )
 
 __all__ = [
@@ -37,5 +36,4 @@ __all__ = [
     "check_non_negative",
     "check_positive",
     "check_power_of_two",
-    "check_type",
 ]

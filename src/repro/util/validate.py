@@ -7,22 +7,6 @@ time, with error messages that name the offending parameter.
 
 from __future__ import annotations
 
-from typing import Any
-
-
-def check_type(name: str, value: Any, expected: type | tuple[type, ...]) -> None:
-    """Raise ``TypeError`` unless ``value`` is an instance of ``expected``.
-
-    ``bool`` is rejected where an int is expected, since ``True`` silently
-    passing as ``1`` is a classic source of confusing configs.
-    """
-    if isinstance(value, bool) and expected in (int, (int,)):
-        raise TypeError(f"{name} must be int, got bool {value!r}")
-    if not isinstance(value, expected):
-        exp = expected if isinstance(expected, type) else "/".join(t.__name__ for t in expected)
-        exp_name = exp.__name__ if isinstance(exp, type) else exp
-        raise TypeError(f"{name} must be {exp_name}, got {type(value).__name__} ({value!r})")
-
 
 def check_positive(name: str, value: float) -> None:
     """Raise ``ValueError`` unless ``value > 0``."""

@@ -38,7 +38,7 @@ class TestCsrFromEngine:
         assert g.num_edges == 2  # both directions, no extra symmetrize
         assert g.num_vertices == 2
         v0 = g.dense_index(0)
-        assert list(g.neighbor_weights(v0)) == [3]
+        assert list(g.weights[g.offsets[v0] : g.offsets[v0 + 1]]) == [3]
 
 
 class TestVerifiers:

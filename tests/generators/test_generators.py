@@ -9,7 +9,6 @@ from repro.generators import (
     erdos_renyi_edges,
     generate_preset,
     rmat_edges,
-    uniform_weights,
 )
 from repro.generators.weights import decreasing_reweights
 
@@ -112,18 +111,9 @@ class TestErdosRenyi:
 
 
 class TestWeights:
-    def test_uniform_in_range(self):
-        w = uniform_weights(1000, 5, 9, rng=np.random.default_rng(0))
-        assert w.min() >= 5 and w.max() <= 9
-        assert w.dtype == np.int64
-
-    def test_uniform_validation(self):
-        with pytest.raises(ValueError):
-            uniform_weights(10, 5, 4)
-
     def test_decreasing_reweights_strictly_smaller(self):
         rng = np.random.default_rng(1)
-        w = uniform_weights(200, 2, 50, rng=rng)
+        w = rng.integers(2, 50 + 1, size=200, dtype=np.int64)
         idx, new = decreasing_reweights(w, 0.5, rng=rng)
         assert len(idx) > 0
         assert np.all(new < w[idx])

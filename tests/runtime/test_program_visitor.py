@@ -1,5 +1,4 @@
-"""Tests for the program API surface (VertexContext, CallbackProgram)
-and the visitor wire-format helpers."""
+"""Tests for the program API surface (VertexContext, CallbackProgram)."""
 
 import pytest
 
@@ -11,25 +10,6 @@ from repro import (
 )
 from repro.events.types import ADD
 from repro.runtime.program import CallbackProgram
-from repro.runtime.visitor import (
-    VT_ADD,
-    VT_CTRL,
-    VT_RADD,
-    VT_UPDATE,
-    visit_name,
-)
-
-
-class TestVisitorNames:
-    def test_known_types(self):
-        assert visit_name(VT_ADD) == "ADD"
-        assert visit_name(VT_RADD) == "REVERSE_ADD"
-        assert visit_name(VT_UPDATE) == "UPDATE"
-        assert visit_name(VT_CTRL) == "CONTROL"
-
-    def test_unknown_type(self):
-        with pytest.raises(ValueError):
-            visit_name(99)
 
 
 class TestCallbackProgram:

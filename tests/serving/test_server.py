@@ -295,19 +295,6 @@ class TestTypedQueries:
 
 
 class TestSubscriptionsAndSnapshots:
-    def test_subscribe_unsubscribe(self):
-        e = path_engine(n=6)
-        serving = ServingLayer(e)
-        fired = []
-        trig = serving.subscribe(
-            "bfs", lambda v, lvl: lvl > 0, lambda v, lvl, t: fired.append(v),
-            vertex=6,
-        )
-        e.run()
-        assert fired == [6]
-        assert serving.unsubscribe(trig) is True
-        assert serving.unsubscribe(trig) is False
-
     def test_snapshot_returns_collection(self):
         e = path_engine()
         e.run()
@@ -343,8 +330,6 @@ class TestFrozenBackend:
 
     def test_frozen_rejects_live_tiers(self):
         serving = ServingLayer(FrozenBackend(["bfs"], [{}]))
-        with pytest.raises(RuntimeError):
-            serving.subscribe("bfs", lambda v, x: True, lambda *a: None)
         with pytest.raises(RuntimeError):
             serving.snapshot("bfs")
 

@@ -8,7 +8,6 @@ from repro.util.validate import (
     check_non_negative,
     check_positive,
     check_power_of_two,
-    check_type,
 )
 
 
@@ -67,17 +66,6 @@ class TestFormatting:
 
 
 class TestValidate:
-    def test_check_type_accepts(self):
-        check_type("x", 5, int)
-
-    def test_check_type_rejects_bool_as_int(self):
-        with pytest.raises(TypeError):
-            check_type("x", True, int)
-
-    def test_check_type_rejects_wrong(self):
-        with pytest.raises(TypeError, match="x must be"):
-            check_type("x", "5", int)
-
     def test_check_positive(self):
         check_positive("n", 1)
         with pytest.raises(ValueError):
