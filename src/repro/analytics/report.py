@@ -31,6 +31,12 @@ SECTION_ORDER = [
     ("ablation_nvram", "Ablation — NVRAM spill budget"),
     ("ablation_offered_load", "Ablation — latency vs offered load"),
     ("ablation_batching", "Ablation — continuous engine vs batching"),
+    ("ablation_squash", "Ablation — visitor-queue coalescing"),
+    ("churn", "Churn — adds beside deletes (§VI-B)"),
+    ("parallel_scaling", "Process-parallel scaling (shm wire)"),
+    ("serving_latency", "On-line serving latency"),
+    ("trigger_index", "Trigger dispatch index"),
+    ("obs_overhead", "Telemetry overhead"),
 ]
 
 

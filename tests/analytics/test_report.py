@@ -4,6 +4,8 @@ from pathlib import Path
 
 from repro.analytics.report import SECTION_ORDER, assemble_report, main
 
+BENCH_OUT = Path(__file__).resolve().parents[2] / "benchmarks" / "out"
+
 
 def seed_out(tmp_path: Path, names):
     for name in names:
@@ -36,6 +38,15 @@ class TestAssemble:
         seed_out(tmp_path, [name for name, _ in SECTION_ORDER])
         report = assemble_report(tmp_path)
         assert "Missing tables" not in report
+
+
+class TestCommittedTables:
+    def test_every_bench_table_has_a_title(self):
+        """A table a bench writes to ``benchmarks/out`` is titled in
+        ``SECTION_ORDER``, so the report never files it as unlisted."""
+        stems = {p.stem for p in BENCH_OUT.glob("*.txt")}
+        assert stems, BENCH_OUT
+        assert stems - {name for name, _ in SECTION_ORDER} == set()
 
 
 class TestCli:
