@@ -3,9 +3,9 @@
 "Most of today's systems focus on analyzing individually built historic
 snapshots" (§I) — this subpackage implements that pipeline honestly so
 the continuous engine can be compared against it quantitatively:
-events buffer into batches; each batch is applied to a stored graph;
-a static algorithm recomputes the answer per batch; queries see the
-last *completed* batch's answer.
+events buffer into batches; each batch rebuilds the graph's CSR and
+static BFS recomputes the answer from scratch; queries see the last
+*completed* batch's answer.
 
 The key metric is **staleness**: how old an event is by the time any
 query can observe its effect.  For a batch pipeline that is bounded

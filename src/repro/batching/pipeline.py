@@ -5,11 +5,9 @@ Timeline model (virtual seconds, same cost model as the simulator):
 * Events arrive at a fixed offered rate (``arrival_rate`` events/s),
   which stands in for the real-time source the paper motivates with
   (tweets, payments).
-* A batch *closes* every ``batch_interval`` seconds (or earlier when
-  ``batch_size`` events have accumulated).
-* A closed batch waits for the compute stage to be free, is applied to
-  the stored graph (per-edge dynamic-insert cost), and the static
-  algorithm recomputes the answer from scratch (CSR rebuild + traversal,
+* A batch *closes* every ``batch_interval`` seconds.
+* A closed batch waits for the compute stage to be free, then static
+  BFS recomputes the answer from scratch (CSR rebuild + traversal,
   costs from measured op counts — exactly the paper's drawback (i):
   "high overheads due to storing multiple copies / processing batch
   delta changes").
@@ -29,27 +27,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from typing import Callable
-
 from repro.comm.costmodel import CostModel
-from repro.staticalgs.algorithms import OpCounts, static_bfs, static_cc, static_sssp
+from repro.staticalgs.algorithms import static_bfs
 from repro.storage.csr import CSRGraph
 from repro.util.validate import check_positive
-
-# Registry of static per-batch recompute kernels.  Each adapter has the
-# uniform shape ``(graph, source) -> (result, OpCounts)``; algorithms
-# without a source vertex (CC) simply ignore it.  Extend by adding an
-# entry — the pipeline machinery is algorithm-agnostic.  Kept beside
-# analytics.verify.FAMILIES rather than derived from it: the pipeline
-# charges the recompute by its OpCounts, which that table's answers drop
-# and static_widest_path does not return.
-STATIC_ALGORITHMS: dict[
-    str, Callable[[CSRGraph, int], tuple[dict, OpCounts]]
-] = {
-    "bfs": static_bfs,
-    "sssp": static_sssp,
-    "cc": lambda graph, source: static_cc(graph),
-}
 
 
 @dataclass
@@ -74,7 +55,9 @@ class BatchReport:
 
 
 class SnapshotPipeline:
-    """Replays an edge stream through a batch-snapshot-recompute loop.
+    """Replays an edge stream through a batch-snapshot-recompute loop;
+    each batch recomputes BFS from the source given to :meth:`run` (the
+    §VI-A comparison is BFS).
 
     Parameters
     ----------
@@ -85,12 +68,6 @@ class SnapshotPipeline:
     n_ranks:
         Parallelism available to the rebuild/recompute stage (same
         rank semantics as the simulated cluster).
-    batch_size:
-        Optional early-close bound on events per batch.
-    algorithm:
-        Any key of :data:`STATIC_ALGORITHMS` (``"bfs"``, ``"sssp"``,
-        ``"cc"``); the source vertex is supplied to :meth:`run` and is
-        ignored by sourceless algorithms (CC).
     """
 
     def __init__(
@@ -99,33 +76,19 @@ class SnapshotPipeline:
         arrival_rate: float,
         n_ranks: int,
         cost_model: CostModel | None = None,
-        batch_size: int | None = None,
-        algorithm: str = "bfs",
     ):
         check_positive("batch_interval", batch_interval)
         check_positive("arrival_rate", arrival_rate)
         check_positive("n_ranks", n_ranks)
-        if batch_size is not None:
-            check_positive("batch_size", batch_size)
-        if algorithm not in STATIC_ALGORITHMS:
-            raise ValueError(
-                f"unsupported algorithm {algorithm!r}; "
-                f"known: {sorted(STATIC_ALGORITHMS)}"
-            )
         self.batch_interval = float(batch_interval)
         self.arrival_rate = float(arrival_rate)
         self.n_ranks = int(n_ranks)
         self.cost = cost_model or CostModel()
-        self.batch_size = batch_size
-        self.algorithm = algorithm
 
     # ------------------------------------------------------------------
     def _batch_bounds(self, n_events: int) -> list[tuple[int, int]]:
-        """Split event indices into batches by interval/size."""
-        per_interval = int(self.arrival_rate * self.batch_interval)
-        if self.batch_size is not None:
-            per_interval = min(per_interval, self.batch_size)
-        per_interval = max(per_interval, 1)
+        """Split event indices into batches by interval."""
+        per_interval = max(int(self.arrival_rate * self.batch_interval), 1)
         bounds = []
         lo = 0
         while lo < n_events:
@@ -138,11 +101,9 @@ class SnapshotPipeline:
         """Replay the stream; returns the staleness/cost report.
 
         The per-batch compute cost is grounded in real executions: the
-        CSR is actually rebuilt per batch and the static algorithm
-        actually run, with virtual cost = measured ops x cost-model
-        constants.
+        CSR is actually rebuilt per batch and static BFS actually run,
+        with virtual cost = measured ops x cost-model constants.
         """
-        static_alg = STATIC_ALGORITHMS[self.algorithm]
         src = np.asarray(src, dtype=np.int64)
         dst = np.asarray(dst, dtype=np.int64)
         n = len(src)
@@ -166,7 +127,7 @@ class SnapshotPipeline:
                 * self.cost.static_build_edge_cpu
                 / self.n_ranks
             )
-            _, ops = static_alg(graph, source)
+            _, ops = static_bfs(graph, source)
             t_alg = self.cost.static_traversal_time(
                 ops.vertex_visits, ops.edge_scans, self.n_ranks
             )

@@ -10,11 +10,16 @@ Xeon E5-2695v2 at 2.4 GHz, MPI over IB):
   end (§V-E).  One undirected edge event costs, per the pipeline: one
   stream pull, one ADD visit (edge insert + algorithm callback), one
   REVERSE_ADD visit (edge insert + callback), plus ~2 message sends.
-  With the defaults below that totals ≈ 2.4 virtual µs of rank CPU,
+  With the constants below that totals ≈ 2.4 virtual µs of rank CPU,
   reproducing the per-core magnitude.
 * MPI eager-path latencies: ~0.4 µs shared-memory (intra-node), ~1.5 µs
   InfiniBand (inter-node).  ``ranks_per_node`` (24, like Catalyst)
   decides which applies.
+
+The calibration is fixed (one platform is modelled).  Settable are only
+``ranks_per_node`` (``--ranks-per-node``, the benchmark harness),
+``channel_capacity`` (the flow-control ablation) and ``rank_memory_bytes``
+(the NVRAM spill ablation).
 
 DegAwareRHH probe behaviour is *counted*, not charged: an insert or
 delete costs the flat ``edge_insert_cpu`` however many slots it probes,
@@ -31,40 +36,49 @@ traversal over the dynamic structure lacks (``dynamic_read_penalty``).
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
-from repro.util.validate import check_non_negative, check_positive
+from repro.util.validate import check_positive
 
 US = 1e-6  # one microsecond, for readability below
 
 
-@dataclass(frozen=True)
+def _fixed(value: float):
+    """A calibrated constant: reported by ``to_dict``, never an argument
+    of the constructor or of ``with_overrides``."""
+    return field(default=value, init=False)
+
+
+# With slots a fixed value is a slot filled by __init__, read per event as
+# fast as a settable one, not a class attribute read through the instance.
+@dataclass(frozen=True, slots=True)
 class CostModel:
-    """All virtual-time constants of the simulated platform."""
+    """All virtual-time constants of the simulated platform; three are
+    settable, the rest fixed (see the module docstring)."""
 
     # --- dynamic pipeline, charged to the acting rank's clock ---------
-    stream_pull_cpu: float = 0.20 * US  # parse one [src,dst] pair
-    edge_insert_cpu: float = 0.55 * US  # DegAwareRHH insert, base
-    storage_probe_cpu: float = 0.05 * US  # one edge-weight lookup on emit
-    visit_cpu: float = 0.30 * US  # algorithm callback that changes state
-    visit_discard_cpu: float = 0.05 * US  # no-effect callback (squashed, §II-D)
-    send_cpu: float = 0.15 * US  # enqueue one visitor message
-    control_cpu: float = 0.30 * US  # handle one control message
+    stream_pull_cpu: float = _fixed(0.20 * US)  # parse one [src,dst] pair
+    edge_insert_cpu: float = _fixed(0.55 * US)  # DegAwareRHH insert, base
+    storage_probe_cpu: float = _fixed(0.05 * US)  # one edge-weight lookup on emit
+    visit_cpu: float = _fixed(0.30 * US)  # algorithm callback that changes state
+    visit_discard_cpu: float = _fixed(0.05 * US)  # no-effect callback (squashed, §II-D)
+    send_cpu: float = _fixed(0.15 * US)  # enqueue one visitor message
+    control_cpu: float = _fixed(0.30 * US)  # handle one control message
 
     # --- visitor-queue coalescing & batched dispatch (§II-D) ----------
     # Squashing merges a monotone UPDATE into one already queued at the
     # receiver (HavoqGT's combine-or-squash): no heap push, no later
     # pop/dispatch — only the in-place payload merge is paid.
-    squash_cpu: float = 0.02 * US  # combine payloads in the visitor queue
+    squash_cpu: float = _fixed(0.02 * US)  # combine payloads in the visitor queue
     # Bulk emission of one vertex's fan-out: the fixed part of a send
     # (buffer acquisition, routing setup) is paid once per batch, with a
     # cheap per-message increment for each visitor appended.
-    batch_send_base_cpu: float = 0.15 * US  # once per send_many batch
-    batch_send_per_msg_cpu: float = 0.05 * US  # per message in the batch
+    batch_send_base_cpu: float = _fixed(0.15 * US)  # once per send_many batch
+    batch_send_per_msg_cpu: float = _fixed(0.05 * US)  # per message in the batch
 
     # --- message latency (sender clock -> receiver availability) ------
-    local_latency: float = 0.40 * US  # same node (shared memory)
-    remote_latency: float = 1.50 * US  # cross node (interconnect)
+    local_latency: float = _fixed(0.40 * US)  # same node (shared memory)
+    remote_latency: float = _fixed(1.50 * US)  # cross node (interconnect)
     ranks_per_node: int = 24  # Catalyst: 24 cores/node
 
     # --- flow control ---------------------------------------------------
@@ -77,7 +91,7 @@ class CostModel:
     # over-throttle under all-to-all broadcast storms.  The flow-control
     # ablation bench enables it explicitly.
     channel_capacity: int = 1 << 40  # per-receiver queued-message bound
-    backpressure_stall_cpu: float = 0.05 * US  # receiver service time per queued msg
+    backpressure_stall_cpu: float = _fixed(0.05 * US)  # receiver service time per queued msg
 
     # --- out-of-core storage (§III-B: spill to NVRAM when needed) -----
     # When a rank's DegAwareRHH footprint exceeds its memory budget, the
@@ -86,51 +100,29 @@ class CostModel:
     # fraction and pay the flash access cost.  Default budget is
     # unbounded (all-in-memory), as in the paper's smaller runs.
     rank_memory_bytes: float = float("inf")
-    nvram_access_cpu: float = 10.0 * US  # amortised flash access
+    nvram_access_cpu: float = _fixed(10.0 * US)  # amortised flash access
 
     # --- global state collection --------------------------------------
-    gather_per_vertex_cpu: float = 0.02 * US  # pack one vertex's state
+    gather_per_vertex_cpu: float = _fixed(0.02 * US)  # pack one vertex's state
 
     # --- static baseline (CSR bulk build + static traversal) ----------
-    static_build_edge_cpu: float = 0.40 * US  # sort+compress, per stored edge
-    static_vertex_cpu: float = 0.25 * US  # static algorithm, per visit
-    static_edge_cpu: float = 0.055 * US  # static algorithm, per edge scan
+    static_build_edge_cpu: float = _fixed(0.40 * US)  # sort+compress, per stored edge
+    static_vertex_cpu: float = _fixed(0.25 * US)  # static algorithm, per visit
+    static_edge_cpu: float = _fixed(0.055 * US)  # static algorithm, per edge scan
     # Distributed static traversal is communication-bound: each scanned
     # edge whose endpoint lives on another rank costs a visitor message
     # (cheap in shared memory, expensive across nodes).  These terms are
     # what make the 16-node static BFS of Fig. 4 as expensive as the
     # paper measures while the single-node static BFS of Fig. 3 stays a
     # sliver of construction time.
-    static_local_msg_cpu: float = 0.10 * US  # per scan crossing ranks, same node
-    static_remote_msg_cpu: float = 0.40 * US  # per scan crossing nodes
-    dynamic_read_penalty: float = 2.6  # static alg over dynamic store
+    static_local_msg_cpu: float = _fixed(0.10 * US)  # per scan crossing ranks, same node
+    static_remote_msg_cpu: float = _fixed(0.40 * US)  # per scan crossing nodes
+    dynamic_read_penalty: float = _fixed(2.6)  # static alg over dynamic store
 
     def __post_init__(self) -> None:
-        for name in (
-            "stream_pull_cpu",
-            "edge_insert_cpu",
-            "storage_probe_cpu",
-            "visit_cpu",
-            "visit_discard_cpu",
-            "send_cpu",
-            "control_cpu",
-            "squash_cpu",
-            "batch_send_base_cpu",
-            "batch_send_per_msg_cpu",
-            "local_latency",
-            "remote_latency",
-            "gather_per_vertex_cpu",
-            "static_build_edge_cpu",
-            "static_vertex_cpu",
-            "static_edge_cpu",
-        ):
-            check_non_negative(name, getattr(self, name))
         check_positive("ranks_per_node", self.ranks_per_node)
-        check_positive("dynamic_read_penalty", self.dynamic_read_penalty)
         check_positive("channel_capacity", self.channel_capacity)
-        check_non_negative("backpressure_stall_cpu", self.backpressure_stall_cpu)
         check_positive("rank_memory_bytes", self.rank_memory_bytes)
-        check_non_negative("nvram_access_cpu", self.nvram_access_cpu)
 
     def spill_fraction(self, store_bytes: float) -> float:
         """Fraction of a rank's topology data living on NVRAM."""
@@ -150,7 +142,8 @@ class CostModel:
         return self.remote_latency
 
     def with_overrides(self, **kwargs) -> "CostModel":
-        """A copy with selected constants replaced (for ablations)."""
+        """A copy with selected settable values replaced (for ablations);
+        a fixed constant is a ``ValueError``."""
         return replace(self, **kwargs)
 
     def to_dict(self) -> dict:

@@ -96,7 +96,6 @@ class EngineConfig:
 
     n_ranks: int = 1
     undirected: bool = True
-    promote_threshold: int = 8
     vertex_index: str = "robinhood"
     partition_salt: int = 0
     # §II-D visitor-queue fast path: squash monotone UPDATEs into
@@ -107,7 +106,6 @@ class EngineConfig:
 
     def __post_init__(self) -> None:
         check_positive("n_ranks", self.n_ranks)
-        check_positive("promote_threshold", self.promote_threshold)
 
 
 class DynamicEngine(RankHandler):
@@ -164,8 +162,7 @@ class DynamicEngine(RankHandler):
         self.programs = list(programs)
         self.loop = DiscreteEventLoop(n, self.cost, self)
         self.stores = [
-            DegAwareRHH(self.config.promote_threshold, self.config.vertex_index)
-            for _ in range(n)
+            DegAwareRHH(vertex_index=self.config.vertex_index) for _ in range(n)
         ]
         # values[rank][prog]: vid -> S_new (or sole) value; 0 = unset
         self.values: list[list[dict[int, Any]]] = [

@@ -46,10 +46,10 @@ class CollectionResult:
         """Request-to-collected latency — the Fig. 4 left-bar metric."""
         return self.completed_at - self.requested_at
 
-    def to_dict(self, include_state: bool = False) -> dict[str, Any]:
-        """JSON-safe summary; the (potentially huge) vertex state map is
-        excluded unless asked for."""
-        d = {
+    def to_dict(self) -> dict[str, Any]:
+        """JSON-safe summary, without the (potentially huge) vertex state
+        map."""
+        return {
             "collection_id": self.collection_id,
             "prog": self.prog,
             "cut_version": self.cut_version,
@@ -59,9 +59,6 @@ class CollectionResult:
             "probe_waves": self.probe_waves,
             "vertices_collected": self.vertices_collected,
         }
-        if include_state:
-            d["state"] = dict(self.state)
-        return d
 
 
 @dataclass

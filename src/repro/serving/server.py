@@ -49,6 +49,10 @@ from repro.serving.cache import StableValueCache
 _no_distance = FAMILIES["bfs"].unreached
 _no_capacity = FAMILIES["widest"].unreached
 
+# How many 8,192-action engine slices a snapshot read may drive before
+# it gives up on the collection concluding.
+SNAPSHOT_MAX_ROUNDS = 1_000_000
+
 
 @dataclass(frozen=True)
 class QueryResult:
@@ -306,7 +310,7 @@ class ServingLayer:
     # ------------------------------------------------------------------
     # the slow tier: snapshots
     # ------------------------------------------------------------------
-    def snapshot(self, prog: int | str, max_rounds: int = 1_000_000):
+    def snapshot(self, prog: int | str):
         """Whole-state read via the in-protocol versioned collection
         (§III-D cut → drain → harvest); returns the
         :class:`CollectionResult`.  This is the quiescence path a cached
@@ -319,11 +323,13 @@ class ServingLayer:
         p = eng.prog_index(prog)
         n0 = len(eng.collection_results)
         eng.request_collection(p, at_time=eng.vtime())
-        for _ in range(max_rounds):
+        for _ in range(SNAPSHOT_MAX_ROUNDS):
             eng.run(max_actions=8192)
             if len(eng.collection_results) > n0:
                 return eng.collection_results[-1]
-        raise RuntimeError(f"collection did not conclude in {max_rounds} rounds")
+        raise RuntimeError(
+            f"collection did not conclude in {SNAPSHOT_MAX_ROUNDS} rounds"
+        )
 
     # ------------------------------------------------------------------
     # introspection

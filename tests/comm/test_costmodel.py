@@ -28,18 +28,18 @@ class TestCostModel:
 
     def test_with_overrides(self):
         cm = CostModel()
-        cm2 = cm.with_overrides(visit_cpu=1e-3)
-        assert cm2.visit_cpu == 1e-3
+        cm2 = cm.with_overrides(channel_capacity=16)
+        assert cm2.channel_capacity == 16
         assert cm2.send_cpu == cm.send_cpu
-        assert cm.visit_cpu != 1e-3  # original untouched (frozen)
+        assert cm.channel_capacity != 16  # original untouched (frozen)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            CostModel(visit_cpu=-1.0)
-        with pytest.raises(ValueError):
             CostModel(ranks_per_node=0)
         with pytest.raises(ValueError):
-            CostModel(dynamic_read_penalty=0)
+            CostModel(channel_capacity=0)
+        with pytest.raises(ValueError):
+            CostModel(rank_memory_bytes=0)
 
     def test_frozen(self):
         cm = CostModel()
@@ -57,6 +57,56 @@ class TestCostModel:
             + 2 * cm.send_cpu
         )
         assert 1e-6 < per_event < 5e-6
+
+
+#: Every value the calibrated model reports, as it reports it.
+CALIBRATION = {
+    "stream_pull_cpu": 2e-07,
+    "edge_insert_cpu": 5.5e-07,
+    "storage_probe_cpu": 5e-08,
+    "visit_cpu": 3e-07,
+    "visit_discard_cpu": 5e-08,
+    "send_cpu": 1.5e-07,
+    "control_cpu": 3e-07,
+    "squash_cpu": 2e-08,
+    "batch_send_base_cpu": 1.5e-07,
+    "batch_send_per_msg_cpu": 5e-08,
+    "local_latency": 4e-07,
+    "remote_latency": 1.5e-06,
+    "ranks_per_node": 24,
+    "channel_capacity": 1 << 40,
+    "backpressure_stall_cpu": 5e-08,
+    "rank_memory_bytes": None,
+    "nvram_access_cpu": 9.999999999999999e-06,
+    "gather_per_vertex_cpu": 2e-08,
+    "static_build_edge_cpu": 4e-07,
+    "static_vertex_cpu": 2.5e-07,
+    "static_edge_cpu": 5.4999999999999996e-08,
+    "static_local_msg_cpu": 1e-07,
+    "static_remote_msg_cpu": 4e-07,
+    "dynamic_read_penalty": 2.6,
+}
+SETTABLE = ["ranks_per_node", "channel_capacity", "rank_memory_bytes"]
+FIXED = [name for name in CALIBRATION if name not in SETTABLE]
+
+
+class TestFixedCalibration:
+    def test_three_values_are_settable(self):
+        assert [f.name for f in dataclasses.fields(CostModel) if f.init] == SETTABLE
+        assert len(FIXED) == 21
+
+    @pytest.mark.parametrize("name", FIXED)
+    def test_a_fixed_value_is_no_argument(self, name):
+        with pytest.raises(TypeError, match=name):
+            CostModel(**{name: 1.0})
+        with pytest.raises(ValueError, match=name):
+            CostModel().with_overrides(**{name: 1.0})
+
+    def test_to_dict_reports_every_value(self):
+        d = CostModel().to_dict()
+        assert list(d) == list(CALIBRATION)
+        for name, value in CALIBRATION.items():
+            assert d[name] == value and type(d[name]) is type(value), name
 
 
 class TestRankCounters:

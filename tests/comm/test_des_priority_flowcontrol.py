@@ -58,10 +58,8 @@ class TestPriorityLane:
 
 
 class TestBackpressure:
-    def make_loop(self, capacity, stall=1e-6, n_ranks=2):
-        cm = CostModel(
-            ranks_per_node=2, channel_capacity=capacity, backpressure_stall_cpu=stall
-        )
+    def make_loop(self, capacity, n_ranks=2):
+        cm = CostModel(ranks_per_node=2, channel_capacity=capacity)
         h = Recorder()
         return DiscreteEventLoop(n_ranks, cm, h), h
 
@@ -113,7 +111,7 @@ class TestBackpressure:
     def test_stall_is_idempotent_per_backlog(self):
         # Two consecutive sends against the same backlog: the second
         # must not pay the full stall again (clock already at horizon).
-        loop, _ = self.make_loop(capacity=2, stall=10e-6)
+        loop, _ = self.make_loop(capacity=2)
         loop.set_source_active(0, False)
         loop.set_source_active(1, False)
         for i in range(12):

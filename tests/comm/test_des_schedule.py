@@ -39,15 +39,26 @@ from test_cost_ledger import LEGS  # noqa: E402
 # A dyadic grid: every charge and latency is a small multiple of G, so
 # clock sums are exact and equal times (ties) are common.
 G = 2.0**-20
-TOY_COST = CostModel(
-    ranks_per_node=2,
-    local_latency=2 * G,
-    remote_latency=5 * G,
-    send_cpu=G,
-    squash_cpu=G,
-    batch_send_base_cpu=G,
-    batch_send_per_msg_cpu=G,
-)
+
+
+class ToyCost:
+    """What the DES reads of a cost model, with the charges and
+    latencies on the grid (CostModel's calibration is fixed)."""
+
+    local_latency = 2 * G
+    remote_latency = 5 * G
+    send_cpu = G
+    squash_cpu = G
+    batch_send_base_cpu = G
+    batch_send_per_msg_cpu = G
+    channel_capacity = CostModel().channel_capacity  # no backpressure
+
+    @staticmethod
+    def node_of(rank: int) -> int:
+        return rank // 2  # two ranks per node
+
+
+TOY_COST = ToyCost()
 
 
 def _digest(trace: list) -> str:

@@ -357,9 +357,7 @@ def test_shared_chunk_buffers_materialise_what_per_owner_copies_did(
     assert eng.total_counters().bulk_events == len(src)
 
     cfg = eng.config
-    refs = [
-        DegAwareRHH(cfg.promote_threshold, cfg.vertex_index) for _ in range(n_ranks)
-    ]
+    refs = [DegAwareRHH(vertex_index=cfg.vertex_index) for _ in range(n_ranks)]
     owned = [0] * n_ranks
     for s, d, wt, owners in chunk_rows(pulled, eng.partitioner.owner_array):
         for r in range(n_ranks):

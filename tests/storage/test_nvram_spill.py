@@ -48,7 +48,7 @@ class TestSpillFraction:
         with pytest.raises(ValueError):
             CostModel(rank_memory_bytes=0)
         with pytest.raises(ValueError):
-            CostModel(nvram_access_cpu=-1)
+            CostModel(rank_memory_bytes=-1.0)
 
 
 class TestEndToEndSpill:
