@@ -90,7 +90,10 @@ def assemble_report(out_dir: str | Path) -> str:
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else argv
     if len(args) not in (1, 2):
-        print("usage: python -m repro.analytics.report OUT_DIR [REPORT.md]")
+        print(
+            "usage: python -m repro.analytics.report OUT_DIR [REPORT.md]",
+            file=sys.stderr,
+        )
         return 2
     report = assemble_report(args[0])
     if len(args) == 2:

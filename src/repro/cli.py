@@ -852,10 +852,19 @@ def cmd_report(args: argparse.Namespace) -> int:
     if args.trace is None and args.metrics is None:
         return _usage("report: pass --trace and/or --metrics")
     sections = []
-    if args.trace is not None:
-        sections.append(render_trace_report(args.trace))
-    if args.metrics is not None:
-        sections.append(render_metrics_report(read_jsonl(args.metrics)))
+    try:
+        if args.trace is not None:
+            flag, path = "--trace", args.trace
+            sections.append(render_trace_report(path))
+        if args.metrics is not None:
+            flag, path = "--metrics", args.metrics
+            sections.append(render_metrics_report(read_jsonl(path)))
+    except OSError as exc:
+        return _usage(f"report: {flag}: {path}: {exc.strerror}")
+    except KeyError as exc:
+        return _usage(f"report: {flag}: {path}: a record lacks the key {exc}")
+    except ValueError as exc:
+        return _usage(f"report: {flag}: {path}: not JSON: {exc}")
     print("\n\n".join(sections))
     return 0
 

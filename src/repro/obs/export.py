@@ -113,12 +113,19 @@ def write_metrics_jsonl(
 
 
 def read_jsonl(path: str) -> list[dict[str, Any]]:
+    """One dict per non-blank line; a line that is not JSON is a
+    ``ValueError`` naming its line number."""
     rows = []
     with open(path) as f:
-        for line in f:
+        for lineno, line in enumerate(f, 1):
             line = line.strip()
             if line:
-                rows.append(json.loads(line))
+                try:
+                    rows.append(json.loads(line))
+                except json.JSONDecodeError as exc:
+                    raise ValueError(
+                        f"line {lineno}: {exc.msg} (column {exc.colno})"
+                    ) from None
     return rows
 
 

@@ -61,5 +61,8 @@ class TestCli:
         assert main([str(tmp_path)]) == 0
         assert "Figure 3" in capsys.readouterr().out
 
-    def test_usage_error(self):
+    def test_usage_error(self, capsys):
         assert main([]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("usage: python -m repro.analytics.report")

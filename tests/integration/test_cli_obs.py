@@ -3,6 +3,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import ALGOS, main
 from repro.obs import read_jsonl, validate_chrome_trace
 
@@ -85,6 +87,31 @@ class TestReportSubcommand:
     def test_requires_at_least_one_flag(self, capsys):
         assert main(["report"]) == 2
         assert "pass --trace" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag, name, text, says",
+        [
+            ("--metrics", "m.jsonl", '{"kind": "meta"}\n{"kind":"sample",\n', "line 2"),
+            ("--trace", "trace.json", '{"traceEvents": [', "Expecting value"),
+            (
+                "--metrics",
+                "m.jsonl",
+                '{"kind": "histogram", "name": "x", "counts": [1]}\n',
+                "'bounds'",
+            ),
+            ("--metrics", "absent.jsonl", None, "No such file"),
+        ],
+        ids=["jsonl-line", "truncated-trace", "histogram-without-bounds", "missing-file"],
+    )
+    def test_a_bad_input_is_one_usage_line(self, tmp_path, capsys, flag, name, text, says):
+        path = tmp_path / name
+        if text is not None:
+            path.write_text(text)
+        assert main(["report", flag, str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"report: {flag}: {path}: ") and says in err
 
 
 class TestJsonOutput:
