@@ -112,7 +112,7 @@ def _run_des(cols):
     import time
 
     engine = DynamicEngine(
-        _programs(), EngineConfig(n_ranks=N_RANKS, undirected=True)
+        _programs(), EngineConfig(n_ranks=N_RANKS)
     )
     _init(engine)
     engine.attach_streams(split_churn_streams(*cols, N_RANKS))
@@ -183,7 +183,7 @@ def _experiment():
     mp = run_parallel(
         _programs(),
         split_churn_streams(*steady, N_RANKS),
-        config=EngineConfig(n_ranks=N_RANKS, undirected=True),
+        config=EngineConfig(n_ranks=N_RANKS),
         wire=WireConfig(start_method="fork"),
         init=[
             ("gen-bfs", 0, None),
@@ -199,7 +199,7 @@ def _experiment():
     # Crash-recovery sweep on the steady stream.
     def engine_factory():
         return DynamicEngine(
-            _programs(), EngineConfig(n_ranks=N_RANKS, undirected=True)
+            _programs(), EngineConfig(n_ranks=N_RANKS)
         )
 
     def stream_factory():

@@ -66,7 +66,6 @@ def run_dynamic(
     init: list[tuple[str, int, object]] | None = None,
     shuffle_seed: int | None = 0,
     collections: list[float] | None = None,
-    undirected: bool = True,
     config_overrides: dict | None = None,
     plugins: list | None = None,
 ) -> DynamicRun:
@@ -83,9 +82,7 @@ def run_dynamic(
     n_ranks = n_nodes * RANKS_PER_NODE
     engine = DynamicEngine(
         programs,
-        EngineConfig(
-            n_ranks=n_ranks, undirected=undirected, **(config_overrides or {})
-        ),
+        EngineConfig(n_ranks=n_ranks, **(config_overrides or {})),
         cost_model=cost_model(),
         plugins=plugins,
     )

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Real-time fraud-path detection on a payment stream.
+"""Real-time linked-party screening on a payment stream.
 
 The paper motivates on-line analytics with "financial fraud detection"
 (§I) and the observation that payment networks are *add-only*: "a
@@ -10,10 +10,11 @@ new, second payment is created" (§I).  This example models that:
   throughput, thousands of events/s).
 * A small set of accounts is sanctioned/blacklisted.  Multi S-T
   Connectivity (Alg. 7) maintains, for every account, *which* sanctioned
-  sources can reach it through the payment graph.
-* A "When" trigger (§III-E) fires the moment money becomes traceable
-  from any sanctioned account into a monitored merchant account — while
-  the stream is still flowing, not in a nightly batch.
+  accounts it is linked to: an account is tainted when any chain of
+  payments, in either direction, links it to a sanctioned one.
+* A "When" trigger (§III-E) fires the moment a monitored merchant
+  account becomes linked to any sanctioned account — while the stream
+  is still flowing, not in a nightly batch.
 
 The synthetic workload plants a laundering chain: sanctioned account ->
 three mule hops -> merchant, interleaved into ordinary background
@@ -65,13 +66,13 @@ def main() -> None:
     src, dst, amounts = build_payment_stream(rng)
     print(f"{N_PAYMENTS:,} payments between {N_ACCOUNTS:,} accounts, {RANKS} ranks")
 
-    # Directed: money flows payer -> payee, and taint follows the money.
+    # Linked-party screening: a payment links payer and payee both ways.
     st = MultiSTConnectivity()
-    engine = DynamicEngine([st], EngineConfig(n_ranks=RANKS, undirected=False))
+    engine = DynamicEngine([st], EngineConfig(n_ranks=RANKS))
 
     for acct in SANCTIONED:
         engine.init_program("st", acct, payload=st.register_source(acct))
-    print(f"monitoring flows from sanctioned accounts {SANCTIONED}")
+    print(f"screening for links to sanctioned accounts {SANCTIONED}")
 
     alerts: list[tuple[int, float]] = []
 
@@ -79,7 +80,7 @@ def main() -> None:
         tainted_by = st.sources_in(mask)
         alerts.append((vertex, vtime))
         print(
-            f"  [ALERT] merchant account {vertex} is now reachable from "
+            f"  [ALERT] merchant account {vertex} is now linked to "
             f"sanctioned account(s) {tainted_by} at virtual t={vtime * 1e3:.3f}ms"
         )
 
@@ -94,7 +95,7 @@ def main() -> None:
 
     # Post-hoc audit: how widely did the taint spread?
     tainted = [v for v, mask in engine.state("st").items() if mask]
-    print(f"accounts transitively exposed to sanctioned funds: {len(tainted):,}")
+    print(f"accounts linked to sanctioned accounts: {len(tainted):,}")
     print("\n" + throughput_report(engine).summary())
 
 

@@ -80,10 +80,7 @@ class IncrementalBFS(VertexProgram):
             vis_val = INF  # sender was brand new; treat as unreached
         if value < vis_val - 1:
             # We are closer: notify back the visitor so it can improve.
-            # (Undirected only — over a directed edge the sender cannot
-            # traverse back through us.)
-            if ctx.undirected:
-                ctx.update_single_nbr(vis_id, value, weight)
+            ctx.update_single_nbr(vis_id, value, weight)
         elif value > vis_val + 1:
             # They are closer: adopt and recursively propagate.
             new_level = vis_val + 1

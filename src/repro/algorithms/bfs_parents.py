@@ -72,11 +72,7 @@ class DeterministicBFS(VertexProgram):
         if candidate < (level, parent):
             ctx.set_value(candidate)
             ctx.update_nbrs(candidate)
-        elif (
-            ctx.undirected
-            and level < INF
-            and (level + 1, ctx.vertex) < (nbr_level, nbr_parent)
-        ):
+        elif level < INF and (level + 1, ctx.vertex) < (nbr_level, nbr_parent):
             # We can improve the sender — on level, or on the parent
             # tie-break at equal level: notify back.
             ctx.update_single_nbr(vis_id, (level, parent), weight)

@@ -96,10 +96,7 @@ class IncrementalCC(VertexProgram):
             vis_val = component_label(vis_id)
         if value > vis_val:
             # Our component is the dominator: notify back the visitor.
-            # (CC is defined on undirected graphs; the guard keeps the
-            # directed-engine behaviour at least monotone.)
-            if ctx.undirected:
-                ctx.update_single_nbr(vis_id, value, weight)
+            ctx.update_single_nbr(vis_id, value, weight)
         elif value < vis_val:
             # Their component dominates: adopt, send our new label to all.
             ctx.set_value(vis_val)

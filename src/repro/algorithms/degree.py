@@ -27,9 +27,8 @@ from repro.runtime.program import VertexContext, VertexProgram
 class DegreeTracker(VertexProgram):
     """Maintains each vertex's live degree as its algorithm value.
 
-    In undirected mode both endpoints count the edge (each endpoint's
-    value is its full undirected degree); in directed mode only the
-    source side counts (out-degree).
+    Both endpoints count the edge: each endpoint's value is its full
+    undirected degree.
     """
 
     name = "degree"

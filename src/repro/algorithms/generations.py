@@ -114,11 +114,10 @@ c. *Control messages address vertices, not edges.*  Were ``I``/``A``
 d. *Kids without an edge* must still be released — rule 7's ``T(None)``
    (no offer: nothing may cross a missing edge).
 
-Undirected engines only.  ``combine`` stays None (squashing would
-reorder ``U`` against ``I``/``A`` and break the FIFO argument), and the
-programs declare ``supports_versioned_collection = False`` — deletes
-and version splitting compose poorly, the paper does not attempt it
-either — so ``DynamicEngine.request_collection`` raises
+``combine`` stays None (squashing would reorder ``U`` against
+``I``/``A`` and break the FIFO argument), and the programs declare
+``supports_versioned_collection = False`` — deletes and version
+splitting compose poorly, the paper does not attempt it either — so ``DynamicEngine.request_collection`` raises
 :class:`~repro.runtime.engine.UnsupportedCollectionError`; use
 quiescence collection.
 """

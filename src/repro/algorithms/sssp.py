@@ -65,10 +65,8 @@ class IncrementalSSSP(VertexProgram):
         if vis_val == 0:
             vis_val = INF
         if value < vis_val - weight:
-            # We have a lower cost: notify back the visitor (undirected
-            # only — the reverse traversal does not exist otherwise).
-            if ctx.undirected:
-                ctx.update_single_nbr(vis_id, value, weight)
+            # We have a lower cost: notify back the visitor.
+            ctx.update_single_nbr(vis_id, value, weight)
         elif value > vis_val + weight:
             # They have a lower cost: adopt, send our new cost to all.
             new_cost = vis_val + weight

@@ -91,11 +91,8 @@ class MultiSTConnectivity(VertexProgram):
         if value == vis_val:
             pass  # do nothing
         elif union == value:
-            # Our set is a pure SUPERset of theirs: notify back
-            # (undirected only — flow cannot traverse a directed edge
-            # backwards).
-            if ctx.undirected:
-                ctx.update_single_nbr(vis_id, value, weight)
+            # Our set is a pure SUPERset of theirs: notify back.
+            ctx.update_single_nbr(vis_id, value, weight)
         else:
             # Pure subset or a mix: apply their set, send to all
             # neighbours (Alg. 7 treats both branches identically).

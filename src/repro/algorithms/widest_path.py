@@ -63,7 +63,7 @@ class WidestPath(VertexProgram):
             # Wider route found: adopt and recursively propagate.
             ctx.set_value(offered)
             ctx.update_nbrs(offered)
-        elif ctx.undirected and min(value, weight) > vis_val:
+        elif min(value, weight) > vis_val:
             # We can widen the sender's route: notify back.
             ctx.update_single_nbr(vis_id, value, weight)
 

@@ -88,13 +88,11 @@ def vec_eligible(engine, add_only: bool) -> bool:
     """Can this run drain slabs through the kernels?
 
     Requires: peers to exchange slabs with (a 1-rank run stays
-    per-event), undirected mode, add-only streams (one that carries
-    deletes puts every rank on the per-event path), at least one
-    program, and :func:`~repro.kernels.frontier.kernel_eligible` programs.
+    per-event), add-only streams (one that carries deletes puts every
+    rank on the per-event path), at least one program, and
+    :func:`~repro.kernels.frontier.kernel_eligible` programs.
     """
-    if not add_only or engine.config.n_ranks < 2:
-        return False
-    if not engine.config.undirected or not engine.programs:
+    if not add_only or engine.config.n_ranks < 2 or not engine.programs:
         return False
     return kernel_eligible(engine.programs)
 

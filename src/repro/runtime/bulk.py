@@ -24,8 +24,8 @@ seed); so the chunk's own rows are the only constraints it can violate.
 The :class:`BulkIngestor` holds one
 :class:`~repro.kernels.mirror.DenseState` with ``rank=None`` (every
 vertex local): the universe, the per-program value columns, the global
-directed edge set (undirected input edges appear as two directed edges,
-exactly as the per-event ADD / REVERSE_ADD pair stores them) and the
+directed edge set (each undirected input edge appears as two directed
+edges, exactly as the per-event ADD / REVERSE_ADD pair stores them) and the
 dict fold / write-back rules are the ones the mp rank drain uses.  What
 is its own is the chunk: store appends, cost charges, spans.
 
@@ -144,25 +144,20 @@ class BulkIngestor:
         counters.source_events += n
         counters.bulk_chunks += 1
         counters.bulk_events += n
-        undirected = eng.config.undirected
-        if undirected:
-            swap = dst < src
-            if swap.any():
-                src, dst = np.where(swap, dst, src), np.where(swap, src, dst)
+        swap = dst < src
+        if swap.any():
+            src, dst = np.where(swap, dst, src), np.where(swap, src, dst)
         # The chunk's one id resolution: positions of both columns.
         st = self.state
         pos = st.resolve(np.concatenate([src, dst]))
         t_d, h_d = pos[:n], pos[n:]
         # Topology: array append buffers on each owner's store (the
-        # ADD side), plus the REVERSE_ADD side for undirected runs.
+        # ADD side), plus the REVERSE_ADD side.
         self._append_to_stores(src, dst, w, st.owner[t_d])
-        if undirected:
-            self._append_to_stores(dst, src, w, st.owner[h_d])
-            tails = np.concatenate([t_d, h_d])
-            heads = np.concatenate([h_d, t_d])
-            wts = np.concatenate([w, w])
-        else:
-            tails, heads, wts = t_d, h_d, np.asarray(w, dtype=np.int64)
+        self._append_to_stores(dst, src, w, st.owner[h_d])
+        tails = np.concatenate([t_d, h_d])
+        heads = np.concatenate([h_d, t_d])
+        wts = np.concatenate([w, w])
         # Dedup is exact (keep-last, existing pairs overwritten), so the
         # fresh tails are the per-event first inserts, owner by owner.
         new_tails = st.edges.insert(tails, heads, wts)

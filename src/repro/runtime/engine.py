@@ -92,10 +92,14 @@ class UnsupportedCollectionError(RuntimeError):
 
 @dataclass(frozen=True)
 class EngineConfig:
-    """Construction-time knobs of the engine."""
+    """Construction-time knobs of the engine.
+
+    The graph model is fixed: every input edge is undirected and is
+    stored at both endpoints (the ADD at the source's owner, then the
+    REVERSE_ADD at the destination's), as the paper's algorithms need.
+    """
 
     n_ranks: int = 1
-    undirected: bool = True
     vertex_index: str = "robinhood"
     partition_salt: int = 0
     # §II-D visitor-queue fast path: squash monotone UPDATEs into
@@ -309,7 +313,7 @@ class DynamicEngine(RankHandler):
             self._bulk.disabled = True
         n = 0
         for at_time, kind, src, dst, weight in events:
-            if self.config.undirected and dst < src:
+            if dst < src:
                 src, dst = dst, src  # canonical edge routing, as in pull
             owner = self.partitioner.owner(src)
             # The send happens inside an alarm at the arrival instant:
@@ -465,8 +469,8 @@ class DynamicEngine(RankHandler):
 
     @property
     def num_edges(self) -> int:
-        """Directed edges stored across all ranks (undirected runs store
-        each input edge twice, once per endpoint)."""
+        """Directed edges stored across all ranks (each undirected input
+        edge is stored twice, once per endpoint)."""
         return sum(s.num_edges for s in self.stores)
 
     @property
@@ -642,7 +646,7 @@ class DynamicEngine(RankHandler):
         self.counters[rank].source_events += 1
         loop.clock[rank] += self.cost.stream_pull_cpu
         ver = self.stream_version[rank]
-        if self.config.undirected and dst < src:
+        if dst < src:
             # Canonicalise the endpoint order so *all* events touching
             # the same undirected edge serialise through one owner's
             # FIFO queue.  §III-C's routing (owner of the first vertex)
@@ -693,27 +697,10 @@ class DynamicEngine(RankHandler):
             for p, fn in enumerate(self._on_add):
                 self._run_callback(rank, p, src, fn, dst, 0, weight)
             vals = self._values_for_send(rank, src, ver)
-            if self.config.undirected:
-                dst_owner = self.partitioner.owner(dst)
-                self._send_visitor(
-                    rank, dst_owner, (VT_RADD, dst, src, vals, weight, ver), ver
-                )
-            else:
-                # Directed mode: no reverse edge, but the source's state
-                # must still flow along the new edge (the "few more
-                # trivial cases" of directed BFS, §II-B) — emit one
-                # UPDATE per program carrying the source's value.
-                dst_owner = self.partitioner.owner(dst)
-                for p, val in enumerate(vals):
-                    combiner = self._combiners[p]
-                    self._send_visitor(
-                        rank,
-                        dst_owner,
-                        (VT_UPDATE, p, dst, src, val, weight, ver),
-                        ver,
-                        (p, dst, src, ver) if combiner is not None else None,
-                        combiner,
-                    )
+            dst_owner = self.partitioner.owner(dst)
+            self._send_visitor(
+                rank, dst_owner, (VT_RADD, dst, src, vals, weight, ver), ver
+            )
         elif vt == VT_RADD:
             _, dst, src, vals, weight, ver = msg
             self.term[rank].record_receive(ver)
@@ -736,10 +723,9 @@ class DynamicEngine(RankHandler):
             self._apply_delete(rank, src, dst)
             for p, fn in enumerate(self._on_delete):
                 self._run_callback(rank, p, src, fn, dst, weight or 0)
-            if self.config.undirected:
-                vals = self._values_for_send(rank, src, ver)
-                dst_owner = self.partitioner.owner(dst)
-                self._send_visitor(rank, dst_owner, (VT_RDEL, dst, src, vals, ver), ver)
+            vals = self._values_for_send(rank, src, ver)
+            dst_owner = self.partitioner.owner(dst)
+            self._send_visitor(rank, dst_owner, (VT_RDEL, dst, src, vals, ver), ver)
         elif vt == VT_RDEL:
             _, dst, src, vals, ver = msg
             self.term[rank].record_receive(ver)

@@ -86,13 +86,6 @@ class VertexContext:
         return self._store.degree(self.vertex)
 
     @property
-    def undirected(self) -> bool:
-        """Whether the engine runs in undirected mode (programs gate
-        their notify-back branches on this: with directed edges the
-        sender cannot use the visited vertex's value)."""
-        return self._engine.config.undirected
-
-    @property
     def edge_was_new(self) -> bool:
         """During ``on_add``/``on_reverse_add``: did the triggering event
         insert a *new* edge (True) or re-observe an existing one — an

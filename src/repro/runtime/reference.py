@@ -51,10 +51,6 @@ class _RefContext:
         return self._engine.store.degree(self.vertex)
 
     @property
-    def undirected(self) -> bool:
-        return self._engine.undirected
-
-    @property
     def edge_was_new(self) -> bool:
         return self._engine._edge_was_new
 
@@ -92,12 +88,11 @@ class ReferenceEngine:
     sense: ``ingest``, ``init_program``, ``state``, ``value_of``.
     """
 
-    def __init__(self, programs: list[VertexProgram], undirected: bool = True):
+    def __init__(self, programs: list[VertexProgram]):
         names = [p.name for p in programs]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate program names: {names}")
         self.programs = list(programs)
-        self.undirected = undirected
         self.store = DegAwareRHH(vertex_index="dict")
         self.values: list[dict[int, Any]] = [dict() for _ in programs]
         self._ctx = [_RefContext(self, p) for p in range(len(programs))]
@@ -123,7 +118,7 @@ class ReferenceEngine:
     def ingest(self, events: Iterable[tuple[int, int, int, int]]) -> None:
         """Sequentially and atomically ingest topology events."""
         for kind, src, dst, weight in events:
-            if self.undirected and dst < src:
+            if dst < src:
                 src, dst = dst, src
             if kind == ADD:
                 self.queue.append((VT_ADD, src, dst, weight))
@@ -164,15 +159,10 @@ class ReferenceEngine:
                 self._edge_was_new = self.store.insert_edge(src, dst, weight)
                 for p in range(len(self.programs)):
                     self._run(p, src, "on_add", dst, 0, weight)
-                if self.undirected:
-                    vals = tuple(
-                        self.values[p].get(src, 0) for p in range(len(self.programs))
-                    )
-                    queue.append((VT_RADD, dst, src, vals, weight))
-                else:
-                    for p in range(len(self.programs)):
-                        val = self.values[p].get(src, 0)
-                        queue.append((VT_UPDATE, p, dst, src, val, weight))
+                vals = tuple(
+                    self.values[p].get(src, 0) for p in range(len(self.programs))
+                )
+                queue.append((VT_RADD, dst, src, vals, weight))
             elif vt == VT_RADD:
                 _, dst, src, vals, weight = msg
                 self._edge_was_new = self.store.insert_edge(dst, src, weight)
@@ -184,11 +174,10 @@ class ReferenceEngine:
                 self.store.delete_edge(src, dst)
                 for p in range(len(self.programs)):
                     self._run(p, src, "on_delete", dst, weight)
-                if self.undirected:
-                    vals = tuple(
-                        self.values[p].get(src, 0) for p in range(len(self.programs))
-                    )
-                    queue.append((VT_RDEL, dst, src, vals))
+                vals = tuple(
+                    self.values[p].get(src, 0) for p in range(len(self.programs))
+                )
+                queue.append((VT_RDEL, dst, src, vals))
             elif vt == VT_RDEL:
                 _, dst, src, vals = msg
                 weight = self.store.edge_weight(dst, src) or 0

@@ -100,18 +100,6 @@ class TestBFSBehaviour:
         e.run()
         assert verify_bfs(e, "bfs", source) == []
 
-    def test_directed_mode_verifies(self):
-        rng = np.random.default_rng(1)
-        src, dst = rmat_edges(7, edge_factor=6, rng=rng)
-        e = DynamicEngine(
-            [IncrementalBFS()], EngineConfig(n_ranks=4, undirected=False)
-        )
-        source = int(src[0])
-        e.init_program("bfs", source)
-        e.attach_streams(split_streams(src, dst, 4, rng=rng))
-        e.run()
-        assert verify_bfs(e, "bfs", source) == []
-
 
 class TestSSSP:
     def test_weighted_path_costs(self):

@@ -91,7 +91,7 @@ def test_crash_mid_churn_recovers_fault_free_projections(seed, tmp_path):
 
     def engine_factory():
         return DynamicEngine(
-            programs(), EngineConfig(n_ranks=N_RANKS, undirected=True)
+            programs(), EngineConfig(n_ranks=N_RANKS)
         )
 
     def stream_factory():
@@ -144,7 +144,7 @@ def test_delete_counters_survive_recovery(tmp_path):
 
     def engine_factory():
         return DynamicEngine(
-            programs(), EngineConfig(n_ranks=N_RANKS, undirected=True)
+            programs(), EngineConfig(n_ranks=N_RANKS)
         )
 
     def stream_factory():
@@ -192,7 +192,7 @@ def test_every_checkpoint_saves_stream_progress(tmp_path, monkeypatch):
 
     def engine_factory():
         return DynamicEngine(
-            programs(), EngineConfig(n_ranks=N_RANKS, undirected=True)
+            programs(), EngineConfig(n_ranks=N_RANKS)
         )
 
     def stream_factory():

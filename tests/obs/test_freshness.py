@@ -173,7 +173,7 @@ class TestFreshnessProbe:
         def build(sample_interval=None):
             e = DynamicEngine(
                 [GenerationalBFS()],
-                EngineConfig(n_ranks=2, undirected=True),
+                EngineConfig(n_ranks=2),
                 plugins=sampled(sample_interval),
             )
             e.init_program("gen-bfs", 0)

@@ -85,7 +85,7 @@ INIT = [
 
 def run_des(cols):
     engine = DynamicEngine(
-        gen_programs(), EngineConfig(n_ranks=N_RANKS, undirected=True)
+        gen_programs(), EngineConfig(n_ranks=N_RANKS)
     )
     for prog, v, payload in INIT:
         engine.init_program(prog, v, payload)
@@ -98,7 +98,7 @@ def run_mp(cols):
     return run_parallel(
         gen_programs(),
         split_churn_streams(*cols, N_RANKS),
-        EngineConfig(n_ranks=N_RANKS, undirected=True),
+        EngineConfig(n_ranks=N_RANKS),
         WireConfig(start_method="fork"),
         init=INIT,
         collect_edges=True,
@@ -178,7 +178,7 @@ class TestAddOnlySniff:
         return run_parallel(
             [IncrementalBFS(), IncrementalCC(), IncrementalSSSP()],
             split_churn_streams(*cols, 2),
-            EngineConfig(n_ranks=2, undirected=True),
+            EngineConfig(n_ranks=2),
             WireConfig(start_method="fork"),
             init=[("bfs", 0, None), ("sssp", 0, None)],
             collect_edges=True,

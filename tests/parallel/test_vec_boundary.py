@@ -41,24 +41,21 @@ class PerEventBFS(IncrementalBFS):
 
 
 @pytest.mark.parametrize(
-    "programs, n_ranks, undirected, add_only, vec",
+    "programs, n_ranks, add_only, vec",
     [
-        ([IncrementalBFS, IncrementalCC], 2, True, True, True),
-        ([PerEventBFS, IncrementalCC], 2, True, True, False),
-        ([IncrementalBFS, IncrementalCC], 2, True, False, False),
-        ([IncrementalBFS, IncrementalCC], 1, True, True, False),
-        ([IncrementalBFS, IncrementalCC], 2, False, True, False),
-        ([], 2, True, True, False),
+        ([IncrementalBFS, IncrementalCC], 2, True, True),
+        ([PerEventBFS, IncrementalCC], 2, True, False),
+        ([IncrementalBFS, IncrementalCC], 2, False, False),
+        ([IncrementalBFS, IncrementalCC], 1, True, False),
+        ([], 2, True, False),
     ],
-    ids=["all-eligible", "kernel-less-program", "deletes", "one-rank", "directed",
-         "no-programs"],
+    ids=["all-eligible", "kernel-less-program", "deletes", "one-rank", "no-programs"],
 )
-def test_the_input_alone_picks_the_lane(programs, n_ranks, undirected, add_only, vec):
+def test_the_input_alone_picks_the_lane(programs, n_ranks, add_only, vec):
     """The lane rule, input by input and without a process: every
     condition holds -> vec; any one of them fails -> per-event."""
     engine = DynamicEngine(
-        [cls() for cls in programs],
-        EngineConfig(n_ranks=n_ranks, undirected=undirected),
+        [cls() for cls in programs], EngineConfig(n_ranks=n_ranks)
     )
     assert vec_eligible(engine, add_only) is vec
 

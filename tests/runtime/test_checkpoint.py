@@ -214,7 +214,7 @@ class TestCounterRoundTrip:
 
         e = DynamicEngine(
             [GenerationalBFS(), GenerationalCC()],
-            EngineConfig(n_ranks=n_ranks, undirected=True),
+            EngineConfig(n_ranks=n_ranks),
         )
         e.init_program("gen-bfs", 0)
         cols = churn_events(
@@ -232,7 +232,7 @@ class TestCounterRoundTrip:
 
         restored = DynamicEngine(
             list(original.programs),
-            EngineConfig(n_ranks=3, undirected=True),
+            EngineConfig(n_ranks=3),
         )
         load_checkpoint(restored, path)
         assert list(restored.counters) == list(original.counters)
@@ -245,7 +245,7 @@ class TestCounterRoundTrip:
         save_checkpoint(original, path)
         other = DynamicEngine(
             list(original.programs),
-            EngineConfig(n_ranks=5, undirected=True),
+            EngineConfig(n_ranks=5),
         )
         load_checkpoint(other, path)
         assert sum(c.edge_deletes for c in other.counters) == sum(

@@ -318,7 +318,6 @@ LEGS = {
     "churn": _churn,
     "collect_merge": lambda: _collection("bfs"),
     "collect_replay": lambda: _collection("echo"),
-    "directed": lambda: _bfs_cc(8, EngineConfig(n_ranks=4, undirected=False)),
     "unbatched": lambda: _bfs_cc(
         8, EngineConfig(n_ranks=4, coalesce_updates=False)
     ),
@@ -506,46 +505,6 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                      '0x1.a3a7e561c3e61p-10',
                                      41,
                                      'fe80c3e413e3f2318b11670ba58d51b3893d2872')]},
- 'directed': {'clock': ['0x1.15e21487a1649p-10',
-                        '0x1.15e21487a164bp-10',
-                        '0x1.15f6367d95722p-10',
-                        '0x1.15f9917be8c9dp-10'],
-              'busy': ['0x1.b7fb84703c8c4p-12',
-                       '0x1.f52ab9e7ed963p-12',
-                       '0x1.4b8f4a8b3e837p-11',
-                       '0x1.466bf51ba0675p-12'],
-              'loop': {'actions_executed': 9361,
-                       'messages_delivered': 7309,
-                       'messages_squashed': 203,
-                       'batch_sends': 423,
-                       'stall_time': '0x0.0p+0'},
-              'counters': {'source_events': 2048,
-                           'edge_inserts': 1511,
-                           'edge_deletes': 0,
-                           'visits': 9357,
-                           'messages_sent_local': 7308,
-                           'messages_sent_remote': 0,
-                           'control_messages': 0,
-                           'busy_time': '0x1.e2ac322291e43p-10',
-                           'updates_squashed': 203,
-                           'batch_sends': 423,
-                           'bulk_chunks': 0,
-                           'bulk_events': 0,
-                           'fallback_flushes': 0,
-                           'deletes_safe': 0,
-                           'deletes_unsafe': 0,
-                           'vertices_invalidated': 0,
-                           'repair_visits': 0},
-              'rank_counters': '826b0d5ace0455be9eb16fbba1f50223bf7f27dc',
-              'store': {'probe_count': 9013,  # parent 12096: 3083 second index lookups gone
-                        'displacement_count': 746,
-                        'resize_count': 46,
-                        'low_degree_scans': 2395,
-                        'promotions': 56},
-              'edges': 'e77299df48502ed446deeef3effec2dc9644cff9',
-              'state': {'bfs': '7e5ff4e93a734aad33326f372f425a8ceb3afe2d',
-                        'cc': 'd47f143fc9892a209019d909bab38fe5880acb7b'},
-              'collections': []},
  'unbatched': {'clock': ['0x1.a887732668100p-10',
                          '0x1.a851c3413296bp-10',
                          '0x1.a8a90115a97bdp-10',

@@ -1,5 +1,7 @@
 """Engine fundamentals: construction, routing, topology, counters."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from repro import (
 )
 from repro.events.types import ADD
 from repro.partition import ConsistentHashPartitioner
+from repro.runtime.reference import ReferenceEngine
 
 
 def path_stream(n):
@@ -45,6 +48,19 @@ class TestConstruction:
         with pytest.raises(ValueError):
             EngineConfig(n_ranks=0)
 
+    def test_one_graph_model_no_graph_setting(self):
+        # Every input edge is undirected; no setting picks another model.
+        assert [f.name for f in fields(EngineConfig)] == [
+            "n_ranks",
+            "vertex_index",
+            "partition_salt",
+            "coalesce_updates",
+        ]
+        with pytest.raises(TypeError):
+            EngineConfig(undirected=False)
+        with pytest.raises(TypeError):
+            ReferenceEngine([IncrementalBFS()], undirected=False)
+
     def test_prog_index_lookup(self):
         e = DynamicEngine([IncrementalBFS(), IncrementalCC()])
         assert e.prog_index("bfs") == 0
@@ -69,16 +85,6 @@ class TestTopologyMaintenance:
         assert e.has_edge(1, 2)
         assert e.has_edge(2, 1)
         assert e.num_edges == 2
-
-    def test_directed_stores_one_direction(self):
-        e = DynamicEngine(
-            [DegreeTracker()], EngineConfig(n_ranks=3, undirected=False)
-        )
-        e.attach_streams([ListEventStream([(ADD, 1, 2, 7)])])
-        e.run()
-        assert e.has_edge(1, 2)
-        assert not e.has_edge(2, 1)
-        assert e.num_edges == 1
 
     def test_duplicate_edges_stored_once(self):
         e = DynamicEngine([DegreeTracker()], EngineConfig(n_ranks=2))

@@ -63,15 +63,6 @@ class TestDeletes:
         assert e.num_edges == 0
         assert e.total_counters().edge_deletes == 0
 
-    def test_directed_delete_one_side_only(self):
-        e = DynamicEngine([], EngineConfig(n_ranks=2, undirected=False))
-        e.attach_streams(
-            [ListEventStream([(ADD, 0, 1, 1), (ADD, 1, 0, 1), (DELETE, 0, 1, 0)])]
-        )
-        e.run()
-        assert not e.has_edge(0, 1)
-        assert e.has_edge(1, 0)
-
     def test_canonicalised_routing_keeps_edges_symmetric(self):
         # Adversarial interleaving: both orientations + a delete spread
         # over different streams must never leave a half-edge.

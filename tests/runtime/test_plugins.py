@@ -160,7 +160,7 @@ def churn_builder(plugins):
     return (
         EngineBuilder()
         .with_programs([IncrementalBFS(), IncrementalCC()])
-        .with_config(EngineConfig(n_ranks=3, undirected=True))
+        .with_config(EngineConfig(n_ranks=3))
         .with_plugins(plugins)
     )
 
@@ -233,7 +233,7 @@ def test_builder_and_constructor_are_bit_identical():
     direct = drive(
         DynamicEngine(
             [IncrementalBFS(), IncrementalCC()],
-            EngineConfig(n_ranks=3, undirected=True),
+            EngineConfig(n_ranks=3),
             plugins=plugins(),
         )
     )

@@ -63,14 +63,13 @@ class TestVertexContext:
             name = "probe"
 
             def on_add(self, ctx, vid, val, w):
-                seen[ctx.vertex] = (ctx.degree, dict(ctx.neighbors()), ctx.undirected)
+                seen[ctx.vertex] = (ctx.degree, dict(ctx.neighbors()))
 
         e = self.make_engine(Probe())
         e.run()
-        degree, nbrs, undirected = seen[0]
+        degree, nbrs = seen[0]
         assert degree == 2
         assert nbrs == {1: 7, 2: 9}
-        assert undirected is True
 
     def test_has_edge(self):
         checks = []

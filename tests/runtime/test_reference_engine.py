@@ -38,13 +38,6 @@ class TestBasics:
         assert ref.num_edges == 2
         assert ref.store.edge_weight(4, 3) == 7
 
-    def test_directed_mode(self):
-        ref = ReferenceEngine([IncrementalBFS()], undirected=False)
-        ref.init_program("bfs", 0)
-        ref.ingest([(ADD, 0, 1, 1), (ADD, 1, 2, 1)])
-        assert ref.value_of("bfs", 2) == 3
-        assert ref.num_edges == 2  # one direction only
-
     def test_deletes(self):
         ref = ReferenceEngine([DegreeTracker()])
         ref.ingest([(ADD, 0, 1, 1), (ADD, 0, 2, 1), (DELETE, 0, 1, 0)])

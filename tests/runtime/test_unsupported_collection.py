@@ -24,7 +24,7 @@ from repro.events.types import ADD
 
 
 def churn_engine(program, source=None):
-    e = DynamicEngine([program], EngineConfig(n_ranks=2, undirected=True))
+    e = DynamicEngine([program], EngineConfig(n_ranks=2))
     if source is not None:
         e.init_program(program.name, source)
     e.attach_streams(
