@@ -222,9 +222,6 @@ def build_parser() -> argparse.ArgumentParser:
                      help="query mix: ratio=QUERIES_PER_EVENT,slice=ACTIONS,"
                           "kinds=point:distance,seed=N,max=N "
                           "(default ratio=0.1,slice=2048)")
-    srv.add_argument("--queries", type=_positive_int, default=None, metavar="N",
-                     help="query count for --backend mp "
-                          "(default: ratio * events)")
     srv.add_argument("--reference", action="store_true",
                      help="precompute the static answer on the full stream "
                           "and register it as the monotone bound, enabling "
@@ -749,11 +746,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
         spec.query_kinds(algo.family)
     except ValueError as exc:
         return _usage(f"serve: bad --workload spec: {exc}")
-    if args.queries is not None and args.backend != "mp":
-        return _usage(
-            "serve: --queries needs --backend mp (on des, --workload ratio "
-            "sets the query count)"
-        )
     rng = np.random.default_rng(args.seed)
     src, dst, weights, label = _load_stream(args, chat, rng)
     programs, init, seed = _instantiate(algo, src, args.sources)
@@ -789,8 +781,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
         backend = FrozenBackend.from_parallel_result(result, programs)
         oracle_fn = (lambda: reference) if args.verify else None
         n_queries = (
-            args.queries if args.queries is not None
-            else spec.max_queries
+            spec.max_queries
             if spec.max_queries is not None
             else max(int(len(src) * spec.ratio), 1)
         )
@@ -864,7 +855,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     except KeyError as exc:
         return _usage(f"report: {flag}: {path}: a record lacks the key {exc}")
     except ValueError as exc:
-        return _usage(f"report: {flag}: {path}: not JSON: {exc}")
+        return _usage(f"report: {flag}: {path}: {exc}")
     print("\n\n".join(sections))
     return 0
 

@@ -113,19 +113,22 @@ def write_metrics_jsonl(
 
 
 def read_jsonl(path: str) -> list[dict[str, Any]]:
-    """One dict per non-blank line; a line that is not JSON is a
-    ``ValueError`` naming its line number."""
+    """One dict per non-blank line; a line that is not a JSON object is
+    a ``ValueError`` naming its line number."""
     rows = []
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if line:
                 try:
-                    rows.append(json.loads(line))
+                    row = json.loads(line)
                 except json.JSONDecodeError as exc:
                     raise ValueError(
-                        f"line {lineno}: {exc.msg} (column {exc.colno})"
+                        f"line {lineno}: not JSON: {exc.msg} (column {exc.colno})"
                     ) from None
+                if not isinstance(row, dict):
+                    raise ValueError(f"line {lineno}: not a JSON object")
+                rows.append(row)
     return rows
 
 
@@ -205,11 +208,20 @@ def _fmt_us(seconds: float) -> str:
 
 def render_trace_report(trace: str | dict[str, Any]) -> str:
     """Per-rank and per-span-name virtual-time breakdowns of a Chrome
-    trace file — the EXPERIMENTS.md text-table view of a capture."""
+    trace file — the EXPERIMENTS.md text-table view of a capture.  A
+    file that is not JSON, or not an object whose ``traceEvents`` is a
+    list of objects, is a ``ValueError``."""
     if isinstance(trace, str):
         with open(trace) as f:
-            trace = json.load(f)
+            try:
+                trace = json.load(f)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"not JSON: {exc}") from None
+    if not isinstance(trace, dict):
+        raise ValueError("not a JSON object")
     events = trace["traceEvents"]
+    if not isinstance(events, list) or not all(isinstance(ev, dict) for ev in events):
+        raise ValueError("traceEvents is not a list of JSON objects")
     per_rank: dict[int, dict[str, float]] = {}
     per_name: dict[str, tuple[int, float]] = {}
     instants: dict[str, int] = {}

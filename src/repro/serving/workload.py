@@ -259,6 +259,11 @@ class MixedWorkloadDriver:
         res = WorkloadResult()
         carry = 0.0
         last_wm = engine.ingest_watermark()
+        # A cap keeps room for the converged-tail batch: ingest-time
+        # batches stop min(final, max) short of it.
+        ingest_cap = None
+        if spec.max_queries is not None:
+            ingest_cap = spec.max_queries - min(spec.final_queries, spec.max_queries)
         t_start = time.perf_counter()
         while True:
             engine.run(max_actions=spec.slice_actions)
@@ -268,8 +273,8 @@ class MixedWorkloadDriver:
             last_wm = wm
             n = int(carry)
             carry -= n
-            if spec.max_queries is not None:
-                n = min(n, spec.max_queries - res.queries)
+            if ingest_cap is not None:
+                n = min(n, ingest_cap - res.queries)
             if n > 0:
                 self._serve_batch(n, res)
             if engine.loop.quiescent():

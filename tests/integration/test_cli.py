@@ -1,5 +1,6 @@
 """Tests for the repro CLI (python -m repro)."""
 
+import json
 import pickle
 
 import pytest
@@ -117,11 +118,6 @@ class TestNumbersAndSpecsAtTheBoundary:
         code, line = self.rejected(["run", "--snapshot-at", value], capsys)
         assert code == 2 and "must be a fraction in [0, 1]" in line
 
-    def test_queries_must_be_positive(self, capsys):
-        argv = ["serve", "--backend", "mp", "--queries", "-3"]
-        code, line = self.rejected(argv, capsys)
-        assert code == 2 and "must be a positive integer" in line
-
     @pytest.mark.parametrize(
         "argv, flag, needs",
         [
@@ -135,12 +131,11 @@ class TestNumbersAndSpecsAtTheBoundary:
              "--trace-per-rank", "--backend mp and --trace"),
             (["run", "--backend", "mp", "--trace-per-rank"],
              "--trace-per-rank", "--backend mp and --trace"),
-            (["serve", "--queries", "10"], "--queries", "--backend mp"),
         ],
         ids=[
             "checkpoint-without-faults", "checkpoint-with-stalls-only",
             "checkpoint-on-mp", "trace-per-rank-on-des",
-            "trace-per-rank-without-trace", "queries-on-des",
+            "trace-per-rank-without-trace",
         ],
     )
     def test_a_flag_the_path_cannot_honour_is_a_usage_error(
@@ -233,6 +228,26 @@ class TestRun:
         self.run_cli("--seed", "1")
         out2 = capsys.readouterr().out
         assert out1.split("wall time")[0] == out2.split("wall time")[0]
+
+
+class TestServe:
+    @pytest.mark.parametrize(
+        "argv, cap",
+        [
+            (["--algo", "bfs", "--workload", "ratio=0.2,max=150"], 150),
+            (["--backend", "mp", "--ranks", "2", "--algo", "cc",
+              "--workload", "max=200"], 200),
+        ],
+        ids=["des", "mp"],
+    )
+    def test_capped_serve_verifies_answers(self, argv, cap, capsys):
+        """The happy path on each backend: the cap sets the query count
+        and stale-free answers are left to check against the oracle."""
+        assert main(["serve", "--scale", "8", *argv, "--verify", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["serving"]["queries"] == cap
+        assert doc["verify"]["violations"] == 0
+        assert doc["verify"]["checked"] > 0
 
 
 class TestInputBoundary:

@@ -100,8 +100,11 @@ class TestReportSubcommand:
                 "'bounds'",
             ),
             ("--metrics", "absent.jsonl", None, "No such file"),
+            ("--trace", "trace.json", "[1]\n", "not a JSON object"),
+            ("--metrics", "m.jsonl", '{"kind": "meta"}\n[1]\n', "line 2: not a JSON object"),
         ],
-        ids=["jsonl-line", "truncated-trace", "histogram-without-bounds", "missing-file"],
+        ids=["jsonl-line", "truncated-trace", "histogram-without-bounds", "missing-file",
+             "trace-not-an-object", "jsonl-line-not-an-object"],
     )
     def test_a_bad_input_is_one_usage_line(self, tmp_path, capsys, flag, name, text, says):
         path = tmp_path / name

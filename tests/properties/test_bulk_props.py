@@ -117,8 +117,7 @@ def run_with_init_between_chunks(src, dst, weights, bulk, chunk):
     return eng, before
 
 
-# The one-value ``undirected`` axis keeps the ``[chunk-True]`` test ids
-# of the time the engine also had a directed graph model.
+# A one-value axis: it only keeps this test's ``[chunk-True]`` ids stable.
 @pytest.mark.parametrize("undirected", [True])
 @pytest.mark.parametrize("chunk", [1, 7, 64])
 def test_init_between_chunks_matches_per_event_and_static(chunk, undirected):

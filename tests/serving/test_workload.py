@@ -85,6 +85,9 @@ class TestDriver:
         spec = WorkloadSpec(ratio=2.0, slice_actions=16, max_queries=5)
         res = _bfs_driver(spec).run()
         assert res.queries == 5
+        # The cap leaves room for the converged tail (final=64 > max):
+        # all five are served after quiescence, so none is stale.
+        assert res.stale_served == 0
 
     def test_deterministic_given_seed(self):
         spec = WorkloadSpec(ratio=1.0, slice_actions=32, seed=13)
