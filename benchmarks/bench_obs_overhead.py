@@ -53,12 +53,12 @@ N_NODES = 1
 # Pessimistic guard budget per topology event on the per-event path,
 # counted at the sites in ``runtime/engine.py``: the source pull
 # evaluates 3 (the bulk slot, the tracer at entry and at exit); every
-# dispatch 5 (tracer + metrics at entry and again at exit, the bulk
-# slot), plus 1 for the ``_serve_caches`` tuple when its callback
-# writes.  An event is an ADD and a REVERSE_ADD dispatch plus its UPDATE
-# fan-out — 3.7 dispatches on this workload, budgeted as 4 that all
-# write: 3 + 4 * (5 + 1).  The insert/delete paths carry no guard.
-GUARDS_PER_EVENT = 27
+# dispatch 3 (the tracer at entry and at exit, the bulk slot), plus 1
+# for the ``_serve_caches`` tuple when its callback writes.  An event is
+# an ADD and a REVERSE_ADD dispatch plus its UPDATE fan-out — 3.7
+# dispatches on this workload, budgeted as 4 that all write:
+# 3 + 4 * (3 + 1).  The insert/delete paths carry no guard.
+GUARDS_PER_EVENT = 19
 # The mp hot loop's guards fire per *batch* (one drain span per doorbell,
 # one emit span per flushed frame, one ingest span per pulled chunk), so
 # per-event this is wildly pessimistic — but the mp per-event wall cost

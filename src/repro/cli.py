@@ -182,14 +182,11 @@ def build_parser() -> argparse.ArgumentParser:
     obs.add_argument("--trace-per-rank", action="store_true",
                      help="with --backend mp --trace, also write each "
                           "rank's unmerged capture as FILE.rankN.EXT")
-    obs.add_argument("--sample-interval", type=_positive_float, default=None,
-                     metavar="SECONDS",
-                     help="virtual-time sampling period (default: ~1/100 "
-                          "of the estimated makespan when sampling is on)")
     obs.add_argument("--freshness", action="store_true",
-                     help="probe convergence lag vs the static reference "
-                          "at every sample point (implies sampling; every "
-                          "algorithm but con)")
+                     help="with --metrics, probe convergence lag vs the "
+                          "static reference at every sample point and "
+                          "write it as freshness rows (every algorithm "
+                          "but con)")
     flt = run.add_argument_group("fault injection (repro.faults)")
     flt.add_argument("--faults", default=None, metavar="SPEC",
                      help="run under a fault plan, e.g. "
@@ -453,7 +450,6 @@ def _run_usage(args: argparse.Namespace) -> str | None:
             name for name, value in [
                 ("--faults", args.faults),
                 ("--snapshot-at", args.snapshot_at),
-                ("--sample-interval", args.sample_interval),
                 ("--freshness", args.freshness or None),
                 ("--checkpoint-every", args.checkpoint_every),
                 ("--checkpoint-path", args.checkpoint_path),
@@ -465,6 +461,8 @@ def _run_usage(args: argparse.Namespace) -> str | None:
                 "only available on --backend des"
             )
         return None
+    if args.freshness and args.metrics is None:
+        return "run: --freshness needs --metrics (its rows are written there)"
     crashes = False
     if args.faults is not None:
         try:
@@ -552,14 +550,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _run_mp(args, chat, meta, streams, algo, programs, init, seed)
     cost = CostModel(ranks_per_node=args.ranks_per_node)
     # Estimated makespan (same formula the snapshot scheduler uses):
-    # drives --snapshot-at and the auto sampling period.
+    # drives --snapshot-at and the sampling period.
     per_event = cost.stream_pull_cpu + 2 * (
         cost.edge_insert_cpu + cost.visit_cpu + cost.send_cpu
     )
     est = len(src) * per_event / n_ranks
-    sample_interval = args.sample_interval
-    if sample_interval is None and (args.metrics is not None or args.freshness):
-        sample_interval = max(est / 100.0, 1e-9)
 
     def telemetry_plugins():
         # Fresh instances per engine: a crash plan builds one engine
@@ -567,8 +562,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         plugins = []
         if args.trace is not None:
             plugins.append(TracerPlugin())
-        if sample_interval is not None:
-            plugins.append(MetricsPlugin(sample_interval))
+        if args.metrics is not None:
+            plugins.append(MetricsPlugin(max(est / 100.0, 1e-9)))
         return plugins
 
     plan = None

@@ -225,8 +225,6 @@ class FaultTolerantRunner:
         save_checkpoint(
             engine, self.checkpoint_path, extra={"stream_positions": positions}
         )
-        if engine.metrics is not None:
-            engine.metrics.inc("checkpoints_taken")
         if engine.tracer is not None:
             engine.tracer.instant(
                 COORDINATOR_RANK,

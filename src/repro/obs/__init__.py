@@ -8,7 +8,8 @@ deterministic and comparable across runs:
   :func:`write_chrome_trace` opens directly in Perfetto.
 * :class:`MetricsRegistry` + :class:`VirtualTimeSampler` — periodic
   samples of queue depths, topology size, busy fractions, per-program
-  visit counts, exported as JSONL time series.
+  visit counts, exported as JSONL time series, plus named counters for
+  what no other object owns (fault stalls, recoveries, checkpoints).
 * :class:`FreshnessProbe` — convergence-lag measurement: live program
   state vs the static reference on the ingested prefix, per sample.
 
@@ -42,21 +43,14 @@ from repro.obs.export import (
     write_metrics_jsonl,
 )
 from repro.obs.freshness import FreshnessProbe, make_reference
-from repro.obs.registry import (
-    DEFAULT_BOUNDS_US,
-    Histogram,
-    MetricsRegistry,
-    VirtualTimeSampler,
-)
+from repro.obs.registry import MetricsRegistry, VirtualTimeSampler
 from repro.obs.tracer import BUSY_CATEGORIES, Tracer
 
 __all__ = [
     "BUSY_CATEGORIES",
-    "DEFAULT_BOUNDS_US",
     "MP_BUSY_CATEGORIES",
     "ClockAnchor",
     "FreshnessProbe",
-    "Histogram",
     "MergedObs",
     "MetricsRegistry",
     "ObsConfig",

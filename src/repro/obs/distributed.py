@@ -29,10 +29,10 @@ its telemetry needs three extra mechanisms, all of which live here:
   payload dict alongside the result harvest (:func:`harvest_payload`);
   the runner folds all ranks with :func:`merge_rank_obs` into a single
   :class:`MergedObs`: one multi-process Chrome trace (``pid`` = rank)
-  and one cross-rank registry in which counters sum, histograms
-  bucket-add, samples interleave by aligned time, and per-rank scalars
-  (wall/busy seconds) survive as rank-prefixed gauges plus
-  ``kind="rank"`` report rows.
+  and one cross-rank registry in which counters sum, samples
+  interleave by aligned time, and per-rank scalars (wall/busy seconds,
+  the ring high-water marks) survive once each, in that rank's
+  ``kind="rank"`` report row.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import Tracer
 
 #: Span categories used by the mp worker instrumentation.  ``wait`` is
@@ -238,10 +238,6 @@ def harvest_payload(obs: RankObs, wire_stats: dict[str, int]) -> dict[str, Any]:
         "busy_seconds": obs.busy_seconds,
         "events": list(obs.tracer.events) if obs.tracer is not None else None,
         "counters": dict(obs.registry.counters),
-        "gauges": dict(obs.registry.gauges),
-        "histograms": {
-            name: h.to_dict() for name, h in obs.registry.histograms.items()
-        },
         "samples": list(obs.registry.samples),
         "hwm": {k: v for k, v in wire_stats.items() if "hwm" in k},
     }
@@ -290,9 +286,9 @@ def merge_rank_obs(
 
     Every rank's events and samples shift by its anchor's offset from
     the parent epoch (constant per rank, so per-track monotonicity is
-    preserved); counters sum; histograms bucket-add; per-rank scalars
-    become rank-prefixed gauges plus one ``kind="rank"`` report row
-    each.
+    preserved); counters sum; per-rank scalars (wall/busy seconds and
+    the rank's ring high-water marks) become one ``kind="rank"`` report
+    row each.
     """
     payloads = sorted(payloads, key=lambda p: p["rank"])
     any_trace = any(p.get("events") is not None for p in payloads)
@@ -310,22 +306,11 @@ def merge_rank_obs(
                 tracer.events.append((ph, rank, name, cat, ts + offset, dur, args))
         for name, value in p.get("counters", {}).items():
             registry.inc(name, value)
-        for name, value in p.get("gauges", {}).items():
-            registry.set_gauge(f"rank{rank}/{name}", value)
-        for name, doc in p.get("histograms", {}).items():
-            registry.histogram(name, tuple(doc["bounds"])).merge_from(
-                Histogram.from_dict(doc)
-            )
         for row in p.get("samples", []):
             shifted = dict(row)
             if "t" in shifted:
                 shifted["t"] = shifted["t"] + offset
             registry.record(shifted)
-        for name, value in p.get("hwm", {}).items():
-            prev = registry.gauges.get(name, 0)
-            registry.set_gauge(name, max(prev, value))
-        registry.set_gauge(f"rank{rank}/wall_seconds", p["wall_seconds"])
-        registry.set_gauge(f"rank{rank}/busy_seconds", p["busy_seconds"])
         wall = p["wall_seconds"]
         rank_row: dict[str, Any] = {
             "kind": "rank",
@@ -339,6 +324,7 @@ def merge_rank_obs(
         for key in ("wire_sent", "wire_received", "kernel_records", "ring_stalls"):
             if key in p.get("counters", {}):
                 rank_row[key] = p["counters"][key]
+        rank_row.update(p.get("hwm", {}))
         registry.record(rank_row)
         per_rank.append(
             {

@@ -9,7 +9,7 @@ Two on-disk shapes:
   the file into https://ui.perfetto.dev or ``chrome://tracing``.
 * **metrics JSONL** — one JSON object per line.  The first line is a
   ``meta`` row (run parameters, cost-model constants), then the
-  sampler's time-series rows plus final counter/histogram rows.
+  sampler's time-series rows plus one final ``counters`` row.
 
 A trace is always written as Chrome JSON, whatever the file's
 extension: ``repro report``, Perfetto and :func:`validate_chrome_trace`
@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 from typing import Any, Iterable
 
-from repro.obs.registry import Histogram, MetricsRegistry
+from repro.obs.registry import MetricsRegistry
 from repro.obs.tracer import PH_COUNTER, PH_INSTANT, PH_SPAN, Tracer
 
 _SCALE = 1e6  # virtual seconds -> trace microseconds
@@ -103,13 +103,6 @@ def write_metrics_jsonl(
             f.write(json.dumps(row) + "\n")
         if registry.counters:
             f.write(json.dumps({"kind": "counters", **registry.counters}) + "\n")
-        if registry.gauges:
-            f.write(json.dumps({"kind": "gauges", **registry.gauges}) + "\n")
-        for name, hist in registry.histograms.items():
-            f.write(
-                json.dumps({"kind": "histogram", "name": name, **hist.to_dict()})
-                + "\n"
-            )
 
 
 def read_jsonl(path: str) -> list[dict[str, Any]]:
@@ -153,6 +146,8 @@ def validate_chrome_trace(trace: str | dict[str, Any]) -> dict[str, int]:
     counts: dict[str, int] = {}
     last_ts: dict[tuple[int, int], float] = {}
     for i, ev in enumerate(events):
+        if not isinstance(ev, dict):
+            raise ValueError(f"event #{i} is not a JSON object")
         for key in ("ph", "name", "pid", "tid", "ts"):
             if key not in ev:
                 raise ValueError(f"event #{i} missing required key {key!r}")
@@ -289,7 +284,6 @@ def render_metrics_report(rows: Iterable[dict[str, Any]]) -> str:
     fresh = [r for r in rows if r.get("kind") == "freshness"]
     rank_rows = [r for r in rows if r.get("kind") == "rank"]
     ring_samples = [r for r in rows if r.get("kind") == "ring_sample"]
-    hists = [r for r in rows if r.get("kind") == "histogram"]
     counters = next((r for r in rows if r.get("kind") == "counters"), None)
     parts = []
     if samples:
@@ -406,29 +400,6 @@ def render_metrics_report(rows: Iterable[dict[str, Any]]) -> str:
         parts.append(
             f"Ring occupancy: {len(ring_samples)} doorbell samples, "
             f"peak inbound ring {peak:,} bytes"
-        )
-    if hists:
-        table = []
-        for h in hists:
-            hist = Histogram.from_dict(h)
-            table.append(
-                [
-                    str(h.get("name", "?")),
-                    f"{h.get('count', 0):,}",
-                    f"{h.get('mean', 0.0):,.1f}",
-                    f"{hist.quantile(0.5):,.1f}",
-                    f"{hist.quantile(0.99):,.1f}",
-                    f"{h.get('max', 0) or 0:,.1f}",
-                ]
-            )
-        if parts:
-            parts.append("")
-        parts.append(
-            _table(
-                ["histogram", "count", "mean", "p50", "p99", "max"],
-                table,
-                title="Histograms (values in recorded units, e.g. us)",
-            )
         )
     if counters is not None:
         items = sorted(

@@ -244,8 +244,6 @@ class BulkIngestor:
                     eng.loop.now(COORDINATOR_RANK),
                     "bulk",
                 )
-            if eng.metrics is not None:
-                eng.metrics.inc("bulk_deopts")
         self.flush_values(count_fallback=True)
 
     def flush_values(self, count_fallback: bool = True) -> None:

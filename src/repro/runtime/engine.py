@@ -670,8 +670,7 @@ class DynamicEngine(RankHandler):
     # ------------------------------------------------------------------
     def on_message(self, loop: DiscreteEventLoop, rank: int, msg: tuple) -> None:
         tracer = self.tracer
-        metrics = self.metrics
-        if tracer is not None or metrics is not None:
+        if tracer is not None:
             t0 = loop.clock[rank]
         b = self._bulk
         if b is not None and b.engaged:
@@ -738,18 +737,12 @@ class DynamicEngine(RankHandler):
             self._on_control(rank, msg)
         else:  # pragma: no cover - corrupted message
             raise ValueError(f"unknown visitor type in {msg!r}")
-        if tracer is not None or metrics is not None:
-            t1 = loop.clock[rank]
-            if tracer is not None:
-                if vt == VT_CTRL:
-                    name, cat = _CTRL_SPAN_NAMES.get(msg[1], "ctrl/?"), "ctrl"
-                else:
-                    name, cat = _VT_SPAN_NAMES.get(vt, "visit/?"), "visit"
-                tracer.span(rank, name, t0, t1, cat)
-            if metrics is not None:
-                metrics.histogram("dispatch_virtual_us").observe(
-                    (t1 - t0) * 1e6
-                )
+        if tracer is not None:
+            if vt == VT_CTRL:
+                name, cat = _CTRL_SPAN_NAMES.get(msg[1], "ctrl/?"), "ctrl"
+            else:
+                name, cat = _VT_SPAN_NAMES.get(vt, "visit/?"), "visit"
+            tracer.span(rank, name, t0, loop.clock[rank], cat)
 
     # ------------------------------------------------------------------
     # topology application
@@ -1214,11 +1207,6 @@ class DynamicEngine(RankHandler):
                             "probe_waves": result.probe_waves,
                             "vertices": result.vertices_collected,
                         },
-                    )
-                if self.metrics is not None:
-                    self.metrics.inc("collections")
-                    self.metrics.histogram("collection_latency_us").observe(
-                        result.latency * 1e6
                     )
                 self.active_collection = None
                 if col.callback is not None:

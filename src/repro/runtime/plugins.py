@@ -10,8 +10,8 @@ each ``setup`` once, in order.  A concern added to a live engine (each
 fault-recovery incarnation's plan) calls ``setup(engine)`` directly.
 
 Every attached concern is a plain engine slot read by an inline guard:
-the tracer and the metrics registry by ``is not None`` (12 guard lines
-in ``engine.py``, 6 in ``bulk.py``, each with its own span name and
+the tracer and the metrics registry by ``is not None`` (9 guard lines
+in ``engine.py``, 5 in ``bulk.py``, each with its own span name and
 arguments), the serving layer's stable-value caches by a truth test of
 the ``engine._serve_caches`` tuple (``_write_value`` and
 ``bulk.flush_values``).  Empty or ``None`` is the disabled state, so an

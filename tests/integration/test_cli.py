@@ -69,11 +69,6 @@ class TestNumbersAndSpecsAtTheBoundary:
         assert "Traceback" not in err
         return code, err.strip().splitlines()[-1]
 
-    @pytest.mark.parametrize("value", ["0", "-1"])
-    def test_sample_interval_must_be_positive(self, value, capsys):
-        code, line = self.rejected(["run", "--sample-interval", value], capsys)
-        assert code == 2 and "must be a positive number" in line
-
     def test_checkpoint_every_must_be_positive(self, capsys):
         argv = ["run", "--faults", "crash=0.5", "--checkpoint-every", "0"]
         code, line = self.rejected(argv, capsys)
@@ -131,11 +126,12 @@ class TestNumbersAndSpecsAtTheBoundary:
              "--trace-per-rank", "--backend mp and --trace"),
             (["run", "--backend", "mp", "--trace-per-rank"],
              "--trace-per-rank", "--backend mp and --trace"),
+            (["run", "--freshness"], "--freshness", "--metrics"),
         ],
         ids=[
             "checkpoint-without-faults", "checkpoint-with-stalls-only",
             "checkpoint-on-mp", "trace-per-rank-on-des",
-            "trace-per-rank-without-trace",
+            "trace-per-rank-without-trace", "freshness-without-metrics",
         ],
     )
     def test_a_flag_the_path_cannot_honour_is_a_usage_error(

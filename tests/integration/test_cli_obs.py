@@ -46,14 +46,29 @@ class TestTrace:
 class TestMetrics:
     def test_metrics_jsonl_rows(self, tmp_path):
         path = str(tmp_path / "m.jsonl")
-        assert run_cli("--algo", "cc", "--metrics", path) == 0
+        assert run_cli("--algo", "cc", "--metrics", path, "--freshness") == 0
         rows = read_jsonl(path)
         assert rows[0]["kind"] == "meta"
         samples = [r for r in rows if r["kind"] == "sample"]
-        # Auto interval is ~1/100 of the estimated makespan.
+        # The interval is ~1/100 of the estimated makespan.
         assert len(samples) > 50
         assert samples[-1]["events_remaining"] == 0
-        assert any(r["kind"] == "histogram" for r in rows)
+        # A fault-free run counts nothing: what the engine and its
+        # results own (collection latency, dispatch spans) is not copied.
+        assert {r["kind"] for r in rows} == {"meta", "sample", "freshness"}
+
+    def test_mp_metrics_keep_each_rank_fact_once(self, tmp_path, capsys):
+        path = str(tmp_path / "m.jsonl")
+        assert main(["run", "--backend", "mp", "--ranks", "2", "--algo", "cc",
+                     "--scale", "8", "--metrics", path]) == 0
+        rows = read_jsonl(path)
+        assert {r["kind"] for r in rows} <= {"meta", "ring_sample", "rank", "counters"}
+        rank_rows = [r for r in rows if r["kind"] == "rank"]
+        assert [r["rank"] for r in rank_rows] == [0, 1]
+        assert all("ring_hwm_bytes" in r for r in rank_rows)
+        capsys.readouterr()
+        assert main(["report", "--metrics", path]) == 0
+        assert "Per-rank load" in capsys.readouterr().out
 
     def test_freshness_rows_per_program(self, tmp_path):
         path = str(tmp_path / "m.jsonl")
@@ -65,8 +80,9 @@ class TestMetrics:
             assert {r["prog"] for r in fresh} == {algo}
             assert fresh[-1]["stale"] == 0
 
-    def test_freshness_noop_for_construction_only(self, capsys):
-        assert run_cli("--algo", "con", "--freshness") == 0
+    def test_freshness_noop_for_construction_only(self, tmp_path, capsys):
+        path = str(tmp_path / "m.jsonl")
+        assert run_cli("--algo", "con", "--metrics", path, "--freshness") == 0
         assert "nothing to probe" in capsys.readouterr().out
 
 
@@ -96,14 +112,14 @@ class TestReportSubcommand:
             (
                 "--metrics",
                 "m.jsonl",
-                '{"kind": "histogram", "name": "x", "counts": [1]}\n',
-                "'bounds'",
+                '{"kind": "freshness", "t": 0.0, "prog": "cc"}\n',
+                "'stale'",
             ),
             ("--metrics", "absent.jsonl", None, "No such file"),
             ("--trace", "trace.json", "[1]\n", "not a JSON object"),
             ("--metrics", "m.jsonl", '{"kind": "meta"}\n[1]\n', "line 2: not a JSON object"),
         ],
-        ids=["jsonl-line", "truncated-trace", "histogram-without-bounds", "missing-file",
+        ids=["jsonl-line", "truncated-trace", "freshness-without-stale", "missing-file",
              "trace-not-an-object", "jsonl-line-not-an-object"],
     )
     def test_a_bad_input_is_one_usage_line(self, tmp_path, capsys, flag, name, text, says):

@@ -10,8 +10,6 @@ from repro import IncrementalCC
 from repro.events.stream import split_streams
 from repro.obs import (
     ClockAnchor,
-    Histogram,
-    MetricsRegistry,
     ObsConfig,
     RankObs,
     chrome_trace_dict,
@@ -48,62 +46,6 @@ class TestClockAnchor:
         a = ClockAnchor.capture()
         b = ClockAnchor.capture()
         assert b.offset_from(a) >= 0.0
-
-
-# ----------------------------------------------------------------------
-# merge associativity (satellite: MetricsRegistry cross-rank folding)
-# ----------------------------------------------------------------------
-def _registry(counter: float, values: list[float]) -> MetricsRegistry:
-    reg = MetricsRegistry()
-    reg.inc("events", counter)
-    h = reg.histogram("latency_us")
-    for v in values:
-        h.observe(v)
-    return reg
-
-
-class TestMergeAssociativity:
-    def test_counter_and_histogram_merge_is_associative(self):
-        parts = [
-            _registry(3, [1.0, 50.0]),
-            _registry(5, [200.0]),
-            _registry(7, [0.5, 3000.0, 8.0]),
-        ]
-        left = MetricsRegistry.merged(
-            [MetricsRegistry.merged(parts[:2]), parts[2]]
-        )
-        right = MetricsRegistry.merged(
-            [parts[0], MetricsRegistry.merged(parts[1:])]
-        )
-        flat = MetricsRegistry.merged(parts)
-        for merged in (left, right):
-            assert merged.counters == flat.counters == {"events": 15}
-            assert (
-                merged.histograms["latency_us"].to_dict()
-                == flat.histograms["latency_us"].to_dict()
-            )
-
-    def test_merged_does_not_mutate_parts(self):
-        parts = [_registry(1, [2.0]), _registry(2, [4.0])]
-        before = [p.histograms["latency_us"].to_dict() for p in parts]
-        MetricsRegistry.merged(parts)
-        assert [p.histograms["latency_us"].to_dict() for p in parts] == before
-
-    def test_histogram_merge_requires_matching_bounds(self):
-        a = Histogram(bounds=(1.0, 2.0))
-        b = Histogram(bounds=(1.0, 3.0))
-        with pytest.raises(ValueError, match="bounds"):
-            a.merge_from(b)
-
-    def test_histogram_roundtrip_and_quantiles_survive_merge(self):
-        a, b = Histogram(), Histogram()
-        for v in (5.0, 70.0, 900.0):
-            a.observe(v)
-        b.observe(12000.0)
-        a.merge_from(Histogram.from_dict(b.to_dict()))
-        assert a.count == 4
-        assert a.quantile(1.0) >= 900.0
-        assert a.max >= 12000.0
 
 
 # ----------------------------------------------------------------------
@@ -236,9 +178,13 @@ class TestMergeRankObs:
             parent,
         )
         assert merged.registry.counters["wire_sent"] == 30
-        assert merged.registry.gauges["ring_hwm_bytes"] == 128
+        # A high-water mark is kept once, in its rank's row: the
+        # cross-rank maximum is read off the rows, never summed.
+        assert "ring_hwm_bytes" not in merged.registry.counters
         rank_rows = merged.registry.rows("rank")
         assert [r["rank"] for r in rank_rows] == [0, 1]
+        assert [r["ring_hwm_bytes"] for r in rank_rows] == [64, 128]
+        assert max(r["ring_hwm_bytes"] for r in rank_rows) == 128
         assert merged.skew() == pytest.approx(1.0)
         summary = merged.summary()
         assert summary["ranks"] == [0, 1]

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.obs import (
-    Histogram,
     MetricsRegistry,
     Tracer,
     chrome_trace_dict,
@@ -82,6 +81,12 @@ class TestValidator:
         with pytest.raises(ValueError, match="traceEvents"):
             validate_chrome_trace({"events": []})
 
+    def test_rejects_an_event_that_is_not_an_object(self):
+        doc = self.good()
+        doc["traceEvents"].insert(1, 1)
+        with pytest.raises(ValueError, match=r"event #1 is not a JSON object"):
+            validate_chrome_trace(doc)
+
     def test_rejects_empty_events(self):
         with pytest.raises(ValueError, match="non-empty"):
             validate_chrome_trace({"traceEvents": []})
@@ -149,18 +154,13 @@ class TestJsonl:
         reg = MetricsRegistry()
         reg.record({"kind": "sample", "t": 0.0, "edges": 3})
         reg.record({"kind": "freshness", "t": 0.0, "prog": "cc", "stale": 1})
-        reg.inc("collections")
-        reg.set_gauge("final_edges", 3)
-        reg.histogram("dispatch_virtual_us").observe(1.5)
+        reg.inc("recoveries")
         path = str(tmp_path / "metrics.jsonl")
         write_metrics_jsonl(path, reg, meta={"algo": "cc"})
         rows = read_jsonl(path)
         kinds = [r["kind"] for r in rows]
-        assert kinds == ["meta", "sample", "freshness", "counters", "gauges",
-                         "histogram"]
-        assert rows[3]["collections"] == 1
-        assert rows[5]["name"] == "dispatch_virtual_us"
-        assert rows[5]["count"] == 1
+        assert kinds == ["meta", "sample", "freshness", "counters"]
+        assert rows[3] == {"kind": "counters", "recoveries": 1}
 
     def test_empty_registry_writes_meta_only(self, tmp_path):
         path = str(tmp_path / "metrics.jsonl")
@@ -198,36 +198,6 @@ class TestRendering:
         assert "busy (per-rank)" in text
         assert "Convergence lag" in text
         assert "cc" in text
-
-    def test_histogram_quantile_columns(self):
-        """p50/p99 are the containing bucket's upper bound, the row's
-        max when the quantile lands in the overflow bucket, and 0.0 for
-        an empty histogram."""
-        bounded = Histogram((1.0, 10.0, 100.0))
-        for v in (0.5, 5.0, 5.0, 50.0):
-            bounded.observe(v)
-        overflow = Histogram((1.0, 10.0))
-        for v in (0.5, 0.5, 0.5, 250.0):
-            overflow.observe(v)
-        rows = [
-            {"kind": "histogram", "name": name, **h.to_dict()}
-            for name, h in (
-                ("bounded", bounded),
-                ("overflow", overflow),
-                ("empty", Histogram((1.0,))),
-            )
-        ]
-        text = render_metrics_report(rows)
-        cols = {
-            cells[0]: (cells[3], cells[4])
-            for cells in (line.split() for line in text.splitlines())
-            if cells and cells[0] in ("bounded", "overflow", "empty")
-        }
-        assert cols == {
-            "bounded": ("10.0", "100.0"),
-            "overflow": ("1.0", "250.0"),
-            "empty": ("0.0", "0.0"),
-        }
 
     def test_metrics_report_handles_no_samples(self):
         assert "no sample rows" in render_metrics_report([{"kind": "meta"}])

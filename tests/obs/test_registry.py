@@ -1,5 +1,5 @@
-"""Tests for the metrics registry, histograms, and the virtual-time
-sampler's engine integration."""
+"""Tests for the metrics registry and the virtual-time sampler's engine
+integration."""
 
 import numpy as np
 import pytest
@@ -11,39 +11,8 @@ from repro import (
     rmat_edges,
     split_streams,
 )
-from repro.obs import DEFAULT_BOUNDS_US, Histogram, MetricsRegistry, VirtualTimeSampler
+from repro.obs import MetricsRegistry, VirtualTimeSampler
 from repro.runtime.plugins import MetricsPlugin, TracerPlugin
-
-
-class TestHistogram:
-    def test_bucketing(self):
-        h = Histogram(bounds=(1.0, 10.0))
-        for v in (0.5, 1.0, 5.0, 100.0):
-            h.observe(v)
-        # bisect_right: bucket i holds values strictly below bounds[i],
-        # a value equal to a bound rolls up; 100 overflows the last.
-        assert h.counts == [1, 2, 1]
-        assert h.count == 4
-        assert h.total == 106.5
-        assert h.min == 0.5
-        assert h.max == 100.0
-
-    def test_mean_of_empty_is_zero(self):
-        assert Histogram().mean == 0.0
-
-    def test_to_dict_empty_min_max_are_none(self):
-        d = Histogram().to_dict()
-        assert d["count"] == 0
-        assert d["min"] is None and d["max"] is None
-        assert d["bounds"] == list(DEFAULT_BOUNDS_US)
-
-    def test_to_dict_roundtrips_observations(self):
-        h = Histogram(bounds=(1.0,))
-        h.observe(0.25)
-        h.observe(0.75)
-        d = h.to_dict()
-        assert d["counts"] == [2, 0]
-        assert d["mean"] == 0.5
 
 
 class TestMetricsRegistry:
@@ -53,19 +22,14 @@ class TestMetricsRegistry:
         reg.inc("collections", by=2)
         assert reg.counters["collections"] == 3
 
-    def test_gauges_overwrite(self):
-        reg = MetricsRegistry()
-        reg.set_gauge("edges", 10)
-        reg.set_gauge("edges", 20)
-        assert reg.gauges["edges"] == 20
+    def test_holds_counters_and_rows_only(self):
+        """A number the engine or a result already owns (a collection's
+        latency, a dispatch span, a rank's wall seconds) is not copied
+        into the registry."""
+        assert MetricsRegistry.__slots__ == ("counters", "samples")
 
-    def test_histogram_get_or_create(self):
-        reg = MetricsRegistry()
-        h1 = reg.histogram("dispatch_virtual_us")
-        h1.observe(1.0)
-        h2 = reg.histogram("dispatch_virtual_us")
-        assert h1 is h2
-        assert h2.count == 1
+    def test_dispatch_does_not_read_the_registry(self):
+        assert "metrics" not in DynamicEngine.on_message.__code__.co_names
 
     def test_rows_filter_by_kind(self):
         reg = MetricsRegistry()
@@ -75,14 +39,6 @@ class TestMetricsRegistry:
         assert len(reg.rows()) == 3
         assert [r["edges"] for r in reg.rows("sample")] == [1, 5]
         assert len(reg.rows("freshness")) == 1
-
-    def test_series_extracts_time_value_pairs(self):
-        reg = MetricsRegistry()
-        reg.record({"kind": "sample", "t": 0.0, "edges": 1})
-        reg.record({"kind": "sample", "t": 1.0})  # key absent -> skipped
-        reg.record({"kind": "freshness", "t": 2.0, "stale": 9})
-        assert reg.series("edges") == [(0.0, 1)]
-        assert reg.series("stale", kind="freshness") == [(2.0, 9)]
 
 
 def sampled_run(n_ranks=2, trace=False, divisor=10):
@@ -170,9 +126,3 @@ class TestVirtualTimeSampler:
         busy = [ev for ev in eng.tracer.events if ev[2] == "busy_frac"]
         assert len(queues) == n_samples * eng.config.n_ranks
         assert len(busy) == n_samples * eng.config.n_ranks
-
-    def test_dispatch_histogram_populated(self):
-        eng, _ = sampled_run(trace=True)
-        h = eng.metrics.histograms["dispatch_virtual_us"]
-        assert h.count > 0
-        assert h.min >= 0.0

@@ -42,17 +42,17 @@ class TestParser:
 
 
 class TestDesOnlyFlagsRejected:
-    """mp has no virtual time: fault/snapshot/freshness flags exit 2
-    before any process is spawned.  (``--trace``/``--metrics`` are no
-    longer DES-only: on mp they switch to the wall-clock distributed
-    capture — see TestMpObsCapture.)"""
+    """mp has no virtual time: fault, snapshot, checkpoint and freshness
+    flags exit 2 before any process is spawned.  (``--trace``/``--metrics``
+    are no longer DES-only: on mp they switch to the wall-clock
+    distributed capture — see TestMpObsCapture.)"""
 
     @pytest.mark.parametrize(
         "flags",
         [
             ["--faults", "crash=0.5"],
             ["--snapshot-at", "0.5"],
-            ["--sample-interval", "0.1"],
+            ["--checkpoint-path", "unused.npz"],
             ["--freshness"],
         ],
     )
