@@ -21,9 +21,9 @@ The calibration is fixed (one platform is modelled).  Settable are only
 ``channel_capacity`` (the flow-control ablation) and ``rank_memory_bytes``
 (the NVRAM spill ablation).
 
-DegAwareRHH probe behaviour is *counted*, not charged: an insert or
-delete costs the flat ``edge_insert_cpu`` however many slots it probes,
-and the probes land in ``RobinHoodMap.probe_count`` /
+DegAwareRHH lookups are not charged by length: an insert or delete
+costs the flat ``edge_insert_cpu`` however long its scan, and the
+low-degree tier's comparison steps land in
 ``AdjacencyStats.low_degree_scans`` for the storage ablation to report.
 ``storage_probe_cpu`` is charged in one place only — the edge-weight
 lookup of an ``update_single_nbr`` call that passes no weight.

@@ -100,7 +100,6 @@ class EngineConfig:
     """
 
     n_ranks: int = 1
-    vertex_index: str = "robinhood"
     partition_salt: int = 0
     # §II-D visitor-queue fast path: squash monotone UPDATEs into
     # pending same-key messages (programs opt in via their ``combine``
@@ -165,9 +164,7 @@ class DynamicEngine(RankHandler):
             seen.add(plugin.name)
         self.programs = list(programs)
         self.loop = DiscreteEventLoop(n, self.cost, self)
-        self.stores = [
-            DegAwareRHH(vertex_index=self.config.vertex_index) for _ in range(n)
-        ]
+        self.stores = [DegAwareRHH() for _ in range(n)]
         # values[rank][prog]: vid -> S_new (or sole) value; 0 = unset
         self.values: list[list[dict[int, Any]]] = [
             [dict() for _ in programs] for _ in range(n)
@@ -213,6 +210,11 @@ class DynamicEngine(RankHandler):
         # traverse them (the edge is absent from the discretized
         # prefix, §III-D) — see _emit_version.
         self._cut_new_edges: list[set[tuple[int, int]]] = [set() for _ in range(n)]
+        # Per rank, the id of the last collection it harvested.  A rank
+        # that has sent its part splits nothing more for that collection
+        # while the coordinator waits on the others: the next collection
+        # must not find those splits in _prev_vals / _cut_new_edges.
+        self._harvested = [-1] * n
         self.collection_results: list[CollectionResult] = []
         # collection_id -> {rank: source events ingested at its cut}
         self.cut_positions: dict[int, dict[int, int]] = {}
@@ -813,7 +815,7 @@ class DynamicEngine(RankHandler):
             ):
                 # Prev-version event at a split vertex: apply to S_prev
                 # (with event emission), then to S_new per the program's
-                # mode (merge mode folds inside _write_value).
+                # mode.
                 ctx._view_prev = True
                 try:
                     fn(ctx, *args)
@@ -825,6 +827,17 @@ class DynamicEngine(RankHandler):
                         fn(ctx, *args)
                     finally:
                         self._suppress_sends[rank] = False
+                else:
+                    # Merge mode: the S_prev writes fold into S_new inside
+                    # _write_value, but S_new's own sends (its better
+                    # value over the edge this event inserts) must still
+                    # go out, as the cut version so no S_prev sees them.
+                    ver = self._proc_version[rank]
+                    self._proc_version[rank] = col.cut_version
+                    try:
+                        fn(ctx, *args)
+                    finally:
+                        self._proc_version[rank] = ver
             else:
                 fn(ctx, *args)
         finally:
@@ -867,6 +880,7 @@ class DynamicEngine(RankHandler):
             col is not None
             and col.prog == prog
             and self._proc_version[rank] >= col.cut_version
+            and self._harvested[rank] != col.collection_id
         ):
             prev = self._prev_vals[rank]
             if vertex not in prev:
@@ -921,7 +935,12 @@ class DynamicEngine(RankHandler):
         after the active collection's cut — it is not part of the
         discretized prefix the snapshot represents."""
         col = self.active_collection
-        if col is not None and ver >= col.cut_version and self._edge_was_new[rank]:
+        if (
+            col is not None
+            and ver >= col.cut_version
+            and self._edge_was_new[rank]
+            and self._harvested[rank] != col.collection_id
+        ):
             self._cut_new_edges[rank].add((src, dst))
 
     def _emit_version(self, rank: int, vertex: int, nbr: int, ver: int) -> int:
@@ -1170,6 +1189,7 @@ class DynamicEngine(RankHandler):
             self._charge(rank, self.cost.gather_per_vertex_cpu * len(part))
             self._prev_vals[rank] = {}
             self._cut_new_edges[rank].clear()
+            self._harvested[rank] = col_id
             self.loop.send(
                 rank, coord, (VT_CTRL, CTRL_PART, col_id, rank, part), priority=True
             )

@@ -93,7 +93,7 @@ class ReferenceEngine:
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate program names: {names}")
         self.programs = list(programs)
-        self.store = DegAwareRHH(vertex_index="dict")
+        self.store = DegAwareRHH()
         self.values: list[dict[int, Any]] = [dict() for _ in programs]
         self._ctx = [_RefContext(self, p) for p in range(len(programs))]
         self.queue: deque = deque()

@@ -12,17 +12,18 @@ This reproduction keeps both tiers:
 * **low-degree tier** — a compact insertion-ordered list of
   ``(neighbour, weight)`` pairs, linearly scanned (degree < threshold, so
   scans are O(threshold));
-* **high-degree tier** — a :class:`~repro.storage.robin_hood.RobinHoodMap`
-  keyed by neighbour ID, promoted to lazily when a vertex's degree
-  crosses ``promote_threshold``.
+* **high-degree tier** — a hash table keyed by neighbour ID, promoted
+  to lazily when a vertex's degree crosses ``promote_threshold``.
 
-The vertex index itself is also a Robin Hood map by default (pass
-``vertex_index="dict"`` to use a Python dict — the storage ablation bench
-compares the two).  Every Robin Hood map of one store is keyed by vertex
-ids, so they share one :class:`~repro.storage.robin_hood.HashMemo`: a
-vertex id is mixed once per store, not once per probe sequence of each
-table it lands in.  Edge weights are stored as int64; unweighted graphs
-use weight 1.
+Both hash tables — the vertex index and each promoted vertex's table —
+are CPython ``dict`` objects: a compact, insertion-ordered entry array
+plus an open-addressing index, the shape of RisGraph's indexed adjacency
+lists, implemented in C.  Both tiers therefore iterate a vertex's
+neighbours in insertion order, across promotion and delete/re-insert.
+(The Robin Hood probe sequence lives on in
+:mod:`repro.storage.robin_hood`, a standalone map the storage ablation
+profiles; the cost model never charged a probe.)  Edge weights are
+stored as int64; unweighted graphs use weight 1.
 
 The store is *rank-local*: each simulated process owns one instance and
 only ever inserts edges whose source vertex it owns (§III-C).
@@ -35,7 +36,6 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from repro.storage.robin_hood import HashMemo, RobinHoodMap
 from repro.util.validate import check_positive
 
 
@@ -78,33 +78,16 @@ class DegAwareRHH:
     ----------
     promote_threshold:
         Degree at which a vertex's adjacency is promoted from the compact
-        list tier to a per-vertex Robin Hood table (default 8, matching
-        the "low degree" regime of scale-free graphs).
-    vertex_index:
-        ``"robinhood"`` (default, faithful) or ``"dict"`` (Python dict
-        baseline used by the storage ablation).
+        list tier to a per-vertex hash table (default 8, matching the
+        "low degree" regime of scale-free graphs).
     """
 
-    def __init__(self, promote_threshold: int = 8, vertex_index: str = "robinhood"):
+    def __init__(self, promote_threshold: int = 8):
         check_positive("promote_threshold", promote_threshold)
-        if vertex_index not in ("robinhood", "dict"):
-            raise ValueError(f"vertex_index must be 'robinhood' or 'dict', got {vertex_index!r}")
         self.promote_threshold = int(promote_threshold)
-        self._index_kind = vertex_index
-        # The hash memo of the index and of every promoted table.
-        self._hashes = HashMemo()
         # vertex id -> slot in self._adj
-        self._index: RobinHoodMap | dict[int, int]
-        self._index = (
-            RobinHoodMap(64, hashes=self._hashes) if vertex_index == "robinhood" else {}
-        )
-        # Bind the index-lookup strategy once: _slot_of is on every
-        # edge operation's critical path, so a per-call string compare on
-        # the index kind is measurable (see bench_ablation_storage.py).
-        self._slot_of = (
-            self._slot_of_dict if vertex_index == "dict" else self._slot_of_rhh
-        )
-        self._adj: list[_LowDegreeAdjacency | RobinHoodMap] = []
+        self._index: dict[int, int] = {}
+        self._adj: list[_LowDegreeAdjacency | dict[int, int]] = []
         self._vids: list[int] = []
         self._num_edges = 0
         # Bulk-ingest append buffers: (src, dst, weights, owners, rank)
@@ -117,18 +100,11 @@ class DegAwareRHH:
     # ------------------------------------------------------------------
     # vertex level
     # ------------------------------------------------------------------
-    def _slot_of_dict(self, vid: int) -> int:
-        return self._index.get(vid, -1)  # type: ignore[union-attr]
-
-    def _slot_of_rhh(self, vid: int) -> int:
-        got = self._index.get(vid)  # type: ignore[union-attr]
-        return -1 if got is None else got
-
     def ensure_vertex(self, vid: int) -> bool:
         """Register ``vid`` if unseen; returns True iff it was new."""
         if self._pending_count:
             self._flush_pending()
-        if self._slot_of(vid) >= 0:
+        if vid in self._index:
             return False
         self._add_vertex(vid)
         return True
@@ -138,16 +114,13 @@ class DegAwareRHH:
         slot = len(self._adj)
         self._adj.append(_LowDegreeAdjacency())
         self._vids.append(vid)
-        if self._index_kind == "dict":
-            self._index[vid] = slot  # type: ignore[index]
-        else:
-            self._index.put(vid, slot)  # type: ignore[union-attr]
+        self._index[vid] = slot
         return slot
 
     def has_vertex(self, vid: int) -> bool:
         if self._pending_count:
             self._flush_pending()
-        return self._slot_of(vid) >= 0
+        return vid in self._index
 
     def vertices(self) -> Iterator[int]:
         """Iterate all registered vertex IDs (insertion order)."""
@@ -265,13 +238,14 @@ class DegAwareRHH:
         """
         if self._pending_count:
             self._flush_pending()
-        # One index probe per insert: the vertex is created on a miss.
-        slot = self._slot_of(src)
-        if slot < 0:
+        # One index lookup per insert: the vertex is created on a miss.
+        slot = self._index.get(src)
+        if slot is None:
             slot = self._add_vertex(src)
         adj = self._adj[slot]
-        if isinstance(adj, RobinHoodMap):
-            new = adj.put(dst, weight)
+        if type(adj) is dict:
+            new = dst not in adj
+            adj[dst] = weight
             if new:
                 self._num_edges += 1
                 self.stats.edge_inserts += 1
@@ -294,12 +268,8 @@ class DegAwareRHH:
         return True
 
     def _promote(self, slot: int, adj: _LowDegreeAdjacency) -> None:
-        table = RobinHoodMap(
-            initial_capacity=2 * self.promote_threshold, hashes=self._hashes
-        )
-        for nbr, w in zip(adj.nbrs, adj.weights):
-            table.put(nbr, w)
-        self._adj[slot] = table
+        # The table keeps the list's insertion order.
+        self._adj[slot] = dict(zip(adj.nbrs, adj.weights))
         self.stats.promotions += 1
 
     def delete_edge(self, src: int, dst: int) -> bool:
@@ -310,12 +280,12 @@ class DegAwareRHH:
         """
         if self._pending_count:
             self._flush_pending()
-        slot = self._slot_of(src)
-        if slot < 0:
+        slot = self._index.get(src)
+        if slot is None:
             return False
         adj = self._adj[slot]
-        if isinstance(adj, RobinHoodMap):
-            removed = adj.delete(dst)
+        if type(adj) is dict:
+            removed = adj.pop(dst, None) is not None
         else:
             pos = adj.find(dst)
             self.stats.low_degree_scans += pos + 1 if pos >= 0 else len(adj.nbrs)
@@ -331,16 +301,16 @@ class DegAwareRHH:
         return removed
 
     def has_edge(self, src: int, dst: int) -> bool:
-        # edge_weight's probe without its frames: the receiver of every
-        # delete-capable offer asks this (same scans, same probe count).
+        # edge_weight's lookup without its frames: the receiver of every
+        # delete-capable offer asks this (same scans).
         if self._pending_count:
             self._flush_pending()
-        slot = self._slot_of(src)
-        if slot < 0:
+        slot = self._index.get(src)
+        if slot is None:
             return False
         adj = self._adj[slot]
-        if isinstance(adj, RobinHoodMap):
-            return adj._find_slot(int(dst)) >= 0
+        if type(adj) is dict:
+            return dst in adj
         nbrs = adj.nbrs
         try:
             pos = nbrs.index(dst)
@@ -354,11 +324,11 @@ class DegAwareRHH:
         """Weight of ``src -> dst``, or None if the edge is absent."""
         if self._pending_count:
             self._flush_pending()
-        slot = self._slot_of(src)
-        if slot < 0:
+        slot = self._index.get(src)
+        if slot is None:
             return None
         adj = self._adj[slot]
-        if isinstance(adj, RobinHoodMap):
+        if type(adj) is dict:
             return adj.get(dst)
         pos = adj.find(dst)
         self.stats.low_degree_scans += pos + 1 if pos >= 0 else len(adj.nbrs)
@@ -367,26 +337,26 @@ class DegAwareRHH:
     def degree(self, src: int) -> int:
         if self._pending_count:
             self._flush_pending()
-        slot = self._slot_of(src)
-        if slot < 0:
+        slot = self._index.get(src)
+        if slot is None:
             return 0
         adj = self._adj[slot]
-        return len(adj) if isinstance(adj, RobinHoodMap) else len(adj.nbrs)
+        return len(adj) if type(adj) is dict else len(adj.nbrs)
 
     def neighbors(self, src: int) -> Iterator[tuple[int, int]]:
         """Iterate ``(neighbour, weight)`` pairs of ``src``.
 
-        Low-degree vertices iterate in insertion order; promoted vertices
-        iterate in table order.  Mutating during iteration is undefined.
+        Both tiers iterate in insertion order (a re-inserted edge goes
+        last).  Mutating during iteration is undefined.
         """
         if self._pending_count:
             self._flush_pending()
-        slot = self._slot_of(src)
-        if slot < 0:
+        slot = self._index.get(src)
+        if slot is None:
             return iter(())
         adj = self._adj[slot]
-        if isinstance(adj, RobinHoodMap):
-            return adj.items()
+        if type(adj) is dict:
+            return iter(adj.items())
         return iter(zip(list(adj.nbrs), list(adj.weights)))
 
     def neighbors_arrays(self, src: int) -> tuple[list[int], list[int]]:
@@ -398,21 +368,16 @@ class DegAwareRHH:
         callers must fully consume them before any store mutation (same
         contract as :meth:`neighbors`' "mutating during iteration is
         undefined").  Promoted vertices materialise fresh lists from the
-        hash table.
+        hash table, in the same insertion order as :meth:`neighbors`.
         """
         if self._pending_count:
             self._flush_pending()
-        slot = self._slot_of(src)
-        if slot < 0:
+        slot = self._index.get(src)
+        if slot is None:
             return [], []
         adj = self._adj[slot]
-        if isinstance(adj, RobinHoodMap):
-            nbrs: list[int] = []
-            weights: list[int] = []
-            for nbr, w in adj.items():
-                nbrs.append(nbr)
-                weights.append(w)
-            return nbrs, weights
+        if type(adj) is dict:
+            return list(adj), list(adj.values())
         return adj.nbrs, adj.weights
 
     def edges(self) -> Iterable[tuple[int, int, int]]:
@@ -427,8 +392,8 @@ class DegAwareRHH:
         """True if ``src``'s adjacency lives in the high-degree tier."""
         if self._pending_count:
             self._flush_pending()
-        slot = self._slot_of(src)
-        return slot >= 0 and isinstance(self._adj[slot], RobinHoodMap)
+        slot = self._index.get(src)
+        return slot is not None and type(self._adj[slot]) is dict
 
     def approx_bytes(self) -> int:
         """O(1) estimate of the store's memory footprint, used by the
@@ -440,8 +405,7 @@ class DegAwareRHH:
         slot at promotion time).  Pending bulk-append edges count at
         their packed column footprint (3 x int64) per row this store
         owns, without forcing a flush — whether the columns are its own
-        or a chunk shared with the other ranks' stores.  The hash memo
-        is not counted: it is a cache of the mix, not modelled storage.
+        or a chunk shared with the other ranks' stores.
         """
         return (
             88 * len(self._vids)

@@ -13,28 +13,17 @@ The map stores ``int64 -> int64`` in three parallel typed slot arrays
 displacement+occupancy metadata: 17 bytes per slot).  The table is read
 one slot at a time, and these containers hand back plain Python ints —
 a NumPy array of the same layout boxes every access in a NumPy scalar,
-which measured 3x slower per slot.  Compared with a Python
-``dict`` this is a real reproduction of the data-structure behaviour the
-paper measures — probe distances, displacement work, load-factor-driven
-resizes — all of which are surfaced as counters so the storage ablation
-bench can report them (they are counted, not charged: the cost model
-prices an insert at a flat ``edge_insert_cpu``).
+which measured 3x slower per slot.  It reproduces the data-structure
+behaviour the paper describes — probe distances, displacement work,
+load-factor-driven resizes — and surfaces each as a counter for the
+storage ablation bench to report.
 
 Keys may be any int64 value (including negatives); there is no reserved
 "empty key" because occupancy lives in the metadata byte.
 
-A key's hash is resolved once, not once per probe sequence: the
-SplitMix64 finalizer and the Fibonacci product cost ~0.9 µs on Python
-ints, ~9x a dict read.  A :class:`HashMemo` maps each inserted key to
-that 64-bit product, so a home slot is ``memo[key] >> shift`` whatever
-the table size, and a resize re-inserts without re-mixing.  Only an
-insert fills the memo (a lookup of an absent key leaves it alone) and
-a delete keeps the entry, so it holds one entry per distinct key ever
-inserted.  A ``DegAwareRHH`` hands one memo to its vertex index and
-every promoted table (its keys are all vertex ids); a standalone map
-owns its own.  The memo is a cache of a pure function: layout, probe
-sequence and counters are those of the unmemoised map, and it is not
-part of the modelled footprint.
+The map is a standalone structure: ``DegAwareRHH`` keeps its vertex
+index and hub tables in CPython ``dict`` objects (DESIGN §14), and this map
+serves the storage ablation's probe profile.
 """
 
 from __future__ import annotations
@@ -42,31 +31,11 @@ from __future__ import annotations
 from array import array
 from typing import Iterator
 
-from repro.util.hashing import _FIB_MUL, _MASK64, fibonacci_hash, mix64
+from repro.util.hashing import fibonacci_hash, mix64
 from repro.util.validate import check_in_range, check_power_of_two
 
 _EMPTY = 0xFF  # metadata byte marking an unoccupied slot
 _MAX_DISP = 0xFE  # displacements are capped; hitting the cap forces a resize
-
-
-def _product(key: int) -> int:
-    """``key``'s 64-bit hash: the Fibonacci product of :func:`mix64`."""
-    return (mix64(key) * _FIB_MUL) & _MASK64
-
-
-class HashMemo(dict):
-    """``key -> _product(key)`` for every key ever inserted.
-
-    The home of ``key`` in a table of ``2**b`` slots is the top ``b``
-    bits, ``memo[key] >> (64 - b)`` (:func:`fibonacci_hash` of
-    :func:`mix64`).  Only an insert stores an entry; a lookup of a key
-    never inserted mixes it afresh and leaves the memo as it was.
-    """
-
-    __slots__ = ()
-
-    def __missing__(self, key: int) -> int:
-        return _product(key)
 
 
 class RobinHoodMap:
@@ -80,9 +49,6 @@ class RobinHoodMap:
         Resize threshold in ``(0, 1)``; DegAwareRHH-style compactness
         favours high load factors (default 0.85), which Robin Hood
         tolerates because probe-length variance stays low.
-    hashes:
-        A :class:`HashMemo` to share with other maps over the same key
-        space (default: a fresh one of this map's own).
 
     Notes
     -----
@@ -100,7 +66,6 @@ class RobinHoodMap:
         "_size",
         "_limit",
         "_max_load_factor",
-        "_hashes",
         "probe_count",
         "displacement_count",
         "resize_count",
@@ -110,7 +75,6 @@ class RobinHoodMap:
         self,
         initial_capacity: int = 8,
         max_load_factor: float = 0.85,
-        hashes: HashMemo | None = None,
     ):
         cap = 8
         while cap < initial_capacity:
@@ -118,7 +82,6 @@ class RobinHoodMap:
         check_power_of_two("initial_capacity (rounded)", cap)
         check_in_range("max_load_factor", max_load_factor, 0.1, 0.97)
         self._max_load_factor = float(max_load_factor)
-        self._hashes = HashMemo() if hashes is None else hashes
         self._allocate(cap)
         self._size = 0
         self.probe_count = 0
@@ -140,8 +103,7 @@ class RobinHoodMap:
         self._limit = int(self._max_load_factor * capacity)
 
     def _home(self, key: int) -> int:
-        """``key``'s home slot, mixed afresh (the reference the memo is
-        checked against; the probe loops read the memo)."""
+        """``key``'s home slot: the top bits of its Fibonacci hash."""
         return fibonacci_hash(mix64(key), 64 - self._shift)
 
     def _resize(self, new_capacity: int) -> None:
@@ -156,10 +118,7 @@ class RobinHoodMap:
     def _insert(self, key: int, value: int) -> bool:
         """Core Robin Hood insertion; returns True iff the key was new."""
         keys, values, meta, mask = self._keys, self._values, self._meta, self._mask
-        product = self._hashes.get(key)
-        if product is None:
-            product = self._hashes[key] = _product(key)
-        idx = product >> self._shift
+        idx = self._home(key)
         disp = 0
         probes = 0
         while True:
@@ -193,7 +152,7 @@ class RobinHoodMap:
     def _find_slot(self, key: int) -> int:
         """Return the slot index holding ``key``, or -1 if absent."""
         keys, meta, mask = self._keys, self._meta, self._mask
-        idx = self._hashes[key] >> self._shift
+        idx = self._home(key)
         disp = 0
         while True:
             slot_meta = meta[idx]

@@ -64,7 +64,9 @@ class TestMetrics:
         rows = read_jsonl(path)
         assert {r["kind"] for r in rows} <= {"meta", "ring_sample", "rank", "counters"}
         rank_rows = [r for r in rows if r["kind"] == "rank"]
-        assert [r["rank"] for r in rank_rows] == [0, 1]
+        # Rows come in rank finish-time order: each rank once, any order.
+        assert sorted(r["rank"] for r in rank_rows) == [0, 1]
+        assert [r["t"] for r in rank_rows] == sorted(r["t"] for r in rank_rows)
         assert all("ring_hwm_bytes" in r for r in rank_rows)
         capsys.readouterr()
         assert main(["report", "--metrics", path]) == 0

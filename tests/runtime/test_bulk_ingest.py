@@ -267,8 +267,8 @@ def test_bulk_off_has_no_controller():
 # DegAwareRHH array append tier
 # ----------------------------------------------------------------------
 def test_store_bulk_append_then_lazy_flush_matches_per_event():
-    a = DegAwareRHH(4, "dict")
-    b = DegAwareRHH(4, "dict")
+    a = DegAwareRHH(4)
+    b = DegAwareRHH(4)
     src = np.array([1, 1, 2, 1, 3], dtype=np.int64)
     dst = np.array([2, 3, 4, 2, 1], dtype=np.int64)
     w = np.array([5, 6, 7, 9, 1], dtype=np.int64)
@@ -285,7 +285,7 @@ def test_store_bulk_append_then_lazy_flush_matches_per_event():
 
 
 def test_store_flush_bulk_is_idempotent():
-    s = DegAwareRHH(4, "dict")
+    s = DegAwareRHH(4)
     s.bulk_append_edges(
         np.array([3, 1, 3], dtype=np.int64),
         np.array([4, 2, 5], dtype=np.int64),
@@ -298,7 +298,7 @@ def test_store_flush_bulk_is_idempotent():
 
 
 def test_store_approx_bytes_counts_pending_without_flushing():
-    s = DegAwareRHH(4, "dict")
+    s = DegAwareRHH(4)
     base = s.approx_bytes()
     s.bulk_append_edges(
         np.arange(10, dtype=np.int64),
@@ -310,7 +310,7 @@ def test_store_approx_bytes_counts_pending_without_flushing():
 
 
 def test_store_materialises_only_its_rows_of_a_shared_chunk():
-    s = DegAwareRHH(4, "dict")
+    s = DegAwareRHH(4)
     src = np.array([1, 2, 1, 3], dtype=np.int64)
     dst = np.array([2, 3, 4, 1], dtype=np.int64)
     w = np.array([5, 6, 7, 8], dtype=np.int64)
@@ -356,8 +356,7 @@ def test_shared_chunk_buffers_materialise_what_per_owner_copies_did(
     eng.run()
     assert eng.total_counters().bulk_events == len(src)
 
-    cfg = eng.config
-    refs = [DegAwareRHH(vertex_index=cfg.vertex_index) for _ in range(n_ranks)]
+    refs = [DegAwareRHH() for _ in range(n_ranks)]
     owned = [0] * n_ranks
     for s, d, wt, owners in chunk_rows(pulled, eng.partitioner.owner_array):
         for r in range(n_ranks):
@@ -430,7 +429,7 @@ def test_bulk_virtual_time_is_pinned(leg, n_ranks, chunk, cost):
 
 
 def test_store_bulk_append_validates_lengths():
-    s = DegAwareRHH(4, "dict")
+    s = DegAwareRHH(4)
     with pytest.raises(ValueError):
         s.bulk_append_edges(
             np.array([1, 2], dtype=np.int64),

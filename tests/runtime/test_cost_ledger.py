@@ -6,29 +6,29 @@ messages and squashes in the same order, the same store layout, and
 rank clocks equal to the last bit — they are sums of cost-model floats,
 so a reordered or pre-added ``+=`` shows in ``float.hex()``.
 
-``PINNED`` was generated at commit ``bad94b2`` (the parent of the
-hot-path refactor) *before* ``src/`` was touched, by running this module
-as a script there::
+``PINNED`` is regenerated by running this module as a script::
 
     PYTHONPATH=src python tests/runtime/test_cost_ledger.py
 
-and has been edited since in one place per leg only: ``probe_count``,
-which that refactor lowers by exactly the second vertex-index lookup
-``DegAwareRHH.insert_edge`` used to make (the comment on each line
-carries the parent's value and the number of probes removed).  A change
-that moves any other number here changed what the engine computes or
-what it charges — regenerate only for a change that means to.
+The legs were first generated at commit ``bad94b2`` (the parent of the
+hot-path refactor); the legs from ``churn_bench_16x64`` to ``obs_cc``
+are the DES runs of the churn, fault, squash and telemetry benches at
+REPRO_BENCH_SCALE=0, added at commit ``88b89f3``; they pin every
+virtual rate and visits-per-event figure those benches print.  A change
+that moves a number here changed what the engine computes or what it
+charges — regenerate only for a change that means to.
 
-The legs from ``churn_bench_16x64`` to ``obs_cc`` are the DES runs of
-the churn, fault, squash and telemetry benches at REPRO_BENCH_SCALE=0;
-they pin every virtual rate and visits-per-event figure those benches
-print, and were generated the same way at commit ``88b89f3``.
-
-The five generational legs (``churn`` and the four ``churn_bench_*``)
-were regenerated once since, whole, when the support tree's rule 1
-stopped echoing an adopted value to the neighbour it came from: fewer
-messages move every clock, and the changed interleaving moves the
-support forest, the generation tags and the adjacency order.
+The whole table was last regenerated when ``DegAwareRHH``'s vertex index
+and hub tables became ``dict`` objects.  A promoted vertex now fans out
+in insertion order instead of Robin Hood table order.  On most legs with
+a promoted vertex that moved the order of its messages, and with it the
+clocks, the visit and message counts (-4.2% to +4.7% per leg), the
+adjacency order and the collected snapshots; ``churn`` promotes nothing
+and moved only by the dropped fields.  The Robin Hood-only ``probe_count``,
+``displacement_count`` and ``resize_count`` fields went with the
+tables.  Every add-only leg kept its ``state`` hash: the answers did
+not move, only the order that reached them.  The generational legs'
+raw generation tags and support forest depend on that order.
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ from repro.generators import rmat_edges
 from repro.generators.churn import churn_events, flash_crowd_events, split_churn_streams
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.plugins import FaultInjectionPlugin, MetricsPlugin, TracerPlugin
-from repro.storage.robin_hood import RobinHoodMap
 
 
 def _sha1(obj) -> str:
@@ -70,12 +69,6 @@ def ledger(engine: DynamicEngine) -> dict:
     """Everything a run charged, counted and stored, in exact form."""
     loop = engine.loop
     total = engine.total_counters()
-    tables = [
-        m
-        for store in engine.stores
-        for m in (store._index, *store._adj)
-        if isinstance(m, RobinHoodMap)
-    ]
     counters = {f.name: getattr(total, f.name) for f in fields(total)}
     counters["busy_time"] = counters["busy_time"].hex()
     return {
@@ -91,14 +84,11 @@ def ledger(engine: DynamicEngine) -> dict:
         "counters": counters,
         "rank_counters": _sha1([astuple(c) for c in engine.counters]),
         "store": {
-            "probe_count": sum(m.probe_count for m in tables),
-            "displacement_count": sum(m.displacement_count for m in tables),
-            "resize_count": sum(m.resize_count for m in tables),
             "low_degree_scans": sum(s.stats.low_degree_scans for s in engine.stores),
             "promotions": sum(s.stats.promotions for s in engine.stores),
         },
         # list(engine.edges()) is adjacency iteration order: insertion
-        # order on the low-degree tier, table order once promoted.
+        # order on both tiers.
         "edges": _sha1(list(engine.edges())),
         "state": {
             p.name: _sha1(sorted(engine.state(p.name).items())) for p in engine.programs
@@ -336,29 +326,29 @@ LEGS = {
     "obs_cc": _obs_cc,
 }
 
-PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
-                      '0x1.5a710fb7ae075p-9',
-                      '0x1.5abae192d78e7p-9',
-                      '0x1.5ac84d8c24eccp-9'],
-            'busy': ['0x1.fe07017c00b5cp-10',
-                     '0x1.ee82293a8bf22p-11',
-                     '0x1.bfe98f7b326ecp-10',
-                     '0x1.9f7f8ca8195fep-10'],
-            'loop': {'actions_executed': 16585,
-                     'messages_delivered': 12485,
-                     'messages_squashed': 230,
-                     'batch_sends': 1633,
+PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
+                      '0x1.5b060b06ef384p-9',
+                      '0x1.5b4fdce218bf6p-9',
+                      '0x1.5b5d48db661dbp-9'],
+            'busy': ['0x1.feaec72847d0ep-10',
+                     '0x1.ee31a162bbbc2p-11',
+                     '0x1.befb52f215243p-10',
+                     '0x1.a04c3b41f53e8p-10'],
+            'loop': {'actions_executed': 16628,
+                     'messages_delivered': 12528,
+                     'messages_squashed': 225,
+                     'batch_sends': 1642,
                      'stall_time': '0x0.0p+0'},
             'counters': {'source_events': 4096,
                          'edge_inserts': 5616,
                          'edge_deletes': 0,
-                         'visits': 20677,
-                         'messages_sent_local': 12484,
+                         'visits': 20720,
+                         'messages_sent_local': 12527,
                          'messages_sent_remote': 0,
                          'control_messages': 0,
-                         'busy_time': '0x1.952c4c8f249f6p-8',
-                         'updates_squashed': 230,
-                         'batch_sends': 1633,
+                         'busy_time': '0x1.9543c9836c047p-8',
+                         'updates_squashed': 225,
+                         'batch_sends': 1642,
                          'bulk_chunks': 0,
                          'bulk_events': 0,
                          'fallback_flushes': 0,
@@ -366,13 +356,9 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                          'deletes_unsafe': 0,
                          'vertices_invalidated': 0,
                          'repair_visits': 0},
-            'rank_counters': '9e44695cd5c95640d8d099b90105904c9e4216f9',
-            'store': {'probe_count': 46758,  # parent 64496: 17738 second index lookups gone
-                      'displacement_count': 4622,
-                      'resize_count': 196,
-                      'low_degree_scans': 6267,
-                      'promotions': 168},
-            'edges': 'cc386659b81ac50858aa21fd43cd80f28ef42559',
+            'rank_counters': 'ea7ad94534fd2e1826c208e9ae71e7dcb563e8fd',
+            'store': {'low_degree_scans': 6251, 'promotions': 168},
+            'edges': '74bf06bcaf23ec3a470f4d03c425e2f2dcc8d719',
             'state': {'bfs': '26bbc18b0b21f599653afe6d1b3fb806be4d00a4',
                       'cc': '556b90d2f5699eac0a6b46565b9b61edf8a0ed69'},
             'collections': []},
@@ -407,11 +393,7 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                         'vertices_invalidated': 43,
                         'repair_visits': 492},
            'rank_counters': 'baf7bc4e112c83b14311b17b222ec4bed1eebdd2',
-           'store': {'probe_count': 1447,
-                     'displacement_count': 0,
-                     'resize_count': 0,
-                     'low_degree_scans': 2861,
-                     'promotions': 0},
+           'store': {'low_degree_scans': 2861, 'promotions': 0},
            'edges': '10e7bf452cb53d3ba4460495965c3c07ca072f86',
            'state': {'gen-bfs': '400709d23a998ab71fae865c8d1549a6bbf4c6ff',
                      'gen-sssp': '788991fbd8f52b13d7cfc319290762e52a32feae',
@@ -419,27 +401,27 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                      'gen-st': '20a236539db99cff4a6052e77c148ead67d0bd85',
                      'gen-widest': 'dc0f3541e57b11e2f8f792e5845741ab53e31376'},
            'collections': []},
- 'collect_merge': {'clock': ['0x1.4ea0211d31034p-9',
-                             '0x1.4ed0c884e9794p-9',
-                             '0x1.4edc86ff0d2bdp-9',
-                             '0x1.4ecd6d869621bp-9'],
-                   'busy': ['0x1.546b921f51b7fp-10',
-                            '0x1.601137b5cebb7p-10',
-                            '0x1.fedc6977e8842p-10',
-                            '0x1.bc6affd334626p-11'],
-                   'loop': {'actions_executed': 12535,
-                            'messages_delivered': 10483,
+ 'collect_merge': {'clock': ['0x1.4e8d00d9ef8fep-9',
+                             '0x1.4ebda841a805ep-9',
+                             '0x1.4ec966bbcbb87p-9',
+                             '0x1.4eba4d4354ae5p-9'],
+                   'busy': ['0x1.540590b89f517p-10',
+                            '0x1.6021fead6f715p-10',
+                            '0x1.febadb88a7184p-10',
+                            '0x1.bc03a6d393d8cp-11'],
+                   'loop': {'actions_executed': 12525,
+                            'messages_delivered': 10473,
                             'messages_squashed': 153,
                             'batch_sends': 472,
                             'stall_time': '0x0.0p+0'},
                    'counters': {'source_events': 2048,
                                 'edge_inserts': 2632,
                                 'edge_deletes': 0,
-                                'visits': 14239,
-                                'messages_sent_local': 5170,
+                                'visits': 14237,
+                                'messages_sent_local': 5168,
                                 'messages_sent_remote': 4972,
-                                'control_messages': 340,
-                                'busy_time': '0x1.6463accda8ca3p-8',
+                                'control_messages': 332,
+                                'busy_time': '0x1.64390f961ff1ep-8',
                                 'updates_squashed': 153,
                                 'batch_sends': 472,
                                 'bulk_chunks': 0,
@@ -449,40 +431,36 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                 'deletes_unsafe': 0,
                                 'vertices_invalidated': 0,
                                 'repair_visits': 0},
-                   'rank_counters': 'aba0650fc705abcfc22691d6d6a8a817e7d58ba5',
-                   'store': {'probe_count': 26955,  # parent 34121: 7166 second index lookups gone
-                             'displacement_count': 1830,
-                             'resize_count': 100,
-                             'low_degree_scans': 5568,
-                             'promotions': 95},
-                   'edges': '48224fe4cbfced4862387ddf8066b7fd5c433bae',
+                   'rank_counters': '76a8e2183b358fb3c3876011c6af7228f69d8960',
+                   'store': {'low_degree_scans': 5568, 'promotions': 95},
+                   'edges': 'f274f5b019104c47bfaba97c10e08a2ce6fb026a',
                    'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                              'echo': '00267ebdf7eeee6b69e09880afc9a8f12a7f6d6a'},
                    'collections': [(1,
-                                    '0x1.a3ae9b5e6a93cp-10',
-                                    41,
-                                    'b55822830111ef48eee662eb6180d28ba05a2e0f')]},
- 'collect_replay': {'clock': ['0x1.4e996b208a543p-9',
-                              '0x1.4eca128842ca3p-9',
-                              '0x1.4ed5d102667ccp-9',
-                              '0x1.4ec6b789ef72ap-9'],
-                    'busy': ['0x1.5446a931bcf4ap-10',
-                             '0x1.6003cbbc815d1p-10',
-                             '0x1.fecba28047ce5p-10',
-                             '0x1.bbd0a6203aa56p-11'],
-                    'loop': {'actions_executed': 12517,
-                             'messages_delivered': 10465,
+                                    '0x1.9e0c6ffae4886p-10',
+                                    40,
+                                    '8d74d83daa3f3154eb9b50c8c683c900a1e95057')]},
+ 'collect_replay': {'clock': ['0x1.4e93b6d6963f3p-9',
+                              '0x1.4ec45e3e4eb53p-9',
+                              '0x1.4ed01cb87267cp-9',
+                              '0x1.4ec1033ffb5dap-9'],
+                    'busy': ['0x1.5446a931bcf4bp-10',
+                             '0x1.602559abc2c8ep-10',
+                             '0x1.febe3686fa6fep-10',
+                             '0x1.bb94403e5e7cfp-11'],
+                    'loop': {'actions_executed': 12514,
+                             'messages_delivered': 10462,
                              'messages_squashed': 148,
                              'batch_sends': 463,
                              'stall_time': '0x0.0p+0'},
                     'counters': {'source_events': 2048,
                                  'edge_inserts': 2632,
                                  'edge_deletes': 0,
-                                 'visits': 14221,
-                                 'messages_sent_local': 5162,
-                                 'messages_sent_remote': 4962,
+                                 'visits': 14218,
+                                 'messages_sent_local': 5160,
+                                 'messages_sent_remote': 4961,
                                  'control_messages': 340,
-                                 'busy_time': '0x1.643f9a9fa8dcbp-8',
+                                 'busy_time': '0x1.643d1660ea5b0p-8',
                                  'updates_squashed': 148,
                                  'batch_sends': 463,
                                  'bulk_chunks': 0,
@@ -492,40 +470,36 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                  'deletes_unsafe': 0,
                                  'vertices_invalidated': 0,
                                  'repair_visits': 0},
-                    'rank_counters': '5b31533d7ed1489a993dde94b82a4bf614846685',
-                    'store': {'probe_count': 26945,  # parent 34115: 7170 second index lookups gone
-                              'displacement_count': 1830,
-                              'resize_count': 100,
-                              'low_degree_scans': 5573,
-                              'promotions': 95},
-                    'edges': 'c62c57527de336e3014dccfc7639a257a799a107',
+                    'rank_counters': '1d3417001e1671d561be03fd5c5619f0494bd8c0',
+                    'store': {'low_degree_scans': 5573, 'promotions': 95},
+                    'edges': 'ab04cecf8b9b67c9eb8b5ff3c1c15df59510101b',
                     'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                               'echo': '00267ebdf7eeee6b69e09880afc9a8f12a7f6d6a'},
                     'collections': [(1,
-                                     '0x1.a3a7e561c3e61p-10',
+                                     '0x1.a3f3baa252a00p-10',
                                      41,
-                                     'fe80c3e413e3f2318b11670ba58d51b3893d2872')]},
- 'unbatched': {'clock': ['0x1.a887732668100p-10',
-                         '0x1.a851c3413296bp-10',
-                         '0x1.a8a90115a97bdp-10',
-                         '0x1.a8ef77f27fab1p-10'],
-               'busy': ['0x1.7f84449dbebfcp-11',
-                        '0x1.a07e9028d7901p-11',
-                        '0x1.2d81428abf007p-10',
-                        '0x1.0d1df5b44c97cp-11'],
-               'loop': {'actions_executed': 9027,
-                        'messages_delivered': 6975,
+                                     '91866ab1533725fa99348ba8726c824381269c64')]},
+ 'unbatched': {'clock': ['0x1.abdbbb7d18f5ep-10',
+                         '0x1.aba60b97e37c9p-10',
+                         '0x1.abfd496c5a61bp-10',
+                         '0x1.ac43c0493090fp-10'],
+               'busy': ['0x1.8116ebd4cfce2p-11',
+                        '0x1.a360c2b876d51p-11',
+                        '0x1.2f4cf4a558df2p-10',
+                        '0x1.0e08d73f168abp-11'],
+               'loop': {'actions_executed': 9114,
+                        'messages_delivered': 7062,
                         'messages_squashed': 0,
                         'batch_sends': 0,
                         'stall_time': '0x0.0p+0'},
                'counters': {'source_events': 2048,
                             'edge_inserts': 2632,
                             'edge_deletes': 0,
-                            'visits': 11071,
-                            'messages_sent_local': 6974,
+                            'visits': 11158,
+                            'messages_sent_local': 7061,
                             'messages_sent_remote': 0,
                             'control_messages': 0,
-                            'busy_time': '0x1.a208d3e4183a1p-9',
+                            'busy_time': '0x1.a4469bc5c3bb1p-9',
                             'updates_squashed': 0,
                             'batch_sends': 0,
                             'bulk_chunks': 0,
@@ -535,39 +509,35 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                             'deletes_unsafe': 0,
                             'vertices_invalidated': 0,
                             'repair_visits': 0},
-               'rank_counters': 'f959f096541ab71a25a5e624e6d1248c7b9dc0f4',
-               'store': {'probe_count': 20678,  # parent 27827: 7149 second index lookups gone
-                         'displacement_count': 1839,
-                         'resize_count': 100,
-                         'low_degree_scans': 3495,
-                         'promotions': 95},
-               'edges': '1c8626020bde7b45c342c03f8aa193c5a21a91d7',
+               'rank_counters': '4ab4c74089435a980906378b493715a0c650832c',
+               'store': {'low_degree_scans': 3492, 'promotions': 95},
+               'edges': '05c3de34992718f189cc28430902403f06d5961b',
                'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                          'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                'collections': []},
- 'two_per_node': {'clock': ['0x1.8c3908e02339bp-10',
-                            '0x1.8bd104140b9eap-10',
-                            '0x1.8bde700d58fcep-10',
-                            '0x1.8c5085d46a9ebp-10'],
-                  'busy': ['0x1.7b1620d3b51b6p-11',
-                           '0x1.9e4ad94226156p-11',
-                           '0x1.23d4f15e7c856p-10',
-                           '0x1.0b48329eb8b1bp-11'],
-                  'loop': {'actions_executed': 8631,
-                           'messages_delivered': 6579,
-                           'messages_squashed': 147,
-                           'batch_sends': 815,
+ 'two_per_node': {'clock': ['0x1.8b8889d1d03adp-10',
+                            '0x1.8b208505b89fcp-10',
+                            '0x1.8b2df0ff05fe0p-10',
+                            '0x1.8ba006c6179fdp-10'],
+                  'busy': ['0x1.7b81809e200e3p-11',
+                           '0x1.9c248e54c1f8ep-11',
+                           '0x1.23810e8858f7ap-10',
+                           '0x1.0986917f18d93p-11'],
+                  'loop': {'actions_executed': 8613,
+                           'messages_delivered': 6561,
+                           'messages_squashed': 136,
+                           'batch_sends': 784,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 2048,
                                'edge_inserts': 2632,
                                'edge_deletes': 0,
-                               'visits': 10675,
-                               'messages_sent_local': 3400,
-                               'messages_sent_remote': 3178,
+                               'visits': 10657,
+                               'messages_sent_local': 3394,
+                               'messages_sent_remote': 3166,
                                'control_messages': 0,
-                               'busy_time': '0x1.9b14c3dc633b5p-9',
-                               'updates_squashed': 147,
-                               'batch_sends': 815,
+                               'busy_time': '0x1.9a0baf60ab33ep-9',
+                               'updates_squashed': 136,
+                               'batch_sends': 784,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -575,39 +545,35 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': '76fc1d3eb3aa2b784a389c6d1b5e0477052cd792',
-                  'store': {'probe_count': 20607,  # parent 27725: 7118 second index lookups gone
-                            'displacement_count': 1825,
-                            'resize_count': 100,
-                            'low_degree_scans': 3516,
-                            'promotions': 95},
-                  'edges': '0f249fd679c31b0a1a92f782fd6239b732a6d68c',
+                  'rank_counters': 'bfcd338eae0346eb656e666821f3323ee0ea85f0',
+                  'store': {'low_degree_scans': 3500, 'promotions': 95},
+                  'edges': '05e71e23db631e3f61a52eca2d952a93d194ffa6',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
- 'flow_control': {'clock': ['0x1.9eaad078a8a78p-10',
-                            '0x1.9e752093732e3p-10',
-                            '0x1.9ecc5e67ea135p-10',
-                            '0x1.9f12d544c0429p-10'],
-                  'busy': ['0x1.7389649830094p-11',
-                           '0x1.981b14587c983p-11',
-                           '0x1.225d221a0633cp-10',
-                           '0x1.071674b68b362p-11'],
-                  'loop': {'actions_executed': 8395,
-                           'messages_delivered': 6343,
-                           'messages_squashed': 102,
-                           'batch_sends': 768,
-                           'stall_time': '0x1.9b3db394c2798p-11'},
+ 'flow_control': {'clock': ['0x1.9a867e89c88b3p-10',
+                            '0x1.9a50cea49311ep-10',
+                            '0x1.9aa80c7909f70p-10',
+                            '0x1.9aee8355e0264p-10'],
+                  'busy': ['0x1.7452b833b8909p-11',
+                           '0x1.98867422e78b1p-11',
+                           '0x1.22ea0fd3b2924p-10',
+                           '0x1.073802a5cca21p-11'],
+                  'loop': {'actions_executed': 8413,
+                           'messages_delivered': 6361,
+                           'messages_squashed': 80,
+                           'batch_sends': 775,
+                           'stall_time': '0x1.7eec9a1ca1512p-11'},
                   'counters': {'source_events': 2048,
                                'edge_inserts': 2632,
                                'edge_deletes': 0,
-                               'visits': 10439,
-                               'messages_sent_local': 6342,
+                               'visits': 10457,
+                               'messages_sent_local': 6360,
                                'messages_sent_remote': 0,
                                'control_messages': 0,
-                               'busy_time': '0x1.95dd4c76d10fcp-9',
-                               'updates_squashed': 102,
-                               'batch_sends': 768,
+                               'busy_time': '0x1.967953a8f4788p-9',
+                               'updates_squashed': 80,
+                               'batch_sends': 775,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -615,39 +581,35 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': 'd4949d3eb91f0670a50666881deb246553ed5ff4',
-                  'store': {'probe_count': 20416,  # parent 27551: 7135 second index lookups gone
-                            'displacement_count': 1795,
-                            'resize_count': 100,
-                            'low_degree_scans': 3523,
-                            'promotions': 95},
-                  'edges': '85ea5698d7c1fbe5f8243fe596cb931c327b3064',
+                  'rank_counters': '3d46742351061fc5881219a099d7023f4d18de69',
+                  'store': {'low_degree_scans': 3525, 'promotions': 95},
+                  'edges': '5c4c3233ea13faae86e607fa469df20c7d173bc4',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
- 'whole_scale8': {'clock': ['0x1.8a674c9559bd3p-10',
-                            '0x1.8a319cb02443ep-10',
-                            '0x1.8a88da849b290p-10',
-                            '0x1.8acf516171584p-10'],
-                  'busy': ['0x1.78c0dbfdc234dp-11',
-                           '0x1.9a9f5316fe48cp-11',
-                           '0x1.231253bf9aad9p-10',
-                           '0x1.090059c213299p-11'],
-                  'loop': {'actions_executed': 8582,
-                           'messages_delivered': 6530,
-                           'messages_squashed': 119,
-                           'batch_sends': 759,
+ 'whole_scale8': {'clock': ['0x1.8c0b66908292ap-10',
+                            '0x1.8bd5b6ab4d195p-10',
+                            '0x1.8c2cf47fc3fe7p-10',
+                            '0x1.8c736b5c9a2dbp-10'],
+                  'busy': ['0x1.783aa440bc859p-11',
+                           '0x1.9c2b445168a85p-11',
+                           '0x1.24399b2c40c8dp-10',
+                           '0x1.098d477bbf883p-11'],
+                  'loop': {'actions_executed': 8605,
+                           'messages_delivered': 6553,
+                           'messages_squashed': 123,
+                           'batch_sends': 779,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 2048,
                                'edge_inserts': 2632,
                                'edge_deletes': 0,
-                               'visits': 10626,
-                               'messages_sent_local': 6529,
+                               'visits': 10649,
+                               'messages_sent_local': 6552,
                                'messages_sent_remote': 0,
                                'control_messages': 0,
-                               'busy_time': '0x1.98a14c1582408p-9',
-                               'updates_squashed': 119,
-                               'batch_sends': 759,
+                               'busy_time': '0x1.999999999991fp-9',
+                               'updates_squashed': 123,
+                               'batch_sends': 779,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -655,37 +617,33 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': 'b5bd92542def83fa0c1283423be7311d0c3e2231',
-                  'store': {'probe_count': 20508,  # parent 27608: 7100 second index lookups gone
-                            'displacement_count': 1815,
-                            'resize_count': 100,
-                            'low_degree_scans': 3529,
-                            'promotions': 95},
-                  'edges': 'ce6d4e3a63e3b78794d025ac9542dce1365477dd',
+                  'rank_counters': '2d3889836a012619d4c3ba7303a7e7e6d43a926d',
+                  'store': {'low_degree_scans': 3531, 'promotions': 95},
+                  'edges': '9aa6cb5f598327a556677d65057416ec4caad33f',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
- 'churn_bench_16x64': {'clock': ['0x1.63baba7b91678p-12',
-                                 '0x1.67f9e45d0c409p-12',
-                                 '0x1.682f944241b9cp-12',
-                                 '0x1.68075056599eep-12'],
+ 'churn_bench_16x64': {'clock': ['0x1.649ee609b4ab5p-12',
+                                 '0x1.67ec7863bee24p-12',
+                                 '0x1.68222848f45b7p-12',
+                                 '0x1.67f9e45d0c409p-12'],
                        'busy': ['0x1.114247a32cc0dp-14',
-                                '0x1.19553b9bb7805p-13',
-                                '0x1.e8a2ec28b2ac0p-13',
-                                '0x1.ac72ba31bf948p-14'],
-                       'loop': {'actions_executed': 2103,
-                                'messages_delivered': 2014,
+                                '0x1.17a7bc720bb55p-13',
+                                '0x1.e888143617ef5p-13',
+                                '0x1.ac075a6754a1cp-14'],
+                       'loop': {'actions_executed': 2099,
+                                'messages_delivered': 2010,
                                 'messages_squashed': 0,
                                 'batch_sends': 355,
                                 'stall_time': '0x0.0p+0'},
                        'counters': {'source_events': 85,
                                     'edge_inserts': 106,
                                     'edge_deletes': 36,
-                                    'visits': 2694,
-                                    'messages_sent_local': 2009,
+                                    'visits': 2690,
+                                    'messages_sent_local': 2005,
                                     'messages_sent_remote': 0,
                                     'control_messages': 0,
-                                    'busy_time': '0x1.1834aa2bb815cp-11',
+                                    'busy_time': '0x1.17b5286b59158p-11',
                                     'updates_squashed': 0,
                                     'batch_sends': 355,
                                     'bulk_chunks': 0,
@@ -695,177 +653,161 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                     'deletes_unsafe': 27,
                                     'vertices_invalidated': 85,
                                     'repair_visits': 798},
-                       'rank_counters': '4c7e5504b255a285bff09483a9543bf9d38c358c',
-                       'store': {'probe_count': 2164,
-                                 'displacement_count': 0,
-                                 'resize_count': 0,
-                                 'low_degree_scans': 4218,
-                                 'promotions': 1},
-                       'edges': '9cfa945462a0f458eda977828320ab37181a2efe',
+                       'rank_counters': 'd2a19eca74c198656500c4107b08c92c216c6152',
+                       'store': {'low_degree_scans': 4208, 'promotions': 1},
+                       'edges': '876f83ca51439f918c7b9fd65a09776136406918',
                        'state': {'gen-bfs': '5a87e06a459081f865bbc4631e85c24cc189ba09',
                                  'gen-sssp': '4f944be799b92060cecf5830c2c655972894a506',
                                  'gen-cc': 'cd81025e740591fa3693e0bb9eb4f4da0c60b4ee',
                                  'gen-st': '89e42a977a5191547c160f63e0b56907a8c06e58',
                                  'gen-widest': '22841a5d38256b9fbe1e219a692dc8d0b6661d68'},
                        'collections': []},
- 'churn_bench_128x512': {'clock': ['0x1.312e76351055ap-9',
-                                   '0x1.3124653a164ebp-9',
-                                   '0x1.313023b43a016p-9',
-                                   '0x1.312cc8b5e6a9cp-9'],
-                         'busy': ['0x1.313d8fad876c9p-10',
-                                  '0x1.fca3542d7eaf6p-11',
-                                  '0x1.93194cd81f987p-10',
-                                  '0x1.54ab52ff812cfp-10'],
-                         'loop': {'actions_executed': 20428,
-                                  'messages_delivered': 19741,
+ 'churn_bench_128x512': {'clock': ['0x1.3063751a5e21bp-9',
+                                   '0x1.3059641f641acp-9',
+                                   '0x1.3065229987cd7p-9',
+                                   '0x1.3061c79b3475dp-9'],
+                         'busy': ['0x1.2c5345217222fp-10',
+                                  '0x1.fe288f6b425efp-11',
+                                  '0x1.919e229555effp-10',
+                                  '0x1.535511aa4c47bp-10'],
+                         'loop': {'actions_executed': 20306,
+                                  'messages_delivered': 19619,
                                   'messages_squashed': 0,
-                                  'batch_sends': 3415,
+                                  'batch_sends': 3392,
                                   'stall_time': '0x0.0p+0'},
                          'counters': {'source_events': 683,
                                       'edge_inserts': 1004,
                                       'edge_deletes': 340,
-                                      'visits': 25205,
-                                      'messages_sent_local': 19736,
+                                      'visits': 25083,
+                                      'messages_sent_local': 19614,
                                       'messages_sent_remote': 0,
                                       'control_messages': 0,
-                                      'busy_time': '0x1.45d4f666f9e27p-8',
+                                      'busy_time': '0x1.4416b045ad628p-8',
                                       'updates_squashed': 0,
-                                      'batch_sends': 3415,
+                                      'batch_sends': 3392,
                                       'bulk_chunks': 0,
                                       'bulk_events': 0,
                                       'fallback_flushes': 0,
                                       'deletes_safe': 1558,
                                       'deletes_unsafe': 152,
-                                      'vertices_invalidated': 630,
-                                      'repair_visits': 6460},
-                         'rank_counters': '5bd3502f75d6c7afbc8fe4e62ab98bde1910c274',
-                         'store': {'probe_count': 31196,
-                                   'displacement_count': 32,
-                                   'resize_count': 0,
-                                   'low_degree_scans': 39978,
-                                   'promotions': 20},
-                         'edges': '2be28bb8efae0710055807805b0c8d63cf8c41d6',
-                         'state': {'gen-bfs': '5b61242154d79dd6841105ced0f742eaf9c8bd7e',
-                                   'gen-sssp': '7f87ad0c64901427fb9f0a9dedbf4d9063b9aad1',
-                                   'gen-cc': '919c9b7404b633664574ceb53172f47a919025a0',
-                                   'gen-st': 'a76fbb880d67273e82ff44f5be972e5ee6bdacd7',
-                                   'gen-widest': 'd6d2180f4e0bc1b34a8e7b361c92260443319a79'},
+                                      'vertices_invalidated': 620,
+                                      'repair_visits': 6379},
+                         'rank_counters': 'a02ebd5763e0babf12c57dc9761d396d3dcbd836',
+                         'store': {'low_degree_scans': 39646, 'promotions': 20},
+                         'edges': '63bbcc4d3ccca98d0cf72741e0a48655a668927d',
+                         'state': {'gen-bfs': '0957e1d323733f61a55383eca9940092981f6615',
+                                   'gen-sssp': 'd5980e1a581caa2663f5007d6fe01f249ec147f1',
+                                   'gen-cc': 'c06b14aa3223c5a48863ac6e341dbe79ab59460d',
+                                   'gen-st': 'd9702e9377b11efbdad6f3c2e8c3da8b045a0f6d',
+                                   'gen-widest': 'a08126ca18aa63312dad956c141bc0ed1336025f'},
                          'collections': []},
- 'churn_bench_1024x4096': {'clock': ['0x1.190950e19f534p-5',
-                                     '0x1.19085f4a17e27p-5',
-                                     '0x1.190844722547bp-5',
-                                     '0x1.18fca0cff42fap-5'],
-                           'busy': ['0x1.53ed1cce6f5f0p-6',
-                                    '0x1.4babcffd0529ep-6',
-                                    '0x1.68be652b002e0p-6',
-                                    '0x1.6270d8b032cf3p-6'],
-                           'loop': {'actions_executed': 379849,
-                                    'messages_delivered': 374384,
+ 'churn_bench_1024x4096': {'clock': ['0x1.0dd8b60f2079bp-5',
+                                     '0x1.0db41da963856p-5',
+                                     '0x1.0dd0020b784dep-5',
+                                     '0x1.0dca8e2e30df8p-5'],
+                           'busy': ['0x1.4571c4687c32ap-6',
+                                    '0x1.42e9bf4bdcab9p-6',
+                                    '0x1.59a4b70410643p-6',
+                                    '0x1.52967019700b7p-6'],
+                           'loop': {'actions_executed': 364255,
+                                    'messages_delivered': 358790,
                                     'messages_squashed': 0,
-                                    'batch_sends': 67703,
+                                    'batch_sends': 67039,
                                     'stall_time': '0x0.0p+0'},
                            'counters': {'source_events': 5461,
                                         'edge_inserts': 8150,
                                         'edge_deletes': 2728,
-                                        'visits': 418072,
-                                        'messages_sent_local': 374379,
+                                        'visits': 402478,
+                                        'messages_sent_local': 358785,
                                         'messages_sent_remote': 0,
                                         'control_messages': 0,
-                                        'busy_time': '0x1.5ab20aa9a9e19p-4',
+                                        'busy_time': '0x1.4d25aab476538p-4',
                                         'updates_squashed': 0,
-                                        'batch_sends': 67703,
+                                        'batch_sends': 67039,
                                         'bulk_chunks': 0,
                                         'bulk_events': 0,
                                         'fallback_flushes': 0,
                                         'deletes_safe': 11689,
                                         'deletes_unsafe': 1961,
-                                        'vertices_invalidated': 17057,
-                                        'repair_visits': 156285},
-                           'rank_counters': '36dd8909843709ff3cf764f0256d3ad029e0a15a',
-                           'store': {'probe_count': 639101,
-                                     'displacement_count': 1786,
-                                     'resize_count': 16,
-                                     'low_degree_scans': 663825,
-                                     'promotions': 222},
-                           'edges': '8210e08d7bfb08154c67a805c937345d0785c3ab',
-                           'state': {'gen-bfs': '437b3a6d18745c0ee9f970b8913ad6c4a0202c1c',
-                                     'gen-sssp': '114894a52eb3466e5eb634789db18e77232e83c6',
-                                     'gen-cc': '91444ca502436af394277a568149588a341fd095',
-                                     'gen-st': 'e3814e22bd261a0bf3715a20dc2233f4a084b3de',
-                                     'gen-widest': '78ef9d94d628c926b68559411a7f27d9d6694d9a'},
+                                        'vertices_invalidated': 16414,
+                                        'repair_visits': 144961},
+                           'rank_counters': '592050660bd261827a3991eba2de96527d7f78dc',
+                           'store': {'low_degree_scans': 643033, 'promotions': 219},
+                           'edges': 'd356413f336544812783f01bbf0358bedb0de68a',
+                           'state': {'gen-bfs': '8315e3ed1a5b57ff9385f45dafd3ae1a803cd174',
+                                     'gen-sssp': '6c02e4624402528f5c9850364b9b980c9c8dfe24',
+                                     'gen-cc': 'a0463b8262d4a0ef60b19d4b5cd63a305deeb1a4',
+                                     'gen-st': 'd7787ee3bf2d46c71119f119ab7bb70949efbbd0',
+                                     'gen-widest': '63e35018aec99f91a7e248221b16a5d7f462d49e'},
                            'collections': []},
- 'churn_bench_flash': {'clock': ['0x1.6ef9b2dee4ecdp-9',
-                                 '0x1.6efb605e0e98ap-9',
-                                 '0x1.6ef657e091954p-9',
-                                 '0x1.6ee8ebe744370p-9'],
-                       'busy': ['0x1.4987328ec8667p-10',
-                                '0x1.252121b8b755ap-10',
-                                '0x1.b4245f5ad91d4p-10',
-                                '0x1.eee6d3084fc6bp-10'],
-                       'loop': {'actions_executed': 24303,
-                                'messages_delivered': 23633,
+ 'churn_bench_flash': {'clock': ['0x1.732ecbc565c18p-9',
+                                 '0x1.7326684995668p-9',
+                                 '0x1.73215fcc18632p-9',
+                                 '0x1.732815c8bf127p-9'],
+                       'busy': ['0x1.4ea3d201bfd40p-10',
+                                '0x1.2a6cbb143d8cep-10',
+                                '0x1.b9983ca2476f0p-10',
+                                '0x1.f4eaf907bdce1p-10'],
+                       'loop': {'actions_executed': 24652,
+                                'messages_delivered': 23982,
                                 'messages_squashed': 0,
-                                'batch_sends': 4543,
+                                'batch_sends': 4623,
                                 'stall_time': '0x0.0p+0'},
                        'counters': {'source_events': 666,
                                     'edge_inserts': 716,
                                     'edge_deletes': 180,
-                                    'visits': 28961,
-                                    'messages_sent_local': 23628,
+                                    'visits': 29310,
+                                    'messages_sent_local': 23977,
                                     'messages_sent_remote': 0,
                                     'control_messages': 0,
-                                    'busy_time': '0x1.846ce1aaaa280p-8',
+                                    'busy_time': '0x1.89e4f0b000a78p-8',
                                     'updates_squashed': 0,
-                                    'batch_sends': 4543,
+                                    'batch_sends': 4623,
                                     'bulk_chunks': 0,
                                     'bulk_events': 0,
                                     'fallback_flushes': 0,
                                     'deletes_safe': 1300,
                                     'deletes_unsafe': 240,
-                                    'vertices_invalidated': 1064,
-                                    'repair_visits': 9537},
-                       'rank_counters': '2c9918e265261a246c081b276324f4e04d312c48',
-                       'store': {'probe_count': 35999,
-                                 'displacement_count': 124,
-                                 'resize_count': 2,
-                                 'low_degree_scans': 40940,
-                                 'promotions': 10},
-                       'edges': '0ef32c948d728b733a1345d4178b58c700aa26b0',
-                       'state': {'gen-bfs': 'c8e26dec54867d910f348c87909ca77867c9701e',
-                                 'gen-sssp': 'd010b472f1e16a7d9f4d955f1eeb8093e920480b',
-                                 'gen-cc': 'aa16e7d0857fe106a2aba42f58b9212fb8e09801',
-                                 'gen-st': '90fd1d43a52b71f8b97a76da31a4fb717dc4636d',
-                                 'gen-widest': '250ce97cb85d8a6b589d305532d4a8374aa63f81'},
+                                    'vertices_invalidated': 1075,
+                                    'repair_visits': 9631},
+                       'rank_counters': 'd010e9b19c706153036f9f17e5c38be01aaed4e9',
+                       'store': {'low_degree_scans': 41613, 'promotions': 10},
+                       'edges': '650637caa3dbc0a2a5df9773bcef13f864f406c0',
+                       'state': {'gen-bfs': '56334b6cbea180d6acdd0aefb7342645cf9cfc29',
+                                 'gen-sssp': 'afa454735ce8edf0e8b3ccce9515cb9e1e949c62',
+                                 'gen-cc': 'f46b6c93ad5577b53d3d1bc8e4f9f916f2b627f4',
+                                 'gen-st': 'be284f6671aea89e268532638c02a13a7d2c38f3',
+                                 'gen-widest': 'd6df0135426abe3d2a716994f3847cd9e82430dd'},
                        'collections': []},
- 'faults_off': {'clock': ['0x1.f1b9ec1f78ccep-9',
-                          '0x1.f0f3f382439cfp-9',
-                          '0x1.f151e75361317p-9',
-                          '0x1.f1828ebb19a79p-9',
-                          '0x1.f18e4d353d5a1p-9',
-                          '0x1.f17a2b3f494c9p-9',
-                          '0x1.f1249ae9fc130p-9',
-                          '0x1.f16e6cc5259a0p-9'],
-                'busy': ['0x1.5f478e340aef7p-9',
-                         '0x1.6b54e2b063bf2p-10',
-                         '0x1.9373e5aae9f62p-10',
-                         '0x1.502fc33c2a3a6p-10',
-                         '0x1.ca4101520f540p-10',
-                         '0x1.968512231803dp-10',
-                         '0x1.6b4ad1b569b87p-10',
-                         '0x1.ab3aabcd788edp-10'],
-                'loop': {'actions_executed': 41262,
-                         'messages_delivered': 33062,
+ 'faults_off': {'clock': ['0x1.eb80163ad543bp-9',
+                          '0x1.eaba1d9da013cp-9',
+                          '0x1.eb18116ebda84p-9',
+                          '0x1.eb48b8d6761e6p-9',
+                          '0x1.eb54775099d0ep-9',
+                          '0x1.eb40555aa5c36p-9',
+                          '0x1.eaeac5055889dp-9',
+                          '0x1.eb3496e08210dp-9'],
+                'busy': ['0x1.5bb029fed72e5p-9',
+                         '0x1.68af1602a0a3ap-10',
+                         '0x1.8eb1df0abcc5cp-10',
+                         '0x1.4d112acaaecd9p-10',
+                         '0x1.c75818c5c960dp-10',
+                         '0x1.9395739a2b611p-10',
+                         '0x1.6828de459af46p-10',
+                         '0x1.a610a06133c31p-10'],
+                'loop': {'actions_executed': 40547,
+                         'messages_delivered': 32347,
                          'messages_squashed': 0,
                          'batch_sends': 0,
                          'stall_time': '0x0.0p+0'},
                 'counters': {'source_events': 8192,
                              'edge_inserts': 12117,
                              'edge_deletes': 0,
-                             'visits': 49446,
-                             'messages_sent_local': 16430,
-                             'messages_sent_remote': 16631,
+                             'visits': 48731,
+                             'messages_sent_local': 16058,
+                             'messages_sent_remote': 16288,
                              'control_messages': 0,
-                             'busy_time': '0x1.b09a671ef2edcp-7',
+                             'busy_time': '0x1.ac9f2fdb8fc1ap-7',
                              'updates_squashed': 0,
                              'batch_sends': 0,
                              'bulk_chunks': 0,
@@ -875,37 +817,33 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                              'deletes_unsafe': 0,
                              'vertices_invalidated': 0,
                              'repair_visits': 0},
-                'rank_counters': '2a133495ae8abf87f5dbaadd338fd069082f950d',
-                'store': {'probe_count': 91669,
-                          'displacement_count': 9540,
-                          'resize_count': 411,
-                          'low_degree_scans': 12024,
-                          'promotions': 346},
-                'edges': 'c25943c204a5c301bc7e07a7bcd3b971f4f2df9a',
+                'rank_counters': '6acb45226505976c37c08b6423df7554f57e20f6',
+                'store': {'low_degree_scans': 12010, 'promotions': 346},
+                'edges': '65dee40fee6677ad110eec01868ade09ad325d5e',
                 'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
                           'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
                 'collections': []},
- 'squash_4_off': {'clock': ['0x1.fae7924aeffdbp-8',
-                            '0x1.fade580f8acc9p-8',
-                            '0x1.faebc408d82adp-8',
-                            '0x1.fae93fca19a98p-8'],
-                  'busy': ['0x1.79547fb41537cp-9',
-                           '0x1.b2d681817507ap-9',
-                           '0x1.30171f00762ffp-8',
-                           '0x1.8d5b9db58809ep-9'],
-                  'loop': {'actions_executed': 55358,
-                           'messages_delivered': 50543,
+ 'squash_4_off': {'clock': ['0x1.f5d27f9434169p-8',
+                            '0x1.f5c94558cee57p-8',
+                            '0x1.f5d6b1521c43bp-8',
+                            '0x1.f5d42d135dc26p-8'],
+                  'busy': ['0x1.78e7726a80998p-9',
+                           '0x1.b2fec56d5d22dp-9',
+                           '0x1.2d24257936395p-8',
+                           '0x1.8ca66c0ff3908p-9'],
+                  'loop': {'actions_executed': 55164,
+                           'messages_delivered': 50349,
                            'messages_squashed': 0,
                            'batch_sends': 0,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 4811,
                                'edge_inserts': 9622,
                                'edge_deletes': 0,
-                               'visits': 50543,
-                               'messages_sent_local': 50543,
+                               'visits': 50349,
+                               'messages_sent_local': 50349,
                                'messages_sent_remote': 0,
                                'control_messages': 0,
-                               'busy_time': '0x1.c66d373affaa4p-7',
+                               'busy_time': '0x1.c4b53bb68f6fep-7',
                                'updates_squashed': 0,
                                'batch_sends': 0,
                                'bulk_chunks': 0,
@@ -915,38 +853,34 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': '40136f0d36929fe74adb93dee9e42759c9e6ae78',
-                  'store': {'probe_count': 118827,
-                            'displacement_count': 18635,
-                            'resize_count': 80,
-                            'low_degree_scans': 336,
-                            'promotions': 12},
-                  'edges': '103c528a6b007ba5e5ca91f9103dd43e33b5e992',
+                  'rank_counters': '2d54468a064845cb60b9bf2ee42ca84964240786',
+                  'store': {'low_degree_scans': 336, 'promotions': 12},
+                  'edges': '3ab8bdd00a29b6339ea5fbc93a4e03ae1ceabb45',
                   'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
                   'collections': []},
- 'squash_4_on': {'clock': ['0x1.8e4ee2bc21aabp-8',
-                           '0x1.8e4176c2d44c3p-8',
-                           '0x1.8e4fb97bb6805p-8',
-                           '0x1.8e50903b4b568p-8'],
-                 'busy': ['0x1.703013c402191p-9',
-                          '0x1.ae03b3e9a724ep-9',
-                          '0x1.017e85411d2f6p-8',
-                          '0x1.8a207fd248360p-9'],
-                 'loop': {'actions_executed': 51254,
-                          'messages_delivered': 46439,
-                          'messages_squashed': 1670,
-                          'batch_sends': 21219,
+ 'squash_4_on': {'clock': ['0x1.8f56f58527144p-8',
+                           '0x1.8f49898bd9b5cp-8',
+                           '0x1.8f57cc44bbe9ep-8',
+                           '0x1.8f58a30450c01p-8'],
+                 'busy': ['0x1.714d4a35ae2e4p-9',
+                          '0x1.af3003d3ca43dp-9',
+                          '0x1.02249d6e3a9d7p-8',
+                          '0x1.8b73662929c4dp-9'],
+                 'loop': {'actions_executed': 51483,
+                          'messages_delivered': 46668,
+                          'messages_squashed': 1512,
+                          'batch_sends': 21334,
                           'stall_time': '0x0.0p+0'},
                  'counters': {'source_events': 4811,
                               'edge_inserts': 9622,
                               'edge_deletes': 0,
-                              'visits': 46439,
-                              'messages_sent_local': 46439,
+                              'visits': 46668,
+                              'messages_sent_local': 46668,
                               'messages_sent_remote': 0,
                               'control_messages': 0,
-                              'busy_time': '0x1.aad454808af4bp-7',
-                              'updates_squashed': 1670,
-                              'batch_sends': 21219,
+                              'busy_time': '0x1.ac0e7bc3c5dc7p-7',
+                              'updates_squashed': 1512,
+                              'batch_sends': 21334,
                               'bulk_chunks': 0,
                               'bulk_events': 0,
                               'fallback_flushes': 0,
@@ -954,60 +888,56 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                               'deletes_unsafe': 0,
                               'vertices_invalidated': 0,
                               'repair_visits': 0},
-                 'rank_counters': 'bb6be1e9c44faa71b12d182aa9274ab5c92b875e',
-                 'store': {'probe_count': 118107,
-                           'displacement_count': 18419,
-                           'resize_count': 80,
-                           'low_degree_scans': 336,
-                           'promotions': 12},
-                 'edges': '53a8b74d1421c8fbe8cf87afda2816c0d61a4b5c',
+                 'rank_counters': '4b01e580f2deaa3ad02541bd06f67caf4ddd0edf',
+                 'store': {'low_degree_scans': 336, 'promotions': 12},
+                 'edges': '660688cced4dadab3cc3ea9c462af12f512063ab',
                  'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
                  'collections': []},
- 'squash_16_off': {'clock': ['0x1.c6484e4d6afbfp-9',
-                             '0x1.c664d3bf2f64dp-9',
-                             '0x1.c6525f4865030p-9',
-                             '0x1.c576973612173p-9',
-                             '0x1.c4f20cf83614fp-9',
-                             '0x1.c560c7c0f4604p-9',
-                             '0x1.c6682ebd82b9cp-9',
-                             '0x1.c6a99d1cdbe80p-9',
-                             '0x1.c67fabb1ca212p-9',
-                             '0x1.c5b4aa9717ebap-9',
-                             '0x1.c646a0ce414dep-9',
-                             '0x1.c66b89bbd613fp-9',
-                             '0x1.c63e3d5270f2ep-9',
-                             '0x1.c6957b26e7dadp-9',
-                             '0x1.c5ef62f9ca688p-9',
-                             '0x1.c684b42f4724ep-9'],
-                   'busy': ['0x1.a91e71db0eaa9p-11',
-                            '0x1.fa54c554327a8p-11',
-                            '0x1.219ddf7977b63p-11',
-                            '0x1.df8388b61c7e2p-11',
-                            '0x1.e31436eea98b8p-11',
-                            '0x1.15592d98bf7c6p-11',
-                            '0x1.2ea52ef911b61p-10',
-                            '0x1.c52b17dbbec91p-11',
-                            '0x1.031a66b393404p-11',
-                            '0x1.1f3478ad90c22p-11',
-                            '0x1.11ffdcc491726p-9',
-                            '0x1.19ce075f6fce8p-11',
-                            '0x1.030644bd9f330p-11',
-                            '0x1.547fb41545ba7p-10',
-                            '0x1.3b1c35c0ac132p-10',
-                            '0x1.0dedff4c7bd8ap-11'],
-                   'loop': {'actions_executed': 53113,
-                            'messages_delivered': 48286,
+ 'squash_16_off': {'clock': ['0x1.cbd3a88920af6p-9',
+                             '0x1.cddf1b83ea0dap-9',
+                             '0x1.cdce548c49576p-9',
+                             '0x1.cdb37c99ae9f1p-9',
+                             '0x1.cd2ef25bd29afp-9',
+                             '0x1.ccf28c79f66e1p-9',
+                             '0x1.cd898b2e9cd83p-9',
+                             '0x1.cd756938a8c63p-9',
+                             '0x1.cd0bb6ed67832p-9',
+                             '0x1.cb48684e9dfd1p-9',
+                             '0x1.ccadc31c49ea8p-9',
+                             '0x1.cde5d18090bccp-9',
+                             '0x1.cbb723175c479p-9',
+                             '0x1.ce0fc2eba2840p-9',
+                             '0x1.cb6848beb5bd3p-9',
+                             '0x1.cdfd4e74d821ep-9'],
+                   'busy': ['0x1.b23dd54da4c8cp-11',
+                            '0x1.00093a3b65298p-10',
+                            '0x1.2cdcd7dccb406p-11',
+                            '0x1.f5316fe49465dp-11',
+                            '0x1.efa2baaa8b4cfp-11',
+                            '0x1.206fe2102aebdp-11',
+                            '0x1.3561e19c67904p-10',
+                            '0x1.cec347120d385p-11',
+                            '0x1.0d3f83a38e0dep-11',
+                            '0x1.28b885edeb238p-11',
+                            '0x1.15633e93b968bp-9',
+                            '0x1.27476ca61b820p-11',
+                            '0x1.0bb3926923af6p-11',
+                            '0x1.629a290b91d19p-10',
+                            '0x1.4d5afca5d84bcp-10',
+                            '0x1.16c390e3e86fap-11'],
+                   'loop': {'actions_executed': 55395,
+                            'messages_delivered': 50568,
                             'messages_squashed': 0,
                             'batch_sends': 0,
                             'stall_time': '0x0.0p+0'},
                    'counters': {'source_events': 4811,
                                 'edge_inserts': 9622,
                                 'edge_deletes': 0,
-                                'visits': 48286,
-                                'messages_sent_local': 12268,
-                                'messages_sent_remote': 36018,
+                                'visits': 50568,
+                                'messages_sent_local': 12810,
+                                'messages_sent_remote': 37758,
                                 'control_messages': 0,
-                                'busy_time': '0x1.c73bfeb3cf8d7p-7',
+                                'busy_time': '0x1.d532617c1bc04p-7',
                                 'updates_squashed': 0,
                                 'batch_sends': 0,
                                 'bulk_chunks': 0,
@@ -1017,62 +947,58 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                 'deletes_unsafe': 0,
                                 'vertices_invalidated': 0,
                                 'repair_visits': 0},
-                   'rank_counters': 'c0bcc1623409aab5dce0feeca4447b32ab01eda1',
-                   'store': {'probe_count': 109878,
-                             'displacement_count': 16516,
-                             'resize_count': 108,
-                             'low_degree_scans': 336,
-                             'promotions': 12},
-                   'edges': '319a079919ed72c021a367f97f2c70ea4a160cc5',
+                   'rank_counters': 'a718fbd799bf57231bbb9334b8b5ee4e844fe306',
+                   'store': {'low_degree_scans': 336, 'promotions': 12},
+                   'edges': '13fb71389a179f24e8e7cd982d3f263195a3839f',
                    'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
                    'collections': []},
- 'squash_16_on': {'clock': ['0x1.f488529f5ea58p-10',
-                            '0x1.f43b25c5e1c6fp-10',
-                            '0x1.f2a1c8922a09fp-10',
-                            '0x1.f297b79730036p-10',
-                            '0x1.f06400b07e899p-10',
-                            '0x1.eceacf6c38e0cp-10',
-                            '0x1.f4d2247a882c2p-10',
-                            '0x1.f5189b575e5b8p-10',
-                            '0x1.f4c4b8813acdep-10',
-                            '0x1.f39d711494b2bp-10',
-                            '0x1.f48bad9db1fcep-10',
-                            '0x1.f4346fc93b17ep-10',
-                            '0x1.f47e41a4649e8p-10',
-                            '0x1.f2803aa2e89e6p-10',
-                            '0x1.f3d9d6f670db1p-10',
-                            '0x1.f27629a7ee97ap-10'],
-                  'busy': ['0x1.8f81e8a2ec269p-11',
-                           '0x1.bfe6347cdf407p-11',
-                           '0x1.12556d19dececp-11',
-                           '0x1.be46214c80e0fp-11',
-                           '0x1.b98775aaa6f9ep-11',
-                           '0x1.0498ebf4b0435p-11',
-                           '0x1.bc9f581f7bb58p-11',
-                           '0x1.a5b6078e69aedp-11',
+ 'squash_16_on': {'clock': ['0x1.f5793e5a5835bp-10',
+                            '0x1.f52c1180db572p-10',
+                            '0x1.f392b44d239a2p-10',
+                            '0x1.f388a35229939p-10',
+                            '0x1.f154ec6b7819cp-10',
+                            '0x1.eddbbb273270fp-10',
+                            '0x1.f5c3103581bc5p-10',
+                            '0x1.f609871257ebbp-10',
+                            '0x1.f5b5a43c345e1p-10',
+                            '0x1.f48e5ccf8e42ep-10',
+                            '0x1.f57c9958ab8d1p-10',
+                            '0x1.f5255b8434a81p-10',
+                            '0x1.f56f2d5f5e2ebp-10',
+                            '0x1.f371265de22e9p-10',
+                            '0x1.f4cac2b16a6b4p-10',
+                            '0x1.f3671562e827dp-10'],
+                  'busy': ['0x1.90d173fb7a5d0p-11',
+                           '0x1.c0a21c1f1a694p-11',
+                           '0x1.12a5f4f1af04cp-11',
+                           '0x1.bf162ae4b0173p-11',
+                           '0x1.baddb6ffdbdf9p-11',
+                           '0x1.0539fba450af7p-11',
+                           '0x1.bf4bdac9e5805p-11',
+                           '0x1.a777a8ae09878p-11',
                            '0x1.e3c2b29797664p-12',
-                           '0x1.0eb752e80461cp-11',
-                           '0x1.545770295d981p-10',
-                           '0x1.0bc7b45f17bf2p-11',
-                           '0x1.e29b6b2af14a8p-12',
-                           '0x1.1b1a37b9aaa48p-10',
-                           '0x1.c49774256bbcdp-11',
-                           '0x1.f9419fdd807efp-12'],
-                  'loop': {'actions_executed': 41948,
-                           'messages_delivered': 37121,
-                           'messages_squashed': 3562,
-                           'batch_sends': 17253,
+                           '0x1.0edf96d3ec7cbp-11',
+                           '0x1.54bf74f575333p-10',
+                           '0x1.0b98ba7688f4fp-11',
+                           '0x1.e33c7ada91b69p-12',
+                           '0x1.1b782b8ac8391p-10',
+                           '0x1.c5cc278b5f36bp-11',
+                           '0x1.fa83bf3cc1574p-12'],
+                  'loop': {'actions_executed': 42053,
+                           'messages_delivered': 37226,
+                           'messages_squashed': 3634,
+                           'batch_sends': 17326,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 4811,
                                'edge_inserts': 9622,
                                'edge_deletes': 0,
-                               'visits': 37121,
-                               'messages_sent_local': 9382,
-                               'messages_sent_remote': 27739,
+                               'visits': 37226,
+                               'messages_sent_local': 9395,
+                               'messages_sent_remote': 27831,
                                'control_messages': 0,
-                               'busy_time': '0x1.7de4316d604a6p-7',
-                               'updates_squashed': 3562,
-                               'batch_sends': 17253,
+                               'busy_time': '0x1.7eb80163ad434p-7',
+                               'updates_squashed': 3634,
+                               'batch_sends': 17326,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -1080,13 +1006,9 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': '830ffff5f9b9cdad8859b705d991b1af7896af48',
-                  'store': {'probe_count': 106520,
-                            'displacement_count': 16587,
-                            'resize_count': 108,
-                            'low_degree_scans': 336,
-                            'promotions': 12},
-                  'edges': 'df36c43c1cd9c5510a4692560d4a348af9baac0e',
+                  'rank_counters': '857638b46011624632527782a766881cff739403',
+                  'store': {'low_degree_scans': 336, 'promotions': 12},
+                  'edges': '49c1f982f690f4c2109902c559b522d7d407735f',
                   'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
                   'collections': []},
  'obs_cc': {'clock': ['0x1.330ecb1ef7db4p-7',
@@ -1120,22 +1042,18 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                          'vertices_invalidated': 0,
                          'repair_visits': 0},
             'rank_counters': 'd663a605a349386627b9fac313d16f1f1c1d005b',
-            'store': {'probe_count': 153070,
-                      'displacement_count': 13502,
-                      'resize_count': 150,
-                      'low_degree_scans': 88020,
-                      'promotions': 2256},
-            'edges': '366cc8c98ace5f961359da8bb3860debbd2907ef',
+            'store': {'low_degree_scans': 88020, 'promotions': 2256},
+            'edges': 'df155571a37dfe96adc7176ec206bbd60149f1f3',
             'state': {'cc': '7c15c69f16f5e1e582e9134e0aedc6344e9201bb'},
             'collections': []},
  'checkpointed': {'clock': ['0x1.717df19d66a2ep-11',
                             '0x1.72a5390a0cbe7p-11',
                             '0x1.71773ba0bff3bp-11',
                             '0x1.6e4481395078cp-11'],
-                  'busy': ['0x1.89ec7d6c3c66ep-11',
-                           '0x1.afd46e81bddb7p-11',
-                           '0x1.29ed3953de98ep-10',
-                           '0x1.10f875c8032e1p-11'],
+                  'busy': ['0x1.8a3d05440c9cep-11',
+                           '0x1.af98089fe1b2ep-11',
+                           '0x1.2a0b6c44ccad3p-10',
+                           '0x1.1134dba9df56ap-11'],
                   'loop': {'actions_executed': 3782,
                            'messages_delivered': 2754,
                            'messages_squashed': 1,
@@ -1144,13 +1062,13 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                   'counters': {'source_events': 2048,
                                'edge_inserts': 2632,
                                'edge_deletes': 0,
-                               'visits': 11372,
-                               'messages_sent_local': 7275,
+                               'visits': 11383,
+                               'messages_sent_local': 7286,
                                'messages_sent_remote': 0,
                                'control_messages': 0,
-                               'busy_time': '0x1.a7a4f5176ea88p-9',
-                               'updates_squashed': 323,
-                               'batch_sends': 999,
+                               'busy_time': '0x1.a7c83085d9c02p-9',
+                               'updates_squashed': 344,
+                               'batch_sends': 1005,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -1158,13 +1076,9 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5a6db4b95aafdp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': 'a442b00159ffdbfebf53339aa2dd9db0d27eea6f',
-                  'store': {'probe_count': 19428,  # parent 25078: 5650 second index lookups gone
-                            'displacement_count': 1178,
-                            'resize_count': 101,
-                            'low_degree_scans': 3376,
-                            'promotions': 95},
-                  'edges': 'c374e3b15175a3f80c5ac3ac16d49081131d327e',
+                  'rank_counters': 'afebe44a7d5770542b9fbd68dd278ec63b65054d',
+                  'store': {'low_degree_scans': 3376, 'promotions': 95},
+                  'edges': '7a660160ea55bba7abd6027aa462f418d9c1dbed',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []}}

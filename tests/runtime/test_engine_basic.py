@@ -52,12 +52,13 @@ class TestConstruction:
         # Every input edge is undirected; no setting picks another model.
         assert [f.name for f in fields(EngineConfig)] == [
             "n_ranks",
-            "vertex_index",
             "partition_salt",
             "coalesce_updates",
         ]
         with pytest.raises(TypeError):
             EngineConfig(undirected=False)
+        with pytest.raises(TypeError):
+            EngineConfig(vertex_index="dict")  # one store index, no switch
         with pytest.raises(TypeError):
             ReferenceEngine([IncrementalBFS()], undirected=False)
 

@@ -11,7 +11,8 @@ probe sequence) then took them to 72.7 and 577.9, counted warm (a cold
 first leg reads 73.1 and 597.4; see ``_calls_per_event``).  Churn's
 offer path (one probe and two compares per offer, no echo of an adopted
 value to its sender) then took churn to 389.4 on 24.5 visits per event.
-The ceilings keep ~16% headroom above the counts: room for the spread
+The store's hash tables becoming ``dict`` objects (no Robin Hood probe
+loop in Python) then took them to 59.0 and 337.0.  The ceilings keep ~16% headroom above the counts: room for the spread
 across CPython 3.10-3.13 (3.12 inlines comprehensions, which only
 lowers the count) and for a small honest addition — not for a per-visit
 helper chain coming back.  ``python tests/runtime/test_hot_path_budget.py``
@@ -68,11 +69,11 @@ def _assert_within(leg: str, ceiling: float) -> None:
 
 
 def test_add_only_visit_budget():
-    _assert_within("bfs_cc", 85)
+    _assert_within("bfs_cc", 70)
 
 
 def test_churn_visit_budget():
-    _assert_within("churn", 455)
+    _assert_within("churn", 395)
 
 
 def test_a_count_does_not_depend_on_what_ran_before():

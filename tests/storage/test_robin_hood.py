@@ -123,14 +123,20 @@ class TestGrowthAndInvariants:
         assert m.mean_probe_distance().hex() == "0x1.8fa15f78d1880p-1"
 
     def test_home_slot_is_fibonacci_of_mix64(self):
-        # _home mixes afresh; the probe loops read the same home from
-        # the memo (tests/storage/test_hash_memo.py).
         for capacity in (8, 64, 4096):
             m = RobinHoodMap(initial_capacity=capacity)
             bits = capacity.bit_length() - 1
             for key in (0, 1, -1, 12345, -(2**62), 2**62, 2**63 - 1):
                 assert m._home(key) == fibonacci_hash(mix64(key), bits)
-                assert m._hashes[key] >> m._shift == m._home(key)
+
+    def test_resizes_happen_where_the_float_test_put_them(self):
+        """``size >= int(lf * capacity)`` is ``size + 1 > lf * capacity``."""
+        for lf in (0.1, 0.5, 0.75, 0.85, 0.9, 0.97):
+            m = RobinHoodMap(max_load_factor=lf)
+            for key in range(3000):
+                cap = m.capacity
+                m.put(key, key)
+                assert (m.capacity != cap) == (key + 1 > lf * cap), (lf, key)
 
     def test_load_factor_respected(self):
         m = RobinHoodMap(initial_capacity=8, max_load_factor=0.5)
