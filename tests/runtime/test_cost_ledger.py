@@ -52,11 +52,15 @@ from repro import (
     GenerationalWidest,
     IncrementalBFS,
     IncrementalCC,
+    IncrementalSSSP,
+    MultiSTConnectivity,
+    WidestPath,
     split_streams,
 )
 from repro.comm.costmodel import CostModel
 from repro.generators import rmat_edges
 from repro.generators.churn import churn_events, flash_crowd_events, split_churn_streams
+from repro.generators.weights import pairwise_weights
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.plugins import FaultInjectionPlugin, MetricsPlugin, TracerPlugin
 
@@ -130,6 +134,27 @@ def _bfs_cc(
     engine.run(max_actions=max_actions)
     while not engine.loop.quiescent():
         engine.run(max_actions=max_actions)
+    return engine
+
+
+def _weighted_families() -> DynamicEngine:
+    """The add-only SSSP, widest and S-T programs (two sources) on the
+    scale-8 input with pair-deterministic weights."""
+    src, dst, source = _rmat(8)
+    st = MultiSTConnectivity()
+    engine = DynamicEngine(
+        [IncrementalSSSP(), WidestPath(), st], EngineConfig(n_ranks=4)
+    )
+    engine.init_program("sssp", source)
+    engine.init_program("widest", source)
+    engine.init_program("st", source, payload=st.register_source(source))
+    engine.init_program("st", int(dst[0]), payload=st.register_source(int(dst[0])))
+    engine.attach_streams(
+        split_streams(
+            src, dst, 4, weights=pairwise_weights(src, dst), rng=np.random.default_rng(6)
+        )
+    )
+    engine.run()
     return engine
 
 
@@ -314,6 +339,7 @@ LEGS = {
     "two_per_node": lambda: _bfs_cc(8, cost=CostModel(ranks_per_node=2)),
     "flow_control": lambda: _bfs_cc(8, cost=CostModel(channel_capacity=16)),
     "whole_scale8": lambda: _bfs_cc(8),
+    "weighted_families": _weighted_families,
     "churn_bench_16x64": lambda: _churn_steady(16, 64),
     "churn_bench_128x512": lambda: _churn_steady(128, 512),
     "churn_bench_1024x4096": lambda: _churn_steady(1024, 4096),
@@ -623,6 +649,43 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
+ 'weighted_families': {'clock': ['0x1.1addd1d7ce4ddp-9',
+                                 '0x1.1ac14c6609e54p-9',
+                                 '0x1.1aee98cf6f03cp-9',
+                                 '0x1.1b1381bd03c74p-9'],
+                       'busy': ['0x1.250649c61ca36p-10',
+                                '0x1.373affb04ecadp-10',
+                                '0x1.879a93949c8ffp-10',
+                                '0x1.a24d9d41c4cd4p-11'],
+                       'loop': {'actions_executed': 22244,
+                                'messages_delivered': 20192,
+                                'messages_squashed': 2189,
+                                'batch_sends': 2800,
+                                'stall_time': '0x0.0p+0'},
+                       'counters': {'source_events': 2048,
+                                    'edge_inserts': 2632,
+                                    'edge_deletes': 0,
+                                    'visits': 28384,
+                                    'messages_sent_local': 20188,
+                                    'messages_sent_remote': 0,
+                                    'control_messages': 0,
+                                    'busy_time': '0x1.2d40aaeafa994p-8',
+                                    'updates_squashed': 2189,
+                                    'batch_sends': 2800,
+                                    'bulk_chunks': 0,
+                                    'bulk_events': 0,
+                                    'fallback_flushes': 0,
+                                    'deletes_safe': 0,
+                                    'deletes_unsafe': 0,
+                                    'vertices_invalidated': 0,
+                                    'repair_visits': 0},
+                       'rank_counters': 'c24221c6f02fd56431b3e820d8cc60a33300ea9e',
+                       'store': {'low_degree_scans': 3480, 'promotions': 95},
+                       'edges': '6caa6adc7a04b2d9063530c4b8d883bb811cb8b0',
+                       'state': {'sssp': 'dab07e419d327e0e96ef62fbd0466de832431be3',
+                                 'widest': '93df935b27f47c5f8a64c8805828cdf732fabe0e',
+                                 'st': '5c0d6ffaece75a7c2eb1c368ad187decc4b01e2f'},
+                       'collections': []},
  'churn_bench_16x64': {'clock': ['0x1.649ee609b4ab5p-12',
                                  '0x1.67ec7863bee24p-12',
                                  '0x1.68222848f45b7p-12',
