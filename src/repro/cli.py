@@ -508,6 +508,14 @@ def _load_stream(args: argparse.Namespace, chat, rng):
                 "streams — drive deletes through the library API "
                 "(ArrayEventStream(kinds=...), repro.generators.churn)"
             )
+        negative = np.flatnonzero(weights < 0)
+        if negative.size:
+            row = int(negative[0]) + 1
+            _input_error(
+                f"{args.input}: event {row} has weight {int(weights[row - 1])}; "
+                "weights must be >= 0 (an undirected negative edge is a "
+                "negative cycle)"
+            )
         if len(src) == 0:
             _input_error(f"{args.input}: no events")
         label = args.input

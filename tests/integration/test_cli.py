@@ -1,9 +1,15 @@
 """Tests for the repro CLI (python -m repro)."""
 
 import json
+import os
 import pickle
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.analytics.verify import FAMILIES
 from repro.cli import ALGOS, _algo, build_parser, main
@@ -254,6 +260,7 @@ class TestInputBoundary:
         "delete line": ("1 2\n2 3\n3 4\nd 2 3\n", "event 4 is a delete"),
         "bad field": ("1 2\n2 x\n", ":2: non-integer field"),
         "no events": ("# nothing here\n\n", "no events"),
+        "negative weight": ("0 1 -3\n1 2 1\n", "event 1 has weight -3"),
         "missing file": (None, "No such file"),
     }
 
@@ -270,6 +277,31 @@ class TestInputBoundary:
         err = capsys.readouterr().err.strip()
         assert "Traceback" not in err and len(err.splitlines()) == 1
         assert expect in err and str(path) in err
+
+    @pytest.mark.parametrize("algo", ALGOS)
+    def test_negative_weight_stops_every_algo_before_the_engine(self, algo, tmp_path):
+        """An undirected negative edge is a negative cycle: SSSP's costs
+        would fall forever.  A subprocess, so a run that never quiesces
+        fails on the timeout instead of hanging the suite."""
+        path = tmp_path / "events.txt"
+        path.write_text("0 1 -3\n1 2 1\n")
+        argv = ["run", "--input", str(path), "--algo", algo, "--verify"]
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )  # fmt: skip
+        assert done.returncode == 2 and not done.stdout
+        assert done.stderr.strip().splitlines() == [
+            f"repro: error: --input: {path}: event 1 has weight -3; weights must "
+            "be >= 0 (an undirected negative edge is a negative cycle)"
+        ]
+
+    def test_zero_weight_stays_legal(self, tmp_path, capsys):
+        path = tmp_path / "events.txt"
+        path.write_text("0 1 0\n1 2 1\n")
+        assert main(["run", "--input", str(path), "--algo", "sssp", "--verify"]) == 0
+        assert "verify: OK" in capsys.readouterr().out
 
     def test_delete_in_npz_is_rejected_too(self, tmp_path, capsys):
         from repro.events.io import write_edge_npz
