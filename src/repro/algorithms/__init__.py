@@ -1,26 +1,28 @@
 """Incremental (REMO) vertex programs — §IV of the paper.
 
-Four REMO algorithms, each a direct transcription of the paper's
-pseudocode on top of the Alg.-3 programming model:
-
-* :class:`~repro.algorithms.bfs.IncrementalBFS` (Alg. 4)
-* :class:`~repro.algorithms.sssp.IncrementalSSSP` (Alg. 5)
-* :class:`~repro.algorithms.cc.IncrementalCC` (Alg. 6)
-* :class:`~repro.algorithms.st_conn.MultiSTConnectivity` (Alg. 7)
-
-plus the degree-tracking example of §II-A
-(:class:`~repro.algorithms.degree.DegreeTracker`) and the decremental
-extension of §VI-B (:mod:`repro.algorithms.generations`), which handles
-edge deletes via state generations.
+One algebra row per family (:mod:`repro.algorithms.base`) — BFS (Alg.
+4), SSSP (Alg. 5), CC (Alg. 6), Multi S-T connectivity (Alg. 7) and
+widest path, a fifth REMO family — and two programs derived from each:
+the add-only one (:class:`IncrementalBFS`, :class:`IncrementalSSSP`,
+:class:`IncrementalCC`, :class:`MultiSTConnectivity`,
+:class:`WidestPath`) and its delete-capable twin of §VI-B
+(:mod:`repro.algorithms.generations`).  Beside them: the degree-tracking
+example of §II-A (:class:`~repro.algorithms.degree.DegreeTracker`) and
+the deterministic BFS tree (:class:`DeterministicBFS`).
 
 ``INF`` (2**62) is the shared "unreached" sentinel; 0 is the engine's
 "vertex never touched" default, as in the paper's pseudocode.
 """
 
-from repro.algorithms.base import INF
-from repro.algorithms.bfs import IncrementalBFS
+from repro.algorithms.base import (
+    INF,
+    IncrementalBFS,
+    IncrementalCC,
+    IncrementalSSSP,
+    MultiSTConnectivity,
+    WidestPath,
+)
 from repro.algorithms.bfs_parents import DeterministicBFS
-from repro.algorithms.cc import IncrementalCC
 from repro.algorithms.degree import DegreeTracker
 from repro.algorithms.generations import (
     GenerationalBFS,
@@ -29,9 +31,6 @@ from repro.algorithms.generations import (
     GenerationalST,
     GenerationalWidest,
 )
-from repro.algorithms.sssp import IncrementalSSSP
-from repro.algorithms.st_conn import MultiSTConnectivity
-from repro.algorithms.widest_path import WidestPath
 
 __all__ = [
     "INF",

@@ -12,16 +12,11 @@ edge that is nobody's support is a no-op (*safe*, O(1)), and a delete
 of a support edge invalidates exactly the subtree hanging off it and
 re-relaxes that subtree from its boundary.  One protocol,
 :class:`_SupportTree`, carries all five delete-capable programs; each
-states only its algebra:
-
-==========  ====================  =====================  ==================
-program     ``intrinsic``         offer (``extend``)     ``better``
-==========  ====================  =====================  ==================
-BFS / SSSP  ``INF`` (source: 1)   ``dist + 1 / weight``  smaller
-widest      0 (source: CAP_INF)   ``min(cap, weight)``   larger
-CC          own hash              the label              larger
-S-T         own source bits       the bitmap             has a missing bit
-==========  ====================  =====================  ==================
+takes its algebra from its family's row in :mod:`repro.algorithms.base`:
+``intrinsic`` is the first touch (0 where there is none), an offer is
+``extend``, ``better`` orders values, and ``by_right`` is the ``init()``
+grant.  Only S-T adds to it: its support is kept per bit, and a
+registered source holds its own bit by right.
 
 **State.**  Live: ``(generation, value, support)``.  ``support`` is the
 neighbour the value came from, or :data:`SELF` when the vertex holds it
@@ -127,9 +122,15 @@ from __future__ import annotations
 import operator
 from typing import Any
 
-from repro.algorithms.base import INF
-from repro.algorithms.cc import component_label
-from repro.algorithms.widest_path import CAP_INF
+from repro.algorithms.base import (
+    BFS,
+    CC,
+    SSSP,
+    ST,
+    WIDEST,
+    Family,
+    SourceRegistry,
+)
 from repro.runtime.program import VertexContext, VertexProgram
 
 SELF = -2  # support sentinel: the value is held by right
@@ -139,28 +140,16 @@ EPOCH0 = 0  # the generation every vertex is born into
 class _SupportTree(VertexProgram):
     """The support-tree delete protocol (module docstring, rules 1–9).
 
-    Subclasses state the algebra: :meth:`intrinsic`, :meth:`extend`,
-    :meth:`better` and — when support is not one neighbour —
-    :meth:`absorb` / :meth:`supported_by`; :meth:`by_right` if the
-    program takes ``init()``.
+    :func:`support_tree` binds a family row's algebra — :meth:`intrinsic`,
+    ``extend``, ``better``, :meth:`by_right`, ``show``; a program whose
+    support is not one neighbour overrides :meth:`absorb` /
+    :meth:`supported_by`.
     """
 
     snapshot_mode = "replay"
     supports_versioned_collection = False
 
     # -- the algebra -------------------------------------------------------
-    def intrinsic(self, vertex: int) -> tuple[Any, Any]:
-        """``(value, support)`` the vertex holds with no neighbour's help."""
-        raise NotImplementedError
-
-    def extend(self, value: Any, weight: int) -> Any:
-        """What ``value`` is worth on the far side of an edge."""
-        return value
-
-    def better(self, a: Any, b: Any) -> bool:
-        """Would a holder of ``b`` gain from being offered ``a``?"""
-        raise NotImplementedError
-
     def absorb(self, value: Any, support: Any, candidate: Any, nbr: int):
         """``(value, support)`` after taking ``candidate`` from ``nbr``,
         or None when it brings nothing."""
@@ -172,9 +161,6 @@ class _SupportTree(VertexProgram):
     def by_right(self, payload: Any) -> Any:
         """The candidate an ``init()`` visitor grants its vertex."""
         raise NotImplementedError(f"{self.name} takes no init()")
-
-    def show(self, value: Any) -> str:
-        return str(value)
 
     # -- callbacks ---------------------------------------------------------
     def _birth(self, ctx: VertexContext) -> tuple:
@@ -332,133 +318,66 @@ class _SupportTree(VertexProgram):
         return f"g{value[0]}:{self.show(value[1])}{frozen}"
 
 
-class _GenerationalDistance(_SupportTree):
-    """Distances: intrinsic ``INF``, the source holds 1 by right, an
-    offer is the sender's distance plus one hop (:meth:`extend`), smaller
-    is better, support is the parent."""
+def support_tree(row: Family) -> type[_SupportTree]:
+    """The support-tree protocol over ``row``'s algebra: the intrinsic
+    value is the first touch (0 where there is none), held by right."""
+    first, grant = row.first, row.grant
 
-    better = staticmethod(operator.lt)
+    def intrinsic(self, vertex: int) -> tuple[Any, Any]:
+        """``(value, support)`` the vertex holds with no neighbour's help."""
+        return (0 if first is None else first(vertex)), SELF
 
-    def intrinsic(self, vertex: int) -> tuple[int, int]:
-        return INF, SELF
-
-    def by_right(self, payload: Any) -> int:
-        return 1
-
-    def show(self, value: int) -> str:
-        return "inf" if value >= INF else str(value)
-
-
-class GenerationalBFS(_GenerationalDistance):
-    """BFS levels with edge-delete support: intrinsic ``INF`` (source
-    1), an offer is the sender's level + 1, the smaller level wins,
-    support is the BFS parent.  State ``(generation, level, parent)``."""
-
-    name = "gen-bfs"
-
-    def extend(self, value: int, weight: int) -> int:
-        return value + 1 if value < INF else INF
+    attrs = {
+        "name": f"gen-{row.name}",
+        "intrinsic": intrinsic,
+        "extend": staticmethod(row.crossing()),
+        "better": staticmethod(row.better),
+    }
+    if grant is not None:
+        attrs["by_right"] = staticmethod(grant)
+    if row.show is not None:
+        attrs["show"] = staticmethod(row.show)
+    return type(f"SupportTree[{row.name}]", (_SupportTree,), attrs)
 
 
-class GenerationalSSSP(_GenerationalDistance):
-    """Shortest-path costs with edge-delete support: intrinsic ``INF``
-    (source 1), an offer is the sender's cost + the edge weight, the
-    smaller cost wins, support is the last hop.  State
-    ``(generation, cost, parent)``."""
-
-    name = "gen-sssp"
-
-    def extend(self, value: int, weight: int) -> int:
-        return value + weight if value < INF else INF
+class GenerationalBFS(support_tree(BFS)):
+    """BFS levels with edge-delete support; support is the BFS parent.
+    State ``(generation, level, parent)``."""
 
 
-class GenerationalWidest(_SupportTree):
-    """Widest (bottleneck) path with edge-delete support: intrinsic 0
-    (unreached; the source holds ``CAP_INF`` by right), an offer is
-    ``min(sender's capacity, edge weight)``, the larger capacity wins,
-    support is the last hop.  State ``(generation, capacity, parent)``."""
-
-    name = "gen-widest"
-    extend = staticmethod(min)
-    better = staticmethod(operator.gt)
-
-    def intrinsic(self, vertex: int) -> tuple[int, int]:
-        return 0, SELF
-
-    def by_right(self, payload: Any) -> int:
-        return CAP_INF
-
-    def show(self, value: int) -> str:
-        return "source" if value >= CAP_INF else str(value) if value else "unreached"
+class GenerationalSSSP(support_tree(SSSP)):
+    """Shortest-path costs with edge-delete support; support is the last
+    hop.  State ``(generation, cost, parent)``."""
 
 
-class GenerationalCC(_SupportTree):
-    """Connected components with edge-delete support: intrinsic value is
-    the vertex's own hash, an offer is the sender's label unchanged, the
-    larger label wins, support is the neighbour the label came from — so
-    the supports form a spanning forest rooted at each component's
-    maximum-hash vertex, a non-forest delete is a no-op, and a forest
-    delete relabels only the subtree it cut off.  State
-    ``(generation, label, support)``; takes no ``init()``."""
-
-    name = "gen-cc"
-    better = staticmethod(operator.gt)
-
-    def intrinsic(self, vertex: int) -> tuple[int, int]:
-        return component_label(vertex), SELF
-
-    def show(self, value: int) -> str:
-        return f"comp:{value:016x}"
+class GenerationalWidest(support_tree(WIDEST)):
+    """Widest (bottleneck) path with edge-delete support; support is the
+    last hop.  State ``(generation, capacity, parent)``."""
 
 
-class GenerationalST(_SupportTree):
-    """Multi S-T connectivity with edge-delete support: intrinsic value
-    is the bits of the sources registered at the vertex itself, an offer
-    is the sender's bitmap unchanged, a bitmap is better when it holds a
-    bit the other lacks, and support is kept *per bit* (``{bit:
-    neighbour}``, ``SELF`` for an own bit) — losing the supporter of any
-    bit invalidates the vertex back to its intrinsic bits.  State
-    ``(generation, mask, supports)``.
+class GenerationalCC(support_tree(CC)):
+    """Connected components with edge-delete support: support is the
+    neighbour the label came from, so the supports form a spanning forest
+    rooted at each component's maximum-hash vertex, a non-forest delete
+    is a no-op, and a forest delete relabels only the subtree it cut off.
+    State ``(generation, label, support)``; takes no ``init()``."""
 
-    Source registration mirrors
-    :class:`~repro.algorithms.st_conn.MultiSTConnectivity`:
-    ``register_source`` assigns the bit, the returned index is the
-    ``init()`` payload.
-    """
 
-    name = "gen-st"
-
-    def __init__(self) -> None:
-        # Configuration (read-only during execution): source -> bit index.
-        self.source_bits: dict[int, int] = {}
-
-    # -- source registry (configuration, not per-vertex state) ----------
-    def register_source(self, vertex: int) -> int:
-        """Assign (or return) the bit index for a source vertex; the
-        returned value is the ``init()`` payload."""
-        if vertex not in self.source_bits:
-            self.source_bits[vertex] = len(self.source_bits)
-        return self.source_bits[vertex]
-
-    def bit_of(self, source_vertex: int) -> int:
-        return self.source_bits[source_vertex]
-
-    def is_connected(self, value: Any, source_vertex: int) -> bool:
-        """Does a stored value indicate connectivity to ``source_vertex``?"""
-        return bool(self.mask_of(value) >> self.source_bits[source_vertex] & 1)
+class GenerationalST(SourceRegistry, support_tree(ST)):
+    """Multi S-T connectivity with edge-delete support: the intrinsic
+    value is the bits of the sources registered at the vertex itself, and
+    support is kept *per bit* (``{bit: neighbour}``, ``SELF`` for an own
+    bit) — losing the supporter of any bit invalidates the vertex back to
+    its intrinsic bits.  State ``(generation, mask, supports)``."""
 
     @staticmethod
     def mask_of(value: Any) -> int:
         """Project a stored value to its plain reachability bitmap."""
         return 0 if value == 0 else value[1]
 
-    # -- the algebra -------------------------------------------------------
     def intrinsic(self, vertex: int) -> tuple[int, dict[int, int]]:
         bit = self.source_bits.get(vertex)
         return (0, {}) if bit is None else (1 << bit, {bit: SELF})
-
-    def better(self, a: int, b: int) -> bool:
-        return a & ~b != 0
 
     def absorb(self, value: int, support: dict[int, int], candidate: int, nbr: int):
         new = candidate & ~value
@@ -469,10 +388,3 @@ class GenerationalST(_SupportTree):
 
     def supported_by(self, support: dict[int, int], nbr: int) -> bool:
         return nbr in support.values()
-
-    def by_right(self, payload: Any) -> int:
-        return 1 << int(payload)
-
-    def show(self, value: int) -> str:
-        sources = [s for s, b in self.source_bits.items() if value >> b & 1]
-        return f"sources:{{{','.join(map(str, sources))}}}"

@@ -1,78 +1,20 @@
-"""Incremental Widest Path — a fifth REMO algorithm beyond the paper.
+"""Widest path — a fifth REMO family beyond the paper, and its oracle.
 
 The paper closes §V noting its event rates leave "significant room to
-add complexity to algorithms"; this program demonstrates that the REMO
-recipe (§II-B) extends beyond the four presented algorithms to any
-monotone semiring.  Widest path (a.k.a. bottleneck or max-min path):
-the value of a vertex is the best achievable *minimum edge weight*
-along any path from the source — the bandwidth of the widest route.
-
-REMO fit:
-
-* **Recursive update**: a vertex learning capacity ``c`` over an edge
-  of weight ``w`` offers its neighbours ``min(c, w)``.
-* **Monotone convergence**: under edge additions (and weight
-  *increases*), a vertex's capacity only ever grows, bounded above by
-  the maximum edge weight — a convex solution space mirroring S-T
-  connectivity's, with ``max`` as the merge.
-
-Value conventions: 0 = untouched (engine default); the source holds
-``CAP_INF`` (unbounded self-capacity); any other vertex holds its
-current best bottleneck capacity (0 also serves as "no path yet",
-which is safe because real capacities are >= 1).
+add complexity to algorithms"; the widest row of
+:mod:`repro.algorithms.base` shows the REMO recipe (§II-B) reaching any
+monotone semiring.  Widest (bottleneck, max-min) path: a vertex holds
+the best achievable *minimum edge weight* along any path from the
+source.  A vertex learning capacity ``c`` over an edge of weight ``w``
+offers ``min(c, w)``; under additions (and weight *increases*) a
+capacity only grows, bounded by the largest weight.  0 is both
+"untouched" and "no path yet" (real capacities are >= 1); the source
+holds ``CAP_INF``.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.runtime.program import VertexContext, VertexProgram
-
-CAP_INF = 1 << 62  # the source's own capacity (no bottleneck to itself)
-
-
-class WidestPath(VertexProgram):
-    """Maintains live bottleneck capacities from an ``init()`` source.
-
-    After quiescence, ``value_of(v)`` is the maximum over all
-    source->v paths of the minimum edge weight on the path (CAP_INF at
-    the source itself, 0 if unreachable).
-    """
-
-    name = "widest"
-    snapshot_mode = "merge"
-    # §II-D: queued capacities from the same sender squash to the wider
-    # one (capacities only grow; 0 = "no path yet" loses to any).
-    combine = merge = staticmethod(max)
-
-    def on_init(self, ctx: VertexContext, payload: Any) -> None:
-        ctx.set_value(CAP_INF)
-        ctx.update_nbrs(CAP_INF)
-
-    # on_add: nothing to do — 0 already means "no capacity yet".
-
-    def on_reverse_add(
-        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
-    ) -> None:
-        self.on_update(ctx, vis_id, vis_val, weight)
-
-    def on_update(self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int) -> None:
-        value = ctx.value
-        offered = min(vis_val, weight)  # capacity through this edge
-        if offered > value:
-            # Wider route found: adopt and recursively propagate.
-            ctx.set_value(offered)
-            ctx.update_nbrs(offered)
-        elif min(value, weight) > vis_val:
-            # We can widen the sender's route: notify back.
-            ctx.update_single_nbr(vis_id, value, weight)
-
-    def format_value(self, value: Any) -> str:
-        if value == 0:
-            return "unreached"
-        if value >= CAP_INF:
-            return "source"
-        return f"capacity {value}"
+from repro.algorithms.base import CAP_INF
 
 
 def static_widest_path(graph, source: int) -> dict[int, int]:

@@ -1,8 +1,9 @@
 """Array frontier kernels: vectorized REMO propagation to a fixpoint.
 
 §II-B makes every REMO algorithm a monotone merge; a family's array
-algebra is one :class:`FrontierKernel` row, declared on the program
-class beside the per-event ``on_update`` it mirrors.  The per-event
+algebra is one :class:`FrontierKernel` row, derived from the same
+family row (:mod:`repro.algorithms.base`) as the per-event
+``on_update`` it mirrors.  The per-event
 engine reaches the fixpoint by recursive visitor events (Alg. 3);
 :func:`relax_to_fixpoint` reaches the *same* fixpoint by repeated
 whole-frontier relaxation over the key-sorted edge runs of

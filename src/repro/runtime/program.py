@@ -152,8 +152,10 @@ class VertexProgram:
       two pending UPDATE payloads from the same sender to the same
       vertex may be squashed into one in the receiver's visitor queue;
       the hook must be the program's monotone merge over *update
-      payloads* (min for BFS/SSSP, max for CC, bitwise-or for S-T),
-      treating 0 as the "unset" identity where the program does.
+      payloads* (min for BFS/SSSP, max for CC and widest, bitwise-or
+      for S-T), treating 0 as the "unset" identity where the program
+      does; the REMO programs derive it from their family's row
+      (:meth:`repro.algorithms.base.Family.merge`).
       ``None`` (the default) disables coalescing for the program —
       mandatory for programs whose update payloads are commands or
       deltas rather than monotone values (degree counting, the
@@ -161,7 +163,8 @@ class VertexProgram:
     * ``bulk_kernel`` — optional array-native algebra: one
       :class:`repro.kernels.frontier.FrontierKernel` row from which both
       vectorized paths derive how they reach this program's REMO
-      fixpoint over a whole batch of inserts.  Only sound for monotone
+      fixpoint over a whole batch of inserts (BFS, SSSP and CC take it
+      from their family's row in :mod:`repro.algorithms.base`).  Only sound for monotone
       programs whose fixpoint is interleaving-independent (§II-B);
       ``None`` (the default) keeps the program — and so the whole
       engine — per-event whenever it is loaded.

@@ -8,6 +8,8 @@ programs and, through ``value_of``, their generational twins on a
 delete-carrying stream.  A program's ``bulk_kernel`` row is the
 family's algebra once more, over arrays: on its own it must reach the
 table's answer, and it must merge as the program's scalar ``merge``.
+Every add-only program is one derived callback over its family's row:
+its decisions must be the paper's listings, one line per family.
 """
 
 import numpy as np
@@ -32,6 +34,8 @@ from repro import (
     WidestPath,
 )
 from repro.algorithms import DeterministicBFS
+from repro.algorithms.base import CAP_INF
+from repro.algorithms.cc import component_label
 from repro.analytics import (
     csr_from_engine,
     static_answer,
@@ -197,18 +201,82 @@ def test_each_kernel_row_reaches_the_table_answer_on_its_own(kind):
 
 
 dense_value = st.one_of(st.integers(1, 60), st.just(INF))
+level = st.one_of(st.just(0), dense_value)
+# Per family, the values a vertex can hold (0 = unset) ...
+VALUES = {
+    "bfs": level,
+    "sssp": level,
+    "cc": st.one_of(st.just(0), st.integers(1, 2**64 - 1)),
+    "st": st.integers(0, 15),
+    "widest": st.one_of(st.just(0), st.integers(1, 60), st.just(CAP_INF)),
+}
+SHIFTED = ("bfs", "sssp", "widest")  # families whose ``extend`` moves a value
+# ... the first-touch value that replaces an unset one ...
+FIRST = {"bfs": lambda v: INF, "sssp": lambda v: INF, "cc": component_label}
+# ... and Algs. 4-7 as the paper writes them (widest: the same recipe):
+# what the visited vertex (value v) does with visitor value t over weight w.
+LISTINGS = {
+    "bfs": lambda v, t, w: ("adopt", t + 1) if v > t + 1 else ("notify", v) if v < t - 1 else None,  # noqa: E501
+    "sssp": lambda v, t, w: ("adopt", t + w) if v > t + w else ("notify", v) if v < t - w else None,  # noqa: E501
+    "cc": lambda v, t, w: ("adopt", t) if v < t else ("notify", v) if v > t else None,
+    "st": lambda v, t, w: None if v == t else ("notify", v) if v | t == v else ("adopt", v | t),  # noqa: E501
+    "widest": lambda v, t, w: ("adopt", min(t, w)) if min(t, w) > v else ("notify", v) if min(v, w) > t else None,  # noqa: E501
+}
 
 
-@pytest.mark.parametrize("kind", KERNEL_KINDS)
-@settings(max_examples=150, deadline=None)
-@given(a=dense_value, b=st.one_of(st.just(0), dense_value), c=dense_value)
-def test_each_kernel_row_merges_as_its_programs_scalar_merge(kind, a, b, c):
-    """The vector row and the scalar ``merge`` are two declarations (the
-    per-event hot path stays on Python ints) of one algebra: a dense
-    value ``a`` folds a dict value ``b`` (0 = unset) as ``merge`` does,
-    and a candidate ``c`` improves ``a`` exactly when ``merge`` moves it."""
+class FakeContext:
+    """Vertex 7's context, recording what a callback writes and sends."""
+
+    vertex = 7
+
+    def __init__(self, value):
+        self.value, self.sent = value, []
+
+    def set_value(self, value):
+        self.value = value
+
+    def update_nbrs(self, value, skip=None):
+        self.sent.append(("adopt", value, skip))
+
+    def update_single_nbr(self, nbr, value, weight=None):
+        self.sent.append(("notify", value, nbr))
+
+
+@pytest.mark.parametrize("kind", FAMILIES)
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_each_row_decides_as_the_papers_listing(kind, data):
+    """The one derived ``on_update`` (and ``on_reverse_add``, which ends
+    in it) takes Alg. 4-7's decision for every (value, theirs, weight),
+    0 and INF included: adopt and broadcast to every neighbour, notify
+    the sender back, or nothing.  A kernel row is the same algebra over
+    arrays: a dense value ``a`` folds a dict value ``b`` (0 = unset) as
+    the scalar ``merge`` does, and a candidate ``c`` improves ``a``
+    exactly when ``merge`` moves it."""
     prog = PROGRAMS["add-only"][0][kind]()
+    value = data.draw(VALUES[kind])
+    # The listings' boundaries are a hop or a weight apart: draw there too.
+    near = st.integers(-3, 3).map(lambda d: min(max(value + d, 0), INF))
+    theirs = data.draw(VALUES[kind] | near if kind in SHIFTED else VALUES[kind])
+    weight = data.draw(st.integers(0, 60) | st.just(min(abs(theirs - value), 60)))
+    first = FIRST.get(kind)
+    v, t = (value, theirs) if first is None else (value or first(7), theirs or first(9))
+    expect = LISTINGS[kind](v, t, weight)
+    for callback in (prog.on_update, prog.on_reverse_add):
+        ctx = FakeContext(value)
+        callback(ctx, 9, theirs, weight)
+        if expect is None:
+            assert ctx.sent == [] and ctx.value == v
+        elif expect[0] == "adopt":
+            assert ctx.sent == [(*expect, None)] and ctx.value == expect[1]
+        else:
+            assert ctx.sent == [(*expect, 9)] and ctx.value == v
+
     k = prog.bulk_kernel
+    if k is None:
+        return
+    a, c = data.draw(dense_value), data.draw(dense_value)
+    b = data.draw(st.one_of(st.just(0), dense_value))
 
     def col(x):
         return np.array([x], dtype=k.dtype)
