@@ -151,9 +151,11 @@ def remo(row: Family) -> type[VertexProgram]:
     value)``; otherwise it notifies the sender back iff
     ``better(extend(value, w), theirs)``.  Alg. 7's "mix" case is the
     adopt branch: the union goes to every neighbour, the sender too.
-    The algebra is bound as closure locals and an unchanged crossing is
-    no call at all — the per-event path pays for comparisons, not for
-    the derivation.
+    An equal value is Alg. 7's first case, "do nothing", for every row:
+    with weights >= 0 no ``extend`` improves a value.  It is tested
+    first — over half of the updates of a BFS+CC ingest carry one — and
+    the algebra is bound as closure locals, an unchanged crossing making
+    no call at all.
     """
     better, extend, hop, first, grant, join = (
         row.better, row.extend, row.hop, row.first, row.grant, row.join
@@ -191,6 +193,8 @@ def remo(row: Family) -> type[VertexProgram]:
             ctx.set_value(value)
         if not vis_val and first:  # the sender was new when it emitted
             vis_val = first(vis_id)
+        if vis_val == value:
+            return
         w = hop or weight
         offered = extend(vis_val, w) if extend else vis_val
         if better(offered, value):
