@@ -5,15 +5,19 @@ Paper §II-B makes every REMO algorithm a monotone merge, and the Alg.
 similar to BFS, and unsurprisingly, uses almost identical code", §IV).
 A :class:`Family` row is that difference:
 
-=======  ===============  ===================  ==========  ==========  =====
-family   ``better(a, b)``  ``extend(v, w)``     first touch ``init()``  join
-=======  ===============  ===================  ==========  ==========  =====
-BFS      ``a < b``        ``v + 1``            ``INF``     1
-SSSP     ``a < b``        ``v + w``            ``INF``     1
-CC       ``a > b``        (unchanged)          own hash
-widest   ``a > b``        ``min(v, w)``        (0)         ``CAP_INF``
-S-T      a bit b lacks    (unchanged)          (0)         own bit     union
-=======  ===============  ===================  ==========  ==========  =====
+======  ================  =================  ===========  ===========  =====
+family  ``better(a, b)``  ``extend(v, w)``   first touch  ``init()``   join
+======  ================  =================  ===========  ===========  =====
+BFS     ``a < b``         ``v + 1``          ``INF``      1
+SSSP    ``a < b``         ``v + w``          ``INF``      1
+CC      ``a > b``         (unchanged)        own hash
+widest  ``a > b``         ``min(v, w)``      (0)          ``CAP_INF``
+S-T     a has a bit b     (unchanged)        (0)          its bit      union
+        lacks
+======  ================  =================  ===========  ===========  =====
+
+BFS is SSSP over one-hop edges: its ``extend`` is SSSP's ``+`` with
+``hop=1`` standing in for the stored weight.
 
 Everything else derives from the row: the add-only program
 (:func:`remo`, all of Algs. 4-7 in one ``on_update``), its ``combine`` /
@@ -43,7 +47,7 @@ INF = 1 << 62
 CAP_INF = 1 << 62  # the widest source's own capacity (no bottleneck to itself)
 
 
-def unchanged(value: Any, weight: int) -> Any:
+def _unchanged(value: Any, weight: int) -> Any:
     """A value that crosses an edge unchanged (over ints or arrays)."""
     return value
 
@@ -93,7 +97,7 @@ class Family:
 
     def crossing(self) -> Callable[[Any, int], Any]:
         """``extend`` as a function of ``(value, weight)``, ``hop`` applied."""
-        extend, hop = self.extend or unchanged, self.hop
+        extend, hop = self.extend or _unchanged, self.hop
         return extend if hop is None else lambda value, weight: extend(value, hop)
 
     def merge(self) -> Callable[[Any, Any], Any]:
@@ -177,18 +181,13 @@ def remo(row: Family) -> type[VertexProgram]:
         if not ctx.value:  # a new vertex
             ctx.set_value(first(ctx.vertex))
 
-    def on_reverse_add(
-        self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
-    ) -> None:
-        if first and not ctx.value:
-            ctx.set_value(first(ctx.vertex))
-        on_update(self, ctx, vis_id, vis_val, weight)
-
+    # Also the reverse side of an add: "the rest of the logic is the same
+    # as the update step" (Algs. 4-7), after the same first touch.
     def on_update(
         self, ctx: VertexContext, vis_id: int, vis_val: Any, weight: int
     ) -> None:
         value = ctx.value
-        if not value and first:  # unreachable over an existing edge
+        if not value and first:  # a new vertex
             value = first(ctx.vertex)
             ctx.set_value(value)
         if not vis_val and first:  # the sender was new when it emitted
@@ -216,7 +215,7 @@ def remo(row: Family) -> type[VertexProgram]:
         "combine": merge,
         "merge": merge,
         "bulk_kernel": row.kernel,
-        "on_reverse_add": on_reverse_add,
+        "on_reverse_add": on_update,
         "on_update": on_update,
         "format_value": format_value,
     }

@@ -13,9 +13,10 @@ offer path (one probe and two compares per offer, no echo of an adopted
 value to its sender) then took churn to 389.4 on 24.5 visits per event.
 The store's hash tables becoming ``dict`` objects (no Robin Hood probe
 loop in Python) then took them to 59.0 and 337.0.  Deriving all ten REMO
-programs from one algebra row per family then read 59.1 and 333.4 (the
-add-only update compares through ``operator.lt``/``gt``, C calls that
-are not counted).  The ceilings keep ~16% headroom above the counts: room for the spread
+programs from one algebra row per family then read 55.1 and 333.4 (the
+reverse side of an add is the update callback itself, not a frame that
+calls it; the derived update compares through ``operator.lt``/``gt``,
+C calls that are not counted).  The ceilings keep ~16% headroom above the counts: room for the spread
 across CPython 3.10-3.13 (3.12 inlines comprehensions, which only
 lowers the count) and for a small honest addition — not for a per-visit
 helper chain coming back.  ``python tests/runtime/test_hot_path_budget.py``
