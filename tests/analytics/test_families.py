@@ -246,8 +246,8 @@ class FakeContext:
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_each_row_decides_as_the_papers_listing(kind, data):
-    """The one derived ``on_update`` (and ``on_reverse_add``, which ends
-    in it) takes Alg. 4-7's decision for every (value, theirs, weight),
+    """The one derived ``on_update`` (also bound as ``on_reverse_add``)
+    takes Alg. 4-7's decision for every (value, theirs, weight),
     0 and INF included: adopt and broadcast to every neighbour, notify
     the sender back, or nothing.  A kernel row is the same algebra over
     arrays: a dense value ``a`` folds a dict value ``b`` (0 = unset) as
