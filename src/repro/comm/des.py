@@ -57,7 +57,7 @@ and sends with :meth:`DiscreteEventLoop.send`.
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable
 
 from repro.comm.costmodel import CostModel
@@ -66,21 +66,20 @@ from repro.util.validate import check_positive
 _INF = float("inf")
 
 
-class _PendingCoalescible:
-    """A queued data message open for in-place payload combining.
+class _PendingCoalescible(list):
+    """A queued data message open for in-place payload combining:
+    ``[msg, key]``.
 
     The heap entry references this holder instead of the raw message; a
-    later same-key send rewrites ``msg`` without touching the heap, so
-    no entry ever moves and the conservative schedule is unchanged.
-    The window closes when the receiver dequeues the message — exactly
-    the lifetime of an arrived-but-unprocessed visitor in a real queue.
+    later same-key send rewrites ``msg`` (item 0) without touching the
+    heap, so no entry ever moves and the conservative schedule is
+    unchanged.  The window closes when the receiver dequeues the message
+    — exactly the lifetime of an arrived-but-unprocessed visitor in a
+    real queue.  A ``list`` subclass without slots of its own is built
+    in C, with no Python ``__init__`` frame per coalescible send.
     """
 
-    __slots__ = ("msg", "key")
-
-    def __init__(self, msg: Any, key: Any):
-        self.msg = msg
-        self.key = key
+    __slots__ = ()
 
 
 class RankHandler:
@@ -120,7 +119,12 @@ class DiscreteEventLoop:
         self._inbox_prio: list[list[tuple[float, int, Any]]] = [
             [] for _ in range(self.n_ranks)
         ]
-        self._channel_last: dict[tuple[int, int, bool], float] = {}
+        # _channel_last[src][lane]: receiver -> the channel's last
+        # arrival (lane 0 data, 1 control), so no key tuple is built
+        # and hashed per message.
+        self._channel_last: list[tuple[dict[int, float], dict[int, float]]] = [
+            ({}, {}) for _ in range(self.n_ranks)
+        ]
         # Per-receiver index of coalescible pending data messages:
         # coalesce_key -> the live _PendingCoalescible holder.
         self._coalesce: list[dict[Any, _PendingCoalescible]] = [
@@ -187,8 +191,9 @@ class DiscreteEventLoop:
             if earliest > t:
                 t = earliest
         self._scheduled[rank] = t
-        self._seq += 1
-        heapq.heappush(self._actions, (t, self._seq, rank))
+        seq = self._seq + 1
+        self._seq = seq
+        heappush(self._actions, (t, seq, rank))
 
     def send(
         self,
@@ -290,7 +295,7 @@ class DiscreteEventLoop:
         entry = self._coalesce[dst_rank].get(key)
         if entry is None:
             return False
-        entry.msg = combiner(entry.msg, msg)
+        entry[0] = combiner(entry[0], msg)
         self.messages_squashed += 1
         self.clock[src_rank] += self.cost.squash_cpu
         return True
@@ -342,18 +347,19 @@ class DiscreteEventLoop:
             if node_of[src_rank] == node_of[dst_rank]
             else self._remote_latency
         )
-        key = (src_rank, dst_rank, priority)
-        last = self._channel_last.get(key, 0.0)
+        channel = self._channel_last[src_rank][priority]
+        last = channel.get(dst_rank, 0.0)
         if last > arrival:
             arrival = last  # FIFO: never overtake the channel's previous arrival
-        self._channel_last[key] = arrival
+        channel[dst_rank] = arrival
         queue = self._inbox_prio[dst_rank] if priority else self._inbox[dst_rank]
         if coalesce_key is not None and not priority:
             # The queue holds the open holder, not the raw message.
-            msg = _PendingCoalescible(msg, coalesce_key)
+            msg = _PendingCoalescible((msg, coalesce_key))
             self._coalesce[dst_rank][coalesce_key] = msg
-        self._seq += 1
-        heapq.heappush(queue, (arrival, self._seq, msg))
+        seq = self._seq + 1
+        self._seq = seq
+        heappush(queue, (arrival, seq, msg))
         self.in_flight += 1
         # A new arrival can move the receiver's next action earlier.
         cur = self._scheduled[dst_rank]
@@ -367,7 +373,7 @@ class DiscreteEventLoop:
         t = 15 s); the callback typically calls :meth:`send_at`.
         """
         self._seq += 1
-        heapq.heappush(self._alarms, (time, self._seq, callback))
+        heappush(self._alarms, (time, self._seq, callback))
 
     # ------------------------------------------------------------------
     # queue introspection (telemetry sampling; never mutates state)
@@ -420,61 +426,78 @@ class DiscreteEventLoop:
         """Execute actions in global time order until nothing remains.
 
         Returns the makespan (max rank clock).  ``max_virtual_time`` and
-        ``max_actions`` bound the run for tests/debugging.
+        ``max_actions`` bound the run for tests/debugging: at most
+        ``max_actions`` actions run (0 runs none), and a negative bound
+        is a ``ValueError``.
+
+        ``actions_executed`` and ``messages_delivered`` are counted in
+        locals and added when the call returns: they are read between
+        runs (the cost ledger, the benchmark, a checkpoint restore),
+        never by a handler or an alarm mid-run.
         """
+        if max_actions is None:
+            limit = _INF
+        elif max_actions < 0:
+            raise ValueError(f"max_actions must be >= 0, got {max_actions}")
+        else:
+            limit = max_actions
         actions, alarms = self._actions, self._alarms
         scheduled, clock = self._scheduled, self.clock
         inboxes, prios = self._inbox, self._inbox_prio
         source_active, handler = self._source_active, self.handler
-        heappop = heapq.heappop
+        coalesce = self._coalesce
         horizon = _INF if max_virtual_time is None else max_virtual_time
-        executed = 0
-        while actions or alarms:
-            # Fire any alarms due before the next rank action.
-            next_action_t = actions[0][0] if actions else _INF
-            while alarms and alarms[0][0] <= next_action_t:
-                _, _, cb = heappop(alarms)
-                cb()
-                next_action_t = actions[0][0] if actions else _INF
-            if not actions:
-                if alarms and self.quiescent():
-                    # Only alarms remain and the cluster is silent: fire
-                    # them in order (they may inject new work).
-                    t, _, cb = heappop(alarms)
-                    cb()
-                    continue
-                break
-            t, _, rank = actions[0]
-            if scheduled[rank] != t:
+        executed = delivered = 0
+        try:
+            while executed < limit:
+                if alarms:
+                    # Fire any alarms due before the next rank action.
+                    next_action_t = actions[0][0] if actions else _INF
+                    while alarms and alarms[0][0] <= next_action_t:
+                        _, _, cb = heappop(alarms)
+                        cb()
+                        next_action_t = actions[0][0] if actions else _INF
+                    if not actions:
+                        if alarms and self.quiescent():
+                            # Only alarms remain and the cluster is silent:
+                            # fire them in order (they may inject new work).
+                            t, _, cb = heappop(alarms)
+                            cb()
+                            continue
+                        break
+                elif not actions:
+                    break
+                t, _, rank = actions[0]
+                if scheduled[rank] != t:
+                    heappop(actions)
+                    continue  # stale entry
+                if t > horizon:
+                    break  # left in the heap, its seq (tie rank) intact
                 heappop(actions)
-                continue  # stale entry
-            if t > horizon:
-                break  # left in the heap, its seq (tie rank) intact
-            heappop(actions)
-            scheduled[rank] = None
-            # One action of ``rank`` at time ``t``: its earliest arrived
-            # message (control lane first), else one source pull.
-            now = clock[rank]
-            if t > now:
-                now = t
-            prio = prios[rank]
-            inbox = prio if prio and prio[0][0] <= now else inboxes[rank]
-            self._acting_rank = rank
-            try:
+                scheduled[rank] = None
+                # One action of ``rank`` at time ``t``: its earliest arrived
+                # message (control lane first), else one source pull.
+                now = clock[rank]
+                if t > now:
+                    now = t
+                prio = prios[rank]
+                inbox = prio if prio and prio[0][0] <= now else inboxes[rank]
+                self._acting_rank = rank
                 if inbox and inbox[0][0] <= now:
                     arrival, _, msg = heappop(inbox)
                     if type(msg) is _PendingCoalescible:
                         # Retire the coalescing window: later same-key sends
                         # must enqueue fresh (identity check — a newer entry
                         # may already have replaced this key's slot).
-                        index = self._coalesce[rank]
-                        if index.get(msg.key) is msg:
-                            del index[msg.key]
-                        msg = msg.msg
+                        holder = msg
+                        msg, key = holder
+                        index = coalesce[rank]
+                        if index.get(key) is holder:
+                            del index[key]
                     if arrival > clock[rank]:
                         clock[rank] = arrival
                     self.in_flight -= 1
-                    self.messages_delivered += 1
+                    delivered += 1
                     handler.on_message(self, rank, msg)
                 elif source_active[rank]:
                     clock[rank] = now
@@ -483,11 +506,11 @@ class DiscreteEventLoop:
                         source_active[rank] = False
                         self._live_sources -= 1
                 # else: stale wake-up with an inbox drained meanwhile.
-            finally:
                 self._acting_rank = None
-            self._reschedule(rank)
-            executed += 1
-            self.actions_executed += 1
-            if max_actions is not None and executed >= max_actions:
-                break
+                self._reschedule(rank)
+                executed += 1
+        finally:
+            self._acting_rank = None
+            self.actions_executed += executed
+            self.messages_delivered += delivered
         return self.max_time()

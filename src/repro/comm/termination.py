@@ -25,23 +25,27 @@ from dataclasses import dataclass, field
 
 
 class FourCounterState:
-    """Per-rank message counters, partitioned by channel label."""
+    """Per-rank message counters, partitioned by channel label.
+
+    ``received_by_label`` is public: the engine's UPDATE dispatch bumps
+    it in place, one dict update per visit instead of a method frame.
+    """
 
     def __init__(self) -> None:
-        self._sent: dict[int, int] = {}
-        self._received: dict[int, int] = {}
+        self.sent_by_label: dict[int, int] = {}
+        self.received_by_label: dict[int, int] = {}
 
     def record_send(self, label: int, n: int = 1) -> None:
-        self._sent[label] = self._sent.get(label, 0) + n
+        self.sent_by_label[label] = self.sent_by_label.get(label, 0) + n
 
     def record_receive(self, label: int, n: int = 1) -> None:
-        self._received[label] = self._received.get(label, 0) + n
+        self.received_by_label[label] = self.received_by_label.get(label, 0) + n
 
     def sent(self, label: int) -> int:
-        return self._sent.get(label, 0)
+        return self.sent_by_label.get(label, 0)
 
     def received(self, label: int) -> int:
-        return self._received.get(label, 0)
+        return self.received_by_label.get(label, 0)
 
     def snapshot(self, label: int) -> tuple[int, int]:
         """The (sent, received) pair a rank reports for a probe."""
@@ -50,11 +54,11 @@ class FourCounterState:
     def sent_below(self, cut: int) -> int:
         """Total sends over all labels < ``cut`` (prev-version traffic
         for a snapshot whose cut version is ``cut``)."""
-        return sum(n for label, n in self._sent.items() if label < cut)
+        return sum(n for label, n in self.sent_by_label.items() if label < cut)
 
     def received_below(self, cut: int) -> int:
         """Total receives over all labels < ``cut``."""
-        return sum(n for label, n in self._received.items() if label < cut)
+        return sum(n for label, n in self.received_by_label.items() if label < cut)
 
 
 def proves_termination(

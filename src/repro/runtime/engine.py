@@ -193,6 +193,10 @@ class DynamicEngine(RankHandler):
         self._on_reverse_delete = [p.on_reverse_delete for p in programs]
         self._node_of = [self.cost.node_of(r) for r in range(n)]
         self._can_spill = self.cost.rank_memory_bytes != float("inf")
+        # A visit's charge (CostModel is frozen): full when the callback
+        # wrote or emitted, the discard cost when it did neither.
+        self._visit_cpu = self.cost.visit_cpu
+        self._visit_discard_cpu = self.cost.visit_discard_cpu
         self.counters = [RankCounters() for _ in range(n)]
         self.term = [FourCounterState() for _ in range(n)]
         self.triggers = TriggerManager()
@@ -683,7 +687,8 @@ class DynamicEngine(RankHandler):
         vt = msg[0]
         if vt == VT_UPDATE:
             _, p, target, vis_id, vis_val, weight, ver = msg
-            self.term[rank].record_receive(ver)
+            received = self.term[rank].received_by_label  # record_receive
+            received[ver] = received.get(ver, 0) + 1
             self._proc_version[rank] = ver
             self._run_callback(
                 rank, p, target, self._on_update[p], vis_id, vis_val, weight
@@ -841,8 +846,7 @@ class DynamicEngine(RankHandler):
             else:
                 fn(ctx, *args)
         finally:
-            cost = self.cost
-            cpu = cost.visit_cpu if self._cb_effect[rank] else cost.visit_discard_cpu
+            cpu = self._visit_cpu if self._cb_effect[rank] else self._visit_discard_cpu
             # _charge, in place and in its order: clock, then busy_time.
             clock[rank] += cpu
             counters.busy_time += cpu

@@ -225,6 +225,45 @@ class TestKernelBookkeeping:
         loop.run(max_actions=50)
         assert loop.actions_executed == 50
 
+    @staticmethod
+    def _self_perpetuating():
+        class Infinite(RankHandler):
+            def on_message(self, loop, rank, msg):
+                loop.consume(rank, 1e-6)
+                loop.send(rank, rank, msg)
+
+        loop = DiscreteEventLoop(1, CM, Infinite())
+        loop.set_source_active(0, False)
+        loop.send_at(0.0, 0, 0, "loop")
+        loop.start()
+        return loop
+
+    def test_zero_max_actions_runs_nothing(self):
+        loop = self._self_perpetuating()
+        assert loop.run(max_actions=0) == loop.max_time() == 0.0
+        assert loop.actions_executed == 0 and loop.messages_delivered == 0
+        assert loop.in_flight == 1
+        loop.run(max_actions=3)
+        assert loop.actions_executed == 3
+
+    def test_negative_max_actions_is_rejected(self):
+        loop = self._self_perpetuating()
+        with pytest.raises(ValueError, match="max_actions"):
+            loop.run(max_actions=-5)
+        assert loop.actions_executed == 0 and loop.in_flight == 1
+
+    def test_engine_run_inherits_the_action_bound(self):
+        from repro import DynamicEngine, EngineConfig, IncrementalBFS, split_streams
+
+        engine = DynamicEngine([IncrementalBFS()], EngineConfig(n_ranks=2))
+        engine.attach_streams(split_streams([0, 1, 2], [1, 2, 3], 2))
+        engine.run(max_actions=0)
+        assert engine.loop.actions_executed == 0
+        with pytest.raises(ValueError, match="max_actions"):
+            engine.run(max_actions=-5)
+        engine.run(max_actions=1)
+        assert engine.loop.actions_executed == 1
+
     def test_max_virtual_time_bound(self):
         class Ticker(RankHandler):
             def on_message(self, loop, rank, msg):
