@@ -154,7 +154,16 @@ def remo(row: Family) -> type[VertexProgram]:
     An update adopts and broadcasts iff ``better(extend(theirs, w),
     value)``; otherwise it notifies the sender back iff
     ``better(extend(value, w), theirs)``.  Alg. 7's "mix" case is the
-    adopt branch: the union goes to every neighbour, the sender too.
+    adopt branch with a ``join``.
+
+    One deviation from the listings: the broadcast skips the sender
+    (the support tree's rule 1) unless the adopted value is better than
+    the one it sent — only a ``join`` can make it so (S-T's union can
+    hold a bit the sender lacks).  On an add-only stream the sender's
+    value only improves, so it still holds at least ``theirs``, and
+    with weights >= 0 no ``extend`` improves a value: the echo Algs.
+    4-7 send it can change nothing.  Each view of a collection is
+    monotone too, so the same holds in S_prev and S_new.
     An equal value is Alg. 7's first case, "do nothing", for every row:
     with weights >= 0 no ``extend`` improves a value.  It is tested
     first — over half of the updates of a BFS+CC ingest carry one — and
@@ -197,10 +206,13 @@ def remo(row: Family) -> type[VertexProgram]:
         w = hop or weight
         offered = extend(vis_val, w) if extend else vis_val
         if better(offered, value):
+            skip = vis_id
             if join:
                 offered = join(value, offered)
+                if better(offered, vis_val):  # the union holds a bit it lacks
+                    skip = None
             ctx.set_value(offered)
-            ctx.update_nbrs(offered)
+            ctx.update_nbrs(offered, skip)
         elif better(extend(value, w) if extend else value, vis_val):
             ctx.update_single_nbr(vis_id, value, weight)
 

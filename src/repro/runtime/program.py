@@ -119,9 +119,13 @@ class VertexContext:
         ``skip``.
 
         A program that adopted ``value`` from neighbour ``skip`` passes
-        it when that neighbour cannot gain from the value (the support
-        tree's rule 1): the fan-out leaves it out, and one that is left
-        empty sends and charges nothing.
+        it when that neighbour cannot gain from the value: the support
+        tree's rule 1, which every add-only REMO program
+        (:func:`repro.algorithms.base.remo`) applies too, save an S-T
+        union holding a bit the sender lacks.  The fan-out leaves
+        ``skip`` out, and one that is left empty sends and charges
+        nothing.  Algs. 4-7 broadcast to the sender as well; that echo
+        can change nothing on an add-only stream.
         """
         self._engine._emit_update_all(
             self._rank, self._prog, self.vertex, value, skip

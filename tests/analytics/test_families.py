@@ -50,6 +50,7 @@ from repro.events.types import ADD
 from repro.generators.churn import churn_events, split_churn_streams
 from repro.kernels import build_csr, relax_to_fixpoint
 from repro.obs import make_reference
+from repro.runtime.visitor import VT_UPDATE
 from repro.serving import make_prefix_oracle
 from repro.storage.csr import CSRGraph
 
@@ -215,6 +216,9 @@ SHIFTED = ("bfs", "sssp", "widest")  # families whose ``extend`` moves a value
 FIRST = {"bfs": lambda v: INF, "sssp": lambda v: INF, "cc": component_label}
 # ... and Algs. 4-7 as the paper writes them (widest: the same recipe):
 # what the visited vertex (value v) does with visitor value t over weight w.
+# One deviation: the listings broadcast an adopted value to every
+# neighbour, the sender too; the derived program skips the sender unless
+# it gains, and only S-T's union can hold a bit the sender lacks.
 LISTINGS = {
     "bfs": lambda v, t, w: ("adopt", t + 1) if v > t + 1 else ("notify", v) if v < t - 1 else None,  # noqa: E501
     "sssp": lambda v, t, w: ("adopt", t + w) if v > t + w else ("notify", v) if v < t - w else None,  # noqa: E501
@@ -248,8 +252,10 @@ class FakeContext:
 def test_each_row_decides_as_the_papers_listing(kind, data):
     """The one derived ``on_update`` (also bound as ``on_reverse_add``)
     takes Alg. 4-7's decision for every (value, theirs, weight),
-    0 and INF included: adopt and broadcast to every neighbour, notify
-    the sender back, or nothing.  A kernel row is the same algebra over
+    0 and INF included: adopt and broadcast, notify the sender back, or
+    nothing.  The broadcast skips the sender (vertex 9), which cannot
+    gain from it — except an S-T union holding a bit the sender lacks,
+    which goes to every neighbour.  A kernel row is the same algebra over
     arrays: a dense value ``a`` folds a dict value ``b`` (0 = unset) as
     the scalar ``merge`` does, and a candidate ``c`` improves ``a``
     exactly when ``merge`` moves it."""
@@ -268,7 +274,9 @@ def test_each_row_decides_as_the_papers_listing(kind, data):
         if expect is None:
             assert ctx.sent == [] and ctx.value == v
         elif expect[0] == "adopt":
-            assert ctx.sent == [(*expect, None)] and ctx.value == expect[1]
+            sender_gains = kind == "st" and expect[1] & ~t
+            skip = None if sender_gains else 9
+            assert ctx.sent == [(*expect, skip)] and ctx.value == expect[1]
         else:
             assert ctx.sent == [(*expect, 9)] and ctx.value == v
 
@@ -283,3 +291,76 @@ def test_each_row_decides_as_the_papers_listing(kind, data):
 
     assert k.merge_dense(col(a), col(b))[0] == prog.merge(a, b)
     assert bool(k.improves(col(c), col(a))[0]) == (prog.merge(a, c) != a)
+
+
+class BroadcastLog:
+    """A callback's context that logs each broadcast as ``(program,
+    vertex, sender, value)``: ``value`` adopted from ``sender``.
+    ``echo`` drops the skip, as Algs. 4-7 broadcast."""
+
+    def __init__(self, ctx, prog, sender, log, echo):
+        self._ctx, self._prog, self._sender = ctx, prog, sender
+        self._log, self._echo = log, echo
+
+    def __getattr__(self, name):
+        return getattr(self._ctx, name)
+
+    def update_nbrs(self, value, skip=None):
+        self._log.add((self._prog, self._ctx.vertex, self._sender, value))
+        self._ctx.update_nbrs(value, None if self._echo else skip)
+
+
+def logging_adoptions(cls, log, echo):
+    class Logged(cls):
+        def on_update(self, ctx, vis_id, vis_val, weight):
+            ctx = BroadcastLog(ctx, self.name, vis_id, log, echo)
+            cls.on_update(self, ctx, vis_id, vis_val, weight)
+
+        on_reverse_add = on_update
+
+    return Logged
+
+
+class DeliveryLog(DynamicEngine):
+    """Logs every UPDATE it dispatches as ``(program, target, sender,
+    value)``."""
+
+    def on_message(self, loop, rank, msg):
+        if msg[0] == VT_UPDATE:
+            _, p, target, sender, value = msg[:5]
+            self.delivered.append((self.programs[p].name, target, sender, value))
+        super().on_message(loop, rank, msg)
+
+
+def echoes_to_the_adopted_from(coalesce, echo):
+    """Per program: its adoptions, and the UPDATEs delivered back to the
+    vertex a value was adopted from, carrying that value."""
+    adoptions: set = set()
+    kinds = ("bfs", "sssp", "cc", "widest")
+    classes = PROGRAMS["add-only"][0]
+    programs = [logging_adoptions(classes[k], adoptions, echo)() for k in kinds]
+    config = EngineConfig(n_ranks=3, coalesce_updates=coalesce)
+    engine = DeliveryLog(programs, config)
+    engine.delivered = []
+    for kind in ("bfs", "sssp", "widest"):
+        engine.init_program(kind, 0)
+    events = [(ADD, a, b, w) for a, b, w in two_component_edges()]
+    engine.attach_streams([ListEventStream(events)])
+    engine.run()
+    echoes = {(p, v, u, x) for p, u, v, x in engine.delivered} & adoptions
+    return {
+        k: (sum(a[0] == k for a in adoptions), sum(e[0] == k for e in echoes))
+        for k in kinds
+    }
+
+
+@pytest.mark.parametrize("coalesce", [True, False], ids=["coalesced", "unbatched"])
+def test_an_adopted_value_never_reaches_its_sender(coalesce):
+    """On a weighted add-only stream, no UPDATE carries an adopted BFS,
+    SSSP, CC or widest value back to the vertex it was adopted from.
+    The same log, with the skip dropped as in Algs. 4-7, does see such
+    echoes: the count is not blind to them."""
+    for kind, (adopted, echoed) in echoes_to_the_adopted_from(coalesce, False).items():
+        assert adopted > 0 and echoed == 0, kind
+    for kind, (_, echoed) in echoes_to_the_adopted_from(coalesce, True).items():
+        assert echoed > 0, kind

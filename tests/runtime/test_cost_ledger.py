@@ -29,6 +29,15 @@ and moved only by the dropped fields.  The Robin Hood-only ``probe_count``,
 tables.  Every add-only leg kept its ``state`` hash: the answers did
 not move, only the order that reached them.  The generational legs'
 raw generation tags and support forest depend on that order.
+
+The add-only legs were regenerated again when the derived add-only
+programs stopped echoing an adopted value to its sender (the support
+tree's rule 1, applied to Algs. 4-7).  Visits, messages and squashes
+fell on every leg that runs an add-only program (``bfs_cc``: 20,720 ->
+19,186 visits, 12,528 -> 10,994 messages delivered) and each kept its
+``state`` hash.  The collection legs cut later in their streams (fewer
+messages ahead of the cut), so their snapshots moved with the prefix.
+The generational legs (``churn``, ``churn_bench_*``) did not move.
 """
 
 from __future__ import annotations
@@ -352,29 +361,29 @@ LEGS = {
     "obs_cc": _obs_cc,
 }
 
-PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
-                      '0x1.5b060b06ef384p-9',
-                      '0x1.5b4fdce218bf6p-9',
-                      '0x1.5b5d48db661dbp-9'],
-            'busy': ['0x1.feaec72847d0ep-10',
-                     '0x1.ee31a162bbbc2p-11',
-                     '0x1.befb52f215243p-10',
-                     '0x1.a04c3b41f53e8p-10'],
-            'loop': {'actions_executed': 16628,
-                     'messages_delivered': 12528,
-                     'messages_squashed': 225,
-                     'batch_sends': 1642,
+PINNED: dict = {'bfs_cc': {'clock': ['0x1.51931aa4710f0p-9',
+                      '0x1.519675a2c4668p-9',
+                      '0x1.51e0477dededap-9',
+                      '0x1.51edb3773b4bfp-9'],
+            'busy': ['0x1.fa79ae41c7004p-10',
+                     '0x1.e8668646d682bp-11',
+                     '0x1.b74d08c74ea9ep-10',
+                     '0x1.9b5e95b78c9cfp-10'],
+            'loop': {'actions_executed': 15094,
+                     'messages_delivered': 10994,
+                     'messages_squashed': 108,
+                     'batch_sends': 663,
                      'stall_time': '0x0.0p+0'},
             'counters': {'source_events': 4096,
                          'edge_inserts': 5616,
                          'edge_deletes': 0,
-                         'visits': 20720,
-                         'messages_sent_local': 12527,
+                         'visits': 19186,
+                         'messages_sent_local': 10993,
                          'messages_sent_remote': 0,
                          'control_messages': 0,
-                         'busy_time': '0x1.9543c9836c047p-8',
-                         'updates_squashed': 225,
-                         'batch_sends': 1642,
+                         'busy_time': '0x1.905623f903622p-8',
+                         'updates_squashed': 108,
+                         'batch_sends': 663,
                          'bulk_chunks': 0,
                          'bulk_events': 0,
                          'fallback_flushes': 0,
@@ -382,9 +391,9 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                          'deletes_unsafe': 0,
                          'vertices_invalidated': 0,
                          'repair_visits': 0},
-            'rank_counters': 'ea7ad94534fd2e1826c208e9ae71e7dcb563e8fd',
-            'store': {'low_degree_scans': 6251, 'promotions': 168},
-            'edges': '74bf06bcaf23ec3a470f4d03c425e2f2dcc8d719',
+            'rank_counters': 'a3367f592a28070797c3d56b52493cd51bd6baf4',
+            'store': {'low_degree_scans': 6244, 'promotions': 168},
+            'edges': '1ca8a56b46439d6e73ec8c3a59295504ee225048',
             'state': {'bfs': '26bbc18b0b21f599653afe6d1b3fb806be4d00a4',
                       'cc': '556b90d2f5699eac0a6b46565b9b61edf8a0ed69'},
             'collections': []},
@@ -427,29 +436,29 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                      'gen-st': '20a236539db99cff4a6052e77c148ead67d0bd85',
                      'gen-widest': 'dc0f3541e57b11e2f8f792e5845741ab53e31376'},
            'collections': []},
- 'collect_merge': {'clock': ['0x1.4e8d00d9ef8fep-9',
-                             '0x1.4ebda841a805ep-9',
-                             '0x1.4ec966bbcbb87p-9',
-                             '0x1.4eba4d4354ae5p-9'],
-                   'busy': ['0x1.540590b89f517p-10',
-                            '0x1.6021fead6f715p-10',
-                            '0x1.febadb88a7184p-10',
-                            '0x1.bc03a6d393d8cp-11'],
-                   'loop': {'actions_executed': 12525,
-                            'messages_delivered': 10473,
-                            'messages_squashed': 153,
-                            'batch_sends': 472,
+ 'collect_merge': {'clock': ['0x1.4ccebab8a30f0p-9',
+                             '0x1.4cff62205b850p-9',
+                             '0x1.4d0b209a7f379p-9',
+                             '0x1.4cfc0722082d7p-9'],
+                   'busy': ['0x1.5347a5b0fef44p-10',
+                            '0x1.5f04c83bc35d1p-10',
+                            '0x1.fd862822b39fep-10',
+                            '0x1.badf0e98ca036p-11'],
+                   'loop': {'actions_executed': 12152,
+                            'messages_delivered': 10100,
+                            'messages_squashed': 99,
+                            'batch_sends': 298,
                             'stall_time': '0x0.0p+0'},
                    'counters': {'source_events': 2048,
                                 'edge_inserts': 2632,
                                 'edge_deletes': 0,
-                                'visits': 14237,
-                                'messages_sent_local': 5168,
-                                'messages_sent_remote': 4972,
+                                'visits': 13864,
+                                'messages_sent_local': 4981,
+                                'messages_sent_remote': 4786,
                                 'control_messages': 332,
-                                'busy_time': '0x1.64390f961ff1ep-8',
-                                'updates_squashed': 153,
-                                'batch_sends': 472,
+                                'busy_time': '0x1.63508756f6bcbp-8',
+                                'updates_squashed': 99,
+                                'batch_sends': 298,
                                 'bulk_chunks': 0,
                                 'bulk_events': 0,
                                 'fallback_flushes': 0,
@@ -457,38 +466,38 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                 'deletes_unsafe': 0,
                                 'vertices_invalidated': 0,
                                 'repair_visits': 0},
-                   'rank_counters': '76a8e2183b358fb3c3876011c6af7228f69d8960',
-                   'store': {'low_degree_scans': 5568, 'promotions': 95},
-                   'edges': 'f274f5b019104c47bfaba97c10e08a2ce6fb026a',
+                   'rank_counters': '8c40093972bef99cc2e85ba83cc181d68cafff84',
+                   'store': {'low_degree_scans': 5559, 'promotions': 95},
+                   'edges': 'd9a792c88d6b76f821878757e4cf53e9e87602a5',
                    'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                              'echo': '00267ebdf7eeee6b69e09880afc9a8f12a7f6d6a'},
                    'collections': [(1,
-                                    '0x1.9e0c6ffae4886p-10',
+                                    '0x1.9d4118f9f6cdfp-10',
                                     40,
-                                    '8d74d83daa3f3154eb9b50c8c683c900a1e95057')]},
- 'collect_replay': {'clock': ['0x1.4e93b6d6963f3p-9',
-                              '0x1.4ec45e3e4eb53p-9',
-                              '0x1.4ed01cb87267cp-9',
-                              '0x1.4ec1033ffb5dap-9'],
-                    'busy': ['0x1.5446a931bcf4bp-10',
-                             '0x1.602559abc2c8ep-10',
-                             '0x1.febe3686fa6fep-10',
-                             '0x1.bb94403e5e7cfp-11'],
-                    'loop': {'actions_executed': 12514,
-                             'messages_delivered': 10462,
-                             'messages_squashed': 148,
-                             'batch_sends': 463,
+                                    '087364de07bd26baea58755b8000cf7000ce00a2')]},
+ 'collect_replay': {'clock': ['0x1.4ccb5fba4fb77p-9',
+                              '0x1.4cfc0722082d7p-9',
+                              '0x1.4d07c59c2be00p-9',
+                              '0x1.4cf8ac23b4d5ep-9'],
+                    'busy': ['0x1.533383bb0ae6cp-10',
+                             '0x1.5ef0a645cf4f9p-10',
+                             '0x1.fd7f72260cf0cp-10',
+                             '0x1.ba4b6ae276f59p-11'],
+                    'loop': {'actions_executed': 12136,
+                             'messages_delivered': 10084,
+                             'messages_squashed': 97,
+                             'batch_sends': 292,
                              'stall_time': '0x0.0p+0'},
                     'counters': {'source_events': 2048,
                                  'edge_inserts': 2632,
                                  'edge_deletes': 0,
-                                 'visits': 14218,
-                                 'messages_sent_local': 5160,
-                                 'messages_sent_remote': 4961,
-                                 'control_messages': 340,
-                                 'busy_time': '0x1.643d1660ea5b0p-8',
-                                 'updates_squashed': 148,
-                                 'batch_sends': 463,
+                                 'visits': 13848,
+                                 'messages_sent_local': 4977,
+                                 'messages_sent_remote': 4774,
+                                 'control_messages': 332,
+                                 'busy_time': '0x1.6332546608a87p-8',
+                                 'updates_squashed': 97,
+                                 'batch_sends': 292,
                                  'bulk_chunks': 0,
                                  'bulk_events': 0,
                                  'fallback_flushes': 0,
@@ -496,36 +505,36 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                  'deletes_unsafe': 0,
                                  'vertices_invalidated': 0,
                                  'repair_visits': 0},
-                    'rank_counters': '1d3417001e1671d561be03fd5c5619f0494bd8c0',
-                    'store': {'low_degree_scans': 5573, 'promotions': 95},
-                    'edges': 'ab04cecf8b9b67c9eb8b5ff3c1c15df59510101b',
+                    'rank_counters': 'c767e635af2f91cf2e00872187be270ca7c26dd1',
+                    'store': {'low_degree_scans': 5559, 'promotions': 95},
+                    'edges': 'cfa56c5b3dbdc4b3f01ab145bdcea626e091945f',
                     'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                               'echo': '00267ebdf7eeee6b69e09880afc9a8f12a7f6d6a'},
                     'collections': [(1,
-                                     '0x1.a3f3baa252a00p-10',
-                                     41,
-                                     '91866ab1533725fa99348ba8726c824381269c64')]},
- 'unbatched': {'clock': ['0x1.abdbbb7d18f5ep-10',
-                         '0x1.aba60b97e37c9p-10',
-                         '0x1.abfd496c5a61bp-10',
-                         '0x1.ac43c0493090fp-10'],
-               'busy': ['0x1.8116ebd4cfce2p-11',
-                        '0x1.a360c2b876d51p-11',
-                        '0x1.2f4cf4a558df2p-10',
-                        '0x1.0e08d73f168abp-11'],
-               'loop': {'actions_executed': 9114,
-                        'messages_delivered': 7062,
+                                     '0x1.9e40c8472bdfcp-10',
+                                     40,
+                                     '40b8306c7fd9a3689df13e7964621f38c999f0ba')]},
+ 'unbatched': {'clock': ['0x1.9a4ecb3f2ddebp-10',
+                         '0x1.9a191b59f8656p-10',
+                         '0x1.9a70592e6f4a8p-10',
+                         '0x1.9ab6d00b4579cp-10'],
+               'busy': ['0x1.7ae070ee7fa21p-11',
+                        '0x1.9cb17c0e6e583p-11',
+                        '0x1.27624498b63c2p-10',
+                        '0x1.083dbc233151bp-11'],
+               'loop': {'actions_executed': 8232,
+                        'messages_delivered': 6180,
                         'messages_squashed': 0,
                         'batch_sends': 0,
                         'stall_time': '0x0.0p+0'},
                'counters': {'source_events': 2048,
                             'edge_inserts': 2632,
                             'edge_deletes': 0,
-                            'visits': 11158,
-                            'messages_sent_local': 7061,
+                            'visits': 10276,
+                            'messages_sent_local': 6179,
                             'messages_sent_remote': 0,
                             'control_messages': 0,
-                            'busy_time': '0x1.a4469bc5c3bb1p-9',
+                            'busy_time': '0x1.9ba50c9462f11p-9',
                             'updates_squashed': 0,
                             'batch_sends': 0,
                             'bulk_chunks': 0,
@@ -535,35 +544,35 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                             'deletes_unsafe': 0,
                             'vertices_invalidated': 0,
                             'repair_visits': 0},
-               'rank_counters': '4ab4c74089435a980906378b493715a0c650832c',
-               'store': {'low_degree_scans': 3492, 'promotions': 95},
-               'edges': '05c3de34992718f189cc28430902403f06d5961b',
+               'rank_counters': '64f5e4a1dace04de28129d2271521859e1852401',
+               'store': {'low_degree_scans': 3511, 'promotions': 95},
+               'edges': 'b3ce2f0c64d10796649fd89c94eefa93b887d4df',
                'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                          'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                'collections': []},
- 'two_per_node': {'clock': ['0x1.8b8889d1d03adp-10',
-                            '0x1.8b208505b89fcp-10',
-                            '0x1.8b2df0ff05fe0p-10',
-                            '0x1.8ba006c6179fdp-10'],
-                  'busy': ['0x1.7b81809e200e3p-11',
-                           '0x1.9c248e54c1f8ep-11',
-                           '0x1.23810e8858f7ap-10',
-                           '0x1.0986917f18d93p-11'],
-                  'loop': {'actions_executed': 8613,
-                           'messages_delivered': 6561,
-                           'messages_squashed': 136,
-                           'batch_sends': 784,
+ 'two_per_node': {'clock': ['0x1.830583779910ep-10',
+                            '0x1.82cfd39263979p-10',
+                            '0x1.82dd3f8bb0f5dp-10',
+                            '0x1.83489f561be8ap-10'],
+                  'busy': ['0x1.77f7886239adap-11',
+                           '0x1.994fc7be70126p-11',
+                           '0x1.20875f04724ecp-10',
+                           '0x1.07faa044ae7a0p-11'],
+                  'loop': {'actions_executed': 7934,
+                           'messages_delivered': 5882,
+                           'messages_squashed': 97,
+                           'batch_sends': 356,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 2048,
                                'edge_inserts': 2632,
                                'edge_deletes': 0,
-                               'visits': 10657,
-                               'messages_sent_local': 3394,
-                               'messages_sent_remote': 3166,
+                               'visits': 9978,
+                               'messages_sent_local': 3026,
+                               'messages_sent_remote': 2855,
                                'control_messages': 0,
-                               'busy_time': '0x1.9a0baf60ab33ep-9',
-                               'updates_squashed': 136,
-                               'batch_sends': 784,
+                               'busy_time': '0x1.96942b9b8f35ep-9',
+                               'updates_squashed': 97,
+                               'batch_sends': 356,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -571,35 +580,35 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': 'bfcd338eae0346eb656e666821f3323ee0ea85f0',
-                  'store': {'low_degree_scans': 3500, 'promotions': 95},
-                  'edges': '05e71e23db631e3f61a52eca2d952a93d194ffa6',
+                  'rank_counters': '3c5f3e1b1a5bc8e3455cba689b655d27e0426a20',
+                  'store': {'low_degree_scans': 3502, 'promotions': 95},
+                  'edges': 'c9e71e3b69ff136508b098170c0eb2d067ef7792',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
- 'flow_control': {'clock': ['0x1.9a867e89c88b3p-10',
-                            '0x1.9a50cea49311ep-10',
-                            '0x1.9aa80c7909f70p-10',
-                            '0x1.9aee8355e0264p-10'],
-                  'busy': ['0x1.7452b833b8909p-11',
-                           '0x1.98867422e78b1p-11',
-                           '0x1.22ea0fd3b2924p-10',
-                           '0x1.073802a5cca21p-11'],
-                  'loop': {'actions_executed': 8413,
-                           'messages_delivered': 6361,
-                           'messages_squashed': 80,
-                           'batch_sends': 775,
-                           'stall_time': '0x1.7eec9a1ca1512p-11'},
+ 'flow_control': {'clock': ['0x1.83f3c000b65b4p-10',
+                            '0x1.83be101b80e1fp-10',
+                            '0x1.84154deff7c71p-10',
+                            '0x1.845bc4cccdf65p-10'],
+                  'busy': ['0x1.7184a79a0d58ap-11',
+                           '0x1.940ae45f90885p-11',
+                           '0x1.1eaae5f237ba1p-10',
+                           '0x1.04d551d68c5d2p-11'],
+                  'loop': {'actions_executed': 7685,
+                           'messages_delivered': 5633,
+                           'messages_squashed': 52,
+                           'batch_sends': 317,
+                           'stall_time': '0x1.0c0978a4ac758p-11'},
                   'counters': {'source_events': 2048,
                                'edge_inserts': 2632,
                                'edge_deletes': 0,
-                               'visits': 10457,
-                               'messages_sent_local': 6360,
+                               'visits': 9729,
+                               'messages_sent_local': 5632,
                                'messages_sent_remote': 0,
                                'control_messages': 0,
-                               'busy_time': '0x1.967953a8f4788p-9',
-                               'updates_squashed': 80,
-                               'batch_sends': 775,
+                               'busy_time': '0x1.91eeaa6d266c8p-9',
+                               'updates_squashed': 52,
+                               'batch_sends': 317,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -607,35 +616,35 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': '3d46742351061fc5881219a099d7023f4d18de69',
-                  'store': {'low_degree_scans': 3525, 'promotions': 95},
-                  'edges': '5c4c3233ea13faae86e607fa469df20c7d173bc4',
+                  'rank_counters': 'ce7ca419406899af48ffed68f2ce956083b4f39a',
+                  'store': {'low_degree_scans': 3492, 'promotions': 95},
+                  'edges': '1523950ab26c1de7c89b668c1a50a2647f1c42f8',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
- 'whole_scale8': {'clock': ['0x1.8c0b66908292ap-10',
-                            '0x1.8bd5b6ab4d195p-10',
-                            '0x1.8c2cf47fc3fe7p-10',
-                            '0x1.8c736b5c9a2dbp-10'],
-                  'busy': ['0x1.783aa440bc859p-11',
-                           '0x1.9c2b445168a85p-11',
-                           '0x1.24399b2c40c8dp-10',
-                           '0x1.098d477bbf883p-11'],
-                  'loop': {'actions_executed': 8605,
-                           'messages_delivered': 6553,
-                           'messages_squashed': 123,
-                           'batch_sends': 779,
+ 'whole_scale8': {'clock': ['0x1.81d582a8e711dp-10',
+                            '0x1.819fd2c3b1988p-10',
+                            '0x1.81f71098287dap-10',
+                            '0x1.823d8774feacep-10'],
+                  'busy': ['0x1.755f27adc3ef6p-11',
+                           '0x1.9780baa582dbap-11',
+                           '0x1.2036d72ca2190p-10',
+                           '0x1.05c6e95dfcff2p-11'],
+                  'loop': {'actions_executed': 7878,
+                           'messages_delivered': 5826,
+                           'messages_squashed': 63,
+                           'batch_sends': 341,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 2048,
                                'edge_inserts': 2632,
                                'edge_deletes': 0,
-                               'visits': 10649,
-                               'messages_sent_local': 6552,
+                               'visits': 9922,
+                               'messages_sent_local': 5825,
                                'messages_sent_remote': 0,
                                'control_messages': 0,
-                               'busy_time': '0x1.999999999991fp-9',
-                               'updates_squashed': 123,
-                               'batch_sends': 779,
+                               'busy_time': '0x1.94c51e82a1ff0p-9',
+                               'updates_squashed': 63,
+                               'batch_sends': 341,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -643,35 +652,35 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': '2d3889836a012619d4c3ba7303a7e7e6d43a926d',
-                  'store': {'low_degree_scans': 3531, 'promotions': 95},
-                  'edges': '9aa6cb5f598327a556677d65057416ec4caad33f',
+                  'rank_counters': 'b21c8b6cbbd4ca67115589ca5b33df81050ceb58',
+                  'store': {'low_degree_scans': 3529, 'promotions': 95},
+                  'edges': '047449d8a080dceb1e9a15c09a04665c0015e71a',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []},
- 'weighted_families': {'clock': ['0x1.1addd1d7ce4ddp-9',
-                                 '0x1.1ac14c6609e54p-9',
-                                 '0x1.1aee98cf6f03cp-9',
-                                 '0x1.1b1381bd03c74p-9'],
-                       'busy': ['0x1.250649c61ca36p-10',
-                                '0x1.373affb04ecadp-10',
-                                '0x1.879a93949c8ffp-10',
-                                '0x1.a24d9d41c4cd4p-11'],
-                       'loop': {'actions_executed': 22244,
-                                'messages_delivered': 20192,
-                                'messages_squashed': 2189,
-                                'batch_sends': 2800,
+ 'weighted_families': {'clock': ['0x1.0f7df751b0605p-9',
+                                 '0x1.0f6171dfebf7cp-9',
+                                 '0x1.0f8ebe4951164p-9',
+                                 '0x1.0fb3a736e5d9cp-9'],
+                       'busy': ['0x1.1d224fb620b09p-10',
+                                '0x1.30a690f8e1128p-10',
+                                '0x1.7dbbed8177f7fp-10',
+                                '0x1.94185058ddec7p-11'],
+                       'loop': {'actions_executed': 19915,
+                                'messages_delivered': 17863,
+                                'messages_squashed': 1615,
+                                'batch_sends': 1908,
                                 'stall_time': '0x0.0p+0'},
                        'counters': {'source_events': 2048,
                                     'edge_inserts': 2632,
                                     'edge_deletes': 0,
-                                    'visits': 28384,
-                                    'messages_sent_local': 20188,
+                                    'visits': 26055,
+                                    'messages_sent_local': 17859,
                                     'messages_sent_remote': 0,
                                     'control_messages': 0,
-                                    'busy_time': '0x1.2d40aaeafa994p-8',
-                                    'updates_squashed': 2189,
-                                    'batch_sends': 2800,
+                                    'busy_time': '0x1.25643d973a2c5p-8',
+                                    'updates_squashed': 1615,
+                                    'batch_sends': 1908,
                                     'bulk_chunks': 0,
                                     'bulk_events': 0,
                                     'fallback_flushes': 0,
@@ -679,9 +688,9 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                     'deletes_unsafe': 0,
                                     'vertices_invalidated': 0,
                                     'repair_visits': 0},
-                       'rank_counters': 'c24221c6f02fd56431b3e820d8cc60a33300ea9e',
-                       'store': {'low_degree_scans': 3480, 'promotions': 95},
-                       'edges': '6caa6adc7a04b2d9063530c4b8d883bb811cb8b0',
+                       'rank_counters': '4c3af76a7a43738428dd2c9e9807bb2207d7ac53',
+                       'store': {'low_degree_scans': 3491, 'promotions': 95},
+                       'edges': '1e8f4121e8fc20ddfb5fa583532be9bc9d9dd992',
                        'state': {'sssp': 'dab07e419d327e0e96ef62fbd0466de832431be3',
                                  'widest': '93df935b27f47c5f8a64c8805828cdf732fabe0e',
                                  'st': '5c0d6ffaece75a7c2eb1c368ad187decc4b01e2f'},
@@ -842,35 +851,35 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                  'gen-st': 'be284f6671aea89e268532638c02a13a7d2c38f3',
                                  'gen-widest': 'd6df0135426abe3d2a716994f3847cd9e82430dd'},
                        'collections': []},
- 'faults_off': {'clock': ['0x1.eb80163ad543bp-9',
-                          '0x1.eaba1d9da013cp-9',
-                          '0x1.eb18116ebda84p-9',
-                          '0x1.eb48b8d6761e6p-9',
-                          '0x1.eb54775099d0ep-9',
-                          '0x1.eb40555aa5c36p-9',
-                          '0x1.eaeac5055889dp-9',
-                          '0x1.eb3496e08210dp-9'],
-                'busy': ['0x1.5bb029fed72e5p-9',
-                         '0x1.68af1602a0a3ap-10',
-                         '0x1.8eb1df0abcc5cp-10',
-                         '0x1.4d112acaaecd9p-10',
-                         '0x1.c75818c5c960dp-10',
-                         '0x1.9395739a2b611p-10',
-                         '0x1.6828de459af46p-10',
-                         '0x1.a610a06133c31p-10'],
-                'loop': {'actions_executed': 40547,
-                         'messages_delivered': 32347,
+ 'faults_off': {'clock': ['0x1.e00d1b7175df8p-9',
+                          '0x1.df4722d440af9p-9',
+                          '0x1.dfa516a55e441p-9',
+                          '0x1.dfd5be0d16ba3p-9',
+                          '0x1.dfe17c873a6cbp-9',
+                          '0x1.dfcd5a91465f3p-9',
+                          '0x1.df77ca3bf925ap-9',
+                          '0x1.dfc19c1722acap-9'],
+                'busy': ['0x1.570aa8d06e5ebp-9',
+                         '0x1.64f97edc7ed30p-10',
+                         '0x1.8a25884fc50fdp-10',
+                         '0x1.477bbf93ff100p-10',
+                         '0x1.c1e7967cae696p-10',
+                         '0x1.8c88391f05533p-10',
+                         '0x1.61c36976bc019p-10',
+                         '0x1.9ff1a26f2afffp-10'],
+                'loop': {'actions_executed': 37579,
+                         'messages_delivered': 29379,
                          'messages_squashed': 0,
                          'batch_sends': 0,
                          'stall_time': '0x0.0p+0'},
                 'counters': {'source_events': 8192,
                              'edge_inserts': 12117,
                              'edge_deletes': 0,
-                             'visits': 48731,
-                             'messages_sent_local': 16058,
-                             'messages_sent_remote': 16288,
+                             'visits': 45763,
+                             'messages_sent_local': 14658,
+                             'messages_sent_remote': 14720,
                              'control_messages': 0,
-                             'busy_time': '0x1.ac9f2fdb8fc1ap-7',
+                             'busy_time': '0x1.a69a9e7c574dcp-7',
                              'updates_squashed': 0,
                              'batch_sends': 0,
                              'bulk_chunks': 0,
@@ -880,33 +889,33 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                              'deletes_unsafe': 0,
                              'vertices_invalidated': 0,
                              'repair_visits': 0},
-                'rank_counters': '6acb45226505976c37c08b6423df7554f57e20f6',
-                'store': {'low_degree_scans': 12010, 'promotions': 346},
-                'edges': '65dee40fee6677ad110eec01868ade09ad325d5e',
+                'rank_counters': 'e0dd0adc0f1c0d0e64aa725129ae2682862f485c',
+                'store': {'low_degree_scans': 12035, 'promotions': 346},
+                'edges': 'fcc550764c2d0ba495f7196a373d2b0cf9f71fd5',
                 'state': {'bfs': 'c1e6c39b47aa053c5747380f369d4aec00c2c46a',
                           'cc': '8d488b717fcda7a185e8b27d01ce2576aae2eaad'},
                 'collections': []},
- 'squash_4_off': {'clock': ['0x1.f5d27f9434169p-8',
-                            '0x1.f5c94558cee57p-8',
-                            '0x1.f5d6b1521c43bp-8',
-                            '0x1.f5d42d135dc26p-8'],
-                  'busy': ['0x1.78e7726a80998p-9',
-                           '0x1.b2fec56d5d22dp-9',
-                           '0x1.2d24257936395p-8',
-                           '0x1.8ca66c0ff3908p-9'],
-                  'loop': {'actions_executed': 55164,
-                           'messages_delivered': 50349,
+ 'squash_4_off': {'clock': ['0x1.67a7af0612520p-8',
+                            '0x1.67ad8e43242afp-8',
+                            '0x1.67b51aff5fb00p-8',
+                            '0x1.6792b650896e4p-8'],
+                  'busy': ['0x1.612abd42ebf21p-9',
+                           '0x1.8c436fc158e82p-9',
+                           '0x1.cf6e67bca7b31p-9',
+                           '0x1.756c93a711382p-9'],
+                  'loop': {'actions_executed': 31551,
+                           'messages_delivered': 26736,
                            'messages_squashed': 0,
                            'batch_sends': 0,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 4811,
                                'edge_inserts': 9622,
                                'edge_deletes': 0,
-                               'visits': 50349,
-                               'messages_sent_local': 50349,
+                               'visits': 26736,
+                               'messages_sent_local': 26736,
                                'messages_sent_remote': 0,
                                'control_messages': 0,
-                               'busy_time': '0x1.c4b53bb68f6fep-7',
+                               'busy_time': '0x1.8c924a19ff716p-7',
                                'updates_squashed': 0,
                                'batch_sends': 0,
                                'bulk_chunks': 0,
@@ -916,34 +925,34 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': '2d54468a064845cb60b9bf2ee42ca84964240786',
+                  'rank_counters': '9c61b79eb91c4aece8e9c707819ba87e7ddcdd13',
                   'store': {'low_degree_scans': 336, 'promotions': 12},
-                  'edges': '3ab8bdd00a29b6339ea5fbc93a4e03ae1ceabb45',
+                  'edges': '28a39e22ba09315bb3c7f28c8d15aceb10c7a2ff',
                   'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
                   'collections': []},
- 'squash_4_on': {'clock': ['0x1.8f56f58527144p-8',
-                           '0x1.8f49898bd9b5cp-8',
-                           '0x1.8f57cc44bbe9ep-8',
-                           '0x1.8f58a30450c01p-8'],
-                 'busy': ['0x1.714d4a35ae2e4p-9',
-                          '0x1.af3003d3ca43dp-9',
-                          '0x1.02249d6e3a9d7p-8',
-                          '0x1.8b73662929c4dp-9'],
-                 'loop': {'actions_executed': 51483,
-                          'messages_delivered': 46668,
-                          'messages_squashed': 1512,
-                          'batch_sends': 21334,
+ 'squash_4_on': {'clock': ['0x1.2b4528283d225p-8',
+                           '0x1.2b4b07654efb4p-8',
+                           '0x1.2b5294218a805p-8',
+                           '0x1.2b302f72b43e9p-8'],
+                 'busy': ['0x1.5cbe46f80bf8ap-9',
+                          '0x1.89572c36bf9d0p-9',
+                          '0x1.c4cb768b778f2p-9',
+                          '0x1.724aa0374273dp-9'],
+                 'loop': {'actions_executed': 30989,
+                          'messages_delivered': 26174,
+                          'messages_squashed': 223,
+                          'batch_sends': 112,
                           'stall_time': '0x0.0p+0'},
                  'counters': {'source_events': 4811,
                               'edge_inserts': 9622,
                               'edge_deletes': 0,
-                              'visits': 46668,
-                              'messages_sent_local': 46668,
+                              'visits': 26174,
+                              'messages_sent_local': 26174,
                               'messages_sent_remote': 0,
                               'control_messages': 0,
-                              'busy_time': '0x1.ac0e7bc3c5dc7p-7',
-                              'updates_squashed': 1512,
-                              'batch_sends': 21334,
+                              'busy_time': '0x1.874ae27c61662p-7',
+                              'updates_squashed': 223,
+                              'batch_sends': 112,
                               'bulk_chunks': 0,
                               'bulk_events': 0,
                               'fallback_flushes': 0,
@@ -951,56 +960,56 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                               'deletes_unsafe': 0,
                               'vertices_invalidated': 0,
                               'repair_visits': 0},
-                 'rank_counters': '4b01e580f2deaa3ad02541bd06f67caf4ddd0edf',
+                 'rank_counters': '9954faf312a46f8e774aafd4758cd887d2699da5',
                  'store': {'low_degree_scans': 336, 'promotions': 12},
-                 'edges': '660688cced4dadab3cc3ea9c462af12f512063ab',
+                 'edges': '6a25fdecc6faebaea8cd6d5deac8b9ffb3bf5379',
                  'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
                  'collections': []},
- 'squash_16_off': {'clock': ['0x1.cbd3a88920af6p-9',
-                             '0x1.cddf1b83ea0dap-9',
-                             '0x1.cdce548c49576p-9',
-                             '0x1.cdb37c99ae9f1p-9',
-                             '0x1.cd2ef25bd29afp-9',
-                             '0x1.ccf28c79f66e1p-9',
-                             '0x1.cd898b2e9cd83p-9',
-                             '0x1.cd756938a8c63p-9',
-                             '0x1.cd0bb6ed67832p-9',
-                             '0x1.cb48684e9dfd1p-9',
-                             '0x1.ccadc31c49ea8p-9',
-                             '0x1.cde5d18090bccp-9',
-                             '0x1.cbb723175c479p-9',
-                             '0x1.ce0fc2eba2840p-9',
-                             '0x1.cb6848beb5bd3p-9',
-                             '0x1.cdfd4e74d821ep-9'],
-                   'busy': ['0x1.b23dd54da4c8cp-11',
-                            '0x1.00093a3b65298p-10',
-                            '0x1.2cdcd7dccb406p-11',
-                            '0x1.f5316fe49465dp-11',
-                            '0x1.efa2baaa8b4cfp-11',
-                            '0x1.206fe2102aebdp-11',
-                            '0x1.3561e19c67904p-10',
-                            '0x1.cec347120d385p-11',
-                            '0x1.0d3f83a38e0dep-11',
-                            '0x1.28b885edeb238p-11',
-                            '0x1.15633e93b968bp-9',
-                            '0x1.27476ca61b820p-11',
-                            '0x1.0bb3926923af6p-11',
-                            '0x1.629a290b91d19p-10',
-                            '0x1.4d5afca5d84bcp-10',
-                            '0x1.16c390e3e86fap-11'],
-                   'loop': {'actions_executed': 55395,
-                            'messages_delivered': 50568,
+ 'squash_16_off': {'clock': ['0x1.1093cbfa3eda0p-9',
+                             '0x1.0ffccd4598748p-9',
+                             '0x1.1021b6332d337p-9',
+                             '0x1.1104344226cbap-9',
+                             '0x1.10f51ac9afc18p-9',
+                             '0x1.0e651d910a5e4p-9',
+                             '0x1.11530e9acd55fp-9',
+                             '0x1.107aa186cdc92p-9',
+                             '0x1.10da42d71504dp-9',
+                             '0x1.103fe9241b4c4p-9',
+                             '0x1.105fc9943307ep-9',
+                             '0x1.1089baff44d34p-9',
+                             '0x1.10a2e572b5e42p-9',
+                             '0x1.0f80a6838ccbap-9',
+                             '0x1.1057661862b16p-9',
+                             '0x1.0fd2dbda86a92p-9'],
+                   'busy': ['0x1.80cd19f9a6398p-11',
+                            '0x1.a0ad8a116646fp-11',
+                            '0x1.2387c484ffac2p-11',
+                            '0x1.a2ab9112e2486p-11',
+                            '0x1.b77c02afdd934p-11',
+                            '0x1.15592d98bf7f1p-11',
+                            '0x1.af11d0e2dbee4p-11',
+                            '0x1.9872522cf36c3p-11',
+                            '0x1.039332774b93cp-11',
+                            '0x1.1f057ec501fb9p-11',
+                            '0x1.443188384834fp-10',
+                            '0x1.1ec262e67f23bp-11',
+                            '0x1.ff7164c729fb8p-12',
+                            '0x1.030cfaba45d62p-10',
+                            '0x1.b1aa319751ac9p-11',
+                            '0x1.0cc001e32f104p-11'],
+                   'loop': {'actions_executed': 29664,
+                            'messages_delivered': 24837,
                             'messages_squashed': 0,
                             'batch_sends': 0,
                             'stall_time': '0x0.0p+0'},
                    'counters': {'source_events': 4811,
                                 'edge_inserts': 9622,
                                 'edge_deletes': 0,
-                                'visits': 50568,
-                                'messages_sent_local': 12810,
-                                'messages_sent_remote': 37758,
+                                'visits': 24837,
+                                'messages_sent_local': 6221,
+                                'messages_sent_remote': 18616,
                                 'control_messages': 0,
-                                'busy_time': '0x1.d532617c1bc04p-7',
+                                'busy_time': '0x1.78a024ce15966p-7',
                                 'updates_squashed': 0,
                                 'batch_sends': 0,
                                 'bulk_chunks': 0,
@@ -1010,58 +1019,58 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                 'deletes_unsafe': 0,
                                 'vertices_invalidated': 0,
                                 'repair_visits': 0},
-                   'rank_counters': 'a718fbd799bf57231bbb9334b8b5ee4e844fe306',
+                   'rank_counters': '4cab677d7bc8b93b62ac9edcf5c8d217f2b43628',
                    'store': {'low_degree_scans': 336, 'promotions': 12},
-                   'edges': '13fb71389a179f24e8e7cd982d3f263195a3839f',
+                   'edges': '6e3ae96dc172861118a1d87d63125e132ac302ad',
                    'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
                    'collections': []},
- 'squash_16_on': {'clock': ['0x1.f5793e5a5835bp-10',
-                            '0x1.f52c1180db572p-10',
-                            '0x1.f392b44d239a2p-10',
-                            '0x1.f388a35229939p-10',
-                            '0x1.f154ec6b7819cp-10',
-                            '0x1.eddbbb273270fp-10',
-                            '0x1.f5c3103581bc5p-10',
-                            '0x1.f609871257ebbp-10',
-                            '0x1.f5b5a43c345e1p-10',
-                            '0x1.f48e5ccf8e42ep-10',
-                            '0x1.f57c9958ab8d1p-10',
-                            '0x1.f5255b8434a81p-10',
-                            '0x1.f56f2d5f5e2ebp-10',
-                            '0x1.f371265de22e9p-10',
-                            '0x1.f4cac2b16a6b4p-10',
-                            '0x1.f3671562e827dp-10'],
-                  'busy': ['0x1.90d173fb7a5d0p-11',
-                           '0x1.c0a21c1f1a694p-11',
-                           '0x1.12a5f4f1af04cp-11',
-                           '0x1.bf162ae4b0173p-11',
-                           '0x1.baddb6ffdbdf9p-11',
-                           '0x1.0539fba450af7p-11',
-                           '0x1.bf4bdac9e5805p-11',
-                           '0x1.a777a8ae09878p-11',
-                           '0x1.e3c2b29797664p-12',
-                           '0x1.0edf96d3ec7cbp-11',
-                           '0x1.54bf74f575333p-10',
-                           '0x1.0b98ba7688f4fp-11',
-                           '0x1.e33c7ada91b69p-12',
-                           '0x1.1b782b8ac8391p-10',
-                           '0x1.c5cc278b5f36bp-11',
-                           '0x1.fa83bf3cc1574p-12'],
-                  'loop': {'actions_executed': 42053,
-                           'messages_delivered': 37226,
-                           'messages_squashed': 3634,
-                           'batch_sends': 17326,
+ 'squash_16_on': {'clock': ['0x1.a16616b54de74p-10',
+                            '0x1.a038194c011ccp-10',
+                            '0x1.9fc60384ef7b0p-10',
+                            '0x1.9eca5b0284d25p-10',
+                            '0x1.9da9c99285665p-10',
+                            '0x1.9a415f45e0733p-10',
+                            '0x1.a0dfdef84837dp-10',
+                            '0x1.a133c1ce6bc57p-10',
+                            '0x1.a1d1767fb8d9fp-10',
+                            '0x1.a0be510906cc3p-10',
+                            '0x1.a0ad8a1166160p-10',
+                            '0x1.a151f4bf59d9dp-10',
+                            '0x1.a18449a63bfb7p-10',
+                            '0x1.9f3c70c996745p-10',
+                            '0x1.a0ed4af195964p-10',
+                            '0x1.9f90539fba01fp-10'],
+                  'busy': ['0x1.7d35b5c4727b3p-11',
+                           '0x1.970138e523c95p-11',
+                           '0x1.209edbf8b9b8cp-11',
+                           '0x1.99d5ff7b75b01p-11',
+                           '0x1.acb5d61042573p-11',
+                           '0x1.12a5f4f1af04ep-11',
+                           '0x1.a1e8f374006e1p-11',
+                           '0x1.91006de409185p-11',
+                           '0x1.ff2e48e8a7245p-12',
+                           '0x1.1b0970c209fa2p-11',
+                           '0x1.2373a28f0b96ap-10',
+                           '0x1.16f940c91deb6p-11',
+                           '0x1.fb902eb6ccb66p-12',
+                           '0x1.e75a16cccb0d6p-11',
+                           '0x1.9f49dcc2e4015p-11',
+                           '0x1.0696f2f62c443p-11'],
+                  'loop': {'actions_executed': 28283,
+                           'messages_delivered': 23456,
+                           'messages_squashed': 876,
+                           'batch_sends': 91,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 4811,
                                'edge_inserts': 9622,
                                'edge_deletes': 0,
-                               'visits': 37226,
-                               'messages_sent_local': 9395,
-                               'messages_sent_remote': 27831,
+                               'visits': 23456,
+                               'messages_sent_local': 5839,
+                               'messages_sent_remote': 17617,
                                'control_messages': 0,
-                               'busy_time': '0x1.7eb80163ad434p-7',
-                               'updates_squashed': 3634,
-                               'batch_sends': 17326,
+                               'busy_time': '0x1.6c4750f7694e1p-7',
+                               'updates_squashed': 876,
+                               'batch_sends': 91,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -1069,34 +1078,34 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': '857638b46011624632527782a766881cff739403',
+                  'rank_counters': '6bee7aa50f631e12ec014c3ff3ac981124b88c5f',
                   'store': {'low_degree_scans': 336, 'promotions': 12},
-                  'edges': '49c1f982f690f4c2109902c559b522d7d407735f',
+                  'edges': '26226daa7ee4cc4cbbd79442db1f44cd87571ee8',
                   'state': {'cc': '31b69ebfd6fbcde6cf395e5a1d0d38b04d70d642'},
                   'collections': []},
- 'obs_cc': {'clock': ['0x1.330ecb1ef7db4p-7',
-                      '0x1.330667a327805p-7',
-                      '0x1.3312917d159e0p-7',
-                      '0x1.33001d064b3c1p-7'],
-            'busy': ['0x1.9e45d0c4a9293p-8',
-                     '0x1.a07a5e6aef795p-8',
-                     '0x1.a465a57646c3fp-8',
-                     '0x1.a2ecff723b9c9p-8'],
-            'loop': {'actions_executed': 76381,
-                     'messages_delivered': 59993,
-                     'messages_squashed': 50,
-                     'batch_sends': 13703,
+ 'obs_cc': {'clock': ['0x1.1da6033467efdp-7',
+                      '0x1.1d9d9fb89794ep-7',
+                      '0x1.1da9c99285b29p-7',
+                      '0x1.1d97551bbb50ap-7'],
+            'busy': ['0x1.90b1938b62b7bp-8',
+                     '0x1.931876188b292p-8',
+                     '0x1.96ff8b65fa46fp-8',
+                     '0x1.95f8fb2900c1cp-8'],
+            'loop': {'actions_executed': 61996,
+                     'messages_delivered': 45608,
+                     'messages_squashed': 19,
+                     'batch_sends': 6783,
                      'stall_time': '0x0.0p+0'},
             'counters': {'source_events': 16384,
                          'edge_inserts': 32722,
                          'edge_deletes': 0,
-                         'visits': 59993,
-                         'messages_sent_local': 59993,
+                         'visits': 45608,
+                         'messages_sent_local': 45608,
                          'messages_sent_remote': 0,
                          'control_messages': 0,
-                         'busy_time': '0x1.a184b50606c0cp-6',
-                         'updates_squashed': 50,
-                         'batch_sends': 13703,
+                         'busy_time': '0x1.9430a40cba3a6p-6',
+                         'updates_squashed': 19,
+                         'batch_sends': 6783,
                          'bulk_chunks': 0,
                          'bulk_events': 0,
                          'fallback_flushes': 0,
@@ -1104,34 +1113,34 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                          'deletes_unsafe': 0,
                          'vertices_invalidated': 0,
                          'repair_visits': 0},
-            'rank_counters': 'd663a605a349386627b9fac313d16f1f1c1d005b',
+            'rank_counters': '0451f4b45e1aaaf5beef8e5af226965ee134d836',
             'store': {'low_degree_scans': 88020, 'promotions': 2256},
-            'edges': 'df155571a37dfe96adc7176ec206bbd60149f1f3',
+            'edges': 'bd056dc5baab955048eafafa687900f6e14756c9',
             'state': {'cc': '7c15c69f16f5e1e582e9134e0aedc6344e9201bb'},
             'collections': []},
- 'checkpointed': {'clock': ['0x1.717df19d66a2ep-11',
-                            '0x1.72a5390a0cbe7p-11',
-                            '0x1.71773ba0bff3bp-11',
-                            '0x1.6e4481395078cp-11'],
-                  'busy': ['0x1.8a3d05440c9cep-11',
-                           '0x1.af98089fe1b2ep-11',
-                           '0x1.2a0b6c44ccad3p-10',
-                           '0x1.1134dba9df56ap-11'],
-                  'loop': {'actions_executed': 3782,
-                           'messages_delivered': 2754,
-                           'messages_squashed': 1,
-                           'batch_sends': 105,
+ 'checkpointed': {'clock': ['0x1.6e95091120af3p-11',
+                            '0x1.6fbc507dc6cacp-11',
+                            '0x1.6e8e53147a000p-11',
+                            '0x1.6b5b98ad0a851p-11'],
+                  'busy': ['0x1.84216250572d5p-11',
+                           '0x1.a5d0df8104773p-11',
+                           '0x1.25ae0f7263c11p-10',
+                           '0x1.0c7ce604ac2b9p-11'],
+                  'loop': {'actions_executed': 3678,
+                           'messages_delivered': 2650,
+                           'messages_squashed': 0,
+                           'batch_sends': 51,
                            'stall_time': '0x0.0p+0'},
                   'counters': {'source_events': 2048,
                                'edge_inserts': 2632,
                                'edge_deletes': 0,
-                               'visits': 11383,
-                               'messages_sent_local': 7286,
+                               'visits': 10544,
+                               'messages_sent_local': 6447,
                                'messages_sent_remote': 0,
                                'control_messages': 0,
-                               'busy_time': '0x1.a7c83085d9c02p-9',
-                               'updates_squashed': 344,
-                               'batch_sends': 1005,
+                               'busy_time': '0x1.a072d1aeb3d48p-9',
+                               'updates_squashed': 149,
+                               'batch_sends': 453,
                                'bulk_chunks': 0,
                                'bulk_events': 0,
                                'fallback_flushes': 0,
@@ -1139,9 +1148,9 @@ PINNED: dict = {'bfs_cc': {'clock': ['0x1.5b02b0089be0cp-9',
                                'deletes_unsafe': 0,
                                'vertices_invalidated': 0,
                                'repair_visits': 0},
-                  'rank_counters': 'afebe44a7d5770542b9fbd68dd278ec63b65054d',
+                  'rank_counters': '3ab76bd8e14168b4a1281940aed47353d20ba71c',
                   'store': {'low_degree_scans': 3376, 'promotions': 95},
-                  'edges': '7a660160ea55bba7abd6027aa462f418d9c1dbed',
+                  'edges': '30facddcfa2422fa787b05e3acaadbe4bc42eebb',
                   'state': {'bfs': '1d57ab3e10aa8194333586a91c79326ee01545c8',
                             'cc': '00ef745e216c7952fd71c7aac9e5c5d373012831'},
                   'collections': []}}
