@@ -32,17 +32,17 @@ class FourCounterState:
     """
 
     def __init__(self) -> None:
-        self.sent_by_label: dict[int, int] = {}
+        self._sent: dict[int, int] = {}
         self.received_by_label: dict[int, int] = {}
 
     def record_send(self, label: int, n: int = 1) -> None:
-        self.sent_by_label[label] = self.sent_by_label.get(label, 0) + n
+        self._sent[label] = self._sent.get(label, 0) + n
 
     def record_receive(self, label: int, n: int = 1) -> None:
         self.received_by_label[label] = self.received_by_label.get(label, 0) + n
 
     def sent(self, label: int) -> int:
-        return self.sent_by_label.get(label, 0)
+        return self._sent.get(label, 0)
 
     def received(self, label: int) -> int:
         return self.received_by_label.get(label, 0)
@@ -54,7 +54,7 @@ class FourCounterState:
     def sent_below(self, cut: int) -> int:
         """Total sends over all labels < ``cut`` (prev-version traffic
         for a snapshot whose cut version is ``cut``)."""
-        return sum(n for label, n in self.sent_by_label.items() if label < cut)
+        return sum(n for label, n in self._sent.items() if label < cut)
 
     def received_below(self, cut: int) -> int:
         """Total receives over all labels < ``cut``."""
