@@ -333,8 +333,8 @@ class DeliveryLog(DynamicEngine):
 
 
 def echoes_to_the_adopted_from(coalesce, echo):
-    """Per program: its adoptions, and the UPDATEs delivered back to the
-    vertex a value was adopted from, carrying that value."""
+    """Per program: how many values were adopted, and how many of them
+    an UPDATE delivered back to the vertex they were adopted from."""
     adoptions: set = set()
     kinds = ("bfs", "sssp", "cc", "widest")
     classes = PROGRAMS["add-only"][0]

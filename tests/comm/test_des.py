@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import DynamicEngine, EngineConfig, IncrementalBFS, split_streams
 from repro.comm.costmodel import CostModel
 from repro.comm.des import DiscreteEventLoop, RankHandler
 
@@ -253,8 +254,6 @@ class TestKernelBookkeeping:
         assert loop.actions_executed == 0 and loop.in_flight == 1
 
     def test_engine_run_inherits_the_action_bound(self):
-        from repro import DynamicEngine, EngineConfig, IncrementalBFS, split_streams
-
         engine = DynamicEngine([IncrementalBFS()], EngineConfig(n_ranks=2))
         engine.attach_streams(split_streams([0, 1, 2], [1, 2, 3], 2))
         engine.run(max_actions=0)
