@@ -17,10 +17,10 @@ loop in Python) then took them to 59.0 and 337.0.  Deriving all ten REMO
 programs from one algebra row per family then read 55.1 and 333.4 (the
 reverse side of an add is the update callback itself, not a frame that
 calls it; the derived update compares through ``operator.lt``/``gt``,
-C calls that are not counted).  The ceilings keep ~16% headroom above the counts: room for the spread
-across CPython 3.10-3.13 (3.12 inlines comprehensions, which only
-lowers the count) and for a small honest addition — not for a per-visit
-helper chain coming back.
+C calls that are not counted).  The call ceilings were set ~16% above
+the counts of their day: room for the spread across CPython 3.10-3.13
+(3.12 inlines comprehensions, which only lowers the count) and for a
+small honest addition — not for a per-visit helper chain coming back.
 
 Frames are not wall time: cutting calls per event by a fifth once moved
 neither workload's wall.  Executed instructions are closer to it, so
