@@ -363,12 +363,14 @@ class DenseState:
     for none); ``edges`` is the adjacency the values relax over.
 
     ``rank=None`` is the DES bulk replay: every vertex is local and
-    written, ``local`` is ``None``.  A rank number is that mp rank's
-    view — its own vertices plus the remote endpoints of its edges —
-    where ``local`` marks the positions it owns and ``written`` follows
+    ``local`` is ``None``.  A rank number is that mp rank's view — its
+    own vertices plus the remote endpoints of its edges — where
+    ``local`` marks the positions it owns.  In both, ``written`` follows
     the per-event first-touch rules (callers and
-    :func:`~repro.kernels.frontier.relax_to_fixpoint` set it).  Nothing
-    else differs between the two.
+    :func:`~repro.kernels.frontier.relax_to_fixpoint` set it): an id
+    only a fold admitted — a vertex an ``init()`` reached before any
+    edge — is written for the folded program alone.  Nothing else
+    differs between the two.
 
     Growth replaces the columns (positions are stable): :meth:`resolve`
     (or :meth:`fold`, which resolves its own ids) first, then capture
@@ -400,10 +402,10 @@ class DenseState:
         self.owner = np.concatenate([self.owner, owner])
         if self.local is not None:
             self.local = np.concatenate([self.local, owner == self.rank])
-        seen = np.full(fresh.size, self.rank is None)
+        unwritten = np.zeros(fresh.size, dtype=bool)
         for p, k in enumerate(self.kernels):
             self.values[p] = np.concatenate([self.values[p], k.init_values(fresh)])
-            self.written[p] = np.concatenate([self.written[p], seen])
+            self.written[p] = np.concatenate([self.written[p], unwritten])
             self.synced[p] = np.concatenate(
                 [self.synced[p], np.zeros(fresh.size, dtype=k.dtype)]
             )

@@ -150,6 +150,8 @@ class BulkIngestor:
         # The chunk's one id resolution: positions of both columns.
         st = self.state
         pos = st.resolve(np.concatenate([src, dst]))
+        for written in st.written:  # each endpoint's first touch, per program
+            written[pos] = True
         t_d, h_d = pos[:n], pos[n:]
         # Topology: array append buffers on each owner's store (the
         # ADD side), plus the REVERSE_ADD side.

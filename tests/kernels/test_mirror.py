@@ -261,7 +261,7 @@ class DenseModel:
             self.order.append(vid)
             for p, k in enumerate(KERNELS):
                 seed = k.init_values(arr([vid]))[0]
-                self.cells[p][vid] = [seed, self.rank is None, 0]
+                self.cells[p][vid] = [seed, False, 0]
 
     def best(self, p, a, b):
         return min(a, b) if p == 0 else max(a, b)
