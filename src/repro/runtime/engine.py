@@ -222,7 +222,7 @@ class DynamicEngine(RankHandler):
         self.collection_results: list[CollectionResult] = []
         # collection_id -> {rank: source events ingested at its cut}
         self.cut_positions: dict[int, dict[int, int]] = {}
-        self._pending_collections: list[tuple[int, Any]] = []
+        self._pending_collections: list[int] = []
         self._next_version = 1
         self._next_collection_id = 0
         self._started = False
@@ -529,12 +529,7 @@ class DynamicEngine(RankHandler):
     # ------------------------------------------------------------------
     # public API: versioned global state collection (§III-D)
     # ------------------------------------------------------------------
-    def request_collection(
-        self,
-        prog: int | str = 0,
-        at_time: float = 0.0,
-        callback: Callable[[CollectionResult], None] | None = None,
-    ) -> None:
+    def request_collection(self, prog: int | str = 0, at_time: float = 0.0) -> None:
         """Schedule a continuous (non-pausing) global state collection.
 
         At virtual ``at_time`` the coordinator cuts a new version on
@@ -561,14 +556,14 @@ class DynamicEngine(RankHandler):
                 "into prev/new versions); pause-and-drain quiescence "
                 "collection is the supported path"
             )
-        self.loop.schedule_alarm(at_time, lambda: self._begin_collection(p, at_time, callback))
+        self.loop.schedule_alarm(at_time, lambda: self._begin_collection(p, at_time))
 
-    def _begin_collection(self, prog: int, requested_at: float, callback) -> None:
+    def _begin_collection(self, prog: int, requested_at: float) -> None:
         if self.active_collection is not None:
             # One collection at a time (as in the paper's prototype):
             # defer this request until the active one concludes.  Its
             # requested_at becomes the time it actually begins.
-            self._pending_collections.append((prog, callback))
+            self._pending_collections.append(prog)
             return
         cut = self._next_version
         self._next_version += 1
@@ -578,7 +573,6 @@ class DynamicEngine(RankHandler):
             cut_version=cut,
             requested_at=requested_at,
             detector=TerminationCoordinator(self.config.n_ranks),
-            callback=callback,
         )
         self._next_collection_id += 1
         self.active_collection = col
@@ -1233,10 +1227,8 @@ class DynamicEngine(RankHandler):
                         },
                     )
                 self.active_collection = None
-                if col.callback is not None:
-                    col.callback(result)
                 if self._pending_collections:
-                    prog, cb = self._pending_collections.pop(0)
-                    self._begin_collection(prog, self.loop.now(rank), cb)
+                    prog = self._pending_collections.pop(0)
+                    self._begin_collection(prog, self.loop.now(rank))
         else:  # pragma: no cover - corrupted control message
             raise ValueError(f"unknown control subtype in {msg!r}")

@@ -85,14 +85,6 @@ class VertexContext:
         """Current out-degree of this vertex in the rank-local store."""
         return self._store.degree(self.vertex)
 
-    @property
-    def edge_was_new(self) -> bool:
-        """During ``on_add``/``on_reverse_add``: did the triggering event
-        insert a *new* edge (True) or re-observe an existing one — an
-        attribute update (False)?  Programs that must not double-count
-        duplicate edge events (e.g. triangle counting) key off this."""
-        return self._engine._edge_was_new[self._rank]
-
     def has_edge(self, nbr: int) -> bool:
         """Does this vertex currently have an edge to ``nbr``?
 

@@ -50,10 +50,6 @@ class _RefContext:
     def degree(self) -> int:
         return self._engine.store.degree(self.vertex)
 
-    @property
-    def edge_was_new(self) -> bool:
-        return self._engine._edge_was_new
-
     def has_edge(self, nbr: int) -> bool:
         return self._engine.store.has_edge(self.vertex, nbr)
 
@@ -97,7 +93,6 @@ class ReferenceEngine:
         self.values: list[dict[int, Any]] = [dict() for _ in programs]
         self._ctx = [_RefContext(self, p) for p in range(len(programs))]
         self.queue: deque = deque()
-        self._edge_was_new = True
         self.events_ingested = 0
 
     # ------------------------------------------------------------------
@@ -156,7 +151,7 @@ class ReferenceEngine:
                 self._run(p, target, "on_update", vis_id, vis_val, weight)
             elif vt == VT_ADD:
                 _, src, dst, weight = msg
-                self._edge_was_new = self.store.insert_edge(src, dst, weight)
+                self.store.insert_edge(src, dst, weight)
                 for p in range(len(self.programs)):
                     self._run(p, src, "on_add", dst, 0, weight)
                 vals = tuple(
@@ -165,7 +160,7 @@ class ReferenceEngine:
                 queue.append((VT_RADD, dst, src, vals, weight))
             elif vt == VT_RADD:
                 _, dst, src, vals, weight = msg
-                self._edge_was_new = self.store.insert_edge(dst, src, weight)
+                self.store.insert_edge(dst, src, weight)
                 for p in range(len(self.programs)):
                     self._run(p, dst, "on_reverse_add", src, vals[p], weight)
             elif vt == VT_DEL:

@@ -76,7 +76,6 @@ class ActiveCollection:
     requested_at: float
     detector: TerminationCoordinator
     parts: dict[int, dict[int, Any]] = field(default_factory=dict)
-    callback: Any = None  # called with CollectionResult when done
 
     def all_parts_in(self, n_ranks: int) -> bool:
         return len(self.parts) == n_ranks

@@ -16,7 +16,6 @@ from repro.util.rng import SeedSequenceFactory, derive_seed, make_rng
 from repro.util.timers import WallTimer, format_rate, format_seconds
 from repro.util.validate import (
     check_in_range,
-    check_non_negative,
     check_positive,
     check_power_of_two,
 )
@@ -33,7 +32,6 @@ __all__ = [
     "format_rate",
     "format_seconds",
     "check_in_range",
-    "check_non_negative",
     "check_positive",
     "check_power_of_two",
 ]

@@ -14,12 +14,6 @@ def check_positive(name: str, value: float) -> None:
         raise ValueError(f"{name} must be > 0, got {value!r}")
 
 
-def check_non_negative(name: str, value: float) -> None:
-    """Raise ``ValueError`` unless ``value >= 0``."""
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value!r}")
-
-
 def check_in_range(name: str, value: float, lo: float, hi: float) -> None:
     """Raise ``ValueError`` unless ``lo <= value <= hi``."""
     if not (lo <= value <= hi):

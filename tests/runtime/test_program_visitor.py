@@ -84,30 +84,6 @@ class TestVertexContext:
         e.run()
         assert (1, True, False) in checks
 
-    def test_edge_was_new_flag(self):
-        observations = []
-
-        class Probe(VertexProgram):
-            name = "probe"
-
-            def on_add(self, ctx, vid, val, w):
-                observations.append(("add", ctx.vertex, vid, ctx.edge_was_new))
-
-            def on_reverse_add(self, ctx, vid, val, w):
-                observations.append(("radd", ctx.vertex, vid, ctx.edge_was_new))
-
-        e = DynamicEngine([Probe()], EngineConfig(n_ranks=2))
-        e.attach_streams(
-            [ListEventStream([(ADD, 0, 1, 1), (ADD, 0, 1, 2), (ADD, 1, 0, 3)])]
-        )
-        e.run()
-        # endpoint order is canonicalised, so all three events process
-        # identically: first insert is new, the re-observations are not.
-        add_flags = [f for kind, *_rest, f in observations if kind == "add"]
-        radd_flags = [f for kind, *_rest, f in observations if kind == "radd"]
-        assert add_flags == [True, False, False]
-        assert radd_flags == [True, False, False]
-
     def test_visit_time_monotone(self):
         times = []
 

@@ -5,7 +5,6 @@ import pytest
 from repro.util.timers import WallTimer, format_rate, format_seconds
 from repro.util.validate import (
     check_in_range,
-    check_non_negative,
     check_positive,
     check_power_of_two,
 )
@@ -70,11 +69,6 @@ class TestValidate:
         check_positive("n", 1)
         with pytest.raises(ValueError):
             check_positive("n", 0)
-
-    def test_check_non_negative(self):
-        check_non_negative("n", 0)
-        with pytest.raises(ValueError):
-            check_non_negative("n", -1)
 
     def test_check_in_range(self):
         check_in_range("f", 0.5, 0.0, 1.0)
