@@ -59,8 +59,8 @@ class QueryResult:
     """One served answer with its staleness envelope.
 
     ``stale=False`` is a guarantee: the value equals the static answer
-    on the discretized prefix ingested so far (differentially tested in
-    ``tests/serving/test_differential.py``).  ``stale=True`` is a
+    on the discretized prefix ingested so far (checked by the ``serve``
+    rule of ``tests/properties/test_engine_contract.py``).  ``stale=True`` is a
     bounded-staleness read: the monotone live value, which pending
     frontier work may still improve.
     """

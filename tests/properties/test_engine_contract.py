@@ -47,7 +47,7 @@ from typing import Any, Callable
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, settings
+from hypothesis import Phase, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -566,7 +566,6 @@ TestEngineContract = EngineContract.TestCase
 TestEngineContract.settings = settings(
     deadline=None,
     stateful_step_count=30,
-    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
     **TIER1,
 )
 
