@@ -12,9 +12,10 @@ Set-up (drawn once per example): the programs — the kernel set (BFS,
 SSSP, CC), the full add-only set (adds widest, S-T with 1–3 sources,
 det-bfs and degree) or the five generational programs under deletes —
 1, 2 or 4 ranks, bulk ingest off or at chunk 1/7/64 (kernel set only),
-``coalesce_updates`` on or off, at most 10 vertices dealt round robin
-into per-rank streams, and on add-only runs optionally the full-stream
-answer as the serving tier's reference.
+``coalesce_updates`` on or off, at most 10 vertices (up to 40 adds, or 30
+operations under deletes) dealt round robin into per-rank streams,
+triggers and collections registered before ingest, and on add-only runs
+optionally the full-stream answer as the serving tier's reference.
 
 Rules: run a slice; serve a point or typed read; register or remove a
 trigger; ``init_program`` a further source; begin a collection (add-only);
@@ -170,7 +171,7 @@ def prefix_csr(streams: list[list[tuple]], cuts: dict[int, int]) -> CSRGraph:
 
 @st.composite
 def add_only_events(draw, n_vertices):
-    size = draw(st.integers(0, 24))  # uniform: hypothesis lists run short
+    size = draw(st.integers(0, 40))  # uniform: hypothesis lists run short
     vertex = st.integers(0, n_vertices - 1)
     pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=size, max_size=size))
     a, b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
@@ -267,7 +268,7 @@ class EngineContract(RuleBasedStateMachine):
                 p: self._oracle(p, graph, inits) for p in self.names if family(p)
             }
         self.watches: list[Watch] = []
-        self.requested: list[str] = []
+        self.requested: list[tuple[float, str]] = []  # (at_time, program)
         self.checked = 0
         self.bulk_spoiled = False
         self.restores = 0
@@ -275,6 +276,10 @@ class EngineContract(RuleBasedStateMachine):
         for i, h in zip(inits, held):
             if not h:
                 self._init(i)
+        # Queries registered before ingest starts see every change.
+        for _ in range(draw(st.integers(0, 2), label="queries up front")):
+            self.add_trigger(data)
+            self.begin_collection(data)
         self.last = self._states()
 
     def _programs(self):
@@ -323,6 +328,15 @@ class EngineContract(RuleBasedStateMachine):
         if kind == "st":
             bits = sum(1 << i.payload for i in inits if i.prog == prog)
             answer = {v: m & bits for v, m in answer.items() if m & bits}
+        return answer
+
+    def _raw(self, prog: str, graph: CSRGraph, inits) -> dict:
+        """The add-only state ``prog`` holds at a fixpoint on ``graph``:
+        the oracle's answer, plus ``INF`` where BFS/SSSP touched a vertex
+        they did not reach (every endpoint is touched)."""
+        answer = self._oracle(prog, graph, inits)
+        if family(prog) in ("bfs", "sssp"):
+            return {**dict.fromkeys(graph.vertex_ids.tolist(), INF), **answer}
         return answer
 
     def _states(self) -> dict[str, dict]:
@@ -417,8 +431,10 @@ class EngineContract(RuleBasedStateMachine):
             return
         names = [p for p in self.names if family(p)]
         prog = data.draw(st.sampled_from(names), label="collect")
-        self.engine.request_collection(prog, at_time=self.engine.vtime())
-        self.requested.append(prog)
+        # A cut up to 50 us ahead lands mid-stream, not at the next action.
+        at = self.engine.vtime() + data.draw(st.integers(0, 50), label="us") * 1e-6
+        self.engine.request_collection(prog, at_time=at)
+        self.requested.append((at, prog))
         self.bulk_spoiled = True
 
     @rule()
@@ -474,21 +490,21 @@ class EngineContract(RuleBasedStateMachine):
     def _check_collections(self) -> None:
         eng = self.engine
         results = eng.collection_results
+        # Collections begin in alarm order: by time, then by request.
+        order = sorted(self.requested, key=lambda req: req[0])
         for i in range(self.checked, len(results)):
-            r = results[i]
-            prog = self.requested[i]
+            (at, prog), r = order[i], results[i]
             assert r.prog == eng.prog_index(prog)
             assert r.completed_at > r.requested_at and r.probe_waves >= 2
             assert r.vertices_collected == len(r.state)
-            if i:
+            if i:  # one at a time: a request made meanwhile waits its turn
                 prev = results[i - 1]
                 assert r.cut_version > prev.cut_version
-                assert r.requested_at >= prev.completed_at
+                assert r.requested_at in (at, prev.completed_at)
             graph = prefix_csr(self.streams_events, eng.cut_positions[r.collection_id])
             inits = [x for x in self.inits if x.version < r.cut_version]
-            expect = self._oracle(prog, graph, inits)
-            unreached = FAMILIES[family(prog)].unreached
-            got = {v: x for v, x in r.state.items() if not unreached(x)}
+            expect = self._raw(prog, graph, inits)
+            got = {v: x for v, x in r.state.items() if x != 0}  # 0: after the cut
             assert got == expect, (prog, r.cut_version, got, expect)
         self.checked = len(results)
 
@@ -503,8 +519,8 @@ class EngineContract(RuleBasedStateMachine):
             if not family(name):
                 continue
             state = eng.state(name)
-            expect = self._oracle(name, graph, self.inits)
             if not self.add_only:
+                expect = self._oracle(name, graph, self.inits)
                 assert all(len(x) == 3 for x in state.values()), f"{name}: frozen"
                 fam = FAMILIES[family(name)]
                 got = {v: x[1] for v, x in state.items() if not fam.unreached(x[1])}
@@ -512,8 +528,7 @@ class EngineContract(RuleBasedStateMachine):
                     expect = {v: fam.alone(v) for v in got.keys() - vertices} | expect
                 assert got == expect, (name, got, expect)
                 continue
-            if family(name) in ("bfs", "sssp"):  # touched, unreached: INF
-                expect = {**dict.fromkeys(vertices, INF), **expect}
+            expect = self._raw(name, graph, self.inits)
             assert state == expect, (name, state, expect)
             if name in KERNEL:
                 assert all(type(x) is int for x in state.values())
@@ -560,7 +575,7 @@ class EngineContract(RuleBasedStateMachine):
 TIER1 = (
     {}
     if settings.get_current_profile_name() == "churn-sweep"
-    else {"max_examples": 100, "derandomize": True}
+    else {"max_examples": 200, "derandomize": True}
 )
 TestEngineContract = EngineContract.TestCase
 TestEngineContract.settings = settings(
