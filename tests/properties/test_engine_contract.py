@@ -28,11 +28,11 @@ oracle and is served again from the cache; add-only values never regress
 with ``state``; a trigger fires at most once, only while its predicate
 holds on the live value; a finished collection equals the static answer
 on its ``cut_positions`` prefix.  At quiescence (each checkpoint's drain
-and the end): state equals the oracle — raw values and the edge set on
-add-only runs, projections and no frozen vertex under deletes — a
-trigger fired iff its predicate holds, det-bfs, degree and S-T equal
-``ReferenceEngine`` on the same events, and a bulk run that stayed
-eligible ingested every event in chunks.
+and the end): state equals the oracle — raw values on add-only runs,
+projections and no frozen vertex under deletes — and a trigger fired iff
+its predicate holds.  At the end also: the edge set, det-bfs, degree and
+S-T against ``ReferenceEngine`` on the same events, and a bulk run that
+stayed eligible ingested every event in chunks.
 
 ``PYTHONPATH=src python tests/properties/test_engine_contract.py`` runs
 the machine, randomised at the ``churn-sweep`` size, on the generational
