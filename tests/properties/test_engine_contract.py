@@ -259,7 +259,6 @@ class EngineContract(RuleBasedStateMachine):
             for i in inits
         ]
         self.pending = [i for i, h in zip(inits, held) if h]
-        self.all_inits = inits
         self.inits: list[Init] = []  # issued so far
         self.refs: dict[str, dict] = {}
         if self.add_only and draw(st.booleans(), label="reference"):
@@ -559,7 +558,7 @@ class EngineContract(RuleBasedStateMachine):
             assert sorted(eng.edges()) == sorted(both)
             # S-T, det-bfs and degree against the sequential spec.
             ref = ReferenceEngine(self._programs())
-            for i in self.all_inits:
+            for i in self.inits:  # every one, by now
                 ref.init_program(i.prog, i.vertex, i.payload)
             ref.ingest(self.events)
             for name in ("st", "det-bfs", "degree"):
