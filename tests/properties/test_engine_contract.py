@@ -696,6 +696,7 @@ if __name__ == "__main__":
     try:
         run_state_machine_as_test(UnfencedContract, settings=sweep)
     except AssertionError as failure:
-        print(f"found: the unfenced support tree fails the contract\n{failure}")
+        steps = "\n".join(getattr(failure, "__notes__", ()))
+        print(f"found: the unfenced support tree fails\n{failure}\n{steps}")
     else:
         print(f"not found in {sweep.max_examples} examples (a report, not a gate)")
