@@ -188,6 +188,24 @@ class TestEngineTriggers:
         # than the previous one.
         assert times[1] <= times[2] <= times[3] <= times[4] <= times[5]
 
+    def test_bfs_proximity_trigger(self):
+        """Fig. 3 discussion: trigger when a vertex's path to the source
+        becomes shorter than a bound."""
+        e = DynamicEngine([IncrementalBFS()], EngineConfig(n_ranks=2))
+        e.init_program("bfs", 0)
+        hits = []
+        e.add_trigger(
+            "bfs",
+            lambda v, lvl: 0 < lvl <= 3,
+            lambda v, lvl, t: hits.append(v),
+        )
+        events = [(ADD, i, i + 1, 1) for i in range(6)]
+        events.append((ADD, 0, 5, 1))  # shortcut: 5 jumps from level 6 to 2
+        e.attach_streams([ListEventStream(events)])
+        e.run()
+        assert set(hits) >= {0, 1, 2, 5, 6}
+        assert hits.count(5) == 1  # once, despite improving twice
+
     def test_trigger_on_unknown_program_rejected(self):
         e = DynamicEngine([IncrementalBFS()])
         with pytest.raises(ValueError):

@@ -1,11 +1,17 @@
-"""Versioned collection bookkeeping: control traffic and the S_prev
-split state (the harvested values themselves are checked by
-``tests/properties/test_engine_contract.py``)."""
+"""Versioned collection across the other merge-mode programs (CC, ST)
+and interplay with triggers and deletes."""
 
 import numpy as np
 
-from repro import DynamicEngine, EngineConfig, IncrementalCC, split_streams
-from repro.generators import rmat_edges
+from repro import (
+    DynamicEngine,
+    EngineConfig,
+    IncrementalCC,
+    MultiSTConnectivity,
+    split_streams,
+)
+from repro.algorithms.cc import component_label
+from repro.generators import erdos_renyi_edges, rmat_edges
 
 
 def build(programs, seed, n_ranks=6, scale=8):
@@ -14,6 +20,62 @@ def build(programs, seed, n_ranks=6, scale=8):
     e = DynamicEngine(programs, EngineConfig(n_ranks=n_ranks))
     e.attach_streams(split_streams(src, dst, n_ranks, rng=rng))
     return e, src
+
+
+class TestCCSnapshot:
+    def test_cc_snapshot_is_max_monotone_lower_bound(self):
+        # CC labels only grow; a prefix snapshot is pointwise <= final.
+        e, _ = build([IncrementalCC()], seed=0)
+        e.request_collection("cc", at_time=5e-4)
+        e.run()
+        snap = e.collection_results[0].state
+        final = e.state("cc")
+        assert snap  # non-empty
+        for v, label in snap.items():
+            if label == 0:
+                continue
+            assert final[v] >= label
+
+    def test_cc_snapshot_labels_are_real_hashes(self):
+        # Every snapshot label is some vertex's component hash — the
+        # split bookkeeping must never manufacture values.
+        e, src = build([IncrementalCC()], seed=1)
+        e.request_collection("cc", at_time=5e-4)
+        e.run()
+        valid = {component_label(int(v)) for v in range(1 << 9)}
+        for v, label in e.collection_results[0].state.items():
+            if label:
+                assert label in valid
+
+
+class TestSTSnapshot:
+    def test_st_snapshot_masks_subset_of_final(self):
+        st = MultiSTConnectivity()
+        e, src = build([st], seed=2)
+        sources = sorted({int(v) for v in src[:3]})
+        for s in sources:
+            e.init_program("st", s, payload=st.register_source(s))
+        e.request_collection("st", at_time=5e-4)
+        e.run()
+        snap = e.collection_results[0].state
+        final = e.state("st")
+        for v, mask in snap.items():
+            # union-monotone: snapshot mask ⊆ final mask
+            assert mask & final.get(v, 0) == mask
+
+
+class TestSnapshotWithTriggers:
+    def test_triggers_fire_normally_during_collection(self):
+        e, src = build([IncrementalCC()], seed=3)
+        fired = []
+        e.add_trigger(
+            "cc", lambda v, val: val != 0, lambda v, val, t: fired.append(v)
+        )
+        e.request_collection("cc", at_time=3e-4)
+        e.run()
+        # every labelled vertex fired exactly once
+        assert sorted(fired) == sorted(set(fired))
+        assert set(fired) == {v for v, val in e.state("cc").items() if val}
 
 
 class TestCollectionAccounting:
@@ -33,3 +95,33 @@ class TestCollectionAccounting:
         assert e.active_collection is None
         for prev in e._prev_vals:
             assert prev == {}
+
+    def test_collection_on_empty_engine(self):
+        e = DynamicEngine([IncrementalCC()], EngineConfig(n_ranks=3))
+        e.request_collection("cc", at_time=1e-3)
+        e.run()
+        r = e.collection_results[0]
+        assert r.state == {}
+        assert r.vertices_collected == 0
+
+
+class TestVerifiedAgainstPrefixWithDeletesExcluded:
+    def test_snapshot_during_er_stream(self):
+        rng = np.random.default_rng(6)
+        src, dst = erdos_renyi_edges(100, 600, rng=rng)
+        e = DynamicEngine([IncrementalCC()], EngineConfig(n_ranks=4))
+        e.attach_streams(split_streams(src, dst, 4, rng=rng))
+        e.request_collection("cc", at_time=2e-4)
+        e.run()
+        # consistency: labels present in the snapshot agree with label
+        # equality classes that persist to the end (merged components
+        # can only coarsen, never split, in add-only streams)
+        snap = e.collection_results[0].state
+        final = e.state("cc")
+        groups: dict[int, set[int]] = {}
+        for v, label in snap.items():
+            if label:
+                groups.setdefault(label, set()).add(v)
+        for label, members in groups.items():
+            final_labels = {final[v] for v in members}
+            assert len(final_labels) == 1, f"snapshot group {label} split later"
