@@ -110,6 +110,10 @@ class BulkIngestor:
         t, h, w = np.array(edges, dtype=np.int64).reshape(-1, 3).T
         st = self.state
         pos = st.resolve(np.concatenate([t, h]))
+        # A stored edge's endpoints are, or will be once the visitors in
+        # flight land, first-touched by every program.
+        for written in st.written:
+            written[pos] = True
         st.edges = EdgeRuns()
         st.edges.insert(pos[: t.size], pos[t.size :], w)
 

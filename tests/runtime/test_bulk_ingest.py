@@ -13,6 +13,7 @@ from repro import (
     ListEventStream,
     throughput_report,
 )
+from repro.analytics.verify import verify_bfs
 from repro.comm.costmodel import CostModel
 from repro.events.stream import ArrayEventStream, split_streams
 from repro.events.types import ADD, DELETE
@@ -205,6 +206,42 @@ def test_removed_trigger_restores_eligibility():
     assert not eng._bulk_eligible()
     assert eng.triggers.remove(trig)
     assert eng._bulk_eligible()
+
+
+def test_chunk_gain_reaches_an_endpoint_whose_reverse_add_is_in_flight():
+    # A trigger keeps bulk off while ADD(5, 6) is pulled per-event; it is
+    # removed once the edge is stored at 5 with the REVERSE_ADD to 6 still
+    # in flight.  The resync then admits 6 from the store, and the last
+    # chunk's ADD(0, 5) improves 5, which the dense relaxation carries to
+    # 6.  That gain must be written back before the REVERSE_ADD lands:
+    # the reverse side carries 5's value from before the chunk, and
+    # nothing per-event sends the chunk's gain on to 6.
+    n_ranks, ingest = 2, 1
+    src = np.array([5, *range(100, 110), 0])
+    dst = np.array([6, *range(200, 210), 5])
+    eng = DynamicEngine(
+        [IncrementalBFS()], EngineConfig(n_ranks=n_ranks), plugins=[BulkIngestPlugin(8)]
+    )
+    eng.init_program("bfs", 0)
+    trig = eng.add_trigger("bfs", lambda v, val: False, lambda v, val, t: None)
+    empty = np.zeros(0, dtype=np.int64)
+    eng.attach_streams(
+        [
+            ArrayEventStream(src, dst) if r == ingest else ArrayEventStream(empty, empty)
+            for r in range(n_ranks)
+        ]
+    )
+    for _ in range(100):
+        eng.run(max_actions=1)
+        if eng.has_edge(5, 6) and not eng.has_edge(6, 5):
+            break
+    else:
+        pytest.fail("ADD(5, 6) was never stored with its reverse side in flight")
+    assert eng.triggers.remove(trig)
+    eng.run()
+    assert eng.total_counters().bulk_events > 0
+    assert verify_bfs(eng, "bfs", 0) == []
+    assert eng.value_of("bfs", 6) == 3
 
 
 def test_delete_events_in_stream_disable_bulk():
