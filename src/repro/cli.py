@@ -61,8 +61,7 @@ from repro.events.types import ADD
 from repro.faults import FaultPlan
 from repro.generators import DATASET_PRESETS, generate_preset, rmat_edges
 from repro.generators.weights import pairwise_weights
-from repro.runtime.engine import EngineConfig
-from repro.runtime.lifecycle import EngineBuilder
+from repro.runtime.engine import DynamicEngine, EngineConfig
 from repro.runtime.plugins import (
     FaultInjectionPlugin,
     FreshnessPlugin,
@@ -298,13 +297,8 @@ def _verify_tail(args, chat, algo: Algo, seed, view, what: str) -> dict:
 
 def _engine(programs, n_ranks: int, cost: CostModel, plugins=()):
     """The DES engine every path builds; plugins set up in list order."""
-    return (
-        EngineBuilder()
-        .with_programs(programs)
-        .with_config(EngineConfig(n_ranks=n_ranks))
-        .with_cost_model(cost)
-        .with_plugins(plugins)
-        .build()
+    return DynamicEngine(
+        programs, EngineConfig(n_ranks=n_ranks), cost, plugins=list(plugins)
     )
 
 

@@ -52,8 +52,7 @@ from repro.parallel.wire import (
     Sender,
     WireConfig,
 )
-from repro.runtime.engine import EngineConfig
-from repro.runtime.lifecycle import EngineBuilder
+from repro.runtime.engine import DynamicEngine, EngineConfig
 from repro.runtime.visitor import VT_INIT
 
 _DISPATCH_SLICE = 512  # inbox messages dispatched per loop turn
@@ -119,7 +118,7 @@ def _run_rank(
     add_only: bool,
     obs_config: Any = None,
 ) -> dict[str, Any]:
-    engine = EngineBuilder().with_programs(programs).with_config(config).build()
+    engine = DynamicEngine(programs, config)
     sender = Sender(peer_conns)
     jitter_rng = None
     if wire.jitter_seed is not None:

@@ -565,6 +565,10 @@ class DynamicEngine(RankHandler):
             # requested_at becomes the time it actually begins.
             self._pending_collections.append(prog)
             return
+        if self.collection_results:
+            # An alarm due inside the previous epoch fires only after the
+            # action that ended it: begin then, so epochs never overlap.
+            requested_at = max(requested_at, self.collection_results[-1].completed_at)
         cut = self._next_version
         self._next_version += 1
         col = ActiveCollection(

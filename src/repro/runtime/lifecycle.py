@@ -1,13 +1,11 @@
-"""The :class:`EngineBuilder`: fluent assembly of an engine.
+"""The :class:`EngineBuilder`: ``DynamicEngine(programs, config,
+cost_model, plugins=)`` spelled fluently.
 
-The front door the CLI (both ``run`` and ``serve``), the mp workers and
-``benchmarks/core`` use: it accumulates programs, config, cost model
-and plugins, and constructs the engine — exactly
-``DynamicEngine(programs, config, plugins=[...])``, spelled fluently.
-A built engine has no phase grammar: streams may be attached, events
-injected, collections requested and ``run()`` called in any order for
-as long as the object lives (the one ordering rule, a fault plan goes
-in before the first ``run()``, is checked where it applies).
+Nothing in the package builds an engine through it: the CLI and the mp
+workers construct :class:`~repro.runtime.engine.DynamicEngine` directly.
+It stays only because the frozen ``benchmarks/core/workloads.py``
+imports it; ROADMAP item 15-1, which unfreezes that benchmark, deletes
+it.
 """
 
 from __future__ import annotations
@@ -21,21 +19,8 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 
 class EngineBuilder:
-    """Fluent assembly of a :class:`DynamicEngine` with plugins.
-
-    Usage::
-
-        engine = (
-            EngineBuilder()
-            .with_programs([prog])
-            .with_config(EngineConfig(n_ranks=4))
-            .with_plugins([TracerPlugin()])
-            .build()
-        )
-
-    ``build()`` constructs the engine, which runs every plugin's
-    ``setup`` in list order.
-    """
+    """Fluent assembly of a :class:`DynamicEngine`; ``build()`` runs
+    every plugin's ``setup`` in list order."""
 
     def __init__(self) -> None:
         self._programs: list[Any] = []

@@ -8,52 +8,64 @@ static answer on the ingested prefix for any legal interleaving (§II-B,
 test drives the clock (``run(max_actions=k)`` slices), so every rule
 lands between two actions of a live run.
 
-Set-up (drawn once per example): the programs — the kernel set (BFS,
-SSSP, CC), the full add-only set (adds widest, S-T with 1–3 sources,
-det-bfs and degree) or the five generational programs under deletes —
-1, 2 or 4 ranks, bulk ingest off or at chunk 1/7/64 (kernel set only),
-``coalesce_updates`` on or off, at most 10 vertices (up to 40 adds, or 30
-operations under deletes) dealt round robin into per-rank streams,
-triggers and collections registered before ingest, and on add-only runs
-optionally the full-stream answer as the serving tier's reference.
+Set-up (drawn once per example), by mode: ``kernel`` (BFS, SSSP, CC;
+bulk ingest off or at chunk 1/7/64), ``full`` (adds widest, S-T with 1–3
+sources, det-bfs and degree), ``churn`` (the five generational programs
+under deletes), ``handover`` (kernel set at chunk 7/64 behind triggers,
+released under live traffic) and ``harvest`` (full set, collections
+while one 32–40 event stream runs through them); then 1, 2 or 4 ranks,
+``coalesce_updates`` on or off, at most 10 vertices (up to 40 adds, a
+random tree streamed from the leaves, or 30 operations under deletes)
+dealt round robin or all to rank 0, one more vertex that no event
+touches, triggers and collections registered before ingest, and on
+add-only runs optionally the full-stream answer as the serving tier's
+reference.
 
-Rules: run a slice; serve a point or typed read; register or remove a
-trigger; ``init_program`` a further source; begin a collection (add-only);
-checkpoint and restore (pause, drain, save, load into a fresh engine,
-seek the streams — ``FaultTolerantRunner._checkpoint``).
+Rules: run a slice (at most ``k`` actions; a few under bulk ingest);
+serve a point or typed read; register or remove a trigger; release bulk
+ingest (every trigger goes while a REVERSE_ADD is in flight, and the
+clock runs until it lands); ``init_program`` a further source; begin a
+collection; pause and drain, then resume; checkpoint and restore (pause,
+drain, save, load into a fresh engine, seek the streams —
+``FaultTolerantRunner._checkpoint``).
 
 Invariants (every step): a ``stale=False`` answer equals the prefix
-oracle and is served again from the cache; add-only values never regress
-(churn: ``(generation, value)`` never regresses) and ``value_of`` agrees
-with ``state``; a trigger fires at most once, only while its predicate
-holds on the live value; a finished collection equals the static answer
-on its ``cut_positions`` prefix.  At quiescence (each checkpoint's drain
-and the end): state equals the oracle — raw values on add-only runs,
-projections and no frozen vertex under deletes — and a trigger fired iff
-its predicate holds.  At the end also: the edge set, det-bfs, degree and
-S-T against ``ReferenceEngine`` on the same events, and a bulk run that
-stayed eligible ingested every event in chunks.
+oracle and is served again from the cache, and a cached entry holds the
+live answer; a drained engine's state is the static answer on the
+stored edges; add-only values never regress (churn: ``(generation,
+value)`` never regresses) and ``value_of`` agrees with ``state``; a
+trigger fires at most once, only while its predicate holds on the live
+value; a finished collection equals the static answer on its
+``cut_positions`` prefix, and between epochs no rank holds split state.
+At quiescence (each checkpoint's drain and the end) also: a trigger
+fired iff its predicate holds.  At the end: the edge set, det-bfs,
+degree and S-T against ``ReferenceEngine`` on the same events, and a
+bulk run that stayed eligible ingested every event in chunks.
 
+The mutant catalogue (``mutants.py``) proves the machine: it must fail
+under every gated mutant within its tier-1 budget.
 ``PYTHONPATH=src python tests/properties/test_engine_contract.py`` runs
-the machine, randomised at the ``churn-sweep`` size, on the generational
-programs with rule 9's fence removed and prints whether it finds the
-fence hazard (DESIGN §12 b).  A report, not a gate.
+it randomised at the ``churn-sweep`` size in churn mode with rule 9's
+fence removed and prints whether it finds the fence hazard (DESIGN §12
+b).  A report, not a gate.
 """
 
 import sys
 import tempfile
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from inspect import signature
 from pathlib import Path
 from typing import Any, Callable
 
 import numpy as np
 import pytest
-from hypothesis import Phase, settings
+from hypothesis import Phase, Verbosity, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
+    precondition,
     rule,
     run_state_machine_as_test,
 )
@@ -80,14 +92,14 @@ from repro.algorithms.bfs_parents import DeterministicBFS
 from repro.algorithms.cc import component_label
 from repro.analytics.verify import FAMILIES, csr_from_engine, static_answer
 from repro.events.types import ADD, DELETE
-from repro.runtime.bulk import BulkIngestor
 from repro.runtime.checkpoint import load_checkpoint, save_checkpoint
 from repro.runtime.plugins import BulkIngestPlugin
-from repro.runtime.queries import TriggerManager
-from repro.runtime.visitor import CTRL_HARVEST
+from repro.runtime.visitor import VT_RADD
 from repro.serving import FrozenBackend, ServingLayer
 from repro.serving.workload import KINDS_FOR
 from repro.storage.csr import CSRGraph
+
+from mutants import CATALOGUE, MUTANTS, Mutant, patched
 
 MAX_VERTICES = 10
 KERNEL = ("bfs", "sssp", "cc")
@@ -170,10 +182,18 @@ def prefix_csr(streams: list[list[tuple]], cuts: dict[int, int]) -> CSRGraph:
 
 
 @st.composite
-def add_only_events(draw, n_vertices):
-    size = draw(st.integers(0, 40))  # uniform: hypothesis lists run short
-    vertex = st.integers(0, n_vertices - 1)
-    pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=size, max_size=size))
+def add_only_events(draw, n_vertices, long=False):
+    """Random pairs (32-40 of them if ``long``), or a random tree."""
+    if not long and draw(st.booleans(), label="tree"):
+        # A random tree, streamed from the leaves inward: each edge then
+        # improves a subtree that is already stored and reached only
+        # through it, the order that re-relaxes the most.
+        pairs = [(draw(st.integers(0, v - 1)), v) for v in range(n_vertices - 1, 0, -1)]
+    else:
+        # Uniform: hypothesis lists run short.
+        size = draw(st.integers(32, 40) if long else st.integers(0, 40))
+        vertex = st.integers(0, n_vertices - 1)
+        pairs = draw(st.lists(st.tuples(vertex, vertex), min_size=size, max_size=size))
     a, b = draw(st.integers(1, 7)), draw(st.integers(1, 7))
     # A weight per undirected pair: a re-add never changes it (§II-B).
     return [(ADD, s, d, 1 + (a * min(s, d) + b * max(s, d)) % 9) for s, d in pairs]
@@ -206,44 +226,47 @@ def churn_events(draw, n_vertices):
 
 class EngineContract(RuleBasedStateMachine):
     """One DES engine under test against the static oracles (module
-    docstring).  A planted-bug test overrides one of the factories."""
+    docstring).  A mutant (``mutants.py``) patches the code under it."""
 
-    MODES = ("kernel", "full", "churn")
-
-    # -- factories --------------------------------------------------------
-    def make_engine(self, programs, config, plugins) -> DynamicEngine:
-        return DynamicEngine(programs, config, plugins=plugins)
-
-    def make_bulk(self, chunk: int) -> BulkIngestPlugin:
-        return BulkIngestPlugin(chunk)
-
-    def make_serving(self, engine) -> ServingLayer:
-        return ServingLayer(engine)
-
-    def make_program(self, name: str):
-        return PROGRAM[name]()
+    # mode: programs, rank counts, bulk chunk sizes, one stream at rank 0,
+    # fewest vertices.  A handover holds bulk ingest back behind triggers
+    # and releases it under live traffic; a harvest collects while one
+    # long stream keeps changing values through the epoch.
+    MODES = {
+        "handover": (KERNEL, (2, 4), (7, 64), True, 6),
+        "harvest": (FULL, (2,), (None,), True, 6),
+        "kernel": (KERNEL, (1, 2, 4), (7, 1, 64, None), False, 2),
+        "full": (FULL, (1, 2, 4), (None,), False, 2),
+        "churn": (CHURN, (1, 2, 4), (None,), False, 2),
+    }
 
     # -- set-up -----------------------------------------------------------
     @initialize(data=st.data())
     def setup(self, data):
         draw = data.draw
-        self.mode = draw(st.sampled_from(self.MODES), label="mode")
-        self.names = {"kernel": KERNEL, "full": FULL, "churn": CHURN}[self.mode]
-        self.add_only = self.mode != "churn"
-        self.n_ranks = draw(st.sampled_from((1, 2, 4)), label="ranks")
-        self.chunk = None
-        if self.mode == "kernel":
-            self.chunk = draw(st.sampled_from((None, 1, 7, 64)), label="chunk")
+        self.mode = mode = draw(st.sampled_from(list(self.MODES)), label="mode")
+        self.names, ranks, chunks, one_stream, fewest = self.MODES[mode]
+        self.add_only = mode != "churn"
+        self.n_ranks = draw(st.sampled_from(ranks), label="ranks")
+        self.chunk = draw(st.sampled_from(chunks), label="chunk")
         self.coalesce = draw(st.booleans(), label="coalesce")
         # Triggers and collections keep bulk ingest off while they last:
-        # half the runs have none, so the chunks run end to end.
-        self.observed = draw(st.booleans(), label="triggers and collections")
-        n = draw(st.integers(2, MAX_VERTICES), label="n_vertices")
-        events = draw((add_only_events if self.add_only else churn_events)(n))
+        # half the kernel runs have none, so the chunks run end to end.
+        self.observed = mode in ("handover", "harvest") or draw(st.booleans())
+        self.collections = self.observed and self.add_only and mode != "handover"
+        n = draw(st.integers(fewest, MAX_VERTICES), label="n_vertices")
+        if not self.add_only:
+            events = draw(churn_events(n))
+        else:
+            events = draw(add_only_events(n, long=mode == "harvest"))
         self.events = events
-        self.streams_events = [events[k :: self.n_ranks] for k in range(self.n_ranks)]
-        self.universe = range(n)
-        vertex = st.integers(0, n - 1)
+        lanes = 1 if one_stream else self.n_ranks
+        self.streams_events = [events[k::lanes] for k in range(lanes)]
+        self.streams_events += [[]] * (self.n_ranks - lanes)
+        # Vertex n is in no event: a source or a read there sees a vertex
+        # that only an init reaches.
+        self.universe = range(n + 1)
+        vertex = st.integers(0, n)
         # Every source program's inits; some are held back for a rule.
         self.st_sources: dict[str, list[int]] = {}
         inits = []
@@ -271,35 +294,36 @@ class EngineContract(RuleBasedStateMachine):
         self.checked = 0
         self.bulk_spoiled = False
         self.restores = 0
+        self.drained_at = None
         self._build().attach_streams(self.streams)
         for i, h in zip(inits, held):
             if not h:
                 self._init(i)
         # Queries registered before ingest starts see every change.
-        for _ in range(draw(st.integers(0, 2), label="queries up front")):
+        for _ in range(draw(st.integers(mode == "handover", 2), label="triggers")):
             self.add_trigger(data)
+        for _ in range(draw(st.integers(mode == "harvest", 2), label="collections")):
             self.begin_collection(data)
         self.last = self._states()
 
     def _programs(self):
-        progs = [self.make_program(name) for name in self.names]
+        progs = [PROGRAM[name]() for name in self.names]
         for p in progs:
             for s in self.st_sources.get(p.name, ()):
                 p.register_source(s)
         return progs
 
     def _build(self):
-        plugins = [self.make_bulk(self.chunk)] if self.chunk else None
-        self.engine = self.make_engine(
+        self.engine = DynamicEngine(
             self._programs(),
             EngineConfig(n_ranks=self.n_ranks, coalesce_updates=self.coalesce),
-            plugins,
+            plugins=[BulkIngestPlugin(self.chunk)] if self.chunk else None,
         )
         self.streams = [
             ListEventStream(evs, stream_id=k)
             for k, evs in enumerate(self.streams_events)
         ]
-        self.serving = self.make_serving(self.engine)
+        self.serving = ServingLayer(self.engine)
         for prog, answer in self.refs.items():
             self.serving.set_reference(prog, answer)
         return self.engine
@@ -342,9 +366,16 @@ class EngineContract(RuleBasedStateMachine):
         return {name: self.engine.state(name) for name in self.names}
 
     # -- rules ------------------------------------------------------------
-    @rule(k=st.integers(1, 48))
-    def run_slice(self, k):
+    @rule(data=st.data())
+    def run_slice(self, data):
+        # With bulk ingest a few actions at a time: an action may be a
+        # whole chunk, and a trigger holding it back must find events
+        # left for the chunks when it goes.
+        k = data.draw(st.integers(0, 3 if self.chunk else 48), label="k")
+        loop = self.engine.loop
+        before = loop.actions_executed
         self.engine.run(max_actions=k)
+        assert loop.actions_executed - before <= k, "a slice overran its bound"
 
     @rule(data=st.data())
     def serve(self, data):
@@ -387,6 +418,7 @@ class EngineContract(RuleBasedStateMachine):
             want = getattr(frozen, method)(*args).value
             assert got.value == want, (query, args, got, want)
 
+    @precondition(lambda self: self.observed)
     @rule(data=st.data())
     def add_trigger(self, data):
         if not self.observed:
@@ -410,23 +442,56 @@ class EngineContract(RuleBasedStateMachine):
         self.watches.append(w)
         self.bulk_spoiled = True
 
+    @precondition(lambda self: any(w.live for w in self.watches))
     @rule(data=st.data())
     def remove_trigger(self, data):
         live = [w for w in self.watches if w.live]
-        if not live:
-            return
         w = data.draw(st.sampled_from(live))
         assert self.engine.triggers.remove(w.handle)
         w.live = False
 
+    def _events_left(self) -> bool:
+        return any(s.position < len(e) for s, e in zip(self.streams, self.streams_events))
+
+    def _can_release(self) -> bool:
+        """Triggers hold bulk ingest back, and the streams have events."""
+        return bool(self.chunk) and any(w.live for w in self.watches) and self._events_left()
+
+    @precondition(lambda self: self._can_release())
+    @rule()
+    def release_bulk(self):
+        """Every trigger goes at once with a REVERSE_ADD in flight, and the
+        clock runs until it lands: bulk ingest re-engages meanwhile, and
+        its resync re-reads a store the visitors have not caught up with
+        (the review bug of PR 49)."""
+        loop = self.engine.loop
+
+        def in_flight() -> list[tuple]:
+            return [m for q in loop._inbox for _t, _s, m in q if m[0] == VT_RADD]
+
+        for _ in range(48):
+            if in_flight():
+                break
+            self.engine.run(max_actions=1)
+        for w in self.watches:
+            if w.live:
+                assert self.engine.triggers.remove(w.handle)
+                w.live = False
+        if radds := in_flight():
+            for _ in range(48):
+                if not any(m is radds[0] for m in in_flight()):
+                    break
+                self.engine.run(max_actions=1)
+
+    @precondition(lambda self: self.pending)
     @rule()
     def init_source(self):
-        if self.pending:
-            self._init(self.pending.pop(0))
+        self._init(self.pending.pop(0))
 
+    @precondition(lambda self: self.collections)
     @rule(data=st.data())
     def begin_collection(self, data):
-        if not (self.add_only and self.observed):
+        if not self.collections:
             return
         names = [p for p in self.names if family(p)]
         prog = data.draw(st.sampled_from(names), label="collect")
@@ -436,19 +501,35 @@ class EngineContract(RuleBasedStateMachine):
         self.requested.append((at, prog))
         self.bulk_spoiled = True
 
-    @rule()
-    def checkpoint_and_restore(self):
-        # Each restore drains the cluster: two per example keep most
-        # steps mid-stream.
-        if self.restores == 2:
-            return
-        self.restores += 1
-        eng = self.engine
+    def _drain(self) -> None:
+        """Pause every stream and run to quiescence (visitors, pending
+        collections, probes)."""
         for r in range(self.n_ranks):
-            eng.loop.set_source_active(r, False)
-        eng.run()  # drain: visitors, pending collections, probes
+            self.engine.loop.set_source_active(r, False)
+        self.engine.run()
         self._check_collections()
         self._check_quiescent()
+
+    def _between_collections(self) -> bool:
+        return len(self.engine.collection_results) == len(self.requested)
+
+    @precondition(lambda self: self._between_collections() and self._events_left())
+    @rule()
+    def pause_and_drain(self):
+        # A settled engine mid-stream: what is read now is cached, and
+        # the ingest that resumes must invalidate it.
+        self._drain()
+        for r in range(self.n_ranks):
+            self.engine.loop.set_source_active(r, True)
+
+    # Each restore drains the cluster: two per example keep most steps
+    # mid-stream, and none is taken while a collection is outstanding.
+    @precondition(lambda self: self.restores < 2 and self._between_collections())
+    @rule()
+    def checkpoint_and_restore(self):
+        self.restores += 1
+        eng = self.engine
+        self._drain()
         positions = [s.position for s in self.streams]
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "ckpt.npz"
@@ -483,11 +564,27 @@ class EngineContract(RuleBasedStateMachine):
         self.last = states
 
     @invariant()
+    def cache_holds_live_values(self):
+        # A cached entry is a substitute for a live read: writes and bulk
+        # flushes drop what they change (serving/cache.py).  Untouched (0)
+        # and touched-unreached are one answer.
+        for name, entries in zip(self.names, self.serving.cache._entries):
+            for v, (value, _at, _absorbing) in entries.items():
+                live = self.engine.value_of(name, v)
+                if live != value:
+                    unreached = FAMILIES[family(name)].unreached
+                    both = unreached(project(live)) and unreached(project(value))
+                    assert both, (name, v, value, live)
+
+    @invariant()
     def collections_harvest_their_prefix(self):
         self._check_collections()
 
     def _check_collections(self) -> None:
         eng = self.engine
+        if eng.active_collection is None:
+            # The S_prev / S_new split lives only inside an epoch (§III-D).
+            assert not any(eng._prev_vals) and not any(eng._cut_new_edges)
         results = eng.collection_results
         # Collections begin in alarm order: by time, then by request.
         order = sorted(self.requested, key=lambda req: req[0])
@@ -499,7 +596,8 @@ class EngineContract(RuleBasedStateMachine):
             if i:  # one at a time: a request made meanwhile waits its turn
                 prev = results[i - 1]
                 assert r.cut_version > prev.cut_version
-                assert r.requested_at in (at, prev.completed_at)
+                assert r.requested_at >= prev.completed_at
+                assert r.requested_at == max(at, prev.completed_at)
             graph = prefix_csr(self.streams_events, eng.cut_positions[r.collection_id])
             inits = [x for x in self.inits if x.version < r.cut_version]
             expect = self._raw(prog, graph, inits)
@@ -507,11 +605,34 @@ class EngineContract(RuleBasedStateMachine):
             assert got == expect, (prog, r.cut_version, got, expect)
         self.checked = len(results)
 
+    @invariant()
+    def drained_state_is_the_prefix_answer(self):
+        # drained(): every ingested event has propagated, so the live
+        # state is the static answer on the ingested prefix (§II-D).
+        # Once per drained point: a rule that runs nothing changes nothing.
+        point = (self.engine, self.engine.loop.actions_executed)
+        if self.engine.drained() and point != self.drained_at:
+            self._check_drained()
+            self.drained_at = point
+
     def _check_quiescent(self) -> None:
         """At quiescence: the state is the oracle's, every trigger fired
         iff its predicate holds."""
         eng = self.engine
         assert eng.loop.quiescent() and eng.drained()
+        self._check_drained()
+        for w in self.watches:
+            if not (w.live and self.add_only):
+                continue
+            final = eng.state(w.prog)
+            for v, value in final.items():
+                if w.vertex in (None, v) and not w.predicate(w.before.get(v, 0)):
+                    assert (v in w.fired) == w.predicate(value), (w.prog, v, value)
+
+    def _check_drained(self) -> None:
+        """The state is the oracle's on the stored edges: raw values on
+        add-only runs, projections and no frozen vertex under deletes."""
+        eng = self.engine
         graph = csr_from_engine(eng)
         vertices = set(graph.vertex_ids.tolist())
         for name in self.names:
@@ -531,13 +652,6 @@ class EngineContract(RuleBasedStateMachine):
             assert state == expect, (name, state, expect)
             if name in KERNEL:
                 assert all(type(x) is int for x in state.values())
-        for w in self.watches:
-            if not (w.live and self.add_only):
-                continue
-            final = eng.state(w.prog)
-            for v, value in final.items():
-                if w.vertex in (None, v) and not w.predicate(w.before.get(v, 0)):
-                    assert (v in w.fired) == w.predicate(value), (w.prog, v, value)
 
     def teardown(self):
         # Only a run that passed every step is finished here: a failing
@@ -546,6 +660,8 @@ class EngineContract(RuleBasedStateMachine):
             return
         while self.pending:
             self.init_source()
+        if self.mode == "handover" and self._can_release():
+            self.release_bulk()  # a handover run always ends with one
         eng = self.engine
         eng.run()
         assert eng.ingest_watermark() == len(self.events)
@@ -585,118 +701,69 @@ TestEngineContract.settings = settings(
 
 
 # ----------------------------------------------------------------------
-# The machine's power: one planted bug per fast path, each in a
-# test-local subclass, must make it fail within the tier-1 budget.
+# The machine's power: every gated mutant of the catalogue must make it
+# fail within the tier-1 budget.
 # ----------------------------------------------------------------------
-class _SkipsLastProgramOnFlush(BulkIngestor):
-    """(a) A bulk flush that drops one program's stale entries."""
+BUDGET = settings(
+    TestEngineContract.settings,
+    derandomize=True,
+    database=None,
+    phases=[Phase.generate],  # stop at the first failure
+    verbosity=Verbosity.quiet,
+)
 
-    def flush_values(self, count_fallback=True):
-        stale, last = self.state.stale, len(self.kernels) - 1
-        self.state.stale = lambda p: stale(p)[:0] if p == last else stale(p)
+
+def first_failure(
+    mutant: Mutant, budget: settings = BUDGET, modes=()
+) -> AssertionError | None:
+    """The machine's first failure under ``mutant``, or None; ``modes``
+    narrows the machine to those modes."""
+    narrow = {m: EngineContract.MODES[m] for m in modes} or EngineContract.MODES
+    with mutant.applied(), patched((EngineContract, "MODES", narrow)):
         try:
-            super().flush_values(count_fallback)
-        finally:
-            del self.state.stale
+            run_state_machine_as_test(EngineContract, settings=budget)
+        except AssertionError as failure:
+            return failure
+    return None
 
 
-class _SkippingBulk(BulkIngestPlugin):
-    def setup(self, engine):
-        engine._bulk = _SkipsLastProgramOnFlush(engine, self.chunk)
-
-
-class _NeverStale(ServingLayer):
-    """(b) A point read stamped fresh without asking ``drained()``."""
-
-    def point(self, prog, vertex):
-        return replace(super().point(prog, vertex), stale=False)
-
-
-class _HarvestsSNew(DynamicEngine):
-    """(c) A collection part that reads S_new instead of S_prev."""
-
-    def _on_control(self, rank, msg):
-        if msg[1] == CTRL_HARVEST:
-            self._prev_vals[rank] = {}
-        super()._on_control(rank, msg)
-
-
-class _RefiringTriggers(TriggerManager):
-    """(d) A once-trigger that fires on every change."""
-
-    def add(self, *args, **kwargs):
-        trig = super().add(*args, **kwargs)
-        trig.once = False
-        return trig
-
-
-def _with_refiring_triggers(programs, config, plugins):
-    engine = DynamicEngine(programs, config, plugins=plugins)
-    engine.triggers = _RefiringTriggers()
-    return engine
-
-
-PLANTED = {
-    "bulk_flush_skips_a_program": {"make_bulk": lambda self, c: _SkippingBulk(c)},
-    "point_read_ignores_drained": {"make_serving": lambda self, e: _NeverStale(e)},
-    "harvest_reads_s_new": {
-        "make_engine": lambda self, p, c, pl: _HarvestsSNew(p, c, plugins=pl)
-    },
-    "once_trigger_refires": {
-        "make_engine": lambda self, p, c, pl: _with_refiring_triggers(p, c, pl)
-    },
-}
-
-
-@pytest.mark.parametrize("bug", PLANTED)
+@pytest.mark.parametrize("bug", [m.name for m in CATALOGUE if m.gate])
 def test_the_machine_finds_a_planted_bug(bug):
-    planted = type(f"Planted[{bug}]", (EngineContract,), PLANTED[bug])
-    # The tier-1 budget, derandomised, stopping at the first failure.
-    budget = settings(
-        TestEngineContract.settings,
-        derandomize=True,
-        database=None,
-        phases=[Phase.generate],
-    )
-    with pytest.raises(AssertionError):
-        run_state_machine_as_test(planted, settings=budget)
+    # In the modes that run the broken code; the kill matrix runs the
+    # whole machine.
+    mutant = MUTANTS[bug]
+    assert first_failure(mutant, modes=mutant.modes), f"{bug} survived the machine"
 
 
-# ----------------------------------------------------------------------
-# CI's report: the generational programs with rule 9's fence removed.
-# ----------------------------------------------------------------------
-class _NoFence:
-    """The reverse-delete side sends no ``F`` (DESIGN §12, hazard b)."""
+@pytest.mark.parametrize("mutant", CATALOGUE, ids=lambda m: m.name)
+def test_the_catalogue_cannot_rot(mutant):
+    """A renamed or re-signed target fails here, not as a silent no-op
+    mutant (a patch that adds an attribute patches nothing)."""
+    original = getattr(mutant.owner, mutant.attribute)  # AttributeError: it moved
+    assert original is not mutant.replacement
 
-    def on_reverse_delete(self, ctx, vis_id, vis_val, weight):
-        self._edge_removed(ctx, vis_id)
+    def params(f):
+        return [(p.name, p.kind, p.default) for p in signature(f).parameters.values()]
 
-
-UNFENCED = {n: type(f"Unfenced[{n}]", (_NoFence, PROGRAM[n]), {}) for n in CHURN}
-
-
-class UnfencedContract(EngineContract):
-    MODES = ("churn",)
-
-    def make_program(self, name):
-        return UNFENCED[name]()
+    assert params(original) == params(mutant.replacement)
 
 
 if __name__ == "__main__":
+    # A report, not a gate: the churn mode, randomised at the
+    # churn-sweep size, with rule 9's fence removed (DESIGN §12 b).
     sys.path.insert(0, str(Path(__file__).parents[1]))
     import conftest  # noqa: F401 - registers the churn-sweep profile
 
     sweep = settings(
-        TestEngineContract.settings,
+        BUDGET,
         max_examples=settings.get_profile("churn-sweep").max_examples,
         derandomize=False,
-        database=None,
-        phases=[Phase.generate],
+        verbosity=Verbosity.normal,  # the failing steps, as notes
     )
-    try:
-        run_state_machine_as_test(UnfencedContract, settings=sweep)
-    except AssertionError as failure:
+    unfenced = MUTANTS["unfenced_support_tree"]
+    failure = first_failure(unfenced, sweep, unfenced.modes)
+    if failure is None:
+        print(f"not found in {sweep.max_examples} examples (a report, not a gate)")
+    else:
         steps = "\n".join(getattr(failure, "__notes__", ()))
         print(f"found: the unfenced support tree fails\n{failure}\n{steps}")
-    else:
-        print(f"not found in {sweep.max_examples} examples (a report, not a gate)")

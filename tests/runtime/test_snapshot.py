@@ -9,9 +9,11 @@ from repro import (
     IncrementalBFS,
     IncrementalCC,
     INF,
+    ListEventStream,
     split_streams,
 )
 from repro.analytics import verify_bfs
+from repro.events.types import ADD
 from repro.generators import rmat_edges
 from repro.staticalgs import static_bfs
 from repro.storage.csr import CSRGraph
@@ -86,6 +88,21 @@ class TestCollectionBasics:
         first, second = e.collection_results
         assert second.requested_at >= first.completed_at
         assert second.cut_version > first.cut_version
+
+    def test_a_request_due_inside_the_last_epoch_begins_when_it_ends(self):
+        # The first collection ends at 48.23 us, inside the action that
+        # ran past 48 us, so the second request's alarm fires after it:
+        # that collection begins at the end of the first, its epoch does
+        # not overlap it, and its latency counts no time the first held.
+        events = [(ADD, 2, 1, 1), (ADD, 1, 1, 1), (ADD, 2, 0, 1), (ADD, 1, 0, 1)]
+        e = DynamicEngine([IncrementalCC()], EngineConfig(n_ranks=2))
+        e.attach_streams([ListEventStream(events[k::2], stream_id=k) for k in (0, 1)])
+        e.request_collection("cc", at_time=0.0)
+        e.request_collection("cc", at_time=48e-6)
+        e.run()
+        first, second = e.collection_results
+        assert first.completed_at > 48e-6
+        assert second.requested_at == first.completed_at
 
     def test_sequential_collections_allowed(self):
         e, src, _ = rmat_engine(4, seed=5)
