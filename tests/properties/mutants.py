@@ -15,18 +15,19 @@ attribute reaches every importer, so no test needs a factory seam and
 * this file's ``__main__``, the kill matrix: for each mutant, the
   machine and each hand-built module it restates, killed or not::
 
-      PYTHONPATH=src python tests/properties/mutants.py [EXTRA_MODULE ...]
+      PYTHONPATH=src python tests/properties/mutants.py
 
-  A report, not a gate: a module's deletion quotes its row.  The
-  machine column runs the whole machine; the tier-1 test narrows it to
-  each mutant's ``modes``.
+  A report, not a gate: a module's deletion quotes its row.  Each cell
+  is pytest in a fresh interpreter, and only a failed test (exit code
+  1) is a kill.  The machine column runs the whole machine; the tier-1
+  test narrows it to each mutant's ``modes``.
 """
 
 from __future__ import annotations
 
 import contextlib
 import glob
-import io
+import subprocess
 import sys
 import tempfile
 from dataclasses import dataclass, replace
@@ -208,9 +209,11 @@ CATALOGUE = (
 )  # fmt: skip
 MUTANTS = {m.name: m for m in CATALOGUE}
 
-# The hand-built modules the machine restates (CHANGES, PR 49's table).
+# The columns: the whole machine, and the hand-built modules it restates
+# (CHANGES, PR 49's table), as pytest targets under ``tests/``.
 TESTS = Path(__file__).resolve().parents[1]
 COLUMNS = {
+    "machine": "properties/test_engine_contract.py::TestEngineContract",
     "remo_props": "properties/test_remo_props.py",
     "bulk_props": "properties/test_bulk_props.py",
     "generational_props": "properties/test_generational_props.py",
@@ -221,42 +224,49 @@ COLUMNS = {
     "bulk_ingest": "runtime/test_bulk_ingest.py",
     "serving_differential": "serving/test_serving_differential.py",
 }
+# One cell's interpreter: argv is this directory, the mutant, the targets.
+CELL = (
+    "import sys; sys.path.insert(0, sys.argv[1]); import mutants; "
+    "sys.exit(mutants.cell(*sys.argv[2:]))"
+)
 
 
-def module_kills(mutant: Mutant, pattern: str) -> bool:
-    """Does pytest fail on the modules matching ``pattern`` (under
-    ``tests/``) with ``mutant`` applied?  Runs in this process."""
+def cell(name: str, *targets: str) -> int:
+    """pytest's exit code on ``targets`` with mutant ``name`` applied, in
+    this process: 1 when a test failed, 2-4 when the run broke."""
     import pytest
-
-    paths = sorted(glob.glob(str(TESTS / pattern)))
-    if not paths:
-        raise FileNotFoundError(pattern)
-    args = [*paths, "-x", "-q", "-p", "no:cacheprovider", "-W", "ignore"]
-    with mutant.applied(), contextlib.redirect_stdout(io.StringIO()):
-        return pytest.main(args) != 0
-
-
-def main(extra: list[str]) -> None:
     from hypothesis import configuration
 
-    # Examples that fail under a mutant stay out of the suite's database.
-    configuration.set_hypothesis_home_dir(tempfile.mkdtemp())
-    sys.path[:0] = [str(TESTS), str(TESTS / "properties")]
-    import test_engine_contract as machine
+    args = [*targets, "-x", "-q", "-p", "no:cacheprovider", "-W", "ignore"]
+    with tempfile.TemporaryDirectory() as home, MUTANTS[name].applied():
+        # Examples that fail under a mutant stay out of the suite's database.
+        configuration.set_hypothesis_home_dir(home)
+        return pytest.main(args)
 
-    columns = dict(COLUMNS)
-    for path in extra:
-        columns[Path(path).stem.removeprefix("test_")] = str(
-            Path(path).resolve().relative_to(TESTS)
-        )
-    print("K = killed, . = survived; machine: derandomised, tier-1 budget")
-    print(f"{'mutant':36}", "machine", *columns)
+
+def kill_cell(mutant: Mutant, column: str) -> str:
+    """``K`` when pytest fails a test of ``column`` under ``mutant`` in a
+    fresh interpreter, ``.`` when every test passes, ``E`` otherwise."""
+    path, sep, node = COLUMNS[column].partition("::")
+    targets = [p + sep + node for p in sorted(glob.glob(str(TESTS / path)))]
+    if not targets:
+        raise FileNotFoundError(path)
+    here = str(Path(__file__).parent)
+    argv = [sys.executable, "-c", CELL, here, mutant.name, *targets]
+    quiet = {"stdout": subprocess.DEVNULL, "stderr": subprocess.DEVNULL}
+    code = subprocess.run(argv, **quiet).returncode
+    return {0: ".", 1: "K"}.get(code, "E")
+
+
+def main() -> None:
+    print("K = a test failed, . = every test passed, E = the run broke (no kill)")
+    print("machine: the whole machine, derandomised, tier-1 budget")
+    print(f"{'mutant':36}", *COLUMNS)
     for mutant in CATALOGUE:
-        killed = [machine.first_failure(mutant) is not None]
-        killed += [module_kills(mutant, pattern) for pattern in columns.values()]
-        cells = [("K" if k else ".").center(len(h)) for k, h in zip(killed, ["machine", *columns])]
-        print(f"{mutant.name:36}", *cells, "" if mutant.gate else "(not gated)")
+        cells = [kill_cell(mutant, c).center(len(c)) for c in COLUMNS]
+        gated = "" if mutant.gate else "(not gated)"
+        print(f"{mutant.name:36}", *cells, gated, flush=True)
 
 
 if __name__ == "__main__":
-    main(sys.argv[1:])
+    main()
